@@ -18,14 +18,14 @@ from .auxiliary import (AuxiliaryField, BoundaryData, ConfigurationError,
                         interpolant_gradients, interpolant_values, seminorm_growth_rhs)
 from .mesh import Mesh, MeshError, generate, refine, strip_area
 from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
-                     RightHandSide, SolverError, assemble, difference_w,
-                     dirichlet_values, energy_on, gradient_at, l2_norm, mean_flux,
-                     solve_component, solve_dirichlet)
+                     RightHandSide, SolverError, assemble, dirichlet_values,
+                     grid_distance, gradient_at, l2_norm, solve_component,
+                     solve_dirichlet, value_at)
 from .oracle import (AffineCase, OracleError, brute_force_seminorm, exact_affine_case,
                      finite_difference_reference)
 from .verify import (BlowupReport, EnergyScalingResult, PlanError, SweepPlan,
                      check_energy_scaling, check_lateral_sensitivity, check_lower_bound,
-                     check_profile, fit_rate, profile_constant, remainder_energy,
-                     run_sweep)
+                     check_profile, fit_rate, probe_points, profile_constant,
+                     remainder_energy, run_sweep)
 
 __version__ = "0.1.0"

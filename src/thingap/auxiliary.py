@@ -330,46 +330,6 @@ def field_gradients(fld: AuxiliaryField, x) -> np.ndarray:
 # Holder seminorm sampling
 # ---------------------------------------------------------------------------
 
-def _eval_rows(f, X: np.ndarray) -> np.ndarray:
-    """Evaluate a field rule on rows, tolerating scalar-only callables."""
-    try:
-        out = np.asarray(f(X), dtype=float)
-        if out.shape[0] == X.shape[0]:
-            return out.reshape(X.shape[0], -1)
-    except Exception:
-        pass
-    return np.stack([np.asarray(f(x), dtype=float).ravel() for x in X])
-
-
-def _slab_samples(region: LocalRegion, k: int, seed: int, tag: int) -> np.ndarray:
-    """k points in the slab from per-variable generators.
-
-    Each random variable draws from its own seeded stream, so a larger k
-    extends a smaller one point-for-point (prefix-stable sampling).
-    """
-    geom = region.geom
-    d = geom.tangential_dim
-    zc = region.center_tangential
-    rng_dir = np.random.default_rng([seed, tag, 1])
-    rng_rad = np.random.default_rng([seed, tag, 2])
-    rng_hgt = np.random.default_rng([seed, tag, 3])
-    if d == 1:
-        xp = zc + region.radius * rng_dir.uniform(-1, 1, size=(k, 1))
-    else:
-        v = rng_dir.normal(size=(k, d))
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
-        xp = zc + region.radius * v * rng_rad.uniform(0, 1, size=(k, 1)) ** (1.0 / d)
-    r = np.linalg.norm(xp, axis=-1, keepdims=True)
-    over = r > 1.0
-    if np.any(over):
-        xp = np.where(over, xp / r, xp)
-    bot = geom.bottom(xp)
-    top = geom.top(xp)
-    t = rng_hgt.uniform(0, 1, size=k)
-    xn = bot + t * (top - bot)
-    return np.concatenate([xp, xn[:, np.newaxis]], axis=1)
-
-
 def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
                     seed: int = 0) -> float:
     """Sampled Holder seminorm ``sup |f(x)-f(y)| / |x-y|^gamma`` on a slab.
@@ -388,7 +348,7 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     budget = -(-pairs // 4)
     xs, ys = [], []
     for ci, scale in enumerate((0.5, 0.1, 0.01)):
-        x0 = _slab_samples(region, budget, seed, tag=ci)
+        x0 = region.sample_points(budget, seed, tag=ci)
         rng_off = np.random.default_rng([seed, ci, 9])
         u = rng_off.normal(size=(budget, n))
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -396,8 +356,8 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
         keep = region.contains(y0)
         xs.append(x0[keep])
         ys.append(y0[keep])
-    xs.append(_slab_samples(region, budget, seed, tag=3))
-    ys.append(_slab_samples(region, budget, seed, tag=4))
+    xs.append(region.sample_points(budget, seed, tag=3))
+    ys.append(region.sample_points(budget, seed, tag=4))
     X = np.concatenate(xs)
     Y = np.concatenate(ys)
     dist = np.linalg.norm(X - Y, axis=1)
@@ -405,8 +365,8 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     X, Y, dist = X[keep], Y[keep], dist[keep]
     if X.shape[0] == 0:
         return 0.0
-    fx = _eval_rows(f, X)
-    fy = _eval_rows(f, Y)
+    fx = np.asarray(f(X), dtype=float).reshape(X.shape[0], -1)
+    fy = np.asarray(f(Y), dtype=float).reshape(Y.shape[0], -1)
     diff = np.linalg.norm(fx - fy, axis=1)
     return float(np.max(diff / dist**gamma))
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -23,9 +24,9 @@ from .coefficients import EllipticityError, check_ellipticity, check_holder
 from .geometry import GeometryError, LocalRegion
 from .mesh import generate
 from .oracle import brute_force_seminorm, exact_affine_case, finite_difference_reference
-from .solver import assemble, dirichlet_values, gradient_at, solve_dirichlet
+from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
 from .verify import (PlanError, SweepPlan, check_energy_scaling, check_lower_bound,
-                     check_profile, profile_constant, run_sweep)
+                     check_profile, probe_points, profile_constant, run_sweep)
 from .coefficients import identity_coefficients
 
 
@@ -41,36 +42,22 @@ def _floats(text: str):
     return tuple(float(t) for t in str(text).split(",") if t.strip() != "")
 
 
+# SweepPlan fields whose key is not the field name with its first "_" -> "."
+_PLAN_KEYS = {"epsilons": "sweep.epsilons", "probe_offset": "probes.offset",
+              "lambda1": "system.lambda1", "mu1": "system.mu1", "m": "system.m"}
+_PARSERS = {tuple: _floats, int: int, float: float, str: str}
+
+
+def _plan_key(name: str) -> str:
+    return _PLAN_KEYS.get(name, name.replace("_", ".", 1))
+
+
 SCHEMA = {
-    # key: (parser, default)
+    # key: (parser, default); a plan key's parser follows its field's default
+    **{_plan_key(f.name): (_PARSERS[type(f.default)], f.default) for f in fields(SweepPlan)},
+    # keys of single-run and check commands, not part of a sweep plan
     "epsilon": (float, 1e-2),
-    "gamma": (float, 0.5),
     "dim": (int, 2),
-    "profile.kind": (str, "power"),
-    "profile.c1": (float, 1.0),
-    "profile.c2": (float, -1.0),
-    "system.kind": (str, "lame"),
-    "system.lambda1": (float, 1.0),
-    "system.mu1": (float, 1.0),
-    "system.m": (int, 1),
-    "bc.kind": (str, "constant_jump"),
-    "bc.phi": (_floats, (1.0, 0.0)),
-    "bc.psi": (_floats, (0.0, 0.0)),
-    "mesh.layers": (int, 12),
-    "mesh.aspect": (float, 2.0),
-    "mesh.dxmax": (float, 0.02),
-    "mesh.xrange": (float, 1.0),
-    "sweep.epsilons": (_floats, (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)),
-    "energy.aspect": (float, 0.25),
-    "energy.layers": (int, 16),
-    "energy.xrange": (float, 0.75),
-    "energy.zprimes": (_floats, (0.04, 0.0566, 0.08, 0.1131, 0.16)),
-    "probes.centerline": (int, 33),
-    "probes.profile": (int, 65),
-    "probes.offset": (float, 0.05),
-    "reliability.threshold": (float, 0.10),
-    "lateral": (str, "auxiliary"),
-    "quadrature": (int, 3),
     "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
     "prop21.pairs": (int, 2000),
     "prop21.zprimes": (str, "0,neck,0.25"),
@@ -79,7 +66,6 @@ SCHEMA = {
     "checks.stability_factor": (float, 3.0),
     "checks.exponent_band": (float, 0.2),
     "validate.samples": (int, 1000),
-    "seed": (int, 0),
 }
 
 
@@ -131,35 +117,7 @@ def effective_config(path: str | None, overrides: list[str], seed: int | None) -
 
 
 def plan_from_config(cfg: dict) -> SweepPlan:
-    plan = SweepPlan(
-        epsilons=cfg["sweep.epsilons"],
-        gamma=cfg["gamma"],
-        profile_kind=cfg["profile.kind"],
-        profile_c1=cfg["profile.c1"],
-        profile_c2=cfg["profile.c2"],
-        system_kind=cfg["system.kind"],
-        lambda1=cfg["system.lambda1"],
-        mu1=cfg["system.mu1"],
-        m=cfg["system.m"],
-        bc_kind=cfg["bc.kind"],
-        bc_phi=cfg["bc.phi"],
-        bc_psi=cfg["bc.psi"],
-        mesh_layers=cfg["mesh.layers"],
-        mesh_aspect=cfg["mesh.aspect"],
-        mesh_dxmax=cfg["mesh.dxmax"],
-        mesh_xrange=cfg["mesh.xrange"],
-        energy_aspect=cfg["energy.aspect"],
-        energy_layers=cfg["energy.layers"],
-        energy_xrange=cfg["energy.xrange"],
-        energy_zprimes=cfg["energy.zprimes"],
-        probes_centerline=cfg["probes.centerline"],
-        probes_profile=cfg["probes.profile"],
-        probe_offset=cfg["probes.offset"],
-        reliability_threshold=cfg["reliability.threshold"],
-        lateral=cfg["lateral"],
-        quadrature=cfg["quadrature"],
-        seed=cfg["seed"],
-    )
+    plan = SweepPlan(**{f.name: cfg[_plan_key(f.name)] for f in fields(SweepPlan)})
     plan.validate()
     return plan
 
@@ -288,8 +246,9 @@ def _cmd_validate_coefficients(cfg, outdir: Path) -> int:
     plan = plan_from_config(cfg)
     cs = plan.coefficients()
     geom = plan.geometry(cfg["epsilon"])
-    rng = np.random.default_rng(cfg["seed"])
-    pts = geom.sample_points(max(64, int(np.sqrt(cfg["coeffcheck.samples"]))), rng)
+    region = LocalRegion(np.zeros(geom.dim), 1.0, geom)
+    pts = region.sample_points(max(64, int(np.sqrt(cfg["coeffcheck.samples"]))),
+                               cfg["seed"], tag=0)
     result = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
     ok = True
     try:
@@ -326,14 +285,8 @@ def _cmd_solve(cfg, outdir: Path) -> int:
     (outdir / "mesh.txt").write_text(mesh.export_text())
     (outdir / "solution.txt").write_text(export_solution_text(sol))
     lines = ["x,y,comp,dudx,dudy"]
-    w0 = float(geom.gap_width(np.zeros(1)))
-    xn = np.linspace(float(geom.bottom(np.zeros(1))) + plan.probe_offset * w0,
-                     float(geom.top(np.zeros(1))) - plan.probe_offset * w0,
-                     plan.probes_centerline)
-    xp = np.linspace(-0.5, 0.5, plan.probes_profile)
-    mid = geom.midline(xp[:, None])
-    probes = [(0.0, t) for t in xn] + list(zip(xp, mid))
-    for x, y in probes:
+    xn, xp, mid = probe_points(plan, geom)
+    for x, y in [(0.0, t) for t in xn] + list(zip(xp, mid)):
         g = gradient_at(sol, (x, y))
         for comp in range(g.shape[0]):
             lines.append(_csv_row([x, y, comp, g[comp, 0], g[comp, 1]]))
@@ -461,17 +414,6 @@ def _cmd_energy_scaling(cfg, outdir: Path) -> int:
     return 0 if doc["passed"] else 1
 
 
-def _fem_point_value(mesh, sol, x: float, y: float) -> np.ndarray:
-    t = mesh.locate((x, y))
-    tri = mesh.triangles[t]
-    p = mesh.vertices[tri]
-    T = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-                  [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
-    l12 = np.linalg.solve(T, np.array([x, y]) - p[0])
-    lam = np.array([1 - l12.sum(), *l12])
-    return lam @ sol.values[tri]
-
-
 def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
     """Interior sup distance between the grid twin and the element solution."""
 
@@ -485,16 +427,7 @@ def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
     grid = finite_difference_reference(cs, 0.5, eps, nx=160, ny=64, boundary=bdata)
     mesh = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
-    worst = 0.0
-    for i in range(1, grid.xs.size - 1, 2):
-        x = grid.xs[i]
-        if abs(x) > 0.4:
-            continue
-        for j in range(1, grid.ys.size - 1):
-            y = grid.ys[j]
-            vfem = _fem_point_value(mesh, sol, x, y)
-            worst = max(worst, float(np.max(np.abs(vfem - grid.values[i, j]))))
-    return worst
+    return grid_distance(sol, grid)
 
 
 def _cmd_oracle_suite(cfg, outdir: Path) -> int:
@@ -530,8 +463,9 @@ def _cmd_oracle_suite(cfg, outdir: Path) -> int:
     results["fd_vs_fem_lame"] = worst_l
     ok &= worst_l <= 0.01
 
-    gap = plan_from_config(cfg).geometry(eps)
-    data = plan_from_config(cfg).boundary_data(gap)
+    plan = plan_from_config(cfg)
+    gap = plan.geometry(eps)
+    data = plan.boundary_data(gap)
     fld = AuxiliaryField(gap, data, 0)
     w0 = float(gap.gap_width(np.zeros(1)))
     region = LocalRegion(np.array([0.0, float(gap.midline(np.zeros(1)))]), 0.5 * w0, gap)

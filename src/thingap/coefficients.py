@@ -58,7 +58,8 @@ class CoefficientSet:
     """Bundle of the four coefficient fields with claimed bounds.
 
     ``A``, ``B``, ``Cc`` and ``D`` are rules mapping a point (array of shape
-    (n,)) to arrays of the shapes listed in the module docstring.  Constant
+    (n,)) to arrays of the shapes listed in the module docstring; ``None``
+    declares a lower-order field identically zero.  Constant
     fields should set ``constant=True`` so that assembly and checks can
     evaluate once.  ``lam`` is the claimed ellipticity constant, ``Lam`` the
     claimed sup bound on A entries, ``kappa3`` the claimed Holder-norm bound
@@ -68,9 +69,9 @@ class CoefficientSet:
     m: int
     n: int
     A: Callable[[np.ndarray], np.ndarray]
-    B: Callable[[np.ndarray], np.ndarray]
-    Cc: Callable[[np.ndarray], np.ndarray]
-    D: Callable[[np.ndarray], np.ndarray]
+    B: Optional[Callable[[np.ndarray], np.ndarray]]
+    Cc: Optional[Callable[[np.ndarray], np.ndarray]]
+    D: Optional[Callable[[np.ndarray], np.ndarray]]
     lam: float
     Lam: float
     kappa3: float
@@ -78,52 +79,36 @@ class CoefficientSet:
     constant: bool = False
     name: str = "custom"
 
+    def _eval_many(self, rule, X: np.ndarray, shape: tuple) -> np.ndarray:
+        X = np.asarray(X, dtype=float)
+        if rule is None:
+            return np.zeros((X.shape[0],) + shape)
+        if self.constant:
+            return np.broadcast_to(rule(X[0]), (X.shape[0],) + shape)
+        return np.stack([np.asarray(rule(x), dtype=float) for x in X])
+
     def eval_A_many(self, X: np.ndarray) -> np.ndarray:
         """A at each row of X, shape (k, n, n, m, m)."""
-        X = np.asarray(X, dtype=float)
-        if self.constant:
-            return np.broadcast_to(self.A(X[0]), (X.shape[0], self.n, self.n, self.m, self.m))
-        return np.stack([np.asarray(self.A(x), dtype=float) for x in X])
+        return self._eval_many(self.A, X, (self.n, self.n, self.m, self.m))
 
     def eval_B_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.constant:
-            return np.broadcast_to(self.B(X[0]), (X.shape[0], self.n, self.m, self.m))
-        return np.stack([np.asarray(self.B(x), dtype=float) for x in X])
+        return self._eval_many(self.B, X, (self.n, self.m, self.m))
 
     def eval_C_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.constant:
-            return np.broadcast_to(self.Cc(X[0]), (X.shape[0], self.n, self.m, self.m))
-        return np.stack([np.asarray(self.Cc(x), dtype=float) for x in X])
+        return self._eval_many(self.Cc, X, (self.n, self.m, self.m))
 
     def eval_D_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if self.constant:
-            return np.broadcast_to(self.D(X[0]), (X.shape[0], self.m, self.m))
-        return np.stack([np.asarray(self.D(x), dtype=float) for x in X])
+        return self._eval_many(self.D, X, (self.m, self.m))
 
     def is_zero_lower_order(self) -> bool:
-        """True when B, C, D vanish at the origin sample (cheap structural hint)."""
-        x0 = np.zeros(self.n)
-        return (not np.any(self.B(x0))) and (not np.any(self.Cc(x0))) and (not np.any(self.D(x0)))
-
-
-def _zero_b(n, m):
-    z = np.zeros((n, m, m))
-    return lambda x: z
-
-
-def _zero_d(m):
-    z = np.zeros((m, m))
-    return lambda x: z
+        """True when B, C and D are all declared zero (``None``)."""
+        return self.B is None and self.Cc is None and self.D is None
 
 
 def identity_coefficients(m: int = 1, n: int = 2) -> CoefficientSet:
     """Decoupled Laplace blocks: ``A[a,b,i,j] = d_ab d_ij``, no lower order."""
     A0 = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
-    return CoefficientSet(m=m, n=n, A=lambda x: A0, B=_zero_b(n, m),
-                          Cc=_zero_b(n, m), D=_zero_d(m),
+    return CoefficientSet(m=m, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
                           lam=1.0, Lam=1.0, kappa3=float(m * n), gamma=0.5,
                           constant=True, name="identity")
 
@@ -139,8 +124,7 @@ def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
     T = lame_tensor(p, n)
     A0 = np.ascontiguousarray(np.transpose(T, (1, 3, 0, 2)))  # [alpha,beta,i,j] = T[i,alpha,j,beta]
     Lam = float(np.max(np.abs(A0)))
-    return CoefficientSet(m=n, n=n, A=lambda x: A0, B=_zero_b(n, n),
-                          Cc=_zero_b(n, n), D=_zero_d(n),
+    return CoefficientSet(m=n, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
                           lam=p.mu1, Lam=Lam, kappa3=Lam, gamma=0.5,
                           constant=True, name=f"lame({p.lambda1},{p.mu1})")
 
@@ -157,7 +141,7 @@ def holder_demo_coefficients(gamma: float, m: int = 1, n: int = 2) -> Coefficien
         return (1.0 + 0.5 * float(np.linalg.norm(x)) ** gamma) * eye
 
     # sup of the scalar factor on the unit region is 1.5; quotient of |x|^gamma is 1
-    return CoefficientSet(m=m, n=n, A=A, B=_zero_b(n, m), Cc=_zero_b(n, m), D=_zero_d(m),
+    return CoefficientSet(m=m, n=n, A=A, B=None, Cc=None, D=None,
                           lam=1.0, Lam=1.5, kappa3=2.0 + float(m * n), gamma=gamma,
                           constant=False, name="holder_demo")
 

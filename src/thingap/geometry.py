@@ -253,35 +253,7 @@ class GapGeometry:
         xp = _as_tangential(xp, self.tangential_dim)
         return 0.5 * (self.top(xp) + self.bottom(xp))
 
-    def in_closure(self, x, tol: float = 1e-12) -> bool:
-        """Membership in the closure of the full region (radius 1)."""
-        x = np.asarray(x, dtype=float)
-        xp, xn = x[:-1], x[-1]
-        xp = _as_tangential(xp, self.tangential_dim)
-        if np.linalg.norm(xp) > 1.0 + tol:
-            return False
-        return bool(self.bottom(xp) - tol <= xn <= self.top(xp) + tol)
-
-    # -- sampling and validation -------------------------------------------
-
-    def sample_points(self, k: int, rng: np.random.Generator, r: float = 1.0) -> np.ndarray:
-        """``k`` points quasi-uniform in the region of radius ``r``.
-
-        Tangential coordinates uniform in the ball of radius ``r``, vertical
-        coordinate uniform in the local fiber.
-        """
-        d = self.tangential_dim
-        if d == 1:
-            xp = rng.uniform(-r, r, size=(k, 1))
-        else:
-            v = rng.normal(size=(k, d))
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            xp = v * (r * rng.uniform(0, 1, size=(k, 1)) ** (1.0 / d))
-        t = rng.uniform(0, 1, size=k)
-        bot = self.bottom(xp)
-        top = self.top(xp)
-        xn = bot + t * (top - bot)
-        return np.concatenate([xp, xn[:, np.newaxis]], axis=1)
+    # -- validation ---------------------------------------------------------
 
     def validate(self, samples: int = 1000, seed: int = 0) -> None:
         """Sampled check of the structural conditions on the profiles.
@@ -326,12 +298,6 @@ class GapGeometry:
                     raise GeometryError(
                         f"{name} profile gradient leaves the "
                         f"[{self.kappa0}, {self.kappa1}] |x'|^gamma envelope")
-
-    @property
-    def oracle_mode(self) -> bool:
-        """True for flat geometry where the gradient envelope is waived."""
-        return self.kappa0 == 0.0
-
 
 @dataclass(frozen=True)
 class LocalRegion:
@@ -384,25 +350,25 @@ class LocalRegion:
         y[..., -1] = x[..., -1] / w
         return y
 
-    def from_unit(self, y) -> np.ndarray:
-        """Inverse of :meth:`rescale_to_unit`."""
-        y = np.asarray(y, dtype=float)
-        w = self.scale()
-        x = np.empty_like(y)
-        x[..., :-1] = y[..., :-1] * w + self.center_tangential
-        x[..., -1] = y[..., -1] * w
-        return x
+    def sample_points(self, k: int, seed: int, tag: int) -> np.ndarray:
+        """``k`` points uniform in the tangential slab, uniform in each fiber.
 
-    def sample_points(self, k: int, rng: np.random.Generator) -> np.ndarray:
-        """``k`` points uniform in the tangential slab, uniform in each fiber."""
+        Each random variable draws from its own stream seeded by
+        ``(seed, tag, variable)``, so a larger ``k`` extends a smaller one
+        point for point (prefix-stable sampling); ``tag`` separates the
+        streams of independent draws on the same slab.
+        """
         d = self.geom.tangential_dim
         zc = self.center_tangential
+        rng_dir = np.random.default_rng([seed, tag, 1])
+        rng_rad = np.random.default_rng([seed, tag, 2])
+        rng_hgt = np.random.default_rng([seed, tag, 3])
         if d == 1:
-            xp = zc + rng.uniform(-self.radius, self.radius, size=(k, 1))
+            xp = zc + self.radius * rng_dir.uniform(-1, 1, size=(k, 1))
         else:
-            v = rng.normal(size=(k, d))
+            v = rng_dir.normal(size=(k, d))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
-            xp = zc + v * (self.radius * rng.uniform(0, 1, size=(k, 1)) ** (1.0 / d))
+            xp = zc + self.radius * v * rng_rad.uniform(0, 1, size=(k, 1)) ** (1.0 / d)
         # clip to the unit ball where the profiles are defined
         r = np.linalg.norm(xp, axis=-1, keepdims=True)
         over = r > 1.0
@@ -410,6 +376,6 @@ class LocalRegion:
             xp = np.where(over, xp / r, xp)
         bot = self.geom.bottom(xp)
         top = self.geom.top(xp)
-        t = rng.uniform(0, 1, size=k)
+        t = rng_hgt.uniform(0, 1, size=k)
         xn = bot + t * (top - bot)
         return np.concatenate([xp, xn[:, np.newaxis]], axis=1)

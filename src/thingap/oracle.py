@@ -66,20 +66,6 @@ class GridSolution:
     ys: np.ndarray              # (ny + 1,)
     values: np.ndarray          # (nx + 1, ny + 1, m)
 
-    def sample(self, x: float, y: float) -> np.ndarray:
-        """Bilinear interpolation; grid points reproduce nodal values."""
-        i = int(np.clip(np.searchsorted(self.xs, x) - 1, 0, self.xs.size - 2))
-        j = int(np.clip(np.searchsorted(self.ys, y) - 1, 0, self.ys.size - 2))
-        tx = (x - self.xs[i]) / (self.xs[i + 1] - self.xs[i])
-        ty = (y - self.ys[j]) / (self.ys[j + 1] - self.ys[j])
-        v = self.values
-        return ((1 - tx) * (1 - ty) * v[i, j] + tx * (1 - ty) * v[i + 1, j]
-                + (1 - tx) * ty * v[i, j + 1] + tx * ty * v[i + 1, j + 1])
-
-    def interior_points(self, margin: float = 0.0):
-        keep_x = (self.xs >= self.xs[0] + margin) & (self.xs <= self.xs[-1] - margin)
-        return self.xs[keep_x][1:-1] if margin == 0.0 else self.xs[keep_x]
-
 
 def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: float,
                                 nx: int, ny: int,
@@ -88,16 +74,16 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
     """Second-order difference solution on the rectangle [-a, a] x [-eps/2, eps/2].
 
     Constant leading coefficients only (the stencil contracts A with second
-    differences, including the cross term); lower-order fields must vanish.
-    Dirichlet values on all four sides come from ``boundary``.  The
-    symmetric positive system is solved by conjugate gradients, a code path
-    disjoint from the element assembly and the sparse LU used by the solver
-    module.
+    differences, including the cross term); lower-order fields must be
+    declared zero.  Dirichlet values on all four sides come from
+    ``boundary``.  The symmetric positive system is solved by conjugate
+    gradients, a code path disjoint from the element assembly and the sparse
+    LU used by the solver module.
     """
-    if not cs.constant:
-        raise OracleError("finite-difference reference supports constant coefficients only")
     if not cs.is_zero_lower_order():
         raise OracleError("finite-difference reference requires B = C = D = 0")
+    if not cs.constant:
+        raise OracleError("finite-difference reference supports constant coefficients only")
     m = cs.m
     A0 = np.asarray(cs.A(np.zeros(2)), dtype=float)     # (2, 2, m, m)
     xs = np.linspace(-half_width, half_width, nx + 1)

@@ -21,11 +21,9 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import splu
 
-from .auxiliary import AuxiliaryField, BoundaryData, field_values, field_gradients, \
-    interpolant_values
+from .auxiliary import BoundaryData, interpolant_values
 from .coefficients import CoefficientSet
-from .geometry import LocalRegion
-from .mesh import Mesh, MeshError, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
+from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
 
 
 class SolverError(RuntimeError):
@@ -244,62 +242,39 @@ def solve_component(system: AssembledSystem, data: BoundaryData, ell: int,
     return solve_dirichlet(system, bc, metadata=f"component_{ell}")
 
 
-def difference_w(v: DiscreteSolution, fld: AuxiliaryField) -> DiscreteSolution:
-    """Remainder after subtracting the data extension at the nodes.
-
-    The result vanishes on the top and bottom boundary nodes, because the
-    extension matches the imposed data there exactly.
-    """
-    if fld.geom is not v.mesh.geom and fld.geom != v.mesh.geom:
-        raise SolverError("auxiliary field and solution use different geometries")
-    interp = np.atleast_2d(field_values(fld, v.mesh.vertices))
-    if interp.shape != v.values.shape:
-        raise SolverError("component count mismatch between solution and field")
-    w = v.values - interp
-    gap_nodes = (v.mesh.vertex_tags == TAG_TOP) | (v.mesh.vertex_tags == TAG_BOTTOM)
-    worst = float(np.max(np.abs(w[gap_nodes]))) if np.any(gap_nodes) else 0.0
-    if worst > 1e-10 * max(1.0, float(np.max(np.abs(v.values)))):
-        raise SolverError(f"remainder does not vanish on the gap boundaries ({worst:.3e})")
-    return DiscreteSolution(mesh=v.mesh, values=w, metadata=f"remainder_{fld.component}")
-
-
 def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:
     """Gradient matrix (m, 2) of the containing triangle (lowest index on ties)."""
     t = sol.mesh.locate(np.asarray(x, dtype=float))
     return sol.gradients()[t]
 
 
-def energy_on(sol: DiscreteSolution, region: LocalRegion) -> float:
-    """Squared-gradient integral over triangles whose centroid lies in the region."""
-    c = sol.mesh.centroids()
-    mask = region.contains(c)
-    if not np.any(mask):
-        return 0.0
-    g = sol.gradients()[mask]
-    return float(np.sum(sol.mesh.areas()[mask] * np.sum(g * g, axis=(1, 2))))
+def value_at(sol: DiscreteSolution, x) -> np.ndarray:
+    """Values (m,) of the linear interpolant in the triangle :func:`gradient_at` uses."""
+    x = np.asarray(x, dtype=float)
+    t = sol.mesh.locate(x)
+    v0 = sol.mesh.triangles[t, 0]
+    return sol.values[v0] + sol.gradients()[t] @ (x - sol.mesh.vertices[v0])
+
+
+def grid_distance(sol: DiscreteSolution, grid) -> float:
+    """Sup distance between ``sol`` and a tensor-grid field at interior grid nodes.
+
+    ``grid`` carries node coordinates ``xs``, ``ys`` and values (nx+1, ny+1, m),
+    as the finite-difference reference returns them.  Every second column in
+    the inner 80% of the x-range and every interior row are compared.
+    """
+    worst = 0.0
+    for i in range(1, grid.xs.size - 1, 2):
+        x = grid.xs[i]
+        if abs(x) > 0.8 * grid.xs[-1]:
+            continue
+        for j in range(1, grid.ys.size - 1):
+            v = value_at(sol, (x, grid.ys[j]))
+            worst = max(worst, float(np.max(np.abs(v - grid.values[i, j]))))
+    return worst
 
 
 def l2_norm(sol: DiscreteSolution) -> float:
     """Centroid-rule L2 norm of the nodal field over the whole mesh."""
     c_vals = sol.values[sol.mesh.triangles].mean(axis=1)
     return float(np.sqrt(np.sum(sol.mesh.areas() * np.sum(c_vals**2, axis=1))))
-
-
-def mean_flux(fld: AuxiliaryField, cs: CoefficientSet, region: LocalRegion,
-              mesh: Mesh) -> np.ndarray:
-    """Region average of the leading-field flux of the data extension.
-
-    Centroid quadrature over the triangles contained in the region; entry
-    (i, alpha) averages ``sum_{beta,j} A[alpha,beta,i,j] d_beta ext^(j)``.
-    Raises when the region captures no centroids.
-    """
-    c = mesh.centroids()
-    mask = region.contains(c)
-    if not np.any(mask):
-        raise MeshError("region contains no triangle centroids")
-    pts = c[mask]
-    areas = mesh.areas()[mask]
-    A_many = cs.eval_A_many(pts)                        # (k, n, n, m, m)
-    grads = field_gradients(fld, pts)                   # (k, m, n)
-    flux = np.einsum("kpqij,kjq->kip", A_many, grads)   # (k, m, n)
-    return np.einsum("k,kip->ip", areas, flux) / float(np.sum(areas))

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .auxiliary import AuxiliaryField, BoundaryData, field_gradients
 from .coefficients import (CoefficientSet, LameParameters, holder_demo_coefficients,
@@ -46,9 +46,9 @@ class PlanError(ValueError):
 def fit_rate(pairs: Sequence[tuple], confidence: float = 0.95):
     """Log-log least squares: returns (slope, confidence half-width).
 
-    Requires at least 3 pairs of positive (scale, value); the half-width is
-    the Student-t interval from the residual variance, zero for exactly
-    log-linear data.
+    Requires at least 3 pairs of positive (scale, value) with at least two
+    distinct scales; the half-width is the Student-t interval from the
+    residual variance, zero for exactly log-linear data.
     """
     pts = [(float(s), float(v)) for s, v in pairs]
     if len(pts) < 3:
@@ -60,11 +60,13 @@ def fit_rate(pairs: Sequence[tuple], confidence: float = 0.95):
     n = x.size
     xm, ym = x.mean(), y.mean()
     sxx = float(np.sum((x - xm) ** 2))
+    if sxx == 0.0:
+        raise PlanError("rate fitting needs at least two distinct scales")
     slope = float(np.sum((x - xm) * (y - ym)) / sxx)
     resid = y - (ym + slope * (x - xm))
     var = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(var / sxx)
-    tq = float(stats.t.ppf(0.5 + confidence / 2, n - 2))
+    tq = float(special.stdtrit(n - 2, 0.5 + confidence / 2))
     return slope, tq * se
 
 
@@ -112,6 +114,9 @@ class SweepPlan:
             raise PlanError("epsilon values must be strictly decreasing")
         if len(eps) < 3:
             raise PlanError("need at least 3 epsilon values for rate fitting")
+        zs = tuple(float(z) for z in self.energy_zprimes)
+        if any(z <= 0 for z in zs) or len(set(zs)) != len(zs):
+            raise PlanError("energy z' values must be positive and distinct")
         if not (0 < self.gamma < 1):
             raise PlanError(f"gamma must lie in (0, 1), got {self.gamma}")
         if self.system_kind == "custom" or self.bc_kind == "custom":
@@ -207,17 +212,23 @@ def _frob(mat: np.ndarray) -> float:
     return float(np.sqrt(np.sum(mat * mat)))
 
 
-def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData):
-    """Centerline and midline gradient probes."""
-    eps = geom.epsilon
+def probe_points(plan: SweepPlan, geom: GapGeometry):
+    """Probe sites: centerline heights ``xn`` at x' = 0, midline ``(xp, mid)``.
+
+    The centerline stays ``probe_offset`` gap widths inside each boundary.
+    """
     w0 = float(geom.gap_width(np.zeros(1)))
     off = plan.probe_offset * w0
-    bot0 = float(geom.bottom(np.zeros(1)))
-    top0 = float(geom.top(np.zeros(1)))
-    xn = np.linspace(bot0 + off, top0 - off, plan.probes_centerline)
-    cl = np.array([_frob(gradient_at(sol, (0.0, t))) for t in xn])
+    xn = np.linspace(float(geom.bottom(np.zeros(1))) + off,
+                     float(geom.top(np.zeros(1))) - off, plan.probes_centerline)
     xp = np.linspace(-0.5, 0.5, plan.probes_profile)
-    mid = geom.midline(xp[:, None])
+    return xn, xp, geom.midline(xp[:, None])
+
+
+def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData):
+    """Centerline and midline gradient probes."""
+    xn, xp, mid = probe_points(plan, geom)
+    cl = np.array([_frob(gradient_at(sol, (0.0, t))) for t in xn])
     pf = np.array([_frob(gradient_at(sol, (x, y))) for x, y in zip(xp, mid)])
     jumps = np.linalg.norm(np.atleast_2d(data.jump(geom, xp[:, None])), axis=1)
     return xn, cl, xp, pf, jumps
@@ -411,9 +422,7 @@ def remainder_energy(v, fld: AuxiliaryField, region: LocalRegion) -> float:
     """Integral of |grad v_h - grad ext|^2 over centroid-selected triangles.
 
     The extension gradient is evaluated analytically at the centroids, so
-    the measurement is not polluted by interpolating the extension itself;
-    the nodal remainder of :func:`thingap.solver.difference_w` stays the
-    canonical discrete object.
+    the measurement is not polluted by interpolating the extension itself.
     """
     mesh = v.mesh
     c = mesh.centroids()

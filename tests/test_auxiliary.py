@@ -222,6 +222,17 @@ def test_seminorm_monotone_in_budget(geom):
     assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
 
 
+def test_seminorm_propagates_rule_errors(geom):
+    # a rule that fails on a batch is not retried point by point
+    def scalar_only(X):
+        if np.ndim(X) > 1:
+            raise ValueError("rule accepts single points only")
+        return X[1:2]
+
+    with pytest.raises(ValueError, match="single points only"):
+        holder_seminorm(scalar_only, region_at(geom, 0.0), GAMMA, pairs=100, seed=0)
+
+
 def test_seminorm_rejects_empty_budget(geom):
     with pytest.raises(ConfigurationError):
         holder_seminorm(lambda X: X, region_at(geom, 0.0), GAMMA, pairs=0)

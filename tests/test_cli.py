@@ -1,3 +1,10 @@
+import json
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from thingap.cli import (ConfigError, SCHEMA, dumps, effective_config, emit_tables,
@@ -153,3 +160,54 @@ def test_prop21_command(tmp_path):
                 "--set", "prop21.pairs=800"])
     assert code == 0
     assert (out / "prop21.json").exists()
+
+
+def test_duplicate_energy_zprimes_exit_2(tmp_path, capsys):
+    code = run(["energy-scaling", "--out", str(tmp_path),
+                "--set", "energy.zprimes=0.04,0.04,0.04"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "energy z' values must be positive and distinct" in err
+    assert "Traceback" not in err
+
+
+def test_readme_key_list_matches_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
+    listed = []
+    for line in block.splitlines():
+        if line and not line[0].isspace():
+            listed += [k.strip() for k in re.split(r"\s{2,}", line)[0].split(",")]
+    assert len(listed) == len(set(listed))
+    assert set(listed) == set(SCHEMA)
+
+
+def test_traced_commands_keep_benchmark_hooks(tmp_path):
+    # the benchmark wraps these names from outside src/; a rename breaks it
+    root = Path(__file__).resolve().parents[1]
+    script = f"""
+import json, sys
+sys.path.insert(0, {str(root / 'perfbench')!r})
+import thingap.cli
+import spans
+rec = spans.install_tracing()
+codes = [thingap.cli.run(["sweep", "--out", {str(tmp_path / 'sweep')!r}, *{SMALL!r}]),
+         thingap.cli.run(["oracle-suite", "--out", {str(tmp_path / 'oracle')!r}])]
+calls = {{}}
+for s in rec.spans:
+    calls[s[0]] = calls.get(s[0], 0) + 1
+errors = [s[0] for s in rec.spans if (s[4] or {{}}).get("error")]
+print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
+"""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["codes"] == [0, 0]
+    assert got["errors"] == []
+    assert got["calls"].get("mesh.locate", 0) > 0
+    assert got["calls"].get("coefficients.eval_A_many", 0) > 0

@@ -50,10 +50,13 @@ def test_lame_as_general_matches_bruteforce_expansion():
 
 def test_lame_as_general_lower_order_vanishes():
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
-    x = np.array([0.3, -0.1])
-    assert not np.any(cs.B(x))
-    assert not np.any(cs.Cc(x))
-    assert not np.any(cs.D(x))
+    assert cs.B is None and cs.Cc is None and cs.D is None
+    X = np.array([[0.3, -0.1], [0.0, 0.0]])
+    assert cs.eval_B_many(X).shape == (2, 2, 2, 2)
+    assert cs.eval_D_many(X).shape == (2, 2, 2)
+    assert not np.any(cs.eval_B_many(X))
+    assert not np.any(cs.eval_C_many(X))
+    assert not np.any(cs.eval_D_many(X))
     assert cs.is_zero_lower_order()
 
 

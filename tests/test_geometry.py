@@ -81,10 +81,21 @@ def test_rescale_center_and_roundtrip(geom):
     y = region.rescale_to_unit(z)
     assert y[0] == pytest.approx(0.0, abs=0)
     assert y[1] == pytest.approx(z[1] / w, rel=1e-15)
-    rng = np.random.default_rng(2)
-    pts = region.sample_points(100, rng)
-    back = np.array([region.from_unit(region.rescale_to_unit(p)) for p in pts])
-    assert np.max(np.abs(back - pts)) < 1e-12
+    pts = region.sample_points(100, seed=2, tag=0)
+    got = np.array([region.rescale_to_unit(p) for p in pts])
+    # closed form: y' = (x' - z') / w, y_n = x_n / w
+    want = np.stack([(pts[:, 0] - z[0]) / w, pts[:, 1] / w], axis=1)
+    assert np.array_equal(got, want)
+    assert np.all(np.abs(got[:, 0]) < 1.0)
+
+
+def test_slab_samples_lie_in_region_and_are_prefix_stable(geom):
+    region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]), 0.05, geom)
+    small = region.sample_points(50, seed=4, tag=1)
+    large = region.sample_points(200, seed=4, tag=1)
+    assert np.array_equal(large[:50], small)
+    assert np.all(region.contains(large))
+    assert not np.array_equal(region.sample_points(50, seed=4, tag=2), small)
 
 
 def test_rescale_corner_hits_unit_slab_edge(geom):

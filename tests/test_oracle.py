@@ -8,7 +8,7 @@ from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate
 from thingap.oracle import (OracleError, brute_force_seminorm, exact_affine_case,
                             finite_difference_reference)
-from thingap.solver import assemble, dirichlet_values, solve_dirichlet
+from thingap.solver import assemble, dirichlet_values, grid_distance, solve_dirichlet
 
 
 def test_affine_case_values():
@@ -58,21 +58,7 @@ def test_grid_twin_vs_fem_joint_refinement():
         grid = finite_difference_reference(cs, 0.5, eps, nx, ny, boundary=rule)
         mesh = generate(geom, layers=ny // 4, aspect=2.0, dxmax=dx, xrange=0.5)
         sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
-        worst = 0.0
-        for i in range(1, grid.xs.size - 1, 2):
-            if abs(grid.xs[i]) > 0.4:
-                continue
-            for j in range(1, grid.ys.size - 1, 2):
-                t = mesh.locate((grid.xs[i], grid.ys[j]))
-                tri = mesh.triangles[t]
-                p = mesh.vertices[tri]
-                T = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-                              [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
-                l12 = np.linalg.solve(T, np.array([grid.xs[i], grid.ys[j]]) - p[0])
-                lam = np.array([1 - l12.sum(), *l12])
-                vfem = float(lam @ sol.values[tri, 0])
-                worst = max(worst, abs(vfem - grid.values[i, j, 0]))
-        diffs.append(worst)
+        diffs.append(grid_distance(sol, grid))
     assert diffs[0] <= 0.01
     assert diffs[1] < diffs[0]          # joint refinement shrinks the disagreement
 
@@ -93,20 +79,7 @@ def test_grid_twin_lame_agreement():
     grid = finite_difference_reference(cs, 0.5, eps, 120, 48, boundary=rule)
     mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.0125, xrange=0.5)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
-    worst = 0.0
-    for i in range(1, grid.xs.size - 1, 3):
-        if abs(grid.xs[i]) > 0.4:
-            continue
-        for j in range(1, grid.ys.size - 1, 3):
-            t = mesh.locate((grid.xs[i], grid.ys[j]))
-            tri = mesh.triangles[t]
-            p = mesh.vertices[tri]
-            T = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-                          [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
-            l12 = np.linalg.solve(T, np.array([grid.xs[i], grid.ys[j]]) - p[0])
-            lam = np.array([1 - l12.sum(), *l12])
-            vfem = lam @ sol.values[tri]
-            worst = max(worst, float(np.max(np.abs(vfem - grid.values[i, j]))))
+    worst = grid_distance(sol, grid)
     assert worst <= 0.01
 
 

@@ -5,11 +5,12 @@ from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, fie
 from thingap.coefficients import (CoefficientSet, LameParameters, identity_coefficients,
                                   lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
-from thingap.mesh import Mesh, MeshError, generate, refine
-from thingap.solver import (BoundaryAssignment, RightHandSide, SolverError, assemble,
-                            difference_w, dirichlet_values, energy_on, gradient_at,
-                            l2_norm, mean_flux, solve_component, solve_dirichlet)
-from thingap.verify import check_lateral_sensitivity, SweepPlan, fit_rate
+from thingap.mesh import Mesh, generate, refine
+from thingap.oracle import OracleError, finite_difference_reference
+from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
+                            assemble, dirichlet_values, gradient_at, l2_norm,
+                            solve_component, solve_dirichlet, value_at)
+from thingap.verify import check_lateral_sensitivity, SweepPlan, fit_rate, remainder_energy
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -91,10 +92,11 @@ def _full_coefficient_set():
 
 def _manufactured(cs, mesh):
     """Solve with sources built from a smooth reference field; return errors."""
-    A0 = cs.A(np.zeros(2))
-    B0 = cs.B(np.zeros(2))
-    C0 = cs.Cc(np.zeros(2))
-    D0 = cs.D(np.zeros(2))
+    origin = np.zeros((1, 2))
+    A0 = cs.eval_A_many(origin)[0]
+    B0 = cs.eval_B_many(origin)[0]
+    C0 = cs.eval_C_many(origin)[0]
+    D0 = cs.eval_D_many(origin)[0]
 
     def ustar(X):
         X = np.atleast_2d(X)
@@ -132,6 +134,23 @@ def _manufactured(cs, mesh):
     gd = sol.gradients() - gstar(mesh.centroids())
     h1 = float(np.sqrt(np.sum(mesh.areas() * np.sum(gd**2, axis=(1, 2)))))
     return l2, h1
+
+
+def test_lower_order_field_vanishing_at_origin_is_assembled():
+    # D(x) = |x| I is zero at the origin yet changes the operator; the grid
+    # twin, which has no lower-order terms, refuses it
+    base = identity_coefficients(m=1, n=2)
+    cs = CoefficientSet(m=1, n=2, A=base.A, B=None, Cc=None,
+                        D=lambda x: float(np.linalg.norm(x)) * np.eye(1),
+                        lam=1.0, Lam=1.0, kappa3=3.0, name="distance_D")
+    geom = GapGeometry.power_law(0.1, GAMMA)
+    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    K0 = assemble(mesh, base).K
+    K = assemble(mesh, cs).K
+    assert abs(K - K0).max() > 1e-6
+    with pytest.raises(OracleError, match="B = C = D = 0"):
+        finite_difference_reference(cs, 0.5, 0.1, 10, 10,
+                                    boundary=lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)))
 
 
 @pytest.mark.parametrize("make_cs", [
@@ -195,20 +214,9 @@ def test_difference_vanishes_on_gap_boundaries():
     system = assemble(mesh, cs)
     v = solve_component(system, data, 0)
     fld = AuxiliaryField(geom, data, 0)
-    w = difference_w(v, fld)
+    w = v.values - field_values(fld, mesh.vertices)
     gap = (mesh.vertex_tags == 1) | (mesh.vertex_tags == 2)
-    assert np.max(np.abs(w.values[gap])) < 1e-10
-
-
-def test_difference_of_interpolated_extension_is_zero():
-    geom = GapGeometry.power_law(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
-    fld = AuxiliaryField(geom, data, 0)
-    from thingap.solver import DiscreteSolution
-    v = DiscreteSolution(mesh=mesh, values=np.atleast_2d(field_values(fld, mesh.vertices)))
-    w = difference_w(v, fld)
-    assert np.max(np.abs(w.values)) == 0.0
+    assert np.max(np.abs(w[gap])) < 1e-10
 
 
 def test_difference_gradient_splits_into_interpolation_error():
@@ -221,7 +229,7 @@ def test_difference_gradient_splits_into_interpolation_error():
         system = assemble(mesh, cs)
         v = solve_component(system, data, 0)
         fld = AuxiliaryField(geom, data, 0)
-        w = difference_w(v, fld)
+        w = DiscreteSolution(mesh=mesh, values=v.values - field_values(fld, mesh.vertices))
         analytic = field_gradients(fld, mesh.centroids())
         resid = w.gradients() - (v.gradients() - analytic)
         scale = np.maximum(np.abs(analytic).max(axis=(1, 2)), 1.0)
@@ -233,7 +241,6 @@ def test_difference_gradient_splits_into_interpolation_error():
 def test_gradient_at_affine_field_exact():
     geom = GapGeometry.power_law(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    from thingap.solver import DiscreteSolution
     b = np.array([0.7, -0.3])
     vals = (mesh.vertices @ b)[:, None]
     sol = DiscreteSolution(mesh=mesh, values=vals)
@@ -241,81 +248,56 @@ def test_gradient_at_affine_field_exact():
     assert np.allclose(g, b[None, :], atol=1e-12)
 
 
-def test_energy_on_affine_field_matches_area():
+def test_value_at_reproduces_affine_field_and_barycentric_values():
+    geom = GapGeometry.power_law(EPS, GAMMA)
+    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    b = np.array([[0.7, -0.3], [-1.1, 2.0]])
+    sol = DiscreteSolution(mesh=mesh, values=mesh.vertices @ b.T + np.array([0.5, -2.0]))
+    x = np.array([0.1, 0.001])
+    assert np.allclose(value_at(sol, x), b @ x + np.array([0.5, -2.0]), rtol=0, atol=1e-13)
+    rng = np.random.default_rng(5)
+    curved = DiscreteSolution(mesh=mesh, values=rng.normal(size=(mesh.num_vertices, 2)))
+    region = LocalRegion(np.array([0.0, 0.0]), 0.4, geom)
+    for p in region.sample_points(200, seed=5, tag=0):
+        tri = mesh.triangles[mesh.locate(p)]
+        T = (mesh.vertices[tri[1:]] - mesh.vertices[tri[0]]).T
+        l12 = np.linalg.solve(T, p - mesh.vertices[tri[0]])
+        bary = np.array([1 - l12.sum(), *l12]) @ curved.values[tri]
+        assert np.allclose(value_at(curved, p), bary, rtol=0, atol=1e-12)
+
+
+def _zero_field(geom):
+    """Extension of zero data: remainder_energy then measures the plain energy."""
+    return AuxiliaryField(geom, BoundaryData.constant([0.0], [0.0]), 0)
+
+
+def test_remainder_energy_affine_field_matches_area():
     geom = GapGeometry.power_law(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
-    from thingap.solver import DiscreteSolution
     b = np.array([2.0, 1.0])
     sol = DiscreteSolution(mesh=mesh, values=(mesh.vertices @ b)[:, None])
     region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]),
                          0.15, geom)
-    got = energy_on(sol, region)
+    got = remainder_energy(sol, _zero_field(geom), region)
     # exact area of the slab by fine quadrature of the gap width
     xs = np.linspace(0.05, 0.35, 20001)[:, None]
-    area = float(np.trapezoid(geom.gap_width(xs)[:, 0] if geom.gap_width(xs).ndim > 1
-                              else geom.gap_width(xs), dx=0.3 / 20000))
+    area = float(np.trapezoid(geom.gap_width(xs), dx=0.3 / 20000))
     assert got == pytest.approx(float(b @ b) * area, rel=0.02)
-    assert energy_on(DiscreteSolution(mesh=mesh, values=np.zeros((mesh.num_vertices, 1))),
-                     region) == 0.0
+    zero = DiscreteSolution(mesh=mesh, values=np.zeros((mesh.num_vertices, 1)))
+    assert remainder_energy(zero, _zero_field(geom), region) == 0.0
 
 
 def test_crossing_profile_energy_lower_bound():
     geom = GapGeometry.power_law(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
-    from thingap.solver import DiscreteSolution
     from thingap.auxiliary import gap_fraction
     vals = np.atleast_1d(gap_fraction(geom, mesh.vertices))[:, None]
     sol = DiscreteSolution(mesh=mesh, values=vals)
     region = LocalRegion(np.array([0.0, 0.0]), 0.75, geom)
-    got = energy_on(sol, region)
+    got = remainder_energy(sol, _zero_field(geom), region)
     xs = np.linspace(-0.75, 0.75, 40001)[:, None]
     leading = float(np.trapezoid(1.0 / geom.gap_width(xs), dx=1.5 / 40000))
     assert got >= 0.95 * leading
-
-
-def test_mean_flux_constant_and_zero_cases():
-    eps = 0.2
-    geom = GapGeometry.flat(eps)
-    mesh = generate(geom, layers=5, aspect=2.0, dxmax=0.1, xrange=1.0)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
-    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
-    fld = AuxiliaryField(geom, data, 0)
-    region = LocalRegion(np.array([0.0, 0.0]), 0.5, geom)
-    M = mean_flux(fld, cs, region, mesh)
-    # affine extension: gradient is constant (0, 1/eps) in component 0
-    A0 = cs.A(np.zeros(2))
-    g = np.zeros((2, 2))
-    g[0, 1] = 1.0 / eps
-    want = np.einsum("pqij,jq->ip", A0, g)
-    assert np.allclose(M, want, rtol=1e-12)
-    equal = BoundaryData.constant([1.0, 0.0], [1.0, 0.0])
-    M0 = mean_flux(AuxiliaryField(geom, equal, 0), cs, region, mesh)
-    assert np.max(np.abs(M0)) == 0.0
-
-
-def test_mean_flux_stable_under_refinement():
-    geom = GapGeometry.power_law(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.02, xrange=0.5)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
-    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
-    fld = AuxiliaryField(geom, data, 0)
-    zp = 0.1
-    region = LocalRegion(np.array([zp, float(geom.midline(np.array([zp])))]),
-                         float(geom.gap_width(np.array([zp]))), geom)
-    M1 = mean_flux(fld, cs, region, mesh)
-    M2 = mean_flux(fld, cs, region, refine(mesh, 2), )
-    assert np.max(np.abs(M1 - M2)) / np.max(np.abs(M2)) < 0.01
-
-
-def test_mean_flux_empty_region_raises():
-    geom = GapGeometry.power_law(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    cs = identity_coefficients()
-    data = BoundaryData.constant([1.0], [0.0])
-    fld = AuxiliaryField(geom, data, 0)
-    tiny = LocalRegion(np.array([0.0, 0.0]), 1e-9, geom)
-    with pytest.raises(MeshError):
-        mean_flux(fld, cs, tiny, mesh)
 
 
 def test_lame_first_component_tracks_crossing_profile():
@@ -331,13 +313,7 @@ def test_lame_first_component_tracks_crossing_profile():
     u = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
     worst = 0.0
     for t in np.linspace(-0.45 * eps, 0.45 * eps, 21):
-        tri = mesh.triangles[mesh.locate((0.0, t))]
-        p = mesh.vertices[tri]
-        T = np.array([[p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-                      [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]]])
-        l12 = np.linalg.solve(T, np.array([0.0, t]) - p[0])
-        lam = np.array([1 - l12.sum(), *l12])
-        u1 = float(lam @ u.values[tri, 0])
+        u1 = float(value_at(u, (0.0, t))[0])
         worst = max(worst, abs(u1 - gap_fraction(geom, np.array([0.0, t]))))
     assert worst < 0.05
 
@@ -360,7 +336,6 @@ def test_solver_reports_shape_mismatch():
 def test_l2_norm_of_constant_field():
     geom = GapGeometry.power_law(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    from thingap.solver import DiscreteSolution
     sol = DiscreteSolution(mesh=mesh, values=np.full((mesh.num_vertices, 1), 2.0))
     got = l2_norm(sol)
     assert got == pytest.approx(2.0 * np.sqrt(np.sum(mesh.areas())), rel=1e-12)

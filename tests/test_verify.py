@@ -45,6 +45,8 @@ def test_fit_rate_rejects_bad_input():
         fit_rate([(1.0, 1.0), (0.5, 2.0)])
     with pytest.raises(PlanError):
         fit_rate([(1.0, 1.0), (0.5, -2.0), (0.25, 4.0)])
+    with pytest.raises(PlanError, match="distinct scales"):
+        fit_rate([(0.04, 1.0), (0.04, 2.0), (0.04, 3.0)])
 
 
 def test_plan_validation():
@@ -56,6 +58,9 @@ def test_plan_validation():
         SweepPlan(system_kind="nonsense").validate()
     with pytest.raises(PlanError):
         SweepPlan(gamma=1.2).validate()
+    for zprimes in ((0.04, 0.04, 0.08), (0.0, 0.04, 0.08), (-0.04, 0.04, 0.08)):
+        with pytest.raises(PlanError, match="energy z'"):
+            SweepPlan(energy_zprimes=zprimes).validate()
 
 
 def test_sweep_blowup_rate_small(small_report):
