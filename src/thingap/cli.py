@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _blas
 from .auxiliary import AuxiliaryField, ConfigurationError, check_seminorm_growth, \
     holder_seminorm
 from .coefficients import EllipticityError, check_ellipticity, check_holder
@@ -286,8 +286,8 @@ def _cmd_solve(cfg, outdir: Path) -> int:
     (outdir / "solution.txt").write_text(export_solution_text(sol))
     lines = ["x,y,comp,dudx,dudy"]
     xn, xp, mid = probe_points(plan, geom)
-    for x, y in [(0.0, t) for t in xn] + list(zip(xp, mid)):
-        g = gradient_at(sol, (x, y))
+    pts = [(0.0, t) for t in xn] + list(zip(xp, mid))
+    for (x, y), g in zip(pts, gradient_at(sol, np.array(pts))):
         for comp in range(g.shape[0]):
             lines.append(_csv_row([x, y, comp, g[comp, 0], g[comp, 1]]))
     (outdir / "gradients.csv").write_text("\n".join(lines) + "\n")
@@ -344,6 +344,9 @@ def _resolve_prop21_zprimes(tokens: str, eps: float, gamma: float) -> list[float
 def _cmd_prop21(cfg, outdir: Path) -> int:
     plan = plan_from_config(cfg)
     fractions = cfg["prop21.s_fractions"]
+    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
+        raise ConfigError(f"prop21.s_fractions must be a nonempty list of slab radius "
+                          f"fractions in (0, 1], got {list(fractions)}")
     pairs = cfg["prop21.pairs"]
     rows = []
     per_eps_max = []
@@ -523,24 +526,30 @@ def run(argv: list[str]) -> int:
         print(f"cannot create output directory: {exc}", file=sys.stderr)
         return 2
 
+    threads = max(1, args.threads)
     try:
-        if args.command == "validate-geometry":
-            return _cmd_validate_geometry(cfg, outdir)
-        if args.command == "validate-coefficients":
-            return _cmd_validate_coefficients(cfg, outdir)
-        if args.command == "solve":
-            return _cmd_solve(cfg, outdir)
-        if args.command == "sweep":
-            return _cmd_sweep(cfg, outdir, max(1, args.threads))
-        if args.command == "prop21":
-            return _cmd_prop21(cfg, outdir)
-        if args.command == "energy-scaling":
-            return _cmd_energy_scaling(cfg, outdir)
-        if args.command == "oracle-suite":
-            return _cmd_oracle_suite(cfg, outdir)
-    except (ConfigError, PlanError, ConfigurationError) as exc:
+        with _blas.limit(threads):      # --threads bounds the BLAS pools too
+            return _dispatch(args.command, cfg, outdir, threads)
+    except (ConfigError, PlanError, ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+
+
+def _dispatch(command: str, cfg, outdir: Path, threads: int) -> int:
+    if command == "validate-geometry":
+        return _cmd_validate_geometry(cfg, outdir)
+    if command == "validate-coefficients":
+        return _cmd_validate_coefficients(cfg, outdir)
+    if command == "solve":
+        return _cmd_solve(cfg, outdir)
+    if command == "sweep":
+        return _cmd_sweep(cfg, outdir, threads)
+    if command == "prop21":
+        return _cmd_prop21(cfg, outdir)
+    if command == "energy-scaling":
+        return _cmd_energy_scaling(cfg, outdir)
+    if command == "oracle-suite":
+        return _cmd_oracle_suite(cfg, outdir)
     raise AssertionError("unreachable")
 
 

@@ -113,40 +113,58 @@ class Mesh:
 
     # -- point location --------------------------------------------------------
 
-    def locate(self, x, tol: float = 1e-12) -> int:
-        """Index of the lowest-index triangle containing ``x``.
+    def locate(self, x, tol: float = 1e-12):
+        """Index of the lowest-index triangle containing each point.
 
+        ``x`` of shape (2,) gives an ``int``, shape (k, 2) an int array (k,).
         Containment uses barycentric coordinates with tolerance ``tol``;
-        points on shared edges therefore resolve to the lowest triangle
-        index.  Raises :class:`MeshError` for points outside the mesh.
+        points on shared edges and vertices therefore resolve to the lowest
+        triangle index.  Raises :class:`MeshError` for points outside the mesh.
+
+        The layered structure gives the cell directly: the station interval
+        by bisection, the layer from the point's height above the
+        interpolated bottom row as a fraction of the interpolated fiber.  A
+        point on a cell's left side or bottom also lies in the cells one
+        interval left and one layer down, which have lower indices; cells
+        further right or up have higher ones.  So the eight triangles of
+        those four cells, in ascending index order, are the candidates.
         """
         x = np.asarray(x, dtype=float)
+        pts = np.atleast_2d(x)
         s = self.stations
-        if x[0] < s[0] - tol or x[0] > s[-1] + tol:
-            raise MeshError(f"point {x} outside the meshed strip")
-        k = int(np.searchsorted(s, x[0]))
-        candidates = []
-        for i in (k - 2, k - 1, k):
-            if 0 <= i < s.size - 1 and s[i] - tol <= x[0] <= s[i + 1] + tol:
-                start = i * self.layers * 2
-                candidates.extend(range(start, start + self.layers * 2))
-        if not candidates:
-            raise MeshError(f"point {x} outside the meshed strip")
-        cand = np.asarray(sorted(candidates), dtype=int)
-        p = self.vertices[self.triangles[cand]]
-        v0 = p[:, 0]
-        e1 = p[:, 1] - v0
-        e2 = p[:, 2] - v0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        r = x[np.newaxis, :] - v0
-        l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+        L = self.layers
+        outside = (pts[:, 0] < s[0] - tol) | (pts[:, 0] > s[-1] + tol)
+        if np.any(outside):
+            raise MeshError(f"point {pts[np.argmax(outside)]} outside the meshed strip")
+        i = np.clip(np.searchsorted(s, pts[:, 0], side="right") - 1, 0, s.size - 2)
+        rows = self.vertices[:, 1].reshape(s.size, L + 1)
+        bottom, width = rows[:, 0], rows[:, L] - rows[:, 0]
+        t = (pts[:, 0] - s[i]) / (s[i + 1] - s[i])
+        b = bottom[i] + t * (bottom[i + 1] - bottom[i])
+        w = width[i] + t * (width[i + 1] - width[i])
+        j = np.clip(np.floor(L * (pts[:, 1] - b) / w), 0, L - 1).astype(np.int64)
+
+        di = np.array([-1, -1, -1, -1, 0, 0, 0, 0])
+        dj = np.array([-1, -1, 0, 0, -1, -1, 0, 0])
+        ci, cj = i[:, None] + di, j[:, None] + dj
+        valid = (ci >= 0) & (cj >= 0)
+        cand = ((np.maximum(ci, 0) * L + np.maximum(cj, 0)) * 2 + np.arange(8) % 2)
+        p = self.vertices[self.triangles[cand]]          # (k, 8, 3, 2)
+        v0 = p[:, :, 0]
+        e1 = p[:, :, 1] - v0
+        e2 = p[:, :, 2] - v0
+        det = e1[..., 0] * e2[..., 1] - e1[..., 1] * e2[..., 0]
+        r = pts[:, None, :] - v0
+        l1 = (r[..., 0] * e2[..., 1] - r[..., 1] * e2[..., 0]) / det
+        l2 = (e1[..., 0] * r[..., 1] - e1[..., 1] * r[..., 0]) / det
         scale = tol / np.sqrt(np.abs(det))
-        inside = (l1 >= -scale) & (l2 >= -scale) & (l1 + l2 <= 1.0 + scale)
-        hits = cand[inside]
-        if hits.size == 0:
-            raise MeshError(f"point {x} not inside any candidate triangle")
-        return int(hits[0])
+        inside = valid & (l1 >= -scale) & (l2 >= -scale) & (l1 + l2 <= 1.0 + scale)
+        found = inside.any(axis=1)
+        if not np.all(found):
+            raise MeshError(f"point {pts[np.argmin(found)]} not inside any candidate "
+                            "triangle")
+        hits = cand[np.arange(pts.shape[0]), np.argmax(inside, axis=1)]
+        return int(hits[0]) if x.ndim == 1 else hits
 
     # -- validation -------------------------------------------------------------
 

@@ -83,7 +83,9 @@ class AssembledSystem:
         free = ~dof_fixed
         K_ff = self.K[free][:, free].tocsc()
         K_fc = self.K[free][:, dof_fixed].tocsr()
-        lu = splu(K_ff)
+        # minimum degree on the pattern of K_ff + K_ff^T: on the layered grid
+        # graph it leaves ~40% less fill than the default COLAMD ordering
+        lu = splu(K_ff, permc_spec="MMD_AT_PLUS_A")
         entry = (lu, K_ff, K_fc, free)
         self._lu_cache[key] = entry
         return entry
@@ -95,7 +97,9 @@ def assemble(mesh: Mesh, cs: CoefficientSet, rhs: Optional[RightHandSide] = None
 
     Coefficients are evaluated at the quadrature points of each triangle
     (3-point edge-midpoint rule by default, exact for quadratics; 1-point
-    centroid rule as the cheap fallback).
+    centroid rule as the cheap fallback).  A constant leading field is
+    integrated by the centroid rule whatever ``quadrature`` says: P1
+    gradients are constant per triangle, so that rule is exact for it.
     """
     if quadrature not in _QUAD:
         raise SolverError(f"quadrature must be 1 or 3, got {quadrature}")
@@ -114,13 +118,17 @@ def assemble(mesh: Mesh, cs: CoefficientSet, rhs: Optional[RightHandSide] = None
     E = np.zeros((T, 3, m, 3, m))
     fe = np.zeros((T, 3, m))
     lower_order = not cs.is_zero_lower_order()
+    if cs.constant:
+        A_c = cs.eval_A_many(mesh.centroids())         # (T, n, n, m, m)
+        E += np.einsum("t,tpqij,tbq,tap->taibj", areas, A_c, G, G, optimize=True)
     for q in range(bary.shape[0]):
         bq = bary[q]
         wq = weights[q]
         xq = np.einsum("a,tad->td", bq, pts)
-        A_q = cs.eval_A_many(xq)                       # (T, n, n, m, m)
         wa = wq * areas
-        E += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G, G, optimize=True)
+        if not cs.constant:
+            A_q = cs.eval_A_many(xq)                   # (T, n, n, m, m)
+            E += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G, G, optimize=True)
         if lower_order:
             B_q = cs.eval_B_many(xq)                   # (T, n, m, m)
             C_q = cs.eval_C_many(xq)
@@ -243,17 +251,23 @@ def solve_component(system: AssembledSystem, data: BoundaryData, ell: int,
 
 
 def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:
-    """Gradient matrix (m, 2) of the containing triangle (lowest index on ties)."""
-    t = sol.mesh.locate(np.asarray(x, dtype=float))
-    return sol.gradients()[t]
+    """Gradients of the containing triangles (lowest index on ties).
+
+    ``x`` of shape (2,) gives the matrix (m, 2), shape (k, 2) gives (k, m, 2).
+    """
+    return sol.gradients()[sol.mesh.locate(x)]
 
 
 def value_at(sol: DiscreteSolution, x) -> np.ndarray:
-    """Values (m,) of the linear interpolant in the triangle :func:`gradient_at` uses."""
+    """Values of the linear interpolant in the triangles :func:`gradient_at` uses.
+
+    ``x`` of shape (2,) gives (m,), shape (k, 2) gives (k, m).
+    """
     x = np.asarray(x, dtype=float)
     t = sol.mesh.locate(x)
     v0 = sol.mesh.triangles[t, 0]
-    return sol.values[v0] + sol.gradients()[t] @ (x - sol.mesh.vertices[v0])
+    d = x - sol.mesh.vertices[v0]
+    return sol.values[v0] + np.einsum("...md,...d->...m", sol.gradients()[t], d)
 
 
 def grid_distance(sol: DiscreteSolution, grid) -> float:
@@ -263,15 +277,12 @@ def grid_distance(sol: DiscreteSolution, grid) -> float:
     as the finite-difference reference returns them.  Every second column in
     the inner 80% of the x-range and every interior row are compared.
     """
-    worst = 0.0
-    for i in range(1, grid.xs.size - 1, 2):
-        x = grid.xs[i]
-        if abs(x) > 0.8 * grid.xs[-1]:
-            continue
-        for j in range(1, grid.ys.size - 1):
-            v = value_at(sol, (x, grid.ys[j]))
-            worst = max(worst, float(np.max(np.abs(v - grid.values[i, j]))))
-    return worst
+    cols = np.arange(1, grid.xs.size - 1, 2)
+    cols = cols[np.abs(grid.xs[cols]) <= 0.8 * grid.xs[-1]]
+    rows = np.arange(1, grid.ys.size - 1)
+    ci, rj = (a.ravel() for a in np.meshgrid(cols, rows, indexing="ij"))
+    diff = value_at(sol, np.stack([grid.xs[ci], grid.ys[rj]], axis=1)) - grid.values[ci, rj]
+    return float(np.max(np.abs(diff)))
 
 
 def l2_norm(sol: DiscreteSolution) -> float:

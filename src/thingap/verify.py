@@ -155,10 +155,12 @@ class SweepPlan:
 
 
 def _pad(values, m):
+    """Per-component constants: missing components are zero, extra ones must be."""
     v = list(float(x) for x in values)
-    if len(v) < m:
-        v = v + [0.0] * (m - len(v))
-    return v[:m]
+    if any(x != 0.0 for x in v[m:]):
+        raise PlanError(f"boundary constants {v} have nonzero entries beyond the "
+                        f"system's {m} components")
+    return v[:m] + [0.0] * (m - len(v))
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +210,9 @@ class EpsilonRecord:
         return d
 
 
-def _frob(mat: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(mat * mat)))
+def _frob(mat: np.ndarray) -> np.ndarray:
+    """Frobenius norm of the trailing (m, n) matrix, for one or a stack."""
+    return np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
 
 
 def probe_points(plan: SweepPlan, geom: GapGeometry):
@@ -228,8 +231,10 @@ def probe_points(plan: SweepPlan, geom: GapGeometry):
 def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData):
     """Centerline and midline gradient probes."""
     xn, xp, mid = probe_points(plan, geom)
-    cl = np.array([_frob(gradient_at(sol, (0.0, t))) for t in xn])
-    pf = np.array([_frob(gradient_at(sol, (x, y))) for x, y in zip(xp, mid)])
+    pts = np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
+                          np.stack([xp, mid], axis=1)])
+    norms = _frob(gradient_at(sol, pts))
+    cl, pf = norms[:xn.size], norms[xn.size:]
     jumps = np.linalg.norm(np.atleast_2d(data.jump(geom, xp[:, None])), axis=1)
     return xn, cl, xp, pf, jumps
 
@@ -249,8 +254,8 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
     bc_f = dirichlet_values(fine, data, lateral=plan.lateral)
     sol_f = solve_dirichlet(system_f, bc_f, metadata="u_refined")
 
-    M = _frob(gradient_at(sol, (0.0, 0.0)))
-    M_f = _frob(gradient_at(sol_f, (0.0, 0.0)))
+    M = float(_frob(gradient_at(sol, (0.0, 0.0))))
+    M_f = float(_frob(gradient_at(sol_f, (0.0, 0.0))))
     change = abs(M - M_f) / max(abs(M_f), 1e-300)
     reliable = change < plan.reliability_threshold
 
@@ -599,11 +604,8 @@ def check_lateral_sensitivity(plan: SweepPlan, epsilon: float,
         bc = dirichlet_values(mesh, data, lateral=lateral)
         sols[lateral] = solve_dirichlet(system, bc, metadata=f"u_{lateral}")
     xp = np.linspace(-radius, radius, 33)
-    mid = geom.midline(xp[:, None])
-    worst = 0.0
-    for x, y in zip(xp, mid):
-        ga = gradient_at(sols["auxiliary"], (x, y))
-        gn = gradient_at(sols["neumann"], (x, y))
-        denom = max(_frob(ga), _frob(gn), 1e-300)
-        worst = max(worst, _frob(ga - gn) / denom)
-    return worst
+    t = mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
+    ga = sols["auxiliary"].gradients()[t]
+    gn = sols["neumann"].gradients()[t]
+    denom = np.maximum(np.maximum(_frob(ga), _frob(gn)), 1e-300)
+    return float(np.max(_frob(ga - gn) / denom))

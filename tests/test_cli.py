@@ -154,6 +154,27 @@ def test_validate_commands_pass(tmp_path):
                 "--set", "coeffcheck.pairs=2000"]) == 0
 
 
+def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
+    import thingap.cli as cli
+    from thingap import _blas
+
+    pools = _blas.pools()
+    if not pools:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for _, get in pools]
+    seen = []
+
+    def record(cfg, outdir):
+        seen.append([get() for _, get in pools])
+        return 0
+
+    monkeypatch.setattr(cli, "_cmd_validate_geometry", record)
+    assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "1"]) == 0
+    assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "64"]) == 0
+    assert seen == [[1] * len(pools), before]       # a cap, never a raise
+    assert [get() for _, get in pools] == before
+
+
 def test_prop21_command(tmp_path):
     out = tmp_path / "p"
     code = run(["prop21", "--out", str(out), "--set", "sweep.epsilons=0.1,0.03,0.01",
@@ -211,3 +232,22 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
     assert got["errors"] == []
     assert got["calls"].get("mesh.locate", 0) > 0
     assert got["calls"].get("coefficients.eval_A_many", 0) > 0
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["prop21", "--set", "prop21.s_fractions=0,0.5,1"], "prop21.s_fractions"),
+    (["sweep", "--set", "bc.phi=1,0,5"], "beyond the system's 2 components"),
+    (["sweep", "--set", "profile.c2=2"], "boundaries cross"),
+])
+def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "thingap.cli", *argv,
+                           "--out", str(tmp_path)], env=env, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert "Traceback" not in proc.stderr

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
 from thingap.mesh import (Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES, TAG_TOP,
@@ -131,3 +132,74 @@ def test_locate_outside_raises(geom):
         mesh.locate((0.7, 0.0))
     with pytest.raises(MeshError):
         mesh.locate((0.0, 1.0))
+
+
+def _containing_by_scan(mesh, x, tol=1e-12):
+    """Reference point location: barycentric scan of every triangle of the
+    station intervals around ``x``; all containing indices, ascending."""
+    s = mesh.stations
+    k = int(np.searchsorted(s, x[0]))
+    cand = []
+    for i in (k - 2, k - 1, k):
+        if 0 <= i < s.size - 1 and s[i] - tol <= x[0] <= s[i + 1] + tol:
+            start = i * mesh.layers * 2
+            cand.extend(range(start, start + mesh.layers * 2))
+    cand = np.asarray(sorted(cand), dtype=int)
+    p = mesh.vertices[mesh.triangles[cand]]
+    v0 = p[:, 0]
+    e1 = p[:, 1] - v0
+    e2 = p[:, 2] - v0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    r = x[np.newaxis, :] - v0
+    l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+    scale = tol / np.sqrt(np.abs(det))
+    return cand[(l1 >= -scale) & (l2 >= -scale) & (l1 + l2 <= 1.0 + scale)]
+
+
+@pytest.mark.parametrize("eps", [1e-1, 1e-3])
+def test_locate_matches_barycentric_scan(eps):
+    mesh = generate(GapGeometry.power_law(eps, GAMMA), layers=6, aspect=2.0, dxmax=0.05,
+                    xrange=0.5)
+    tri = mesh.triangles
+    edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
+                                              tri[:, [2, 0]]]), axis=1), axis=0)
+    rng = np.random.default_rng(5)
+    t = rng.integers(0, mesh.num_triangles, 2000)
+    w = rng.dirichlet(np.ones(3), 2000)
+    interior = np.einsum("ka,kad->kd", w, mesh.vertices[tri[t]])
+    pts = np.concatenate([mesh.vertices, mesh.vertices[edges].mean(axis=1), interior])
+    hits = [_containing_by_scan(mesh, p) for p in pts]
+    want = np.array([h[0] for h in hits])
+    got = mesh.locate(pts)
+    assert got.shape == (pts.shape[0],) and got.dtype.kind == "i"
+    assert np.array_equal(got, want)
+    # the tie-break is exercised: interior vertices lie in six triangles
+    assert max(len(h) for h in hits) == 6
+    assert all(mesh.locate(p) == w_ and isinstance(mesh.locate(p), int)
+               for p, w_ in zip(pts[::97], want[::97]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(eps=st.floats(1e-6, 0.5),
+       gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+       layers=st.integers(4, 16),
+       seed=st.integers(0, 2**32 - 1))
+def test_random_strip_points_locate_to_a_containing_triangle(eps, gamma, layers, seed):
+    mesh = generate(GapGeometry.power_law(eps, gamma), layers=layers, aspect=2.0,
+                    dxmax=0.05, xrange=0.5)
+    rows = mesh.vertices[:, 1].reshape(mesh.stations.size, layers + 1)
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.uniform(-0.5, 0.5, 300), mesh.stations[::7]])
+    u = np.concatenate([rng.uniform(0.0, 1.0, 200), np.zeros(50), np.ones(50),
+                        rng.uniform(0.0, 1.0, x.size - 300)])
+    bottom = np.interp(x, mesh.stations, rows[:, 0])
+    top = np.interp(x, mesh.stations, rows[:, -1])
+    pts = np.stack([x, bottom + u * (top - bottom)], axis=1)
+    p = mesh.vertices[mesh.triangles[mesh.locate(pts)]]
+    e1, e2, r = p[:, 1] - p[:, 0], p[:, 2] - p[:, 0], pts - p[:, 0]
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    l1 = (r[:, 0] * e2[:, 1] - r[:, 1] * e2[:, 0]) / det
+    l2 = (e1[:, 0] * r[:, 1] - e1[:, 1] * r[:, 0]) / det
+    slack = 1e-9
+    assert np.all((l1 >= -slack) & (l2 >= -slack) & (l1 + l2 <= 1.0 + slack))

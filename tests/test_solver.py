@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, field_values
 from thingap.coefficients import (CoefficientSet, LameParameters, identity_coefficients,
@@ -258,12 +261,17 @@ def test_value_at_reproduces_affine_field_and_barycentric_values():
     rng = np.random.default_rng(5)
     curved = DiscreteSolution(mesh=mesh, values=rng.normal(size=(mesh.num_vertices, 2)))
     region = LocalRegion(np.array([0.0, 0.0]), 0.4, geom)
-    for p in region.sample_points(200, seed=5, tag=0):
+    pts = region.sample_points(200, seed=5, tag=0)
+    batch = value_at(curved, pts)
+    assert batch.shape == (200, 2)
+    assert gradient_at(curved, pts).shape == (200, 2, 2)
+    for p, v in zip(pts, batch):
         tri = mesh.triangles[mesh.locate(p)]
         T = (mesh.vertices[tri[1:]] - mesh.vertices[tri[0]]).T
         l12 = np.linalg.solve(T, p - mesh.vertices[tri[0]])
         bary = np.array([1 - l12.sum(), *l12]) @ curved.values[tri]
         assert np.allclose(value_at(curved, p), bary, rtol=0, atol=1e-12)
+        assert np.allclose(v, bary, rtol=0, atol=1e-12)
 
 
 def _zero_field(geom):
@@ -339,3 +347,33 @@ def test_l2_norm_of_constant_field():
     sol = DiscreteSolution(mesh=mesh, values=np.full((mesh.num_vertices, 1), 2.0))
     got = l2_norm(sol)
     assert got == pytest.approx(2.0 * np.sqrt(np.sum(mesh.areas())), rel=1e-12)
+
+
+def test_constant_field_assembly_is_quadrature_independent():
+    # the centroid rule is exact for a constant leading field; the zeroth-order
+    # mass term is quadratic and keeps the requested 3-point rule
+    geom = GapGeometry.power_law(1e-2, GAMMA)
+    mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.05, xrange=0.5)
+    lame = lame_as_general(LameParameters(1.0, 1.0), 2)
+    with_mass = dataclasses.replace(lame, D=lambda x: np.eye(2), name="lame_mass")
+    for cs in (lame, with_mass):
+        K3 = assemble(mesh, cs, quadrature=3).K
+        pointwise = assemble(mesh, dataclasses.replace(cs, constant=False), quadrature=3).K
+        scale = abs(pointwise).max()
+        assert abs(K3 - pointwise).max() <= 1e-13 * scale
+        if cs.D is None:
+            assert abs(K3 - assemble(mesh, cs, quadrature=1).K).max() <= 1e-13 * scale
+
+
+def test_minimum_degree_solve_matches_colamd():
+    geom = GapGeometry.power_law(1e-3, GAMMA)
+    mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.02, xrange=1.0)
+    system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
+    bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
+    sol = solve_dirichlet(system, bc)
+    _, K_ff, K_fc, free = system._factor(bc.dof_mask())
+    rhs = system.load[free] - K_fc @ bc.values.ravel()[~free]
+    x = sol.values.ravel()[free]
+    assert np.linalg.norm(K_ff @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    ref = splu(K_ff, permc_spec="COLAMD").solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)

@@ -63,6 +63,18 @@ def test_plan_validation():
             SweepPlan(energy_zprimes=zprimes).validate()
 
 
+def test_boundary_constants_beyond_m_must_be_zero():
+    geom = SweepPlan().geometry(0.1)
+    with pytest.raises(PlanError, match="beyond the system's 2 components"):
+        SweepPlan(bc_phi=(1.0, 0.0, 5.0)).boundary_data(geom)
+    with pytest.raises(PlanError, match="beyond the system's 2 components"):
+        SweepPlan(bc_psi=(0.0, 0.0, -1.0)).boundary_data(geom)
+    # the default Lame list (1, 0) on a one-component system drops only a zero
+    data = SweepPlan(system_kind="identity", m=1).boundary_data(geom)
+    assert data.m == 1
+    assert SweepPlan(bc_phi=(1.0,)).boundary_data(geom).m == 2
+
+
 def test_sweep_blowup_rate_small(small_report):
     assert small_report.rho == pytest.approx(1.0, abs=0.15)
     assert not small_report.degenerate
