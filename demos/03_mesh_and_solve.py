@@ -20,7 +20,10 @@ mesh.validate()
 near = int(np.sum(np.abs(mesh.stations) < eps ** (1 / (1 + gamma))))
 print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "
       f"{mesh.stations.size} stations ({near} inside the neck)")
-print(f"min mapped quality {mesh.quality_mapped().min():.3f}")
+i = int(np.argmin(np.abs(mesh.stations)))
+dx, dy = mesh.stations[i + 1] - mesh.stations[i], eps / mesh.layers
+print(f"neck cell {dx:.2e} wide, {dy:.2e} tall (aspect {dx / dy:.0f}, "
+      f"matched to the gap by construction)")
 
 cs = lame_as_general(LameParameters(1.0, 1.0), 2)
 data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])

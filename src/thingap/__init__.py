@@ -16,7 +16,7 @@ from .auxiliary import (AuxiliaryField, BoundaryData, ConfigurationError,
                         check_seminorm_growth, field_gradients, field_values,
                         gap_fraction, gap_fraction_gradient, holder_seminorm,
                         interpolant_gradients, interpolant_values, seminorm_growth_rhs)
-from .mesh import Mesh, MeshError, generate, refine, strip_area
+from .mesh import Mesh, MeshError, generate, refine
 from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
                      RightHandSide, SolverError, assemble, dirichlet_values,
                      grid_distance, gradient_at, l2_norm, solve_component,

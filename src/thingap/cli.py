@@ -20,14 +20,14 @@ import numpy as np
 from . import __version__, _blas
 from .auxiliary import AuxiliaryField, ConfigurationError, check_seminorm_growth, \
     holder_seminorm
-from .coefficients import EllipticityError, check_ellipticity, check_holder
+from .coefficients import (EllipticityError, check_ellipticity, check_holder,
+                           identity_coefficients)
 from .geometry import GeometryError, LocalRegion
 from .mesh import generate
 from .oracle import brute_force_seminorm, exact_affine_case, finite_difference_reference
 from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
 from .verify import (PlanError, SweepPlan, check_energy_scaling, check_lower_bound,
                      check_profile, probe_points, profile_constant, run_sweep)
-from .coefficients import identity_coefficients
 
 
 class ConfigError(ValueError):
@@ -218,70 +218,51 @@ def export_solution_text(sol) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (artifact name, JSON document, ordered verdicts)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate_geometry(cfg, outdir: Path) -> int:
-    from .geometry import GapGeometry
-    plan = plan_from_config(cfg)
-    if cfg["profile.kind"] == "power":
-        geom = GapGeometry.power_law(cfg["epsilon"], cfg["gamma"], cfg["profile.c1"],
-                                     cfg["profile.c2"], dim=cfg["dim"])
-    else:
-        geom = plan.geometry(cfg["epsilon"])
-    result = {"epsilon": cfg["epsilon"], "gamma": cfg["gamma"], "dim": cfg["dim"],
-              "kappa0": geom.kappa0, "kappa1": geom.kappa1, "kappa2": geom.kappa2}
+def _cmd_validate_geometry(cfg, outdir: Path, threads: int):
+    geom = plan_from_config(cfg).geometry(cfg["epsilon"], dim=cfg["dim"])
+    doc = {"epsilon": cfg["epsilon"], "gamma": cfg["gamma"], "dim": cfg["dim"],
+           "kappa0": geom.kappa0, "kappa1": geom.kappa1, "kappa2": geom.kappa2}
     try:
         geom.validate(samples=cfg["validate.samples"], seed=cfg["seed"])
-        result["passed"] = True
+        ok = True
     except GeometryError as exc:
-        result["passed"] = False
-        result["error"] = str(exc)
-    write_json(outdir / "geometry.json", result)
-    print(("PASS" if result["passed"] else "FAIL") + " geometry validation")
-    return 0 if result["passed"] else 1
+        ok = False
+        doc["error"] = str(exc)
+    return "geometry.json", doc, {"geometry": ok}
 
 
-def _cmd_validate_coefficients(cfg, outdir: Path) -> int:
+def _cmd_validate_coefficients(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     cs = plan.coefficients()
     geom = plan.geometry(cfg["epsilon"])
     region = LocalRegion(np.zeros(geom.dim), 1.0, geom)
     pts = region.sample_points(max(64, int(np.sqrt(cfg["coeffcheck.samples"]))),
                                cfg["seed"], tag=0)
-    result = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
-    ok = True
+    doc = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
     try:
         meas = check_ellipticity(cs, samples=cfg["coeffcheck.samples"], points=pts,
                                  seed=cfg["seed"])
-        result["measured_lambda"] = meas.value
-        result["near_ties"] = meas.near_ties
+        doc["measured_lambda"] = meas.value
+        doc["near_ties"] = meas.near_ties
+        elliptic = True
     except EllipticityError as exc:
-        ok = False
-        result["error"] = str(exc)
+        elliptic = False
+        doc["error"] = str(exc)
     k3 = check_holder(cs, pair_samples=cfg["coeffcheck.pairs"], points=pts,
                       seed=cfg["seed"])
-    result["measured_kappa3"] = k3
-    if k3 > cs.kappa3:
-        ok = False
-        result["kappa3_exceeded"] = True
-    result["passed"] = ok
-    write_json(outdir / "coefficients.json", result)
-    print(("PASS" if ok else "FAIL") + " coefficient validation")
-    return 0 if ok else 1
+    doc["measured_kappa3"] = k3
+    return "coefficients.json", doc, {"ellipticity": elliptic, "kappa3": not k3 > cs.kappa3}
 
 
-def _cmd_solve(cfg, outdir: Path) -> int:
+def _cmd_solve(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     eps = cfg["epsilon"]
-    geom = plan.geometry(eps)
-    cs = plan.coefficients()
-    data = plan.boundary_data(geom)
-    mesh = generate(geom, plan.mesh_layers, plan.mesh_aspect, plan.mesh_dxmax,
-                    plan.mesh_xrange)
-    system = assemble(mesh, cs, quadrature=plan.quadrature)
-    bc = dirichlet_values(mesh, data, lateral=plan.lateral)
-    sol = solve_dirichlet(system, bc)
+    geom, data, system = plan.problem(eps)
+    mesh = system.mesh
+    sol = solve_dirichlet(system, dirichlet_values(mesh, data))
     (outdir / "mesh.txt").write_text(mesh.export_text())
     (outdir / "solution.txt").write_text(export_solution_text(sol))
     lines = ["x,y,comp,dudx,dudy"]
@@ -291,41 +272,32 @@ def _cmd_solve(cfg, outdir: Path) -> int:
         for comp in range(g.shape[0]):
             lines.append(_csv_row([x, y, comp, g[comp, 0], g[comp, 1]]))
     (outdir / "gradients.csv").write_text("\n".join(lines) + "\n")
+    grad0 = float(np.sqrt(np.sum(gradient_at(sol, (0.0, 0.0))**2)))
     print(f"solved epsilon={eps:g}: {mesh.num_vertices} vertices, "
-          f"|grad u(0,0)| = {np.sqrt(np.sum(gradient_at(sol, (0.0, 0.0))**2)):.6g}")
-    return 0
+          f"|grad u(0,0)| = {grad0:.6g}")
+    doc = {"epsilon": eps, "vertices": mesh.num_vertices,
+           "triangles": mesh.num_triangles, "grad_norm_origin": grad0}
+    return "solve.json", doc, {}
 
 
-def _cmd_sweep(cfg, outdir: Path, threads: int) -> int:
+def _cmd_sweep(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     report = run_sweep(plan, threads=threads)
-    ok = True
     doc = report.to_dict()
     pc = check_profile(report, plan.epsilons[0], cfg["checks.stability_factor"])
     lb = check_lower_bound(report, cfg["checks.stability_factor"])
     doc["checks"] = {
         "profile_constants": [profile_constant(r, plan.gamma) for r in report.records],
         "profile_stability": pc.sweep_max_over_min,
-        "profile_passed": pc.passed,
         "lower_bound_applicable": lb.applicable,
         "lower_bound_constants": lb.constants,
         "lower_bound_stability": lb.sweep_max_over_min,
-        "lower_bound_passed": lb.passed,
-        "reliability_passed": all(r.reliable for r in report.records),
     }
-    if not pc.passed or not doc["checks"]["reliability_passed"]:
-        ok = False
-    if lb.applicable and not lb.passed:
-        ok = False
-    write_json(outdir / "report.json", doc)
     emit_tables(report, outdir)
     print(f"fitted rho = {report.rho:.6g} +/- {report.rho_halfwidth:.3g}"
           + (" (degenerate data)" if report.degenerate else ""))
-    for name in ("profile_passed", "lower_bound_passed", "reliability_passed"):
-        val = doc["checks"][name]
-        state = "PASS" if val else ("n/a" if val is None else "FAIL")
-        print(f"{state} {name}")
-    return 0 if ok else 1
+    return "report.json", doc, {"profile": pc.passed, "lower_bound": lb.passed,
+                                "reliability": all(r.reliable for r in report.records)}
 
 
 def _resolve_prop21_zprimes(tokens: str, eps: float, gamma: float) -> list[float]:
@@ -341,7 +313,7 @@ def _resolve_prop21_zprimes(tokens: str, eps: float, gamma: float) -> list[float
     return out
 
 
-def _cmd_prop21(cfg, outdir: Path) -> int:
+def _cmd_prop21(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     fractions = cfg["prop21.s_fractions"]
     if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
@@ -367,54 +339,41 @@ def _cmd_prop21(cfg, outdir: Path) -> int:
                 worst = max(worst, rep.fitted_constant)
         per_eps_max.append(worst)
     stability = max(per_eps_max) / min(per_eps_max) if min(per_eps_max) > 0 else float("inf")
-    finite = all(np.isfinite(per_eps_max))
-    ok = finite and stability < cfg["checks.stability_factor"]
-    doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max,
-           "stability": stability, "passed": ok}
-    write_json(outdir / "prop21.json", doc)
-    print(f"{'PASS' if ok else 'FAIL'} seminorm-growth constants "
-          f"(max/min = {stability:.4g})")
-    return 0 if ok else 1
+    ok = all(np.isfinite(per_eps_max)) and stability < cfg["checks.stability_factor"]
+    doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
+    print(f"seminorm-growth constants: max/min = {stability:.4g}")
+    return "prop21.json", doc, {"seminorm_growth": ok}
 
 
-def _cmd_energy_scaling(cfg, outdir: Path) -> int:
+def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     res = check_energy_scaling(plan)
     band = cfg["checks.exponent_band"]
     doc = res.to_dict()
-    if res.degenerate:
-        doc["passed"] = True
-        doc["note"] = "degenerate data: remainder vanishes, fits skipped"
-        ok = True
-    else:
-        lo_in = res.expected_inner - band
-        edge_ok = lo_in <= res.edge_exponent <= res.expected_inner + band
-        outer_ok = (res.expected_outer - band <= res.outer_exponent
-                    <= res.expected_outer + band)
-        # the slab at z' = 0 decays at least as fast as the bound allows
-        center_ok = res.center_exponent >= lo_in
-        doc["edge_in_band"] = edge_ok
-        doc["outer_in_band"] = outer_ok
-        doc["center_bound_satisfied"] = center_ok
-        # the z' = 0 law of the acceptance suite, without its refined-mesh fit
-        slack = res.center_slack(band, cfg["checks.stability_factor"])
-        doc["center_in_band"] = slack["passed"]
-        doc["center_slack"] = slack
-        ok = edge_ok and outer_ok and center_ok
-        doc["passed"] = ok
-    write_json(outdir / "energy.json", doc)
     for name, table in (("energy_inner_center.csv", res.center_table),
                         ("energy_inner_edge.csv", res.edge_table),
                         ("energy_outer.csv", res.outer_table)):
         lines = ["scale,energy"] + [_csv_row([a, b]) for a, b in table]
         (outdir / name).write_text("\n".join(lines) + "\n")
-    if not res.degenerate:
-        print(f"inner(center z'=0) exponent = {res.center_exponent:.4f}, "
-              f"inner(regime edge) = {res.edge_exponent:.4f} "
-              f"(expected {res.expected_inner:.4f}), "
-              f"outer = {res.outer_exponent:.4f} (expected {res.expected_outer:.4f})")
-    print(("PASS" if doc["passed"] else "FAIL") + " energy scaling")
-    return 0 if doc["passed"] else 1
+    if res.degenerate:
+        doc["note"] = "degenerate data: remainder vanishes, fits skipped"
+        return "energy.json", doc, {"edge_in_band": None, "outer_in_band": None,
+                                    "center_bound": None}
+    lo_in = res.expected_inner - band
+    # the z' = 0 law of the acceptance suite, without its refined-mesh fit
+    slack = res.center_slack(band, cfg["checks.stability_factor"])
+    doc["center_in_band"] = slack["passed"]
+    doc["center_slack"] = slack
+    print(f"inner(center z'=0) exponent = {res.center_exponent:.4f}, "
+          f"inner(regime edge) = {res.edge_exponent:.4f} "
+          f"(expected {res.expected_inner:.4f}), "
+          f"outer = {res.outer_exponent:.4f} (expected {res.expected_outer:.4f})")
+    return "energy.json", doc, {
+        "edge_in_band": lo_in <= res.edge_exponent <= res.expected_inner + band,
+        "outer_in_band": (res.expected_outer - band <= res.outer_exponent
+                          <= res.expected_outer + band),
+        # the slab at z' = 0 decays at least as fast as the bound allows
+        "center_bound": res.center_exponent >= lo_in}
 
 
 def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
@@ -433,23 +392,17 @@ def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
     return grid_distance(sol, grid)
 
 
-def _cmd_oracle_suite(cfg, outdir: Path) -> int:
-    from .auxiliary import BoundaryData
+def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
+    from .auxiliary import BoundaryData, field_gradients
     from .coefficients import LameParameters, lame_as_general
 
-    results = {}
-    ok = True
+    plan = plan_from_config(cfg)
     eps = cfg["epsilon"]
-
     case = exact_affine_case(eps)
-    geom = case.geometry()
-    mesh = generate(geom, layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
-    cs = identity_coefficients()
-    system = assemble(mesh, cs)
-    sol = solve_dirichlet(system, dirichlet_values(mesh, case.data()))
+    mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
+    sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
+                          dirichlet_values(mesh, case.data()))
     err = float(np.max(np.abs(sol.values - case.solution(mesh.vertices))))
-    results["affine_nodal_error"] = err
-    ok &= err <= 1e-10
 
     # cross-method checks run on a thicker rectangle where the solution is
     # genuinely two-dimensional
@@ -457,45 +410,60 @@ def _cmd_oracle_suite(cfg, outdir: Path) -> int:
     geom_fd = exact_affine_case(eps_fd).geometry()
     data_scalar = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom_fd)
     worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar, eps_fd, m=1)
-    results["fd_vs_fem_scalar"] = worst
-    ok &= worst <= 0.01
-
     cs_lame = lame_as_general(LameParameters(cfg["system.lambda1"], cfg["system.mu1"]), 2)
     data_lame = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom_fd)
     worst_l = _fd_vs_fem(cs_lame, geom_fd, data_lame, eps_fd, m=2)
-    results["fd_vs_fem_lame"] = worst_l
-    ok &= worst_l <= 0.01
 
-    plan = plan_from_config(cfg)
     gap = plan.geometry(eps)
-    data = plan.boundary_data(gap)
-    fld = AuxiliaryField(gap, data, 0)
+    fld = AuxiliaryField(gap, plan.boundary_data(gap), 0)
     w0 = float(gap.gap_width(np.zeros(1)))
     region = LocalRegion(np.array([0.0, float(gap.midline(np.zeros(1)))]), 0.5 * w0, gap)
-    from .auxiliary import field_gradients
 
     def f(X):
         return field_gradients(fld, X).reshape(X.shape[0], -1)
 
     dense = brute_force_seminorm(f, region, cfg["gamma"], grid=60)
     sampled = holder_seminorm(f, region, cfg["gamma"], pairs=4000, seed=cfg["seed"])
-    results["seminorm_dense"] = dense
-    results["seminorm_sampled"] = sampled
-    ok &= sampled >= 0.8 * dense
-    results["passed"] = bool(ok)
-    write_json(outdir / "oracle.json", results)
-    print(("PASS" if ok else "FAIL") + f" oracle suite: affine={err:.2e}, "
-          f"fd-vs-fem scalar={worst:.2e} lame={worst_l:.2e}, seminorm ratio="
+    doc = {"affine_nodal_error": err, "fd_vs_fem_scalar": worst, "fd_vs_fem_lame": worst_l,
+           "seminorm_dense": dense, "seminorm_sampled": sampled}
+    print(f"oracle suite: affine={err:.2e}, fd-vs-fem scalar={worst:.2e} "
+          f"lame={worst_l:.2e}, seminorm ratio="
           f"{sampled / dense if dense > 0 else float('nan'):.3f}")
-    return 0 if ok else 1
+    return "oracle.json", doc, {"affine_exact": err <= 1e-10,
+                                "fd_vs_fem_scalar": worst <= 0.01,
+                                "fd_vs_fem_lame": worst_l <= 0.01,
+                                "seminorm_sampling": sampled >= 0.8 * dense}
 
 
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
-COMMANDS = ("validate-geometry", "validate-coefficients", "solve", "sweep",
-            "prop21", "energy-scaling", "oracle-suite")
+COMMANDS = {
+    "validate-geometry": _cmd_validate_geometry,
+    "validate-coefficients": _cmd_validate_coefficients,
+    "solve": _cmd_solve,
+    "sweep": _cmd_sweep,
+    "prop21": _cmd_prop21,
+    "energy-scaling": _cmd_energy_scaling,
+    "oracle-suite": _cmd_oracle_suite,
+}
+
+_VERDICT_WORDS = {True: "pass", False: "fail", None: "n/a"}
+
+
+def _conclude(outdir: Path, artifact: str, doc: dict, verdicts: dict) -> int:
+    """Write ``doc`` with its verdicts block, print one line per verdict.
+
+    A verdict is True (pass), False (fail) or None (not applicable); the
+    exit code is 1 when any verdict fails, else 0.
+    """
+    words = {name: _VERDICT_WORDS[v] for name, v in verdicts.items()}
+    doc["verdicts"] = words
+    write_json(outdir / artifact, doc)
+    for name, word in words.items():
+        print(f"{word if word == 'n/a' else word.upper()} {name}")
+    return 1 if "fail" in words.values() else 0
 
 
 def run(argv: list[str]) -> int:
@@ -529,28 +497,11 @@ def run(argv: list[str]) -> int:
     threads = max(1, args.threads)
     try:
         with _blas.limit(threads):      # --threads bounds the BLAS pools too
-            return _dispatch(args.command, cfg, outdir, threads)
+            result = COMMANDS[args.command](cfg, outdir, threads)
     except (ConfigError, PlanError, ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-
-
-def _dispatch(command: str, cfg, outdir: Path, threads: int) -> int:
-    if command == "validate-geometry":
-        return _cmd_validate_geometry(cfg, outdir)
-    if command == "validate-coefficients":
-        return _cmd_validate_coefficients(cfg, outdir)
-    if command == "solve":
-        return _cmd_solve(cfg, outdir)
-    if command == "sweep":
-        return _cmd_sweep(cfg, outdir, threads)
-    if command == "prop21":
-        return _cmd_prop21(cfg, outdir)
-    if command == "energy-scaling":
-        return _cmd_energy_scaling(cfg, outdir)
-    if command == "oracle-suite":
-        return _cmd_oracle_suite(cfg, outdir)
-    raise AssertionError("unreachable")
+    return _conclude(outdir, *result)
 
 
 def main() -> None:

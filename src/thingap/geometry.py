@@ -220,20 +220,6 @@ class GapGeometry:
         return (np.asarray(self.profile_top.gradient(xp), dtype=float).reshape(xp.shape)
                 - np.asarray(self.profile_bottom.gradient(xp), dtype=float).reshape(xp.shape))
 
-    def contains(self, r: float, x) -> np.ndarray:
-        """Strict membership in the region of tangential radius ``r <= 1``."""
-        x = np.asarray(x, dtype=float)
-        xp, xn = x[..., :-1], x[..., -1]
-        xp = _as_tangential(xp, self.tangential_dim)
-        rad = np.linalg.norm(xp, axis=-1)
-        inside_strip = rad <= r
-        ok = np.zeros_like(rad, dtype=bool)
-        if np.any(inside_strip):
-            top = self.top(xp)
-            bot = self.bottom(xp)
-            ok = inside_strip & (xn > bot) & (xn < top)
-        return ok if ok.shape else bool(ok)
-
     def boundary_point(self, side: str, xp) -> np.ndarray:
         """Point on the upper or lower boundary above/below ``x'``."""
         xp = _as_tangential(xp, self.tangential_dim)

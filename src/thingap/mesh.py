@@ -11,8 +11,6 @@ graphs instead of interpolating the polygonal boundary.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
-
 import numpy as np
 
 from .geometry import GapGeometry, GeometryError
@@ -196,30 +194,6 @@ class Mesh:
         if not np.all(is_boundary_vertex[boundary_edges]):
             raise MeshError("single-triangle edge with an interior endpoint")
 
-    def quality_mapped(self, aspect: Optional[float] = None) -> np.ndarray:
-        """Triangle quality 2*inradius/longest-edge in the intended-scale frame.
-
-        Each triangle is normalized by the local intended element size
-        (graded tangential spacing, fiber height / layers) before measuring,
-        which removes the deliberate anisotropy.
-        """
-        aspect = self.grading.get("aspect", 1.0) if aspect is None else aspect
-        dxmax = self.grading.get("dxmax", np.inf)
-        c = self.centroids()
-        w = self.geom.gap_width(c[:, :1])
-        sx = np.minimum(aspect * w, dxmax)
-        sy = w / self.layers
-        p = self.vertices[self.triangles].copy()
-        p[:, :, 0] /= sx[:, None]
-        p[:, :, 1] /= sy[:, None]
-        e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
-        lens = np.linalg.norm(e, axis=2)
-        area = 0.5 * np.abs((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                            - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
-        perim = lens.sum(axis=1)
-        inradius = 2.0 * area / perim
-        return 2.0 * inradius / lens.max(axis=1)
-
     # -- export -------------------------------------------------------------------
 
     def export_text(self) -> str:
@@ -311,17 +285,12 @@ def _with_midpoints(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def refine(mesh: Mesh, factor: int) -> Mesh:
+def refine(mesh: Mesh) -> Mesh:
     """Uniform refinement: midpoint stations, doubled layers, exact fibers.
 
-    Because vertices are re-placed on the exact fiber, refined boundary rows
-    lie on the true graphs and two factor-2 refinements produce the same
-    vertex set as one factor-4 refinement.
+    Vertices are re-placed on the exact fiber, so refined boundary rows lie
+    on the true graphs instead of the coarse mesh's polygonal boundary.
     """
-    if factor == 4:
-        return refine(refine(mesh, 2), 2)
-    if factor != 2:
-        raise MeshError(f"refinement factor must be 2 or 4, got {factor}")
     stations = _with_midpoints(mesh.stations)
     layers = mesh.layers * 2
     grading = dict(mesh.grading)
@@ -329,9 +298,3 @@ def refine(mesh: Mesh, factor: int) -> Mesh:
     grading["refined_from"] = mesh.grading.get("layers")
     return _build_from_stations(mesh.geom, stations, layers, grading)
 
-
-def strip_area(geom: GapGeometry, xrange: float, n_quad: int = 20001) -> float:
-    """Reference area of the strip, fine trapezoid quadrature of the gap width."""
-    xs = np.linspace(-xrange, xrange, n_quad)[:, None]
-    w = geom.gap_width(xs)
-    return float(np.trapezoid(w, dx=2 * xrange / (n_quad - 1)))

@@ -30,12 +30,9 @@ class SolverError(RuntimeError):
     """Raised when assembly or the linear solve violates its contract."""
 
 
-# barycentric quadrature rules on the reference triangle; weights sum to 1
-_QUAD = {
-    1: (np.array([[1 / 3, 1 / 3, 1 / 3]]), np.array([1.0])),
-    3: (np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]]),
-        np.array([1 / 3, 1 / 3, 1 / 3])),
-}
+# edge-midpoint rule in barycentric coordinates, exact for quadratics
+_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+_WEIGHT = 1 / 3
 
 
 @dataclass
@@ -67,12 +64,11 @@ class AssembledSystem:
     """
 
     def __init__(self, mesh: Mesh, cs: CoefficientSet, K: sparse.csr_matrix,
-                 load: np.ndarray, quadrature: int):
+                 load: np.ndarray):
         self.mesh = mesh
         self.cs = cs
         self.K = K
         self.load = load
-        self.quadrature = quadrature
         self._lu_cache = {}
 
     def _factor(self, dof_fixed: np.ndarray):
@@ -91,21 +87,18 @@ class AssembledSystem:
         return entry
 
 
-def assemble(mesh: Mesh, cs: CoefficientSet, rhs: Optional[RightHandSide] = None,
-             quadrature: int = 3) -> AssembledSystem:
+def assemble(mesh: Mesh, cs: CoefficientSet,
+             rhs: Optional[RightHandSide] = None) -> AssembledSystem:
     """Assemble the system matrix and load vector.
 
-    Coefficients are evaluated at the quadrature points of each triangle
-    (3-point edge-midpoint rule by default, exact for quadratics; 1-point
-    centroid rule as the cheap fallback).  A constant leading field is
-    integrated by the centroid rule whatever ``quadrature`` says: P1
-    gradients are constant per triangle, so that rule is exact for it.
+    A constant leading field A is integrated by the centroid rule: P1
+    gradients are constant per triangle, so that rule is exact for it.  A
+    variable A, the lower-order fields B, C, D and the volume sources are
+    evaluated at the three edge midpoints of each triangle, a rule exact for
+    quadratics such as the P1 mass term of a constant D.
     """
-    if quadrature not in _QUAD:
-        raise SolverError(f"quadrature must be 1 or 3, got {quadrature}")
     if cs.n != 2:
         raise SolverError("the discrete solver is 2-D")
-    bary, weights = _QUAD[quadrature]
     m = cs.m
     T = mesh.num_triangles
     N = mesh.num_vertices
@@ -121,11 +114,9 @@ def assemble(mesh: Mesh, cs: CoefficientSet, rhs: Optional[RightHandSide] = None
     if cs.constant:
         A_c = cs.eval_A_many(mesh.centroids())         # (T, n, n, m, m)
         E += np.einsum("t,tpqij,tbq,tap->taibj", areas, A_c, G, G, optimize=True)
-    for q in range(bary.shape[0]):
-        bq = bary[q]
-        wq = weights[q]
+    wa = _WEIGHT * areas
+    for bq in _BARY:
         xq = np.einsum("a,tad->td", bq, pts)
-        wa = wq * areas
         if not cs.constant:
             A_q = cs.eval_A_many(xq)                   # (T, n, n, m, m)
             E += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G, G, optimize=True)
@@ -152,7 +143,7 @@ def assemble(mesh: Mesh, cs: CoefficientSet, rhs: Optional[RightHandSide] = None
     K = sparse.coo_matrix((E.ravel(), (rows, cols)), shape=(N * m, N * m)).tocsr()
     load = np.zeros(N * m)
     np.add.at(load, dof_local.ravel(), fe.ravel())
-    return AssembledSystem(mesh, cs, K, load, quadrature)
+    return AssembledSystem(mesh, cs, K, load)
 
 
 @dataclass
@@ -241,12 +232,12 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment,
     return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m), metadata=metadata)
 
 
-def solve_component(system: AssembledSystem, data: BoundaryData, ell: int,
-                    lateral: str = "auxiliary") -> DiscreteSolution:
+def solve_component(system: AssembledSystem, data: BoundaryData,
+                    ell: int) -> DiscreteSolution:
     """Solution with only component ``ell`` (0-based) of the data imposed."""
     if not (0 <= ell < data.m):
         raise SolverError(f"component {ell} out of range for m = {data.m}")
-    bc = dirichlet_values(system.mesh, data, component=ell, lateral=lateral)
+    bc = dirichlet_values(system.mesh, data, component=ell)
     return solve_dirichlet(system, bc, metadata=f"component_{ell}")
 
 

@@ -31,7 +31,7 @@ from .coefficients import (CoefficientSet, LameParameters, holder_demo_coefficie
                            identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
 from .mesh import generate, refine
-from .solver import (assemble, dirichlet_values, gradient_at,
+from .solver import (AssembledSystem, assemble, dirichlet_values, gradient_at,
                      l2_norm, solve_component, solve_dirichlet)
 
 
@@ -102,8 +102,6 @@ class SweepPlan:
     probes_profile: int = 65
     probe_offset: float = 0.05
     reliability_threshold: float = 0.10
-    lateral: str = "auxiliary"
-    quadrature: int = 3
     seed: int = 0
 
     def validate(self):
@@ -126,13 +124,28 @@ class SweepPlan:
             raise PlanError(f"unknown system kind {self.system_kind!r}")
         if self.bc_kind not in ("constant_jump", "polynomial"):
             raise PlanError(f"unknown bc kind {self.bc_kind!r}")
+        for key, layers, aspect, xrange in (
+                ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange),
+                ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange)):
+            if layers < 4:
+                raise PlanError(f"{key}.layers must be >= 4, got {layers}")
+            if not 0 < xrange <= 1:
+                raise PlanError(f"{key}.xrange must lie in (0, 1], got {xrange}")
+            if aspect <= 0:
+                raise PlanError(f"{key}.aspect must be positive, got {aspect}")
+        if self.mesh_dxmax <= 0:
+            raise PlanError(f"mesh.dxmax must be positive, got {self.mesh_dxmax}")
+        if self.probes_centerline < 1 or self.probes_profile < 1:
+            raise PlanError("probes.centerline and probes.profile must be >= 1")
+        if not 0 <= self.probe_offset < 0.5:
+            raise PlanError(f"probes.offset must lie in [0, 0.5), got {self.probe_offset}")
 
-    def geometry(self, epsilon: float) -> GapGeometry:
+    def geometry(self, epsilon: float, dim: int = 2) -> GapGeometry:
         if self.profile_kind == "power":
             return GapGeometry.power_law(epsilon, self.gamma, self.profile_c1,
-                                         self.profile_c2)
+                                         self.profile_c2, dim=dim)
         if self.profile_kind == "flat":
-            return GapGeometry.flat(epsilon, self.gamma)
+            return GapGeometry.flat(epsilon, self.gamma, dim=dim)
         raise PlanError(f"unknown profile kind {self.profile_kind!r}")
 
     def coefficients(self) -> CoefficientSet:
@@ -152,6 +165,24 @@ class SweepPlan:
         phi = [list(self.bc_phi)] + [[0.0]] * (m - 1)
         psi = [list(self.bc_psi)] + [[0.0]] * (m - 1)
         return BoundaryData.polynomial(phi, psi, geom)
+
+    def problem(self, epsilon: float, energy: bool = False
+                ) -> tuple[GapGeometry, BoundaryData, AssembledSystem]:
+        """Geometry, boundary data and assembled system at one gap width.
+
+        The mesh is the sweep mesh (``mesh.*`` keys), or with ``energy`` the
+        energy-scaling mesh (``energy.layers``, ``energy.aspect``,
+        ``energy.xrange`` with ``mesh.dxmax``).
+        """
+        geom = self.geometry(epsilon)
+        data = self.boundary_data(geom)
+        if energy:
+            mesh = generate(geom, self.energy_layers, self.energy_aspect, self.mesh_dxmax,
+                            self.energy_xrange)
+        else:
+            mesh = generate(geom, self.mesh_layers, self.mesh_aspect, self.mesh_dxmax,
+                            self.mesh_xrange)
+        return geom, data, assemble(mesh, self.coefficients())
 
 
 def _pad(values, m):
@@ -240,18 +271,13 @@ def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData)
 
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
-    geom = plan.geometry(epsilon)
-    cs = plan.coefficients()
-    data = plan.boundary_data(geom)
-    mesh = generate(geom, plan.mesh_layers, plan.mesh_aspect, plan.mesh_dxmax,
-                    plan.mesh_xrange)
-    system = assemble(mesh, cs, quadrature=plan.quadrature)
-    bc = dirichlet_values(mesh, data, lateral=plan.lateral)
+    geom, data, system = plan.problem(epsilon)
+    bc = dirichlet_values(system.mesh, data)
     sol = solve_dirichlet(system, bc, metadata="u")
 
-    fine = refine(mesh, 2)
-    system_f = assemble(fine, cs, quadrature=plan.quadrature)
-    bc_f = dirichlet_values(fine, data, lateral=plan.lateral)
+    fine = refine(system.mesh)
+    system_f = assemble(fine, system.cs)
+    bc_f = dirichlet_values(fine, data)
     sol_f = solve_dirichlet(system_f, bc_f, metadata="u_refined")
 
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
@@ -276,7 +302,7 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
 
     # remainder energy on the neck slab, measured on this sweep mesh
     ell = int(np.argmax(np.abs(jump0)))
-    v_ell = solve_component(system, data, ell, lateral=plan.lateral)
+    v_ell = solve_component(system, data, ell)
     fld = AuxiliaryField(geom, data, ell)
     w0 = float(geom.gap_width(np.zeros(1)))
     neck = LocalRegion(np.array([0.0, float(geom.midline(np.zeros(1)))]), w0, geom)
@@ -344,6 +370,9 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     depend on completion order.
     """
     plan.validate()
+    if not any(plan.bc_phi) and not any(plan.bc_psi):
+        raise PlanError("bc.phi and bc.psi are all zero: the solution vanishes and "
+                        "the sweep has no envelope constant to fit")
     eps = [float(e) for e in plan.epsilons]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -509,18 +538,6 @@ class EnergyScalingResult:
                 "passed": bound_holds and in_band and stable}
 
 
-def _energy_solve(plan: SweepPlan, epsilon: float, ell: int):
-    geom = plan.geometry(epsilon)
-    cs = plan.coefficients()
-    data = plan.boundary_data(geom)
-    mesh = generate(geom, plan.energy_layers, plan.energy_aspect, plan.mesh_dxmax,
-                    plan.energy_xrange)
-    system = assemble(mesh, cs, quadrature=plan.quadrature)
-    v = solve_component(system, data, ell, lateral=plan.lateral)
-    fld = AuxiliaryField(geom, data, ell)
-    return geom, v, fld
-
-
 def _slab_energy(geom: GapGeometry, v, fld: AuxiliaryField, zp: float) -> float:
     w = float(geom.gap_width(np.array([zp])))
     mid = float(geom.midline(np.array([zp])))
@@ -553,7 +570,10 @@ def check_energy_scaling(plan: SweepPlan, z_prime_values: Optional[Sequence[floa
     center, edge, outer = [], [], []
     eps_min = eps_list[-1]
     for e in eps_list:
-        geom, v, fld = _energy_solve(plan, e, ell)
+        geom, data, system = plan.problem(e, energy=True)
+        v = solve_component(system, data, ell)
+        del system          # release the factorization before the next mesh is built
+        fld = AuxiliaryField(geom, data, ell)
         center.append((e, _slab_energy(geom, v, fld, 0.0)))
         edge.append((e, _slab_energy(geom, v, fld, e ** (1.0 / (1.0 + g)))))
         if e == eps_min:
@@ -593,18 +613,13 @@ def check_lateral_sensitivity(plan: SweepPlan, epsilon: float,
     Compares the data-extension closure against unconstrained (natural)
     lateral sides on the midline probes with |x'| <= radius.
     """
-    geom = plan.geometry(epsilon)
-    cs = plan.coefficients()
-    data = plan.boundary_data(geom)
-    mesh = generate(geom, plan.mesh_layers, plan.mesh_aspect, plan.mesh_dxmax,
-                    plan.mesh_xrange)
-    system = assemble(mesh, cs, quadrature=plan.quadrature)
+    geom, data, system = plan.problem(epsilon)
     sols = {}
     for lateral in ("auxiliary", "neumann"):
-        bc = dirichlet_values(mesh, data, lateral=lateral)
+        bc = dirichlet_values(system.mesh, data, lateral=lateral)
         sols[lateral] = solve_dirichlet(system, bc, metadata=f"u_{lateral}")
     xp = np.linspace(-radius, radius, 33)
-    t = mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
+    t = system.mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
     ga = sols["auxiliary"].gradients()[t]
     gn = sols["neumann"].gradients()[t]
     denom = np.maximum(np.maximum(_frob(ga), _frob(gn)), 1e-300)

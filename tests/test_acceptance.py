@@ -109,7 +109,7 @@ def test_criterion2_manufactured_convergence_rates():
         for level in range(levels):
             errs.append(_mms_errors(cs, mesh))
             if level < levels - 1:
-                mesh = refine(mesh, 2)
+                mesh = refine(mesh)
         hs = [2.0 ** (-k) for k in range(levels)]
         rate_l2, _ = fit_rate(list(zip(hs, [e[0] for e in errs])))
         rate_h1, _ = fit_rate(list(zip(hs, [e[1] for e in errs])))
@@ -314,15 +314,9 @@ def test_criterion8_seminorm_growth_stability():
 def test_criterion9_superposition(default_sweep):
     plan, _, _ = default_sweep
     eps = 1e-2
-    geom = plan.geometry(eps)
-    cs = plan.coefficients()
-    data = plan.boundary_data(geom)
-    mesh = generate(geom, plan.mesh_layers, plan.mesh_aspect, plan.mesh_dxmax,
-                    plan.mesh_xrange)
-    system = assemble(mesh, cs)
-    u = solve_dirichlet(system, dirichlet_values(mesh, data, lateral=plan.lateral))
-    total = sum(solve_component(system, data, ell, lateral=plan.lateral).values
-                for ell in range(cs.m))
+    _, data, system = plan.problem(eps)
+    u = solve_dirichlet(system, dirichlet_values(system.mesh, data))
+    total = sum(solve_component(system, data, ell).values for ell in range(system.cs.m))
     diff = float(np.max(np.abs(u.values - total)))
     tol = 10 * 1e-10 * max(1.0, float(np.max(np.abs(u.values))))
     assert diff <= tol, f"superposition defect {diff:.3e} exceeds {tol:.1e}"

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from thingap.cli import (ConfigError, SCHEMA, dumps, effective_config, emit_tables,
+from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
                          export_solution_text, fmt_float, parse_config_text,
                          plan_from_config, run)
 
@@ -164,11 +164,11 @@ def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
     before = [get() for _, get in pools]
     seen = []
 
-    def record(cfg, outdir):
+    def record(cfg, outdir, threads):
         seen.append([get() for _, get in pools])
-        return 0
+        return "geometry.json", {}, {}
 
-    monkeypatch.setattr(cli, "_cmd_validate_geometry", record)
+    monkeypatch.setitem(cli.COMMANDS, "validate-geometry", record)
     assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "1"]) == 0
     assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "64"]) == 0
     assert seen == [[1] * len(pools), before]       # a cap, never a raise
@@ -251,3 +251,100 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--set", "mesh.layers=2"], "mesh.layers must be >= 4"),
+    (["sweep", "--set", "mesh.xrange=2"], "mesh.xrange must lie in (0, 1]"),
+    (["sweep", "--set", "mesh.dxmax=0"], "mesh.dxmax must be positive"),
+    (["sweep", "--set", "mesh.aspect=-1"], "mesh.aspect must be positive"),
+    (["sweep", "--set", "probes.profile=0"], "probes.profile must be >= 1"),
+    (["sweep", "--set", "probes.centerline=0"], "probes.centerline and"),
+    (["sweep", "--set", "probes.offset=0.6"], "probes.offset must lie in [0, 0.5)"),
+    (["energy-scaling", "--set", "energy.layers=2"], "energy.layers must be >= 4"),
+    (["energy-scaling", "--set", "energy.xrange=2"], "energy.xrange must lie in (0, 1]"),
+    (["energy-scaling", "--set", "energy.aspect=0"], "energy.aspect must be positive"),
+    (["sweep", "--set", "quadrature=2"], "unknown config key 'quadrature'"),
+    (["sweep", "--set", "lateral=foo"], "unknown config key 'lateral'"),
+    (["sweep", "--set", "bc.phi=0,0"], "bc.phi and bc.psi are all zero"),
+])
+def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
+    assert run([*argv, "--out", str(tmp_path)]) == 2
+    assert message in capsys.readouterr().err
+    assert not any(tmp_path.iterdir())
+
+
+def test_validate_geometry_honours_dim_for_flat_profiles(tmp_path, monkeypatch):
+    from thingap.geometry import GapGeometry
+    dims = []
+    original = GapGeometry.validate
+
+    def spy(self, *args, **kwargs):
+        dims.append(self.dim)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(GapGeometry, "validate", spy)
+    for kind in ("flat", "power"):
+        assert run(["validate-geometry", "--out", str(tmp_path), "--set",
+                    f"profile.kind={kind}", "--set", "dim=3"]) == 0
+    assert dims == [3, 3]
+
+
+# small runs of every command, with the artifact that carries its verdicts
+SMALL_RUNS = {
+    "validate-geometry": ("geometry.json", ["--set", "validate.samples=200"]),
+    "validate-coefficients": ("coefficients.json", ["--set", "coeffcheck.samples=500",
+                                                    "--set", "coeffcheck.pairs=500"]),
+    "solve": ("solve.json", ["--set", "mesh.layers=4", "--set", "mesh.xrange=0.5"]),
+    "sweep": ("report.json", SMALL),
+    "prop21": ("prop21.json", ["--set", "sweep.epsilons=0.1,0.03,0.01",
+                               "--set", "prop21.pairs=300"]),
+    "energy-scaling": ("energy.json", ["--set", "energy.layers=8"]),
+    "oracle-suite": ("oracle.json", []),
+}
+
+
+def _verdict_lines(stdout):
+    return [ln.split(" ", 1) for ln in stdout.splitlines()
+            if ln.split(" ", 1)[0] in ("PASS", "FAIL", "n/a")]
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_command_writes_and_prints_its_verdicts(tmp_path, capsys, command):
+    artifact, argv = SMALL_RUNS[command]
+    assert run([command, "--out", str(tmp_path), *argv]) == 0
+    doc = json.loads((tmp_path / artifact).read_text())
+    verdicts = doc["verdicts"]
+    assert set(verdicts.values()) <= {"pass", "n/a"}
+    printed = _verdict_lines(capsys.readouterr().out)
+    assert [name for _, name in printed] == list(verdicts)
+    assert all(word.lower() == verdicts[name] for word, name in printed)
+    for old in ("passed", "kappa3_exceeded", "edge_in_band", "outer_in_band",
+                "center_bound_satisfied"):
+        assert old not in doc
+    assert not any(k.endswith("_passed") for k in doc.get("checks", {}))
+
+
+@pytest.mark.parametrize("command, failing", [
+    ("sweep", "profile"),
+    ("prop21", "seminorm_growth"),
+])
+def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, command, failing):
+    artifact, argv = SMALL_RUNS[command]
+    assert run([command, "--out", str(tmp_path), *argv,
+                "--set", "checks.stability_factor=1.0"]) == 1
+    assert ["FAIL", failing] in _verdict_lines(capsys.readouterr().out)
+    assert json.loads((tmp_path / artifact).read_text())["verdicts"][failing] == "fail"
+
+
+def test_not_applicable_verdict_does_not_fail(tmp_path, capsys):
+    # data without a jump at x' = 0: the centerline lower bound does not apply
+    code = run(["sweep", "--out", str(tmp_path), *SMALL, "--set", "bc.kind=polynomial",
+                "--set", "bc.phi=0,0,1", "--set", "bc.psi=0",
+                "--set", "reliability.threshold=10"])
+    assert code == 0
+    assert ["n/a", "lower_bound"] in _verdict_lines(capsys.readouterr().out)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["verdicts"]["lower_bound"] == "n/a"
+    assert doc["checks"]["lower_bound_applicable"] is False
+

@@ -40,9 +40,10 @@ def test_gap_width_domain_error(geom):
 
 
 def test_contains_center_and_boundary(geom):
-    assert geom.contains(1.0, np.array([0.0, 0.0]))
-    assert not geom.contains(1.0, np.array([0.0, EPS / 2]))     # strict at the boundary
-    assert not geom.contains(1.0, np.array([0.0, -EPS / 2]))
+    region = LocalRegion(np.zeros(2), 1.0, geom)
+    assert region.contains(np.array([0.0, 0.0]))
+    assert not region.contains(np.array([0.0, EPS / 2]))     # strict at the boundary
+    assert not region.contains(np.array([0.0, -EPS / 2]))
 
 
 def test_contains_matches_bruteforce_predicate(geom):
@@ -51,11 +52,11 @@ def test_contains_matches_bruteforce_predicate(geom):
     pts = np.stack([rng.uniform(-1.2, 1.2, 10_000), rng.uniform(-0.2, 0.2, 10_000)],
                    axis=1)
     r = 0.8
-    got = geom.contains(r, pts)
+    got = LocalRegion(np.array([0.0, 0.05]), r, geom).contains(pts)
     c1, c2 = 1.0, -1.0
     for x, ok in zip(pts, got):
         t = abs(x[0])
-        inside = (t <= r
+        inside = (t < r
                   and -EPS / 2 + c2 * t ** (1 + GAMMA) < x[1] < EPS / 2 + c1 * t ** (1 + GAMMA))
         assert bool(ok) == inside
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
 from thingap.mesh import (Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES, TAG_TOP,
-                          generate, refine, strip_area)
+                          generate, refine)
 
 EPS = 1e-1
 GAMMA = 0.5
@@ -13,6 +13,31 @@ GAMMA = 0.5
 @pytest.fixture
 def geom():
     return GapGeometry.power_law(EPS, GAMMA)
+
+
+def quality_mapped(mesh):
+    """Triangle quality 2*inradius/longest-edge in the intended-scale frame.
+
+    Each triangle is normalized by the local intended element size (graded
+    tangential spacing, fiber height / layers), which removes the deliberate
+    anisotropy.
+    """
+    c = mesh.centroids()
+    w = mesh.geom.gap_width(c[:, :1])
+    sx = np.minimum(mesh.grading["aspect"] * w, mesh.grading["dxmax"])
+    sy = w / mesh.layers
+    p = mesh.vertices[mesh.triangles] / np.stack([sx, sy], axis=1)[:, None, :]
+    e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
+    lens = np.linalg.norm(e, axis=2)
+    area = 0.5 * np.abs(e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0])
+    inradius = 2.0 * area / lens.sum(axis=1)
+    return 2.0 * inradius / lens.max(axis=1)
+
+
+def strip_area(geom, xrange, n_quad=20001):
+    """Reference area of the strip, fine trapezoid quadrature of the gap width."""
+    xs = np.linspace(-xrange, xrange, n_quad)[:, None]
+    return float(np.trapezoid(geom.gap_width(xs), dx=2 * xrange / (n_quad - 1)))
 
 
 def test_flat_rectangle_triangle_count():
@@ -48,7 +73,7 @@ def test_grading_refines_near_neck():
 
 def test_refine_quadruples_and_projects(geom):
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
-    fine = refine(mesh, 2)
+    fine = refine(mesh)
     assert fine.num_triangles == 4 * mesh.num_triangles
     fine.validate()
     top = fine.vertex_tags == TAG_TOP
@@ -59,14 +84,18 @@ def test_refine_quadruples_and_projects(geom):
     assert np.max(np.abs(fine.vertices[bot, 1] - want)) < 1e-15
 
 
-def test_double_refine_equals_factor_four(geom):
+def test_double_refine_places_vertices_on_exact_fibers(geom):
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
-    twice = refine(refine(mesh, 2), 2)
-    four = refine(mesh, 4)
-    a = np.array(sorted(map(tuple, np.round(twice.vertices, 15))))
-    b = np.array(sorted(map(tuple, np.round(four.vertices, 15))))
-    assert a.shape == b.shape
-    assert np.array_equal(a, b)
+    twice = refine(refine(mesh))
+    s = mesh.stations
+    quarters = np.concatenate([s[:-1, None] + np.arange(4) / 4 * np.diff(s)[:, None],
+                               s[-1:, None]], axis=None)
+    assert np.allclose(twice.stations, quarters, rtol=0, atol=1e-15)
+    assert twice.layers == 16
+    # every row is the exact fiber at its station, not an interpolated one
+    x = twice.stations[:, None]
+    want = geom.bottom(x)[:, None] + geom.gap_width(x)[:, None] * np.arange(17) / 16
+    assert np.max(np.abs(twice.vertices[:, 1] - want.ravel())) < 1e-15
 
 
 def test_generate_rejects_bad_parameters(geom):
@@ -74,13 +103,11 @@ def test_generate_rejects_bad_parameters(geom):
         generate(geom, layers=3)
     with pytest.raises(MeshError):
         generate(geom, layers=8, xrange=1.5)
-    with pytest.raises(MeshError):
-        refine(generate(geom, layers=4, dxmax=0.1), 3)
 
 
 def test_mapped_quality_floor(geom):
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=1.0)
-    q = mesh.quality_mapped()
+    q = quality_mapped(mesh)
     assert float(np.min(q)) > 0.15
 
 
