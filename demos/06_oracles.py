@@ -9,15 +9,15 @@ pair sampler.
 
 import numpy as np
 
-from thingap import (AuxiliaryField, BoundaryData, GapGeometry, LocalRegion,
+from thingap import (AffineCase, AuxiliaryField, BoundaryData, GapGeometry, LocalRegion,
                      assemble, brute_force_seminorm, dirichlet_values,
-                     exact_affine_case, field_gradients, finite_difference_reference,
+                     field_gradients, finite_difference_reference,
                      generate, grid_distance, holder_seminorm, identity_coefficients,
                      solve_dirichlet)
 
 # exact affine case
 eps = 0.1
-case = exact_affine_case(eps)
+case = AffineCase(eps)
 geom = case.geometry()
 mesh = generate(geom, layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
 sol = solve_dirichlet(assemble(mesh, identity_coefficients()),

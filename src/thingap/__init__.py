@@ -21,11 +21,9 @@ from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
                      RightHandSide, SolverError, assemble, dirichlet_values,
                      grid_distance, gradient_at, l2_norm, solve_component,
                      solve_dirichlet, value_at)
-from .oracle import (AffineCase, OracleError, brute_force_seminorm, exact_affine_case,
-                     finite_difference_reference)
+from .oracle import AffineCase, OracleError, brute_force_seminorm, finite_difference_reference
 from .verify import (BlowupReport, EnergyScalingResult, PlanError, SweepPlan,
-                     check_energy_scaling, check_lateral_sensitivity, check_lower_bound,
-                     check_profile, fit_rate, probe_points, profile_constant,
-                     remainder_energy, run_sweep)
+                     check_energy_scaling, check_lower_bound, fit_rate, max_over_min,
+                     probe_points, remainder_energy, run_sweep)
 
 __version__ = "0.1.0"

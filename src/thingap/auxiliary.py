@@ -73,7 +73,6 @@ class BoundaryData:
     dpsi: Callable[[np.ndarray], np.ndarray]
     phi_norms: np.ndarray = field(default=None)
     psi_norms: np.ndarray = field(default=None)
-    name: str = "custom"
 
     # -- constructors ------------------------------------------------------
 
@@ -97,8 +96,7 @@ class BoundaryData:
             return np.zeros((X.shape[0], X.shape[1] - 1, m))
 
         return BoundaryData(m=m, phi=make(pv), psi=make(sv), dphi=dzero, dpsi=dzero,
-                            phi_norms=np.abs(pv), psi_norms=np.abs(sv),
-                            name=f"constant({list(pv)}|{list(sv)})")
+                            phi_norms=np.abs(pv), psi_norms=np.abs(sv))
 
     @staticmethod
     def polynomial(phi_coeffs: Sequence[Sequence[float]],
@@ -133,8 +131,7 @@ class BoundaryData:
                 return out[:, np.newaxis, :]
             return rule
 
-        data = BoundaryData(m=m, phi=make(pc), psi=make(sc), dphi=dmake(pc), dpsi=dmake(sc),
-                            name="polynomial")
+        data = BoundaryData(m=m, phi=make(pc), psi=make(sc), dphi=dmake(pc), dpsi=dmake(sc))
         data.phi_norms = _sampled_graph_norms(data.phi, data.dphi, geom, "top")
         data.psi_norms = _sampled_graph_norms(data.psi, data.dpsi, geom, "bottom")
         return data
@@ -397,13 +394,8 @@ class SeminormGrowthReport:
     without bound, which is outside what the estimate asserts.
     """
 
-    center: np.ndarray
-    width: float
     rows: list
     fitted_constant: float
-
-    def passed(self) -> bool:
-        return np.isfinite(self.fitted_constant)
 
 
 def seminorm_growth_rhs(fld: AuxiliaryField, zp, s: float) -> float:
@@ -449,13 +441,11 @@ def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float,
 
 
 def check_seminorm_growth(fld: AuxiliaryField, z, s_fractions=(0.25, 0.5, 1.0),
-                          pairs: int = 2000, seed: int = 0,
-                          hypothesis_factor: float = 1.0) -> SeminormGrowthReport:
+                          pairs: int = 2000, seed: int = 0) -> SeminormGrowthReport:
     """Compare sampled extension-gradient seminorms with the structural bound.
 
-    Slab radii are ``s = fraction * gap_width(z')``; fractions above
-    ``hypothesis_factor`` violate the stated hypothesis of the bound and
-    raise.  Each row also records whether the slab keeps the gap width
+    Slab radii are ``s = fraction * gap_width(z')``; fractions above 1
+    violate the stated hypothesis of the bound and raise.  Each row also records whether the slab keeps the gap width
     comparable to its center value; the fitted constant is the largest
     lhs/rhs ratio over the comparable rows.
     """
@@ -466,10 +456,9 @@ def check_seminorm_growth(fld: AuxiliaryField, z, s_fractions=(0.25, 0.5, 1.0),
     rows = []
     for frac in s_fractions:
         s = float(frac) * w
-        if frac > hypothesis_factor + 1e-12:
+        if frac > 1.0 + 1e-12:
             raise ConfigurationError(
-                f"slab radius fraction {frac} exceeds the hypothesis bound "
-                f"{hypothesis_factor}")
+                f"slab radius fraction {frac} exceeds the hypothesis bound 1")
         region = LocalRegion(z, s, geom)
         lhs = holder_seminorm(lambda X: field_gradients(fld, X).reshape(X.shape[0], -1),
                               region, geom.gamma, pairs=pairs, seed=seed)
@@ -479,4 +468,4 @@ def check_seminorm_growth(fld: AuxiliaryField, z, s_fractions=(0.25, 0.5, 1.0),
                                       hypothesis_ok=_slab_width_comparable(geom, zp, s)))
     admissible = [r.ratio for r in rows if r.hypothesis_ok]
     fitted = max(admissible) if admissible else float("nan")
-    return SeminormGrowthReport(center=z, width=w, rows=rows, fitted_constant=fitted)
+    return SeminormGrowthReport(rows=rows, fitted_constant=fitted)

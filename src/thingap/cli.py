@@ -24,10 +24,10 @@ from .coefficients import (EllipticityError, check_ellipticity, check_holder,
                            identity_coefficients)
 from .geometry import GeometryError, LocalRegion
 from .mesh import generate
-from .oracle import brute_force_seminorm, exact_affine_case, finite_difference_reference
+from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
 from .verify import (PlanError, SweepPlan, check_energy_scaling, check_lower_bound,
-                     check_profile, probe_points, profile_constant, run_sweep)
+                     max_over_min, probe_points, run_sweep)
 
 
 class ConfigError(ValueError):
@@ -40,6 +40,26 @@ class ConfigError(ValueError):
 
 def _floats(text: str):
     return tuple(float(t) for t in str(text).split(",") if t.strip() != "")
+
+
+def _count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError("must be >= 1")
+    return n
+
+
+def _zprimes(text: str) -> str:
+    tokens = [t.strip() for t in text.split(",") if t.strip()]
+    if not tokens:
+        raise ValueError("needs at least one z'")
+    for tok in tokens:
+        if tok != "neck":
+            try:
+                float(tok)
+            except ValueError:
+                raise ValueError(f"token {tok!r} is neither a number nor 'neck'") from None
+    return text
 
 
 # SweepPlan fields whose key is not the field name with its first "_" -> "."
@@ -59,13 +79,13 @@ SCHEMA = {
     "epsilon": (float, 1e-2),
     "dim": (int, 2),
     "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
-    "prop21.pairs": (int, 2000),
-    "prop21.zprimes": (str, "0,neck,0.25"),
-    "coeffcheck.samples": (int, 10_000),
-    "coeffcheck.pairs": (int, 10_000),
+    "prop21.pairs": (_count, 2000),
+    "prop21.zprimes": (_zprimes, "0,neck,0.25"),
+    "coeffcheck.samples": (_count, 10_000),
+    "coeffcheck.pairs": (_count, 10_000),
     "checks.stability_factor": (float, 3.0),
     "checks.exponent_band": (float, 0.2),
-    "validate.samples": (int, 1000),
+    "validate.samples": (_count, 1000),
 }
 
 
@@ -179,32 +199,27 @@ def _csv_row(values) -> str:
     return ",".join(parts)
 
 
+def _write_csv(path: Path, header: str, rows) -> None:
+    path.write_text("\n".join([header] + [_csv_row(r) for r in rows]) + "\n")
+
+
 # ---------------------------------------------------------------------------
 # artifact emission
 # ---------------------------------------------------------------------------
 
 def emit_tables(report, outdir: Path) -> list[str]:
     """sweep.csv, per-epsilon profile CSVs, and the log-log rate table."""
-    written = []
-    rows = ["epsilon,M_center,C_upper,C_lower,energy_E0,flags"]
-    for r in report.records:
-        flags = ";".join(r.flags) if r.flags else ""
-        e0 = getattr(r, "energy_E0", None)
-        rows.append(_csv_row([r.epsilon, r.M_center, r.C_upper,
-                              r.C_lower if r.C_lower is not None else float("nan"),
-                              e0 if e0 is not None else float("nan"), flags]))
-    (outdir / "sweep.csv").write_text("\n".join(rows) + "\n")
-    written.append("sweep.csv")
-    for r in report.records:
-        name = f"profile_{r.epsilon:.6g}.csv"
-        lines = ["x,grad_norm"]
-        lines += [_csv_row([a, b]) for a, b in zip(r.profile_xp, r.profile_grad)]
-        (outdir / name).write_text("\n".join(lines) + "\n")
-        written.append(name)
-    lines = ["epsilon,M_center"]
-    lines += [_csv_row([r.epsilon, r.M_center]) for r in report.records]
-    (outdir / "rate_center.csv").write_text("\n".join(lines) + "\n")
-    written.append("rate_center.csv")
+    recs = report.records
+    _write_csv(outdir / "sweep.csv", "epsilon,M_center,C_upper,C_lower,energy_E0,flags",
+               [[r.epsilon, r.M_center, r.C_upper,
+                 r.C_lower if r.C_lower is not None else float("nan"), r.energy_E0,
+                 ";".join(r.flags)] for r in recs])
+    _write_csv(outdir / "rate_center.csv", "epsilon,M_center",
+               [[r.epsilon, r.M_center] for r in recs])
+    written = ["sweep.csv", "rate_center.csv"]
+    for r in recs:
+        written.append(f"profile_{r.epsilon:.6g}.csv")
+        _write_csv(outdir / written[-1], "x,grad_norm", zip(r.profile_xp, r.profile_grad))
     return written
 
 
@@ -265,13 +280,12 @@ def _cmd_solve(cfg, outdir: Path, threads: int):
     sol = solve_dirichlet(system, dirichlet_values(mesh, data))
     (outdir / "mesh.txt").write_text(mesh.export_text())
     (outdir / "solution.txt").write_text(export_solution_text(sol))
-    lines = ["x,y,comp,dudx,dudy"]
     xn, xp, mid = probe_points(plan, geom)
     pts = [(0.0, t) for t in xn] + list(zip(xp, mid))
-    for (x, y), g in zip(pts, gradient_at(sol, np.array(pts))):
-        for comp in range(g.shape[0]):
-            lines.append(_csv_row([x, y, comp, g[comp, 0], g[comp, 1]]))
-    (outdir / "gradients.csv").write_text("\n".join(lines) + "\n")
+    _write_csv(outdir / "gradients.csv", "x,y,comp,dudx,dudy",
+               [[x, y, comp, g[comp, 0], g[comp, 1]]
+                for (x, y), g in zip(pts, gradient_at(sol, np.array(pts)))
+                for comp in range(g.shape[0])])
     grad0 = float(np.sqrt(np.sum(gradient_at(sol, (0.0, 0.0))**2)))
     print(f"solved epsilon={eps:g}: {mesh.num_vertices} vertices, "
           f"|grad u(0,0)| = {grad0:.6g}")
@@ -284,11 +298,12 @@ def _cmd_sweep(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     report = run_sweep(plan, threads=threads)
     doc = report.to_dict()
-    pc = check_profile(report, plan.epsilons[0], cfg["checks.stability_factor"])
+    profile = [r.C_profile for r in report.records]
+    profile_stability = max_over_min(profile)
     lb = check_lower_bound(report, cfg["checks.stability_factor"])
     doc["checks"] = {
-        "profile_constants": [profile_constant(r, plan.gamma) for r in report.records],
-        "profile_stability": pc.sweep_max_over_min,
+        "profile_constants": profile,
+        "profile_stability": profile_stability,
         "lower_bound_applicable": lb.applicable,
         "lower_bound_constants": lb.constants,
         "lower_bound_stability": lb.sweep_max_over_min,
@@ -296,7 +311,8 @@ def _cmd_sweep(cfg, outdir: Path, threads: int):
     emit_tables(report, outdir)
     print(f"fitted rho = {report.rho:.6g} +/- {report.rho_halfwidth:.3g}"
           + (" (degenerate data)" if report.degenerate else ""))
-    return "report.json", doc, {"profile": pc.passed, "lower_bound": lb.passed,
+    stable = profile_stability < cfg["checks.stability_factor"]
+    return "report.json", doc, {"profile": stable, "lower_bound": lb.passed,
                                 "reliability": all(r.reliable for r in report.records)}
 
 
@@ -338,7 +354,7 @@ def _cmd_prop21(cfg, outdir: Path, threads: int):
             if np.isfinite(rep.fitted_constant):
                 worst = max(worst, rep.fitted_constant)
         per_eps_max.append(worst)
-    stability = max(per_eps_max) / min(per_eps_max) if min(per_eps_max) > 0 else float("inf")
+    stability = max_over_min(per_eps_max)
     ok = all(np.isfinite(per_eps_max)) and stability < cfg["checks.stability_factor"]
     doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
     print(f"seminorm-growth constants: max/min = {stability:.4g}")
@@ -353,8 +369,7 @@ def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
     for name, table in (("energy_inner_center.csv", res.center_table),
                         ("energy_inner_edge.csv", res.edge_table),
                         ("energy_outer.csv", res.outer_table)):
-        lines = ["scale,energy"] + [_csv_row([a, b]) for a, b in table]
-        (outdir / name).write_text("\n".join(lines) + "\n")
+        _write_csv(outdir / name, "scale,energy", table)
     if res.degenerate:
         doc["note"] = "degenerate data: remainder vanishes, fits skipped"
         return "energy.json", doc, {"edge_in_band": None, "outer_in_band": None,
@@ -398,7 +413,7 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
 
     plan = plan_from_config(cfg)
     eps = cfg["epsilon"]
-    case = exact_affine_case(eps)
+    case = AffineCase(eps)
     mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
     sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
                           dirichlet_values(mesh, case.data()))
@@ -407,7 +422,7 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     # cross-method checks run on a thicker rectangle where the solution is
     # genuinely two-dimensional
     eps_fd = 0.1
-    geom_fd = exact_affine_case(eps_fd).geometry()
+    geom_fd = AffineCase(eps_fd).geometry()
     data_scalar = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom_fd)
     worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar, eps_fd, m=1)
     cs_lame = lame_as_general(LameParameters(cfg["system.lambda1"], cfg["system.mu1"]), 2)

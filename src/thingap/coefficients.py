@@ -61,9 +61,9 @@ class CoefficientSet:
     (n,)) to arrays of the shapes listed in the module docstring; ``None``
     declares a lower-order field identically zero.  Constant
     fields should set ``constant=True`` so that assembly and checks can
-    evaluate once.  ``lam`` is the claimed ellipticity constant, ``Lam`` the
-    claimed sup bound on A entries, ``kappa3`` the claimed Holder-norm bound
-    of all fields, and ``gamma`` the Holder exponent.
+    evaluate once.  ``lam`` is the claimed ellipticity constant, ``kappa3``
+    the claimed Holder-norm bound of all fields, and ``gamma`` the Holder
+    exponent.
     """
 
     m: int
@@ -73,7 +73,6 @@ class CoefficientSet:
     Cc: Optional[Callable[[np.ndarray], np.ndarray]]
     D: Optional[Callable[[np.ndarray], np.ndarray]]
     lam: float
-    Lam: float
     kappa3: float
     gamma: float = 0.5
     constant: bool = False
@@ -109,7 +108,7 @@ def identity_coefficients(m: int = 1, n: int = 2) -> CoefficientSet:
     """Decoupled Laplace blocks: ``A[a,b,i,j] = d_ab d_ij``, no lower order."""
     A0 = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
     return CoefficientSet(m=m, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
-                          lam=1.0, Lam=1.0, kappa3=float(m * n), gamma=0.5,
+                          lam=1.0, kappa3=float(m * n), gamma=0.5,
                           constant=True, name="identity")
 
 
@@ -123,9 +122,9 @@ def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
     """
     T = lame_tensor(p, n)
     A0 = np.ascontiguousarray(np.transpose(T, (1, 3, 0, 2)))  # [alpha,beta,i,j] = T[i,alpha,j,beta]
-    Lam = float(np.max(np.abs(A0)))
+    # a constant field's Holder norm is its sup
     return CoefficientSet(m=n, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
-                          lam=p.mu1, Lam=Lam, kappa3=Lam, gamma=0.5,
+                          lam=p.mu1, kappa3=float(np.max(np.abs(A0))), gamma=0.5,
                           constant=True, name=f"lame({p.lambda1},{p.mu1})")
 
 
@@ -142,7 +141,7 @@ def holder_demo_coefficients(gamma: float, m: int = 1, n: int = 2) -> Coefficien
 
     # sup of the scalar factor on the unit region is 1.5; quotient of |x|^gamma is 1
     return CoefficientSet(m=m, n=n, A=A, B=None, Cc=None, D=None,
-                          lam=1.0, Lam=1.5, kappa3=2.0 + float(m * n), gamma=gamma,
+                          lam=1.0, kappa3=2.0 + float(m * n), gamma=gamma,
                           constant=False, name="holder_demo")
 
 
@@ -152,12 +151,6 @@ class EllipticityMeasurement:
 
     value: float
     near_ties: int
-    argmin_x: np.ndarray
-    argmin_xi: np.ndarray
-    argmin_eta: np.ndarray
-
-    def __float__(self):
-        return self.value
 
 
 def _unit_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
@@ -190,28 +183,14 @@ def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
     Amany = cs.eval_A_many(points)                      # (k, n, n, m, m)
     # values[p, a, e] = form at point p, direction pair (xi_a, eta_e)
     vals = np.einsum("pabij,xa,xb,yi,yj->pxy", Amany, xis, xis, etas, etas, optimize=True)
-    idx = np.unravel_index(np.argmin(vals), vals.shape)
-    value = float(vals[idx])
+    value = float(np.min(vals))
     near = int(np.count_nonzero(vals <= value + 1e-9 * max(1.0, abs(value)))) - 1
     if value <= 0.0:
         raise EllipticityError(f"sampled ellipticity constant {value:.3e} is not positive")
     if value < cs.lam - tol:
         raise EllipticityError(
             f"sampled ellipticity constant {value:.6g} undercuts the claimed {cs.lam:.6g}")
-    return EllipticityMeasurement(value=value, near_ties=near,
-                                  argmin_x=points[idx[0]],
-                                  argmin_xi=xis[idx[1]], argmin_eta=etas[idx[2]])
-
-
-def _field_components(cs: CoefficientSet, X: np.ndarray):
-    """Component samples of each field family as (family, values (k, ncomp)) pairs."""
-    k = X.shape[0]
-    out = []
-    out.append(("A", cs.eval_A_many(X).reshape(k, -1)))
-    out.append(("B", cs.eval_B_many(X).reshape(k, -1)))
-    out.append(("C", cs.eval_C_many(X).reshape(k, -1)))
-    out.append(("D", cs.eval_D_many(X).reshape(k, -1)))
-    return out
+    return EllipticityMeasurement(value=value, near_ties=near)
 
 
 def check_holder(cs: CoefficientSet, pair_samples: int = 10_000,
@@ -236,7 +215,8 @@ def check_holder(cs: CoefficientSet, pair_samples: int = 10_000,
     ii, jj = ii[keep], jj[keep]
     dist = np.linalg.norm(points[ii] - points[jj], axis=1)
     worst = 0.0
-    for _family, vals in _field_components(cs, points):
+    for evaluate in (cs.eval_A_many, cs.eval_B_many, cs.eval_C_many, cs.eval_D_many):
+        vals = evaluate(points).reshape(k, -1)
         sup = float(np.max(np.abs(vals))) if vals.size else 0.0
         if ii.size:
             diffs = np.abs(vals[ii] - vals[jj])            # (pairs, ncomp)

@@ -317,10 +317,6 @@ class LocalRegion:
             out = near & (xn > bot) & (xn < top)
         return out if out.shape else bool(out)
 
-    def scale(self) -> float:
-        """Gap width at the region center, the natural rescaling unit."""
-        return float(self.geom.gap_width(self.center_tangential))
-
     def rescale_to_unit(self, x) -> np.ndarray:
         """Map to the nearly-unit frame: ``y' = (x'-z')/w``, ``y_n = x_n/w``.
 
@@ -330,7 +326,7 @@ class LocalRegion:
         x = np.asarray(x, dtype=float)
         if not self.contains(x):
             raise GeometryError("point outside the local region")
-        w = self.scale()
+        w = float(self.geom.gap_width(self.center_tangential))
         y = np.empty_like(x)
         y[..., :-1] = (x[..., :-1] - self.center_tangential) / w
         y[..., -1] = x[..., -1] / w

@@ -53,7 +53,6 @@ class Mesh:
     stations: np.ndarray
     layers: int
     geom: GapGeometry
-    grading: dict
 
     def __post_init__(self):
         for a in (self.vertices, self.triangles, self.vertex_tags, self.stations):
@@ -226,8 +225,7 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
     return np.concatenate([-right[:0:-1], right])
 
 
-def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int,
-                         grading: dict) -> Mesh:
+def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
     widths = geom.gap_width(stations[:, None])
     if np.any(widths <= 0):
         raise GeometryError("degenerate geometry: nonpositive gap width at a station")
@@ -258,7 +256,7 @@ def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int,
         tris[t:t + layers * 2] = block
         t += layers * 2
     return Mesh(vertices=verts, triangles=tris, vertex_tags=tags,
-                stations=stations, layers=layers, geom=geom, grading=grading)
+                stations=stations, layers=layers, geom=geom)
 
 
 def generate(geom: GapGeometry, layers: int, aspect: float = 2.0,
@@ -273,9 +271,7 @@ def generate(geom: GapGeometry, layers: int, aspect: float = 2.0,
         raise MeshError("meshing is implemented for n = 2 only")
     if layers < 4:
         raise MeshError(f"layers must be >= 4, got {layers}")
-    stations = _build_stations(geom, aspect, dxmax, xrange)
-    grading = {"aspect": aspect, "dxmax": dxmax, "xrange": xrange, "layers": layers}
-    return _build_from_stations(geom, stations, layers, grading)
+    return _build_from_stations(geom, _build_stations(geom, aspect, dxmax, xrange), layers)
 
 
 def _with_midpoints(values: np.ndarray) -> np.ndarray:
@@ -291,10 +287,5 @@ def refine(mesh: Mesh) -> Mesh:
     Vertices are re-placed on the exact fiber, so refined boundary rows lie
     on the true graphs instead of the coarse mesh's polygonal boundary.
     """
-    stations = _with_midpoints(mesh.stations)
-    layers = mesh.layers * 2
-    grading = dict(mesh.grading)
-    grading["layers"] = layers
-    grading["refined_from"] = mesh.grading.get("layers")
-    return _build_from_stations(mesh.geom, stations, layers, grading)
+    return _build_from_stations(mesh.geom, _with_midpoints(mesh.stations), mesh.layers * 2)
 

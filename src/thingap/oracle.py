@@ -53,11 +53,6 @@ class AffineCase:
         return BoundaryData.constant([1.0], [0.0])
 
 
-def exact_affine_case(epsilon: float) -> AffineCase:
-    """The flat scalar reference problem used to validate the solver exactly."""
-    return AffineCase(epsilon=epsilon)
-
-
 @dataclass
 class GridSolution:
     """Tensor-grid nodal field from the finite-difference reference."""

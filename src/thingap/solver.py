@@ -152,7 +152,6 @@ class DiscreteSolution:
 
     mesh: Mesh
     values: np.ndarray          # (N, m)
-    metadata: str = ""
     _grads: np.ndarray = field(default=None, repr=False)
 
     def gradients(self) -> np.ndarray:
@@ -168,35 +167,25 @@ class DiscreteSolution:
         return self.values.shape[1]
 
 
-def dirichlet_values(mesh: Mesh, data: BoundaryData, component: Optional[int] = None,
-                     lateral: str = "auxiliary") -> BoundaryAssignment:
-    """Dirichlet assignment from boundary data.
+def dirichlet_values(mesh: Mesh, data: BoundaryData,
+                     component: Optional[int] = None) -> BoundaryAssignment:
+    """Dirichlet assignment from boundary data on every boundary vertex.
 
-    Top vertices take phi, bottom vertices psi.  The lateral closure is a
-    modelling choice (the estimates under test are interior): ``auxiliary``
-    imposes the data extension on the lateral segments, ``neumann`` leaves
-    them unconstrained.  With ``component`` set, all other components of the
-    data are zeroed (single-component problems).
+    Top vertices take phi, bottom vertices psi, and the lateral segments the
+    data extension across the gap (the estimates under test are interior).
+    With ``component`` set, all other components of the data are zeroed
+    (single-component problems).
     """
-    geom = mesh.geom
-    N = mesh.num_vertices
-    m = data.m
-    values = np.zeros((N, m))
+    values = np.zeros((mesh.num_vertices, data.m))
     tags = mesh.vertex_tags
     top = tags == TAG_TOP
     bot = tags == TAG_BOTTOM
-    lat = (~top) & (~bot) & (tags != TAG_INTERIOR)
+    fixed = tags != TAG_INTERIOR
+    lat = fixed & ~top & ~bot
     values[top] = np.asarray(data.phi(mesh.vertices[top]), dtype=float)
     values[bot] = np.asarray(data.psi(mesh.vertices[bot]), dtype=float)
-    if lateral == "auxiliary":
-        if np.any(lat):
-            values[lat] = interpolant_values(geom, data, mesh.vertices[lat])
-        fixed = tags != TAG_INTERIOR
-    elif lateral == "neumann":
-        values[lat] = 0.0
-        fixed = top | bot
-    else:
-        raise SolverError(f"unknown lateral closure {lateral!r}")
+    if np.any(lat):
+        values[lat] = interpolant_values(mesh.geom, data, mesh.vertices[lat])
     if component is not None:
         keep = values[:, component].copy()
         values[:] = 0.0
@@ -205,7 +194,7 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData, component: Optional[int] = 
 
 
 def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment,
-                    metadata: str = "u", rtol: float = 1e-10) -> DiscreteSolution:
+                    rtol: float = 1e-10) -> DiscreteSolution:
     """Direct sparse solve with the Dirichlet constraints eliminated.
 
     One step of iterative refinement is applied if needed; if the relative
@@ -229,7 +218,7 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment,
     full = np.empty(system.mesh.num_vertices * m)
     full[dof_fixed] = g
     full[~dof_fixed] = x
-    return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m), metadata=metadata)
+    return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m))
 
 
 def solve_component(system: AssembledSystem, data: BoundaryData,
@@ -237,8 +226,7 @@ def solve_component(system: AssembledSystem, data: BoundaryData,
     """Solution with only component ``ell`` (0-based) of the data imposed."""
     if not (0 <= ell < data.m):
         raise SolverError(f"component {ell} out of range for m = {data.m}")
-    bc = dirichlet_values(system.mesh, data, component=ell)
-    return solve_dirichlet(system, bc, metadata=f"component_{ell}")
+    return solve_dirichlet(system, dirichlet_values(system.mesh, data, component=ell))
 
 
 def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:

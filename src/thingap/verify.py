@@ -43,8 +43,8 @@ class PlanError(ValueError):
 # rate fitting
 # ---------------------------------------------------------------------------
 
-def fit_rate(pairs: Sequence[tuple], confidence: float = 0.95):
-    """Log-log least squares: returns (slope, confidence half-width).
+def fit_rate(pairs: Sequence[tuple]):
+    """Log-log least squares: returns (slope, 95% confidence half-width).
 
     Requires at least 3 pairs of positive (scale, value) with at least two
     distinct scales; the half-width is the Student-t interval from the
@@ -66,7 +66,7 @@ def fit_rate(pairs: Sequence[tuple], confidence: float = 0.95):
     resid = y - (ym + slope * (x - xm))
     var = float(np.sum(resid**2)) / (n - 2)
     se = math.sqrt(var / sxx)
-    tq = float(special.stdtrit(n - 2, 0.5 + confidence / 2))
+    tq = float(special.stdtrit(n - 2, 0.975))
     return slope, tq * se
 
 
@@ -185,6 +185,12 @@ class SweepPlan:
         return geom, data, assemble(mesh, self.coefficients())
 
 
+def max_over_min(values) -> float:
+    """Spread ``max / min`` of positive values; infinite when the minimum is not positive."""
+    lo, hi = min(values), max(values)
+    return float(hi / lo) if lo > 0 else float("inf")
+
+
 def _pad(values, m):
     """Per-component constants: missing components are zero, extra ones must be."""
     v = list(float(x) for x in values)
@@ -209,13 +215,13 @@ class EpsilonRecord:
     u_l2: float
     norm_terms: float
     jump_at_profile: np.ndarray
-    max_component_jump0: float
+    C_profile: float
     C_upper: float
     C_lower: Optional[float]
     M_center_refined: float
     reliability_change: float
     reliable: bool
-    energy_E0: float = float("nan")
+    energy_E0: float
     flags: tuple = ()
 
     def to_dict(self) -> dict:
@@ -272,13 +278,10 @@ def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData)
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
     geom, data, system = plan.problem(epsilon)
-    bc = dirichlet_values(system.mesh, data)
-    sol = solve_dirichlet(system, bc, metadata="u")
+    sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
 
     fine = refine(system.mesh)
-    system_f = assemble(fine, system.cs)
-    bc_f = dirichlet_values(fine, data)
-    sol_f = solve_dirichlet(system_f, bc_f, metadata="u_refined")
+    sol_f = solve_dirichlet(assemble(fine, system.cs), dirichlet_values(fine, data))
 
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
     M_f = float(_frob(gradient_at(sol_f, (0.0, 0.0))))
@@ -291,10 +294,10 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
 
     # envelope constants: solve the displayed bounds for their constants
     denom_profile = jumps / (epsilon + np.abs(xp) ** (1 + plan.gamma)) + norm_terms
+    C_profile = float(np.max(pf / denom_profile))
     jump0 = np.atleast_2d(data.jump(geom, np.zeros((1, 1))))[0]
-    jump0_norm = float(np.linalg.norm(jump0))
-    denom_center = jump0_norm / epsilon + norm_terms
-    C_upper = max(float(np.max(pf / denom_profile)), float(np.max(cl)) / denom_center)
+    denom_center = float(np.linalg.norm(jump0)) / epsilon + norm_terms
+    C_upper = max(C_profile, float(np.max(cl)) / denom_center)
     max_comp = float(np.max(np.abs(jump0)))
     C_lower = None
     if max_comp > 1e-14 * max(1.0, norm_terms):
@@ -318,7 +321,7 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
         centerline_xn=xn, centerline_grad=cl,
         profile_xp=xp, profile_grad=pf,
         u_l2=u2, norm_terms=norm_terms,
-        jump_at_profile=jumps, max_component_jump0=max_comp,
+        jump_at_profile=jumps, C_profile=C_profile,
         C_upper=C_upper, C_lower=C_lower,
         M_center_refined=M_f, reliability_change=change, reliable=reliable,
         energy_E0=E0,
@@ -339,12 +342,6 @@ class BlowupReport:
     degenerate: bool
     energy_exponent: Optional[float] = None
     energy_halfwidth: Optional[float] = None
-
-    def record(self, epsilon: float) -> EpsilonRecord:
-        for r in self.records:
-            if r.epsilon == epsilon:
-                return r
-        raise KeyError(f"no record for epsilon = {epsilon}")
 
     def to_dict(self) -> dict:
         return {
@@ -398,37 +395,6 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
 
 
 @dataclass
-class ProfileCheck:
-    epsilon: float
-    fitted_C: float
-    sweep_max_over_min: float
-    passed: bool
-
-
-def profile_constant(record: EpsilonRecord, gamma: float) -> float:
-    """Minimal C enveloping the midline profile for one gap width."""
-    denom = (record.jump_at_profile
-             / (record.epsilon + np.abs(record.profile_xp) ** (1 + gamma))
-             + record.norm_terms)
-    return float(np.max(record.profile_grad / denom))
-
-
-def check_profile(report: BlowupReport, epsilon: float,
-                  stability_factor: float = 3.0) -> ProfileCheck:
-    """Fitted envelope constant for one epsilon plus sweep-level stability.
-
-    Pass means the constants fitted per epsilon vary by less than the
-    stability factor across the whole sweep.
-    """
-    rec = report.record(epsilon)
-    c_eps = profile_constant(rec, report.plan.gamma)
-    consts = [profile_constant(r, report.plan.gamma) for r in report.records]
-    ratio = max(consts) / min(consts)
-    return ProfileCheck(epsilon=epsilon, fitted_C=c_eps, sweep_max_over_min=ratio,
-                        passed=bool(ratio < stability_factor))
-
-
-@dataclass
 class LowerBoundCheck:
     applicable: bool
     constants: list
@@ -442,8 +408,8 @@ def check_lower_bound(report: BlowupReport, stability_factor: float = 3.0) -> Lo
     if any(c is None for c in consts):
         return LowerBoundCheck(applicable=False, constants=[], sweep_max_over_min=None,
                                passed=None)
-    ratio = max(consts) / min(consts)
-    ok = bool(min(consts) > 0 and ratio < stability_factor)
+    ratio = max_over_min(consts)
+    ok = bool(ratio < stability_factor)
     return LowerBoundCheck(applicable=True, constants=consts,
                            sweep_max_over_min=ratio, passed=ok)
 
@@ -525,7 +491,7 @@ class EnergyScalingResult:
         bound = energy / eps ** self.expected_inner
         compensated = energy / eps ** two_gamma
         largest, smallest = float(bound[np.argmax(eps)]), float(bound[np.argmin(eps)])
-        spread = float(compensated.max() / compensated.min())
+        spread = max_over_min(compensated)
         bound_holds = smallest <= largest
         in_band = bool(abs(self.center_exponent - two_gamma) <= band)
         stable = spread < stability_factor
@@ -545,25 +511,19 @@ def _slab_energy(geom: GapGeometry, v, fld: AuxiliaryField, zp: float) -> float:
     return remainder_energy(v, fld, region)
 
 
-def check_energy_scaling(plan: SweepPlan, z_prime_values: Optional[Sequence[float]] = None,
-                         ell: int = 0) -> EnergyScalingResult:
-    """Power laws of the remainder energy over gap-width slabs.
+def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
+    """Power laws of the remainder energy of component 0 over gap-width slabs.
 
-    ``z' = 0`` entries fit the energy at the neck against epsilon; the inner
+    Slabs at ``z' = 0`` fit the energy at the neck against epsilon; the inner
     bound predicts at most exponent ``2 gamma / (1 + gamma)``, which is
     attained at the rim of the neck regime (``z' = eps^{1/(1+gamma)}``, also
-    fitted) while the slab at z' = 0 itself decays faster.  The remaining z'
-    values fit, at the smallest epsilon, against |z'| with expected exponent
-    ``2 gamma``.  Data with no jump makes the remainder vanish; that case is
-    flagged degenerate and the fits are skipped.
+    fitted) while the slab at z' = 0 itself decays faster.  The plan's
+    ``energy_zprimes`` fit, at the smallest epsilon, against |z'| with
+    expected exponent ``2 gamma``.  Data with no jump makes the remainder
+    vanish; that case is flagged degenerate and the fits are skipped.
     """
     plan.validate()
-    if z_prime_values is None:
-        z_prime_values = (0.0,) + tuple(plan.energy_zprimes)
-    zs = [float(z) for z in z_prime_values]
-    if 0.0 not in zs:
-        raise PlanError("z' values must include 0")
-    outer_z = sorted(z for z in zs if z > 0.0)
+    outer_z = sorted(float(z) for z in plan.energy_zprimes)
     eps_list = [float(e) for e in plan.epsilons]
     g = plan.gamma
 
@@ -571,9 +531,9 @@ def check_energy_scaling(plan: SweepPlan, z_prime_values: Optional[Sequence[floa
     eps_min = eps_list[-1]
     for e in eps_list:
         geom, data, system = plan.problem(e, energy=True)
-        v = solve_component(system, data, ell)
+        v = solve_component(system, data, 0)
         del system          # release the factorization before the next mesh is built
-        fld = AuxiliaryField(geom, data, ell)
+        fld = AuxiliaryField(geom, data, 0)
         center.append((e, _slab_energy(geom, v, fld, 0.0)))
         edge.append((e, _slab_energy(geom, v, fld, e ** (1.0 / (1.0 + g)))))
         if e == eps_min:
@@ -601,26 +561,3 @@ def check_energy_scaling(plan: SweepPlan, z_prime_values: Optional[Sequence[floa
     return EnergyScalingResult(center, slope_c, half_c, edge, slope_e, half_e,
                                outer, slope_o, half_o, expected_inner, 2 * g, False)
 
-
-# ---------------------------------------------------------------------------
-# lateral-closure sensitivity (modelling check, not an estimate of the system)
-# ---------------------------------------------------------------------------
-
-def check_lateral_sensitivity(plan: SweepPlan, epsilon: float,
-                              radius: float = 0.25) -> float:
-    """Worst relative interior-gradient change when the lateral closure flips.
-
-    Compares the data-extension closure against unconstrained (natural)
-    lateral sides on the midline probes with |x'| <= radius.
-    """
-    geom, data, system = plan.problem(epsilon)
-    sols = {}
-    for lateral in ("auxiliary", "neumann"):
-        bc = dirichlet_values(system.mesh, data, lateral=lateral)
-        sols[lateral] = solve_dirichlet(system, bc, metadata=f"u_{lateral}")
-    xp = np.linspace(-radius, radius, 33)
-    t = system.mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
-    ga = sols["auxiliary"].gradients()[t]
-    gn = sols["neumann"].gradients()[t]
-    denom = np.maximum(np.maximum(_frob(ga), _frob(gn)), 1e-300)
-    return float(np.max(_frob(ga - gn) / denom))

@@ -281,8 +281,7 @@ def test_growth_check_constant_stable_across_sweep(jump_data):
 def test_growth_check_rejects_oversized_slab(geom, jump_data):
     fld = AuxiliaryField(geom, jump_data, 0)
     with pytest.raises(ConfigurationError):
-        check_seminorm_growth(fld, np.array([0.0, 0.0]), (2.0,), pairs=100,
-                              hypothesis_factor=1.0)
+        check_seminorm_growth(fld, np.array([0.0, 0.0]), (2.0,), pairs=100)
 
 
 def test_growth_check_flags_slabs_reaching_the_neck(jump_data):

@@ -267,6 +267,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["sweep", "--set", "quadrature=2"], "unknown config key 'quadrature'"),
     (["sweep", "--set", "lateral=foo"], "unknown config key 'lateral'"),
     (["sweep", "--set", "bc.phi=0,0"], "bc.phi and bc.psi are all zero"),
+    (["validate-coefficients", "--set", "coeffcheck.samples=0"],
+     "'coeffcheck.samples': '0' (must be >= 1)"),
+    (["validate-coefficients", "--set", "coeffcheck.pairs=0"],
+     "'coeffcheck.pairs': '0' (must be >= 1)"),
+    (["prop21", "--set", "prop21.zprimes=foo"], "token 'foo' is neither a number nor 'neck'"),
+    (["prop21", "--set", "prop21.zprimes=,"], "needs at least one z'"),
+    (["validate-geometry", "--set", "validate.samples=0"],
+     "'validate.samples': '0' (must be >= 1)"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -88,7 +88,7 @@ def test_check_ellipticity_lame_and_scaling():
     assert meas.value == pytest.approx(1.0, abs=1e-9)
     A2 = lambda x: 2.0 * cs.A(x)
     doubled = CoefficientSet(m=2, n=2, A=A2, B=cs.B, Cc=cs.Cc, D=cs.D,
-                             lam=2.0 * cs.lam, Lam=2.0 * cs.Lam, kappa3=cs.kappa3,
+                             lam=2.0 * cs.lam, kappa3=cs.kappa3,
                              constant=True)
     meas2 = check_ellipticity(doubled, samples=10_000, seed=1)
     assert meas2.value == pytest.approx(2.0 * meas.value, rel=1e-12)
@@ -99,7 +99,7 @@ def test_check_ellipticity_rejects_indefinite():
                          B=lambda x: np.zeros((2, 1, 1)),
                          Cc=lambda x: np.zeros((2, 1, 1)),
                          D=lambda x: np.zeros((1, 1)),
-                         lam=1.0, Lam=1.0, kappa3=1.0, constant=True)
+                         lam=1.0, kappa3=1.0, constant=True)
     with pytest.raises(EllipticityError):
         check_ellipticity(bad, samples=100, seed=0)
 
@@ -110,7 +110,7 @@ def _scalar_field_set(fn, gamma):
                           B=lambda x: np.zeros((2, 1, 1)),
                           Cc=lambda x: np.zeros((2, 1, 1)),
                           D=lambda x: np.zeros((1, 1)),
-                          lam=0.0, Lam=10.0, kappa3=100.0, gamma=gamma)
+                          lam=0.0, kappa3=100.0, gamma=gamma)
 
 
 def test_check_holder_constant_fields():

@@ -15,16 +15,16 @@ def geom():
     return GapGeometry.power_law(EPS, GAMMA)
 
 
-def quality_mapped(mesh):
+def quality_mapped(mesh, aspect, dxmax):
     """Triangle quality 2*inradius/longest-edge in the intended-scale frame.
 
     Each triangle is normalized by the local intended element size (graded
-    tangential spacing, fiber height / layers), which removes the deliberate
-    anisotropy.
+    tangential spacing ``min(aspect * width, dxmax)``, fiber height / layers),
+    which removes the deliberate anisotropy.
     """
     c = mesh.centroids()
     w = mesh.geom.gap_width(c[:, :1])
-    sx = np.minimum(mesh.grading["aspect"] * w, mesh.grading["dxmax"])
+    sx = np.minimum(aspect * w, dxmax)
     sy = w / mesh.layers
     p = mesh.vertices[mesh.triangles] / np.stack([sx, sy], axis=1)[:, None, :]
     e = np.stack([p[:, 1] - p[:, 0], p[:, 2] - p[:, 1], p[:, 0] - p[:, 2]], axis=1)
@@ -107,7 +107,7 @@ def test_generate_rejects_bad_parameters(geom):
 
 def test_mapped_quality_floor(geom):
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=1.0)
-    q = quality_mapped(mesh)
+    q = quality_mapped(mesh, aspect=1.0, dxmax=0.02)
     assert float(np.min(q)) > 0.15
 
 

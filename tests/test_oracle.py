@@ -6,14 +6,14 @@ from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, \
 from thingap.coefficients import LameParameters, identity_coefficients, lame_as_general
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate
-from thingap.oracle import (OracleError, brute_force_seminorm, exact_affine_case,
+from thingap.oracle import (AffineCase, OracleError, brute_force_seminorm,
                             finite_difference_reference)
 from thingap.solver import assemble, dirichlet_values, grid_distance, solve_dirichlet
 
 
 def test_affine_case_values():
     eps = 0.05
-    case = exact_affine_case(eps)
+    case = AffineCase(eps)
     assert case.solution(np.array([[0.0, eps / 2]]))[0, 0] == pytest.approx(1.0)
     g = case.gradient(np.array([[0.1, 0.0]]))
     assert np.allclose(g, [[[0.0, 1.0 / eps]]])
@@ -21,7 +21,7 @@ def test_affine_case_values():
 
 def test_solver_matches_affine_case_at_all_nodes():
     eps = 0.05
-    case = exact_affine_case(eps)
+    case = AffineCase(eps)
     geom = case.geometry()
     mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.1, xrange=1.0)
     sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
@@ -31,7 +31,7 @@ def test_solver_matches_affine_case_at_all_nodes():
 
 def test_grid_twin_reproduces_affine_data():
     eps = 0.1
-    case = exact_affine_case(eps)
+    case = AffineCase(eps)
     grid = finite_difference_reference(identity_coefficients(), 0.5, eps, 40, 16,
                                        boundary=case.solution)
     X = np.stack(np.meshgrid(grid.xs, grid.ys, indexing="ij"), axis=-1).reshape(-1, 2)

@@ -8,12 +8,12 @@ from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, fie
 from thingap.coefficients import (CoefficientSet, LameParameters, identity_coefficients,
                                   lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
-from thingap.mesh import Mesh, generate, refine
+from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
                             solve_component, solve_dirichlet, value_at)
-from thingap.verify import check_lateral_sensitivity, SweepPlan, fit_rate, remainder_energy
+from thingap.verify import SweepPlan, fit_rate, remainder_energy
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -25,7 +25,7 @@ def single_triangle_mesh():
     return Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 1, 2]]),
                 vertex_tags=np.zeros(3, dtype=np.int8),
-                stations=np.array([0.0, 1.0]), layers=1, geom=geom, grading={})
+                stations=np.array([0.0, 1.0]), layers=1, geom=geom)
 
 
 def test_element_stiffness_unit_right_triangle():
@@ -89,7 +89,7 @@ def _full_coefficient_set():
     D = 0.1 * np.array([[1.0, 0.2], [0.1, 1.0]])
     return CoefficientSet(m=2, n=2, A=lambda x: A, B=lambda x: B,
                           Cc=lambda x: C, D=lambda x: D,
-                          lam=1.0, Lam=3.0, kappa3=10.0, constant=True,
+                          lam=1.0, kappa3=10.0, constant=True,
                           name="full_terms")
 
 
@@ -145,7 +145,7 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
     base = identity_coefficients(m=1, n=2)
     cs = CoefficientSet(m=1, n=2, A=base.A, B=None, Cc=None,
                         D=lambda x: float(np.linalg.norm(x)) * np.eye(1),
-                        lam=1.0, Lam=1.0, kappa3=3.0, name="distance_D")
+                        lam=1.0, kappa3=3.0, name="distance_D")
     geom = GapGeometry.power_law(0.1, GAMMA)
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
     K0 = assemble(mesh, base).K
@@ -327,8 +327,23 @@ def test_lame_first_component_tracks_crossing_profile():
 
 
 def test_lateral_closure_insensitivity_in_the_interior():
-    plan = SweepPlan()
-    worst = check_lateral_sensitivity(plan, 1e-2, radius=0.25)
+    # every command imposes the data extension on the lateral sides; the
+    # natural closure fixes only the top and bottom rows and leaves the
+    # lateral ones free.  Interior gradients at |x'| <= 1/4 barely notice.
+    geom, data, system = SweepPlan().problem(1e-2)
+    mesh = system.mesh
+    extension = dirichlet_values(mesh, data)
+    natural = BoundaryAssignment(values=extension.values,
+                                 fixed=np.isin(mesh.vertex_tags, (TAG_TOP, TAG_BOTTOM)))
+    xp = np.linspace(-0.25, 0.25, 33)
+    t = mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
+    ga = solve_dirichlet(system, extension).gradients()[t]
+    gn = solve_dirichlet(system, natural).gradients()[t]
+
+    def frob(g):
+        return np.sqrt(np.sum(g * g, axis=(1, 2)))
+
+    worst = float(np.max(frob(ga - gn) / np.maximum(np.maximum(frob(ga), frob(gn)), 1e-300)))
     assert worst < 0.02
 
 

@@ -3,9 +3,9 @@ import dataclasses
 import numpy as np
 import pytest
 
+import thingap.verify as verify
 from thingap.verify import (PlanError, SweepPlan, check_energy_scaling,
-                            check_lower_bound, check_profile, fit_rate,
-                            profile_constant, run_sweep)
+                            check_lower_bound, fit_rate, max_over_min, run_sweep)
 
 
 # a cut-down plan that keeps unit tests fast; acceptance runs the full one
@@ -16,6 +16,12 @@ SMALL_PLAN = SweepPlan(epsilons=(1e-1, 3e-2, 1e-2), mesh_layers=8,
 @pytest.fixture(scope="module")
 def small_report():
     return run_sweep(SMALL_PLAN)
+
+
+def envelope_constant(r, gamma):
+    """The profile envelope constant, recomputed here from the record's probes."""
+    denom = r.jump_at_profile / (r.epsilon + np.abs(r.profile_xp) ** (1 + gamma)) + r.norm_terms
+    return float(np.max(r.profile_grad / denom))
 
 
 def test_fit_rate_exact_inverse():
@@ -102,22 +108,27 @@ def test_upper_constant_dominates_lower_constant(small_report):
 
 
 def test_profile_check_stability(small_report):
-    pc = check_profile(small_report, SMALL_PLAN.epsilons[0])
-    assert pc.passed
-    assert pc.sweep_max_over_min < 3.0
-    assert pc.fitted_C == pytest.approx(
-        profile_constant(small_report.records[0], SMALL_PLAN.gamma))
-
-
-def test_profile_check_fails_under_fault_injection(small_report):
-    # scaling the measured profile by 1/sqrt(eps) destroys the constant
-    records = []
     for r in small_report.records:
-        bad = dataclasses.replace(r, profile_grad=r.profile_grad / np.sqrt(r.epsilon))
-        records.append(bad)
-    fake = dataclasses.replace(small_report, records=records)
-    pc = check_profile(fake, SMALL_PLAN.epsilons[0])
-    assert not pc.passed
+        assert r.C_profile == envelope_constant(r, SMALL_PLAN.gamma)
+        assert r.C_upper >= r.C_profile
+    assert max_over_min([r.C_profile for r in small_report.records]) < 3.0
+
+
+def test_profile_check_fails_under_fault_injection(monkeypatch):
+    # scaling every probed gradient by 1/sqrt(eps) destroys the constant
+    exact = verify.gradient_at
+    monkeypatch.setattr(verify, "gradient_at",
+                        lambda sol, x: exact(sol, x) / np.sqrt(sol.mesh.geom.epsilon))
+    report = run_sweep(SMALL_PLAN)
+    for r in report.records:
+        assert r.C_profile == envelope_constant(r, SMALL_PLAN.gamma)
+    assert max_over_min([r.C_profile for r in report.records]) >= 3.0
+
+
+def test_max_over_min():
+    assert max_over_min([2.0, 1.0, 4.0]) == 4.0
+    assert max_over_min([0.0, 1.0]) == float("inf")
+    assert max_over_min(np.array([3.0, 1.5])) == 2.0
 
 
 def test_lower_bound_check(small_report):
@@ -175,11 +186,14 @@ def test_energy_scaling_degenerate_flag():
 
 
 def test_energy_scaling_rejects_bad_zprimes():
-    plan = dataclasses.replace(SMALL_PLAN, energy_zprimes=(0.1, 0.14, 0.2))
-    with pytest.raises(PlanError):
-        check_energy_scaling(plan, z_prime_values=(0.1, 0.14, 0.2))   # missing 0
-    with pytest.raises(PlanError):
-        check_energy_scaling(plan, z_prime_values=(0.0, 1e-3, 0.14, 0.2))
+    # z' = 0 is always fitted; the outer values must be positive and lie
+    # beyond the neck scale
+    plan = dataclasses.replace(SMALL_PLAN, energy_zprimes=(0.0, 0.14, 0.2))
+    with pytest.raises(PlanError, match="positive and distinct"):
+        check_energy_scaling(plan)
+    plan = dataclasses.replace(SMALL_PLAN, energy_zprimes=(1e-3, 0.14, 0.2))
+    with pytest.raises(PlanError, match="not beyond the neck scale"):
+        check_energy_scaling(plan)
 
 
 def test_record_serialization_roundtrip(small_report):
