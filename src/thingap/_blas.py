@@ -1,15 +1,17 @@
-"""Cap the OpenBLAS thread pools loaded into this process.
+"""Pin the OpenBLAS thread pools loaded into this process to one thread.
 
 The NumPy and SciPy wheels each bundle an OpenBLAS whose pool starts with one
-thread per core (or ``OPENBLAS_NUM_THREADS``).  On the sparse factorization
-and the small dense products of a sweep, a second BLAS thread does not
-shorten the wall time: each call it takes part in waits for the helper thread
-to wake, so the cost depends on what the other cores are doing.  On a 2-vCPU
-machine the 48-layer Lamé sweep took 2.5–3.0 s with one BLAS thread and
-2.9–3.5 s with two; the oracle suite's dense solves gained a few percent of
-wall time from the second thread, at about 20% more CPU time.
+thread per core (or ``OPENBLAS_NUM_THREADS``).  Every command runs with one
+BLAS thread, whatever ``--threads`` says; ``--threads`` sizes only the pool
+of per-epsilon pipelines in a sweep.  The reason is measured on a 2-vCPU
+machine, on the 96-layer Lame gate matrix (41.6k free dofs, half-bandwidth
+193): one banded Cholesky factorization (``dpbtrf``) took 0.05 s with one
+BLAS thread and 0.08 s with two, and two of them run side by side, as the
+sweep pool runs them, took 0.10 s against 0.17 s.  A second BLAS thread
+waits for its helper to wake on every blocked call, and two pools of two
+threads fight for two cores.
 
-:func:`limit` caps every loaded OpenBLAS for the duration of a block and
+:func:`one_thread` pins every loaded OpenBLAS for the duration of a block and
 restores the previous sizes afterwards.  Libraries are found in
 ``/proc/self/maps``; where that file or OpenBLAS is missing it does nothing.
 """
@@ -59,11 +61,11 @@ def pools() -> list[tuple]:
 
 
 @contextmanager
-def limit(threads: int):
-    """Run the block with every loaded OpenBLAS using at most ``threads`` threads."""
+def one_thread():
+    """Run the block with every loaded OpenBLAS using one thread."""
     saved = [(set_fn, get_fn()) for set_fn, get_fn in pools()]
-    for set_fn, before in saved:
-        set_fn(min(before, threads))
+    for set_fn, _ in saved:
+        set_fn(1)
     try:
         yield
     finally:

@@ -33,6 +33,16 @@ class ConfigurationError(ValueError):
     """Raised when a check is invoked outside its hypotheses."""
 
 
+# finite-difference check of the boundary-data derivative rules
+VALIDATE_SAMPLES = 200
+VALIDATE_RTOL = 1e-6
+# stations of the sampled C^{1,gamma} data norms: sups, then all pairs
+NORM_SUP_POINTS = 2001
+NORM_PAIR_POINTS = 201
+# stations at which a slab's gap width is compared with its center width
+SLAB_CHECK_POINTS = 201
+
+
 def _rows(x) -> tuple[np.ndarray, bool]:
     """View ``x`` as (k, n); report whether the input was a single point."""
     a = np.asarray(x, dtype=float)
@@ -138,14 +148,15 @@ class BoundaryData:
 
     # -- validation ---------------------------------------------------------
 
-    def validate(self, geom: GapGeometry, samples: int = 200, rtol: float = 1e-6) -> float:
+    def validate(self, geom: GapGeometry) -> float:
         """Check tangential-derivative rules against finite differences along the graphs.
 
-        Returns the worst relative error; raises when it exceeds ``rtol``.
+        Compares at ``VALIDATE_SAMPLES`` points; returns the worst relative
+        error and raises when it exceeds ``VALIDATE_RTOL``.
         """
         d = geom.tangential_dim
         rng = np.random.default_rng(7)
-        xp = rng.uniform(-0.9, 0.9, size=(samples, d))
+        xp = rng.uniform(-0.9, 0.9, size=(VALIDATE_SAMPLES, d))
         worst = 0.0
         h = 1e-6
         for rule, drule, side in ((self.phi, self.dphi, "top"), (self.psi, self.dpsi, "bottom")):
@@ -160,10 +171,10 @@ class BoundaryData:
                 scale = np.maximum(np.abs(want[:, a, :]), np.abs(fd))
                 err = np.abs(fd - want[:, a, :]) / np.maximum(scale, 1.0)
                 worst = max(worst, float(np.max(err)) if err.size else 0.0)
-        if worst > rtol:
+        if worst > VALIDATE_RTOL:
             raise ConfigurationError(
                 f"tangential-derivative rules disagree with finite differences "
-                f"({worst:.3e} > {rtol:.1e})")
+                f"({worst:.3e} > {VALIDATE_RTOL:.1e})")
         return worst
 
     def jump(self, geom: GapGeometry, xp) -> np.ndarray:
@@ -177,21 +188,24 @@ class BoundaryData:
         return out[0] if single else out
 
 
-def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str,
-                         n_sup: int = 2001, n_pairs: int = 201) -> np.ndarray:
-    """Sampled per-component C^{1,gamma} norm of data composed on a graph (n = 2)."""
-    t = np.linspace(-1.0, 1.0, n_sup)[:, None]
+def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str) -> np.ndarray:
+    """Sampled per-component C^{1,gamma} norm of data composed on a graph (n = 2).
+
+    Sups over ``NORM_SUP_POINTS`` stations, the seminorm over all pairs of
+    ``NORM_PAIR_POINTS`` stations.
+    """
+    t = np.linspace(-1.0, 1.0, NORM_SUP_POINTS)[:, None]
     pts = geom.boundary_point(side, t)
     vals = np.asarray(rule(pts), dtype=float)
     derivs = np.asarray(drule(pts), dtype=float)[:, 0, :]
     sup_v = np.max(np.abs(vals), axis=0)
     sup_d = np.max(np.abs(derivs), axis=0)
-    tp = np.linspace(-1.0, 1.0, n_pairs)[:, None]
+    tp = np.linspace(-1.0, 1.0, NORM_PAIR_POINTS)[:, None]
     pp = geom.boundary_point(side, tp)
     dd = np.asarray(drule(pp), dtype=float)[:, 0, :]
     diff = np.abs(dd[:, None, :] - dd[None, :, :])
     dist = np.linalg.norm(pp[:, None, :] - pp[None, :, :], axis=-1)
-    iu = np.triu_indices(n_pairs, k=1)
+    iu = np.triu_indices(NORM_PAIR_POINTS, k=1)
     quot = diff[iu] / dist[iu][:, None] ** geom.gamma
     semi = np.max(quot, axis=0) if quot.size else np.zeros(vals.shape[1])
     return sup_v + sup_d + semi
@@ -425,9 +439,10 @@ def seminorm_growth_rhs(fld: AuxiliaryField, zp, s: float) -> float:
     return jump * group1 + norms * group2
 
 
-def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float,
-                           n_check: int = 201) -> bool:
+def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float) -> bool:
     """Whether the gap width stays >= half the center width across the slab.
+
+    The width is checked at ``SLAB_CHECK_POINTS`` stations across the slab.
 
     This is the comparability property the growth bound relies on; slabs
     large enough to reach the neck from far away violate it.
@@ -436,7 +451,7 @@ def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float,
         return True
     z0 = float(zp[0])
     w = float(geom.gap_width(zp))
-    xs = np.clip(np.linspace(z0 - s, z0 + s, n_check), -1.0, 1.0)
+    xs = np.clip(np.linspace(z0 - s, z0 + s, SLAB_CHECK_POINTS), -1.0, 1.0)
     return bool(np.min(geom.gap_width(xs[:, None])) >= 0.5 * w)
 
 

@@ -316,16 +316,23 @@ def _cmd_sweep(cfg, outdir: Path, threads: int):
                                 "reliability": all(r.reliable for r in report.records)}
 
 
-def _resolve_prop21_zprimes(tokens: str, eps: float, gamma: float) -> list[float]:
+def _resolve_prop21_zprimes(tokens: str, geom, widest: float) -> list[float]:
+    """The z' of ``prop21.zprimes`` at ``geom``'s epsilon, 'neck' resolved.
+
+    Each z' and its widest slab, of radius ``widest * gap_width(z')``, must
+    lie in the unit ball where the profiles are defined.
+    """
+    eps = geom.epsilon
     out = []
     for tok in tokens.split(","):
         tok = tok.strip()
         if not tok:
             continue
-        if tok == "neck":
-            out.append(eps ** (1.0 / (1.0 + gamma)))
-        else:
-            out.append(float(tok))
+        zp = eps ** (1.0 / (1.0 + geom.gamma)) if tok == "neck" else float(tok)
+        if abs(zp) > 1.0 or abs(zp) + widest * float(geom.gap_width(np.array([zp]))) > 1.0:
+            raise ConfigError(f"prop21.zprimes value {tok} at epsilon={eps:g}: z'={zp:g} "
+                              f"or its widest slab leaves the unit ball |x'| <= 1")
+        out.append(zp)
     return out
 
 
@@ -336,14 +343,16 @@ def _cmd_prop21(cfg, outdir: Path, threads: int):
         raise ConfigError(f"prop21.s_fractions must be a nonempty list of slab radius "
                           f"fractions in (0, 1], got {list(fractions)}")
     pairs = cfg["prop21.pairs"]
+    geoms = [plan.geometry(eps) for eps in plan.epsilons]
+    zprimes = [_resolve_prop21_zprimes(cfg["prop21.zprimes"], geom, max(fractions))
+               for geom in geoms]
     rows = []
     per_eps_max = []
-    for eps in plan.epsilons:
-        geom = plan.geometry(eps)
+    for eps, geom, zps in zip(plan.epsilons, geoms, zprimes):
         data = plan.boundary_data(geom)
         fld = AuxiliaryField(geom, data, 0)
         worst = 0.0
-        for zp in _resolve_prop21_zprimes(cfg["prop21.zprimes"], eps, plan.gamma):
+        for zp in zps:
             mid = float(geom.midline(np.array([zp])))
             rep = check_seminorm_growth(fld, np.array([zp, mid]), fractions,
                                         pairs=pairs, seed=plan.seed)
@@ -511,7 +520,7 @@ def run(argv: list[str]) -> int:
 
     threads = max(1, args.threads)
     try:
-        with _blas.limit(threads):      # --threads bounds the BLAS pools too
+        with _blas.one_thread():        # --threads sizes the sweep pool only
             result = COMMANDS[args.command](cfg, outdir, threads)
     except (ConfigError, PlanError, ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

@@ -28,6 +28,10 @@ class EllipticityError(ValueError):
     """Raised when a sampled quadratic form fails to be positive."""
 
 
+# how far the sampled ellipticity constant may undercut the claimed one
+ELLIPTICITY_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class LameParameters:
     """Isotropic elasticity constants with the usual positivity requirements."""
@@ -161,15 +165,15 @@ def _unit_directions(k: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
-                      points: Optional[np.ndarray] = None, seed: int = 0,
-                      tol: float = 1e-9) -> EllipticityMeasurement:
+                      points: Optional[np.ndarray] = None,
+                      seed: int = 0) -> EllipticityMeasurement:
     """Sampled ellipticity constant of the leading field.
 
     Minimizes ``sum A[a,b,i,j] xi_a xi_b eta_i eta_j`` over sampled points
     and unit directions (random plus coordinate axes).  Raises
     :class:`EllipticityError` when the sampled minimum is not positive, and
-    when it undercuts the claimed constant by more than ``tol``.  Ties within
-    1e-9 of the minimum are counted, not broken.
+    when it undercuts the claimed constant by more than ``ELLIPTICITY_TOL``.
+    Ties within 1e-9 of the minimum are counted, not broken.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -187,7 +191,7 @@ def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
     near = int(np.count_nonzero(vals <= value + 1e-9 * max(1.0, abs(value)))) - 1
     if value <= 0.0:
         raise EllipticityError(f"sampled ellipticity constant {value:.3e} is not positive")
-    if value < cs.lam - tol:
+    if value < cs.lam - ELLIPTICITY_TOL:
         raise EllipticityError(
             f"sampled ellipticity constant {value:.6g} undercuts the claimed {cs.lam:.6g}")
     return EllipticityMeasurement(value=value, near_ties=near)

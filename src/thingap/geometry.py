@@ -24,6 +24,11 @@ class GeometryError(ValueError):
     """Raised when a geometric precondition or invariant fails."""
 
 
+# central-difference check of a profile's gradient rule: step, tolerance
+FD_STEP = 1e-7
+FD_RTOL = 1e-6
+
+
 def _as_tangential(xp, d):
     """Coerce ``xp`` to a float array of shape (..., d)."""
     a = np.asarray(xp, dtype=float)
@@ -47,10 +52,11 @@ class BoundaryProfile:
     gradient: Callable[[np.ndarray], np.ndarray]
     description: str = "custom"
 
-    def check_gradient(self, points: np.ndarray, rtol: float = 1e-6, h: float = 1e-7) -> float:
+    def check_gradient(self, points: np.ndarray) -> float:
         """Compare the gradient rule against central differences of ``evaluate``.
 
-        Returns the worst relative error over ``points`` (shape (k, d)).
+        Returns the worst relative error over ``points`` (shape (k, d)) and
+        raises when it exceeds ``FD_RTOL``; the difference step is ``FD_STEP``.
         Points too close to a kink should be excluded by the caller.
         """
         pts = np.asarray(points, dtype=float)
@@ -61,17 +67,17 @@ class BoundaryProfile:
         fd = np.empty_like(g)
         for a in range(d):
             step = np.zeros(d)
-            step[a] = h
-            fd[:, a] = (self.evaluate(pts + step) - self.evaluate(pts - step)) / (2 * h)
+            step[a] = FD_STEP
+            fd[:, a] = (self.evaluate(pts + step) - self.evaluate(pts - step)) / (2 * FD_STEP)
         # error relative to the gradient magnitude: individual components can
         # legitimately vanish near the coordinate axes
         scale = np.maximum(np.linalg.norm(g, axis=1), np.linalg.norm(fd, axis=1))
         err = np.linalg.norm(fd - g, axis=1) / np.maximum(scale, 1e-12)
         worst = float(np.max(err)) if err.size else 0.0
-        if worst > rtol:
+        if worst > FD_RTOL:
             raise GeometryError(
                 f"profile '{self.description}': gradient rule disagrees with finite "
-                f"differences (relative error {worst:.3e} > {rtol:.1e})"
+                f"differences (relative error {worst:.3e} > {FD_RTOL:.1e})"
             )
         return worst
 

@@ -35,6 +35,9 @@ TAG_NAMES = {
 }
 TAG_CODES = {v: k for k, v in TAG_NAMES.items()}
 
+# barycentric slack of point location, relative to the triangle's size
+LOCATE_TOL = 1e-12
+
 
 @dataclass
 class Mesh:
@@ -110,11 +113,11 @@ class Mesh:
 
     # -- point location --------------------------------------------------------
 
-    def locate(self, x, tol: float = 1e-12):
+    def locate(self, x):
         """Index of the lowest-index triangle containing each point.
 
         ``x`` of shape (2,) gives an ``int``, shape (k, 2) an int array (k,).
-        Containment uses barycentric coordinates with tolerance ``tol``;
+        Containment uses barycentric coordinates with tolerance ``LOCATE_TOL``;
         points on shared edges and vertices therefore resolve to the lowest
         triangle index.  Raises :class:`MeshError` for points outside the mesh.
 
@@ -130,7 +133,7 @@ class Mesh:
         pts = np.atleast_2d(x)
         s = self.stations
         L = self.layers
-        outside = (pts[:, 0] < s[0] - tol) | (pts[:, 0] > s[-1] + tol)
+        outside = (pts[:, 0] < s[0] - LOCATE_TOL) | (pts[:, 0] > s[-1] + LOCATE_TOL)
         if np.any(outside):
             raise MeshError(f"point {pts[np.argmax(outside)]} outside the meshed strip")
         i = np.clip(np.searchsorted(s, pts[:, 0], side="right") - 1, 0, s.size - 2)
@@ -154,7 +157,7 @@ class Mesh:
         r = pts[:, None, :] - v0
         l1 = (r[..., 0] * e2[..., 1] - r[..., 1] * e2[..., 0]) / det
         l2 = (e1[..., 0] * r[..., 1] - e1[..., 1] * r[..., 0]) / det
-        scale = tol / np.sqrt(np.abs(det))
+        scale = LOCATE_TOL / np.sqrt(np.abs(det))
         inside = valid & (l1 >= -scale) & (l2 >= -scale) & (l1 + l2 <= 1.0 + scale)
         found = inside.any(axis=1)
         if not np.all(found):

@@ -25,6 +25,12 @@ class OracleError(RuntimeError):
     """Raised when an oracle is used outside its domain of validity."""
 
 
+# relative residual of the grid twin's conjugate-gradient solve
+FD_RTOL = 1e-12
+# largest dense grid the exhaustive seminorm enumerates
+DENSE_MAX_POINTS = 10_000
+
+
 @dataclass(frozen=True)
 class AffineCase:
     """Flat-rectangle scalar case with the exact affine solution.
@@ -64,16 +70,15 @@ class GridSolution:
 
 def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: float,
                                 nx: int, ny: int,
-                                boundary: Callable[[np.ndarray], np.ndarray],
-                                rtol: float = 1e-12) -> GridSolution:
+                                boundary: Callable[[np.ndarray], np.ndarray]) -> GridSolution:
     """Second-order difference solution on the rectangle [-a, a] x [-eps/2, eps/2].
 
     Constant leading coefficients only (the stencil contracts A with second
     differences, including the cross term); lower-order fields must be
     declared zero.  Dirichlet values on all four sides come from
     ``boundary``.  The symmetric positive system is solved by conjugate
-    gradients, a code path disjoint from the element assembly and the sparse
-    LU used by the solver module.
+    gradients to relative residual ``FD_RTOL``, a code path disjoint from the
+    element assembly and the direct factorizations of the solver module.
     """
     if not cs.is_zero_lower_order():
         raise OracleError("finite-difference reference requires B = C = D = 0")
@@ -134,11 +139,11 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(n_unk * m, n_unk * m)).tocsr()
     x0 = np.zeros(n_unk * m)
-    x, info = cg(K, rhs, x0=x0, rtol=rtol, atol=0.0, maxiter=20 * n_unk * m)
+    x, info = cg(K, rhs, x0=x0, rtol=FD_RTOL, atol=0.0, maxiter=20 * n_unk * m)
     if info != 0:
         raise OracleError(f"conjugate gradients did not converge (info={info})")
     res = float(np.linalg.norm(K @ x - rhs)) / max(float(np.linalg.norm(rhs)), 1e-300)
-    if res > 100 * rtol:
+    if res > 100 * FD_RTOL:
         raise OracleError(f"grid solve residual too large: {res:.3e}")
     values = gvals.copy()
     values[interior] = x.reshape(n_unk, m)
@@ -146,12 +151,12 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
 
 
 def brute_force_seminorm(f, region: LocalRegion, gamma: float,
-                         grid: int = 70, max_points: int = 10_000) -> float:
+                         grid: int = 70) -> float:
     """Exhaustive pairwise Holder quotient over a dense grid in the region.
 
     Reference for the sampled estimator: the sampled value must reach at
     least 80% of this on calibration cases.  Refuses grids beyond
-    ``max_points`` points.
+    ``DENSE_MAX_POINTS`` points.
     """
     geom = region.geom
     zc = float(region.center_tangential[0]) if geom.dim == 2 else None
@@ -168,8 +173,8 @@ def brute_force_seminorm(f, region: LocalRegion, gamma: float,
         cols.append(np.stack([np.full(yy.size, x), yy], axis=1))
     P = np.concatenate(cols)
     P = P[region.contains(P)]
-    if P.shape[0] > max_points:
-        raise OracleError(f"dense grid of {P.shape[0]} points exceeds {max_points}")
+    if P.shape[0] > DENSE_MAX_POINTS:
+        raise OracleError(f"dense grid of {P.shape[0]} points exceeds {DENSE_MAX_POINTS}")
     if P.shape[0] < 2:
         return 0.0
     vals = np.asarray(f(P), dtype=float).reshape(P.shape[0], -1)

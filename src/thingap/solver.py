@@ -10,6 +10,17 @@ manufactured solution ``u*`` is reproduced by setting ``F = A grad(u*)``
 data.
 
 Unknowns are ordered vertex-major: dof(vertex v, component i) = v*m + i.
+The layered mesh numbers its vertices station by station, so after the
+Dirichlet rows are removed every nonzero of the free block K_ff lies within
+half-bandwidth ``kd = L*m + m - 1`` (L layers, m components) of the
+diagonal, without reordering.  A K_ff that is symmetric to roundoff is
+factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``) on that band:
+on the 96-layer Lame gate mesh (41.6k free dofs, kd = 193) building and
+factoring the band takes 0.06 s against 0.14 s for SuperLU with a
+minimum-degree ordering (one BLAS thread, 2-vCPU machine).
+Operators that are not symmetric (nonzero B or C terms) or not positive
+definite (a large D) go to SuperLU instead; the matrix decides, there is no
+option.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
+from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.sparse.linalg import splu
 
 from .auxiliary import BoundaryData, interpolant_values
@@ -33,6 +45,11 @@ class SolverError(RuntimeError):
 # edge-midpoint rule in barycentric coordinates, exact for quadratics
 _BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
 _WEIGHT = 1 / 3
+
+# relative residual a solve must reach, after at most one refinement step
+SOLVE_RTOL = 1e-10
+# |K_ff - K_ff^T| / |K_ff| (max norms) up to which K_ff counts as symmetric
+SYMMETRY_RTOL = 1e-12
 
 
 @dataclass
@@ -77,14 +94,35 @@ class AssembledSystem:
         if hit is not None:
             return hit
         free = ~dof_fixed
-        K_ff = self.K[free][:, free].tocsc()
-        K_fc = self.K[free][:, dof_fixed].tocsr()
-        # minimum degree on the pattern of K_ff + K_ff^T: on the layered grid
-        # graph it leaves ~40% less fill than the default COLAMD ordering
-        lu = splu(K_ff, permc_spec="MMD_AT_PLUS_A")
-        entry = (lu, K_ff, K_fc, free)
+        K_f = self.K[free]
+        K_ff = K_f[:, free]
+        K_fc = K_f[:, dof_fixed]
+        # SPD operators take the band; the others LU with minimum degree on
+        # the pattern of K_ff + K_ff^T, ~40% less fill than COLAMD here
+        solve = _band_cholesky(K_ff) or splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
+        entry = (solve, K_ff, K_fc, free)
         self._lu_cache[key] = entry
         return entry
+
+
+def _band_cholesky(K_ff: sparse.csr_matrix):
+    """Banded-Cholesky solve function for ``K_ff``, or None if it is not SPD.
+
+    The lower band is stored in LAPACK's column-major layout,
+    ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``.
+    """
+    asym = np.max(np.abs((K_ff - K_ff.T).data), initial=0.0)
+    if asym > SYMMETRY_RTOL * np.max(np.abs(K_ff.data), initial=0.0):
+        return None
+    low = sparse.tril(K_ff, format="coo")
+    kd = int(np.max(low.row - low.col, initial=0))
+    ab = np.zeros((kd + 1, K_ff.shape[0]), order="F")
+    ab[low.row - low.col, low.col] = low.data
+    try:
+        cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
+    except LinAlgError:         # not positive definite
+        return None
+    return lambda b: cho_solve_banded((cb, True), b, check_finite=False)
 
 
 def assemble(mesh: Mesh, cs: CoefficientSet,
@@ -193,27 +231,27 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData,
     return BoundaryAssignment(values=values, fixed=fixed)
 
 
-def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment,
-                    rtol: float = 1e-10) -> DiscreteSolution:
+def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> DiscreteSolution:
     """Direct sparse solve with the Dirichlet constraints eliminated.
 
-    One step of iterative refinement is applied if needed; if the relative
-    residual still exceeds ``rtol`` the solve fails loudly.
+    The residual is measured against the assembled K_ff.  One step of
+    iterative refinement is applied if needed; if the relative residual
+    still exceeds ``SOLVE_RTOL`` the solve fails loudly.
     """
     m = system.cs.m
     if bc.values.shape != (system.mesh.num_vertices, m):
         raise SolverError("boundary assignment shape mismatch")
     dof_fixed = bc.dof_mask()
-    lu, K_ff, K_fc, free = system._factor(dof_fixed)
+    solve, K_ff, K_fc, free = system._factor(dof_fixed)
     g = bc.values.ravel()[dof_fixed]
     rhs = system.load[free] - K_fc @ g
-    x = lu.solve(rhs)
+    x = solve(rhs)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     res = float(np.linalg.norm(K_ff @ x - rhs)) / scale
-    if res > rtol:
-        x = x + lu.solve(rhs - K_ff @ x)
+    if res > SOLVE_RTOL:
+        x = x + solve(rhs - K_ff @ x)
         res = float(np.linalg.norm(K_ff @ x - rhs)) / scale
-        if res > rtol:
+        if res > SOLVE_RTOL:
             raise SolverError(f"linear solve did not converge: relative residual {res:.3e}")
     full = np.empty(system.mesh.num_vertices * m)
     full[dof_fixed] = g

@@ -171,8 +171,15 @@ def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
     monkeypatch.setitem(cli.COMMANDS, "validate-geometry", record)
     assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "1"]) == 0
     assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "64"]) == 0
-    assert seen == [[1] * len(pools), before]       # a cap, never a raise
+    assert seen == [[1] * len(pools)] * 2           # one BLAS thread whatever --threads says
     assert [get() for _, get in pools] == before
+
+
+def test_sweep_report_bytes_do_not_depend_on_threads(tmp_path):
+    outs = [tmp_path / "t1", tmp_path / "t2"]
+    for out, threads in zip(outs, ("1", "2")):
+        assert run(["sweep", "--out", str(out), *SMALL, "--threads", threads]) == 0
+    assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
 
 
 def test_prop21_command(tmp_path):
@@ -275,6 +282,10 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["prop21", "--set", "prop21.zprimes=,"], "needs at least one z'"),
     (["validate-geometry", "--set", "validate.samples=0"],
      "'validate.samples': '0' (must be >= 1)"),
+    (["prop21", "--set", "prop21.zprimes=2"],
+     "prop21.zprimes value 2 at epsilon=0.1: z'=2 or its widest slab leaves the unit ball"),
+    (["prop21", "--set", "prop21.zprimes=0,0.9"],
+     "prop21.zprimes value 0.9 at epsilon=0.1: z'=0.9 or its widest slab leaves"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

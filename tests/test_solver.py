@@ -1,4 +1,5 @@
 import dataclasses
+from unittest.mock import Mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from thingap.coefficients import (CoefficientSet, LameParameters, identity_coeff
                                   lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
+from thingap import solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
@@ -377,15 +379,59 @@ def test_constant_field_assembly_is_quadrature_independent():
         assert abs(K - pointwise).max() <= 1e-13 * abs(pointwise).max()
 
 
-def test_minimum_degree_solve_matches_colamd():
+def _free_block(system, bc):
+    fixed = bc.dof_mask()
+    K_ff = system.K[~fixed][:, ~fixed]
+    rhs = system.load[~fixed] - system.K[~fixed][:, fixed] @ bc.values.ravel()[fixed]
+    return K_ff, rhs
+
+
+def _spy(monkeypatch, name):
+    """Replace ``thingap.solver.<name>`` by a mock that counts its calls."""
+    spy = Mock(wraps=getattr(solver, name))
+    monkeypatch.setattr(solver, name, spy)
+    return spy
+
+
+@pytest.mark.parametrize("refined", [False, True], ids=["mesh", "refined"])
+def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
     geom = GapGeometry.power_law(1e-3, GAMMA)
     mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.02, xrange=1.0)
+    mesh = refine(mesh) if refined else mesh
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
-    sol = solve_dirichlet(system, bc)
-    _, K_ff, K_fc, free = system._factor(bc.dof_mask())
-    rhs = system.load[free] - K_fc @ bc.values.ravel()[~free]
-    x = sol.values.ravel()[free]
-    assert np.linalg.norm(K_ff @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
-    ref = splu(K_ff, permc_spec="COLAMD").solve(rhs)
+    K_ff, rhs = _free_block(system, bc)
+    coo = K_ff.tocoo()
+    # vertex-major dofs on the layered mesh: half-bandwidth L*m + m - 1
+    assert np.max(np.abs(coo.row - coo.col)) == mesh.layers * 2 + 1
+    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "splu")
+    x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
+    assert (band.call_count, lu.call_count) == (1, 0)
+    ref = splu(K_ff.tocsc(), permc_spec="COLAMD").solve(rhs)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def _symmetric_indefinite():
+    """Identity leading part with a mass term large enough to make K_ff indefinite."""
+    base = identity_coefficients(m=1, n=2)
+    return dataclasses.replace(base, D=lambda x: 3000.0 * np.eye(1), name="indefinite_D")
+
+
+@pytest.mark.parametrize("make_cs, symmetric", [(_full_coefficient_set, False),
+                                                (_symmetric_indefinite, True)])
+def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric):
+    cs = make_cs()
+    geom = GapGeometry.power_law(0.1, GAMMA)
+    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    system = assemble(mesh, cs)
+    bc = dirichlet_values(mesh, BoundaryData.constant([1.0] * cs.m, [0.0] * cs.m))
+    K_ff, rhs = _free_block(system, bc)
+    assert (abs(K_ff - K_ff.T).max() <= 1e-12 * abs(K_ff).max()) == symmetric
+    if symmetric:
+        eig = np.linalg.eigvalsh(K_ff.toarray())
+        assert eig[0] < 0 < eig[-1]
+    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "splu")
+    x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
+    # a symmetric K_ff tries the band first; Cholesky fails on it
+    assert (band.call_count, lu.call_count) == (int(symmetric), 1)
+    assert np.linalg.norm(K_ff @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
