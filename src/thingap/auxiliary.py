@@ -376,9 +376,9 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     X, Y, dist = X[keep], Y[keep], dist[keep]
     if X.shape[0] == 0:
         return 0.0
-    fx = np.asarray(f(X), dtype=float).reshape(X.shape[0], -1)
-    fy = np.asarray(f(Y), dtype=float).reshape(Y.shape[0], -1)
-    diff = np.linalg.norm(fx - fy, axis=1)
+    k = X.shape[0]
+    fxy = np.asarray(f(np.concatenate([X, Y])), dtype=float).reshape(2 * k, -1)
+    diff = np.linalg.norm(fxy[:k] - fxy[k:], axis=1)
     return float(np.max(diff / dist**gamma))
 
 

@@ -10,6 +10,7 @@ byte-identical reports.  Exit codes: 0 all checks passed, 1 a check failed,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import fields
@@ -38,8 +39,15 @@ class ConfigError(ValueError):
 # configuration
 # ---------------------------------------------------------------------------
 
+def _finite(text: str) -> float:
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"{x} is not a finite number")
+    return x
+
+
 def _floats(text: str):
-    return tuple(float(t) for t in str(text).split(",") if t.strip() != "")
+    return tuple(_finite(t) for t in str(text).split(",") if t.strip() != "")
 
 
 def _count(text: str) -> int:
@@ -59,13 +67,14 @@ def _zprimes(text: str) -> str:
                 float(tok)
             except ValueError:
                 raise ValueError(f"token {tok!r} is neither a number nor 'neck'") from None
+            _finite(tok)
     return text
 
 
 # SweepPlan fields whose key is not the field name with its first "_" -> "."
 _PLAN_KEYS = {"epsilons": "sweep.epsilons", "probe_offset": "probes.offset",
               "lambda1": "system.lambda1", "mu1": "system.mu1", "m": "system.m"}
-_PARSERS = {tuple: _floats, int: int, float: float, str: str}
+_PARSERS = {tuple: _floats, int: int, float: _finite, str: str}
 
 
 def _plan_key(name: str) -> str:
@@ -76,15 +85,15 @@ SCHEMA = {
     # key: (parser, default); a plan key's parser follows its field's default
     **{_plan_key(f.name): (_PARSERS[type(f.default)], f.default) for f in fields(SweepPlan)},
     # keys of single-run and check commands, not part of a sweep plan
-    "epsilon": (float, 1e-2),
+    "epsilon": (_finite, 1e-2),
     "dim": (int, 2),
     "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
     "prop21.pairs": (_count, 2000),
     "prop21.zprimes": (_zprimes, "0,neck,0.25"),
     "coeffcheck.samples": (_count, 10_000),
     "coeffcheck.pairs": (_count, 10_000),
-    "checks.stability_factor": (float, 3.0),
-    "checks.exponent_band": (float, 0.2),
+    "checks.stability_factor": (_finite, 3.0),
+    "checks.exponent_band": (_finite, 0.2),
     "validate.samples": (_count, 1000),
 }
 
@@ -418,9 +427,10 @@ def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
 
 def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     from .auxiliary import BoundaryData, field_gradients
-    from .coefficients import LameParameters, lame_as_general
+    from .coefficients import lame_as_general
 
     plan = plan_from_config(cfg)
+    cs_lame = lame_as_general(plan.lame(), 2)     # whatever system.kind says
     eps = cfg["epsilon"]
     case = AffineCase(eps)
     mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
@@ -434,7 +444,6 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     geom_fd = AffineCase(eps_fd).geometry()
     data_scalar = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom_fd)
     worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar, eps_fd, m=1)
-    cs_lame = lame_as_general(LameParameters(cfg["system.lambda1"], cfg["system.mu1"]), 2)
     data_lame = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom_fd)
     worst_l = _fd_vs_fem(cs_lame, geom_fd, data_lame, eps_fd, m=2)
 

@@ -2,9 +2,12 @@
 
 Everything here avoids the finite-element code paths on purpose: the grid
 solver discretizes the strong form with difference stencils and solves by
-conjugate gradients, and the seminorm reference enumerates a dense grid of
-pairs.  Exact solutions live on simplified (flat) geometry; the genuinely
-curved claims are checked through scaling laws, not exact formulas.
+conjugate gradients, and the seminorm reference enumerates every pair
+``i < j`` of a dense grid, in row blocks of at most ``DENSE_BLOCK_PAIRS``
+pairs, so its memory does not grow with the grid (about 1.2 MB of
+temporaries per block at ``DENSE_MAX_POINTS`` points, by ``tracemalloc``).
+Exact solutions live on simplified (flat) geometry; the genuinely curved
+claims are checked through scaling laws, not exact formulas.
 """
 
 from __future__ import annotations
@@ -29,6 +32,8 @@ class OracleError(RuntimeError):
 FD_RTOL = 1e-12
 # largest dense grid the exhaustive seminorm enumerates
 DENSE_MAX_POINTS = 10_000
+# pairs one row block of the exhaustive seminorm compares (bounds its memory)
+DENSE_BLOCK_PAIRS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,11 @@ def brute_force_seminorm(f, region: LocalRegion, gamma: float,
     """Exhaustive pairwise Holder quotient over a dense grid in the region.
 
     Reference for the sampled estimator: the sampled value must reach at
-    least 80% of this on calibration cases.  Refuses grids beyond
+    least 80% of this on calibration cases.  ``f`` is evaluated once, on all
+    grid points; then every pair ``i < j`` of distinct points is compared,
+    ``DENSE_BLOCK_PAIRS`` pairs at a time, which holds the temporaries to
+    about 1.2 MB per block at ``DENSE_MAX_POINTS`` points (measured with
+    ``tracemalloc``, 4 value columns).  Refuses grids beyond
     ``DENSE_MAX_POINTS`` points.
     """
     geom = region.geom
@@ -178,14 +187,45 @@ def brute_force_seminorm(f, region: LocalRegion, gamma: float,
     if P.shape[0] < 2:
         return 0.0
     vals = np.asarray(f(P), dtype=float).reshape(P.shape[0], -1)
+    return _max_holder_quotient(P, vals, gamma)
+
+
+def _row_blocks(n: int):
+    """Row blocks ``[a, b)`` of the pairs ``i < j`` of ``n`` points.
+
+    Block ``[a, b)`` is compared with the columns ``a, ..., n - 1``, so it
+    spans at most ``DENSE_BLOCK_PAIRS`` pairs (at least one row); later
+    blocks take more rows as fewer columns remain.
+    """
+    a = 0
+    while a < n - 1:
+        b = min(n - 1, a + max(1, DENSE_BLOCK_PAIRS // (n - a)))
+        yield a, b
+        a = b
+
+
+def _sq_dist(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) squared Euclidean distances, one column at a time."""
+    out = np.square(np.subtract.outer(A[:, 0], B[:, 0]))
+    for k in range(1, A.shape[1]):
+        diff = np.subtract.outer(A[:, k], B[:, k])
+        out += np.square(diff, out=diff)
+    return out
+
+
+def _max_holder_quotient(P: np.ndarray, vals: np.ndarray, gamma: float) -> float:
+    """``max |vals_i - vals_j| / |P_i - P_j|^gamma`` over pairs with ``P_i != P_j``.
+
+    Each row block is compared with itself and every later row, so every
+    pair ``i < j`` is visited, and only the block's own square holds pairs
+    ``j <= i`` as well; that cannot change a maximum of a symmetric
+    quotient.  The squared quotient ``|dv|^2 / (|dx|^2)^gamma`` is maximized
+    and rooted once.
+    """
     best = 0.0
-    block = 512
-    for start in range(0, P.shape[0], block):
-        Pa = P[start:start + block]
-        Va = vals[start:start + block]
-        d = np.linalg.norm(Pa[:, None, :] - P[None, :, :], axis=2)
-        dv = np.linalg.norm(Va[:, None, :] - vals[None, :, :], axis=2)
-        mask = d > 0
-        if np.any(mask):
-            best = max(best, float(np.max(dv[mask] / d[mask] ** gamma)))
-    return best
+    for a, b in _row_blocks(P.shape[0]):
+        q = _sq_dist(P[a:b], P[a:])
+        np.power(q, gamma, out=q)       # zero exactly where the points coincide
+        np.divide(_sq_dist(vals[a:b], vals[a:]), q, out=q, where=q > 0)
+        best = max(best, float(q.max()))
+    return float(np.sqrt(best))

@@ -27,8 +27,8 @@ import numpy as np
 from scipy import special
 
 from .auxiliary import AuxiliaryField, BoundaryData, field_gradients
-from .coefficients import (CoefficientSet, LameParameters, holder_demo_coefficients,
-                           identity_coefficients, lame_as_general)
+from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
+                           holder_demo_coefficients, identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
 from .mesh import generate, refine
 from .solver import (AssembledSystem, assemble, dirichlet_values, gradient_at,
@@ -124,6 +124,8 @@ class SweepPlan:
             raise PlanError(f"unknown system kind {self.system_kind!r}")
         if self.bc_kind not in ("constant_jump", "polynomial"):
             raise PlanError(f"unknown bc kind {self.bc_kind!r}")
+        if self.system_kind == "lame":
+            self.lame()
         for key, layers, aspect, xrange in (
                 ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange),
                 ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange)):
@@ -148,9 +150,16 @@ class SweepPlan:
             return GapGeometry.flat(epsilon, self.gamma, dim=dim)
         raise PlanError(f"unknown profile kind {self.profile_kind!r}")
 
+    def lame(self) -> LameParameters:
+        """The Lame constants ``system.lambda1`` and ``system.mu1``."""
+        try:
+            return LameParameters(self.lambda1, self.mu1)
+        except EllipticityError as exc:
+            raise PlanError(f"system.lambda1 and system.mu1: {exc}") from None
+
     def coefficients(self) -> CoefficientSet:
         if self.system_kind == "lame":
-            return lame_as_general(LameParameters(self.lambda1, self.mu1), 2)
+            return lame_as_general(self.lame(), 2)
         if self.system_kind == "identity":
             return identity_coefficients(m=self.m, n=2)
         return holder_demo_coefficients(self.gamma, m=self.m, n=2)

@@ -233,6 +233,17 @@ def test_seminorm_propagates_rule_errors(geom):
         holder_seminorm(scalar_only, region_at(geom, 0.0), GAMMA, pairs=100, seed=0)
 
 
+def test_seminorm_evaluates_the_field_once(geom):
+    batches = []
+
+    def f(X):
+        batches.append(X.shape[0])
+        return np.sin(40 * X)
+
+    assert holder_seminorm(f, region_at(geom, 0.0), GAMMA, pairs=400, seed=0) > 0
+    assert len(batches) == 1 and batches[0] % 2 == 0
+
+
 def test_seminorm_rejects_empty_budget(geom):
     with pytest.raises(ConfigurationError):
         holder_seminorm(lambda X: X, region_at(geom, 0.0), GAMMA, pairs=0)

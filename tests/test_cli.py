@@ -286,6 +286,20 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "prop21.zprimes value 2 at epsilon=0.1: z'=2 or its widest slab leaves the unit ball"),
     (["prop21", "--set", "prop21.zprimes=0,0.9"],
      "prop21.zprimes value 0.9 at epsilon=0.1: z'=0.9 or its widest slab leaves"),
+    (["sweep", "--set", "system.lambda1=-5"],
+     "system.lambda1 and system.mu1: need mu1 > 0 and lambda1 + mu1 > 0, got (-5.0, 1.0)"),
+    (["energy-scaling", "--set", "system.mu1=-1"],
+     "system.lambda1 and system.mu1: need mu1 > 0 and lambda1 + mu1 > 0, got (1.0, -1.0)"),
+    (["oracle-suite", "--set", "system.kind=identity", "--set", "system.lambda1=-5"],
+     "system.lambda1 and system.mu1: need mu1 > 0 and lambda1 + mu1 > 0, got (-5.0, 1.0)"),
+    (["oracle-suite", "--set", "epsilon=nan"],
+     "bad value for 'epsilon': 'nan' (nan is not a finite number)"),
+    (["solve", "--set", "epsilon=inf"],
+     "bad value for 'epsilon': 'inf' (inf is not a finite number)"),
+    (["sweep", "--set", "sweep.epsilons=nan,0.01,0.001"],
+     "bad value for 'sweep.epsilons': 'nan,0.01,0.001' (nan is not a finite number)"),
+    (["prop21", "--set", "prop21.zprimes=0,nan"],
+     "bad value for 'prop21.zprimes': '0,nan' (nan is not a finite number)"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

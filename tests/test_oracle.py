@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,8 +8,8 @@ from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, \
 from thingap.coefficients import LameParameters, identity_coefficients, lame_as_general
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate
-from thingap.oracle import (AffineCase, OracleError, brute_force_seminorm,
-                            finite_difference_reference)
+from thingap.oracle import (DENSE_BLOCK_PAIRS, AffineCase, OracleError, _max_holder_quotient,
+                            _row_blocks, brute_force_seminorm, finite_difference_reference)
 from thingap.solver import assemble, dirichlet_values, grid_distance, solve_dirichlet
 
 
@@ -123,3 +125,83 @@ def test_brute_force_refuses_oversized_grid():
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     with pytest.raises(OracleError):
         brute_force_seminorm(lambda X: X, region, 0.5, grid=200)
+
+
+def _naive_quotients(P, vals, gamma):
+    """Reference dense seminorm: every ordered pair, one 3-D difference tensor
+    per 512-row block, coincident points dropped by a boolean mask.  Returns
+    the maximum and the pair that attains it."""
+    best, arg = 0.0, None
+    for start in range(0, P.shape[0], 512):
+        d = np.linalg.norm(P[start:start + 512, None, :] - P[None, :, :], axis=2)
+        dv = np.linalg.norm(vals[start:start + 512, None, :] - vals[None, :, :], axis=2)
+        q = np.zeros_like(d)
+        mask = d > 0
+        q[mask] = dv[mask] / d[mask] ** gamma
+        i, j = np.unravel_index(np.argmax(q), q.shape)
+        if q[i, j] > best:
+            best, arg = float(q[i, j]), (start + i, j)
+    return best, arg
+
+
+def _points_with_planted_maximum(k, seed=3):
+    """900 random points in the unit square, smooth values in ``k`` columns,
+    point 700 placed next to point 0 with a value jump (the maximizing pair),
+    and three coincident pairs: two with equal values, one with unequal
+    values, whose zero distance must be skipped all the same."""
+    rng = np.random.default_rng(seed)
+    P = rng.random((900, 2))
+    vals = np.column_stack([np.sin(3 * P[:, 0] + c) * np.cos(2 * P[:, 1] - c)
+                            for c in range(k)])
+    P[700] = P[0] + 1e-6
+    vals[700] = vals[0] + 1.0
+    for src, dst in ((5, 400), (610, 611), (898, 20)):
+        P[dst] = P[src]
+        vals[dst] = vals[src]
+    vals[20] += 1.0
+    return P, vals
+
+
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("k", [1, 4])
+def test_dense_kernel_matches_naive_reference(k, gamma):
+    P, vals = _points_with_planted_maximum(k)
+    blocks = list(_row_blocks(P.shape[0]))
+    assert len(blocks) >= 3
+    want, pair = _naive_quotients(P, vals, gamma)
+    assert set(pair) == {0, 700}
+    block_of = [blk for blk, (a, b) in enumerate(blocks) for _ in range(a, b)]
+    assert block_of[0] != block_of[700]
+    assert _max_holder_quotient(P, vals, gamma) == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("k", [1, 4])
+def test_brute_force_seminorm_matches_naive_reference_on_its_grid(k):
+    geom = GapGeometry.power_law(1e-2, 0.5)
+    region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
+    grids = []
+
+    def f(X):
+        grids.append(X)
+        return np.column_stack([np.sin(200 * X[:, 0] + c) + np.cos(300 * X[:, 1] * (c + 1))
+                                for c in range(k)])
+
+    got = brute_force_seminorm(f, region, 0.5, grid=40)
+    assert len(grids) == 1
+    want, _ = _naive_quotients(grids[0], f(grids[0]), 0.5)
+    assert got > 0 and got == pytest.approx(want, rel=1e-13, abs=0)
+
+
+@pytest.mark.parametrize("n", [1000, 3000])
+def test_dense_kernel_memory_does_not_grow_with_the_point_count(n):
+    rng = np.random.default_rng(0)
+    P, vals = rng.random((n, 2)), rng.random((n, 4))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        _max_holder_quotient(P, vals, 0.5)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    # three float64 (block, n - a) arrays, a mask and ufunc buffers
+    assert peak <= 48 * DENSE_BLOCK_PAIRS
