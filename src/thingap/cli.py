@@ -50,6 +50,20 @@ def _floats(text: str):
     return tuple(_finite(t) for t in str(text).split(",") if t.strip() != "")
 
 
+def _ratio(text: str) -> float:
+    x = _finite(text)
+    if x < 1:
+        raise ValueError("must be >= 1: a max/min ratio is never below 1")
+    return x
+
+
+def _positive(text: str) -> float:
+    x = _finite(text)
+    if x <= 0:
+        raise ValueError("must be positive")
+    return x
+
+
 def _count(text: str) -> int:
     n = int(text)
     if n < 1:
@@ -92,8 +106,8 @@ SCHEMA = {
     "prop21.zprimes": (_zprimes, "0,neck,0.25"),
     "coeffcheck.samples": (_count, 10_000),
     "coeffcheck.pairs": (_count, 10_000),
-    "checks.stability_factor": (_finite, 3.0),
-    "checks.exponent_band": (_finite, 0.2),
+    "checks.stability_factor": (_ratio, 3.0),
+    "checks.exponent_band": (_positive, 0.2),
     "validate.samples": (_count, 1000),
 }
 

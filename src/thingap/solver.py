@@ -10,28 +10,27 @@ manufactured solution ``u*`` is reproduced by setting ``F = A grad(u*)``
 data.
 
 Unknowns are ordered vertex-major: dof(vertex v, component i) = v*m + i.
-The layered mesh numbers its vertices station by station, so after the
-Dirichlet rows are removed every nonzero of the free block K_ff lies within
-half-bandwidth ``kd = L*m + m - 1`` (L layers, m components) of the
-diagonal, without reordering.  A K_ff that is symmetric to roundoff is
-factored by LAPACK's banded Cholesky (``dpbtrf``/``dpbtrs``) on that band:
-on the 96-layer Lame gate mesh (41.6k free dofs, kd = 193) building and
-factoring the band takes 0.06 s against 0.14 s for SuperLU with a
-minimum-degree ordering (one BLAS thread, 2-vCPU machine).
-Operators that are not symmetric (nonzero B or C terms) or not positive
-definite (a large D) go to SuperLU instead; the matrix decides, there is no
-option.
+The layered mesh numbers its vertices station by station, so every coupling
+of two free dofs lies within half-bandwidth ``kd = L*m + m - 1`` (L layers,
+m components) of the diagonal, without reordering.  That band is the only
+operator a solve uses: element matrices are summed straight into LAPACK's
+band storage (LAPACK Users' Guide, SIAM 1999) without the Dirichlet rows
+and columns, which enter through an element-by-element product.  Symmetric
+element matrices (every CLI system) take banded Cholesky (``dpbtrf``);
+nonsymmetric ones (nonzero B or C) and operators that are not positive
+definite (a large D) take banded LU (``dgbtrf``).  The matrix decides.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .auxiliary import BoundaryData, interpolant_values
 from .coefficients import CoefficientSet
@@ -48,7 +47,7 @@ _WEIGHT = 1 / 3
 
 # relative residual a solve must reach, after at most one refinement step
 SOLVE_RTOL = 1e-10
-# |K_ff - K_ff^T| / |K_ff| (max norms) up to which K_ff counts as symmetric
+# max |E - E^T| / max |E| up to which the element matrices count as symmetric
 SYMMETRY_RTOL = 1e-12
 
 
@@ -73,56 +72,60 @@ class BoundaryAssignment:
 
 
 class AssembledSystem:
-    """Sparse operator and load for one mesh/coefficient pair.
+    """Element matrices ``E`` (T, 3m, 3m), their dofs ``dofs`` (T, 3m) and the
+    load; factorizations are cached by constraint pattern for solves with other data."""
 
-    Holds the full (unconstrained) matrix; Dirichlet elimination happens per
-    solve, with the factorization cached by constraint pattern so repeated
-    solves with different data reuse it.
-    """
-
-    def __init__(self, mesh: Mesh, cs: CoefficientSet, K: sparse.csr_matrix,
+    def __init__(self, mesh: Mesh, cs: CoefficientSet, E: np.ndarray, dofs: np.ndarray,
                  load: np.ndarray):
-        self.mesh = mesh
-        self.cs = cs
-        self.K = K
-        self.load = load
+        self.mesh, self.cs, self.E, self.dofs, self.load = mesh, cs, E, dofs, load
         self._lu_cache = {}
+
+    @cached_property
+    def K(self) -> sparse.csr_matrix:
+        """The full unconstrained operator as CSR, for reference; no solve reads it."""
+        ij = (np.broadcast_to(self.dofs[:, :, None], self.E.shape).ravel(),
+              np.broadcast_to(self.dofs[:, None, :], self.E.shape).ravel())
+        return sparse.coo_matrix((self.E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
+
+    def _apply(self, u: np.ndarray) -> np.ndarray:
+        """``K @ u``, element by element."""
+        Eu = np.einsum("tab,tb->ta", self.E, u[self.dofs])
+        return np.bincount(self.dofs.ravel(), Eu.ravel(), u.size)
 
     def _factor(self, dof_fixed: np.ndarray):
         key = dof_fixed.tobytes()
-        hit = self._lu_cache.get(key)
-        if hit is not None:
-            return hit
-        free = ~dof_fixed
-        K_f = self.K[free]
-        K_ff = K_f[:, free]
-        K_fc = K_f[:, dof_fixed]
-        # SPD operators take the band; the others LU with minimum degree on
-        # the pattern of K_ff + K_ff^T, ~40% less fill than COLAMD here
-        solve = _band_cholesky(K_ff) or splu(K_ff.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        entry = (solve, K_ff, K_fc, free)
-        self._lu_cache[key] = entry
-        return entry
+        if key not in self._lu_cache:
+            self._lu_cache[key] = (self._band_solver(~dof_fixed), ~dof_fixed)
+        return self._lu_cache[key]
 
+    def _band_solver(self, free: np.ndarray):
+        """Solve function of K_ff, factored in LAPACK's column-major band storage:
+        entry (i, j) goes to ``ab[diag + i - j, j]``, slot ``diag + i + (rows - 1) j``;
+        entries in a fixed row or column, or above the diagonal for Cholesky, go past the end."""
+        n, ok = int(free.sum()), free[self.dofs]
+        loc = (np.cumsum(free) - 1)[self.dofs]          # free dofs keep their order
+        kd = int(np.max(np.where(ok, loc, -1).max(1) - np.where(ok, loc, n).min(1), initial=0))
+        i, j = loc[:, :, None], loc[:, None, :]
+        keep = ok[:, :, None] & ok[:, None, :]
 
-def _band_cholesky(K_ff: sparse.csr_matrix):
-    """Banded-Cholesky solve function for ``K_ff``, or None if it is not SPD.
+        def band(rows, diag, mask):
+            slot = np.where(mask, diag + i + (rows - 1) * j, rows * n)
+            ab = np.bincount(slot.ravel(), self.E.ravel(), rows * n + 1)[:-1]
+            return ab.reshape(rows, n, order="F")
 
-    The lower band is stored in LAPACK's column-major layout,
-    ``ab[i - j, j] = K[i, j]`` for ``0 <= i - j <= kd``.
-    """
-    asym = np.max(np.abs((K_ff - K_ff.T).data), initial=0.0)
-    if asym > SYMMETRY_RTOL * np.max(np.abs(K_ff.data), initial=0.0):
-        return None
-    low = sparse.tril(K_ff, format="coo")
-    kd = int(np.max(low.row - low.col, initial=0))
-    ab = np.zeros((kd + 1, K_ff.shape[0]), order="F")
-    ab[low.row - low.col, low.col] = low.data
-    try:
-        cb = cholesky_banded(ab, overwrite_ab=True, lower=True, check_finite=False)
-    except LinAlgError:         # not positive definite
-        return None
-    return lambda b: cho_solve_banded((cb, True), b, check_finite=False)
+        iu, ju = np.triu_indices(self.E.shape[1], 1)
+        asym = np.max(np.abs(self.E[:, iu, ju] - self.E[:, ju, iu]), initial=0.0)
+        if asym <= SYMMETRY_RTOL * np.max(np.abs(self.E), initial=0.0):
+            try:
+                cb = cholesky_banded(band(kd + 1, 0, keep & (i >= j)), lower=True,
+                                     overwrite_ab=True, check_finite=False)
+                return lambda b: cho_solve_banded((cb, True), b, check_finite=False)
+            except LinAlgError:         # not positive definite: LU below
+                pass
+        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, keep), kd, kd, overwrite_ab=True)
+        if info > 0:
+            raise SolverError(f"singular operator: zero pivot {info} in banded LU")
+        return lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
 
 
 def assemble(mesh: Mesh, cs: CoefficientSet,
@@ -173,15 +176,9 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
                 F_q = np.asarray(rhs.F(xq), dtype=float).reshape(T, m, 2)
                 fe += np.einsum("t,tip,tap->tai", wa, F_q, G)
 
-    vm = mesh.triangles * m                             # (T, 3)
-    comp = np.arange(m)
-    dof_local = vm[:, :, None] + comp[None, None, :]    # (T, 3, m)
-    rows = np.broadcast_to(dof_local[:, :, :, None, None], E.shape).ravel()
-    cols = np.broadcast_to(dof_local[:, None, None, :, :], E.shape).ravel()
-    K = sparse.coo_matrix((E.ravel(), (rows, cols)), shape=(N * m, N * m)).tocsr()
-    load = np.zeros(N * m)
-    np.add.at(load, dof_local.ravel(), fe.ravel())
-    return AssembledSystem(mesh, cs, K, load)
+    dofs = (mesh.triangles[:, :, None] * m + np.arange(m)).reshape(T, 3 * m)
+    load = np.bincount(dofs.ravel(), fe.ravel(), N * m)
+    return AssembledSystem(mesh, cs, E.reshape(T, 3 * m, 3 * m), dofs, load)
 
 
 @dataclass
@@ -232,30 +229,29 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData,
 
 
 def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> DiscreteSolution:
-    """Direct sparse solve with the Dirichlet constraints eliminated.
+    """Direct banded solve with the Dirichlet constraints eliminated.
 
-    The residual is measured against the assembled K_ff.  One step of
-    iterative refinement is applied if needed; if the relative residual
-    still exceeds ``SOLVE_RTOL`` the solve fails loudly.
+    The residual is measured element by element.  One step of iterative
+    refinement is applied if needed; if the relative residual still exceeds
+    ``SOLVE_RTOL``, or is NaN, the solve fails loudly.
     """
     m = system.cs.m
     if bc.values.shape != (system.mesh.num_vertices, m):
         raise SolverError("boundary assignment shape mismatch")
     dof_fixed = bc.dof_mask()
-    solve, K_ff, K_fc, free = system._factor(dof_fixed)
-    g = bc.values.ravel()[dof_fixed]
-    rhs = system.load[free] - K_fc @ g
-    x = solve(rhs)
+    solve, free = system._factor(dof_fixed)
+    full = np.where(dof_fixed, bc.values.ravel(), 0.0)
+    rhs = system.load[free] - system._apply(full)[free]
+    full[free] = solve(rhs)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    res = float(np.linalg.norm(K_ff @ x - rhs)) / scale
-    if res > SOLVE_RTOL:
-        x = x + solve(rhs - K_ff @ x)
-        res = float(np.linalg.norm(K_ff @ x - rhs)) / scale
-        if res > SOLVE_RTOL:
+    r = system.load[free] - system._apply(full)[free]      # rhs - K_ff x
+    res = float(np.linalg.norm(r)) / scale
+    if not res <= SOLVE_RTOL:
+        full[free] += solve(r)
+        r = system.load[free] - system._apply(full)[free]
+        res = float(np.linalg.norm(r)) / scale
+        if not res <= SOLVE_RTOL:
             raise SolverError(f"linear solve did not converge: relative residual {res:.3e}")
-    full = np.empty(system.mesh.num_vertices * m)
-    full[dof_fixed] = g
-    full[~dof_fixed] = x
     return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m))
 
 

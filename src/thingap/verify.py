@@ -141,6 +141,9 @@ class SweepPlan:
             raise PlanError("probes.centerline and probes.profile must be >= 1")
         if not 0 <= self.probe_offset < 0.5:
             raise PlanError(f"probes.offset must lie in [0, 0.5), got {self.probe_offset}")
+        if self.reliability_threshold <= 0:
+            raise PlanError(f"reliability.threshold must be positive, got "
+                            f"{self.reliability_threshold}")
 
     def geometry(self, epsilon: float, dim: int = 2) -> GapGeometry:
         if self.profile_kind == "power":

@@ -300,6 +300,12 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "bad value for 'sweep.epsilons': 'nan,0.01,0.001' (nan is not a finite number)"),
     (["prop21", "--set", "prop21.zprimes=0,nan"],
      "bad value for 'prop21.zprimes': '0,nan' (nan is not a finite number)"),
+    (["sweep", "--set", "checks.stability_factor=0.5"],
+     "bad value for 'checks.stability_factor': '0.5' (must be >= 1"),
+    (["energy-scaling", "--set", "checks.exponent_band=0"],
+     "bad value for 'checks.exponent_band': '0' (must be positive)"),
+    (["sweep", "--set", "reliability.threshold=0"],
+     "reliability.threshold must be positive, got 0.0"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -400,13 +400,14 @@ def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
     mesh = refine(mesh) if refined else mesh
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
+    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "dgbtrf")
+    x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
+    assert (band.call_count, lu.call_count) == (1, 0)
+    assert "K" not in system.__dict__   # no solve builds the sparse matrix
     K_ff, rhs = _free_block(system, bc)
     coo = K_ff.tocoo()
     # vertex-major dofs on the layered mesh: half-bandwidth L*m + m - 1
     assert np.max(np.abs(coo.row - coo.col)) == mesh.layers * 2 + 1
-    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "splu")
-    x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
-    assert (band.call_count, lu.call_count) == (1, 0)
     ref = splu(K_ff.tocsc(), permc_spec="COLAMD").solve(rhs)
     assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
@@ -430,8 +431,24 @@ def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric)
     if symmetric:
         eig = np.linalg.eigvalsh(K_ff.toarray())
         assert eig[0] < 0 < eig[-1]
-    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "splu")
+    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "dgbtrf")
     x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
     # a symmetric K_ff tries the band first; Cholesky fails on it
     assert (band.call_count, lu.call_count) == (int(symmetric), 1)
     assert np.linalg.norm(K_ff @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
+    ref = splu(K_ff.tocsc()).solve(rhs)
+    assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("a, message", [(np.nan, "relative residual nan"),
+                                        (0.0, "zero pivot")], ids=["nan", "zero"])
+def test_nan_or_zero_leading_field_raises(a, message):
+    # NaN compares False with every tolerance, so the residual gate must
+    # reject it; a zero operator must stop at the banded LU's zero pivot
+    cs = dataclasses.replace(identity_coefficients(m=1, n=2),
+                             A=lambda x: np.full((2, 2, 1, 1), a))
+    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0,
+                    dxmax=0.05, xrange=0.5)
+    bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
+    with pytest.raises(SolverError, match=message):
+        solve_dirichlet(assemble(mesh, cs), bc)
