@@ -18,10 +18,10 @@ plan = SweepPlan()          # the default plan is the headline experiment
 report = run_sweep(plan)
 
 print(f"{'epsilon':>9} {'M_center':>10} {'refine chg':>10} {'C_upper':>8} "
-      f"{'C_lower':>8} {'E0':>10}")
+      f"{'C_lower':>8}")
 for r in report.records:
     print(f"{r.epsilon:9.4f} {r.M_center:10.3f} {r.reliability_change:10.4f} "
-          f"{r.C_upper:8.4f} {r.C_lower:8.4f} {r.energy_E0:10.4g}")
+          f"{r.C_upper:8.4f} {r.C_lower:8.4f}")
 
 print(f"\nfitted blow-up rate rho = {report.rho:.4f} +/- {report.rho_halfwidth:.4f} "
       f"(matching bounds predict 1)")

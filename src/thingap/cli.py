@@ -24,10 +24,10 @@ from .auxiliary import AuxiliaryField, ConfigurationError, check_seminorm_growth
 from .coefficients import (EllipticityError, check_ellipticity, check_holder,
                            identity_coefficients)
 from .geometry import GeometryError, LocalRegion
-from .mesh import generate
+from .mesh import MeshError, generate
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
-from .verify import (PlanError, SweepPlan, check_energy_scaling, check_lower_bound,
+from .verify import (PlanError, SweepPlan, _frob, check_energy_scaling, check_lower_bound,
                      max_over_min, probe_points, run_sweep)
 
 
@@ -233,9 +233,9 @@ def _write_csv(path: Path, header: str, rows) -> None:
 def emit_tables(report, outdir: Path) -> list[str]:
     """sweep.csv, per-epsilon profile CSVs, and the log-log rate table."""
     recs = report.records
-    _write_csv(outdir / "sweep.csv", "epsilon,M_center,C_upper,C_lower,energy_E0,flags",
+    _write_csv(outdir / "sweep.csv", "epsilon,M_center,C_upper,C_lower,flags",
                [[r.epsilon, r.M_center, r.C_upper,
-                 r.C_lower if r.C_lower is not None else float("nan"), r.energy_E0,
+                 r.C_lower if r.C_lower is not None else float("nan"),
                  ";".join(r.flags)] for r in recs])
     _write_csv(outdir / "rate_center.csv", "epsilon,M_center",
                [[r.epsilon, r.M_center] for r in recs])
@@ -303,13 +303,12 @@ def _cmd_solve(cfg, outdir: Path, threads: int):
     sol = solve_dirichlet(system, dirichlet_values(mesh, data))
     (outdir / "mesh.txt").write_text(mesh.export_text())
     (outdir / "solution.txt").write_text(export_solution_text(sol))
-    xn, xp, mid = probe_points(plan, geom)
-    pts = [(0.0, t) for t in xn] + list(zip(xp, mid))
+    pts = probe_points(plan, geom)
     _write_csv(outdir / "gradients.csv", "x,y,comp,dudx,dudy",
                [[x, y, comp, g[comp, 0], g[comp, 1]]
-                for (x, y), g in zip(pts, gradient_at(sol, np.array(pts)))
+                for (x, y), g in zip(pts, gradient_at(sol, pts))
                 for comp in range(g.shape[0])])
-    grad0 = float(np.sqrt(np.sum(gradient_at(sol, (0.0, 0.0))**2)))
+    grad0 = float(_frob(gradient_at(sol, (0.0, 0.0))))
     print(f"solved epsilon={eps:g}: {mesh.num_vertices} vertices, "
           f"|grad u(0,0)| = {grad0:.6g}")
     doc = {"epsilon": eps, "vertices": mesh.num_vertices,
@@ -447,7 +446,10 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     cs_lame = lame_as_general(plan.lame(), 2)     # whatever system.kind says
     eps = cfg["epsilon"]
     case = AffineCase(eps)
-    mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
+    try:
+        mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
+    except MeshError as exc:
+        raise ConfigError(f"epsilon = {eps:g} for the affine oracle's flat strip: {exc}") from None
     sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
                           dirichlet_values(mesh, case.data()))
     err = float(np.max(np.abs(sol.values - case.solution(mesh.vertices))))

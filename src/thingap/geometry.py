@@ -162,8 +162,8 @@ class GapGeometry:
         """Built-in family ``h_top = c_top |x'|^{1+gamma}``, ``h_bot = c_bottom |x'|^{1+gamma}``.
 
         With ``c_top >= 0 >= c_bottom`` (not both zero) the envelope constants
-        are exactly ``(1+gamma) min|c|`` and ``(1+gamma) max|c|`` over the
-        nonzero amplitudes.
+        are exactly ``(1+gamma) min|c|`` and ``(1+gamma) max|c|`` over both
+        amplitudes, so a one-sided profile (one ``c`` zero) has ``kappa0 = 0``.
         """
         amps = [abs(c) for c in (c_top, c_bottom)]
         if max(amps) == 0.0:

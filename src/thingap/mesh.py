@@ -38,6 +38,11 @@ TAG_CODES = {v: k for k, v in TAG_NAMES.items()}
 # barycentric slack of point location, relative to the triangle's size
 LOCATE_TOL = 1e-12
 
+# most stations a strip may have: the default meshes have at most a few
+# hundred, epsilon = 1e-6 at aspect 1/32 about ten thousand; far beyond that
+# the grading values are mistakes, and the station loop would run for hours
+MAX_STATIONS = 50_000
+
 
 @dataclass
 class Mesh:
@@ -209,7 +214,11 @@ class Mesh:
 
 
 def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: float) -> np.ndarray:
-    """Graded station positions, symmetric about 0, spacing min(aspect*width, dxmax)."""
+    """Graded station positions, symmetric about 0, spacing min(aspect*width, dxmax).
+
+    Raises :class:`MeshError` once the strip would need more than
+    ``MAX_STATIONS`` stations.
+    """
     if xrange <= 0 or xrange > 1.0:
         raise MeshError(f"xrange must lie in (0, 1], got {xrange}")
     if aspect <= 0 or dxmax <= 0:
@@ -217,6 +226,9 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
     right = [0.0]
     x = 0.0
     while x < xrange:
+        if 2 * len(right) - 1 > MAX_STATIONS:
+            raise MeshError(f"grading aspect = {aspect:g}, dxmax = {dxmax:g} needs more "
+                            f"than {MAX_STATIONS} stations")
         dx = min(aspect * float(geom.gap_width(np.array([x]))), dxmax)
         nxt = x + dx
         if nxt >= xrange - 0.25 * dx:

@@ -197,10 +197,6 @@ class DiscreteSolution:
             self._grads.setflags(write=False)
         return self._grads
 
-    @property
-    def m(self) -> int:
-        return self.values.shape[1]
-
 
 def dirichlet_values(mesh: Mesh, data: BoundaryData,
                      component: Optional[int] = None) -> BoundaryAssignment:

@@ -30,7 +30,7 @@ from .auxiliary import AuxiliaryField, BoundaryData, field_gradients
 from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            holder_demo_coefficients, identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
-from .mesh import generate, refine
+from .mesh import MeshError, generate, refine
 from .solver import (AssembledSystem, assemble, dirichlet_values, gradient_at,
                      l2_norm, solve_component, solve_dirichlet)
 
@@ -126,6 +126,8 @@ class SweepPlan:
             raise PlanError(f"unknown bc kind {self.bc_kind!r}")
         if self.system_kind == "lame":
             self.lame()
+        if self.m < 1:
+            raise PlanError(f"system.m must be >= 1, got {self.m}")
         for key, layers, aspect, xrange in (
                 ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange),
                 ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange)):
@@ -184,16 +186,20 @@ class SweepPlan:
 
         The mesh is the sweep mesh (``mesh.*`` keys), or with ``energy`` the
         energy-scaling mesh (``energy.layers``, ``energy.aspect``,
-        ``energy.xrange`` with ``mesh.dxmax``).
+        ``energy.xrange`` with ``mesh.dxmax``).  On a validated plan a
+        :class:`MeshError` can only come from the grading keys, so it is
+        raised as a :class:`PlanError` that names them.
         """
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
-        if energy:
-            mesh = generate(geom, self.energy_layers, self.energy_aspect, self.mesh_dxmax,
-                            self.energy_xrange)
-        else:
-            mesh = generate(geom, self.mesh_layers, self.mesh_aspect, self.mesh_dxmax,
-                            self.mesh_xrange)
+        key, layers, aspect, xrange = (
+            ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
+            else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
+        try:
+            mesh = generate(geom, layers, aspect, self.mesh_dxmax, xrange)
+        except MeshError as exc:
+            raise PlanError(f"{key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
+                            f"{exc}") from None
         return geom, data, assemble(mesh, self.coefficients())
 
 
@@ -233,7 +239,6 @@ class EpsilonRecord:
     M_center_refined: float
     reliability_change: float
     reliable: bool
-    energy_E0: float
     flags: tuple = ()
 
     def to_dict(self) -> dict:
@@ -246,7 +251,6 @@ class EpsilonRecord:
             "norm_terms": self.norm_terms,
             "C_upper": self.C_upper,
             "C_lower": self.C_lower,
-            "energy_E0": self.energy_E0,
             "M_center_refined": self.M_center_refined,
             "reliability_change": self.reliability_change,
             "reliable": self.reliable,
@@ -264,28 +268,29 @@ def _frob(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
 
 
-def probe_points(plan: SweepPlan, geom: GapGeometry):
-    """Probe sites: centerline heights ``xn`` at x' = 0, midline ``(xp, mid)``.
+def probe_points(plan: SweepPlan, geom: GapGeometry) -> np.ndarray:
+    """Probe sites, (k, 2): ``probes_centerline`` rows ``(0, xn)``, then midline rows.
 
-    The centerline stays ``probe_offset`` gap widths inside each boundary.
+    The centerline stays ``probe_offset`` gap widths inside each boundary;
+    the midline rows ``(xp, mid(xp))`` span ``|xp| <= 0.5``.
     """
     w0 = float(geom.gap_width(np.zeros(1)))
     off = plan.probe_offset * w0
     xn = np.linspace(float(geom.bottom(np.zeros(1))) + off,
                      float(geom.top(np.zeros(1))) - off, plan.probes_centerline)
     xp = np.linspace(-0.5, 0.5, plan.probes_profile)
-    return xn, xp, geom.midline(xp[:, None])
+    return np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
+                           np.stack([xp, geom.midline(xp[:, None])], axis=1)])
 
 
 def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData):
     """Centerline and midline gradient probes."""
-    xn, xp, mid = probe_points(plan, geom)
-    pts = np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
-                          np.stack([xp, mid], axis=1)])
+    pts = probe_points(plan, geom)
+    k = plan.probes_centerline
     norms = _frob(gradient_at(sol, pts))
-    cl, pf = norms[:xn.size], norms[xn.size:]
+    xn, xp = pts[:k, 1], pts[k:, 0]
     jumps = np.linalg.norm(np.atleast_2d(data.jump(geom, xp[:, None])), axis=1)
-    return xn, cl, xp, pf, jumps
+    return xn, norms[:k], xp, norms[k:], jumps
 
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
@@ -315,14 +320,6 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
     if max_comp > 1e-14 * max(1.0, norm_terms):
         C_lower = float(np.min(cl)) * epsilon / max_comp
 
-    # remainder energy on the neck slab, measured on this sweep mesh
-    ell = int(np.argmax(np.abs(jump0)))
-    v_ell = solve_component(system, data, ell)
-    fld = AuxiliaryField(geom, data, ell)
-    w0 = float(geom.gap_width(np.zeros(1)))
-    neck = LocalRegion(np.array([0.0, float(geom.midline(np.zeros(1)))]), w0, geom)
-    E0 = remainder_energy(v_ell, fld, neck)
-
     flags = []
     if not reliable:
         flags.append("unreliable")
@@ -336,7 +333,6 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
         jump_at_profile=jumps, C_profile=C_profile,
         C_upper=C_upper, C_lower=C_lower,
         M_center_refined=M_f, reliability_change=change, reliable=reliable,
-        energy_E0=E0,
         flags=tuple(flags),
     )
 
@@ -352,21 +348,12 @@ class BlowupReport:
     rho: float
     rho_halfwidth: float
     degenerate: bool
-    energy_exponent: Optional[float] = None
-    energy_halfwidth: Optional[float] = None
 
     def to_dict(self) -> dict:
         return {
             "plan": asdict(self.plan),
             "fit": {"rho": self.rho, "rho_halfwidth": self.rho_halfwidth,
                     "degenerate": self.degenerate},
-            "energy_fit": {
-                "neck_exponent": self.energy_exponent,
-                "halfwidth": self.energy_halfwidth,
-                "note": "neck-slab remainder energy on the sweep meshes; "
-                        "the energy-scaling command measures all regimes "
-                        "on dedicated finer meshes",
-            },
             "per_epsilon": [r.to_dict() for r in self.records],
         }
 
@@ -374,9 +361,9 @@ class BlowupReport:
 def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     """Solve, probe and fit across the plan's gap widths.
 
-    Per-epsilon pipelines are independent; with ``threads > 1`` they run in
-    a thread pool and are merged back in plan order, so the report does not
-    depend on completion order.
+    Each epsilon solves once on the sweep mesh and once on its refinement.
+    With ``threads > 1`` the epsilons run in a thread pool whose ``map`` keeps
+    plan order, so the report does not depend on completion order.
     """
     plan.validate()
     if not any(plan.bc_phi) and not any(plan.bc_psi):
@@ -385,9 +372,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     eps = [float(e) for e in plan.epsilons]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            recs = {e: r for e, r in zip(eps, pool.map(
-                lambda e: _run_one_epsilon(plan, e), eps))}
-        records = [recs[e] for e in eps]
+            records = list(pool.map(lambda e: _run_one_epsilon(plan, e), eps))
     else:
         records = [_run_one_epsilon(plan, e) for e in eps]
 
@@ -398,12 +383,8 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     else:
         slope, half = fit_rate([(r.epsilon, r.M_center) for r in records])
         rho = -slope
-    e_expo = e_half = None
-    if all(r.energy_E0 > 0 for r in records):
-        e_expo, e_half = fit_rate([(r.epsilon, r.energy_E0) for r in records])
     return BlowupReport(plan=plan, records=records, rho=rho, rho_halfwidth=half,
-                        degenerate=degenerate, energy_exponent=e_expo,
-                        energy_halfwidth=e_half)
+                        degenerate=degenerate)
 
 
 @dataclass

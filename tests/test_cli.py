@@ -71,7 +71,7 @@ def test_sweep_writes_report_and_tables(tmp_path):
     report = (out / "report.json").read_text()
     assert '"rho"' in report
     sweep = (out / "sweep.csv").read_text().strip().split("\n")
-    assert sweep[0] == "epsilon,M_center,C_upper,C_lower,energy_E0,flags"
+    assert sweep[0] == "epsilon,M_center,C_upper,C_lower,flags"
     assert len(sweep) == 1 + 3
     prof = (out / "profile_0.1.csv").read_text().strip().split("\n")
     assert prof[0] == "x,grad_norm"
@@ -85,12 +85,20 @@ def test_sweep_csv_roundtrips_report_values(tmp_path):
     doc = json.loads((out / "report.json").read_text())
     rows = (out / "sweep.csv").read_text().strip().split("\n")[1:]
     for row, rec in zip(rows, doc["per_epsilon"]):
-        eps, m, cu, cl, e0, _flags = row.split(",")
+        eps, m, cu, cl, _flags = row.split(",")
         assert float(eps) == rec["epsilon"]
         assert float(m) == rec["M_center"]
         assert float(cu) == rec["C_upper"]
         assert float(cl) == rec["C_lower"]
-        assert float(e0) == rec["energy_E0"]
+
+
+def test_sweep_report_has_no_sweep_mesh_energy(tmp_path):
+    # the remainder energy is measured by energy-scaling, not by the sweep
+    import json
+    assert run(["sweep", "--out", str(tmp_path), *SMALL]) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert list(doc) == ["plan", "fit", "per_epsilon", "checks", "verdicts"]
+    assert not any("energy_E0" in rec for rec in doc["per_epsilon"])
 
 
 def test_emit_tables_empty_report(tmp_path):
@@ -99,7 +107,7 @@ def test_emit_tables_empty_report(tmp_path):
     written = emit_tables(Empty(), tmp_path)
     assert "sweep.csv" in written
     assert (tmp_path / "sweep.csv").read_text().strip() == \
-        "epsilon,M_center,C_upper,C_lower,energy_E0,flags"
+        "epsilon,M_center,C_upper,C_lower,flags"
 
 
 def test_config_roundtrip_reproduces_report(tmp_path):
@@ -306,6 +314,21 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "bad value for 'checks.exponent_band': '0' (must be positive)"),
     (["sweep", "--set", "reliability.threshold=0"],
      "reliability.threshold must be positive, got 0.0"),
+    (["validate-coefficients", "--set", "system.kind=identity", "--set", "system.m=-2"],
+     "system.m must be >= 1, got -2"),
+    (["energy-scaling", "--set", "system.kind=holder_demo", "--set", "system.m=-1"],
+     "system.m must be >= 1, got -1"),
+    (["validate-coefficients", "--set", "system.kind=identity", "--set", "system.m=0"],
+     "system.m must be >= 1, got 0"),
+    (["solve", "--set", "mesh.dxmax=1e-9"],
+     "mesh.aspect and mesh.dxmax at epsilon = 0.01: grading aspect = 2, dxmax = 1e-09 "
+     "needs more than 50000 stations"),
+    (["solve", "--set", "mesh.aspect=1e-9"],
+     "mesh.aspect and mesh.dxmax at epsilon = 0.01: grading aspect = 1e-09"),
+    (["energy-scaling", "--set", "energy.aspect=1e-9"],
+     "energy.aspect and mesh.dxmax at epsilon = 0.1: grading aspect = 1e-09"),
+    (["oracle-suite", "--set", "epsilon=1e-9"],
+     "epsilon = 1e-09 for the affine oracle's flat strip: grading aspect = 2"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -125,6 +125,14 @@ def test_builtin_gradient_envelope():
         assert np.all(g <= geom.kappa1 * env + 1e-12)
 
 
+def test_one_sided_profile_has_zero_kappa0_and_validates():
+    # kappa0 is the minimum over both amplitudes, so a flat bottom gives 0
+    geom = GapGeometry.power_law(EPS, GAMMA, c_top=1.0, c_bottom=0.0)
+    assert geom.kappa0 == 0.0
+    assert geom.kappa1 == pytest.approx(1 + GAMMA)
+    geom.validate(samples=200, seed=0)
+
+
 def test_gap_width_even_and_bounded_below(geom):
     xs = np.linspace(0, 1, 101)[:, None]
     assert np.allclose(geom.gap_width(xs), geom.gap_width(-xs), atol=0)

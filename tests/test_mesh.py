@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
-from thingap.mesh import (Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES, TAG_TOP,
-                          generate, refine)
+import thingap.mesh as mesh_module
+from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES,
+                          TAG_TOP, generate, refine)
 
 EPS = 1e-1
 GAMMA = 0.5
@@ -103,6 +104,22 @@ def test_generate_rejects_bad_parameters(geom):
         generate(geom, layers=3)
     with pytest.raises(MeshError):
         generate(geom, layers=8, xrange=1.5)
+
+
+@pytest.mark.parametrize("aspect, dxmax", [(2.0, 1e-9), (1e-9, 0.02)])
+def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, aspect, dxmax):
+    def no_build(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(mesh_module, "_build_from_stations", no_build)
+    with pytest.raises(MeshError, match=f"more than {MAX_STATIONS} stations"):
+        generate(geom, layers=8, aspect=aspect, dxmax=dxmax)
+
+
+def test_station_bound_admits_the_finest_grading_in_use():
+    fine = GapGeometry.power_law(1e-6, GAMMA)
+    stations = mesh_module._build_stations(fine, 1.0 / 32, 0.02, 1.0)
+    assert 9_000 < stations.size <= MAX_STATIONS // 4
 
 
 def test_mapped_quality_floor(geom):

@@ -100,6 +100,22 @@ def test_sweep_threads_match_serial(small_report):
     assert threaded.to_dict() == small_report.to_dict()
 
 
+def test_sweep_solves_twice_per_epsilon(monkeypatch):
+    # one solve on the sweep mesh and one on its refinement, nothing more
+    import thingap.solver as solver
+    calls = []
+    exact = solver.solve_dirichlet
+
+    def spy(system, bc):
+        calls.append(system.mesh.geom.epsilon)
+        return exact(system, bc)
+
+    monkeypatch.setattr(solver, "solve_dirichlet", spy)
+    monkeypatch.setattr(verify, "solve_dirichlet", spy)
+    run_sweep(SMALL_PLAN)
+    assert sorted(calls, reverse=True) == [e for e in SMALL_PLAN.epsilons for _ in range(2)]
+
+
 def test_upper_constant_dominates_lower_constant(small_report):
     # both constants normalize the same solution: at the centerline the upper
     # envelope exceeds the pure-jump lower envelope
