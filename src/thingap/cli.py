@@ -52,8 +52,8 @@ def _floats(text: str):
 
 def _ratio(text: str) -> float:
     x = _finite(text)
-    if x < 1:
-        raise ValueError("must be >= 1: a max/min ratio is never below 1")
+    if x <= 1:
+        raise ValueError("must be > 1: a max/min ratio is never below 1")
     return x
 
 

@@ -258,18 +258,11 @@ def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -
     tags[idx[0, 1:-1]] = TAG_LATERAL_LEFT
     tags[idx[-1, 1:-1]] = TAG_LATERAL_RIGHT
 
-    tris = np.empty(((S - 1) * layers * 2, 3), dtype=np.int64)
-    t = 0
-    for i in range(S - 1):
-        a = idx[i, :-1]
-        b = idx[i + 1, :-1]
-        c = idx[i + 1, 1:]
-        d = idx[i, 1:]
-        block = np.empty((layers * 2, 3), dtype=np.int64)
-        block[0::2] = np.stack([a, b, c], axis=1)
-        block[1::2] = np.stack([a, c, d], axis=1)
-        tris[t:t + layers * 2] = block
-        t += layers * 2
+    # cell (i, j) has corners a = (i, j), b = a + L + 1, c = a + L + 2, d = a + 1
+    # and the triangles (a, b, c), (a, c, d)
+    a = idx[:-1, :-1, None]
+    b, c, d = a + layers + 1, a + layers + 2, a + 1
+    tris = np.concatenate([a, b, c, a, c, d], axis=2).reshape(-1, 3)
     return Mesh(vertices=verts, triangles=tris, vertex_tags=tags,
                 stations=stations, layers=layers, geom=geom)
 

@@ -15,7 +15,10 @@ of two free dofs lies within half-bandwidth ``kd = L*m + m - 1`` (L layers,
 m components) of the diagonal, without reordering.  That band is the only
 operator a solve uses: element matrices are summed straight into LAPACK's
 band storage (LAPACK Users' Guide, SIAM 1999) without the Dirichlet rows
-and columns, which enter through an element-by-element product.  Symmetric
+and columns, which enter through an element-by-element product.  The band
+is allocated once and the elements are added into it ``BLOCK`` at a time,
+in element order, so the set-up holds no temporary the size of the element
+matrices and every band entry sums its terms in element order.  Symmetric
 element matrices (every CLI system) take banded Cholesky (``dpbtrf``);
 nonsymmetric ones (nonzero B or C) and operators that are not positive
 definite (a large D) take banded LU (``dgbtrf``).  The matrix decides.
@@ -49,6 +52,13 @@ _WEIGHT = 1 / 3
 SOLVE_RTOL = 1e-10
 # max |E - E^T| / max |E| up to which the element matrices count as symmetric
 SYMMETRY_RTOL = 1e-12
+# elements assembled and summed into the band at a time: a block's index, mask
+# and contraction arrays (BLOCK (3m)^2 entries, 0.6 MB of int64 for m = 2)
+# stay near L2 size
+BLOCK = 2048
+# largest band n (kd + 1) 8 bytes a planned problem may need: the sweep at
+# mesh.layers = 48 refines to a 62 MiB band, at 192 layers to 985 MiB
+MAX_BAND_BYTES = 2**30
 
 
 @dataclass
@@ -69,6 +79,11 @@ class BoundaryAssignment:
     def dof_mask(self) -> np.ndarray:
         m = self.values.shape[1]
         return np.repeat(self.fixed, m)
+
+
+def _blocks(count: int) -> list[slice]:
+    """``range(count)`` as consecutive slices of at most ``BLOCK`` elements."""
+    return [slice(s, min(s + BLOCK, count)) for s in range(0, count, BLOCK)]
 
 
 class AssembledSystem:
@@ -99,30 +114,45 @@ class AssembledSystem:
         return self._lu_cache[key]
 
     def _band_solver(self, free: np.ndarray):
-        """Solve function of K_ff, factored in LAPACK's column-major band storage:
-        entry (i, j) goes to ``ab[diag + i - j, j]``, slot ``diag + i + (rows - 1) j``;
-        entries in a fixed row or column, or above the diagonal for Cholesky, go past the end."""
-        n, ok = int(free.sum()), free[self.dofs]
-        loc = (np.cumsum(free) - 1)[self.dofs]          # free dofs keep their order
-        kd = int(np.max(np.where(ok, loc, -1).max(1) - np.where(ok, loc, n).min(1), initial=0))
-        i, j = loc[:, :, None], loc[:, None, :]
-        keep = ok[:, :, None] & ok[:, None, :]
+        """Solve function of K_ff, factored in LAPACK's column-major band storage.
 
-        def band(rows, diag, mask):
-            slot = np.where(mask, diag + i + (rows - 1) * j, rows * n)
-            ab = np.bincount(slot.ravel(), self.E.ravel(), rows * n + 1)[:-1]
-            return ab.reshape(rows, n, order="F")
+        Entry (i, j) goes to ``ab[diag + i - j, j]``, slot ``diag + i + (rows - 1) j``.
+        The zeroed band is allocated once; the element matrices are added into
+        it ``BLOCK`` elements at a time, in element order, with ``np.add.at``,
+        so each slot sums its terms in the same order as one pass over all
+        elements.  Entries in a fixed row or column, or above the diagonal for
+        Cholesky, go to one slot past the end.  The half-bandwidth and the
+        symmetry test read the elements in the same blocks.
+        """
+        n, E = int(free.sum()), self.E
+        pos = np.where(free, np.cumsum(free) - 1, -1)    # free dofs keep their order
+        blocks = _blocks(len(E))
+        iu, ju = np.triu_indices(E.shape[1], 1)
+        kd, asym, scale = 0, 0.0, 0.0
+        for b in blocks:
+            loc, Eb = pos[self.dofs[b]], E[b]
+            kd = max(kd, int(np.max(loc.max(1) - np.where(loc >= 0, loc, n).min(1))))
+            asym = np.maximum(asym, np.max(np.abs(Eb[:, iu, ju] - Eb[:, ju, iu])))
+            scale = np.maximum(scale, np.max(np.abs(Eb)))
 
-        iu, ju = np.triu_indices(self.E.shape[1], 1)
-        asym = np.max(np.abs(self.E[:, iu, ju] - self.E[:, ju, iu]), initial=0.0)
-        if asym <= SYMMETRY_RTOL * np.max(np.abs(self.E), initial=0.0):
+        def band(rows, diag, lower):
+            ab = np.zeros(rows * n + 1)
+            for b in blocks:
+                loc = pos[self.dofs[b]]
+                i, j = loc[:, :, None], loc[:, None, :]
+                keep = (i >= j) & (j >= 0) if lower else (i >= 0) & (j >= 0)
+                slot = np.where(keep, diag + i + (rows - 1) * j, rows * n)
+                np.add.at(ab, slot.ravel(), E[b].ravel())
+            return ab[:-1].reshape(rows, n, order="F")
+
+        if asym <= SYMMETRY_RTOL * scale:
             try:
-                cb = cholesky_banded(band(kd + 1, 0, keep & (i >= j)), lower=True,
+                cb = cholesky_banded(band(kd + 1, 0, True), lower=True,
                                      overwrite_ab=True, check_finite=False)
                 return lambda b: cho_solve_banded((cb, True), b, check_finite=False)
             except LinAlgError:         # not positive definite: LU below
                 pass
-        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, keep), kd, kd, overwrite_ab=True)
+        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False), kd, kd, overwrite_ab=True)
         if info > 0:
             raise SolverError(f"singular operator: zero pivot {info} in banded LU")
         return lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
@@ -153,10 +183,17 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     fe = np.zeros((T, 3, m))
     lower_order = not cs.is_zero_lower_order()
     if cs.constant:
-        A_c = cs.eval_A_many(mesh.centroids())         # (T, n, n, m, m)
-        E += np.einsum("t,tpqij,tbq,tap->taibj", areas, A_c, G, G, optimize=True)
+        # one evaluation, at the first centroid; summed in blocks, so that the
+        # contraction's temporaries stay cache-sized instead of exceeding E
+        A_1 = cs.eval_A_many(pts[:1].mean(axis=1))
+        for b in _blocks(T):
+            A_b = np.broadcast_to(A_1, (b.stop - b.start,) + A_1.shape[1:])
+            E[b] += np.einsum("t,tpqij,tbq,tap->taibj", areas[b], A_b, G[b], G[b],
+                              optimize=True)
     wa = _WEIGHT * areas
-    for bq in _BARY:
+    # a constant A with no other terms needs no edge-midpoint points
+    rule = _BARY if not cs.constant or lower_order or rhs is not None else ()
+    for bq in rule:
         xq = np.einsum("a,tad->td", bq, pts)
         if not cs.constant:
             A_q = cs.eval_A_many(xq)                   # (T, n, n, m, m)

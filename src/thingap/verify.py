@@ -31,8 +31,8 @@ from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            holder_demo_coefficients, identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
 from .mesh import MeshError, generate, refine
-from .solver import (AssembledSystem, assemble, dirichlet_values, gradient_at,
-                     l2_norm, solve_component, solve_dirichlet)
+from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
+                     gradient_at, l2_norm, solve_component, solve_dirichlet)
 
 
 class PlanError(ValueError):
@@ -180,7 +180,7 @@ class SweepPlan:
         psi = [list(self.bc_psi)] + [[0.0]] * (m - 1)
         return BoundaryData.polynomial(phi, psi, geom)
 
-    def problem(self, epsilon: float, energy: bool = False
+    def problem(self, epsilon: float, energy: bool = False, refinement: bool = False
                 ) -> tuple[GapGeometry, BoundaryData, AssembledSystem]:
         """Geometry, boundary data and assembled system at one gap width.
 
@@ -188,7 +188,10 @@ class SweepPlan:
         energy-scaling mesh (``energy.layers``, ``energy.aspect``,
         ``energy.xrange`` with ``mesh.dxmax``).  On a validated plan a
         :class:`MeshError` can only come from the grading keys, so it is
-        raised as a :class:`PlanError` that names them.
+        raised as a :class:`PlanError` that names them.  So is a mesh whose
+        band, or with ``refinement`` the band of its uniform refinement (the
+        sweep solves on both), would exceed ``MAX_BAND_BYTES``: the check
+        reads the station count before anything is assembled.
         """
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
@@ -200,7 +203,20 @@ class SweepPlan:
         except MeshError as exc:
             raise PlanError(f"{key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
                             f"{exc}") from None
-        return geom, data, assemble(mesh, self.coefficients())
+        cs = self.coefficients()
+        stations = mesh.stations.size
+        if refinement:
+            stations, layers = 2 * stations - 1, 2 * layers
+        # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
+        # n = (S - 2)(L - 1) m free dofs, and kd + 1 = (L + 1) m
+        need = (stations - 2) * (layers - 1) * (layers + 1) * cs.m**2 * 8
+        if need > MAX_BAND_BYTES:
+            raise PlanError(
+                f"{key}.layers, {key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
+                f"the {'refined ' if refinement else ''}mesh's {stations} stations of {layers} "
+                f"layers need a {need / 2**20:.0f} MiB band, "
+                f"more than the {MAX_BAND_BYTES / 2**20:.0f} MiB budget")
+        return geom, data, assemble(mesh, cs)
 
 
 def max_over_min(values) -> float:
@@ -294,11 +310,13 @@ def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData)
 
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
-    geom, data, system = plan.problem(epsilon)
+    geom, data, system = plan.problem(epsilon, refinement=True)
     sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
+    mesh, cs = system.mesh, system.cs
+    del system          # release the factorization before the refined mesh is built
 
-    fine = refine(system.mesh)
-    sol_f = solve_dirichlet(assemble(fine, system.cs), dirichlet_values(fine, data))
+    fine = refine(mesh)
+    sol_f = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
 
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
     M_f = float(_frob(gradient_at(sol_f, (0.0, 0.0))))

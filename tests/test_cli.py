@@ -309,7 +309,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["prop21", "--set", "prop21.zprimes=0,nan"],
      "bad value for 'prop21.zprimes': '0,nan' (nan is not a finite number)"),
     (["sweep", "--set", "checks.stability_factor=0.5"],
-     "bad value for 'checks.stability_factor': '0.5' (must be >= 1"),
+     "bad value for 'checks.stability_factor': '0.5' (must be > 1"),
     (["energy-scaling", "--set", "checks.exponent_band=0"],
      "bad value for 'checks.exponent_band': '0' (must be positive)"),
     (["sweep", "--set", "reliability.threshold=0"],
@@ -329,6 +329,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "energy.aspect and mesh.dxmax at epsilon = 0.1: grading aspect = 1e-09"),
     (["oracle-suite", "--set", "epsilon=1e-9"],
      "epsilon = 1e-09 for the affine oracle's flat strip: grading aspect = 2"),
+    (["sweep", "--set", "checks.stability_factor=1"],
+     "bad value for 'checks.stability_factor': '1' (must be > 1"),
+    (["sweep", "--set", "mesh.dxmax=4e-5"],
+     "mesh.layers, mesh.aspect and mesh.dxmax at epsilon = 0.1: the refined mesh's 100001 "
+     "stations of 24 layers need a 1755 MiB band, more than the 1024 MiB budget"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -392,9 +397,10 @@ def test_every_command_writes_and_prints_its_verdicts(tmp_path, capsys, command)
     ("prop21", "seminorm_growth"),
 ])
 def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, command, failing):
+    # the small runs' max/min ratios are about 1.2, far above this factor
     artifact, argv = SMALL_RUNS[command]
     assert run([command, "--out", str(tmp_path), *argv,
-                "--set", "checks.stability_factor=1.0"]) == 1
+                "--set", "checks.stability_factor=1.01"]) == 1
     assert ["FAIL", failing] in _verdict_lines(capsys.readouterr().out)
     assert json.loads((tmp_path / artifact).read_text())["verdicts"][failing] == "fail"
 

@@ -99,6 +99,24 @@ def test_double_refine_places_vertices_on_exact_fibers(geom):
     assert np.max(np.abs(twice.vertices[:, 1] - want.ravel())) < 1e-15
 
 
+@pytest.mark.parametrize("layers", [4, 7])
+def test_triangles_follow_the_cell_formula(geom, layers):
+    # Mesh docstring: vertex (s, j) is s * (layers + 1) + j; cell (i, j) has
+    # triangles (i * layers + j) * 2 and + 1 with corners a, b, c and a, c, d
+    mesh = generate(geom, layers=layers, aspect=2.0, dxmax=0.1, xrange=0.5)
+
+    def v(s, j):
+        return s * (layers + 1) + j
+
+    want = []
+    for i in range(mesh.stations.size - 1):
+        for j in range(layers):
+            a, b, c, d = v(i, j), v(i + 1, j), v(i + 1, j + 1), v(i, j + 1)
+            want += [(a, b, c), (a, c, d)]
+    assert mesh.triangles.dtype == np.int64
+    assert np.array_equal(mesh.triangles, np.array(want))
+
+
 def test_generate_rejects_bad_parameters(geom):
     with pytest.raises(MeshError):
         generate(geom, layers=3)

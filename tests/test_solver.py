@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 from unittest.mock import Mock
 
 import numpy as np
@@ -438,6 +439,74 @@ def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric)
     assert np.linalg.norm(K_ff @ x - rhs) <= 1e-10 * np.linalg.norm(rhs)
     ref = splu(K_ff.tocsc()).solve(rhs)
     assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+
+def _lame():
+    return lame_as_general(LameParameters(1.0, 1.0), 2)
+
+
+def _band_of(dense, rows, diag):
+    """LAPACK band storage of a dense matrix: entry (i, j) at ``[diag + i - j, j]``."""
+    n = dense.shape[0]
+    ab = np.zeros((rows, n))
+    for r in range(rows):
+        d = r - diag                    # i - j
+        if 0 <= d < n:
+            ab[r, :n - d] = np.diagonal(dense, -d)
+        elif -n < d < 0:
+            ab[r, -d:] = np.diagonal(dense, -d)
+    return ab
+
+
+@pytest.mark.parametrize("make_cs, factor", [(_lame, "cholesky_banded"),
+                                             (_full_coefficient_set, "dgbtrf")],
+                         ids=["cholesky", "lu"])
+def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
+    cs = make_cs()
+    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=6, aspect=1.0,
+                    dxmax=0.05, xrange=0.5)
+    system = assemble(mesh, cs)
+    free = ~dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0])).dof_mask()
+    T = system.E.shape[0]
+    assert T % 7 and T % 64
+    bands = []
+    exact = getattr(solver, factor)
+
+    def capture(ab, *args, **kwargs):
+        bands.append(ab.copy())         # the factorization overwrites it
+        return exact(ab, *args, **kwargs)
+
+    monkeypatch.setattr(solver, factor, capture)
+    # single elements, several blocks with a partial last one, one block beyond T
+    for block in (1, 7, 64, T + 5):
+        monkeypatch.setattr(solver, "BLOCK", block)
+        system._band_solver(free)
+    assert len(bands) == 4
+    assert all(np.array_equal(b, bands[0]) for b in bands[1:])   # same sums, same order
+    rows = bands[0].shape[0]
+    kd = rows - 1 if factor == "cholesky_banded" else (rows - 1) // 3
+    assert kd == mesh.layers * cs.m + cs.m - 1
+    K_ff = system.K[free][:, free].toarray()
+    ref = _band_of(K_ff, rows, 0 if factor == "cholesky_banded" else 2 * kd)
+    np.testing.assert_allclose(bands[0], ref, rtol=0, atol=1e-13 * np.abs(K_ff).max())
+
+
+def test_factorization_allocates_little_beyond_the_band():
+    # the 24-layer eps = 1e-3 sweep mesh refined to 48 layers: the band is the
+    # only operator-sized array; the blocked sum's temporaries are block-sized
+    plan = SweepPlan(mesh_layers=24)
+    _, data, coarse = plan.problem(1e-3)
+    fine = refine(coarse.mesh)
+    system = assemble(fine, coarse.cs)
+    fixed = dirichlet_values(fine, data).dof_mask()
+    band_bytes = int((~fixed).sum()) * (fine.layers * 2 + 2) * 8
+    tracemalloc.start()
+    try:
+        system._factor(fixed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * band_bytes
 
 
 @pytest.mark.parametrize("a, message", [(np.nan, "relative residual nan"),

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -114,6 +115,40 @@ def test_sweep_solves_twice_per_epsilon(monkeypatch):
     monkeypatch.setattr(verify, "solve_dirichlet", spy)
     run_sweep(SMALL_PLAN)
     assert sorted(calls, reverse=True) == [e for e in SMALL_PLAN.epsilons for _ in range(2)]
+
+
+def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
+    # the coarse system (and its factorization) is unreachable when the
+    # refined mesh is assembled, and so is each refined one at the next epsilon
+    built = []
+    exact = verify.assemble
+
+    def spy(mesh, cs):
+        assert all(ref() is None for ref in built)
+        system = exact(mesh, cs)
+        built.append(weakref.ref(system))
+        return system
+
+    monkeypatch.setattr(verify, "assemble", spy)
+    run_sweep(SMALL_PLAN)
+    assert len(built) == 2 * len(SMALL_PLAN.epsilons)
+
+
+def test_band_budget_covers_the_refinement_before_assembly(monkeypatch):
+    _, data, system = SMALL_PLAN.problem(0.1)
+    n = int((~verify.dirichlet_values(system.mesh, data).dof_mask()).sum())
+    m, L = system.cs.m, system.mesh.layers
+    # the budget is exactly the sweep mesh's band n (kd + 1) 8 bytes
+    monkeypatch.setattr(verify, "MAX_BAND_BYTES", n * (L + 1) * m * 8)
+    SMALL_PLAN.problem(0.1)
+
+    def no_assembly(*args):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(verify, "assemble", no_assembly)
+    with pytest.raises(PlanError, match="mesh.layers, mesh.aspect and mesh.dxmax at "
+                                        "epsilon = 0.1: the refined mesh's"):
+        SMALL_PLAN.problem(0.1, refinement=True)
 
 
 def test_upper_constant_dominates_lower_constant(small_report):
