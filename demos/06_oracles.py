@@ -9,11 +9,10 @@ pair sampler.
 
 import numpy as np
 
-from thingap import (AffineCase, AuxiliaryField, BoundaryData, GapGeometry, LocalRegion,
-                     assemble, brute_force_seminorm, dirichlet_values,
-                     field_gradients, finite_difference_reference,
-                     generate, grid_distance, holder_seminorm, identity_coefficients,
-                     solve_dirichlet)
+from thingap import (AffineCase, BoundaryData, GapGeometry, LocalRegion, assemble,
+                     brute_force_seminorm, dirichlet_values, field_gradients, field_values,
+                     finite_difference_reference, generate, grid_distance,
+                     holder_seminorm, identity_coefficients, solve_dirichlet)
 
 # exact affine case
 eps = 0.1
@@ -26,14 +25,11 @@ err = np.max(np.abs(sol.values - case.solution(mesh.vertices)))
 print(f"affine case: max nodal error {err:.2e} (linear elements reproduce affine "
       f"fields exactly)")
 
-# finite-difference twin on quadratic data
-def rule(X):
-    X = np.atleast_2d(X)
-    return (((1.0 + X[:, 0] ** 2) * (X[:, 1] + eps / 2) / eps))[:, None]
-
-grid = finite_difference_reference(identity_coefficients(), 0.5, eps, 160, 64,
-                                   boundary=rule)
+# finite-difference twin on quadratic data, with the extension of the same
+# data as its values on all four sides
 data = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom)
+grid = finite_difference_reference(identity_coefficients(), 0.5, eps, 160, 64,
+                                   boundary=lambda X: field_values(geom, data, X))
 mesh2 = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
 sol2 = solve_dirichlet(assemble(mesh2, identity_coefficients()),
                        dirichlet_values(mesh2, data))
@@ -42,10 +38,10 @@ print(f"difference-stencil twin vs elements: interior sup {worst:.2e} (<= 1e-2)"
 
 # seminorm sampler calibration
 gap = GapGeometry.power_law(1e-2, 0.5)
-fld = AuxiliaryField(gap, BoundaryData.constant([1.0], [0.0]), 0)
+unit_jump = BoundaryData.constant([1.0], [0.0])
 region = LocalRegion(np.array([0.0, 0.0]),
                      0.5 * float(gap.gap_width(np.zeros(1))), gap)
-f = lambda X: field_gradients(fld, X).reshape(X.shape[0], -1)
+f = lambda X: field_gradients(gap, unit_jump, X).reshape(X.shape[0], -1)
 dense = brute_force_seminorm(f, region, 0.5, grid=60)
 sampled = holder_seminorm(f, region, 0.5, pairs=4000, seed=0)
 print(f"seminorm sampler: sampled {sampled:.4g} vs dense enumeration {dense:.4g} "

@@ -12,15 +12,13 @@ from .geometry import BoundaryProfile, GapGeometry, GeometryError, LocalRegion, 
 from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            check_ellipticity, check_holder, holder_demo_coefficients,
                            identity_coefficients, lame_as_general, lame_tensor)
-from .auxiliary import (AuxiliaryField, BoundaryData, ConfigurationError,
-                        check_seminorm_growth, field_gradients, field_values,
-                        gap_fraction, gap_fraction_gradient, holder_seminorm,
-                        interpolant_gradients, interpolant_values, seminorm_growth_rhs)
+from .auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
+                        field_gradients, field_values, gap_fraction, gap_fraction_gradient,
+                        holder_seminorm, seminorm_growth_rhs)
 from .mesh import Mesh, MeshError, generate, refine
 from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
                      RightHandSide, SolverError, assemble, dirichlet_values,
-                     grid_distance, gradient_at, l2_norm, solve_component,
-                     solve_dirichlet, value_at)
+                     grid_distance, gradient_at, l2_norm, solve_dirichlet, value_at)
 from .oracle import AffineCase, OracleError, brute_force_seminorm, finite_difference_reference
 from .verify import (BlowupReport, EnergyScalingResult, PlanError, SweepPlan,
                      check_energy_scaling, check_lower_bound, fit_rate, max_over_min,

@@ -1,4 +1,4 @@
-"""Closed-form auxiliary fields across the gap and Holder-seminorm sampling.
+"""Closed-form extension of the data across the gap and Holder-seminorm sampling.
 
 The scalar profile
 
@@ -9,14 +9,15 @@ derivative is exactly ``1/gap_width(x')``, which carries the full singular
 behaviour as the gap closes.  Boundary data (phi on top, psi on bottom) is
 extended into the gap componentwise,
 
-    interpolant^(l)(x) = phi^(l)(top(x')) gap_fraction(x)
-                       + psi^(l)(bot(x')) (1 - gap_fraction(x)),
+    ext^(l)(x) = phi^(l)(top(x')) gap_fraction(x)
+               + psi^(l)(bot(x')) (1 - gap_fraction(x)),
 
-and the gradient of the single-component version of this extension is the
-dominant singular part of the solution gradient.  This module evaluates
-those fields and their exact gradients, estimates Holder seminorms of
-vector fields by pair sampling, and checks the structural growth bound for
-the seminorm of the extension gradient on small slabs.
+and for data with one nonzero component (``BoundaryData.only``) the gradient
+of this extension is the dominant singular part of the solution gradient.
+This module evaluates the extension and its exact gradient, estimates
+Holder seminorms of vector fields by pair sampling, and checks the
+structural growth bound for the seminorm of the extension gradient on small
+slabs.
 """
 
 from __future__ import annotations
@@ -187,6 +188,27 @@ class BoundaryData:
         out = np.asarray(self.phi(top_pts), dtype=float) - np.asarray(self.psi(bot_pts), dtype=float)
         return out[0] if single else out
 
+    def only(self, ell: int) -> "BoundaryData":
+        """The same data with every component but ``ell`` (0-based) set to zero.
+
+        Values, tangential derivatives and declared norms of the other
+        components are assigned exact zeros in a copy: a multiply by 0 could
+        leave -0.0, and ``np.where`` with a broadcast mask costs more per call.
+        """
+        if not 0 <= ell < self.m:
+            raise ConfigurationError(f"component {ell} out of range for m = {self.m}")
+        drop = np.flatnonzero(np.arange(self.m) != ell)
+
+        def zeroed(values):
+            if values is None:          # norms not declared
+                return None
+            out = np.array(values, dtype=float)
+            out[..., drop] = 0.0
+            return out
+
+        rules = [lambda X, r=r: zeroed(r(X)) for r in (self.phi, self.psi, self.dphi, self.dpsi)]
+        return BoundaryData(self.m, *rules, zeroed(self.phi_norms), zeroed(self.psi_norms))
+
 
 def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str) -> np.ndarray:
     """Sampled per-component C^{1,gamma} norm of data composed on a graph (n = 2).
@@ -260,26 +282,7 @@ def gap_fraction_gradient(geom: GapGeometry, x) -> np.ndarray:
     return out[0] if single else out
 
 
-@dataclass(frozen=True)
-class AuxiliaryField:
-    """Single-component extension of the boundary data across the gap.
-
-    ``component`` is 0-based; the resulting vector field has only that
-    component nonzero, equal to
-    ``phi^(l)(top) * gap_fraction + psi^(l)(bot) * (1 - gap_fraction)``.
-    """
-
-    geom: GapGeometry
-    data: BoundaryData
-    component: int
-
-    def __post_init__(self):
-        if not (0 <= self.component < self.data.m):
-            raise ConfigurationError(
-                f"component {self.component} out of range for m = {self.data.m}")
-
-
-def interpolant_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
+def field_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     """All components of the data extension at ``x``; shape (k, m)."""
     X, single = _rows(x)
     xp = X[:, :-1]
@@ -290,7 +293,7 @@ def interpolant_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     return vals[0] if single else vals
 
 
-def interpolant_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
+def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     """Exact gradients of all components of the extension; shape (k, m, n).
 
     Product rule: tangential entries combine the tangential data derivatives
@@ -318,23 +321,6 @@ def interpolant_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarra
     # vertical column
     out[:, :, -1] = jump * gu[:, -1][:, None]
     return out[0] if single else out
-
-
-def field_values(fld: AuxiliaryField, x) -> np.ndarray:
-    """Vector values of the single-component extension; shape (k, m)."""
-    vals = np.atleast_2d(interpolant_values(fld.geom, fld.data, x))
-    out = np.zeros_like(vals)
-    out[:, fld.component] = vals[:, fld.component]
-    return out[0] if np.asarray(x).ndim == 1 else out
-
-
-def field_gradients(fld: AuxiliaryField, x) -> np.ndarray:
-    """Gradient matrices of the single-component extension; shape (k, m, n)."""
-    g = interpolant_gradients(fld.geom, fld.data, x)
-    g = g[np.newaxis] if g.ndim == 2 else g
-    out = np.zeros_like(g)
-    out[:, fld.component, :] = g[:, fld.component, :]
-    return out[0] if np.asarray(x).ndim == 1 else out
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +398,7 @@ class SeminormGrowthReport:
     fitted_constant: float
 
 
-def seminorm_growth_rhs(fld: AuxiliaryField, zp, s: float) -> float:
+def seminorm_growth_rhs(geom: GapGeometry, data: BoundaryData, zp, s: float) -> float:
     """Structural bound for the seminorm of the extension gradient.
 
     For slab radius ``s`` at tangential center ``z'`` with local width
@@ -422,16 +408,15 @@ def seminorm_growth_rhs(fld: AuxiliaryField, zp, s: float) -> float:
       + norms * (w^(-1 - 1/(1+g)) s^(2-g) + w^-1 s^(1-g)
                  + w^(-g - 1/(1+g)) s + w^-g),
 
-    where ``jump`` is the data jump of the field's component at ``z'``,
-    ``norms`` the sum of its declared boundary norms, and ``g`` the Holder
-    exponent.
+    where ``jump`` sums the components' data jumps at ``z'`` in absolute
+    value, ``norms`` sums their declared boundary norms, and ``g`` is the
+    Holder exponent.  The extension is linear in the data, so the bound of
+    each component adds up; for ``data.only(ell)`` it is component ``ell``'s.
     """
-    geom = fld.geom
     g = geom.gamma
     w = float(geom.gap_width(zp))
-    ell = fld.component
-    jump = float(abs(fld.data.jump(geom, zp)[ell]))
-    norms = float(fld.data.phi_norms[ell] + fld.data.psi_norms[ell])
+    jump = float(np.sum(np.abs(data.jump(geom, zp))))
+    norms = float(np.sum(data.phi_norms) + np.sum(data.psi_norms))
     p = 1.0 / (1.0 + g)
     group1 = w ** (-1.0 - p) * s ** (1.0 - g) + w ** (-g - p)
     group2 = (w ** (-1.0 - p) * s ** (2.0 - g) + w ** (-1.0) * s ** (1.0 - g)
@@ -455,16 +440,17 @@ def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float) -> bool:
     return bool(np.min(geom.gap_width(xs[:, None])) >= 0.5 * w)
 
 
-def check_seminorm_growth(fld: AuxiliaryField, z, s_fractions=(0.25, 0.5, 1.0),
-                          pairs: int = 2000, seed: int = 0) -> SeminormGrowthReport:
-    """Compare sampled extension-gradient seminorms with the structural bound.
+def check_seminorm_growth(geom: GapGeometry, data: BoundaryData, z,
+                          s_fractions=(0.25, 0.5, 1.0), pairs: int = 2000,
+                          seed: int = 0) -> SeminormGrowthReport:
+    """Compare sampled seminorms of the gradient of ``data``'s extension with the bound.
 
     Slab radii are ``s = fraction * gap_width(z')``; fractions above 1
-    violate the stated hypothesis of the bound and raise.  Each row also records whether the slab keeps the gap width
-    comparable to its center value; the fitted constant is the largest
-    lhs/rhs ratio over the comparable rows.
+    violate the stated hypothesis of the bound and raise.  Each row also
+    records whether the slab keeps the gap width comparable to its center
+    value; the fitted constant is the largest lhs/rhs ratio over the
+    comparable rows.
     """
-    geom = fld.geom
     z = np.asarray(z, dtype=float)
     zp = z[:-1]
     w = float(geom.gap_width(zp))
@@ -475,9 +461,9 @@ def check_seminorm_growth(fld: AuxiliaryField, z, s_fractions=(0.25, 0.5, 1.0),
             raise ConfigurationError(
                 f"slab radius fraction {frac} exceeds the hypothesis bound 1")
         region = LocalRegion(z, s, geom)
-        lhs = holder_seminorm(lambda X: field_gradients(fld, X).reshape(X.shape[0], -1),
+        lhs = holder_seminorm(lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1),
                               region, geom.gamma, pairs=pairs, seed=seed)
-        rhs = seminorm_growth_rhs(fld, zp, s)
+        rhs = seminorm_growth_rhs(geom, data, zp, s)
         ratio = lhs / rhs if rhs > 0 else (0.0 if lhs == 0.0 else np.inf)
         rows.append(SeminormGrowthRow(s=s, lhs=lhs, rhs=rhs, ratio=ratio,
                                       hypothesis_ok=_slab_width_comparable(geom, zp, s)))

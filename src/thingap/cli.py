@@ -19,10 +19,10 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, _blas
-from .auxiliary import AuxiliaryField, ConfigurationError, check_seminorm_growth, \
-    holder_seminorm
+from .auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
+                        field_gradients, field_values, holder_seminorm)
 from .coefficients import (EllipticityError, check_ellipticity, check_holder,
-                           identity_coefficients)
+                           identity_coefficients, lame_as_general)
 from .geometry import GeometryError, LocalRegion
 from .mesh import MeshError, generate
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
@@ -371,12 +371,11 @@ def _cmd_prop21(cfg, outdir: Path, threads: int):
     rows = []
     per_eps_max = []
     for eps, geom, zps in zip(plan.epsilons, geoms, zprimes):
-        data = plan.boundary_data(geom)
-        fld = AuxiliaryField(geom, data, 0)
+        data = plan.boundary_data(geom).only(0)
         worst = 0.0
         for zp in zps:
             mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(fld, np.array([zp, mid]), fractions,
+            rep = check_seminorm_growth(geom, data, np.array([zp, mid]), fractions,
                                         pairs=pairs, seed=plan.seed)
             for row in rep.rows:
                 rows.append({"epsilon": eps, "zprime": zp, "s": row.s,
@@ -422,26 +421,16 @@ def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
         "center_bound": res.center_exponent >= lo_in}
 
 
-def _fd_vs_fem(cs, geom, data, eps: float, m: int) -> float:
+def _fd_vs_fem(cs, geom, data) -> float:
     """Interior sup distance between the grid twin and the element solution."""
-
-    def bdata(X):
-        X = np.atleast_2d(X)
-        u = (X[:, 1] + eps / 2) / eps
-        out = np.zeros((X.shape[0], m))
-        out[:, 0] = (1.0 + X[:, 0] ** 2) * u
-        return out
-
-    grid = finite_difference_reference(cs, 0.5, eps, nx=160, ny=64, boundary=bdata)
+    grid = finite_difference_reference(cs, 0.5, geom.epsilon, nx=160, ny=64,
+                                       boundary=lambda X: field_values(geom, data, X))
     mesh = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
     return grid_distance(sol, grid)
 
 
 def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
-    from .auxiliary import BoundaryData, field_gradients
-    from .coefficients import lame_as_general
-
     plan = plan_from_config(cfg)
     cs_lame = lame_as_general(plan.lame(), 2)     # whatever system.kind says
     eps = cfg["epsilon"]
@@ -456,20 +445,19 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
 
     # cross-method checks run on a thicker rectangle where the solution is
     # genuinely two-dimensional
-    eps_fd = 0.1
-    geom_fd = AffineCase(eps_fd).geometry()
+    geom_fd = AffineCase(0.1).geometry()
     data_scalar = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom_fd)
-    worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar, eps_fd, m=1)
+    worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar)
     data_lame = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom_fd)
-    worst_l = _fd_vs_fem(cs_lame, geom_fd, data_lame, eps_fd, m=2)
+    worst_l = _fd_vs_fem(cs_lame, geom_fd, data_lame)
 
     gap = plan.geometry(eps)
-    fld = AuxiliaryField(gap, plan.boundary_data(gap), 0)
+    data = plan.boundary_data(gap).only(0)
     w0 = float(gap.gap_width(np.zeros(1)))
     region = LocalRegion(np.array([0.0, float(gap.midline(np.zeros(1)))]), 0.5 * w0, gap)
 
     def f(X):
-        return field_gradients(fld, X).reshape(X.shape[0], -1)
+        return field_gradients(gap, data, X).reshape(X.shape[0], -1)
 
     dense = brute_force_seminorm(f, region, cfg["gamma"], grid=60)
     sampled = holder_seminorm(f, region, cfg["gamma"], pairs=4000, seed=cfg["seed"])

@@ -35,7 +35,7 @@ from scipy import sparse
 from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
-from .auxiliary import BoundaryData, interpolant_values
+from .auxiliary import BoundaryData, field_values
 from .coefficients import CoefficientSet
 from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
 
@@ -235,14 +235,12 @@ class DiscreteSolution:
         return self._grads
 
 
-def dirichlet_values(mesh: Mesh, data: BoundaryData,
-                     component: Optional[int] = None) -> BoundaryAssignment:
+def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
     """Dirichlet assignment from boundary data on every boundary vertex.
 
     Top vertices take phi, bottom vertices psi, and the lateral segments the
     data extension across the gap (the estimates under test are interior).
-    With ``component`` set, all other components of the data are zeroed
-    (single-component problems).
+    A single-component problem passes ``data.only(ell)``.
     """
     values = np.zeros((mesh.num_vertices, data.m))
     tags = mesh.vertex_tags
@@ -253,11 +251,7 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData,
     values[top] = np.asarray(data.phi(mesh.vertices[top]), dtype=float)
     values[bot] = np.asarray(data.psi(mesh.vertices[bot]), dtype=float)
     if np.any(lat):
-        values[lat] = interpolant_values(mesh.geom, data, mesh.vertices[lat])
-    if component is not None:
-        keep = values[:, component].copy()
-        values[:] = 0.0
-        values[:, component] = keep
+        values[lat] = field_values(mesh.geom, data, mesh.vertices[lat])
     return BoundaryAssignment(values=values, fixed=fixed)
 
 
@@ -286,14 +280,6 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> Discrete
         if not res <= SOLVE_RTOL:
             raise SolverError(f"linear solve did not converge: relative residual {res:.3e}")
     return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m))
-
-
-def solve_component(system: AssembledSystem, data: BoundaryData,
-                    ell: int) -> DiscreteSolution:
-    """Solution with only component ``ell`` (0-based) of the data imposed."""
-    if not (0 <= ell < data.m):
-        raise SolverError(f"component {ell} out of range for m = {data.m}")
-    return solve_dirichlet(system, dirichlet_values(system.mesh, data, component=ell))
 
 
 def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:

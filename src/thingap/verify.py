@@ -26,13 +26,13 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy import special
 
-from .auxiliary import AuxiliaryField, BoundaryData, field_gradients
+from .auxiliary import BoundaryData, field_gradients
 from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            holder_demo_coefficients, identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
 from .mesh import MeshError, generate, refine
 from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
-                     gradient_at, l2_norm, solve_component, solve_dirichlet)
+                     gradient_at, l2_norm, solve_dirichlet)
 
 
 class PlanError(ValueError):
@@ -80,7 +80,6 @@ class SweepPlan:
 
     epsilons: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     gamma: float = 0.5
-    profile_kind: str = "power"
     profile_c1: float = 1.0
     profile_c2: float = -1.0
     system_kind: str = "lame"
@@ -148,12 +147,9 @@ class SweepPlan:
                             f"{self.reliability_threshold}")
 
     def geometry(self, epsilon: float, dim: int = 2) -> GapGeometry:
-        if self.profile_kind == "power":
-            return GapGeometry.power_law(epsilon, self.gamma, self.profile_c1,
-                                         self.profile_c2, dim=dim)
-        if self.profile_kind == "flat":
-            return GapGeometry.flat(epsilon, self.gamma, dim=dim)
-        raise PlanError(f"unknown profile kind {self.profile_kind!r}")
+        """The power-law gap; zero amplitudes give the flat strip."""
+        return GapGeometry.power_law(epsilon, self.gamma, self.profile_c1,
+                                     self.profile_c2, dim=dim)
 
     def lame(self) -> LameParameters:
         """The Lame constants ``system.lambda1`` and ``system.mu1``."""
@@ -429,11 +425,13 @@ def check_lower_bound(report: BlowupReport, stability_factor: float = 3.0) -> Lo
 # energy scaling of the remainder
 # ---------------------------------------------------------------------------
 
-def remainder_energy(v, fld: AuxiliaryField, region: LocalRegion) -> float:
+def remainder_energy(v, data: BoundaryData, region: LocalRegion) -> float:
     """Integral of |grad v_h - grad ext|^2 over centroid-selected triangles.
 
-    The extension gradient is evaluated analytically at the centroids, so
-    the measurement is not polluted by interpolating the extension itself.
+    ``ext`` is the extension of ``data`` across ``region.geom``'s gap (a
+    single-component measurement passes ``data.only(ell)``).  Its gradient is
+    evaluated analytically at the centroids, so the measurement is not
+    polluted by interpolating the extension itself.
     """
     mesh = v.mesh
     c = mesh.centroids()
@@ -441,7 +439,7 @@ def remainder_energy(v, fld: AuxiliaryField, region: LocalRegion) -> float:
     if not np.any(mask):
         return 0.0
     gv = v.gradients()[mask]
-    ge = field_gradients(fld, c[mask])
+    ge = field_gradients(region.geom, data, c[mask])
     d = gv - ge
     return float(np.sum(mesh.areas()[mask] * np.sum(d * d, axis=(1, 2))))
 
@@ -515,11 +513,11 @@ class EnergyScalingResult:
                 "passed": bound_holds and in_band and stable}
 
 
-def _slab_energy(geom: GapGeometry, v, fld: AuxiliaryField, zp: float) -> float:
+def _slab_energy(geom: GapGeometry, v, data: BoundaryData, zp: float) -> float:
     w = float(geom.gap_width(np.array([zp])))
     mid = float(geom.midline(np.array([zp])))
     region = LocalRegion(np.array([zp, mid]), w, geom)
-    return remainder_energy(v, fld, region)
+    return remainder_energy(v, data, region)
 
 
 def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
@@ -530,33 +528,36 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
     attained at the rim of the neck regime (``z' = eps^{1/(1+gamma)}``, also
     fitted) while the slab at z' = 0 itself decays faster.  The plan's
     ``energy_zprimes`` fit, at the smallest epsilon, against |z'| with
-    expected exponent ``2 gamma``.  Data with no jump makes the remainder
-    vanish; that case is flagged degenerate and the fits are skipped.
+    expected exponent ``2 gamma``; those z' are checked before any solve.
+    Data with no jump makes the remainder vanish; that case is flagged
+    degenerate and the fits are skipped.
     """
     plan.validate()
     outer_z = sorted(float(z) for z in plan.energy_zprimes)
     eps_list = [float(e) for e in plan.epsilons]
     g = plan.gamma
 
-    center, edge, outer = [], [], []
     eps_min = eps_list[-1]
+    neck = eps_min ** (1.0 / (1.0 + g))
+    geom_min = plan.geometry(eps_min)
+    for z in outer_z:
+        if z <= neck:
+            raise PlanError(f"outer z' = {z} is not beyond the neck scale {neck:.4g}")
+        if z + float(geom_min.gap_width(np.array([z]))) > plan.energy_xrange:
+            raise PlanError(f"slab at z' = {z} leaves the meshed strip")
+    if len(outer_z) < 3:
+        raise PlanError("need at least 3 outer z' values")
+
+    center, edge, outer = [], [], []
     for e in eps_list:
         geom, data, system = plan.problem(e, energy=True)
-        v = solve_component(system, data, 0)
+        data = data.only(0)
+        v = solve_dirichlet(system, dirichlet_values(system.mesh, data))
         del system          # release the factorization before the next mesh is built
-        fld = AuxiliaryField(geom, data, 0)
-        center.append((e, _slab_energy(geom, v, fld, 0.0)))
-        edge.append((e, _slab_energy(geom, v, fld, e ** (1.0 / (1.0 + g)))))
+        center.append((e, _slab_energy(geom, v, data, 0.0)))
+        edge.append((e, _slab_energy(geom, v, data, e ** (1.0 / (1.0 + g)))))
         if e == eps_min:
-            for z in outer_z:
-                if z <= e ** (1.0 / (1.0 + g)):
-                    raise PlanError(
-                        f"outer z' = {z} is not beyond the neck scale "
-                        f"{e ** (1.0 / (1.0 + g)):.4g}")
-                wz = float(geom.gap_width(np.array([z])))
-                if z + wz > plan.energy_xrange:
-                    raise PlanError(f"slab at z' = {z} leaves the meshed strip")
-                outer.append((z, _slab_energy(geom, v, fld, z)))
+            outer = [(z, _slab_energy(geom, v, data, z)) for z in outer_z]
 
     expected_inner = 2 * g / (1 + g)
     scale = max(1.0, max(v for _, v in center + edge))
@@ -566,8 +567,6 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
                                    outer, None, None, expected_inner, 2 * g, True)
     slope_c, half_c = fit_rate(center)
     slope_e, half_e = fit_rate(edge)
-    if len(outer) < 3:
-        raise PlanError("need at least 3 outer z' values")
     slope_o, half_o = fit_rate(outer)
     return EnergyScalingResult(center, slope_c, half_c, edge, slope_e, half_e,
                                outer, slope_o, half_o, expected_inner, 2 * g, False)

@@ -15,15 +15,14 @@ import numpy as np
 import pytest
 
 import thingap as tg
-from thingap.auxiliary import (AuxiliaryField, BoundaryData, check_seminorm_growth,
-                               field_gradients, gap_fraction_gradient, holder_seminorm,
-                               interpolant_gradients, interpolant_values)
+from thingap.auxiliary import (BoundaryData, check_seminorm_growth, field_gradients,
+                               field_values, gap_fraction_gradient, holder_seminorm)
 from thingap.cli import run as cli_run
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate, refine
 from thingap.oracle import AffineCase, brute_force_seminorm
 from thingap.solver import (BoundaryAssignment, RightHandSide, assemble,
-                            dirichlet_values, solve_component, solve_dirichlet)
+                            dirichlet_values, solve_dirichlet)
 from thingap.verify import (SweepPlan, check_energy_scaling, check_lower_bound,
                             fit_rate, max_over_min, run_sweep)
 
@@ -265,14 +264,14 @@ def test_criterion7_auxiliary_identities():
     assert np.array_equal(g[:, 1], want), "vertical derivative identity violated"
 
     data = BoundaryData.polynomial([[1.0, 0.5, 1.0], [0.2]], [[0.0], [0.1, -0.3]], geom)
-    grads = interpolant_gradients(geom, data, X)
+    grads = field_gradients(geom, data, X)
     h = (1e-7 * geom.gap_width(xp))[:, None]
     worst = 0.0
     for d in range(2):
         step = np.zeros_like(X)
         step[:, d] = h[:, 0]
-        fd = (interpolant_values(geom, data, X + step)
-              - interpolant_values(geom, data, X - step)) / (2 * h)
+        fd = (field_values(geom, data, X + step)
+              - field_values(geom, data, X - step)) / (2 * h)
         scale = np.maximum(np.linalg.norm(grads, axis=(1, 2)), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - grads[:, :, d]) / scale[:, None])))
     assert worst <= 1e-6, f"extension gradient vs finite differences: {worst:.3e}"
@@ -288,26 +287,25 @@ def test_criterion8_seminorm_growth_stability():
     per_eps = []
     for eps in plan.epsilons:
         geom = plan.geometry(eps)
-        data = plan.boundary_data(geom)
-        fld = AuxiliaryField(geom, data, 0)
+        data = plan.boundary_data(geom).only(0)
         worst = 0.0
         for zp in (0.0, eps ** (1 / (1 + plan.gamma)), 0.25):
             mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(fld, np.array([zp, mid]),
+            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
                                         (0.25, 0.5, 1.0), pairs=2000, seed=plan.seed)
             assert np.isfinite(rep.fitted_constant)
             worst = max(worst, rep.fitted_constant)
         per_eps.append(worst)
-        data_cache[eps] = (geom, fld)
+        data_cache[eps] = (geom, data)
     ratio = max(per_eps) / min(per_eps)
     assert ratio < STABILITY_FACTOR, \
         f"growth constants vary by {ratio:.3f} >= 3: {per_eps}"
 
     # calibration: the sampled seminorm reaches the dense-grid reference
-    geom, fld = data_cache[1e-2]
+    geom, data = data_cache[1e-2]
     w0 = float(geom.gap_width(np.zeros(1)))
     region = LocalRegion(np.array([0.0, 0.0]), 0.5 * w0, geom)
-    f = lambda X: field_gradients(fld, X).reshape(X.shape[0], -1)
+    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
     dense = brute_force_seminorm(f, region, plan.gamma, grid=60)
     sampled = holder_seminorm(f, region, plan.gamma, pairs=4000, seed=plan.seed)
     assert sampled >= 0.8 * dense, \
@@ -324,7 +322,8 @@ def test_criterion9_superposition(default_sweep):
     eps = 1e-2
     _, data, system = plan.problem(eps)
     u = solve_dirichlet(system, dirichlet_values(system.mesh, data))
-    total = sum(solve_component(system, data, ell).values for ell in range(system.cs.m))
+    total = sum(solve_dirichlet(system, dirichlet_values(system.mesh, data.only(ell))).values
+                for ell in range(system.cs.m))
     diff = float(np.max(np.abs(u.values - total)))
     tol = 10 * 1e-10 * max(1.0, float(np.max(np.abs(u.values))))
     assert diff <= tol, f"superposition defect {diff:.3e} exceeds {tol:.1e}"

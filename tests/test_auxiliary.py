@@ -1,11 +1,9 @@
 import numpy as np
 import pytest
 
-from thingap.auxiliary import (AuxiliaryField, BoundaryData, ConfigurationError,
-                               check_seminorm_growth, field_gradients, field_values,
-                               gap_fraction, gap_fraction_gradient, holder_seminorm,
-                               interpolant_gradients, interpolant_values,
-                               seminorm_growth_rhs)
+from thingap.auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
+                               field_gradients, field_values, gap_fraction,
+                               gap_fraction_gradient, holder_seminorm, seminorm_growth_rhs)
 from thingap.geometry import GapGeometry, GeometryError, LocalRegion
 
 EPS = 1e-2
@@ -106,12 +104,12 @@ def test_tangential_parts_sum_to_finite_difference(geom):
 # ---------------------------------------------------------------------------
 
 def test_extension_matches_data_on_boundaries(geom, jump_data):
-    fld = AuxiliaryField(geom, jump_data, 0)
+    data = jump_data.only(0)
     xp = np.linspace(-0.9, 0.9, 41)[:, None]
     top = geom.boundary_point("top", xp)
     bot = geom.boundary_point("bottom", xp)
-    vt = field_values(fld, top)
-    vb = field_values(fld, bot)
+    vt = field_values(geom, data, top)
+    vb = field_values(geom, data, bot)
     assert np.max(np.abs(vt - jump_data.phi(top))) < 1e-12
     assert np.max(np.abs(vb - jump_data.psi(bot))) < 1e-12
 
@@ -119,24 +117,24 @@ def test_extension_matches_data_on_boundaries(geom, jump_data):
 def test_extension_reduces_to_profile_for_unit_jump(geom):
     data = BoundaryData.constant([1.0], [0.0])
     X = interior_samples(geom, 200, seed=5)
-    vals = interpolant_values(geom, data, X)
+    vals = field_values(geom, data, X)
     assert np.allclose(vals[:, 0], gap_fraction(geom, X), atol=0)
 
 
-def test_extension_off_component_is_zero(geom, jump_data):
-    fld = AuxiliaryField(geom, jump_data, 0)
+def test_extension_off_component_is_zero(geom):
+    data = BoundaryData.constant([1.0, 0.7], [0.0, -0.3]).only(0)
     X = interior_samples(geom, 50, seed=6)
-    vals = field_values(fld, X)
+    vals = field_values(geom, data, X)
     assert not np.any(vals[:, 1])
-    grads = field_gradients(fld, X)
+    grads = field_gradients(geom, data, X)
     assert not np.any(grads[:, 1, :])
 
 
 def test_extension_vertical_derivative_values(geom, jump_data):
-    g = interpolant_gradients(geom, jump_data, np.array([0.0, 0.0]))
+    g = field_gradients(geom, jump_data, np.array([0.0, 0.0]))
     assert g[0, 1] == pytest.approx(1.0 / EPS, rel=1e-14)
     equal = BoundaryData.constant([2.0, 0.5], [2.0, 0.5])
-    g2 = interpolant_gradients(geom, equal, np.array([0.0, 0.0]))
+    g2 = field_gradients(geom, equal, np.array([0.0, 0.0]))
     assert np.max(np.abs(g2[:, 1])) == 0.0
 
 
@@ -149,14 +147,14 @@ def test_extension_gradient_matches_finite_differences(geom, make_data):
     data = make_data(geom)
     data.validate(geom)
     X = interior_samples(geom, 1000, seed=7)
-    g = interpolant_gradients(geom, data, X)
+    g = field_gradients(geom, data, X)
     h = (1e-7 * geom.gap_width(X[:, :1]))[:, None]
     worst = 0.0
     for d in range(2):
         step = np.zeros_like(X)
         step[:, d] = h[:, 0]
-        fd = (interpolant_values(geom, data, X + step)
-              - interpolant_values(geom, data, X - step)) / (2 * h)
+        fd = (field_values(geom, data, X + step)
+              - field_values(geom, data, X - step)) / (2 * h)
         scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - g[:, :, d]) / scale[:, None])))
     assert worst < 1e-6
@@ -215,8 +213,8 @@ def test_seminorm_shift_invariance_and_scaling(geom):
 
 def test_seminorm_monotone_in_budget(geom):
     reg = region_at(geom, 0.0, frac=1.0)
-    fld = AuxiliaryField(geom, BoundaryData.constant([1.0], [0.0]), 0)
-    f = lambda X: field_gradients(fld, X).reshape(X.shape[0], -1)
+    data = BoundaryData.constant([1.0], [0.0])
+    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
     vals = [holder_seminorm(f, reg, GAMMA, pairs=p, seed=3)
             for p in (200, 400, 800, 1600)]
     assert all(a <= b + 1e-14 for a, b in zip(vals, vals[1:]))
@@ -255,9 +253,8 @@ def test_seminorm_rejects_empty_budget(geom):
 
 def test_growth_rhs_closed_form(geom, jump_data):
     # direct substitution at the neck with slab radius half the gap
-    fld = AuxiliaryField(geom, jump_data, 0)
     s = EPS / 2
-    got = seminorm_growth_rhs(fld, np.zeros(1), s)
+    got = seminorm_growth_rhs(geom, jump_data.only(0), np.zeros(1), s)
     p = 1.0 / (1.0 + GAMMA)
     jump = 1.0
     norms = 1.0      # |phi| = 1 constant, |psi| = 0
@@ -268,9 +265,8 @@ def test_growth_rhs_closed_form(geom, jump_data):
 
 
 def test_growth_check_equal_data_trivially_passes(geom):
-    data = BoundaryData.constant([2.0, 0.0], [2.0, 0.0])
-    fld = AuxiliaryField(geom, data, 0)
-    rep = check_seminorm_growth(fld, np.array([0.0, 0.0]), (0.25, 0.5, 1.0),
+    data = BoundaryData.constant([2.0, 0.0], [2.0, 0.0]).only(0)
+    rep = check_seminorm_growth(geom, data, np.array([0.0, 0.0]), (0.25, 0.5, 1.0),
                                 pairs=500, seed=0)
     for row in rep.rows:
         assert row.lhs == 0.0
@@ -281,27 +277,26 @@ def test_growth_check_constant_stable_across_sweep(jump_data):
     consts = []
     for eps in (1e-1, 1e-2, 1e-3):
         geom = GapGeometry.power_law(eps, GAMMA)
-        fld = AuxiliaryField(geom, jump_data, 0)
-        rep = check_seminorm_growth(fld, np.array([0.0, 0.0]), (0.25, 0.5, 1.0),
-                                    pairs=2000, seed=1)
+        rep = check_seminorm_growth(geom, jump_data.only(0), np.array([0.0, 0.0]),
+                                    (0.25, 0.5, 1.0), pairs=2000, seed=1)
         assert np.isfinite(rep.fitted_constant)
         consts.append(rep.fitted_constant)
     assert max(consts) / min(consts) < 3.0
 
 
 def test_growth_check_rejects_oversized_slab(geom, jump_data):
-    fld = AuxiliaryField(geom, jump_data, 0)
     with pytest.raises(ConfigurationError):
-        check_seminorm_growth(fld, np.array([0.0, 0.0]), (2.0,), pairs=100)
+        check_seminorm_growth(geom, jump_data.only(0), np.array([0.0, 0.0]), (2.0,),
+                              pairs=100)
 
 
 def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
     # a full-width slab centered far out reaches the neck, where the bound's
     # comparability hypothesis fails and the quotient grows like 1/eps
     geom = GapGeometry.power_law(1e-3, GAMMA)
-    fld = AuxiliaryField(geom, jump_data, 0)
     zp = 0.25
-    rep = check_seminorm_growth(fld, np.array([zp, float(geom.midline(np.array([zp])))]),
+    rep = check_seminorm_growth(geom, jump_data.only(0),
+                                np.array([zp, float(geom.midline(np.array([zp])))]),
                                 (0.25, 1.0), pairs=2000, seed=2)
     assert rep.rows[0].hypothesis_ok
     assert not rep.rows[1].hypothesis_ok
@@ -334,3 +329,33 @@ def test_constant_data_norms():
     data = BoundaryData.constant([1.0, -2.0], [0.5, 0.0])
     assert np.allclose(data.phi_norms, [1.0, 2.0])
     assert np.allclose(data.psi_norms, [0.5, 0.0])
+
+
+@pytest.mark.parametrize("ell", [2, -1])
+def test_only_rejects_components_out_of_range(jump_data, ell):
+    with pytest.raises(ConfigurationError, match="out of range for m = 2"):
+        jump_data.only(ell)
+
+
+@pytest.mark.parametrize("make_data, sloped", [
+    (lambda geom: BoundaryData.constant([1.0, -0.7], [0.5, 0.3]), False),
+    (lambda geom: BoundaryData.polynomial([[1.0, 0.5, 1.0], [0.2, -1.0]],
+                                          [[0.0, 2.0], [0.1, -0.3, 0.4]], geom), True),
+], ids=["constant", "polynomial"])
+def test_only_zeroes_the_other_components(geom, make_data, sloped):
+    data = make_data(geom)
+    one = data.only(0)
+    assert one.m == data.m
+    xp = np.linspace(-0.9, 0.9, 37)[:, None]
+    for side, rule, drule in (("top", "phi", "dphi"), ("bottom", "psi", "dpsi")):
+        pts = geom.boundary_point(side, xp)
+        for name in (rule, drule):
+            full = np.asarray(getattr(data, name)(pts))
+            got = getattr(one, name)(pts)
+            assert np.array_equal(got[..., 0], full[..., 0])
+            assert np.any(full[..., 1]) or (name == drule and not sloped)
+            assert np.all(got[..., 1] == 0.0) and not np.any(np.signbit(got[..., 1]))
+    for name in ("phi_norms", "psi_norms"):
+        full, got = getattr(data, name), getattr(one, name)
+        assert got[0] == full[0] and full[1] > 0
+        assert got[1] == 0.0 and not np.signbit(got[1])

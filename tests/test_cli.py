@@ -207,6 +207,19 @@ def test_duplicate_energy_zprimes_exit_2(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+def test_energy_scaling_measures_component_0_only(tmp_path):
+    # the single-component restriction comes from the data: Lame's second
+    # component of the data leaves every energy artifact unchanged
+    outs = []
+    for phi in ("1,0.5", "1,0"):
+        outs.append(tmp_path / phi)
+        assert run(["energy-scaling", "--out", str(outs[-1]), "--set", f"bc.phi={phi}"]) == 0
+    names = sorted(p.name for p in outs[0].iterdir())
+    assert names == sorted(p.name for p in outs[1].iterdir()) and "energy.json" in names
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_readme_key_list_matches_schema():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("Keys:\n\n```\n", 1)[1].split("```", 1)[0]
@@ -247,6 +260,7 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
     assert got["errors"] == []
     assert got["calls"].get("mesh.locate", 0) > 0
     assert got["calls"].get("coefficients.eval_A_many", 0) > 0
+    assert got["calls"].get("auxiliary.field_gradients", 0) > 0
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -351,9 +365,10 @@ def test_validate_geometry_honours_dim_for_flat_profiles(tmp_path, monkeypatch):
         return original(self, *args, **kwargs)
 
     monkeypatch.setattr(GapGeometry, "validate", spy)
-    for kind in ("flat", "power"):
-        assert run(["validate-geometry", "--out", str(tmp_path), "--set",
-                    f"profile.kind={kind}", "--set", "dim=3"]) == 0
+    flat = ["--set", "profile.c1=0", "--set", "profile.c2=0"]     # zero amplitudes
+    for amplitudes in (flat, []):
+        assert run(["validate-geometry", "--out", str(tmp_path), *amplitudes,
+                    "--set", "dim=3"]) == 0
     assert dims == [3, 3]
 
 

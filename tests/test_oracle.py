@@ -3,8 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, \
-    gap_fraction, holder_seminorm
+from thingap.auxiliary import BoundaryData, field_gradients, gap_fraction, holder_seminorm
 from thingap.coefficients import LameParameters, identity_coefficients, lame_as_general
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate
@@ -112,9 +111,8 @@ def test_brute_force_dominates_sampled_estimate():
 def test_brute_force_stable_under_grid_doubling():
     geom = GapGeometry.power_law(1e-2, 0.5)
     data = BoundaryData.constant([1.0], [0.0])
-    fld = AuxiliaryField(geom, data, 0)
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
-    f = lambda X: field_gradients(fld, X).reshape(X.shape[0], -1)
+    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
     v1 = brute_force_seminorm(f, region, 0.5, grid=35)
     v2 = brute_force_seminorm(f, region, 0.5, grid=70)
     assert abs(v2 - v1) / v2 < 0.05

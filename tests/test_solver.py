@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
 
-from thingap.auxiliary import AuxiliaryField, BoundaryData, field_gradients, field_values
+from thingap.auxiliary import BoundaryData, field_gradients, field_values
 from thingap.coefficients import (CoefficientSet, LameParameters, identity_coefficients,
                                   lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
@@ -15,7 +15,7 @@ from thingap import solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
-                            solve_component, solve_dirichlet, value_at)
+                            solve_dirichlet, value_at)
 from thingap.verify import SweepPlan, fit_rate, remainder_energy
 
 EPS = 1e-2
@@ -186,7 +186,8 @@ def test_superposition_of_component_solutions():
     data = BoundaryData.constant([1.0, 0.5], [0.0, -0.25])
     system = assemble(mesh, cs)
     u = solve_dirichlet(system, dirichlet_values(mesh, data))
-    parts = [solve_component(system, data, ell) for ell in range(2)]
+    parts = [solve_dirichlet(system, dirichlet_values(mesh, data.only(ell)))
+             for ell in range(2)]
     total = sum(p.values for p in parts)
     assert np.max(np.abs(u.values - total)) <= 10 * 1e-10 * max(1.0, np.abs(u.values).max())
 
@@ -197,7 +198,7 @@ def test_component_with_zero_data_vanishes_for_decoupled_system():
     cs = identity_coefficients(m=2, n=2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
-    v1 = solve_component(system, data, 1)
+    v1 = solve_dirichlet(system, dirichlet_values(mesh, data.only(1)))
     assert np.max(np.abs(v1.values)) == 0.0
 
 
@@ -208,7 +209,7 @@ def test_single_component_system_reduces_to_plain_solve():
     data = BoundaryData.constant([1.0], [0.0])
     system = assemble(mesh, cs)
     u = solve_dirichlet(system, dirichlet_values(mesh, data))
-    v = solve_component(system, data, 0)
+    v = solve_dirichlet(system, dirichlet_values(mesh, data.only(0)))
     assert np.array_equal(u.values, v.values)
 
 
@@ -218,25 +219,24 @@ def test_difference_vanishes_on_gap_boundaries():
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
-    v = solve_component(system, data, 0)
-    fld = AuxiliaryField(geom, data, 0)
-    w = v.values - field_values(fld, mesh.vertices)
+    data = data.only(0)
+    v = solve_dirichlet(system, dirichlet_values(mesh, data))
+    w = v.values - field_values(geom, data, mesh.vertices)
     gap = (mesh.vertex_tags == 1) | (mesh.vertex_tags == 2)
     assert np.max(np.abs(w[gap])) < 1e-10
 
 
 def test_difference_gradient_splits_into_interpolation_error():
     geom = GapGeometry.power_law(EPS, GAMMA)
-    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
+    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     errs = []
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.04, xrange=0.5)
     for _ in range(2):
         system = assemble(mesh, cs)
-        v = solve_component(system, data, 0)
-        fld = AuxiliaryField(geom, data, 0)
-        w = DiscreteSolution(mesh=mesh, values=v.values - field_values(fld, mesh.vertices))
-        analytic = field_gradients(fld, mesh.centroids())
+        v = solve_dirichlet(system, dirichlet_values(mesh, data))
+        w = DiscreteSolution(mesh=mesh, values=v.values - field_values(geom, data, mesh.vertices))
+        analytic = field_gradients(geom, data, mesh.centroids())
         resid = w.gradients() - (v.gradients() - analytic)
         scale = np.maximum(np.abs(analytic).max(axis=(1, 2)), 1.0)
         errs.append(float(np.max(np.abs(resid).max(axis=(1, 2)) / scale)))
@@ -277,9 +277,8 @@ def test_value_at_reproduces_affine_field_and_barycentric_values():
         assert np.allclose(v, bary, rtol=0, atol=1e-12)
 
 
-def _zero_field(geom):
-    """Extension of zero data: remainder_energy then measures the plain energy."""
-    return AuxiliaryField(geom, BoundaryData.constant([0.0], [0.0]), 0)
+# zero data: remainder_energy then measures the plain energy
+ZERO_DATA = BoundaryData.constant([0.0], [0.0])
 
 
 def test_remainder_energy_affine_field_matches_area():
@@ -289,13 +288,13 @@ def test_remainder_energy_affine_field_matches_area():
     sol = DiscreteSolution(mesh=mesh, values=(mesh.vertices @ b)[:, None])
     region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]),
                          0.15, geom)
-    got = remainder_energy(sol, _zero_field(geom), region)
+    got = remainder_energy(sol, ZERO_DATA, region)
     # exact area of the slab by fine quadrature of the gap width
     xs = np.linspace(0.05, 0.35, 20001)[:, None]
     area = float(np.trapezoid(geom.gap_width(xs), dx=0.3 / 20000))
     assert got == pytest.approx(float(b @ b) * area, rel=0.02)
     zero = DiscreteSolution(mesh=mesh, values=np.zeros((mesh.num_vertices, 1)))
-    assert remainder_energy(zero, _zero_field(geom), region) == 0.0
+    assert remainder_energy(zero, ZERO_DATA, region) == 0.0
 
 
 def test_crossing_profile_energy_lower_bound():
@@ -305,7 +304,7 @@ def test_crossing_profile_energy_lower_bound():
     vals = np.atleast_1d(gap_fraction(geom, mesh.vertices))[:, None]
     sol = DiscreteSolution(mesh=mesh, values=vals)
     region = LocalRegion(np.array([0.0, 0.0]), 0.75, geom)
-    got = remainder_energy(sol, _zero_field(geom), region)
+    got = remainder_energy(sol, ZERO_DATA, region)
     xs = np.linspace(-0.75, 0.75, 40001)[:, None]
     leading = float(np.trapezoid(1.0 / geom.gap_width(xs), dx=1.5 / 40000))
     assert got >= 0.95 * leading

@@ -247,6 +247,20 @@ def test_energy_scaling_rejects_bad_zprimes():
         check_energy_scaling(plan)
 
 
+@pytest.mark.parametrize("zprimes, message", [
+    ((0.001, 0.002, 0.003), "not beyond the neck scale"),
+    ((0.5, 0.6, 0.7), "leaves the meshed strip"),
+    ((0.04, 0.08), "at least 3 outer z'"),
+])
+def test_energy_scaling_rejects_bad_zprimes_before_assembly(monkeypatch, zprimes, message):
+    def no_assembly(*args):
+        raise AssertionError("assembled")
+
+    monkeypatch.setattr(verify, "assemble", no_assembly)
+    with pytest.raises(PlanError, match=message):
+        check_energy_scaling(dataclasses.replace(SweepPlan(), energy_zprimes=zprimes))
+
+
 def test_record_serialization_roundtrip(small_report):
     d = small_report.to_dict()
     assert d["fit"]["rho"] == small_report.rho
