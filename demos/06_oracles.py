@@ -1,10 +1,10 @@
 """Independent cross-checks of the element solver.
 
-Three references that share no code with the element pipeline: an exact
-affine solution on a flat rectangle (reproduced to machine precision), a
-finite-difference twin solved by conjugate gradients (interior agreement
-under 1%), and a dense-grid Holder-seminorm enumeration calibrating the
-pair sampler.
+Three references that share no code with the element pipeline beyond the
+LAPACK binding: an exact affine solution on a flat rectangle (reproduced to
+machine precision), a finite-difference twin solved on its own band by
+banded Cholesky (interior agreement under 1%), and a dense-grid
+Holder-seminorm enumeration calibrating the pair sampler.
 """
 
 import numpy as np

@@ -14,6 +14,10 @@ threads fight for two cores.
 :func:`one_thread` pins every loaded OpenBLAS for the duration of a block and
 restores the previous sizes afterwards.  Libraries are found in
 ``/proc/self/maps``; where that file or OpenBLAS is missing it does nothing.
+The solver's LAPACK library, scipy's bundled LP64 OpenBLAS, is bound by
+``_lapack`` without importing scipy, and is loaded with one thread from the
+start: pinning it here only after loading would leave the worker threads
+that OpenBLAS starts at load time spinning into the first command.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Independent references: exact solutions, a finite-difference twin, brute force.
 
 Everything here avoids the finite-element code paths on purpose: the grid
-solver discretizes the strong form with difference stencils and solves by
-conjugate gradients, and the seminorm reference enumerates every pair
+solver discretizes the strong form with difference stencils, lays them out
+in its own band and solves it directly; it shares with the element solver
+only the LAPACK binding (``_lapack``), which the tests check bit for bit
+against scipy's.  The seminorm reference enumerates every pair
 ``i < j`` of a dense grid, in row blocks of at most ``DENSE_BLOCK_PAIRS``
 pairs, so its memory does not grow with the grid (about 1.2 MB of
 temporaries per block at ``DENSE_MAX_POINTS`` points, by ``tracemalloc``).
@@ -16,9 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import cg
 
+from ._lapack import dpbtrf, dpbtrs
 from .coefficients import CoefficientSet
 from .geometry import GapGeometry, LocalRegion
 from .auxiliary import BoundaryData
@@ -28,7 +29,8 @@ class OracleError(RuntimeError):
     """Raised when an oracle is used outside its domain of validity."""
 
 
-# relative residual of the grid twin's conjugate-gradient solve
+# the grid twin's residual gate: its direct solve must reach a relative
+# residual of 100 FD_RTOL on the stencil
 FD_RTOL = 1e-12
 # largest dense grid the exhaustive seminorm enumerates
 DENSE_MAX_POINTS = 10_000
@@ -81,9 +83,13 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
     Constant leading coefficients only (the stencil contracts A with second
     differences, including the cross term); lower-order fields must be
     declared zero.  Dirichlet values on all four sides come from
-    ``boundary``.  The symmetric positive system is solved by conjugate
-    gradients to relative residual ``FD_RTOL``, a code path disjoint from the
-    element assembly and the direct factorizations of the solver module.
+    ``boundary``.  Unknowns run column by column (m per grid node), so the
+    symmetric positive definite stencil operator lies within half-bandwidth
+    ``ny m + m - 1``; its lower band is factored by banded Cholesky
+    (``dpbtrf``) and solved (``dpbtrs``).  The stencil, its band layout and
+    the residual share no code with the element assembly.  The solve must
+    reach a relative residual of ``100 FD_RTOL`` on the stencil, else
+    :class:`OracleError`.
     """
     if not cs.is_zero_lower_order():
         raise OracleError("finite-difference reference requires B = C = D = 0")
@@ -126,7 +132,7 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
         ni, nj = ii + di, jj + dj
         neigh_unknown = interior[ni, nj]
         tgt = unknown[node[ni, nj]]
-        # sign flip makes the operator positive definite for CG
+        # sign flip makes the operator positive definite for Cholesky
         for a in range(m):
             for b in range(m):
                 w = -W[a, b]
@@ -140,15 +146,20 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
                 if np.any(selb):
                     np.add.at(rhs, base[selb] * m + a,
                               -w * gvals[ni[selb], nj[selb], b])
-    K = sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n_unk * m, n_unk * m)).tocsr()
-    x0 = np.zeros(n_unk * m)
-    x, info = cg(K, rhs, x0=x0, rtol=FD_RTOL, atol=0.0, maxiter=20 * n_unk * m)
+    rows, cols, vals = (np.concatenate(a) for a in (rows, cols, vals))
+    # unknowns run column by column, so every coupling lies within
+    # kd = ny m + m - 1 of the diagonal: the lower band, at [i - j, j]
+    n, kd = n_unk * m, int(np.max(rows - cols))
+    lower = rows >= cols
+    ab = np.zeros((kd + 1) * n)
+    ab[rows[lower] - cols[lower] + (kd + 1) * cols[lower]] = vals[lower]
+    cb, info = dpbtrf(ab.reshape(kd + 1, n, order="F"), lower=1, overwrite_ab=1)
     if info != 0:
-        raise OracleError(f"conjugate gradients did not converge (info={info})")
-    res = float(np.linalg.norm(K @ x - rhs)) / max(float(np.linalg.norm(rhs)), 1e-300)
-    if res > 100 * FD_RTOL:
+        raise OracleError(f"grid operator is not positive definite (dpbtrf info={info})")
+    x = dpbtrs(cb, rhs, lower=1)[0]
+    res = (float(np.linalg.norm(np.bincount(rows, vals * x[cols], n) - rhs))
+           / max(float(np.linalg.norm(rhs)), 1e-300))
+    if not res <= 100 * FD_RTOL:
         raise OracleError(f"grid solve residual too large: {res:.3e}")
     values = gvals.copy()
     values[interior] = x.reshape(n_unk, m)

@@ -22,22 +22,27 @@ matrices and every band entry sums its terms in element order.  Symmetric
 element matrices (every CLI system) take banded Cholesky (``dpbtrf``);
 nonsymmetric ones (nonzero B or C) and operators that are not positive
 definite (a large D) take banded LU (``dgbtrf``).  The matrix decides.
+The four LAPACK routines come from ``_lapack``: the OpenBLAS bundled with
+the scipy wheel, called through ``ctypes`` and loaded with one thread, so
+no command imports scipy (scipy's own wrappers where no such library is
+found).  ``scipy.sparse`` builds only the reference matrix ``K``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
-from scipy import sparse
-from scipy.linalg import LinAlgError, cho_solve_banded, cholesky_banded
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
+from ._lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .auxiliary import BoundaryData, field_values
 from .coefficients import CoefficientSet
 from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class SolverError(RuntimeError):
@@ -56,8 +61,10 @@ SYMMETRY_RTOL = 1e-12
 # and contraction arrays (BLOCK (3m)^2 entries, 0.6 MB of int64 for m = 2)
 # stay near L2 size
 BLOCK = 2048
-# largest band n (kd + 1) 8 bytes a planned problem may need: the sweep at
-# mesh.layers = 48 refines to a 62 MiB band, at 192 layers to 985 MiB
+# largest band n (kd + 1) 8 bytes plus element matrices T (3m)^2 8 bytes a
+# planned problem may need: the sweep at mesh.layers = 48 refines to a 62 MiB
+# band and 12 MiB of element matrices, at 192 layers to 985 + 46 MiB; at 12
+# layers and mesh.dxmax = 1e-4 the elements (132 MiB) outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
 
 
@@ -98,6 +105,8 @@ class AssembledSystem:
     @cached_property
     def K(self) -> sparse.csr_matrix:
         """The full unconstrained operator as CSR, for reference; no solve reads it."""
+        from scipy import sparse        # kept off the import path of every command
+
         ij = (np.broadcast_to(self.dofs[:, :, None], self.E.shape).ravel(),
               np.broadcast_to(self.dofs[:, None, :], self.E.shape).ravel())
         return sparse.coo_matrix((self.E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
@@ -146,12 +155,10 @@ class AssembledSystem:
             return ab[:-1].reshape(rows, n, order="F")
 
         if asym <= SYMMETRY_RTOL * scale:
-            try:
-                cb = cholesky_banded(band(kd + 1, 0, True), lower=True,
-                                     overwrite_ab=True, check_finite=False)
-                return lambda b: cho_solve_banded((cb, True), b, check_finite=False)
-            except LinAlgError:         # not positive definite: LU below
-                pass
+            cb, info = dpbtrf(band(kd + 1, 0, True), lower=1, overwrite_ab=1)
+            if info == 0:
+                return lambda b: dpbtrs(cb, b, lower=1)[0]
+            # info > 0: not positive definite, LU below
         lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False), kd, kd, overwrite_ab=True)
         if info > 0:
             raise SolverError(f"singular operator: zero pivot {info} in banded LU")

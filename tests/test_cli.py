@@ -263,6 +263,40 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
     assert got["calls"].get("auxiliary.field_gradients", 0) > 0
 
 
+def test_commands_run_without_scipy_and_one_lapack_thread(tmp_path):
+    # the commands reach LAPACK through _lapack's ctypes binding, loaded with
+    # one OpenBLAS thread whatever OPENBLAS_NUM_THREADS says
+    from thingap import _lapack
+    if _lapack.LIBRARY is None:
+        pytest.skip("no bundled OpenBLAS: _lapack is scipy's wrappers")
+    root = Path(__file__).resolve().parents[1]
+    commands = [["sweep", *SMALL], ["energy-scaling", "--set", "energy.layers=8"],
+                ["oracle-suite"], ["prop21", "--set", "prop21.pairs=200"], ["solve"]]
+    script = f"""
+import ctypes, json, os, sys
+import thingap.cli
+from thingap import _lapack
+threads = ctypes.CDLL(str(_lapack.LIBRARY)).scipy_openblas_get_num_threads()
+env = os.environ["OPENBLAS_NUM_THREADS"]
+codes = [thingap.cli.run([*argv, "--out", {str(tmp_path)!r} + f"/{{i}}"])
+         for i, argv in enumerate({commands!r})]
+print(json.dumps({{"threads": threads, "env": env, "codes": codes,
+                   "scipy": sorted(k for k in sys.modules if k.split(".")[0] == "scipy")}}))
+"""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, cwd=tmp_path,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    got = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert got["threads"] == 1
+    assert got["env"] == "2"
+    assert all(code in (0, 1) for code in got["codes"]), got["codes"]
+    assert got["scipy"] == []
+
+
 @pytest.mark.parametrize("argv, message", [
     (["prop21", "--set", "prop21.s_fractions=0,0.5,1"], "prop21.s_fractions"),
     (["sweep", "--set", "bc.phi=1,0,5"], "beyond the system's 2 components"),
@@ -347,7 +381,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "bad value for 'checks.stability_factor': '1' (must be > 1"),
     (["sweep", "--set", "mesh.dxmax=4e-5"],
      "mesh.layers, mesh.aspect and mesh.dxmax at epsilon = 0.1: the refined mesh's 100001 "
-     "stations of 24 layers need a 1755 MiB band, more than the 1024 MiB budget"),
+     "stations of 24 layers need a 1755 MiB band and 1318 MiB of element matrices, more "
+     "than the 1024 MiB budget"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -11,7 +11,7 @@ from thingap.coefficients import (CoefficientSet, LameParameters, identity_coeff
                                   lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
-from thingap import solver
+from thingap import _lapack, solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
@@ -387,7 +387,9 @@ def _free_block(system, bc):
 
 
 def _spy(monkeypatch, name):
-    """Replace ``thingap.solver.<name>`` by a mock that counts its calls."""
+    """Replace the ``_lapack`` routine ``<name>`` that ``thingap.solver`` calls by
+    a mock that counts its calls."""
+    assert getattr(solver, name) is getattr(_lapack, name)
     spy = Mock(wraps=getattr(solver, name))
     monkeypatch.setattr(solver, name, spy)
     return spy
@@ -400,7 +402,7 @@ def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
     mesh = refine(mesh) if refined else mesh
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
-    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "dgbtrf")
+    band, lu = _spy(monkeypatch, "dpbtrf"), _spy(monkeypatch, "dgbtrf")
     x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
     assert (band.call_count, lu.call_count) == (1, 0)
     assert "K" not in system.__dict__   # no solve builds the sparse matrix
@@ -431,7 +433,7 @@ def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric)
     if symmetric:
         eig = np.linalg.eigvalsh(K_ff.toarray())
         assert eig[0] < 0 < eig[-1]
-    band, lu = _spy(monkeypatch, "cholesky_banded"), _spy(monkeypatch, "dgbtrf")
+    band, lu = _spy(monkeypatch, "dpbtrf"), _spy(monkeypatch, "dgbtrf")
     x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
     # a symmetric K_ff tries the band first; Cholesky fails on it
     assert (band.call_count, lu.call_count) == (int(symmetric), 1)
@@ -457,7 +459,7 @@ def _band_of(dense, rows, diag):
     return ab
 
 
-@pytest.mark.parametrize("make_cs, factor", [(_lame, "cholesky_banded"),
+@pytest.mark.parametrize("make_cs, factor", [(_lame, "dpbtrf"),
                                              (_full_coefficient_set, "dgbtrf")],
                          ids=["cholesky", "lu"])
 def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
@@ -483,10 +485,10 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
     assert len(bands) == 4
     assert all(np.array_equal(b, bands[0]) for b in bands[1:])   # same sums, same order
     rows = bands[0].shape[0]
-    kd = rows - 1 if factor == "cholesky_banded" else (rows - 1) // 3
+    kd = rows - 1 if factor == "dpbtrf" else (rows - 1) // 3
     assert kd == mesh.layers * cs.m + cs.m - 1
     K_ff = system.K[free][:, free].toarray()
-    ref = _band_of(K_ff, rows, 0 if factor == "cholesky_banded" else 2 * kd)
+    ref = _band_of(K_ff, rows, 0 if factor == "dpbtrf" else 2 * kd)
     np.testing.assert_allclose(bands[0], ref, rtol=0, atol=1e-13 * np.abs(K_ff).max())
 
 

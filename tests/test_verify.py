@@ -134,21 +134,34 @@ def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
     assert len(built) == 2 * len(SMALL_PLAN.epsilons)
 
 
+def _no_assembly(*args):
+    raise AssertionError("assembled")
+
+
 def test_band_budget_covers_the_refinement_before_assembly(monkeypatch):
     _, data, system = SMALL_PLAN.problem(0.1)
     n = int((~verify.dirichlet_values(system.mesh, data).dof_mask()).sum())
     m, L = system.cs.m, system.mesh.layers
-    # the budget is exactly the sweep mesh's band n (kd + 1) 8 bytes
-    monkeypatch.setattr(verify, "MAX_BAND_BYTES", n * (L + 1) * m * 8)
+    # the budget is exactly the sweep mesh's band n (kd + 1) 8 bytes plus its
+    # element matrices
+    monkeypatch.setattr(verify, "MAX_BAND_BYTES", n * (L + 1) * m * 8 + system.E.nbytes)
     SMALL_PLAN.problem(0.1)
-
-    def no_assembly(*args):
-        raise AssertionError("assembled")
-
-    monkeypatch.setattr(verify, "assemble", no_assembly)
+    monkeypatch.setattr(verify, "assemble", _no_assembly)
     with pytest.raises(PlanError, match="mesh.layers, mesh.aspect and mesh.dxmax at "
                                         "epsilon = 0.1: the refined mesh's"):
         SMALL_PLAN.problem(0.1, refinement=True)
+
+
+def test_band_budget_counts_the_element_matrices(monkeypatch):
+    # a budget that holds the band but not the element matrices beside it
+    _, data, system = SMALL_PLAN.problem(0.1)
+    n = int((~verify.dirichlet_values(system.mesh, data).dof_mask()).sum())
+    band = n * (system.mesh.layers + 1) * system.cs.m * 8
+    monkeypatch.setattr(verify, "MAX_BAND_BYTES", band + system.E.nbytes - 1)
+    monkeypatch.setattr(verify, "assemble", _no_assembly)
+    with pytest.raises(PlanError, match=f"the mesh's .* need a {band / 2**20:.0f} MiB band and "
+                                        f"{system.E.nbytes / 2**20:.0f} MiB of element matrices"):
+        SMALL_PLAN.problem(0.1)
 
 
 def test_upper_constant_dominates_lower_constant(small_report):
@@ -268,3 +281,10 @@ def test_record_serialization_roundtrip(small_report):
     assert eps0["epsilon"] == SMALL_PLAN.epsilons[0]
     assert len(eps0["profile"]) == SMALL_PLAN.probes_profile
     assert len(eps0["centerline"]) == SMALL_PLAN.probes_centerline
+
+
+def test_t_quantile_matches_scipy():
+    special = pytest.importorskip("scipy.special")
+    for df in range(1, 201):
+        ref = float(special.stdtrit(df, 0.975))
+        assert abs(verify.t_quantile(df, 0.975) - ref) <= 1e-14 * ref, df
