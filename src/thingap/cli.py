@@ -333,9 +333,13 @@ def _cmd_sweep(cfg, outdir: Path, threads: int):
     emit_tables(report, outdir)
     print(f"fitted rho = {report.rho:.6g} +/- {report.rho_halfwidth:.3g}"
           + (" (degenerate data)" if report.degenerate else ""))
+    worst, lv = max(report.records, key=lambda r: r.reliability_change), report.layers_level
+    print(f"refinement drift: stations {worst.reliability_change:.3g} at epsilon = "
+          f"{worst.epsilon:g}, layers {lv['reliability_change']:.3g} at {lv['epsilon']:g}")
     stable = profile_stability < cfg["checks.stability_factor"]
+    reliable = all(r.reliable for r in report.records) and lv["reliable"]
     return "report.json", doc, {"profile": stable, "lower_bound": lb.passed,
-                                "reliability": all(r.reliable for r in report.records)}
+                                "reliability": reliable}
 
 
 def _resolve_prop21_zprimes(tokens: str, geom, widest: float) -> list[float]:

@@ -289,11 +289,28 @@ def _with_midpoints(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def refine_stations(mesh: Mesh) -> Mesh:
+    """Refinement along the gap: midpoint stations, the same layers, exact fibers.
+
+    Not nested: a cell's coarse diagonal a-c is no edge of the finer mesh.  A
+    coarse field of nodal values in [0, 1) and its finer-mesh interpolant differ
+    by up to 0.30 at the finer centroids of the flat 12-layer strip (uniform
+    refinement: 4e-15); on the curved gap, with vertices re-placed on the exact
+    fibers, neither refinement is nested (0.31 and 0.20 at epsilon = 1e-2).
+    """
+    return _build_from_stations(mesh.geom, _with_midpoints(mesh.stations), mesh.layers)
+
+
+def refine_layers(mesh: Mesh) -> Mesh:
+    """Refinement across the gap: the same stations, doubled layers, exact fibers."""
+    return _build_from_stations(mesh.geom, mesh.stations, mesh.layers * 2)
+
+
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform refinement: midpoint stations, doubled layers, exact fibers.
+    """Uniform refinement, ``refine_layers(refine_stations(mesh))``.
 
     Vertices are re-placed on the exact fiber, so refined boundary rows lie
     on the true graphs instead of the coarse mesh's polygonal boundary.
     """
-    return _build_from_stations(mesh.geom, _with_midpoints(mesh.stations), mesh.layers * 2)
+    return refine_layers(refine_stations(mesh))
 

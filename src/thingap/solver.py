@@ -62,9 +62,10 @@ SYMMETRY_RTOL = 1e-12
 # stay near L2 size
 BLOCK = 2048
 # largest band n (kd + 1) 8 bytes plus element matrices T (3m)^2 8 bytes a
-# planned problem may need: the sweep at mesh.layers = 48 refines to a 62 MiB
-# band and 12 MiB of element matrices, at 192 layers to 985 + 46 MiB; at 12
-# layers and mesh.dxmax = 1e-4 the elements (132 MiB) outweigh the band (87 MiB)
+# planned problem may need: the sweep at mesh.layers = 48 builds stations
+# levels up to a 15 MiB band and 6 MiB of element matrices and a layers level
+# of 28 + 5 MiB, at 192 layers 246 + 23 and 446 + 21 MiB; at 12 layers and
+# mesh.dxmax = 1e-4 the elements (132 MiB) outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
 
 
@@ -111,15 +112,18 @@ class AssembledSystem:
               np.broadcast_to(self.dofs[:, None, :], self.E.shape).ravel())
         return sparse.coo_matrix((self.E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
 
-    def _apply(self, u: np.ndarray) -> np.ndarray:
-        """``K @ u``, element by element."""
-        Eu = np.einsum("tab,tb->ta", self.E, u[self.dofs])
-        return np.bincount(self.dofs.ravel(), Eu.ravel(), u.size)
+    def _apply(self, u: np.ndarray, elements=slice(None)) -> np.ndarray:
+        """``K @ u``, element by element, over ``elements`` (default all)."""
+        dofs = self.dofs[elements]
+        Eu = np.einsum("tab,tb->ta", self.E[elements], u[dofs])
+        return np.bincount(dofs.ravel(), Eu.ravel(), u.size)
 
     def _factor(self, dof_fixed: np.ndarray):
+        """Solve function, free mask and the elements that touch a fixed dof."""
         key = dof_fixed.tobytes()
         if key not in self._lu_cache:
-            self._lu_cache[key] = (self._band_solver(~dof_fixed), ~dof_fixed)
+            self._lu_cache[key] = (self._band_solver(~dof_fixed), ~dof_fixed,
+                                   np.flatnonzero(dof_fixed[self.dofs].any(axis=1)))
         return self._lu_cache[key]
 
     def _band_solver(self, free: np.ndarray):
@@ -265,7 +269,8 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
 def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> DiscreteSolution:
     """Direct banded solve with the Dirichlet constraints eliminated.
 
-    The residual is measured element by element.  One step of iterative
+    The lift ``K_fc u_c`` sums the elements with a fixed dof (the others add
+    exact zeros), the residual all elements.  One step of iterative
     refinement is applied if needed; if the relative residual still exceeds
     ``SOLVE_RTOL``, or is NaN, the solve fails loudly.
     """
@@ -273,9 +278,9 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> Discrete
     if bc.values.shape != (system.mesh.num_vertices, m):
         raise SolverError("boundary assignment shape mismatch")
     dof_fixed = bc.dof_mask()
-    solve, free = system._factor(dof_fixed)
+    solve, free, boundary = system._factor(dof_fixed)
     full = np.where(dof_fixed, bc.values.ravel(), 0.0)
-    rhs = system.load[free] - system._apply(full)[free]
+    rhs = system.load[free] - system._apply(full, boundary)[free]
     full[free] = solve(rhs)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
     r = system.load[free] - system._apply(full)[free]      # rhs - K_ff x

@@ -29,7 +29,7 @@ from .auxiliary import BoundaryData, field_gradients
 from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            holder_demo_coefficients, identity_coefficients, lame_as_general)
 from .geometry import GapGeometry, LocalRegion
-from .mesh import MeshError, generate, refine
+from .mesh import MeshError, generate, refine_layers, refine_stations
 from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
                      gradient_at, l2_norm, solve_dirichlet)
 
@@ -227,9 +227,10 @@ class SweepPlan:
         ``energy.xrange`` with ``mesh.dxmax``).  On a validated plan a
         :class:`MeshError` can only come from the grading keys, so it is
         raised as a :class:`PlanError` that names them.  So is a mesh whose
-        band and element matrices, or with ``refinement`` those of its uniform
-        refinement (the sweep solves on both), would exceed ``MAX_BAND_BYTES``:
-        the check reads the station count before anything is assembled.
+        band and element matrices, or with ``refinement`` those of a level
+        the sweep builds (stations level at every epsilon, layers level at
+        the largest), would exceed ``MAX_BAND_BYTES``: the check reads the
+        station count before anything is assembled and names the level.
         """
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
@@ -242,20 +243,25 @@ class SweepPlan:
             raise PlanError(f"{key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
                             f"{exc}") from None
         cs = self.coefficients()
-        stations = mesh.stations.size
+        S = mesh.stations.size
+        levels = {"": (S, layers)}
         if refinement:
-            stations, layers = 2 * stations - 1, 2 * layers
-        # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
-        # n = (S - 2)(L - 1) m free dofs, and kd + 1 = (L + 1) m; the element
-        # matrices E, held while the band is factored, take 2 (S - 1) L (3m)^2 8
-        band = (stations - 2) * (layers - 1) * (layers + 1) * cs.m**2 * 8
-        elements = 2 * (stations - 1) * layers * (3 * cs.m) ** 2 * 8
-        if band + elements > MAX_BAND_BYTES:
-            raise PlanError(
-                f"{key}.layers, {key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
-                f"the {'refined ' if refinement else ''}mesh's {stations} stations of {layers} "
-                f"layers need a {band / 2**20:.0f} MiB band and {elements / 2**20:.0f} MiB of "
-                f"element matrices, more than the {MAX_BAND_BYTES / 2**20:.0f} MiB budget")
+            levels = {" (stations level)": (2 * S - 1, layers)}
+            if epsilon >= max(self.epsilons):
+                levels[" (layers level)"] = (S, 2 * layers)
+        for level, (stations, layers) in levels.items():
+            # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
+            # n = (S - 2)(L - 1) m free dofs, and kd + 1 = (L + 1) m; the element
+            # matrices E, held while the band is factored, take 2 (S - 1) L (3m)^2 8
+            band = (stations - 2) * (layers - 1) * (layers + 1) * cs.m**2 * 8
+            elements = 2 * (stations - 1) * layers * (3 * cs.m) ** 2 * 8
+            if band + elements > MAX_BAND_BYTES:
+                raise PlanError(
+                    f"{key}.layers, {key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
+                    f"the {'refined ' if refinement else ''}mesh's {stations} stations of "
+                    f"{layers} layers{level} need a {band / 2**20:.0f} MiB band and "
+                    f"{elements / 2**20:.0f} MiB of element matrices, more than the "
+                    f"{MAX_BAND_BYTES / 2**20:.0f} MiB budget")
         return geom, data, assemble(mesh, cs)
 
 
@@ -349,19 +355,28 @@ def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData)
     return xn, norms[:k], xp, norms[k:], jumps
 
 
-def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
+def _refined_neck(plan: SweepPlan, fine, cs, data, M: float) -> dict:
+    """Neck value on ``fine``, its drift from ``M`` and whether that is reliable."""
+    sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
+    M_f = float(_frob(gradient_at(sol, (0.0, 0.0))))
+    change = abs(M - M_f) / max(abs(M_f), 1e-300)
+    return {"M_center": M_f, "reliability_change": change,
+            "reliable": change < plan.reliability_threshold}
+
+
+def _run_one_epsilon(plan: SweepPlan, epsilon: float):
+    """The layers level (at the plan's largest epsilon, else None) and the record."""
     geom, data, system = plan.problem(epsilon, refinement=True)
     sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
     mesh, cs = system.mesh, system.cs
     del system          # release the factorization before the refined mesh is built
 
-    fine = refine(mesh)
-    sol_f = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
-
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
-    M_f = float(_frob(gradient_at(sol_f, (0.0, 0.0))))
-    change = abs(M - M_f) / max(abs(M_f), 1e-300)
-    reliable = change < plan.reliability_threshold
+    fine = _refined_neck(plan, refine_stations(mesh), cs, data, M)
+    layers = None
+    if epsilon >= max(plan.epsilons):
+        layers = {"epsilon": epsilon, "layers": 2 * mesh.layers,
+                  **_refined_neck(plan, refine_layers(mesh), cs, data, M)}
 
     xn, cl, xp, pf, jumps = _probe_solution(plan, geom, sol, data)
     u2 = l2_norm(sol)
@@ -379,18 +394,19 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float) -> EpsilonRecord:
         C_lower = float(np.min(cl)) * epsilon / max_comp
 
     flags = []
-    if not reliable:
+    if not fine["reliable"]:
         flags.append("unreliable")
     if not (np.isfinite(M) and np.all(np.isfinite(cl)) and np.all(np.isfinite(pf))):
         flags.append("nonfinite")
-    return EpsilonRecord(
+    return layers, EpsilonRecord(
         epsilon=epsilon, M_center=M,
         centerline_xn=xn, centerline_grad=cl,
         profile_xp=xp, profile_grad=pf,
         u_l2=u2, norm_terms=norm_terms,
         jump_at_profile=jumps, C_profile=C_profile,
         C_upper=C_upper, C_lower=C_lower,
-        M_center_refined=M_f, reliability_change=change, reliable=reliable,
+        M_center_refined=fine["M_center"], reliability_change=fine["reliability_change"],
+        reliable=fine["reliable"],
         flags=tuple(flags),
     )
 
@@ -406,6 +422,7 @@ class BlowupReport:
     rho: float
     rho_halfwidth: float
     degenerate: bool
+    layers_level: dict      # the largest epsilon on doubled layers, see run_sweep
 
     def to_dict(self) -> dict:
         return {
@@ -413,13 +430,17 @@ class BlowupReport:
             "fit": {"rho": self.rho, "rho_halfwidth": self.rho_halfwidth,
                     "degenerate": self.degenerate},
             "per_epsilon": [r.to_dict() for r in self.records],
+            "layers_level": self.layers_level,
         }
 
 
 def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     """Solve, probe and fit across the plan's gap widths.
 
-    Each epsilon solves once on the sweep mesh and once on its refinement.
+    Each epsilon solves on the sweep mesh and on its stations level
+    (:func:`refine_stations`: along the gap, where the error lies); the
+    largest also on its layers level (:func:`refine_layers`), reported as
+    ``layers_level``.  Each level's system is freed before the next is built.
     With ``threads > 1`` the epsilons run in a thread pool whose ``map`` keeps
     plan order, so the report does not depend on completion order.
     """
@@ -430,9 +451,10 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     eps = [float(e) for e in plan.epsilons]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda e: _run_one_epsilon(plan, e), eps))
+            results = list(pool.map(lambda e: _run_one_epsilon(plan, e), eps))
     else:
-        records = [_run_one_epsilon(plan, e) for e in eps]
+        results = [_run_one_epsilon(plan, e) for e in eps]
+    layers_level, records = results[0][0], [r for _, r in results]
 
     scale = max(1.0, max(r.norm_terms for r in records))
     degenerate = max(r.M_center for r in records) <= 1e-8 * scale
@@ -442,7 +464,7 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
         slope, half = fit_rate([(r.epsilon, r.M_center) for r in records])
         rho = -slope
     return BlowupReport(plan=plan, records=records, rho=rho, rho_halfwidth=half,
-                        degenerate=degenerate)
+                        degenerate=degenerate, layers_level=layers_level)
 
 
 @dataclass

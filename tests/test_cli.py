@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -97,7 +98,7 @@ def test_sweep_report_has_no_sweep_mesh_energy(tmp_path):
     import json
     assert run(["sweep", "--out", str(tmp_path), *SMALL]) == 0
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert list(doc) == ["plan", "fit", "per_epsilon", "checks", "verdicts"]
+    assert list(doc) == ["plan", "fit", "per_epsilon", "layers_level", "checks", "verdicts"]
     assert not any("energy_E0" in rec for rec in doc["per_epsilon"])
 
 
@@ -188,6 +189,27 @@ def test_sweep_report_bytes_do_not_depend_on_threads(tmp_path):
     for out, threads in zip(outs, ("1", "2")):
         assert run(["sweep", "--out", str(out), *SMALL, "--threads", threads]) == 0
     assert (outs[0] / "report.json").read_bytes() == (outs[1] / "report.json").read_bytes()
+
+
+def _finite(doc) -> bool:
+    """No null, NaN or infinity anywhere in a parsed JSON document."""
+    if isinstance(doc, dict):
+        return all(_finite(v) for v in doc.values())
+    if isinstance(doc, list):
+        return all(_finite(v) for v in doc)
+    return doc is not None and (not isinstance(doc, float) or math.isfinite(doc))
+
+
+def test_default_sweep_and_energy_artifacts_are_finite(tmp_path):
+    # what the benchmark checks of every JSON artifact; report.json is also
+    # byte-identical with a second thread
+    runs = {"t1": ["sweep"], "t2": ["sweep", "--threads", "2"], "energy": ["energy-scaling"]}
+    for name, argv in runs.items():
+        assert run([*argv, "--out", str(tmp_path / name)]) == 0
+        docs = [json.loads(p.read_text()) for p in (tmp_path / name).glob("*.json")]
+        assert docs and all(_finite(d) for d in docs), name
+    assert (tmp_path / "t1" / "report.json").read_bytes() == \
+        (tmp_path / "t2" / "report.json").read_bytes()
 
 
 def test_prop21_command(tmp_path):
@@ -381,8 +403,8 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "bad value for 'checks.stability_factor': '1' (must be > 1"),
     (["sweep", "--set", "mesh.dxmax=4e-5"],
      "mesh.layers, mesh.aspect and mesh.dxmax at epsilon = 0.1: the refined mesh's 100001 "
-     "stations of 24 layers need a 1755 MiB band and 1318 MiB of element matrices, more "
-     "than the 1024 MiB budget"),
+     "stations of 12 layers (stations level) need a 436 MiB band and 659 MiB of element "
+     "matrices, more than the 1024 MiB budget"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -453,6 +475,24 @@ def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, command, faili
                 "--set", "checks.stability_factor=1.01"]) == 1
     assert ["FAIL", failing] in _verdict_lines(capsys.readouterr().out)
     assert json.loads((tmp_path / artifact).read_text())["verdicts"][failing] == "fail"
+
+
+def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypatch):
+    # every stations drift passes; the largest epsilon's layers level does not
+    import thingap.cli as cli
+    exact = cli.run_sweep
+
+    def layers_unreliable(plan, threads=1):
+        report = exact(plan, threads)
+        report.layers_level["reliable"] = False
+        return report
+
+    monkeypatch.setattr(cli, "run_sweep", layers_unreliable)
+    assert run(["sweep", "--out", str(tmp_path), *SMALL]) == 1
+    assert ["FAIL", "reliability"] in _verdict_lines(capsys.readouterr().out)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert all(r["reliable"] for r in doc["per_epsilon"])
+    assert doc["layers_level"]["reliable"] is False
 
 
 def test_not_applicable_verdict_does_not_fail(tmp_path, capsys):

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from thingap.geometry import GapGeometry
 import thingap.mesh as mesh_module
 from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES,
-                          TAG_TOP, generate, refine)
+                          TAG_TOP, generate, refine, refine_layers, refine_stations)
 
 EPS = 1e-1
 GAMMA = 0.5
@@ -83,6 +83,23 @@ def test_refine_quadruples_and_projects(geom):
     bot = fine.vertex_tags == TAG_BOTTOM
     want = geom.bottom(fine.vertices[bot][:, :1])
     assert np.max(np.abs(fine.vertices[bot, 1] - want)) < 1e-15
+
+
+def test_directional_refinements_compose_to_the_uniform_one(geom):
+    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
+    stations, layers = refine_stations(mesh), refine_layers(mesh)
+    assert (stations.stations.size, stations.layers) == (2 * mesh.stations.size - 1, 4)
+    assert np.array_equal(layers.stations, mesh.stations) and layers.layers == 8
+    for level in (stations, layers):
+        level.validate()
+    # refine is both steps, bit for bit, and equals the direct construction
+    direct = mesh_module._build_from_stations(
+        geom, mesh_module._with_midpoints(mesh.stations), 8)
+    for fine in (refine(mesh), refine_layers(refine_stations(mesh)),
+                 refine_stations(refine_layers(mesh))):
+        for name in ("vertices", "triangles", "vertex_tags", "stations"):
+            assert np.array_equal(getattr(fine, name), getattr(direct, name)), name
+        assert fine.layers == 8
 
 
 def test_double_refine_places_vertices_on_exact_fibers(geom):

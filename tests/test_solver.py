@@ -492,6 +492,23 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
     np.testing.assert_allclose(bands[0], ref, rtol=0, atol=1e-13 * np.abs(K_ff).max())
 
 
+def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():
+    # the elements without a fixed dof add exact zeros to K_fc u_c, so the
+    # lift over the boundary elements alone, and the solve, are bit-identical
+    _, data, system = SweepPlan().problem(1e-3)
+    bc = dirichlet_values(system.mesh, data)
+    fixed = bc.dof_mask()
+    full = np.where(fixed, bc.values.ravel(), 0.0)
+    Eu = np.einsum("tab,tb->ta", system.E, full[system.dofs])
+    every = np.bincount(system.dofs.ravel(), Eu.ravel(), full.size)
+    solve, free, boundary = system._factor(fixed)
+    assert 0 < boundary.size < len(system.E) // 4
+    assert np.array_equal(system._apply(full, boundary), every)
+    lifted = solve_dirichlet(system, bc)
+    system._lu_cache[fixed.tobytes()] = (solve, free, np.arange(len(system.E)))
+    assert np.array_equal(solve_dirichlet(system, bc).values, lifted.values)
+
+
 def test_factorization_allocates_little_beyond_the_band():
     # the 24-layer eps = 1e-3 sweep mesh refined to 48 layers: the band is the
     # only operator-sized array; the blocked sum's temporaries are block-sized

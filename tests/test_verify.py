@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import thingap.verify as verify
+from thingap.mesh import refine, refine_layers, refine_stations
 from thingap.verify import (PlanError, SweepPlan, check_energy_scaling,
                             check_lower_bound, fit_rate, max_over_min, run_sweep)
 
@@ -101,8 +102,9 @@ def test_sweep_threads_match_serial(small_report):
     assert threaded.to_dict() == small_report.to_dict()
 
 
-def test_sweep_solves_twice_per_epsilon(monkeypatch):
-    # one solve on the sweep mesh and one on its refinement, nothing more
+def test_sweep_solves_each_epsilon_twice_and_the_largest_once_more(monkeypatch):
+    # one solve on the sweep mesh and one on its stations level, and one on
+    # the layers level at the largest epsilon, nothing more
     import thingap.solver as solver
     calls = []
     exact = solver.solve_dirichlet
@@ -114,12 +116,14 @@ def test_sweep_solves_twice_per_epsilon(monkeypatch):
     monkeypatch.setattr(solver, "solve_dirichlet", spy)
     monkeypatch.setattr(verify, "solve_dirichlet", spy)
     run_sweep(SMALL_PLAN)
-    assert sorted(calls, reverse=True) == [e for e in SMALL_PLAN.epsilons for _ in range(2)]
+    eps = SMALL_PLAN.epsilons
+    assert sorted(calls, reverse=True) == [eps[0]] + [e for e in eps for _ in range(2)]
 
 
 def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
     # the coarse system (and its factorization) is unreachable when the
-    # refined mesh is assembled, and so is each refined one at the next epsilon
+    # stations level is assembled, that one when the layers level is, and
+    # each level's when the next epsilon's sweep mesh is
     built = []
     exact = verify.assemble
 
@@ -131,7 +135,33 @@ def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
 
     monkeypatch.setattr(verify, "assemble", spy)
     run_sweep(SMALL_PLAN)
-    assert len(built) == 2 * len(SMALL_PLAN.epsilons)
+    assert len(built) == 2 * len(SMALL_PLAN.epsilons) + 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
+        monkeypatch, threads):
+    # per epsilon: the sweep mesh (S, L) and its stations level (2S - 1, L);
+    # at the largest epsilon alone also the layers level (S, 2L)
+    built = []
+    exact = verify.assemble
+
+    def spy(mesh, cs):
+        built.append((mesh.geom.epsilon, mesh.stations.size, mesh.layers))
+        return exact(mesh, cs)
+
+    monkeypatch.setattr(verify, "assemble", spy)
+    report = run_sweep(SMALL_PLAN, threads=threads)
+    L = SMALL_PLAN.mesh_layers
+    want = []
+    for e in SMALL_PLAN.epsilons:
+        S = verify.generate(SMALL_PLAN.geometry(e), L, SMALL_PLAN.mesh_aspect,
+                            SMALL_PLAN.mesh_dxmax, SMALL_PLAN.mesh_xrange).stations.size
+        want += [(e, S, L), (e, 2 * S - 1, L)] + [(e, S, 2 * L)] * (e == SMALL_PLAN.epsilons[0])
+    assert sorted(built) == sorted(want)
+    level = report.layers_level
+    assert (level["epsilon"], level["layers"]) == (SMALL_PLAN.epsilons[0], 2 * L)
+    assert level["reliable"] == (level["reliability_change"] < SMALL_PLAN.reliability_threshold)
 
 
 def _no_assembly(*args):
@@ -149,6 +179,30 @@ def test_band_budget_covers_the_refinement_before_assembly(monkeypatch):
     monkeypatch.setattr(verify, "assemble", _no_assembly)
     with pytest.raises(PlanError, match="mesh.layers, mesh.aspect and mesh.dxmax at "
                                         "epsilon = 0.1: the refined mesh's"):
+        SMALL_PLAN.problem(0.1, refinement=True)
+
+
+def _level_bytes(mesh, cs, data):
+    """Band n (kd + 1) 8 bytes plus element matrices of ``mesh``, assembled."""
+    system = verify.assemble(mesh, cs)
+    n = int((~verify.dirichlet_values(mesh, data).dof_mask()).sum())
+    return n * (mesh.layers + 1) * cs.m * 8 + system.E.nbytes
+
+
+def test_band_budget_counts_the_levels_the_sweep_builds(monkeypatch):
+    # a budget that holds the stations level and the layers level at the
+    # largest epsilon admits the plan, though not the uniform refinement
+    # (2S - 1, 2L), which the sweep does not build
+    _, data, system = SMALL_PLAN.problem(0.1)
+    mesh, cs = system.mesh, system.cs
+    levels = [_level_bytes(refine_stations(mesh), cs, data),
+              _level_bytes(refine_layers(mesh), cs, data)]
+    assert _level_bytes(refine(mesh), cs, data) > max(levels)
+    monkeypatch.setattr(verify, "MAX_BAND_BYTES", max(levels))
+    SMALL_PLAN.problem(0.1, refinement=True)
+    monkeypatch.setattr(verify, "MAX_BAND_BYTES", max(levels) - 1)
+    name = "stations" if levels[0] > levels[1] else "layers"
+    with pytest.raises(PlanError, match=rf"layers \({name} level\) need"):
         SMALL_PLAN.problem(0.1, refinement=True)
 
 
