@@ -14,7 +14,7 @@ log-log rate figure if matplotlib is importable.
 
 from pathlib import Path
 
-from thingap import SweepPlan, check_lower_bound, max_over_min, run_sweep
+from thingap import SweepPlan, run_sweep, sweep_checks
 
 plan = SweepPlan()          # the default plan is the headline experiment
 report = run_sweep(plan)
@@ -30,11 +30,11 @@ print(f"layers x2 at epsilon = {lv['epsilon']:g} ({lv['layers']} layers): "
 
 print(f"\nfitted blow-up rate rho = {report.rho:.4f} +/- {report.rho_halfwidth:.4f} "
       f"(matching bounds predict 1)")
-consts = [r.C_profile for r in report.records]
-print(f"envelope constants {min(consts):.3f}..{max(consts):.3f}, "
-      f"stability ratio {max_over_min(consts):.3f} (< 3 required)")
-lb = check_lower_bound(report)
-print(f"lower-bound constants {min(lb.constants):.3f}..{max(lb.constants):.3f}")
+for name, consts in (("envelope", [r.C_profile for r in report.records]),
+                     ("lower-bound", [r.C_lower for r in report.records])):
+    print(f"{name} constants {min(consts):.3f}..{max(consts):.3f}")
+for check in sweep_checks(report, stability_factor=3.0):
+    print(f"{check.verdict.upper():4} {check.name}: {check.reason()}")
 
 try:
     import matplotlib

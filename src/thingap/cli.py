@@ -13,7 +13,7 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -27,8 +27,9 @@ from .geometry import GeometryError, LocalRegion
 from .mesh import MeshError, generate
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
-from .verify import (PlanError, SweepPlan, _frob, check_energy_scaling, check_lower_bound,
-                     max_over_min, probe_points, run_sweep)
+from .verify import (Check, PlanError, SweepPlan, _frob, center_law, check_block,
+                     check_energy_scaling, energy_checks, max_over_min, probe_points,
+                     run_sweep, sweep_checks)
 
 
 class ConfigError(ValueError):
@@ -256,7 +257,7 @@ def export_solution_text(sol) -> str:
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (artifact name, JSON document, ordered verdicts)
+# subcommands: each returns (artifact name, JSON document, list of Check)
 # ---------------------------------------------------------------------------
 
 def _cmd_validate_geometry(cfg, outdir: Path, threads: int):
@@ -265,11 +266,9 @@ def _cmd_validate_geometry(cfg, outdir: Path, threads: int):
            "kappa0": geom.kappa0, "kappa1": geom.kappa1, "kappa2": geom.kappa2}
     try:
         geom.validate(samples=cfg["validate.samples"], seed=cfg["seed"])
-        ok = True
     except GeometryError as exc:
-        ok = False
         doc["error"] = str(exc)
-    return "geometry.json", doc, {"geometry": ok}
+    return "geometry.json", doc, [Check("geometry", int("error" in doc), "==", 0, "errors raised")]
 
 
 def _cmd_validate_coefficients(cfg, outdir: Path, threads: int):
@@ -285,14 +284,14 @@ def _cmd_validate_coefficients(cfg, outdir: Path, threads: int):
                                  seed=cfg["seed"])
         doc["measured_lambda"] = meas.value
         doc["near_ties"] = meas.near_ties
-        elliptic = True
     except EllipticityError as exc:
-        elliptic = False
         doc["error"] = str(exc)
     k3 = check_holder(cs, pair_samples=cfg["coeffcheck.pairs"], points=pts,
                       seed=cfg["seed"])
     doc["measured_kappa3"] = k3
-    return "coefficients.json", doc, {"ellipticity": elliptic, "kappa3": not k3 > cs.kappa3}
+    return "coefficients.json", doc, [
+        Check("ellipticity", int("error" in doc), "==", 0, "errors raised"),
+        Check("kappa3", k3, "<=", cs.kappa3, "sampled Holder norm")]
 
 
 def _cmd_solve(cfg, outdir: Path, threads: int):
@@ -313,33 +312,16 @@ def _cmd_solve(cfg, outdir: Path, threads: int):
           f"|grad u(0,0)| = {grad0:.6g}")
     doc = {"epsilon": eps, "vertices": mesh.num_vertices,
            "triangles": mesh.num_triangles, "grad_norm_origin": grad0}
-    return "solve.json", doc, {}
+    return "solve.json", doc, []
 
 
 def _cmd_sweep(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     report = run_sweep(plan, threads=threads)
-    doc = report.to_dict()
-    profile = [r.C_profile for r in report.records]
-    profile_stability = max_over_min(profile)
-    lb = check_lower_bound(report, cfg["checks.stability_factor"])
-    doc["checks"] = {
-        "profile_constants": profile,
-        "profile_stability": profile_stability,
-        "lower_bound_applicable": lb.applicable,
-        "lower_bound_constants": lb.constants,
-        "lower_bound_stability": lb.sweep_max_over_min,
-    }
     emit_tables(report, outdir)
     print(f"fitted rho = {report.rho:.6g} +/- {report.rho_halfwidth:.3g}"
           + (" (degenerate data)" if report.degenerate else ""))
-    worst, lv = max(report.records, key=lambda r: r.reliability_change), report.layers_level
-    print(f"refinement drift: stations {worst.reliability_change:.3g} at epsilon = "
-          f"{worst.epsilon:g}, layers {lv['reliability_change']:.3g} at {lv['epsilon']:g}")
-    stable = profile_stability < cfg["checks.stability_factor"]
-    reliable = all(r.reliable for r in report.records) and lv["reliable"]
-    return "report.json", doc, {"profile": stable, "lower_bound": lb.passed,
-                                "reliability": reliable}
+    return "report.json", report.to_dict(), sweep_checks(report, cfg["checks.stability_factor"])
 
 
 def _resolve_prop21_zprimes(tokens: str, geom, widest: float) -> list[float]:
@@ -381,18 +363,14 @@ def _cmd_prop21(cfg, outdir: Path, threads: int):
             mid = float(geom.midline(np.array([zp])))
             rep = check_seminorm_growth(geom, data, np.array([zp, mid]), fractions,
                                         pairs=pairs, seed=plan.seed)
-            for row in rep.rows:
-                rows.append({"epsilon": eps, "zprime": zp, "s": row.s,
-                             "lhs": row.lhs, "rhs": row.rhs, "ratio": row.ratio,
-                             "hypothesis_ok": row.hypothesis_ok})
+            rows += [{"epsilon": eps, "zprime": zp, **asdict(row)} for row in rep.rows]
             if np.isfinite(rep.fitted_constant):
                 worst = max(worst, rep.fitted_constant)
         per_eps_max.append(worst)
     stability = max_over_min(per_eps_max)
-    ok = all(np.isfinite(per_eps_max)) and stability < cfg["checks.stability_factor"]
     doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
-    print(f"seminorm-growth constants: max/min = {stability:.4g}")
-    return "prop21.json", doc, {"seminorm_growth": ok}
+    return "prop21.json", doc, [Check("seminorm_growth", stability, "<",
+                                      cfg["checks.stability_factor"], "max/min")]
 
 
 def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
@@ -406,23 +384,11 @@ def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
         _write_csv(outdir / name, "scale,energy", table)
     if res.degenerate:
         doc["note"] = "degenerate data: remainder vanishes, fits skipped"
-        return "energy.json", doc, {"edge_in_band": None, "outer_in_band": None,
-                                    "center_bound": None}
-    lo_in = res.expected_inner - band
-    # the z' = 0 law of the acceptance suite, without its refined-mesh fit
-    slack = res.center_slack(band, cfg["checks.stability_factor"])
-    doc["center_in_band"] = slack["passed"]
-    doc["center_slack"] = slack
-    print(f"inner(center z'=0) exponent = {res.center_exponent:.4f}, "
-          f"inner(regime edge) = {res.edge_exponent:.4f} "
-          f"(expected {res.expected_inner:.4f}), "
-          f"outer = {res.outer_exponent:.4f} (expected {res.expected_outer:.4f})")
-    return "energy.json", doc, {
-        "edge_in_band": lo_in <= res.edge_exponent <= res.expected_inner + band,
-        "outer_in_band": (res.expected_outer - band <= res.outer_exponent
-                          <= res.expected_outer + band),
-        # the slab at z' = 0 decays at least as fast as the bound allows
-        "center_bound": res.center_exponent >= lo_in}
+    else:
+        # the z' = 0 law of the acceptance suite, without its refined-mesh fit;
+        # a diagnostic that does not set the exit code
+        doc["center_law"] = check_block(center_law(res, band, cfg["checks.stability_factor"]))
+    return "energy.json", doc, energy_checks(res, band)
 
 
 def _fd_vs_fem(cs, geom, data) -> float:
@@ -467,13 +433,11 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     sampled = holder_seminorm(f, region, cfg["gamma"], pairs=4000, seed=cfg["seed"])
     doc = {"affine_nodal_error": err, "fd_vs_fem_scalar": worst, "fd_vs_fem_lame": worst_l,
            "seminorm_dense": dense, "seminorm_sampled": sampled}
-    print(f"oracle suite: affine={err:.2e}, fd-vs-fem scalar={worst:.2e} "
-          f"lame={worst_l:.2e}, seminorm ratio="
-          f"{sampled / dense if dense > 0 else float('nan'):.3f}")
-    return "oracle.json", doc, {"affine_exact": err <= 1e-10,
-                                "fd_vs_fem_scalar": worst <= 0.01,
-                                "fd_vs_fem_lame": worst_l <= 0.01,
-                                "seminorm_sampling": sampled >= 0.8 * dense}
+    return "oracle.json", doc, [
+        Check("affine_exact", err, "<=", 1e-10, "nodal error"),
+        Check("fd_vs_fem_scalar", worst, "<=", 0.01, "interior sup distance"),
+        Check("fd_vs_fem_lame", worst_l, "<=", 0.01, "interior sup distance"),
+        Check("seminorm_sampling", sampled, ">=", 0.8 * dense, "sampled seminorm")]
 
 
 # ---------------------------------------------------------------------------
@@ -490,21 +454,18 @@ COMMANDS = {
     "oracle-suite": _cmd_oracle_suite,
 }
 
-_VERDICT_WORDS = {True: "pass", False: "fail", None: "n/a"}
 
+def _conclude(outdir: Path, artifact: str, doc: dict, checks: list) -> int:
+    """Write ``doc`` with its checks and verdicts blocks, print one line per check.
 
-def _conclude(outdir: Path, artifact: str, doc: dict, verdicts: dict) -> int:
-    """Write ``doc`` with its verdicts block, print one line per verdict.
-
-    A verdict is True (pass), False (fail) or None (not applicable); the
-    exit code is 1 when any verdict fails, else 0.
+    The line is ``PASS|FAIL|n/a <name>: <reason>``; the exit code is 1 when
+    any check fails, else 0.
     """
-    words = {name: _VERDICT_WORDS[v] for name, v in verdicts.items()}
-    doc["verdicts"] = words
+    doc.update(check_block(checks))
     write_json(outdir / artifact, doc)
-    for name, word in words.items():
-        print(f"{word if word == 'n/a' else word.upper()} {name}")
-    return 1 if "fail" in words.values() else 0
+    for c in checks:
+        print(f"{c.verdict if c.verdict == 'n/a' else c.verdict.upper()} {c.name}: {c.reason()}")
+    return 1 if "fail" in doc["verdicts"].values() else 0
 
 
 def run(argv: list[str]) -> int:

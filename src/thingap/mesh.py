@@ -33,7 +33,6 @@ TAG_NAMES = {
     TAG_LATERAL_LEFT: "lateral_left",
     TAG_LATERAL_RIGHT: "lateral_right",
 }
-TAG_CODES = {v: k for k, v in TAG_NAMES.items()}
 
 # barycentric slack of point location, relative to the triangle's size
 LOCATE_TOL = 1e-12
@@ -81,10 +80,7 @@ class Mesh:
 
     def areas(self) -> np.ndarray:
         if self._areas is None:
-            p = self.vertices[self.triangles]
-            self._areas = 0.5 * np.abs(
-                (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+            self._areas = np.abs(self.signed_areas())
             self._areas.setflags(write=False)
         return self._areas
 

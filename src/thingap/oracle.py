@@ -53,12 +53,6 @@ class AffineCase:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         return ((X[:, 1] + 0.5 * self.epsilon) / self.epsilon)[:, None]
 
-    def gradient(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        g = np.zeros((X.shape[0], 1, 2))
-        g[:, 0, 1] = 1.0 / self.epsilon
-        return g
-
     def geometry(self) -> GapGeometry:
         return GapGeometry.flat(self.epsilon)
 

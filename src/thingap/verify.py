@@ -19,6 +19,7 @@ over a sweep and tests its stability.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
@@ -165,6 +166,10 @@ class SweepPlan:
             raise PlanError(f"unknown system kind {self.system_kind!r}")
         if self.bc_kind not in ("constant_jump", "polynomial"):
             raise PlanError(f"unknown bc kind {self.bc_kind!r}")
+        if self.bc_kind == "polynomial" and not (self.bc_phi and self.bc_psi):
+            raise PlanError(f"bc.kind = polynomial needs at least one coefficient in bc.phi "
+                            f"and in bc.psi, got bc.phi = {list(self.bc_phi)}, "
+                            f"bc.psi = {list(self.bc_psi)}")
         if self.system_kind == "lame":
             self.lame()
         if self.m < 1:
@@ -271,6 +276,50 @@ def max_over_min(values) -> float:
     return float(hi / lo) if lo > 0 else float("inf")
 
 
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq,
+              "in": lambda v, b: b[0] <= v <= b[1]}
+
+
+@dataclass(frozen=True)
+class Check:
+    """One verdict: ``value relation bound``, the relation one of ``_RELATIONS``
+    (``in``: a closed interval ``(lo, hi)``).  A None value does not apply
+    (n/a); a non-finite one fails.  ``quantity`` names the value in the reason.
+    """
+
+    name: str
+    value: Optional[float]
+    relation: str
+    bound: float | tuple
+    quantity: str
+
+    @property
+    def verdict(self) -> str:
+        if self.value is None:
+            return "n/a"
+        ok = math.isfinite(self.value) and _RELATIONS[self.relation](self.value, self.bound)
+        return "pass" if ok else "fail"
+
+    def reason(self) -> str:
+        """E.g. ``max/min 1.213 < 3``, ``max/min 8.137, not < 3``."""
+        bound = (f"[{self.bound[0]:.4g}, {self.bound[1]:.4g}]" if self.relation == "in"
+                 else f"{self.bound:.4g}")
+        if self.value is None:
+            return f"{self.quantity} not measured, bound {self.relation} {bound}"
+        sep = " " if self.verdict == "pass" else ", not "
+        return f"{self.quantity} {self.value:.4g}{sep}{self.relation} {bound}"
+
+    def to_dict(self) -> dict:
+        out = {} if self.value is None else {"value": self.value}
+        return {**out, "relation": self.relation, "bound": self.bound}
+
+
+def check_block(checks: Sequence[Check]) -> dict:
+    """Each check's record under ``checks`` and its verdict under ``verdicts``."""
+    return {"checks": {c.name: c.to_dict() for c in checks},
+            "verdicts": {c.name: c.verdict for c in checks}}
+
+
 def _pad(values, m):
     """Per-component constants: missing components are zero, extra ones must be."""
     v = list(float(x) for x in values)
@@ -304,7 +353,7 @@ class EpsilonRecord:
     flags: tuple = ()
 
     def to_dict(self) -> dict:
-        d = {
+        return {
             "epsilon": self.epsilon,
             "M_center": self.M_center,
             "centerline_sup": float(np.max(self.centerline_grad)),
@@ -313,6 +362,7 @@ class EpsilonRecord:
             "norm_terms": self.norm_terms,
             "C_upper": self.C_upper,
             "C_lower": self.C_lower,
+            "C_profile": self.C_profile,
             "M_center_refined": self.M_center_refined,
             "reliability_change": self.reliability_change,
             "reliable": self.reliable,
@@ -322,7 +372,6 @@ class EpsilonRecord:
             "profile": [[float(a), float(b)] for a, b in
                         zip(self.profile_xp, self.profile_grad)],
         }
-        return d
 
 
 def _frob(mat: np.ndarray) -> np.ndarray:
@@ -467,24 +516,22 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
                         degenerate=degenerate, layers_level=layers_level)
 
 
-@dataclass
-class LowerBoundCheck:
-    applicable: bool
-    constants: list
-    sweep_max_over_min: Optional[float]
-    passed: Optional[bool]
-
-
-def check_lower_bound(report: BlowupReport, stability_factor: float = 3.0) -> LowerBoundCheck:
-    """Stability of the centerline lower-bound constant across the sweep."""
-    consts = [r.C_lower for r in report.records]
-    if any(c is None for c in consts):
-        return LowerBoundCheck(applicable=False, constants=[], sweep_max_over_min=None,
-                               passed=None)
-    ratio = max_over_min(consts)
-    ok = bool(ratio < stability_factor)
-    return LowerBoundCheck(applicable=True, constants=consts,
-                           sweep_max_over_min=ratio, passed=ok)
+def sweep_checks(report: BlowupReport, stability_factor: float) -> list[Check]:
+    """The envelope and lower-bound constants vary by less than
+    ``stability_factor`` (the lower bound is n/a for data without a jump at
+    x' = 0), and every refinement drift is below ``reliability_threshold``.
+    """
+    recs = report.records
+    lower = [r.C_lower for r in recs]
+    drifts = [r.reliability_change for r in recs] + [report.layers_level["reliability_change"]]
+    return [
+        Check("profile", max_over_min([r.C_profile for r in recs]), "<", stability_factor,
+              "max/min"),
+        Check("lower_bound", None if None in lower else max_over_min(lower), "<",
+              stability_factor, "max/min"),
+        Check("reliability", float(np.max(drifts)), "<", report.plan.reliability_threshold,
+              "worst refinement drift"),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -549,34 +596,41 @@ class EnergyScalingResult:
             "degenerate": self.degenerate,
         }
 
-    def center_slack(self, band: float, stability_factor: float) -> dict:
-        """The neck-center law at z' = 0: the bound holds, the decay is 2 gamma.
 
-        The inner bound holds at the center when ``E / eps^{2 gamma/(1+gamma)}``
-        at the smallest epsilon does not exceed its value at the largest.  The
-        envelope ``|grad h| <= kappa_1 |x'|^gamma`` makes the center decay at its
-        own rate ``eps^{2 gamma}``: the fitted exponent lies within ``band`` of
-        ``2 gamma`` and ``E / eps^{2 gamma}`` varies by less than
-        ``stability_factor`` over the sweep.  A saturated ``eps^{2 gamma/(1+gamma)}``
-        decay fails the second part.
-        """
-        two_gamma = self.expected_outer
-        eps = np.array([e for e, _ in self.center_table])
-        energy = np.array([v for _, v in self.center_table])
-        bound = energy / eps ** self.expected_inner
-        compensated = energy / eps ** two_gamma
-        largest, smallest = float(bound[np.argmax(eps)]), float(bound[np.argmin(eps)])
-        spread = max_over_min(compensated)
-        bound_holds = smallest <= largest
-        in_band = bool(abs(self.center_exponent - two_gamma) <= band)
-        stable = spread < stability_factor
-        return {"exponent": self.center_exponent, "expected": two_gamma,
-                "bound_constant_largest_eps": largest,
-                "bound_constant_smallest_eps": smallest,
-                "compensated_max_over_min": spread,
-                "bound_holds": bound_holds, "exponent_in_band": in_band,
-                "compensated_stable": stable,
-                "passed": bound_holds and in_band and stable}
+def energy_checks(res: EnergyScalingResult, band: float) -> list[Check]:
+    """The edge and outer exponents lie within ``band`` of the bounds', and the
+    neck center decays at least as fast as the inner bound allows (all n/a on
+    degenerate data).
+    """
+    inner, outer = res.expected_inner, res.expected_outer
+    return [
+        Check("edge_in_band", res.edge_exponent, "in", (inner - band, inner + band), "exponent"),
+        Check("outer_in_band", res.outer_exponent, "in", (outer - band, outer + band),
+              "exponent"),
+        Check("center_bound", res.center_exponent, ">=", inner - band, "exponent"),
+    ]
+
+
+def center_law(res: EnergyScalingResult, band: float, stability_factor: float) -> list[Check]:
+    """The neck-center law at z' = 0: the bound constant ``E / eps^{2g/(1+g)}``
+    does not grow from the largest epsilon to the smallest, and the envelope
+    ``|grad h| <= kappa_1 |x'|^gamma`` makes the energy decay like ``eps^{2g}``:
+    the exponent lies within ``band`` of ``2 gamma`` and ``E / eps^{2g}`` varies
+    by less than ``stability_factor``.  A saturated ``eps^{2g/(1+g)}`` decay
+    fails the last two.  Needs non-degenerate data.
+    """
+    two_gamma = res.expected_outer
+    eps = np.array([e for e, _ in res.center_table])
+    energy = np.array([v for _, v in res.center_table])
+    bound = energy / eps ** res.expected_inner
+    return [
+        Check("bound_holds", float(bound[np.argmin(eps)]), "<=", float(bound[np.argmax(eps)]),
+              "E/eps^(2g/(1+g)) at the smallest epsilon"),
+        Check("exponent_in_band", res.center_exponent, "in",
+              (two_gamma - band, two_gamma + band), "exponent"),
+        Check("compensated_stable", max_over_min(energy / eps ** two_gamma), "<",
+              stability_factor, "E/eps^(2g) max/min"),
+    ]
 
 
 def _slab_energy(geom: GapGeometry, v, data: BoundaryData, zp: float) -> float:
@@ -625,15 +679,9 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
         if e == eps_min:
             outer = [(z, _slab_energy(geom, v, data, z)) for z in outer_z]
 
-    expected_inner = 2 * g / (1 + g)
     scale = max(1.0, max(v for _, v in center + edge))
     degenerate = max(v for _, v in center + edge) <= 1e-16 * scale
-    if degenerate:
-        return EnergyScalingResult(center, None, None, edge, None, None,
-                                   outer, None, None, expected_inner, 2 * g, True)
-    slope_c, half_c = fit_rate(center)
-    slope_e, half_e = fit_rate(edge)
-    slope_o, half_o = fit_rate(outer)
-    return EnergyScalingResult(center, slope_c, half_c, edge, slope_e, half_e,
-                               outer, slope_o, half_o, expected_inner, 2 * g, False)
+    fits = [(None, None) if degenerate else fit_rate(t) for t in (center, edge, outer)]
+    return EnergyScalingResult(center, *fits[0], edge, *fits[1], outer, *fits[2],
+                               2 * g / (1 + g), 2 * g, degenerate)
 

@@ -23,8 +23,8 @@ from thingap.mesh import generate, refine
 from thingap.oracle import AffineCase, brute_force_seminorm
 from thingap.solver import (BoundaryAssignment, RightHandSide, assemble,
                             dirichlet_values, solve_dirichlet)
-from thingap.verify import (SweepPlan, check_energy_scaling, check_lower_bound,
-                            fit_rate, max_over_min, run_sweep)
+from thingap.verify import (SweepPlan, center_law, check_energy_scaling, fit_rate,
+                            max_over_min, run_sweep, sweep_checks)
 
 GAMMA = 0.5
 RHO_BAND = (0.85, 1.15)
@@ -161,18 +161,18 @@ def test_criterion4_envelope_constant_stability(default_sweep):
 
 def test_criterion5_lower_bound_and_no_jump(default_sweep):
     plan, report, _ = default_sweep
-    lb = check_lower_bound(report, STABILITY_FACTOR)
-    assert lb.applicable and lb.passed, \
-        f"lower-bound constants unstable: {lb.constants}"
-    assert min(lb.constants) > 0
+    lb = {c.name: c for c in sweep_checks(report, STABILITY_FACTOR)}["lower_bound"]
+    constants = [r.C_lower for r in report.records]
+    assert lb.verdict == "pass", f"lower-bound constants unstable: {constants}"
+    assert min(constants) > 0
 
     equal = dataclasses.replace(plan, bc_kind="polynomial",
                                 bc_phi=(1.0, 1.0, 1.0), bc_psi=(1.0, 1.0, 1.0))
     rep_eq = run_sweep(equal)
     assert -0.15 <= rep_eq.rho <= 0.15, \
         f"no-jump sweep shows spurious blow-up: rho = {rep_eq.rho:.4f}"
-    _announce(5, f"lower constants {min(lb.constants):.3f}..{max(lb.constants):.3f} "
-                 f"(ratio {lb.sweep_max_over_min:.3f} < 3); "
+    _announce(5, f"lower constants {min(constants):.3f}..{max(constants):.3f} "
+                 f"(ratio {lb.value:.3f} < 3); "
                  f"no-jump rho = {rep_eq.rho:.4f}")
 
 
@@ -220,19 +220,12 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
     res = energy_result
     refined = check_energy_scaling(dataclasses.replace(
         SweepPlan(), energy_layers=32, energy_aspect=0.125))
-    slack = res.center_slack(band, factor)
-    for label, r, s in (("default", res, slack),
-                        ("refined", refined, refined.center_slack(band, factor))):
-        assert s["bound_holds"], (
-            f"{label} mesh: bound constant E/eps^{r.expected_inner:.3f} drifts up "
-            f"at the neck center ({s['bound_constant_largest_eps']:.4g} -> "
-            f"{s['bound_constant_smallest_eps']:.4g})")
-        assert s["exponent_in_band"], (
-            f"{label} mesh: neck-center exponent {s['exponent']:.4f} outside "
-            f"[{s['expected'] - band:.3f}, {s['expected'] + band:.3f}]")
-        assert s["compensated_stable"], (
-            f"{label} mesh: E/eps^{s['expected']:.3f} at the neck center varies "
-            f"by {s['compensated_max_over_min']:.3f} >= {factor}")
+    law = {c.name: c for c in center_law(res, band, factor)}
+    for label, r in (("default", res), ("refined", refined)):
+        for c in center_law(r, band, factor):
+            # bound_holds: E/eps^{2g/(1+g)} does not drift up at the neck center;
+            # exponent_in_band: 2 gamma +- band; compensated_stable: E/eps^{2g}
+            assert c.verdict == "pass", f"{label} mesh, {c.name}: {c.reason()}"
     drift = abs(refined.center_exponent - res.center_exponent)
     assert drift <= band / 2, \
         f"neck-center exponent drifts by {drift:.4f} > {band / 2:.3f} under refinement"
@@ -241,12 +234,11 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
     saturated = [(e, v0 * (e / e0) ** res.expected_inner) for e, _ in res.center_table]
     sat = dataclasses.replace(res, center_table=saturated,
                               center_exponent=fit_rate(saturated)[0])
-    assert not sat.center_slack(band, factor)["passed"]
+    assert any(c.verdict == "fail" for c in center_law(sat, band, factor))
     _announce(6, f"neck center z' = 0 decays at {res.center_exponent:.4f} "
                  f"(refined {refined.center_exponent:.4f}; 2*gamma = "
                  f"{res.expected_outer:.4f}), bound constant "
-                 f"{slack['bound_constant_largest_eps']:.4f} -> "
-                 f"{slack['bound_constant_smallest_eps']:.4f}")
+                 f"{law['bound_holds'].bound:.4f} -> {law['bound_holds'].value:.4f}")
 
 
 # -- criterion 7: auxiliary identities ------------------------------------------

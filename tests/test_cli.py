@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
                          export_solution_text, fmt_float, parse_config_text,
                          plan_from_config, run)
+from thingap.verify import SweepPlan
 
 
 SMALL = ["--set", "sweep.epsilons=0.1,0.03,0.01", "--set", "mesh.layers=8",
@@ -175,7 +177,7 @@ def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
 
     def record(cfg, outdir, threads):
         seen.append([get() for _, get in pools])
-        return "geometry.json", {}, {}
+        return "geometry.json", {}, []
 
     monkeypatch.setitem(cli.COMMANDS, "validate-geometry", record)
     assert run(["validate-geometry", "--out", str(tmp_path), "--threads", "1"]) == 0
@@ -201,9 +203,10 @@ def _finite(doc) -> bool:
 
 
 def test_default_sweep_and_energy_artifacts_are_finite(tmp_path):
-    # what the benchmark checks of every JSON artifact; report.json is also
-    # byte-identical with a second thread
-    runs = {"t1": ["sweep"], "t2": ["sweep", "--threads", "2"], "energy": ["energy-scaling"]}
+    # what the benchmark checks of every JSON artifact, here of every command;
+    # report.json is also byte-identical with a second thread
+    runs = {"t1": ["sweep"], "t2": ["sweep", "--threads", "2"], "energy": ["energy-scaling"],
+            **{command: [command, *argv] for command, (_, argv) in SMALL_RUNS.items()}}
     for name, argv in runs.items():
         assert run([*argv, "--out", str(tmp_path / name)]) == 0
         docs = [json.loads(p.read_text()) for p in (tmp_path / name).glob("*.json")]
@@ -405,6 +408,13 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "mesh.layers, mesh.aspect and mesh.dxmax at epsilon = 0.1: the refined mesh's 100001 "
      "stations of 12 layers (stations level) need a 436 MiB band and 659 MiB of element "
      "matrices, more than the 1024 MiB budget"),
+    (["sweep", "--set", "bc.kind=polynomial", "--set", "bc.phi=1", "--set", "bc.psi="],
+     "bc.kind = polynomial needs at least one coefficient in bc.phi and in bc.psi, "
+     "got bc.phi = [1.0], bc.psi = []"),
+    (["prop21", "--set", "bc.kind=polynomial", "--set", "bc.phi=", "--set", "bc.psi=0.5"],
+     "got bc.phi = [], bc.psi = [0.5]"),
+    (["prop21", "--set", "bc.kind=polynomial", "--set", "bc.phi=1", "--set", "bc.psi="],
+     "got bc.phi = [1.0], bc.psi = []"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -444,8 +454,13 @@ SMALL_RUNS = {
 
 
 def _verdict_lines(stdout):
-    return [ln.split(" ", 1) for ln in stdout.splitlines()
-            if ln.split(" ", 1)[0] in ("PASS", "FAIL", "n/a")]
+    """[word, name, reason] of each ``PASS|FAIL|n/a <name>: <reason>`` line."""
+    out = []
+    for ln in stdout.splitlines():
+        word, _, rest = ln.partition(" ")
+        if word in ("PASS", "FAIL", "n/a"):
+            out.append([word, *rest.split(": ", 1)])
+    return out
 
 
 @pytest.mark.parametrize("command", sorted(COMMANDS))
@@ -455,26 +470,47 @@ def test_every_command_writes_and_prints_its_verdicts(tmp_path, capsys, command)
     doc = json.loads((tmp_path / artifact).read_text())
     verdicts = doc["verdicts"]
     assert set(verdicts.values()) <= {"pass", "n/a"}
+    assert list(doc)[-2:] == ["checks", "verdicts"] and list(doc["checks"]) == list(verdicts)
     printed = _verdict_lines(capsys.readouterr().out)
-    assert [name for _, name in printed] == list(verdicts)
-    assert all(word.lower() == verdicts[name] for word, name in printed)
+    assert [name for _, name, _ in printed] == list(verdicts)
+    assert all(word.lower() == verdicts[name] for word, name, _ in printed)
     for old in ("passed", "kappa3_exceeded", "edge_in_band", "outer_in_band",
-                "center_bound_satisfied"):
+                "center_bound_satisfied", "center_in_band", "center_slack"):
         assert old not in doc
-    assert not any(k.endswith("_passed") for k in doc.get("checks", {}))
+    for name, check in doc["checks"].items():
+        assert set(check) == {"value", "relation", "bound"}, name
 
 
-@pytest.mark.parametrize("command, failing", [
-    ("sweep", "profile"),
-    ("prop21", "seminorm_growth"),
-])
-def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, command, failing):
+# a setting that fails one gate of a small run
+FORCED = {
     # the small runs' max/min ratios are about 1.2, far above this factor
+    ("sweep", "profile"): ["--set", "checks.stability_factor=1.01"],
+    ("prop21", "seminorm_growth"): ["--set", "checks.stability_factor=1.01"],
+    ("energy-scaling", "edge_in_band"): ["--set", "checks.exponent_band=1e-6"],
+    ("sweep", "reliability"): ["--set", "reliability.threshold=1e-9"],
+    ("validate-coefficients", "kappa3"): [],     # claimed kappa3 lowered below
+}
+
+
+@pytest.mark.parametrize("command, failing", list(FORCED))
+def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, monkeypatch, command, failing):
+    if failing == "kappa3":
+        exact = SweepPlan.coefficients
+        monkeypatch.setattr(SweepPlan, "coefficients",
+                            lambda plan: dataclasses.replace(exact(plan), kappa3=0.5))
     artifact, argv = SMALL_RUNS[command]
-    assert run([command, "--out", str(tmp_path), *argv,
-                "--set", "checks.stability_factor=1.01"]) == 1
-    assert ["FAIL", failing] in _verdict_lines(capsys.readouterr().out)
-    assert json.loads((tmp_path / artifact).read_text())["verdicts"][failing] == "fail"
+    assert run([command, "--out", str(tmp_path), *argv, *FORCED[command, failing]]) == 1
+    lines = {name: (word, reason) for word, name, reason in
+             _verdict_lines(capsys.readouterr().out)}
+    doc = json.loads((tmp_path / artifact).read_text())
+    assert doc["verdicts"][failing] == "fail"
+    word, reason = lines[failing]
+    check = doc["checks"][failing]
+    assert word == "FAIL"
+    # the line carries the measured value and the bound it missed
+    bound = check["bound"] if isinstance(check["bound"], list) else [check["bound"]]
+    for number in [check["value"], *bound]:
+        assert f"{number:.4g}" in reason, (reason, number)
 
 
 def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypatch):
@@ -484,12 +520,13 @@ def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypat
 
     def layers_unreliable(plan, threads=1):
         report = exact(plan, threads)
-        report.layers_level["reliable"] = False
+        report.layers_level.update(reliability_change=0.5, reliable=False)
         return report
 
     monkeypatch.setattr(cli, "run_sweep", layers_unreliable)
     assert run(["sweep", "--out", str(tmp_path), *SMALL]) == 1
-    assert ["FAIL", "reliability"] in _verdict_lines(capsys.readouterr().out)
+    assert ["FAIL", "reliability", "worst refinement drift 0.5, not < 0.1"] in \
+        _verdict_lines(capsys.readouterr().out)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert all(r["reliable"] for r in doc["per_epsilon"])
     assert doc["layers_level"]["reliable"] is False
@@ -501,8 +538,9 @@ def test_not_applicable_verdict_does_not_fail(tmp_path, capsys):
                 "--set", "bc.phi=0,0,1", "--set", "bc.psi=0",
                 "--set", "reliability.threshold=10"])
     assert code == 0
-    assert ["n/a", "lower_bound"] in _verdict_lines(capsys.readouterr().out)
+    assert ["n/a", "lower_bound", "max/min not measured, bound < 3"] in \
+        _verdict_lines(capsys.readouterr().out)
     doc = json.loads((tmp_path / "report.json").read_text())
     assert doc["verdicts"]["lower_bound"] == "n/a"
-    assert doc["checks"]["lower_bound_applicable"] is False
+    assert doc["checks"]["lower_bound"] == {"relation": "<", "bound": 3.0}
 

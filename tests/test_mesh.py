@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
 import thingap.mesh as mesh_module
-from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_CODES, TAG_NAMES,
+from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_NAMES,
                           TAG_TOP, generate, refine, refine_layers, refine_stations)
 
 EPS = 1e-1
@@ -178,11 +178,12 @@ def test_export_roundtrip(geom):
     assert head[0] == "vertices" and head[2] == "triangles"
     nv, nt = int(head[1]), int(head[3])
     assert nv == mesh.num_vertices and nt == mesh.num_triangles
+    codes = {name: code for code, name in TAG_NAMES.items()}
     verts, tags, tris = [], [], []
     for ln in lines[1:1 + nv]:
         x, y, tag = ln.split()
         verts.append((float(x), float(y)))
-        tags.append(TAG_CODES[tag])
+        tags.append(codes[tag])
     for ln in lines[1 + nv:]:
         tris.append(tuple(int(t) for t in ln.split()))
     assert np.array_equal(np.array(verts), mesh.vertices)

@@ -16,8 +16,11 @@ def test_affine_case_values():
     eps = 0.05
     case = AffineCase(eps)
     assert case.solution(np.array([[0.0, eps / 2]]))[0, 0] == pytest.approx(1.0)
-    g = case.gradient(np.array([[0.1, 0.0]]))
-    assert np.allclose(g, [[[0.0, 1.0 / eps]]])
+    # the gradient is vertical with magnitude 1/epsilon everywhere
+    X = np.array([[0.1, 0.0], [-0.3, 0.01]])
+    h = 1e-3
+    assert np.allclose(case.solution(X + [h, 0.0]), case.solution(X))
+    assert np.allclose((case.solution(X + [0.0, h]) - case.solution(X)) / h, 1.0 / eps)
 
 
 def test_solver_matches_affine_case_at_all_nodes():

@@ -6,8 +6,8 @@ import pytest
 
 import thingap.verify as verify
 from thingap.mesh import refine, refine_layers, refine_stations
-from thingap.verify import (PlanError, SweepPlan, check_energy_scaling,
-                            check_lower_bound, fit_rate, max_over_min, run_sweep)
+from thingap.verify import (Check, PlanError, SweepPlan, check_energy_scaling, fit_rate,
+                            max_over_min, run_sweep, sweep_checks)
 
 
 # a cut-down plan that keeps unit tests fast; acceptance runs the full one
@@ -249,11 +249,32 @@ def test_max_over_min():
     assert max_over_min(np.array([3.0, 1.5])) == 2.0
 
 
+def lower_bound(report) -> Check:
+    return {c.name: c for c in sweep_checks(report, 3.0)}["lower_bound"]
+
+
 def test_lower_bound_check(small_report):
-    lb = check_lower_bound(small_report)
-    assert lb.applicable
-    assert lb.passed
-    assert min(lb.constants) > 0
+    lb = lower_bound(small_report)
+    assert lb.verdict == "pass"
+    assert lb.value == max_over_min([r.C_lower for r in small_report.records])
+    assert min(r.C_lower for r in small_report.records) > 0
+
+
+@pytest.mark.parametrize("value, verdict", [
+    (float("nan"), "fail"), (float("inf"), "fail"), (None, "n/a"), (2.0, "pass"), (3.0, "fail"),
+])
+def test_check_verdicts(value, verdict):
+    # a non-finite value fails, whichever way its comparison would go
+    assert Check("x", value, "<", 3.0, "max/min").verdict == verdict
+    assert Check("x", value, "in", (-1.0, 2.0), "exponent").verdict == verdict
+
+
+def test_check_reasons_and_record():
+    assert Check("p", 1.2134, "<", 3.0, "max/min").reason() == "max/min 1.213 < 3"
+    assert Check("p", 8.137, "<", 3.0, "max/min").reason() == "max/min 8.137, not < 3"
+    assert Check("e", 0.7, "in", (0.5, 0.9), "exponent").to_dict() == \
+        {"value": 0.7, "relation": "in", "bound": (0.5, 0.9)}
+    assert Check("l", None, "<", 3.0, "max/min").to_dict() == {"relation": "<", "bound": 3.0}
 
 
 def test_scalar_identity_sweep_same_blowup_rate():
@@ -264,10 +285,9 @@ def test_scalar_identity_sweep_same_blowup_rate():
                                bc_phi=(1.0,), bc_psi=(0.0,))
     report = run_sweep(plan)
     assert report.rho == pytest.approx(1.0, abs=0.15)
-    lb = check_lower_bound(report)
-    assert lb.passed
-    for c in lb.constants:
-        assert 0.8 <= c <= 1.1
+    assert lower_bound(report).verdict == "pass"
+    for r in report.records:
+        assert 0.8 <= r.C_lower <= 1.1
 
 
 def test_degenerate_sweep_equal_constants():
@@ -275,8 +295,7 @@ def test_degenerate_sweep_equal_constants():
     report = run_sweep(plan)
     assert report.degenerate
     assert report.rho == 0.0
-    lb = check_lower_bound(report)
-    assert not lb.applicable           # no jump, hypothesis fails
+    assert lower_bound(report).verdict == "n/a"      # no jump, hypothesis fails
 
 
 def test_energy_scaling_structure():
