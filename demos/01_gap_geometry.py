@@ -33,7 +33,8 @@ print("outside it tracks |x'|^{1+gamma} within a constant factor.")
 z = np.array([2 * neck, 0.0])
 region = LocalRegion(z, float(geom.gap_width(z[:1])), geom)
 corner = np.array([z[0] + 0.999 * region.radius, 0.0])
-y = region.rescale_to_unit(corner)
+# the zoomed frame: y' = (x' - z') / w, y_n = x_n / w with w the center width
+y = np.array([corner[0] - z[0], corner[1]]) / region.radius
 print(f"\nlocal slab at z'={z[0]:.4g}: radius = local width = {region.radius:.4g}")
 print(f"rescaling the slab corner {corner} gives y = {y} (|y'| near 1: the")
 print("slab becomes a unit-size cell in the zoomed frame)")

@@ -27,7 +27,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .geometry import GapGeometry, GeometryError, LocalRegion
+from .geometry import GapGeometry, GeometryError, LocalRegion, _radius
 
 
 class ConfigurationError(ValueError):
@@ -47,9 +47,21 @@ SLAB_CHECK_POINTS = 201
 def _rows(x) -> tuple[np.ndarray, bool]:
     """View ``x`` as (k, n); report whether the input was a single point."""
     a = np.asarray(x, dtype=float)
-    if a.ndim == 1:
-        return a[np.newaxis, :], True
-    return a, False
+    return (a[np.newaxis, :], True) if a.ndim == 1 else (a, False)
+
+
+def _row_norms(a: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm(a, axis=1)`` bit for bit, one contiguous pass per column.
+
+    numpy sums rows of up to 8 entries left to right, as here, but reduces a
+    short inner axis several times slower; wider rows take ``np.linalg.norm``.
+    """
+    if a.shape[1] > 8:
+        return np.linalg.norm(a, axis=1)
+    sq = a[:, 0] * a[:, 0]
+    for j in range(1, a.shape[1]):
+        sq += a[:, j] * a[:, j]
+    return np.sqrt(sq)
 
 
 # ---------------------------------------------------------------------------
@@ -99,12 +111,12 @@ class BoundaryData:
         def make(vals):
             def rule(X):
                 X = np.atleast_2d(X)
-                return np.broadcast_to(vals, (X.shape[0], m)).copy()
+                return np.broadcast_to(vals, (X.shape[0], m))     # read-only, not copied
             return rule
 
         def dzero(X):
             X = np.atleast_2d(X)
-            return np.zeros((X.shape[0], X.shape[1] - 1, m))
+            return np.broadcast_to(0.0, (X.shape[0], X.shape[1] - 1, m))
 
         return BoundaryData(m=m, phi=make(pv), psi=make(sv), dphi=dzero, dpsi=dzero,
                             phi_norms=np.abs(pv), psi_norms=np.abs(sv))
@@ -183,9 +195,8 @@ class BoundaryData:
         xp2, single = _rows(np.atleast_1d(xp))
         if xp2.shape[1] == geom.dim:
             xp2 = xp2[:, :-1]
-        top_pts = geom.boundary_point("top", xp2)
-        bot_pts = geom.boundary_point("bottom", xp2)
-        out = np.asarray(self.phi(top_pts), dtype=float) - np.asarray(self.psi(bot_pts), dtype=float)
+        out = (np.asarray(self.phi(geom.boundary_point("top", xp2)), dtype=float)
+               - np.asarray(self.psi(geom.boundary_point("bottom", xp2)), dtype=float))
         return out[0] if single else out
 
     def only(self, ell: int) -> "BoundaryData":
@@ -237,22 +248,48 @@ def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str) -> np.ndarra
 # the scalar profile and the data extension
 # ---------------------------------------------------------------------------
 
+def _fibers(geom: GapGeometry, x, gradient: bool = False):
+    """One geometry pass over ``x``, each profile (and with ``gradient`` each
+    profile gradient) evaluated once: whether ``x`` was a single point, the gap
+    fractions and widths, the points on the upper and lower boundaries, and with
+    ``gradient`` the tangential part of the gap-fraction gradient, else None.
+    Raises outside the unit tangential ball, where the boundaries cross and
+    outside the closure of the gap."""
+    X, single = _rows(x)
+    if X.shape[-1] != geom.dim:
+        raise GeometryError(f"point has dimension {X.shape[-1]}, expected {geom.dim}")
+    xp, xn = X[:, :-1], X[:, -1]
+    if np.any(_radius(xp) > 1.0 + 1e-12):
+        raise GeometryError("point outside the unit tangential ball")
+    eps = geom.epsilon
+    htop = np.asarray(geom.profile_top.evaluate(xp), dtype=float)
+    hbot = np.asarray(geom.profile_bottom.evaluate(xp), dtype=float)
+    top, bot, width = 0.5 * eps + htop, -0.5 * eps + hbot, eps + htop - hbot
+    if np.any(width <= 0):
+        raise GeometryError("gap width is not positive: boundaries cross")
+    tol = 1e-12 * max(1.0, eps)
+    if np.any(xn < bot - tol) or np.any(xn > top + tol):
+        raise GeometryError("point outside the closure of the gap region")
+    tang = None
+    if gradient:
+        # the three terms of gap_fraction_gradient, summed left to right;
+        # h_bot - eps/2 is the lower boundary's height
+        dbot = np.asarray(geom.profile_bottom.gradient(xp), dtype=float).reshape(xp.shape)
+        dw = np.asarray(geom.profile_top.gradient(xp), dtype=float).reshape(xp.shape) - dbot
+        w, w2 = width[:, None], (width**2)[:, None]
+        tang = -dbot / w
+        tang -= xn[:, None] * dw / w2
+        tang += bot[:, None] * dw / w2
+    top_pts, bot_pts = (np.concatenate([xp, h[:, None]], axis=1) for h in (top, bot))
+    return single, (xn - bot) / (top - bot), width, top_pts, bot_pts, tang
+
+
 def gap_fraction(geom: GapGeometry, x) -> np.ndarray:
     """Normalized height in the gap: 0 on the bottom boundary, 1 on the top.
 
     Accepts single points or rows; raises for points outside the closure.
     """
-    X, single = _rows(x)
-    xp, xn = X[:, :-1], X[:, -1]
-    r = np.linalg.norm(xp, axis=-1)
-    if np.any(r > 1.0 + 1e-12):
-        raise GeometryError("point outside the unit tangential ball")
-    bot = geom.bottom(xp)
-    top = geom.top(xp)
-    tol = 1e-12 * max(1.0, geom.epsilon)
-    if np.any(xn < bot - tol) or np.any(xn > top + tol):
-        raise GeometryError("point outside the closure of the gap region")
-    u = (xn - bot) / (top - bot)
+    single, u = _fibers(geom, x)[:2]
     return float(u[0]) if single else u
 
 
@@ -268,28 +305,17 @@ def gap_fraction_gradient(geom: GapGeometry, x) -> np.ndarray:
 
     with ``w = gap_width(x')``.  All three vanish at ``x' = 0``.
     """
-    X, single = _rows(x)
-    xp, xn = X[:, :-1], X[:, -1]
-    w = geom.gap_width(xp)
-    dbot = np.asarray(geom.profile_bottom.gradient(xp), dtype=float).reshape(xp.shape)
-    dw = geom.gap_width_gradient(xp)
-    hbot = np.asarray(geom.profile_bottom.evaluate(xp), dtype=float)
-    offset = hbot - 0.5 * geom.epsilon
-    tang = (-dbot / w[:, None]
-            - xn[:, None] * dw / (w**2)[:, None]
-            + offset[:, None] * dw / (w**2)[:, None])
-    out = np.concatenate([tang, (1.0 / w)[:, None]], axis=1)
+    single, _, width, _, _, tang = _fibers(geom, x, gradient=True)
+    out = np.concatenate([tang, (1.0 / width)[:, None]], axis=1)
     return out[0] if single else out
 
 
 def field_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     """All components of the data extension at ``x``; shape (k, m)."""
-    X, single = _rows(x)
-    xp = X[:, :-1]
-    u = np.atleast_1d(gap_fraction(geom, X))
-    pv = np.asarray(data.phi(geom.boundary_point("top", xp)), dtype=float)
-    sv = np.asarray(data.psi(geom.boundary_point("bottom", xp)), dtype=float)
-    vals = pv * u[:, None] + sv * (1.0 - u[:, None])
+    single, u, _, top_pts, bot_pts, _ = _fibers(geom, x)
+    u = u[:, None]
+    vals = (np.asarray(data.phi(top_pts), dtype=float) * u
+            + np.asarray(data.psi(bot_pts), dtype=float) * (1.0 - u))
     return vals[0] if single else vals
 
 
@@ -298,28 +324,20 @@ def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
 
     Product rule: tangential entries combine the tangential data derivatives
     weighted by the profile with the data jump times the profile gradient;
-    the vertical entry is exactly ``jump(x') / gap_width(x')``.
+    the vertical entry is exactly ``jump(x') / gap_width(x')``.  Per batch,
+    each profile, each profile gradient and each data rule is called once.
     """
-    X, single = _rows(x)
-    xp = X[:, :-1]
-    u = np.atleast_1d(gap_fraction(geom, X))
-    gu = np.atleast_2d(gap_fraction_gradient(geom, X))
-    top_pts = geom.boundary_point("top", xp)
-    bot_pts = geom.boundary_point("bottom", xp)
-    pv = np.asarray(data.phi(top_pts), dtype=float)        # (k, m)
-    sv = np.asarray(data.psi(bot_pts), dtype=float)
+    single, u, width, top_pts, bot_pts, tang = _fibers(geom, x, gradient=True)
     dp = np.asarray(data.dphi(top_pts), dtype=float)       # (k, d, m)
     ds = np.asarray(data.dpsi(bot_pts), dtype=float)
-    jump = pv - sv
-    k, m = pv.shape
-    n = geom.dim
-    out = np.empty((k, m, n))
-    # tangential columns
-    out[:, :, :-1] = (np.transpose(dp, (0, 2, 1)) * u[:, None, None]
-                      + np.transpose(ds, (0, 2, 1)) * (1.0 - u[:, None, None])
-                      + jump[:, :, None] * gu[:, None, :-1])
-    # vertical column
-    out[:, :, -1] = jump * gu[:, -1][:, None]
+    jump = np.asarray(data.phi(top_pts), dtype=float) - np.asarray(data.psi(bot_pts), dtype=float)
+    k, d, m = dp.shape
+    v, inv_w = 1.0 - u, 1.0 / width
+    out = np.empty((k, m, d + 1))
+    for ell in range(m):    # one pass per entry: broadcasting over short axes is slower
+        for a in range(d):
+            out[:, ell, a] = dp[:, a, ell] * u + ds[:, a, ell] * v + jump[:, ell] * tang[:, a]
+        out[:, ell, d] = jump[:, ell] * inv_w
     return out[0] if single else out
 
 
@@ -340,31 +358,28 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     """
     if pairs < 1:
         raise ConfigurationError("pairs must be >= 1")
-    geom = region.geom
-    n = geom.dim
     budget = -(-pairs // 4)
     xs, ys = [], []
     for ci, scale in enumerate((0.5, 0.1, 0.01)):
         x0 = region.sample_points(budget, seed, tag=ci)
-        rng_off = np.random.default_rng([seed, ci, 9])
-        u = rng_off.normal(size=(budget, n))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u = np.random.default_rng([seed, ci, 9]).normal(size=(budget, region.geom.dim))
+        u /= _row_norms(u)[:, None]
         y0 = x0 + scale * region.radius * u
         keep = region.contains(y0)
-        xs.append(x0[keep])
-        ys.append(y0[keep])
+        xs.append(np.compress(keep, x0, axis=0))
+        ys.append(np.compress(keep, y0, axis=0))
     xs.append(region.sample_points(budget, seed, tag=3))
     ys.append(region.sample_points(budget, seed, tag=4))
-    X = np.concatenate(xs)
-    Y = np.concatenate(ys)
-    dist = np.linalg.norm(X - Y, axis=1)
+    XY = np.concatenate(xs + ys)            # the first points of all pairs, then the second
+    k = XY.shape[0] // 2
+    dist = _row_norms(XY[:k] - XY[k:])
     keep = dist > 0
-    X, Y, dist = X[keep], Y[keep], dist[keep]
-    if X.shape[0] == 0:
+    XY, dist = np.compress(np.tile(keep, 2), XY, axis=0), dist[keep]
+    k = dist.size
+    if k == 0:
         return 0.0
-    k = X.shape[0]
-    fxy = np.asarray(f(np.concatenate([X, Y])), dtype=float).reshape(2 * k, -1)
-    diff = np.linalg.norm(fxy[:k] - fxy[k:], axis=1)
+    fxy = np.asarray(f(XY), dtype=float).reshape(2 * k, -1)
+    diff = _row_norms(fxy[:k] - fxy[k:])
     return float(np.max(diff / dist**gamma))
 
 
@@ -451,8 +466,7 @@ def check_seminorm_growth(geom: GapGeometry, data: BoundaryData, z,
     value; the fitted constant is the largest lhs/rhs ratio over the
     comparable rows.
     """
-    z = np.asarray(z, dtype=float)
-    zp = z[:-1]
+    zp = np.asarray(z, dtype=float)[:-1]
     w = float(geom.gap_width(zp))
     rows = []
     for frac in s_fractions:

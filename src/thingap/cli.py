@@ -65,10 +65,16 @@ def _positive(text: str) -> float:
     return x
 
 
-def _count(text: str) -> int:
+# largest sample or pair count: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and
+# 476 MiB with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB); coeffcheck.samples
+# grows as samples^1.5 and gets a tenth (819 MiB at 200,000)
+MAX_SAMPLES = 2_000_000
+
+
+def _count(text: str, ceiling: int = MAX_SAMPLES) -> int:
     n = int(text)
-    if n < 1:
-        raise ValueError("must be >= 1")
+    if not 1 <= n <= ceiling:
+        raise ValueError("must be >= 1" if n < 1 else f"must be <= {ceiling}")
     return n
 
 
@@ -105,7 +111,7 @@ SCHEMA = {
     "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
     "prop21.pairs": (_count, 2000),
     "prop21.zprimes": (_zprimes, "0,neck,0.25"),
-    "coeffcheck.samples": (_count, 10_000),
+    "coeffcheck.samples": (lambda text: _count(text, MAX_SAMPLES // 10), 10_000),
     "coeffcheck.pairs": (_count, 10_000),
     "checks.stability_factor": (_ratio, 3.0),
     "checks.exponent_band": (_positive, 0.2),

@@ -29,6 +29,14 @@ FD_STEP = 1e-7
 FD_RTOL = 1e-6
 
 
+def _radius(xp, keepdims: bool = False) -> np.ndarray:
+    """Norm over the last axis; for one coordinate ``|x|``, which equals
+    ``np.linalg.norm``'s ``sqrt(x*x)`` unless ``x*x`` underflows."""
+    if xp.shape[-1] == 1:
+        return np.abs(xp if keepdims else xp[..., 0])
+    return np.linalg.norm(xp, axis=-1, keepdims=keepdims)
+
+
 def _as_tangential(xp, d):
     """Coerce ``xp`` to a float array of shape (..., d)."""
     a = np.asarray(xp, dtype=float)
@@ -92,12 +100,12 @@ def power_profile(c: float, gamma: float) -> BoundaryProfile:
 
     def evaluate(xp):
         xp = np.asarray(xp, dtype=float)
-        r = np.linalg.norm(np.atleast_1d(xp), axis=-1) if xp.ndim else np.abs(xp)
+        r = _radius(xp) if xp.ndim else np.abs(xp)
         return c * r**expo
 
     def gradient(xp):
         xp = np.atleast_1d(np.asarray(xp, dtype=float))
-        r = np.linalg.norm(xp, axis=-1, keepdims=True)
+        r = _radius(xp, keepdims=True)
         with np.errstate(divide="ignore", invalid="ignore"):
             g = c * expo * r ** (gamma - 1.0) * xp
         return np.where(r > 0, g, 0.0)
@@ -210,8 +218,7 @@ class GapGeometry:
         profiles are not defined.
         """
         xp = _as_tangential(xp, self.tangential_dim)
-        r = np.linalg.norm(xp, axis=-1)
-        if np.any(r > 1.0 + 1e-12):
+        if np.any(_radius(xp) > 1.0 + 1e-12):
             raise GeometryError("tangential point outside the unit ball")
         w = (self.epsilon
              + np.asarray(self.profile_top.evaluate(xp), dtype=float)
@@ -220,29 +227,18 @@ class GapGeometry:
             raise GeometryError("gap width is not positive: boundaries cross")
         return w
 
-    def gap_width_gradient(self, xp) -> np.ndarray:
-        """Tangential gradient of the gap width, ``grad h_top - grad h_bot``."""
-        xp = _as_tangential(xp, self.tangential_dim)
-        return (np.asarray(self.profile_top.gradient(xp), dtype=float).reshape(xp.shape)
-                - np.asarray(self.profile_bottom.gradient(xp), dtype=float).reshape(xp.shape))
-
     def boundary_point(self, side: str, xp) -> np.ndarray:
         """Point on the upper or lower boundary above/below ``x'``."""
-        xp = _as_tangential(xp, self.tangential_dim)
-        r = np.linalg.norm(xp, axis=-1)
-        if np.any(r > 1.0 + 1e-12):
-            raise GeometryError("tangential point outside the unit ball")
-        if side == "top":
-            xn = self.top(xp)
-        elif side == "bottom":
-            xn = self.bottom(xp)
-        else:
+        if side not in ("top", "bottom"):
             raise GeometryError(f"side must be 'top' or 'bottom', got {side!r}")
+        xp = _as_tangential(xp, self.tangential_dim)
+        if np.any(_radius(xp) > 1.0 + 1e-12):
+            raise GeometryError("tangential point outside the unit ball")
+        xn = self.top(xp) if side == "top" else self.bottom(xp)
         return np.concatenate([xp, xn[..., np.newaxis]], axis=-1)
 
     def midline(self, xp) -> np.ndarray:
         """Vertical midpoint of the gap, ``(h_top + h_bot)/2``."""
-        xp = _as_tangential(xp, self.tangential_dim)
         return 0.5 * (self.top(xp) + self.bottom(xp))
 
     # -- validation ---------------------------------------------------------
@@ -314,29 +310,10 @@ class LocalRegion:
         """Membership test: vertical strip condition plus ``|x' - z'| < radius``."""
         x = np.asarray(x, dtype=float)
         xp, xn = x[..., :-1], x[..., -1]
-        near = np.linalg.norm(xp - self.center_tangential, axis=-1) < self.radius
-        out = np.zeros(np.shape(near), dtype=bool)
-        anynear = np.any(near)
-        if anynear:
-            top = self.geom.top(xp)
-            bot = self.geom.bottom(xp)
-            out = near & (xn > bot) & (xn < top)
-        return out if out.shape else bool(out)
-
-    def rescale_to_unit(self, x) -> np.ndarray:
-        """Map to the nearly-unit frame: ``y' = (x'-z')/w``, ``y_n = x_n/w``.
-
-        ``w`` is the gap width at the region center.  A region of radius
-        ``w`` maps onto the unit slab ``|y'| < 1``.
-        """
-        x = np.asarray(x, dtype=float)
-        if not self.contains(x):
-            raise GeometryError("point outside the local region")
-        w = float(self.geom.gap_width(self.center_tangential))
-        y = np.empty_like(x)
-        y[..., :-1] = (x[..., :-1] - self.center_tangential) / w
-        y[..., -1] = x[..., -1] / w
-        return y
+        near = _radius(xp - self.center_tangential) < self.radius
+        if np.any(near):
+            near = near & (xn > self.geom.bottom(xp)) & (xn < self.geom.top(xp))
+        return near if near.shape else bool(near)
 
     def sample_points(self, k: int, seed: int, tag: int) -> np.ndarray:
         """``k`` points uniform in the tangential slab, uniform in each fiber.
@@ -344,26 +321,25 @@ class LocalRegion:
         Each random variable draws from its own stream seeded by
         ``(seed, tag, variable)``, so a larger ``k`` extends a smaller one
         point for point (prefix-stable sampling); ``tag`` separates the
-        streams of independent draws on the same slab.
+        streams of independent draws on the same slab (one tangential
+        dimension needs no radius stream).  Each profile is evaluated once.
         """
         d = self.geom.tangential_dim
         zc = self.center_tangential
         rng_dir = np.random.default_rng([seed, tag, 1])
-        rng_rad = np.random.default_rng([seed, tag, 2])
         rng_hgt = np.random.default_rng([seed, tag, 3])
         if d == 1:
             xp = zc + self.radius * rng_dir.uniform(-1, 1, size=(k, 1))
         else:
+            rng_rad = np.random.default_rng([seed, tag, 2])
             v = rng_dir.normal(size=(k, d))
             v /= np.linalg.norm(v, axis=1, keepdims=True)
             xp = zc + self.radius * v * rng_rad.uniform(0, 1, size=(k, 1)) ** (1.0 / d)
         # clip to the unit ball where the profiles are defined
-        r = np.linalg.norm(xp, axis=-1, keepdims=True)
+        r = _radius(xp, keepdims=True)
         over = r > 1.0
         if np.any(over):
             xp = np.where(over, xp / r, xp)
-        bot = self.geom.bottom(xp)
-        top = self.geom.top(xp)
-        t = rng_hgt.uniform(0, 1, size=k)
-        xn = bot + t * (top - bot)
+        bot, top = self.geom.bottom(xp), self.geom.top(xp)
+        xn = bot + rng_hgt.uniform(0, 1, size=k) * (top - bot)
         return np.concatenate([xp, xn[:, np.newaxis]], axis=1)

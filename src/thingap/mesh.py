@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from .geometry import GapGeometry, GeometryError
+from .geometry import GapGeometry
 
 
 class MeshError(ValueError):
@@ -237,9 +237,7 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
 
 
 def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
-    widths = geom.gap_width(stations[:, None])
-    if np.any(widths <= 0):
-        raise GeometryError("degenerate geometry: nonpositive gap width at a station")
+    widths = geom.gap_width(stations[:, None])      # raises where the boundaries cross
     S = stations.size
     frac = np.arange(layers + 1) / layers
     bot = geom.bottom(stations[:, None])

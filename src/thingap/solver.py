@@ -298,8 +298,12 @@ def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:
     """Gradients of the containing triangles (lowest index on ties).
 
     ``x`` of shape (2,) gives the matrix (m, 2), shape (k, 2) gives (k, m, 2).
+    Only the located triangles' gradients are formed.
     """
-    return sol.gradients()[sol.mesh.locate(x)]
+    t = np.atleast_1d(sol.mesh.locate(x))
+    g = np.einsum("tam,tad->tmd", sol.values[sol.mesh.triangles[t]],
+                  sol.mesh.basis_gradients()[t])
+    return g if np.ndim(x) == 2 else g[0]
 
 
 def value_at(sol: DiscreteSolution, x) -> np.ndarray:

@@ -1,10 +1,14 @@
+import collections
+import dataclasses
+
 import numpy as np
 import pytest
 
 from thingap.auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
                                field_gradients, field_values, gap_fraction,
                                gap_fraction_gradient, holder_seminorm, seminorm_growth_rhs)
-from thingap.geometry import GapGeometry, GeometryError, LocalRegion
+from thingap.geometry import (BoundaryProfile, GapGeometry, GeometryError, LocalRegion,
+                              power_profile)
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -158,6 +162,115 @@ def test_extension_gradient_matches_finite_differences(geom, make_data):
         scale = np.maximum(np.linalg.norm(g, axis=(1, 2)), 1.0)
         worst = max(worst, float(np.max(np.abs(fd - g[:, :, d]) / scale[:, None])))
     assert worst < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# one geometry pass per batch
+# ---------------------------------------------------------------------------
+
+def polynomial_profile(coeffs):
+    """``h(x') = sum_k c_k x'^k`` for n = 2: not a power law of |x'|."""
+    c = np.asarray(coeffs, dtype=float)
+    k = np.arange(c.size)
+
+    def evaluate(xp):
+        return np.asarray(xp, dtype=float)[..., :1] ** k @ c
+
+    def gradient(xp):
+        return (np.asarray(xp, dtype=float)[..., :1] ** k[:-1] @ (k[1:] * c[1:]))[..., None]
+
+    return BoundaryProfile(evaluate, gradient, description="polynomial")
+
+
+def counting(prof, counts, side):
+    def evaluate(xp):
+        counts[side, "evaluate"] += 1
+        return prof.evaluate(xp)
+
+    def gradient(xp):
+        counts[side, "gradient"] += 1
+        return prof.gradient(xp)
+
+    return BoundaryProfile(evaluate, gradient, prof.description)
+
+
+@pytest.fixture
+def skew_geom():
+    # asymmetric profiles; the width EPS + 1.1 x^2 + 0.15 x^3 stays positive on [-1, 1]
+    return GapGeometry(epsilon=EPS, gamma=GAMMA,
+                       profile_top=polynomial_profile([0.0, 0.0, 0.7, 0.25]),
+                       profile_bottom=polynomial_profile([0.0, 0.0, -0.4, 0.1]))
+
+
+def test_fiber_pass_matches_the_separate_formulas(skew_geom):
+    # the formulas each function used before the shared pass, written out
+    geom = skew_geom
+    X = interior_samples(geom, 500, seed=8, tmin=0.0, tmax=1.0, xmax=1.0)
+    data = BoundaryData.polynomial([[1.0, 0.5, -0.3], [0.2, 0.0, 1.0]],
+                                   [[0.1, -0.2], [0.0, 0.4]], geom)
+    xp, xn = X[:, :1], X[:, 1]
+    ht = geom.profile_top.evaluate(xp)
+    hb = geom.profile_bottom.evaluate(xp)
+    top, bot = 0.5 * EPS + ht, -0.5 * EPS + hb
+    u = (xn - bot) / (top - bot)
+    w = EPS + ht - hb
+    dbot = geom.profile_bottom.gradient(xp)
+    dw = geom.profile_top.gradient(xp) - dbot
+    offset = hb - 0.5 * EPS
+    tang = (-dbot / w[:, None] - xn[:, None] * dw / (w**2)[:, None]
+            + offset[:, None] * dw / (w**2)[:, None])
+    gu = np.concatenate([tang, (1.0 / w)[:, None]], axis=1)
+    top_pts = np.concatenate([xp, top[:, None]], axis=1)
+    bot_pts = np.concatenate([xp, bot[:, None]], axis=1)
+    pv, sv = data.phi(top_pts), data.psi(bot_pts)
+    dp, ds = data.dphi(top_pts), data.dpsi(bot_pts)
+    jump = pv - sv
+    grads = np.empty((X.shape[0], 2, 2))
+    grads[:, :, :1] = (np.transpose(dp, (0, 2, 1)) * u[:, None, None]
+                       + np.transpose(ds, (0, 2, 1)) * (1.0 - u[:, None, None])
+                       + jump[:, :, None] * gu[:, None, :1])
+    grads[:, :, 1] = jump * gu[:, 1][:, None]
+    assert np.array_equal(gap_fraction(geom, X), u)
+    assert np.array_equal(gap_fraction_gradient(geom, X), gu)
+    assert np.array_equal(field_values(geom, data, X), pv * u[:, None] + sv * (1.0 - u[:, None]))
+    assert np.array_equal(field_gradients(geom, data, X), grads)
+    assert np.array_equal(gu[:, 1], 1.0 / geom.gap_width(xp))
+
+
+@pytest.mark.parametrize("fn", [
+    lambda geom, X: gap_fraction(geom, X),
+    lambda geom, X: gap_fraction_gradient(geom, X),
+    lambda geom, X: field_values(geom, BoundaryData.constant([1.0], [0.0]), X),
+    lambda geom, X: field_gradients(geom, BoundaryData.constant([1.0], [0.0]), X),
+], ids=["gap_fraction", "gap_fraction_gradient", "field_values", "field_gradients"])
+def test_fiber_pass_raises_outside_its_domain(skew_geom, fn):
+    with pytest.raises(GeometryError, match="outside the unit tangential ball"):
+        fn(skew_geom, np.array([[0.2, 0.0], [1.5, 0.0]]))
+    with pytest.raises(GeometryError, match="outside the closure"):
+        fn(skew_geom, np.array([[0.2, 0.0], [0.0, EPS]]))
+    crossing = GapGeometry(epsilon=EPS, gamma=GAMMA, profile_top=power_profile(-1.0, GAMMA))
+    with pytest.raises(GeometryError, match="boundaries cross"):
+        fn(crossing, np.array([[0.0, 0.0], [0.5, 0.0]]))
+
+
+def test_profiles_are_evaluated_once_per_batch(skew_geom):
+    counts = collections.Counter()
+    geom = dataclasses.replace(
+        skew_geom, profile_top=counting(skew_geom.profile_top, counts, "top"),
+        profile_bottom=counting(skew_geom.profile_bottom, counts, "bottom"))
+    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
+    field_gradients(geom, data, interior_samples(skew_geom, 300, seed=9))
+    assert counts == {(side, call): 1 for side in ("top", "bottom")
+                      for call in ("evaluate", "gradient")}
+    # five slab samples and three membership tests evaluate each profile once,
+    # the field once more, and only the field needs gradients: 18 + 2 calls
+    # (23 + 3 before the shared pass)
+    region = region_at(geom, 0.1)
+    counts.clear()
+    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
+    holder_seminorm(f, region, GAMMA, pairs=2000, seed=0)
+    assert counts == {("top", "evaluate"): 9, ("bottom", "evaluate"): 9,
+                      ("top", "gradient"): 1, ("bottom", "gradient"): 1}
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
-                         export_solution_text, fmt_float, parse_config_text,
+from thingap.cli import (COMMANDS, MAX_SAMPLES, ConfigError, SCHEMA, dumps, effective_config,
+                         emit_tables, export_solution_text, fmt_float, parse_config_text,
                          plan_from_config, run)
 from thingap.verify import SweepPlan
 
@@ -415,6 +415,15 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "got bc.phi = [], bc.psi = [0.5]"),
     (["prop21", "--set", "bc.kind=polynomial", "--set", "bc.phi=1", "--set", "bc.psi="],
      "got bc.phi = [1.0], bc.psi = []"),
+    (["prop21", "--set", f"prop21.pairs={MAX_SAMPLES + 1}"],
+     f"bad value for 'prop21.pairs': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
+    (["validate-coefficients", "--set", f"coeffcheck.pairs={MAX_SAMPLES + 1}"],
+     f"bad value for 'coeffcheck.pairs': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
+    (["validate-coefficients", "--set", f"coeffcheck.samples={MAX_SAMPLES // 10 + 1}"],
+     f"bad value for 'coeffcheck.samples': '{MAX_SAMPLES // 10 + 1}' "
+     f"(must be <= {MAX_SAMPLES // 10})"),
+    (["validate-geometry", "--set", f"validate.samples={MAX_SAMPLES + 1}"],
+     f"bad value for 'validate.samples': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

@@ -75,21 +75,6 @@ def test_boundary_points(geom):
         geom.boundary_point("sideways", np.zeros(1))
 
 
-def test_rescale_center_and_roundtrip(geom):
-    z = np.array([0.1, 0.002])
-    w = float(geom.gap_width(z[:1]))
-    region = LocalRegion(z, w, geom)
-    y = region.rescale_to_unit(z)
-    assert y[0] == pytest.approx(0.0, abs=0)
-    assert y[1] == pytest.approx(z[1] / w, rel=1e-15)
-    pts = region.sample_points(100, seed=2, tag=0)
-    got = np.array([region.rescale_to_unit(p) for p in pts])
-    # closed form: y' = (x' - z') / w, y_n = x_n / w
-    want = np.stack([(pts[:, 0] - z[0]) / w, pts[:, 1] / w], axis=1)
-    assert np.array_equal(got, want)
-    assert np.all(np.abs(got[:, 0]) < 1.0)
-
-
 def test_slab_samples_lie_in_region_and_are_prefix_stable(geom):
     region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]), 0.05, geom)
     small = region.sample_points(50, seed=4, tag=1)
@@ -99,17 +84,12 @@ def test_slab_samples_lie_in_region_and_are_prefix_stable(geom):
     assert not np.array_equal(region.sample_points(50, seed=4, tag=2), small)
 
 
-def test_rescale_corner_hits_unit_slab_edge(geom):
+def test_contains_slab_edge(geom):
     z = np.array([0.05, 0.0])
     w = float(geom.gap_width(z[:1]))
     region = LocalRegion(z, w, geom)
-    corner = np.array([z[0] + w * (1 - 1e-9), 0.0])
-    assert region.contains(corner)
-    y = region.rescale_to_unit(corner)
-    assert abs(y[0]) == pytest.approx(1.0, abs=1e-8)
-    outside = np.array([z[0] + w * 1.001, 0.0])
-    with pytest.raises(GeometryError):
-        region.rescale_to_unit(outside)
+    assert region.contains(np.array([z[0] + w * (1 - 1e-9), 0.0]))
+    assert not region.contains(np.array([z[0] + w * 1.001, 0.0]))
 
 
 def test_builtin_gradient_envelope():

@@ -254,6 +254,22 @@ def test_gradient_at_affine_field_exact():
     assert np.allclose(g, b[None, :], atol=1e-12)
 
 
+@pytest.mark.parametrize("cs", [lame_as_general(LameParameters(1.0, 1.0), 2),
+                                identity_coefficients()], ids=["lame", "scalar"])
+def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
+    geom = GapGeometry.power_law(EPS, GAMMA)
+    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    data = BoundaryData.polynomial([[1.0, 0.5, 1.0]] + [[0.2]] * (cs.m - 1),
+                                   [[0.0]] + [[0.0, -0.3]] * (cs.m - 1), geom)
+    sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
+    xp = np.linspace(-0.45, 0.45, 19)
+    pts = np.stack([xp, geom.midline(xp[:, None])], axis=1)
+    g = gradient_at(sol, pts)
+    assert g.shape == (19, cs.m, 2)
+    assert np.array_equal(g, sol.gradients()[mesh.locate(pts)])
+    assert np.array_equal(gradient_at(sol, (0.0, 0.0)), sol.gradients()[mesh.locate((0.0, 0.0))])
+
+
 def test_value_at_reproduces_affine_field_and_barycentric_values():
     geom = GapGeometry.power_law(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
