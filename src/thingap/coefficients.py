@@ -1,7 +1,7 @@
 """Coefficient fields of the elliptic system and their sampled validation.
 
-A system with m unknowns in n dimensions is described by four fields
-evaluated pointwise:
+A system with m unknowns in n dimensions has four fields, each ``None`` (zero), an
+array of its shape (constant) or a rule from points (k, n) to values (k, ...):
 
     A(x) : (n, n, m, m)   leading part, indexed [alpha, beta, i, j]
     B(x) : (n, m, m)      lower order inside the divergence, [alpha, i, j]
@@ -19,7 +19,7 @@ is by sampling: it can falsify a claimed constant, not prove it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -30,6 +30,7 @@ class EllipticityError(ValueError):
 
 # how far the sampled ellipticity constant may undercut the claimed one
 ELLIPTICITY_TOL = 1e-9
+Field = Union[np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -57,51 +58,53 @@ def lame_tensor(p: LameParameters, n: int) -> np.ndarray:
     return T
 
 
+def evaluate_field(name: str, field: Optional[Field], X: np.ndarray, shape: tuple) -> np.ndarray:
+    """``field`` at each row of X, (k,) + shape; zeros for ``None``.  ValueError, naming
+    both shapes, unless an array is exactly ``shape`` and a rule returns (k,) + shape."""
+    X = np.asarray(X, dtype=float)
+    if field is None:
+        return np.zeros((X.shape[0],) + shape)
+    want = (X.shape[0],) + shape if callable(field) else shape
+    value = np.asarray(field(X) if callable(field) else field, dtype=float)
+    if value.shape != want:
+        raise ValueError(f"field {name} has shape {value.shape}, expected {want}")
+    return value if callable(field) else np.broadcast_to(value, (X.shape[0],) + shape)
+
+
 @dataclass
 class CoefficientSet:
     """Bundle of the four coefficient fields with claimed bounds.
 
-    ``A``, ``B``, ``Cc`` and ``D`` are rules mapping a point (array of shape
-    (n,)) to arrays of the shapes listed in the module docstring; ``None``
-    declares a lower-order field identically zero.  Constant
-    fields should set ``constant=True`` so that assembly and checks can
-    evaluate once.  ``lam`` is the claimed ellipticity constant, ``kappa3``
-    the claimed Holder-norm bound of all fields, and ``gamma`` the Holder
-    exponent.
+    ``A``, ``B``, ``Cc`` and ``D`` are each ``None`` (zero), an array of
+    exactly the field's shape in the module docstring (constant), or a rule
+    mapping points (k, n) to values (k, ...) of that shape (variable).
+    ``lam`` is the claimed ellipticity constant, ``kappa3`` the claimed
+    Holder-norm bound of all fields, and ``gamma`` the Holder exponent.
     """
 
     m: int
     n: int
-    A: Callable[[np.ndarray], np.ndarray]
-    B: Optional[Callable[[np.ndarray], np.ndarray]]
-    Cc: Optional[Callable[[np.ndarray], np.ndarray]]
-    D: Optional[Callable[[np.ndarray], np.ndarray]]
+    A: Field
+    B: Optional[Field]
+    Cc: Optional[Field]
+    D: Optional[Field]
     lam: float
     kappa3: float
     gamma: float = 0.5
-    constant: bool = False
     name: str = "custom"
-
-    def _eval_many(self, rule, X: np.ndarray, shape: tuple) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if rule is None:
-            return np.zeros((X.shape[0],) + shape)
-        if self.constant:
-            return np.broadcast_to(rule(X[0]), (X.shape[0],) + shape)
-        return np.stack([np.asarray(rule(x), dtype=float) for x in X])
 
     def eval_A_many(self, X: np.ndarray) -> np.ndarray:
         """A at each row of X, shape (k, n, n, m, m)."""
-        return self._eval_many(self.A, X, (self.n, self.n, self.m, self.m))
+        return evaluate_field("A", self.A, X, (self.n, self.n, self.m, self.m))
 
     def eval_B_many(self, X: np.ndarray) -> np.ndarray:
-        return self._eval_many(self.B, X, (self.n, self.m, self.m))
+        return evaluate_field("B", self.B, X, (self.n, self.m, self.m))
 
     def eval_C_many(self, X: np.ndarray) -> np.ndarray:
-        return self._eval_many(self.Cc, X, (self.n, self.m, self.m))
+        return evaluate_field("Cc", self.Cc, X, (self.n, self.m, self.m))
 
     def eval_D_many(self, X: np.ndarray) -> np.ndarray:
-        return self._eval_many(self.D, X, (self.m, self.m))
+        return evaluate_field("D", self.D, X, (self.m, self.m))
 
     def is_zero_lower_order(self) -> bool:
         """True when B, C and D are all declared zero (``None``)."""
@@ -111,9 +114,8 @@ class CoefficientSet:
 def identity_coefficients(m: int = 1, n: int = 2) -> CoefficientSet:
     """Decoupled Laplace blocks: ``A[a,b,i,j] = d_ab d_ij``, no lower order."""
     A0 = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
-    return CoefficientSet(m=m, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
-                          lam=1.0, kappa3=float(m * n), gamma=0.5,
-                          constant=True, name="identity")
+    return CoefficientSet(m=m, n=n, A=A0, B=None, Cc=None, D=None,
+                          lam=1.0, kappa3=float(m * n), gamma=0.5, name="identity")
 
 
 def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
@@ -127,9 +129,9 @@ def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
     T = lame_tensor(p, n)
     A0 = np.ascontiguousarray(np.transpose(T, (1, 3, 0, 2)))  # [alpha,beta,i,j] = T[i,alpha,j,beta]
     # a constant field's Holder norm is its sup
-    return CoefficientSet(m=n, n=n, A=lambda x: A0, B=None, Cc=None, D=None,
+    return CoefficientSet(m=n, n=n, A=A0, B=None, Cc=None, D=None,
                           lam=p.mu1, kappa3=float(np.max(np.abs(A0))), gamma=0.5,
-                          constant=True, name=f"lame({p.lambda1},{p.mu1})")
+                          name=f"lame({p.lambda1},{p.mu1})")
 
 
 def holder_demo_coefficients(gamma: float, m: int = 1, n: int = 2) -> CoefficientSet:
@@ -140,13 +142,14 @@ def holder_demo_coefficients(gamma: float, m: int = 1, n: int = 2) -> Coefficien
     """
     eye = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
 
-    def A(x):
-        return (1.0 + 0.5 * float(np.linalg.norm(x)) ** gamma) * eye
+    def A(X):
+        # vecdot's sqrt matches np.linalg.norm of each row bit for bit
+        return (1.0 + 0.5 * np.sqrt(np.vecdot(X, X)) ** gamma)[:, None, None, None, None] * eye
 
     # sup of the scalar factor on the unit region is 1.5; quotient of |x|^gamma is 1
     return CoefficientSet(m=m, n=n, A=A, B=None, Cc=None, D=None,
                           lam=1.0, kappa3=2.0 + float(m * n), gamma=gamma,
-                          constant=False, name="holder_demo")
+                          name="holder_demo")
 
 
 @dataclass(frozen=True)
@@ -179,7 +182,7 @@ def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     if points is None:
-        points = np.zeros((1, cs.n)) if cs.constant else rng.uniform(-1, 1, size=(64, cs.n))
+        points = rng.uniform(-1, 1, size=(64, cs.n)) if callable(cs.A) else np.zeros((1, cs.n))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ndir = max(8, int(np.sqrt(samples)))
     xis = _unit_directions(ndir, cs.n, rng)
@@ -217,16 +220,11 @@ def check_holder(cs: CoefficientSet, pair_samples: int = 10_000,
     jj = rng.integers(0, k, size=pair_samples)
     keep = ii != jj
     ii, jj = ii[keep], jj[keep]
-    dist = np.linalg.norm(points[ii] - points[jj], axis=1)
+    scale = np.linalg.norm(points[ii] - points[jj], axis=1)[:, None] ** cs.gamma
     worst = 0.0
     for evaluate in (cs.eval_A_many, cs.eval_B_many, cs.eval_C_many, cs.eval_D_many):
         vals = evaluate(points).reshape(k, -1)
-        sup = float(np.max(np.abs(vals))) if vals.size else 0.0
-        if ii.size:
-            diffs = np.abs(vals[ii] - vals[jj])            # (pairs, ncomp)
-            quot = diffs / dist[:, None] ** cs.gamma
-            q = float(np.max(quot)) if quot.size else 0.0
-        else:
-            q = 0.0
-        worst = max(worst, sup + q)
+        quot = np.abs(vals[ii] - vals[jj]) / scale             # (pairs, ncomp)
+        worst = max(worst, float(np.max(np.abs(vals), initial=0.0))
+                    + float(np.max(quot, initial=0.0)))
     return worst

@@ -87,10 +87,10 @@ def finite_difference_reference(cs: CoefficientSet, half_width: float, epsilon: 
     """
     if not cs.is_zero_lower_order():
         raise OracleError("finite-difference reference requires B = C = D = 0")
-    if not cs.constant:
+    if callable(cs.A):
         raise OracleError("finite-difference reference supports constant coefficients only")
     m = cs.m
-    A0 = np.asarray(cs.A(np.zeros(2)), dtype=float)     # (2, 2, m, m)
+    A0 = cs.eval_A_many(np.zeros((1, 2)))[0]            # (2, 2, m, m)
     xs = np.linspace(-half_width, half_width, nx + 1)
     ys = np.linspace(-0.5 * epsilon, 0.5 * epsilon, ny + 1)
     hx = xs[1] - xs[0]

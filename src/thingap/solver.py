@@ -38,7 +38,7 @@ import numpy as np
 
 from ._lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
 from .auxiliary import BoundaryData, field_values
-from .coefficients import CoefficientSet
+from .coefficients import CoefficientSet, evaluate_field
 from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
 
 if TYPE_CHECKING:
@@ -173,10 +173,10 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
              rhs: Optional[RightHandSide] = None) -> AssembledSystem:
     """Assemble the system matrix and load vector.
 
-    A constant leading field A is integrated by the centroid rule: P1
+    An array (constant) leading field A is integrated by the centroid rule: P1
     gradients are constant per triangle, so that rule is exact for it.  A
-    variable A, the lower-order fields B, C, D and the volume sources are
-    evaluated at the three edge midpoints of each triangle, a rule exact for
+    rule (variable) A, the lower-order fields B, C, D and the volume sources
+    are evaluated at the three edge midpoints of each triangle, a rule exact for
     quadratics such as the P1 mass term of a constant D.
     """
     if cs.n != 2:
@@ -193,7 +193,7 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     E = np.zeros((T, 3, m, 3, m))
     fe = np.zeros((T, 3, m))
     lower_order = not cs.is_zero_lower_order()
-    if cs.constant:
+    if not callable(cs.A):
         # one evaluation, at the first centroid; summed in blocks, so that the
         # contraction's temporaries stay cache-sized instead of exceeding E
         A_1 = cs.eval_A_many(pts[:1].mean(axis=1))
@@ -203,10 +203,10 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
                               optimize=True)
     wa = _WEIGHT * areas
     # a constant A with no other terms needs no edge-midpoint points
-    rule = _BARY if not cs.constant or lower_order or rhs is not None else ()
+    rule = _BARY if callable(cs.A) or lower_order or rhs is not None else ()
     for bq in rule:
         xq = np.einsum("a,tad->td", bq, pts)
-        if not cs.constant:
+        if callable(cs.A):
             A_q = cs.eval_A_many(xq)                   # (T, n, n, m, m)
             E += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G, G, optimize=True)
         if lower_order:
@@ -216,13 +216,9 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
             E += np.einsum("t,tpij,b,tap->taibj", wa, B_q, bq, G, optimize=True)
             E -= np.einsum("t,tqij,tbq,a->taibj", wa, C_q, G, bq, optimize=True)
             E -= np.einsum("t,tij,a,b->taibj", wa, D_q, bq, bq, optimize=True)
-        if rhs is not None:
-            if rhs.H is not None:
-                H_q = np.asarray(rhs.H(xq), dtype=float).reshape(T, m)
-                fe += np.einsum("t,ti,a->tai", wa, H_q, bq)
-            if rhs.F is not None:
-                F_q = np.asarray(rhs.F(xq), dtype=float).reshape(T, m, 2)
-                fe += np.einsum("t,tip,tap->tai", wa, F_q, G)
+        if rhs is not None:                            # a source left None is zero
+            fe += np.einsum("t,ti,a->tai", wa, evaluate_field("H", rhs.H, xq, (m,)), bq)
+            fe += np.einsum("t,tip,tap->tai", wa, evaluate_field("F", rhs.F, xq, (m, 2)), G)
 
     dofs = (mesh.triangles[:, :, None] * m + np.arange(m)).reshape(T, 3 * m)
     load = np.bincount(dofs.ravel(), fe.ravel(), N * m)

@@ -117,6 +117,9 @@ def t_quantile(df: int, p: float) -> float:
 # sweep plan and builders
 # ---------------------------------------------------------------------------
 
+# the midline probes lie on |x'| <= PROBE_HALF_SPAN, so mesh.xrange must reach it
+PROBE_HALF_SPAN = 0.5
+
 @dataclass
 class SweepPlan:
     """Everything needed to reproduce a sweep, including the seed."""
@@ -183,6 +186,9 @@ class SweepPlan:
                 raise PlanError(f"{key}.xrange must lie in (0, 1], got {xrange}")
             if aspect <= 0:
                 raise PlanError(f"{key}.aspect must be positive, got {aspect}")
+        if self.mesh_xrange < PROBE_HALF_SPAN:
+            raise PlanError(f"mesh.xrange must be >= {PROBE_HALF_SPAN}, the half-span of the "
+                            f"midline probes, got {self.mesh_xrange}")
         if self.mesh_dxmax <= 0:
             raise PlanError(f"mesh.dxmax must be positive, got {self.mesh_dxmax}")
         if self.probes_centerline < 1 or self.probes_profile < 1:
@@ -383,13 +389,13 @@ def probe_points(plan: SweepPlan, geom: GapGeometry) -> np.ndarray:
     """Probe sites, (k, 2): ``probes_centerline`` rows ``(0, xn)``, then midline rows.
 
     The centerline stays ``probe_offset`` gap widths inside each boundary;
-    the midline rows ``(xp, mid(xp))`` span ``|xp| <= 0.5``.
+    the midline rows ``(xp, mid(xp))`` span ``|xp| <= PROBE_HALF_SPAN``.
     """
     w0 = float(geom.gap_width(np.zeros(1)))
     off = plan.probe_offset * w0
     xn = np.linspace(float(geom.bottom(np.zeros(1))) + off,
                      float(geom.top(np.zeros(1))) - off, plan.probes_centerline)
-    xp = np.linspace(-0.5, 0.5, plan.probes_profile)
+    xp = np.linspace(-PROBE_HALF_SPAN, PROBE_HALF_SPAN, plan.probes_profile)
     return np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
                            np.stack([xp, geom.midline(xp[:, None])], axis=1)])
 

@@ -65,7 +65,7 @@ def test_criterion1_affine_oracle_exact():
 # -- criterion 2: manufactured-solution convergence ---------------------------
 
 def _mms_errors(cs, mesh):
-    A0 = cs.A(np.zeros(2))
+    A0 = cs.A
 
     def ustar(X):
         X = np.atleast_2d(X)

@@ -326,6 +326,8 @@ print(json.dumps({{"threads": threads, "env": env, "codes": codes,
     (["prop21", "--set", "prop21.s_fractions=0,0.5,1"], "prop21.s_fractions"),
     (["sweep", "--set", "bc.phi=1,0,5"], "beyond the system's 2 components"),
     (["sweep", "--set", "profile.c2=2"], "boundaries cross"),
+    (["sweep", "--set", "mesh.xrange=0.4"], "mesh.xrange must be >= 0.5, the half-span"),
+    (["solve", "--set", "mesh.xrange=1e-9"], "mesh.xrange must be >= 0.5, the half-span"),
 ])
 def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     root = Path(__file__).resolve().parents[1]

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -37,7 +38,7 @@ def test_lame_parameters_must_be_elliptic():
 def test_lame_as_general_matches_bruteforce_expansion():
     p = LameParameters(1.0, 1.0)
     cs = lame_as_general(p, 2)
-    A = cs.A(np.zeros(2))
+    A = cs.A
     T = lame_tensor(p, 2)
     # brute-force re-index over every tuple
     for a, b, i, j in itertools.product(range(2), repeat=4):
@@ -63,7 +64,7 @@ def test_lame_as_general_lower_order_vanishes():
 def test_lame_rank_one_form_bruteforce_minimum():
     # independent Rayleigh minimization over random unit direction pairs
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
-    A = cs.A(np.zeros(2))
+    A = cs.A
     rng = np.random.default_rng(0)
     best = np.inf
     for _ in range(10_000):
@@ -86,30 +87,24 @@ def test_check_ellipticity_lame_and_scaling():
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     meas = check_ellipticity(cs, samples=10_000, seed=1)
     assert meas.value == pytest.approx(1.0, abs=1e-9)
-    A2 = lambda x: 2.0 * cs.A(x)
-    doubled = CoefficientSet(m=2, n=2, A=A2, B=cs.B, Cc=cs.Cc, D=cs.D,
-                             lam=2.0 * cs.lam, kappa3=cs.kappa3,
-                             constant=True)
+    doubled = CoefficientSet(m=2, n=2, A=2.0 * cs.A, B=cs.B, Cc=cs.Cc, D=cs.D,
+                             lam=2.0 * cs.lam, kappa3=cs.kappa3)
     meas2 = check_ellipticity(doubled, samples=10_000, seed=1)
     assert meas2.value == pytest.approx(2.0 * meas.value, rel=1e-12)
 
 
 def test_check_ellipticity_rejects_indefinite():
-    bad = CoefficientSet(m=1, n=2, A=lambda x: -np.eye(2)[..., None, None],
-                         B=lambda x: np.zeros((2, 1, 1)),
-                         Cc=lambda x: np.zeros((2, 1, 1)),
-                         D=lambda x: np.zeros((1, 1)),
-                         lam=1.0, kappa3=1.0, constant=True)
+    bad = CoefficientSet(m=1, n=2, A=-np.eye(2)[..., None, None],
+                         B=np.zeros((2, 1, 1)), Cc=np.zeros((2, 1, 1)), D=np.zeros((1, 1)),
+                         lam=1.0, kappa3=1.0)
     with pytest.raises(EllipticityError):
         check_ellipticity(bad, samples=100, seed=0)
 
 
 def _scalar_field_set(fn, gamma):
     eye = np.eye(2)[:, :, None, None]
-    return CoefficientSet(m=1, n=2, A=lambda x: fn(x) * eye,
-                          B=lambda x: np.zeros((2, 1, 1)),
-                          Cc=lambda x: np.zeros((2, 1, 1)),
-                          D=lambda x: np.zeros((1, 1)),
+    return CoefficientSet(m=1, n=2, A=lambda X: fn(X)[:, None, None, None, None] * eye,
+                          B=np.zeros((2, 1, 1)), Cc=np.zeros((2, 1, 1)), D=np.zeros((1, 1)),
                           lam=0.0, kappa3=100.0, gamma=gamma)
 
 
@@ -121,7 +116,7 @@ def test_check_holder_constant_fields():
 
 def test_check_holder_power_field_quotient_bounded_by_one():
     gamma = 0.5
-    cs = _scalar_field_set(lambda x: float(np.linalg.norm(x)) ** gamma, gamma)
+    cs = _scalar_field_set(lambda X: np.linalg.norm(X, axis=1) ** gamma, gamma)
     # pairs through the origin realize the quotient; | |x|^g - |y|^g | <= |x-y|^g
     pts = np.concatenate([np.zeros((1, 2)),
                           np.random.default_rng(2).uniform(-1, 1, size=(120, 2))])
@@ -133,7 +128,7 @@ def test_check_holder_power_field_quotient_bounded_by_one():
 
 def test_check_holder_smooth_field_scales_with_diameter():
     gamma = 0.5
-    cs = _scalar_field_set(lambda x: x[0], gamma)
+    cs = _scalar_field_set(lambda X: X[:, 0], gamma)
     rng = np.random.default_rng(4)
     pts = rng.uniform(-1, 1, size=(150, 2))
     got = check_holder(cs, pair_samples=10_000, points=pts, seed=5)
@@ -150,3 +145,28 @@ def test_holder_demo_field_passes_both_checks():
     assert meas.value >= 1.0 - 1e-9
     k3 = check_holder(cs, pair_samples=4000, seed=7)
     assert np.isfinite(k3) and k3 <= cs.kappa3
+
+
+def test_array_field_of_another_shape_raises():
+    # an m = 1 leading field on an m = 2 set would otherwise broadcast silently
+    cs = dataclasses.replace(identity_coefficients(m=2, n=2),
+                             A=identity_coefficients(m=1, n=2).A)
+    with pytest.raises(ValueError, match=r"field A has shape \(2, 2, 1, 1\), "
+                                         r"expected \(2, 2, 2, 2\)"):
+        cs.eval_A_many(np.zeros((5, 2)))
+
+
+def test_per_point_rule_raises():
+    A0 = identity_coefficients(m=2, n=2).A
+    cs = dataclasses.replace(identity_coefficients(m=2, n=2), A=lambda x: A0)
+    with pytest.raises(ValueError, match=r"field A has shape \(2, 2, 2, 2\), "
+                                         r"expected \(5, 2, 2, 2, 2\)"):
+        cs.eval_A_many(np.zeros((5, 2)))
+
+
+def test_holder_demo_batch_matches_the_per_point_formula_bitwise():
+    cs = holder_demo_coefficients(0.5, m=2, n=2)
+    X = np.random.default_rng(8).uniform(-1, 1, size=(1000, 2))
+    eye = np.einsum("ab,ij->abij", np.eye(2), np.eye(2))
+    want = np.stack([(1 + 0.5 * float(np.linalg.norm(x)) ** 0.5) * eye for x in X])
+    assert np.array_equal(cs.eval_A_many(X), want)

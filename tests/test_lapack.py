@@ -26,7 +26,7 @@ def _lame():
 def _nonsymmetric():
     """Lame with a first-order term B, which makes the element matrices nonsymmetric."""
     B = 0.1 * np.arange(8, dtype=float).reshape(2, 2, 2) / 8.0
-    return dataclasses.replace(_lame(), B=lambda x: B)
+    return dataclasses.replace(_lame(), B=B)
 
 
 def _problem(cs):

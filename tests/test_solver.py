@@ -7,8 +7,8 @@ import pytest
 from scipy.sparse.linalg import splu
 
 from thingap.auxiliary import BoundaryData, field_gradients, field_values
-from thingap.coefficients import (CoefficientSet, LameParameters, identity_coefficients,
-                                  lame_as_general)
+from thingap.coefficients import (CoefficientSet, LameParameters, holder_demo_coefficients,
+                                  identity_coefficients, lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
 from thingap import _lapack, solver
@@ -86,13 +86,11 @@ def _full_coefficient_set():
     """Constant coefficients with every term active, kept strongly coercive."""
     A = np.zeros((2, 2, 2, 2))
     lame = lame_as_general(LameParameters(1.0, 1.0), 2)
-    A[:] = lame.A(np.zeros(2))
+    A[:] = lame.A
     B = 0.1 * np.arange(8, dtype=float).reshape(2, 2, 2) / 8.0
     C = 0.05 * (1.0 + np.arange(8, dtype=float)).reshape(2, 2, 2) / 8.0
     D = 0.1 * np.array([[1.0, 0.2], [0.1, 1.0]])
-    return CoefficientSet(m=2, n=2, A=lambda x: A, B=lambda x: B,
-                          Cc=lambda x: C, D=lambda x: D,
-                          lam=1.0, kappa3=10.0, constant=True,
+    return CoefficientSet(m=2, n=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0,
                           name="full_terms")
 
 
@@ -147,7 +145,7 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
     # twin, which has no lower-order terms, refuses it
     base = identity_coefficients(m=1, n=2)
     cs = CoefficientSet(m=1, n=2, A=base.A, B=None, Cc=None,
-                        D=lambda x: float(np.linalg.norm(x)) * np.eye(1),
+                        D=lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1),
                         lam=1.0, kappa3=3.0, name="distance_D")
     geom = GapGeometry.power_law(0.1, GAMMA)
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
@@ -157,6 +155,34 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
     with pytest.raises(OracleError, match="B = C = D = 0"):
         finite_difference_reference(cs, 0.5, 0.1, 10, 10,
                                     boundary=lambda X: np.zeros((np.atleast_2d(X).shape[0], 1)))
+
+
+def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
+    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+                    xrange=0.5)
+    D = lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1)
+    replaced = dataclasses.replace(identity_coefficients(), D=D)
+    direct = CoefficientSet(m=1, n=2, A=identity_coefficients().A, B=None, Cc=None, D=D,
+                            lam=1.0, kappa3=3.0)
+    assert abs(assemble(mesh, replaced).K - assemble(mesh, direct).K).max() == 0.0
+
+
+def test_a_variable_leading_field_is_evaluated_once_per_edge_midpoint_batch():
+    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+                    xrange=0.5)
+    cs = holder_demo_coefficients(GAMMA)
+    batches = []
+    counted = dataclasses.replace(cs, A=lambda X: batches.append(len(X)) or cs.A(X))
+    assemble(mesh, counted)
+    assert batches == [mesh.num_triangles] * 3
+
+
+def test_a_source_of_the_wrong_shape_raises():
+    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+                    xrange=0.5)
+    H = lambda X: np.ones((len(X), 2)).T            # (m, k) instead of (k, m)
+    with pytest.raises(ValueError, match=r"field H has shape \(2, \d+\), expected \(\d+, 2\)"):
+        assemble(mesh, identity_coefficients(m=2, n=2), rhs=RightHandSide(H=H))
 
 
 @pytest.mark.parametrize("make_cs", [
@@ -388,10 +414,12 @@ def test_constant_field_assembly_is_quadrature_independent():
     geom = GapGeometry.power_law(1e-2, GAMMA)
     mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.05, xrange=0.5)
     lame = lame_as_general(LameParameters(1.0, 1.0), 2)
-    with_mass = dataclasses.replace(lame, D=lambda x: np.eye(2), name="lame_mass")
+    with_mass = dataclasses.replace(lame, D=np.eye(2), name="lame_mass")
+    A0 = lame.A
+    rule = lambda X: np.broadcast_to(A0, (len(X),) + A0.shape)
     for cs in (lame, with_mass):
         K = assemble(mesh, cs).K
-        pointwise = assemble(mesh, dataclasses.replace(cs, constant=False)).K
+        pointwise = assemble(mesh, dataclasses.replace(cs, A=rule)).K
         assert abs(K - pointwise).max() <= 1e-13 * abs(pointwise).max()
 
 
@@ -433,7 +461,7 @@ def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
 def _symmetric_indefinite():
     """Identity leading part with a mass term large enough to make K_ff indefinite."""
     base = identity_coefficients(m=1, n=2)
-    return dataclasses.replace(base, D=lambda x: 3000.0 * np.eye(1), name="indefinite_D")
+    return dataclasses.replace(base, D=3000.0 * np.eye(1), name="indefinite_D")
 
 
 @pytest.mark.parametrize("make_cs, symmetric", [(_full_coefficient_set, False),
@@ -549,7 +577,7 @@ def test_nan_or_zero_leading_field_raises(a, message):
     # NaN compares False with every tolerance, so the residual gate must
     # reject it; a zero operator must stop at the banded LU's zero pivot
     cs = dataclasses.replace(identity_coefficients(m=1, n=2),
-                             A=lambda x: np.full((2, 2, 1, 1), a))
+                             A=np.full((2, 2, 1, 1), a))
     mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0,
                     dxmax=0.05, xrange=0.5)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
