@@ -6,11 +6,10 @@ The scalar profile
 
 interpolates 0 on the lower boundary to 1 on the upper one; its vertical
 derivative is exactly ``1/gap_width(x')``, which carries the full singular
-behaviour as the gap closes.  Boundary data (phi on top, psi on bottom) is
-extended into the gap componentwise,
+behaviour as the gap closes.  Boundary data (phi on top, psi on bottom: per
+component the coefficients of a polynomial in x1) are extended componentwise,
 
-    ext^(l)(x) = phi^(l)(top(x')) gap_fraction(x)
-               + psi^(l)(bot(x')) (1 - gap_fraction(x)),
+    ext^(l)(x) = phi^(l)(x') gap_fraction(x) + psi^(l)(x') (1 - gap_fraction(x)),
 
 and for data with one nonzero component (``BoundaryData.only``) the gradient
 of this extension is the dominant singular part of the solution gradient.
@@ -22,8 +21,8 @@ slabs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import astuple, dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -34,9 +33,6 @@ class ConfigurationError(ValueError):
     """Raised when a check is invoked outside its hypotheses."""
 
 
-# finite-difference check of the boundary-data derivative rules
-VALIDATE_SAMPLES = 200
-VALIDATE_RTOL = 1e-6
 # stations of the sampled C^{1,gamma} data norms: sups, then all pairs
 NORM_SUP_POINTS = 2001
 NORM_PAIR_POINTS = 201
@@ -68,34 +64,47 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # boundary data
 # ---------------------------------------------------------------------------
 
-def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return sum(c * t**k for k, c in enumerate(coeffs))
+def _values(coeffs: np.ndarray, x) -> np.ndarray:
+    """Each row of ``coeffs`` as a polynomial in the first column of ``x``: (k, m)."""
+    X = np.atleast_2d(x)
+    if coeffs.shape[1] == 1:
+        return np.broadcast_to(coeffs[:, 0], (X.shape[0], coeffs.shape[0]))  # read-only
+    t = X[:, 0]
+    return sum(c * (t**k)[:, None] for k, c in enumerate(coeffs.T))
 
 
-def _poly_deriv(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
-    return sum(k * c * t ** (k - 1) for k, c in enumerate(coeffs) if k >= 1)
+def _derivatives(coeffs: np.ndarray, xp) -> np.ndarray:
+    """Tangential derivatives of :func:`_values` at tangential points: (k, n-1, m)."""
+    XP = np.atleast_2d(xp)
+    if coeffs.shape[1] == 1:
+        return np.broadcast_to(0.0, XP.shape + (coeffs.shape[0],))
+    t = XP[:, 0]
+    out = sum(k * c * (t ** (k - 1))[:, None] for k, c in enumerate(coeffs.T) if k >= 1)
+    return out[:, np.newaxis, :]
 
 
-@dataclass
+@dataclass(frozen=True)
 class BoundaryData:
     """Vector-valued Dirichlet data on the two gap boundaries.
 
-    ``phi`` and ``psi`` map boundary points (rows (k, n)) to values (k, m);
-    they are evaluated only on the respective graphs, so rules may use just
-    the tangential coordinates.  ``dphi`` and ``dpsi`` are the tangential
-    derivatives along the graphs: d/dx'_a of the composed map
-    ``x' -> phi(x', top(x'))``, shape (k, n-1, m).  ``phi_norms`` and
-    ``psi_norms`` are declared per-component C^{1,gamma} norms on the
-    graphs; the built-in constructors compute them by dense sampling.
+    Row ``l`` of ``phi_coeffs`` (upper graph) and ``psi_coeffs`` (lower graph)
+    holds the coefficients of 1, x1, x1^2, ... of component ``l``, zero-padded
+    per side.  :meth:`phi`, :meth:`psi` and :meth:`jump` read the first column
+    of rows of tangential or full points and return (k, m); :meth:`dphi` and
+    :meth:`dpsi` are the exact derivatives along the graphs at tangential
+    points, (k, n-1, m).  Degree-0 data hold in any n and evaluate to read-only
+    broadcast views; higher degrees are for n = 2.  ``phi_norms`` and
+    ``psi_norms`` are declared per-component C^{1,gamma} norms on the graphs.
     """
 
-    m: int
-    phi: Callable[[np.ndarray], np.ndarray]
-    psi: Callable[[np.ndarray], np.ndarray]
-    dphi: Callable[[np.ndarray], np.ndarray]
-    dpsi: Callable[[np.ndarray], np.ndarray]
-    phi_norms: np.ndarray = field(default=None)
-    psi_norms: np.ndarray = field(default=None)
+    phi_coeffs: np.ndarray
+    psi_coeffs: np.ndarray
+    phi_norms: np.ndarray
+    psi_norms: np.ndarray
+
+    @property
+    def m(self) -> int:
+        return self.phi_coeffs.shape[0]
 
     # -- constructors ------------------------------------------------------
 
@@ -106,20 +115,7 @@ class BoundaryData:
         sv = np.asarray(psi_values, dtype=float)
         if pv.shape != sv.shape or pv.ndim != 1:
             raise ConfigurationError("phi and psi must be 1-d of equal length")
-        m = pv.size
-
-        def make(vals):
-            def rule(X):
-                X = np.atleast_2d(X)
-                return np.broadcast_to(vals, (X.shape[0], m))     # read-only, not copied
-            return rule
-
-        def dzero(X):
-            X = np.atleast_2d(X)
-            return np.broadcast_to(0.0, (X.shape[0], X.shape[1] - 1, m))
-
-        return BoundaryData(m=m, phi=make(pv), psi=make(sv), dphi=dzero, dpsi=dzero,
-                            phi_norms=np.abs(pv), psi_norms=np.abs(sv))
+        return BoundaryData(pv[:, None], sv[:, None], np.abs(pv), np.abs(sv))
 
     @staticmethod
     def polynomial(phi_coeffs: Sequence[Sequence[float]],
@@ -132,110 +128,64 @@ class BoundaryData:
         """
         if geom.dim != 2:
             raise ConfigurationError("polynomial boundary data is implemented for n = 2")
-        pc = [np.asarray(c, dtype=float) for c in phi_coeffs]
-        sc = [np.asarray(c, dtype=float) for c in psi_coeffs]
-        if len(pc) != len(sc):
+        if len(phi_coeffs) != len(psi_coeffs):
             raise ConfigurationError("phi and psi need the same number of components")
-        m = len(pc)
+        pc, sc = (_padded(rows) for rows in (phi_coeffs, psi_coeffs))
+        return BoundaryData(pc, sc, _sampled_graph_norms(pc, geom, "top"),
+                            _sampled_graph_norms(sc, geom, "bottom"))
 
-        def make(coeffs):
-            def rule(X):
-                X = np.atleast_2d(X)
-                t = X[:, 0]
-                return np.stack([_poly_eval(c, t) for c in coeffs], axis=1)
-            return rule
+    def phi(self, x) -> np.ndarray:
+        return _values(self.phi_coeffs, x)
 
-        def dmake(coeffs):
-            def rule(X):
-                X = np.atleast_2d(X)
-                t = X[:, 0]
-                out = np.stack([np.broadcast_to(_poly_deriv(c, t), t.shape) for c in coeffs],
-                               axis=1)
-                return out[:, np.newaxis, :]
-            return rule
+    def psi(self, x) -> np.ndarray:
+        return _values(self.psi_coeffs, x)
 
-        data = BoundaryData(m=m, phi=make(pc), psi=make(sc), dphi=dmake(pc), dpsi=dmake(sc))
-        data.phi_norms = _sampled_graph_norms(data.phi, data.dphi, geom, "top")
-        data.psi_norms = _sampled_graph_norms(data.psi, data.dpsi, geom, "bottom")
-        return data
+    def dphi(self, xp) -> np.ndarray:
+        return _derivatives(self.phi_coeffs, xp)
 
-    # -- validation ---------------------------------------------------------
+    def dpsi(self, xp) -> np.ndarray:
+        return _derivatives(self.psi_coeffs, xp)
 
-    def validate(self, geom: GapGeometry) -> float:
-        """Check tangential-derivative rules against finite differences along the graphs.
-
-        Compares at ``VALIDATE_SAMPLES`` points; returns the worst relative
-        error and raises when it exceeds ``VALIDATE_RTOL``.
-        """
-        d = geom.tangential_dim
-        rng = np.random.default_rng(7)
-        xp = rng.uniform(-0.9, 0.9, size=(VALIDATE_SAMPLES, d))
-        worst = 0.0
-        h = 1e-6
-        for rule, drule, side in ((self.phi, self.dphi, "top"), (self.psi, self.dpsi, "bottom")):
-            pts = geom.boundary_point(side, xp)
-            want = np.asarray(drule(pts), dtype=float)
-            for a in range(d):
-                step = np.zeros(d)
-                step[a] = h
-                fp = rule(geom.boundary_point(side, xp + step))
-                fm = rule(geom.boundary_point(side, xp - step))
-                fd = (np.asarray(fp) - np.asarray(fm)) / (2 * h)
-                scale = np.maximum(np.abs(want[:, a, :]), np.abs(fd))
-                err = np.abs(fd - want[:, a, :]) / np.maximum(scale, 1.0)
-                worst = max(worst, float(np.max(err)) if err.size else 0.0)
-        if worst > VALIDATE_RTOL:
-            raise ConfigurationError(
-                f"tangential-derivative rules disagree with finite differences "
-                f"({worst:.3e} > {VALIDATE_RTOL:.1e})")
-        return worst
-
-    def jump(self, geom: GapGeometry, xp) -> np.ndarray:
-        """Componentwise data jump ``phi(top(x')) - psi(bot(x'))``, shape (k, m)."""
-        xp2, single = _rows(np.atleast_1d(xp))
-        if xp2.shape[1] == geom.dim:
-            xp2 = xp2[:, :-1]
-        out = (np.asarray(self.phi(geom.boundary_point("top", xp2)), dtype=float)
-               - np.asarray(self.psi(geom.boundary_point("bottom", xp2)), dtype=float))
-        return out[0] if single else out
+    def jump(self, xp) -> np.ndarray:
+        """Componentwise data jump ``phi(x') - psi(x')`` at rows of points, (k, m)."""
+        return self.phi(xp) - self.psi(xp)
 
     def only(self, ell: int) -> "BoundaryData":
         """The same data with every component but ``ell`` (0-based) set to zero.
 
-        Values, tangential derivatives and declared norms of the other
-        components are assigned exact zeros in a copy: a multiply by 0 could
-        leave -0.0, and ``np.where`` with a broadcast mask costs more per call.
+        The other coefficient rows and norms are assigned exact zeros in a
+        copy: a multiply by 0 could leave -0.0.
         """
         if not 0 <= ell < self.m:
             raise ConfigurationError(f"component {ell} out of range for m = {self.m}")
-        drop = np.flatnonzero(np.arange(self.m) != ell)
-
-        def zeroed(values):
-            if values is None:          # norms not declared
-                return None
-            out = np.array(values, dtype=float)
-            out[..., drop] = 0.0
-            return out
-
-        rules = [lambda X, r=r: zeroed(r(X)) for r in (self.phi, self.psi, self.dphi, self.dpsi)]
-        return BoundaryData(self.m, *rules, zeroed(self.phi_norms), zeroed(self.psi_norms))
+        parts = astuple(self)           # copies of the four arrays
+        for a in parts:
+            a[np.arange(self.m) != ell] = 0.0
+        return BoundaryData(*parts)
 
 
-def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str) -> np.ndarray:
+def _padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
+    """Coefficient lists as the rows of one zero-padded (m, p) array, p >= 1."""
+    out = np.zeros((len(rows), max([1] + [len(r) for r in rows])))
+    for row, r in zip(out, rows):
+        row[:len(r)] = r
+    return out
+
+
+def _sampled_graph_norms(coeffs: np.ndarray, geom: GapGeometry, side: str) -> np.ndarray:
     """Sampled per-component C^{1,gamma} norm of data composed on a graph (n = 2).
 
     Sups over ``NORM_SUP_POINTS`` stations, the seminorm over all pairs of
     ``NORM_PAIR_POINTS`` stations.
     """
     t = np.linspace(-1.0, 1.0, NORM_SUP_POINTS)[:, None]
-    pts = geom.boundary_point(side, t)
-    vals = np.asarray(rule(pts), dtype=float)
-    derivs = np.asarray(drule(pts), dtype=float)[:, 0, :]
+    vals = _values(coeffs, t)
+    derivs = _derivatives(coeffs, t)[:, 0, :]
     sup_v = np.max(np.abs(vals), axis=0)
     sup_d = np.max(np.abs(derivs), axis=0)
     tp = np.linspace(-1.0, 1.0, NORM_PAIR_POINTS)[:, None]
     pp = geom.boundary_point(side, tp)
-    dd = np.asarray(drule(pp), dtype=float)[:, 0, :]
+    dd = _derivatives(coeffs, tp)[:, 0, :]
     diff = np.abs(dd[:, None, :] - dd[None, :, :])
     dist = np.linalg.norm(pp[:, None, :] - pp[None, :, :], axis=-1)
     iu = np.triu_indices(NORM_PAIR_POINTS, k=1)
@@ -251,10 +201,10 @@ def _sampled_graph_norms(rule, drule, geom: GapGeometry, side: str) -> np.ndarra
 def _fibers(geom: GapGeometry, x, gradient: bool = False):
     """One geometry pass over ``x``, each profile (and with ``gradient`` each
     profile gradient) evaluated once: whether ``x`` was a single point, the gap
-    fractions and widths, the points on the upper and lower boundaries, and with
-    ``gradient`` the tangential part of the gap-fraction gradient, else None.
-    Raises outside the unit tangential ball, where the boundaries cross and
-    outside the closure of the gap."""
+    fractions and widths, the tangential points ``x'`` (the data depend on
+    them alone), and with ``gradient`` the tangential part of the gap-fraction
+    gradient, else None.  Raises outside the unit tangential ball, where the
+    boundaries cross and outside the closure of the gap."""
     X, single = _rows(x)
     if X.shape[-1] != geom.dim:
         raise GeometryError(f"point has dimension {X.shape[-1]}, expected {geom.dim}")
@@ -280,8 +230,7 @@ def _fibers(geom: GapGeometry, x, gradient: bool = False):
         tang = -dbot / w
         tang -= xn[:, None] * dw / w2
         tang += bot[:, None] * dw / w2
-    top_pts, bot_pts = (np.concatenate([xp, h[:, None]], axis=1) for h in (top, bot))
-    return single, (xn - bot) / (top - bot), width, top_pts, bot_pts, tang
+    return single, (xn - bot) / (top - bot), width, xp, tang
 
 
 def gap_fraction(geom: GapGeometry, x) -> np.ndarray:
@@ -305,17 +254,16 @@ def gap_fraction_gradient(geom: GapGeometry, x) -> np.ndarray:
 
     with ``w = gap_width(x')``.  All three vanish at ``x' = 0``.
     """
-    single, _, width, _, _, tang = _fibers(geom, x, gradient=True)
+    single, _, width, _, tang = _fibers(geom, x, gradient=True)
     out = np.concatenate([tang, (1.0 / width)[:, None]], axis=1)
     return out[0] if single else out
 
 
 def field_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     """All components of the data extension at ``x``; shape (k, m)."""
-    single, u, _, top_pts, bot_pts, _ = _fibers(geom, x)
+    single, u, _, xp, _ = _fibers(geom, x)
     u = u[:, None]
-    vals = (np.asarray(data.phi(top_pts), dtype=float) * u
-            + np.asarray(data.psi(bot_pts), dtype=float) * (1.0 - u))
+    vals = data.phi(xp) * u + data.psi(xp) * (1.0 - u)
     return vals[0] if single else vals
 
 
@@ -325,12 +273,11 @@ def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     Product rule: tangential entries combine the tangential data derivatives
     weighted by the profile with the data jump times the profile gradient;
     the vertical entry is exactly ``jump(x') / gap_width(x')``.  Per batch,
-    each profile, each profile gradient and each data rule is called once.
+    each profile and each profile gradient is evaluated once.
     """
-    single, u, width, top_pts, bot_pts, tang = _fibers(geom, x, gradient=True)
-    dp = np.asarray(data.dphi(top_pts), dtype=float)       # (k, d, m)
-    ds = np.asarray(data.dpsi(bot_pts), dtype=float)
-    jump = np.asarray(data.phi(top_pts), dtype=float) - np.asarray(data.psi(bot_pts), dtype=float)
+    single, u, width, xp, tang = _fibers(geom, x, gradient=True)
+    dp, ds = data.dphi(xp), data.dpsi(xp)       # (k, d, m)
+    jump = data.jump(xp)
     k, d, m = dp.shape
     v, inv_w = 1.0 - u, 1.0 / width
     out = np.empty((k, m, d + 1))
@@ -430,7 +377,7 @@ def seminorm_growth_rhs(geom: GapGeometry, data: BoundaryData, zp, s: float) -> 
     """
     g = geom.gamma
     w = float(geom.gap_width(zp))
-    jump = float(np.sum(np.abs(data.jump(geom, zp))))
+    jump = float(np.sum(np.abs(data.jump(zp))))
     norms = float(np.sum(data.phi_norms) + np.sum(data.psi_norms))
     p = 1.0 / (1.0 + g)
     group1 = w ** (-1.0 - p) * s ** (1.0 - g) + w ** (-g - p)

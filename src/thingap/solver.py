@@ -245,9 +245,9 @@ class DiscreteSolution:
 def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
     """Dirichlet assignment from boundary data on every boundary vertex.
 
-    Top vertices take phi, bottom vertices psi, and the lateral segments the
-    data extension across the gap (the estimates under test are interior).
-    A single-component problem passes ``data.only(ell)``.
+    Top vertices take phi, bottom vertices psi (both read only x1), and the
+    lateral segments the data extension across the gap (the estimates under
+    test are interior).  A single-component problem passes ``data.only(ell)``.
     """
     values = np.zeros((mesh.num_vertices, data.m))
     tags = mesh.vertex_tags
@@ -255,8 +255,8 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
     bot = tags == TAG_BOTTOM
     fixed = tags != TAG_INTERIOR
     lat = fixed & ~top & ~bot
-    values[top] = np.asarray(data.phi(mesh.vertices[top]), dtype=float)
-    values[bot] = np.asarray(data.psi(mesh.vertices[bot]), dtype=float)
+    values[top] = data.phi(mesh.vertices[top])
+    values[bot] = data.psi(mesh.vertices[bot])
     if np.any(lat):
         values[lat] = field_values(mesh.geom, data, mesh.vertices[lat])
     return BoundaryAssignment(values=values, fixed=fixed)

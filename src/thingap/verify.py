@@ -119,6 +119,9 @@ def t_quantile(df: int, p: float) -> float:
 
 # the midline probes lie on |x'| <= PROBE_HALF_SPAN, so mesh.xrange must reach it
 PROBE_HALF_SPAN = 0.5
+# bound on |system.lambda1| and system.mu1, 1e50 below the first overflow: norms
+# overflow from 1e150 on, oracle-suite's grid solve fails from 1e163, solve from 1e169
+LAME_MAX = 1e100
 
 @dataclass
 class SweepPlan:
@@ -162,9 +165,9 @@ class SweepPlan:
             raise PlanError("energy z' values must be positive and distinct")
         if not (0 < self.gamma < 1):
             raise PlanError(f"gamma must lie in (0, 1), got {self.gamma}")
-        if self.system_kind == "custom" or self.bc_kind == "custom":
-            raise PlanError("kind 'custom' requires supplying rules through the "
-                            "Python API, not the flat config")
+        if self.system_kind == "custom":
+            raise PlanError("system.kind 'custom' requires supplying coefficient rules "
+                            "through the Python API, not the flat config")
         if self.system_kind not in ("lame", "identity", "holder_demo"):
             raise PlanError(f"unknown system kind {self.system_kind!r}")
         if self.bc_kind not in ("constant_jump", "polynomial"):
@@ -206,6 +209,9 @@ class SweepPlan:
 
     def lame(self) -> LameParameters:
         """The Lame constants ``system.lambda1`` and ``system.mu1``."""
+        if not (abs(self.lambda1) <= LAME_MAX and self.mu1 <= LAME_MAX):
+            raise PlanError(f"system.lambda1 and system.mu1: need |lambda1| and mu1 <= "
+                            f"{LAME_MAX:g}, got ({self.lambda1}, {self.mu1})")
         try:
             return LameParameters(self.lambda1, self.mu1)
         except EllipticityError as exc:
@@ -406,7 +412,7 @@ def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData)
     k = plan.probes_centerline
     norms = _frob(gradient_at(sol, pts))
     xn, xp = pts[:k, 1], pts[k:, 0]
-    jumps = np.linalg.norm(np.atleast_2d(data.jump(geom, xp[:, None])), axis=1)
+    jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
     return xn, norms[:k], xp, norms[k:], jumps
 
 
@@ -440,7 +446,7 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     # envelope constants: solve the displayed bounds for their constants
     denom_profile = jumps / (epsilon + np.abs(xp) ** (1 + plan.gamma)) + norm_terms
     C_profile = float(np.max(pf / denom_profile))
-    jump0 = np.atleast_2d(data.jump(geom, np.zeros((1, 1))))[0]
+    jump0 = data.jump(np.zeros((1, 1)))[0]
     denom_center = float(np.linalg.norm(jump0)) / epsilon + norm_terms
     C_upper = max(C_profile, float(np.max(cl)) / denom_center)
     max_comp = float(np.max(np.abs(jump0)))

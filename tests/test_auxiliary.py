@@ -3,6 +3,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thingap.auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
                                field_gradients, field_values, gap_fraction,
@@ -149,7 +150,6 @@ def test_extension_vertical_derivative_values(geom, jump_data):
 ])
 def test_extension_gradient_matches_finite_differences(geom, make_data):
     data = make_data(geom)
-    data.validate(geom)
     X = interior_samples(geom, 1000, seed=7)
     g = field_gradients(geom, data, X)
     h = (1e-7 * geom.gap_width(X[:, :1]))[:, None]
@@ -223,7 +223,7 @@ def test_fiber_pass_matches_the_separate_formulas(skew_geom):
     top_pts = np.concatenate([xp, top[:, None]], axis=1)
     bot_pts = np.concatenate([xp, bot[:, None]], axis=1)
     pv, sv = data.phi(top_pts), data.psi(bot_pts)
-    dp, ds = data.dphi(top_pts), data.dpsi(bot_pts)
+    dp, ds = data.dphi(xp), data.dpsi(xp)
     jump = pv - sv
     grads = np.empty((X.shape[0], 2, 2))
     grads[:, :, :1] = (np.transpose(dp, (0, 2, 1)) * u[:, None, None]
@@ -421,21 +421,83 @@ def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
 # boundary data plumbing
 # ---------------------------------------------------------------------------
 
-def test_boundary_data_validate_catches_wrong_derivative(geom):
-    data = BoundaryData.polynomial([[1.0, 2.0]], [[0.0]], geom)
-    data.validate(geom)
-    broken = BoundaryData(m=1, phi=data.phi, psi=data.psi,
-                          dphi=lambda X: np.zeros((np.atleast_2d(X).shape[0], 1, 1)),
-                          dpsi=data.dpsi, phi_norms=data.phi_norms,
-                          psi_norms=data.psi_norms)
-    with pytest.raises(ConfigurationError):
-        broken.validate(geom)
+def same_bits(a, b):
+    """Equal arrays, sign of zero included."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(np.signbit(a), np.signbit(b)) \
+        and np.array_equal(a, b)
 
 
-def test_boundary_data_jump(geom):
+def test_boundary_data_jump(geom, skew_geom):
     data = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.5]], geom)
-    j = data.jump(geom, np.array([[0.2]]))
+    j = data.jump(np.array([[0.2]]))
     assert j[0, 0] == pytest.approx(1.0 + 0.04 - 0.5, rel=1e-12)
+    # the data depend on x' alone: the jump needs no boundary points
+    data = BoundaryData.polynomial([[1.0, 0.5, -0.3], [0.2, 0.0, 1.0]],
+                                   [[0.1, -0.2], [0.0, 0.4]], skew_geom)
+    xp = np.linspace(-1.0, 1.0, 41)[:, None]
+    top, bot = (skew_geom.boundary_point(side, xp) for side in ("top", "bottom"))
+    assert same_bits(data.jump(xp), data.phi(top) - data.psi(bot))
+
+
+def poly_loop(row, t):
+    """One component's value and slope summed term by term, the reference the
+    evaluation over all components must equal."""
+    value = sum(c * t**k for k, c in enumerate(row))
+    slope = sum(k * c * t ** (k - 1) for k, c in enumerate(row) if k >= 1)
+    return np.broadcast_to(value, t.shape), np.broadcast_to(slope, t.shape)
+
+
+@st.composite
+def coefficient_rows(draw):
+    """phi and psi coefficient lists of degree 0-4 for 1-3 components."""
+    m = draw(st.integers(1, 3))
+    rows = st.lists(st.lists(st.floats(-4.0, 4.0), min_size=1, max_size=5),
+                    min_size=m, max_size=m)
+    return draw(rows), draw(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=coefficient_rows())
+def test_polynomial_data_derivatives_only_and_degree_zero(rows):
+    phi, psi = rows
+    geom = GapGeometry.power_law(EPS, GAMMA)
+    data = BoundaryData.polynomial(phi, psi, geom)
+    xp = np.linspace(-0.9, 0.9, 37)[:, None]
+    # (a) the values and derivatives are the term-by-term sums, and the
+    # derivatives are those of the values along the graphs
+    for side_rows, values, slopes in ((phi, data.phi(xp), data.dphi(xp)),
+                                      (psi, data.psi(xp), data.dpsi(xp))):
+        for ell, row in enumerate(side_rows):
+            value, slope = poly_loop(row, xp[:, 0])
+            assert np.array_equal(values[:, ell], value)
+            assert np.array_equal(slopes[:, 0, ell], slope)
+    h = 1e-6
+    for side, rule, drule in (("top", data.phi, data.dphi), ("bottom", data.psi, data.dpsi)):
+        fd = (rule(geom.boundary_point(side, xp + h))
+              - rule(geom.boundary_point(side, xp - h))) / (2 * h)
+        want = drule(xp)[:, 0, :]
+        assert drule(xp).shape == (xp.shape[0], 1, data.m)
+        assert np.all(np.abs(fd - want) <= 1e-6 * np.maximum(np.abs(want), 1.0))
+    # (b) only(ell) keeps component ell bit for bit and gives +0.0 elsewhere
+    constant = BoundaryData.constant([r[0] for r in phi], [r[0] for r in psi])
+    for full in (data, constant):
+        for ell in range(full.m):
+            one = full.only(ell)
+            for name in ("phi", "psi", "dphi", "dpsi", "phi_norms", "psi_norms"):
+                a, b = (getattr(d, name) for d in (full, one))
+                a, b = (a(xp), b(xp)) if callable(a) else (a, b)
+                assert same_bits(b[..., ell], a[..., ell])
+                others = np.delete(b, ell, axis=-1)
+                assert np.all(others == 0.0) and not np.any(np.signbit(others))
+    # (c) degree-0 polynomial data are constant data
+    poly0 = BoundaryData.polynomial([r[:1] for r in phi], [r[:1] for r in psi], geom)
+    for name in ("phi", "psi", "dphi", "dpsi"):
+        assert same_bits(getattr(poly0, name)(xp), getattr(constant, name)(xp))
+    for name in ("phi_norms", "psi_norms"):
+        assert same_bits(getattr(poly0, name), getattr(constant, name))
+    X = interior_samples(geom, 50, seed=10)
+    assert same_bits(field_gradients(geom, poly0, X), field_gradients(geom, constant, X))
 
 
 def test_constant_data_norms():
@@ -462,9 +524,9 @@ def test_only_zeroes_the_other_components(geom, make_data, sloped):
     xp = np.linspace(-0.9, 0.9, 37)[:, None]
     for side, rule, drule in (("top", "phi", "dphi"), ("bottom", "psi", "dpsi")):
         pts = geom.boundary_point(side, xp)
-        for name in (rule, drule):
-            full = np.asarray(getattr(data, name)(pts))
-            got = getattr(one, name)(pts)
+        for name, at in ((rule, pts), (drule, xp)):
+            full = np.asarray(getattr(data, name)(at))
+            got = getattr(one, name)(at)
             assert np.array_equal(got[..., 0], full[..., 0])
             assert np.any(full[..., 1]) or (name == drule and not sloped)
             assert np.all(got[..., 1] == 0.0) and not np.any(np.signbit(got[..., 1]))

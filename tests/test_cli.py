@@ -426,6 +426,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      f"(must be <= {MAX_SAMPLES // 10})"),
     (["validate-geometry", "--set", f"validate.samples={MAX_SAMPLES + 1}"],
      f"bad value for 'validate.samples': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
+    (["sweep", "--set", "bc.kind=custom"], "unknown bc kind 'custom'"),
+    (["solve", "--set", "system.lambda1=1e308"],
+     "system.lambda1 and system.mu1: need |lambda1| and mu1 <= 1e+100, got (1e+308, 1.0)"),
+    (["oracle-suite", "--set", "system.kind=identity", "--set", "system.mu1=1e163"],
+     "system.lambda1 and system.mu1: need |lambda1| and mu1 <= 1e+100, got (1.0, 1e+163)"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
