@@ -13,7 +13,7 @@ import numpy as np
 from thingap import BoundaryData, GapGeometry, check_seminorm_growth, field_gradients
 
 eps, gamma = 1e-3, 0.5
-geom = GapGeometry.power_law(eps, gamma)
+geom = GapGeometry(eps, gamma)
 data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
 
 print(f"{'x-prime':>10} {'d/dn extension':>16} {'1/width':>12}")

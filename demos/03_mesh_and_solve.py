@@ -14,7 +14,7 @@ from thingap import (BoundaryData, GapGeometry, LameParameters, assemble,
                      solve_dirichlet)
 
 eps, gamma = 1e-2, 0.5
-geom = GapGeometry.power_law(eps, gamma)
+geom = GapGeometry(eps, gamma)
 mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.02, xrange=1.0)
 mesh.validate()
 near = int(np.sum(np.abs(mesh.stations) < eps ** (1 / (1 + gamma))))

@@ -37,7 +37,7 @@ worst = grid_distance(sol2, grid)
 print(f"difference-stencil twin vs elements: interior sup {worst:.2e} (<= 1e-2)")
 
 # seminorm sampler calibration
-gap = GapGeometry.power_law(1e-2, 0.5)
+gap = GapGeometry(1e-2, 0.5)
 unit_jump = BoundaryData.constant([1.0], [0.0])
 region = LocalRegion(np.array([0.0, 0.0]),
                      0.5 * float(gap.gap_width(np.zeros(1))), gap)

@@ -7,8 +7,7 @@ constants across the strip, and the energy of the remainder after removing
 the explicit singular part.
 """
 
-from .geometry import BoundaryProfile, GapGeometry, GeometryError, LocalRegion, \
-    flat_profile, power_profile
+from .geometry import GapGeometry, GeometryError, LocalRegion
 from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
                            check_ellipticity, check_holder, holder_demo_coefficients,
                            identity_coefficients, lame_as_general, lame_tensor)

@@ -1,8 +1,8 @@
 """Closed-form extension of the data across the gap and Holder-seminorm sampling.
 
-The scalar profile
+On the planar gap of :class:`GapGeometry`, the scalar profile
 
-    gap_fraction(x) = (x_n - h_bot(x') + epsilon/2) / gap_width(x')
+    gap_fraction(x) = (x_2 - h_bot(x') + epsilon/2) / gap_width(x')
 
 interpolates 0 on the lower boundary to 1 on the upper one; its vertical
 derivative is exactly ``1/gap_width(x')``, which carries the full singular
@@ -13,10 +13,10 @@ component the coefficients of a polynomial in x1) are extended componentwise,
 
 and for data with one nonzero component (``BoundaryData.only``) the gradient
 of this extension is the dominant singular part of the solution gradient.
-This module evaluates the extension and its exact gradient, estimates
-Holder seminorms of vector fields by pair sampling, and checks the
-structural growth bound for the seminorm of the extension gradient on small
-slabs.
+This module evaluates the extension and its exact gradient, with one
+:meth:`GapGeometry.profiles` pass per batch of points, estimates Holder
+seminorms of vector fields by pair sampling, and checks the structural
+growth bound for the seminorm of the extension gradient on small slabs.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GapGeometry, GeometryError, LocalRegion, _radius
+from .geometry import GapGeometry, GeometryError, LocalRegion
 
 
 class ConfigurationError(ValueError):
@@ -41,7 +41,7 @@ SLAB_CHECK_POINTS = 201
 
 
 def _rows(x) -> tuple[np.ndarray, bool]:
-    """View ``x`` as (k, n); report whether the input was a single point."""
+    """View ``x`` as (k, 2); report whether the input was a single point."""
     a = np.asarray(x, dtype=float)
     return (a[np.newaxis, :], True) if a.ndim == 1 else (a, False)
 
@@ -74,7 +74,7 @@ def _values(coeffs: np.ndarray, x) -> np.ndarray:
 
 
 def _derivatives(coeffs: np.ndarray, xp) -> np.ndarray:
-    """Tangential derivatives of :func:`_values` at tangential points: (k, n-1, m)."""
+    """Tangential derivatives of :func:`_values` at tangential points: (k, 1, m)."""
     XP = np.atleast_2d(xp)
     if coeffs.shape[1] == 1:
         return np.broadcast_to(0.0, XP.shape + (coeffs.shape[0],))
@@ -92,9 +92,9 @@ class BoundaryData:
     per side.  :meth:`phi`, :meth:`psi` and :meth:`jump` read the first column
     of rows of tangential or full points and return (k, m); :meth:`dphi` and
     :meth:`dpsi` are the exact derivatives along the graphs at tangential
-    points, (k, n-1, m).  Degree-0 data hold in any n and evaluate to read-only
-    broadcast views; higher degrees are for n = 2.  ``phi_norms`` and
-    ``psi_norms`` are declared per-component C^{1,gamma} norms on the graphs.
+    points, (k, 1, m).  Degree-0 data evaluate to read-only broadcast views.
+    ``phi_norms`` and ``psi_norms`` are declared per-component C^{1,gamma}
+    norms on the graphs.
     """
 
     phi_coeffs: np.ndarray
@@ -121,13 +121,11 @@ class BoundaryData:
     def polynomial(phi_coeffs: Sequence[Sequence[float]],
                    psi_coeffs: Sequence[Sequence[float]],
                    geom: GapGeometry) -> "BoundaryData":
-        """Per-component polynomials in the first tangential coordinate (n = 2).
+        """Per-component polynomials in the tangential coordinate.
 
         ``phi_coeffs[l]`` lists the coefficients of 1, x1, x1^2, ... for
         component ``l``.  Declared norms are sampled on the actual graphs.
         """
-        if geom.dim != 2:
-            raise ConfigurationError("polynomial boundary data is implemented for n = 2")
         if len(phi_coeffs) != len(psi_coeffs):
             raise ConfigurationError("phi and psi need the same number of components")
         pc, sc = (_padded(rows) for rows in (phi_coeffs, psi_coeffs))
@@ -173,7 +171,7 @@ def _padded(rows: Sequence[Sequence[float]]) -> np.ndarray:
 
 
 def _sampled_graph_norms(coeffs: np.ndarray, geom: GapGeometry, side: str) -> np.ndarray:
-    """Sampled per-component C^{1,gamma} norm of data composed on a graph (n = 2).
+    """Sampled per-component C^{1,gamma} norm of data composed on a graph.
 
     Sups over ``NORM_SUP_POINTS`` stations, the seminorm over all pairs of
     ``NORM_PAIR_POINTS`` stations.
@@ -199,21 +197,18 @@ def _sampled_graph_norms(coeffs: np.ndarray, geom: GapGeometry, side: str) -> np
 # ---------------------------------------------------------------------------
 
 def _fibers(geom: GapGeometry, x, gradient: bool = False):
-    """One geometry pass over ``x``, each profile (and with ``gradient`` each
-    profile gradient) evaluated once: whether ``x`` was a single point, the gap
-    fractions and widths, the tangential points ``x'`` (the data depend on
-    them alone), and with ``gradient`` the tangential part of the gap-fraction
-    gradient, else None.  Raises outside the unit tangential ball, where the
-    boundaries cross and outside the closure of the gap."""
+    """One profile pass over the points ``x`` (with ``gradient`` the slopes
+    too): whether ``x`` was a single point, the gap fractions and widths, the
+    tangential points ``x'`` as rows (the data depend on them alone), and with
+    ``gradient`` the tangential component of the gap-fraction gradient, else
+    None.  Raises outside the unit tangential ball, where the boundaries
+    cross and outside the closure of the gap."""
     X, single = _rows(x)
-    if X.shape[-1] != geom.dim:
-        raise GeometryError(f"point has dimension {X.shape[-1]}, expected {geom.dim}")
     xp, xn = X[:, :-1], X[:, -1]
-    if np.any(_radius(xp) > 1.0 + 1e-12):
+    if np.any(np.abs(xp) > 1.0 + 1e-12):
         raise GeometryError("point outside the unit tangential ball")
     eps = geom.epsilon
-    htop = np.asarray(geom.profile_top.evaluate(xp), dtype=float)
-    hbot = np.asarray(geom.profile_bottom.evaluate(xp), dtype=float)
+    htop, hbot, *slopes = geom.profiles(xp, gradient)
     top, bot, width = 0.5 * eps + htop, -0.5 * eps + hbot, eps + htop - hbot
     if np.any(width <= 0):
         raise GeometryError("gap width is not positive: boundaries cross")
@@ -224,12 +219,11 @@ def _fibers(geom: GapGeometry, x, gradient: bool = False):
     if gradient:
         # the three terms of gap_fraction_gradient, summed left to right;
         # h_bot - eps/2 is the lower boundary's height
-        dbot = np.asarray(geom.profile_bottom.gradient(xp), dtype=float).reshape(xp.shape)
-        dw = np.asarray(geom.profile_top.gradient(xp), dtype=float).reshape(xp.shape) - dbot
-        w, w2 = width[:, None], (width**2)[:, None]
-        tang = -dbot / w
-        tang -= xn[:, None] * dw / w2
-        tang += bot[:, None] * dw / w2
+        dtop, dbot = slopes
+        dw, w2 = dtop - dbot, width**2
+        tang = -dbot / width
+        tang -= xn * dw / w2
+        tang += bot * dw / w2
     return single, (xn - bot) / (top - bot), width, xp, tang
 
 
@@ -245,17 +239,18 @@ def gap_fraction(geom: GapGeometry, x) -> np.ndarray:
 def gap_fraction_gradient(geom: GapGeometry, x) -> np.ndarray:
     """Exact gradient of :func:`gap_fraction`.
 
-    The vertical component is ``1/gap_width(x')`` identically.  Each
+    The vertical component is ``1/gap_width(x')`` identically.  The
     tangential component splits into three parts: the moving lower boundary,
     the vertical coordinate against the varying width, and the boundary
     offset against the varying width,
 
-        -d_a h_bot / w  -  x_n d_a w / w^2  +  (h_bot - eps/2) d_a w / w^2,
+        -h_bot' / w  -  x_2 w' / w^2  +  (h_bot - eps/2) w' / w^2,
 
-    with ``w = gap_width(x')``.  All three vanish at ``x' = 0``.
+    with ``w = gap_width(x')`` and ``'`` the derivative in ``x'``.  All
+    three vanish at ``x' = 0``.  Rows ``(d/dx', d/dx_2)``.
     """
     single, _, width, _, tang = _fibers(geom, x, gradient=True)
-    out = np.concatenate([tang, (1.0 / width)[:, None]], axis=1)
+    out = np.stack([tang, 1.0 / width], axis=1)
     return out[0] if single else out
 
 
@@ -268,7 +263,7 @@ def field_values(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
 
 
 def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
-    """Exact gradients of all components of the extension; shape (k, m, n).
+    """Exact gradients of all components of the extension; shape (k, m, 2).
 
     Product rule: tangential entries combine the tangential data derivatives
     weighted by the profile with the data jump times the profile gradient;
@@ -276,15 +271,13 @@ def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     each profile and each profile gradient is evaluated once.
     """
     single, u, width, xp, tang = _fibers(geom, x, gradient=True)
-    dp, ds = data.dphi(xp), data.dpsi(xp)       # (k, d, m)
+    dp, ds = data.dphi(xp)[:, 0], data.dpsi(xp)[:, 0]       # (k, m)
     jump = data.jump(xp)
-    k, d, m = dp.shape
     v, inv_w = 1.0 - u, 1.0 / width
-    out = np.empty((k, m, d + 1))
-    for ell in range(m):    # one pass per entry: broadcasting over short axes is slower
-        for a in range(d):
-            out[:, ell, a] = dp[:, a, ell] * u + ds[:, a, ell] * v + jump[:, ell] * tang[:, a]
-        out[:, ell, d] = jump[:, ell] * inv_w
+    out = np.empty((u.size, data.m, 2))
+    for ell in range(data.m):   # one pass per entry: broadcasting over short axes is slower
+        out[:, ell, 0] = dp[:, ell] * u + ds[:, ell] * v + jump[:, ell] * tang
+        out[:, ell, 1] = jump[:, ell] * inv_w
     return out[0] if single else out
 
 
@@ -309,7 +302,7 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     xs, ys = [], []
     for ci, scale in enumerate((0.5, 0.1, 0.01)):
         x0 = region.sample_points(budget, seed, tag=ci)
-        u = np.random.default_rng([seed, ci, 9]).normal(size=(budget, region.geom.dim))
+        u = np.random.default_rng([seed, ci, 9]).normal(size=(budget, 2))
         u /= _row_norms(u)[:, None]
         y0 = x0 + scale * region.radius * u
         keep = region.contains(y0)
@@ -394,12 +387,10 @@ def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float) -> bool:
     This is the comparability property the growth bound relies on; slabs
     large enough to reach the neck from far away violate it.
     """
-    if geom.tangential_dim != 1:
-        return True
     z0 = float(zp[0])
     w = float(geom.gap_width(zp))
-    xs = np.clip(np.linspace(z0 - s, z0 + s, SLAB_CHECK_POINTS), -1.0, 1.0)
-    return bool(np.min(geom.gap_width(xs[:, None])) >= 0.5 * w)
+    xs = np.linspace(z0 - s, z0 + s, SLAB_CHECK_POINTS)
+    return bool(np.min(geom.gap_width(xs)) >= 0.5 * w)
 
 
 def check_seminorm_growth(geom: GapGeometry, data: BoundaryData, z,

@@ -107,7 +107,6 @@ SCHEMA = {
     **{_plan_key(f.name): (_PARSERS[type(f.default)], f.default) for f in fields(SweepPlan)},
     # keys of single-run and check commands, not part of a sweep plan
     "epsilon": (_finite, 1e-2),
-    "dim": (int, 2),
     "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
     "prop21.pairs": (_count, 2000),
     "prop21.zprimes": (_zprimes, "0,neck,0.25"),
@@ -115,7 +114,6 @@ SCHEMA = {
     "coeffcheck.pairs": (_count, 10_000),
     "checks.stability_factor": (_ratio, 3.0),
     "checks.exponent_band": (_positive, 0.2),
-    "validate.samples": (_count, 1000),
 }
 
 
@@ -267,21 +265,18 @@ def export_solution_text(sol) -> str:
 # ---------------------------------------------------------------------------
 
 def _cmd_validate_geometry(cfg, outdir: Path, threads: int):
-    geom = plan_from_config(cfg).geometry(cfg["epsilon"], dim=cfg["dim"])
-    doc = {"epsilon": cfg["epsilon"], "gamma": cfg["gamma"], "dim": cfg["dim"],
-           "kappa0": geom.kappa0, "kappa1": geom.kappa1, "kappa2": geom.kappa2}
-    try:
-        geom.validate(samples=cfg["validate.samples"], seed=cfg["seed"])
-    except GeometryError as exc:
-        doc["error"] = str(exc)
-    return "geometry.json", doc, [Check("geometry", int("error" in doc), "==", 0, "errors raised")]
+    geom = plan_from_config(cfg).geometry(cfg["epsilon"])
+    least = geom.least_width()
+    doc = {"epsilon": cfg["epsilon"], "gamma": cfg["gamma"], "kappa0": geom.kappa0,
+           "kappa1": geom.kappa1, "kappa2": geom.kappa2, "least_width": least}
+    return "geometry.json", doc, [Check("geometry", least, ">", 0.0, "least gap width")]
 
 
 def _cmd_validate_coefficients(cfg, outdir: Path, threads: int):
     plan = plan_from_config(cfg)
     cs = plan.coefficients()
     geom = plan.geometry(cfg["epsilon"])
-    region = LocalRegion(np.zeros(geom.dim), 1.0, geom)
+    region = LocalRegion(np.zeros(2), 1.0, geom)
     pts = region.sample_points(max(64, int(np.sqrt(cfg["coeffcheck.samples"]))),
                                cfg["seed"], tag=0)
     doc = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}

@@ -269,8 +269,6 @@ def generate(geom: GapGeometry, layers: int, aspect: float = 2.0,
     ``min(aspect * gap_width, dxmax)``.  Vertices are placed exactly on the
     fiber between the boundary graphs, so top/bottom rows sit on the graphs.
     """
-    if geom.dim != 2:
-        raise MeshError("meshing is implemented for n = 2 only")
     if layers < 4:
         raise MeshError(f"layers must be >= 4, got {layers}")
     return _build_from_stations(geom, _build_stations(geom, aspect, dxmax, xrange), layers)

@@ -43,7 +43,7 @@ class AffineCase:
     """Flat-rectangle scalar case with the exact affine solution.
 
     With unit data on the top edge and zero on the bottom, the solution is
-    ``(x_n + epsilon/2) / epsilon``; its gradient is vertical with magnitude
+    ``(x_2 + epsilon/2) / epsilon``; its gradient is vertical with magnitude
     ``1/epsilon`` everywhere.
     """
 
@@ -54,7 +54,7 @@ class AffineCase:
         return ((X[:, 1] + 0.5 * self.epsilon) / self.epsilon)[:, None]
 
     def geometry(self) -> GapGeometry:
-        return GapGeometry.flat(self.epsilon)
+        return GapGeometry(self.epsilon, 0.5, 0.0, 0.0)
 
     def data(self) -> BoundaryData:
         return BoundaryData.constant([1.0], [0.0])
@@ -173,14 +173,9 @@ def brute_force_seminorm(f, region: LocalRegion, gamma: float,
     ``DENSE_MAX_POINTS`` points.
     """
     geom = region.geom
-    zc = float(region.center_tangential[0]) if geom.dim == 2 else None
-    if geom.dim != 2:
-        raise OracleError("dense enumeration implemented for n = 2")
-    s = region.radius
+    zc, s = float(region.center[0]), region.radius
     xs = np.linspace(zc - s, zc + s, grid)
-    xs = xs[np.abs(xs) <= 1.0]
-    bot = geom.bottom(xs[:, None])
-    top = geom.top(xs[:, None])
+    bot, top = geom.bottom(xs[:, None]), geom.top(xs[:, None])
     cols = []
     for x, b, t in zip(xs, bot, top):
         yy = np.linspace(b, t, grid)[1:-1]

@@ -202,10 +202,9 @@ class SweepPlan:
             raise PlanError(f"reliability.threshold must be positive, got "
                             f"{self.reliability_threshold}")
 
-    def geometry(self, epsilon: float, dim: int = 2) -> GapGeometry:
+    def geometry(self, epsilon: float) -> GapGeometry:
         """The power-law gap; zero amplitudes give the flat strip."""
-        return GapGeometry.power_law(epsilon, self.gamma, self.profile_c1,
-                                     self.profile_c2, dim=dim)
+        return GapGeometry(epsilon, self.gamma, self.profile_c1, self.profile_c2)
 
     def lame(self) -> LameParameters:
         """The Lame constants ``system.lambda1`` and ``system.mu1``."""
@@ -241,19 +240,28 @@ class SweepPlan:
 
         The mesh is the sweep mesh (``mesh.*`` keys), or with ``energy`` the
         energy-scaling mesh (``energy.layers``, ``energy.aspect``,
-        ``energy.xrange`` with ``mesh.dxmax``).  On a validated plan a
-        :class:`MeshError` can only come from the grading keys, so it is
-        raised as a :class:`PlanError` that names them.  So is a mesh whose
-        band and element matrices, or with ``refinement`` those of a level
-        the sweep builds (stations level at every epsilon, layers level at
-        the largest), would exceed ``MAX_BAND_BYTES``: the check reads the
-        station count before anything is assembled and names the level.
+        ``energy.xrange`` with ``mesh.dxmax``).  Boundaries that cross inside
+        the meshed strip raise a :class:`PlanError` that names the profile
+        amplitudes; the width is monotone in ``|x'|``, so the strip's edge
+        decides.  After that a :class:`MeshError` can only come from the
+        grading keys, so it is raised as a :class:`PlanError` that names them.
+        So is a mesh whose band and element matrices, or with ``refinement``
+        those of a level the sweep builds (stations level at every epsilon,
+        layers level at the largest), would exceed ``MAX_BAND_BYTES``: the
+        check reads the station count before anything is assembled and names
+        the level.
         """
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
         key, layers, aspect, xrange = (
             ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
             else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
+        least = geom.least_width(xrange)
+        if least <= 0:
+            raise PlanError(f"profile.c1 = {self.profile_c1:g} and profile.c2 = "
+                            f"{self.profile_c2:g} at epsilon = {epsilon:g}: the boundaries "
+                            f"cross inside |x'| <= {key}.xrange = {xrange:g} (least gap "
+                            f"width {least:.4g})")
         try:
             mesh = generate(geom, layers, aspect, self.mesh_dxmax, xrange)
         except MeshError as exc:
@@ -288,8 +296,8 @@ def max_over_min(values) -> float:
     return float(hi / lo) if lo > 0 else float("inf")
 
 
-_RELATIONS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, "==": operator.eq,
-              "in": lambda v, b: b[0] <= v <= b[1]}
+_RELATIONS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge,
+              "==": operator.eq, "in": lambda v, b: b[0] <= v <= b[1]}
 
 
 @dataclass(frozen=True)

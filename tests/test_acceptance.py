@@ -98,7 +98,7 @@ def _mms_errors(cs, mesh):
 
 def test_criterion2_manufactured_convergence_rates():
     t0 = time.monotonic()
-    geom = GapGeometry.power_law(0.1, GAMMA)
+    geom = GapGeometry(0.1, GAMMA)
     rates = {}
     levels = 4                          # base mesh plus 3 refinements
     for name, cs in (("identity", tg.identity_coefficients(m=2, n=2)),
@@ -244,7 +244,7 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
 # -- criterion 7: auxiliary identities ------------------------------------------
 
 def test_criterion7_auxiliary_identities():
-    geom = GapGeometry.power_law(1e-2, GAMMA)
+    geom = GapGeometry(1e-2, GAMMA)
     rng = np.random.default_rng(11)
     xp = rng.uniform(-0.9, 0.9, size=(1000, 1))
     t = rng.uniform(0.15, 0.85, size=1000)

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
@@ -8,8 +7,7 @@ from hypothesis import given, settings, strategies as st
 from thingap.auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
                                field_gradients, field_values, gap_fraction,
                                gap_fraction_gradient, holder_seminorm, seminorm_growth_rhs)
-from thingap.geometry import (BoundaryProfile, GapGeometry, GeometryError, LocalRegion,
-                              power_profile)
+from thingap.geometry import GapGeometry, GeometryError, LocalRegion
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -17,7 +15,7 @@ GAMMA = 0.5
 
 @pytest.fixture
 def geom():
-    return GapGeometry.power_law(EPS, GAMMA)
+    return GapGeometry(EPS, GAMMA)
 
 
 @pytest.fixture
@@ -54,7 +52,7 @@ def test_gap_fraction_matches_recomputation(geom):
     X = interior_samples(geom, 300, seed=1)
     got = gap_fraction(geom, X)
     xp = X[:, :1]
-    num = X[:, 1] - (np.asarray(geom.profile_bottom.evaluate(xp)) - EPS / 2)
+    num = X[:, 1] - (geom.profiles(xp)[1] - EPS / 2)
     want = num / geom.gap_width(xp)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
     assert np.all((got > 0) & (got < 1))
@@ -81,7 +79,7 @@ def test_tangential_gradient_envelope_constant_stable():
     # |d_x profile| <= C |x'|^gamma / (eps + |x'|^{1+gamma}) with one C per sweep
     consts = []
     for eps in (1e-1, 1e-2, 1e-3):
-        geom = GapGeometry.power_law(eps, GAMMA)
+        geom = GapGeometry(eps, GAMMA)
         X = interior_samples(geom, 2000, seed=3)
         g = gap_fraction_gradient(geom, X)
         t = np.abs(X[:, 0])
@@ -168,38 +166,11 @@ def test_extension_gradient_matches_finite_differences(geom, make_data):
 # one geometry pass per batch
 # ---------------------------------------------------------------------------
 
-def polynomial_profile(coeffs):
-    """``h(x') = sum_k c_k x'^k`` for n = 2: not a power law of |x'|."""
-    c = np.asarray(coeffs, dtype=float)
-    k = np.arange(c.size)
-
-    def evaluate(xp):
-        return np.asarray(xp, dtype=float)[..., :1] ** k @ c
-
-    def gradient(xp):
-        return (np.asarray(xp, dtype=float)[..., :1] ** k[:-1] @ (k[1:] * c[1:]))[..., None]
-
-    return BoundaryProfile(evaluate, gradient, description="polynomial")
-
-
-def counting(prof, counts, side):
-    def evaluate(xp):
-        counts[side, "evaluate"] += 1
-        return prof.evaluate(xp)
-
-    def gradient(xp):
-        counts[side, "gradient"] += 1
-        return prof.gradient(xp)
-
-    return BoundaryProfile(evaluate, gradient, prof.description)
-
-
 @pytest.fixture
 def skew_geom():
-    # asymmetric profiles; the width EPS + 1.1 x^2 + 0.15 x^3 stays positive on [-1, 1]
-    return GapGeometry(epsilon=EPS, gamma=GAMMA,
-                       profile_top=polynomial_profile([0.0, 0.0, 0.7, 0.25]),
-                       profile_bottom=polynomial_profile([0.0, 0.0, -0.4, 0.1]))
+    # asymmetric amplitudes, so the three tangential terms of the gap-fraction
+    # gradient differ; the width EPS + 1.1 |x'|^{1+gamma} stays positive
+    return GapGeometry(EPS, GAMMA, c_top=0.7, c_bottom=-0.4)
 
 
 def test_fiber_pass_matches_the_separate_formulas(skew_geom):
@@ -209,17 +180,15 @@ def test_fiber_pass_matches_the_separate_formulas(skew_geom):
     data = BoundaryData.polynomial([[1.0, 0.5, -0.3], [0.2, 0.0, 1.0]],
                                    [[0.1, -0.2], [0.0, 0.4]], geom)
     xp, xn = X[:, :1], X[:, 1]
-    ht = geom.profile_top.evaluate(xp)
-    hb = geom.profile_bottom.evaluate(xp)
+    ht, hb, dtop, dbot = geom.profiles(xp, gradient=True)
     top, bot = 0.5 * EPS + ht, -0.5 * EPS + hb
     u = (xn - bot) / (top - bot)
     w = EPS + ht - hb
-    dbot = geom.profile_bottom.gradient(xp)
-    dw = geom.profile_top.gradient(xp) - dbot
+    dw = dtop - dbot
     offset = hb - 0.5 * EPS
-    tang = (-dbot / w[:, None] - xn[:, None] * dw / (w**2)[:, None]
-            + offset[:, None] * dw / (w**2)[:, None])
-    gu = np.concatenate([tang, (1.0 / w)[:, None]], axis=1)
+    tang = -dbot / w - xn * dw / w**2 + offset * dw / w**2
+    assert np.all(np.abs(dtop + dbot) > 0)      # the three terms differ
+    gu = np.stack([tang, 1.0 / w], axis=1)
     top_pts = np.concatenate([xp, top[:, None]], axis=1)
     bot_pts = np.concatenate([xp, bot[:, None]], axis=1)
     pv, sv = data.phi(top_pts), data.psi(bot_pts)
@@ -248,29 +217,32 @@ def test_fiber_pass_raises_outside_its_domain(skew_geom, fn):
         fn(skew_geom, np.array([[0.2, 0.0], [1.5, 0.0]]))
     with pytest.raises(GeometryError, match="outside the closure"):
         fn(skew_geom, np.array([[0.2, 0.0], [0.0, EPS]]))
-    crossing = GapGeometry(epsilon=EPS, gamma=GAMMA, profile_top=power_profile(-1.0, GAMMA))
+    crossing = GapGeometry(EPS, GAMMA, c_top=-1.0, c_bottom=0.0)
     with pytest.raises(GeometryError, match="boundaries cross"):
         fn(crossing, np.array([[0.0, 0.0], [0.5, 0.0]]))
 
 
-def test_profiles_are_evaluated_once_per_batch(skew_geom):
-    counts = collections.Counter()
-    geom = dataclasses.replace(
-        skew_geom, profile_top=counting(skew_geom.profile_top, counts, "top"),
-        profile_bottom=counting(skew_geom.profile_bottom, counts, "bottom"))
+def test_profiles_are_evaluated_once_per_batch(skew_geom, monkeypatch):
+    geom = skew_geom
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
-    field_gradients(geom, data, interior_samples(skew_geom, 300, seed=9))
-    assert counts == {(side, call): 1 for side in ("top", "bottom")
-                      for call in ("evaluate", "gradient")}
-    # five slab samples and three membership tests evaluate each profile once,
-    # the field once more, and only the field needs gradients: 18 + 2 calls
-    # (23 + 3 before the shared pass)
-    region = region_at(geom, 0.1)
-    counts.clear()
+    X, region = interior_samples(geom, 300, seed=9), region_at(geom, 0.1)
+    calls = collections.Counter()       # profile passes, keyed by ``gradient``
+    exact = GapGeometry.profiles
+
+    def counting(self, xp, gradient=False):
+        calls[gradient] += 1
+        return exact(self, xp, gradient)
+
+    monkeypatch.setattr(GapGeometry, "profiles", counting)
+    field_gradients(geom, data, X)
+    assert calls == {True: 1}
+    # five slab samples and three membership tests take one pass each, and the
+    # field one more, the only one with slopes: 8 + 1 passes (23 + 3 profile
+    # evaluations per side before the shared pass)
+    calls.clear()
     f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
     holder_seminorm(f, region, GAMMA, pairs=2000, seed=0)
-    assert counts == {("top", "evaluate"): 9, ("bottom", "evaluate"): 9,
-                      ("top", "gradient"): 1, ("bottom", "gradient"): 1}
+    assert calls == {False: 8, True: 1}
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +361,7 @@ def test_growth_check_equal_data_trivially_passes(geom):
 def test_growth_check_constant_stable_across_sweep(jump_data):
     consts = []
     for eps in (1e-1, 1e-2, 1e-3):
-        geom = GapGeometry.power_law(eps, GAMMA)
+        geom = GapGeometry(eps, GAMMA)
         rep = check_seminorm_growth(geom, jump_data.only(0), np.array([0.0, 0.0]),
                                     (0.25, 0.5, 1.0), pairs=2000, seed=1)
         assert np.isfinite(rep.fitted_constant)
@@ -406,7 +378,7 @@ def test_growth_check_rejects_oversized_slab(geom, jump_data):
 def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
     # a full-width slab centered far out reaches the neck, where the bound's
     # comparability hypothesis fails and the quotient grows like 1/eps
-    geom = GapGeometry.power_law(1e-3, GAMMA)
+    geom = GapGeometry(1e-3, GAMMA)
     zp = 0.25
     rep = check_seminorm_growth(geom, jump_data.only(0),
                                 np.array([zp, float(geom.midline(np.array([zp])))]),
@@ -461,7 +433,7 @@ def coefficient_rows(draw):
 @given(rows=coefficient_rows())
 def test_polynomial_data_derivatives_only_and_degree_zero(rows):
     phi, psi = rows
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     data = BoundaryData.polynomial(phi, psi, geom)
     xp = np.linspace(-0.9, 0.9, 37)[:, None]
     # (a) the values and derivatives are the term-by-term sums, and the

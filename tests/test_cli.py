@@ -364,7 +364,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["prop21", "--set", "prop21.zprimes=foo"], "token 'foo' is neither a number nor 'neck'"),
     (["prop21", "--set", "prop21.zprimes=,"], "needs at least one z'"),
     (["validate-geometry", "--set", "validate.samples=0"],
-     "'validate.samples': '0' (must be >= 1)"),
+     "unknown config key 'validate.samples'"),
     (["prop21", "--set", "prop21.zprimes=2"],
      "prop21.zprimes value 2 at epsilon=0.1: z'=2 or its widest slab leaves the unit ball"),
     (["prop21", "--set", "prop21.zprimes=0,0.9"],
@@ -424,13 +424,17 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["validate-coefficients", "--set", f"coeffcheck.samples={MAX_SAMPLES // 10 + 1}"],
      f"bad value for 'coeffcheck.samples': '{MAX_SAMPLES // 10 + 1}' "
      f"(must be <= {MAX_SAMPLES // 10})"),
-    (["validate-geometry", "--set", f"validate.samples={MAX_SAMPLES + 1}"],
-     f"bad value for 'validate.samples': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
+    (["validate-geometry", "--set", "dim=3"], "unknown config key 'dim'"),
     (["sweep", "--set", "bc.kind=custom"], "unknown bc kind 'custom'"),
     (["solve", "--set", "system.lambda1=1e308"],
      "system.lambda1 and system.mu1: need |lambda1| and mu1 <= 1e+100, got (1e+308, 1.0)"),
     (["oracle-suite", "--set", "system.kind=identity", "--set", "system.mu1=1e163"],
      "system.lambda1 and system.mu1: need |lambda1| and mu1 <= 1e+100, got (1.0, 1e+163)"),
+    (["solve", "--set", "profile.c1=-0.006", "--set", "profile.c2=0.006"],
+     "profile.c1 = -0.006 and profile.c2 = 0.006 at epsilon = 0.01: the boundaries cross "
+     "inside |x'| <= mesh.xrange = 1 (least gap width -0.002)"),
+    (["oracle-suite", "--set", "epsilon=3"],
+     "the slab of radius 1.5 at z' = 0 leaves the unit ball |x'| <= 1"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -438,26 +442,21 @@ def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert not any(tmp_path.iterdir())
 
 
-def test_validate_geometry_honours_dim_for_flat_profiles(tmp_path, monkeypatch):
-    from thingap.geometry import GapGeometry
-    dims = []
-    original = GapGeometry.validate
-
-    def spy(self, *args, **kwargs):
-        dims.append(self.dim)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(GapGeometry, "validate", spy)
-    flat = ["--set", "profile.c1=0", "--set", "profile.c2=0"]     # zero amplitudes
-    for amplitudes in (flat, []):
-        assert run(["validate-geometry", "--out", str(tmp_path), *amplitudes,
-                    "--set", "dim=3"]) == 0
-    assert dims == [3, 3]
+@pytest.mark.parametrize("c, code, width", [("0.006", 1, "-0.002, not > 0"),
+                                             ("0.004", 0, "0.002 > 0")])
+def test_validate_geometry_measures_the_least_width(tmp_path, capsys, c, code, width):
+    # boundaries -+c|x'|^{3/2} off the 0.01 gap cross at |x'| > 0.885 for c = 0.006
+    assert run(["validate-geometry", "--out", str(tmp_path), "--set", f"profile.c1=-{c}",
+                "--set", f"profile.c2={c}"]) == code
+    assert f"geometry: least gap width {width}" in capsys.readouterr().out
+    doc = json.loads((tmp_path / "geometry.json").read_text())
+    assert doc["least_width"] == pytest.approx(0.01 - 2 * float(c), rel=1e-12)
+    assert "dim" not in doc
 
 
 # small runs of every command, with the artifact that carries its verdicts
 SMALL_RUNS = {
-    "validate-geometry": ("geometry.json", ["--set", "validate.samples=200"]),
+    "validate-geometry": ("geometry.json", []),
     "validate-coefficients": ("coefficients.json", ["--set", "coeffcheck.samples=500",
                                                     "--set", "coeffcheck.pairs=500"]),
     "solve": ("solve.json", ["--set", "mesh.layers=4", "--set", "mesh.xrange=0.5"]),
@@ -505,6 +504,7 @@ FORCED = {
     ("energy-scaling", "edge_in_band"): ["--set", "checks.exponent_band=1e-6"],
     ("sweep", "reliability"): ["--set", "reliability.threshold=1e-9"],
     ("validate-coefficients", "kappa3"): [],     # claimed kappa3 lowered below
+    ("validate-geometry", "geometry"): ["--set", "profile.c1=-0.006", "--set", "profile.c2=0.006"],
 }
 
 

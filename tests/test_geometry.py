@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from thingap.geometry import GapGeometry, GeometryError, LocalRegion, power_profile
+from thingap.geometry import GapGeometry, GeometryError, LocalRegion
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -9,8 +10,8 @@ GAMMA = 0.5
 
 @pytest.fixture
 def geom():
-    g = GapGeometry.power_law(EPS, GAMMA)
-    g.validate(samples=500)
+    g = GapGeometry(EPS, GAMMA)
+    g.validate()
     return g
 
 
@@ -29,9 +30,10 @@ def test_gap_width_matches_profile_recomputation(geom):
     rng = np.random.default_rng(0)
     xp = rng.uniform(-1, 1, size=(200, 1))
     got = geom.gap_width(xp)
-    want = (EPS + np.asarray(geom.profile_top.evaluate(xp))
-            - np.asarray(geom.profile_bottom.evaluate(xp)))
-    assert np.allclose(got, want, rtol=0, atol=0)
+    h_top, h_bot = geom.profiles(xp)
+    assert np.array_equal(got, (EPS + h_top) - h_bot)
+    assert np.array_equal(geom.top(xp), EPS / 2 + h_top)
+    assert np.array_equal(geom.bottom(xp), -EPS / 2 + h_bot)
 
 
 def test_gap_width_domain_error(geom):
@@ -93,24 +95,24 @@ def test_contains_slab_edge(geom):
 
 
 def test_builtin_gradient_envelope():
-    geom = GapGeometry.power_law(EPS, GAMMA, c_top=1.0, c_bottom=-0.5)
+    geom = GapGeometry(EPS, GAMMA, c_top=1.0, c_bottom=-0.5)
     assert geom.kappa0 == pytest.approx((1 + GAMMA) * 0.5)
     assert geom.kappa1 == pytest.approx((1 + GAMMA) * 1.0)
     rng = np.random.default_rng(3)
     xp = rng.uniform(-1, 1, size=(1000, 1))
     env = np.abs(xp[:, 0]) ** GAMMA
-    for prof in (geom.profile_top, geom.profile_bottom):
-        g = np.abs(np.asarray(prof.gradient(xp)).reshape(-1))
+    for slope in geom.profiles(xp, gradient=True)[2:]:
+        g = np.abs(slope)
         assert np.all(g >= geom.kappa0 * env - 1e-12)
         assert np.all(g <= geom.kappa1 * env + 1e-12)
 
 
 def test_one_sided_profile_has_zero_kappa0_and_validates():
     # kappa0 is the minimum over both amplitudes, so a flat bottom gives 0
-    geom = GapGeometry.power_law(EPS, GAMMA, c_top=1.0, c_bottom=0.0)
+    geom = GapGeometry(EPS, GAMMA, c_top=1.0, c_bottom=0.0)
     assert geom.kappa0 == 0.0
     assert geom.kappa1 == pytest.approx(1 + GAMMA)
-    geom.validate(samples=200, seed=0)
+    geom.validate()
 
 
 def test_gap_width_even_and_bounded_below(geom):
@@ -123,7 +125,7 @@ def test_width_regimes_recorded_constants():
     # neck regime: width within a constant factor of epsilon; outer regime:
     # width within a constant factor of |z'|^{1+gamma}
     for eps in (1e-2, 1e-3):
-        geom = GapGeometry.power_law(eps, GAMMA)
+        geom = GapGeometry(eps, GAMMA)
         neck = eps ** (1 / (1 + GAMMA))
         zs = np.linspace(0, neck, 50)[:, None]
         ratio = geom.gap_width(zs) / eps
@@ -135,29 +137,84 @@ def test_width_regimes_recorded_constants():
 
 
 def test_profile_gradient_matches_finite_differences():
-    prof = power_profile(0.7, GAMMA)
-    pts = np.linspace(0.05, 0.95, 40)[:, None]
-    worst = prof.check_gradient(np.concatenate([pts, -pts]))
-    assert worst < 1e-6
+    geom = GapGeometry(EPS, GAMMA, c_top=0.7, c_bottom=-0.4)
+    pts = np.linspace(0.05, 0.95, 40)
+    pts = np.concatenate([pts, -pts])
+    h = 1e-7
+    plus, minus = geom.profiles(pts + h), geom.profiles(pts - h)
+    for slope, hp, hm in zip(geom.profiles(pts, gradient=True)[2:], plus, minus):
+        fd = (hp - hm) / (2 * h)
+        assert np.max(np.abs(fd - slope) / np.abs(slope)) < 1e-6
 
 
-def test_validate_rejects_shifted_profile():
-    bad = GapGeometry(epsilon=EPS, gamma=GAMMA,
-                      profile_top=power_profile(1.0, GAMMA),
-                      profile_bottom=power_profile(-1.0, GAMMA),
-                      kappa0=0.0, kappa1=0.0)
-    shifted = GapGeometry(
-        epsilon=EPS, gamma=GAMMA,
-        profile_top=type(bad.profile_top)(
-            evaluate=lambda xp: np.asarray(bad.profile_top.evaluate(xp)) + 0.1,
-            gradient=bad.profile_top.gradient, description="shifted"),
-        profile_bottom=bad.profile_bottom, kappa0=0.0, kappa1=0.0)
-    with pytest.raises(GeometryError):
-        shifted.validate(samples=100)
+def test_slopes_vanish_at_the_origin():
+    h_top, h_bot, d_top, d_bot = GapGeometry(EPS, GAMMA).profiles(np.zeros(3), gradient=True)
+    for a in (h_top, h_bot, d_top, d_bot):
+        assert np.array_equal(a, np.zeros(3))
+
+
+def test_validate_is_exact_at_the_rim():
+    # boundaries that cross only beyond |x'| = 0.885 (the sampled check of
+    # one point passed them); the width is least at |x'| = 1
+    crossing = GapGeometry(EPS, GAMMA, c_top=-0.006, c_bottom=0.006)
+    assert crossing.least_width() == pytest.approx(EPS - 0.012, rel=1e-12)
+    with pytest.raises(GeometryError, match="boundaries cross: least gap width -0.002"):
+        crossing.validate()
+    opening = GapGeometry(EPS, GAMMA, c_top=-0.004, c_bottom=0.004)
+    assert opening.least_width() == pytest.approx(EPS - 0.008, rel=1e-12)
+    opening.validate()
+    assert GapGeometry(EPS, GAMMA).least_width() == EPS
+    assert GapGeometry(EPS, GAMMA).least_width(0.5) == EPS
+
+
+def test_region_refuses_a_slab_leaving_the_unit_ball(geom):
+    with pytest.raises(GeometryError, match="the slab of radius 0.5 at z' = 0.6 leaves the "
+                                            "unit ball"):
+        LocalRegion(np.array([0.6, 0.0]), 0.5, geom)
+    with pytest.raises(GeometryError, match="the slab of radius 1.5 at z' = 0 leaves"):
+        LocalRegion(np.zeros(2), 1.5, geom)
+    LocalRegion(np.array([-0.5, 0.0]), 0.5, geom)       # touching the rim is allowed
+
+
+unit = st.floats(0.01, 0.99)
+amplitude = st.floats(-2.0, 2.0, allow_subnormal=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(eps=unit, gamma=unit, c_top=amplitude, c_bottom=amplitude)
+def test_power_law_profiles_properties(eps, gamma, c_top, c_bottom):
+    geom = GapGeometry(eps, gamma, c_top, c_bottom)
+    # slopes against central differences of the heights, away from the kink
+    t = np.concatenate([np.linspace(0.05, 0.95, 19), -np.linspace(0.05, 0.95, 19)])
+    h = 1e-6
+    plus, minus = geom.profiles(t + h), geom.profiles(t - h)
+    env = np.abs(t) ** gamma
+    for c, slope, hp, hm in zip((c_top, c_bottom), geom.profiles(t, gradient=True)[2:],
+                                plus, minus):
+        fd = (hp - hm) / (2 * h)
+        assert np.all(np.abs(fd - slope) <= 1e-6 * np.abs(slope) + 1e-9)
+        # |h'| = (1 + gamma) |c| |x'|^gamma lies in the [kappa0, kappa1] envelope
+        assert np.all(np.abs(slope) >= geom.kappa0 * env * (1 - 1e-12))
+        assert np.all(np.abs(slope) <= geom.kappa1 * env * (1 + 1e-12))
+        assert np.allclose(np.abs(slope), (1 + gamma) * abs(c) * env, rtol=1e-12, atol=0)
+    # the least width on |x'| <= 1 is the minimum over a fine grid
+    grid = np.linspace(-1.0, 1.0, 2001)
+    h_top, h_bot = geom.profiles(grid)
+    widths = (eps + h_top) - h_bot
+    assert geom.least_width() == pytest.approx(widths.min(), rel=1e-12, abs=1e-15)
+    closed = eps + (c_top - c_bottom) * np.abs(grid) ** (1 + gamma)
+    assert np.allclose(widths, closed, rtol=1e-12, atol=1e-15)
+    if geom.least_width() > 0:
+        assert np.allclose(geom.gap_width(grid), closed, rtol=1e-12, atol=1e-15)
+    else:
+        with pytest.raises(GeometryError, match="boundaries cross"):
+            geom.gap_width(grid)
 
 
 def test_constructor_rejects_bad_parameters():
     with pytest.raises(GeometryError):
-        GapGeometry.power_law(-1.0, GAMMA)
+        GapGeometry(-1.0, GAMMA)
     with pytest.raises(GeometryError):
-        GapGeometry.power_law(EPS, 1.5)
+        GapGeometry(EPS, 1.5)
+    with pytest.raises(GeometryError):
+        GapGeometry(EPS, 0.0)

@@ -30,7 +30,7 @@ def _nonsymmetric():
 
 
 def _problem(cs):
-    mesh = generate(GapGeometry.power_law(0.1, 0.5), layers=6, aspect=1.0, dxmax=0.05,
+    mesh = generate(GapGeometry(0.1, 0.5), layers=6, aspect=1.0, dxmax=0.05,
                     xrange=0.5)
     return assemble(mesh, cs), dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0],
                                                                              [0.0, 0.0]))

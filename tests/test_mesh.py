@@ -13,7 +13,7 @@ GAMMA = 0.5
 
 @pytest.fixture
 def geom():
-    return GapGeometry.power_law(EPS, GAMMA)
+    return GapGeometry(EPS, GAMMA)
 
 
 def quality_mapped(mesh, aspect, dxmax):
@@ -42,7 +42,7 @@ def strip_area(geom, xrange, n_quad=20001):
 
 
 def test_flat_rectangle_triangle_count():
-    geom = GapGeometry.flat(0.2)
+    geom = GapGeometry(0.2, 0.5, 0.0, 0.0)
     mesh = generate(geom, layers=5, aspect=10.0, dxmax=0.25, xrange=1.0)
     intervals = mesh.stations.size - 1
     assert mesh.num_triangles == 2 * intervals * 5
@@ -63,7 +63,7 @@ def test_gap_mesh_invariants(geom):
 def test_grading_refines_near_neck():
     # small gap so that the aspect rule (not the dxmax cap) sets the spacing
     eps = 1e-3
-    g = GapGeometry.power_law(eps, GAMMA)
+    g = GapGeometry(eps, GAMMA)
     neck = eps ** (1 / (1 + GAMMA))
     coarse = generate(g, layers=4, aspect=1.0, dxmax=0.02, xrange=0.5)
     fine = generate(g, layers=4, aspect=0.5, dxmax=0.02, xrange=0.5)
@@ -152,7 +152,7 @@ def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, as
 
 
 def test_station_bound_admits_the_finest_grading_in_use():
-    fine = GapGeometry.power_law(1e-6, GAMMA)
+    fine = GapGeometry(1e-6, GAMMA)
     stations = mesh_module._build_stations(fine, 1.0 / 32, 0.02, 1.0)
     assert 9_000 < stations.size <= MAX_STATIONS // 4
 
@@ -239,7 +239,7 @@ def _containing_by_scan(mesh, x, tol=1e-12):
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_locate_matches_barycentric_scan(eps):
-    mesh = generate(GapGeometry.power_law(eps, GAMMA), layers=6, aspect=2.0, dxmax=0.05,
+    mesh = generate(GapGeometry(eps, GAMMA), layers=6, aspect=2.0, dxmax=0.05,
                     xrange=0.5)
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
@@ -266,7 +266,7 @@ def test_locate_matches_barycentric_scan(eps):
        layers=st.integers(4, 16),
        seed=st.integers(0, 2**32 - 1))
 def test_random_strip_points_locate_to_a_containing_triangle(eps, gamma, layers, seed):
-    mesh = generate(GapGeometry.power_law(eps, gamma), layers=layers, aspect=2.0,
+    mesh = generate(GapGeometry(eps, gamma), layers=layers, aspect=2.0,
                     dxmax=0.05, xrange=0.5)
     rows = mesh.vertices[:, 1].reshape(mesh.stations.size, layers + 1)
     rng = np.random.default_rng(seed)

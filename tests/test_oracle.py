@@ -53,7 +53,7 @@ def _quadratic_top_data(eps):
 
 def test_grid_twin_vs_fem_joint_refinement():
     eps = 0.1
-    geom = GapGeometry.flat(eps)
+    geom = GapGeometry(eps, 0.5, 0.0, 0.0)
     data = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom)
     cs = identity_coefficients()
     rule = _quadratic_top_data(eps)
@@ -69,7 +69,7 @@ def test_grid_twin_vs_fem_joint_refinement():
 
 def test_grid_twin_lame_agreement():
     eps = 0.1
-    geom = GapGeometry.flat(eps)
+    geom = GapGeometry(eps, 0.5, 0.0, 0.0)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     data = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom)
 
@@ -95,14 +95,14 @@ def test_grid_twin_rejects_variable_or_lower_order():
 
 
 def test_brute_force_seminorm_constant_is_zero():
-    geom = GapGeometry.power_law(1e-2, 0.5)
+    geom = GapGeometry(1e-2, 0.5)
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     got = brute_force_seminorm(lambda X: np.ones((X.shape[0], 1)), region, 0.5, grid=40)
     assert got == 0.0
 
 
 def test_brute_force_dominates_sampled_estimate():
-    geom = GapGeometry.power_law(1e-2, 0.5)
+    geom = GapGeometry(1e-2, 0.5)
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     f = lambda X: np.atleast_2d(gap_fraction(geom, X)).T
     dense = brute_force_seminorm(f, region, 0.5, grid=60)
@@ -112,7 +112,7 @@ def test_brute_force_dominates_sampled_estimate():
 
 
 def test_brute_force_stable_under_grid_doubling():
-    geom = GapGeometry.power_law(1e-2, 0.5)
+    geom = GapGeometry(1e-2, 0.5)
     data = BoundaryData.constant([1.0], [0.0])
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
@@ -122,7 +122,7 @@ def test_brute_force_stable_under_grid_doubling():
 
 
 def test_brute_force_refuses_oversized_grid():
-    geom = GapGeometry.power_law(1e-2, 0.5)
+    geom = GapGeometry(1e-2, 0.5)
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     with pytest.raises(OracleError):
         brute_force_seminorm(lambda X: X, region, 0.5, grid=200)
@@ -178,7 +178,7 @@ def test_dense_kernel_matches_naive_reference(k, gamma):
 
 @pytest.mark.parametrize("k", [1, 4])
 def test_brute_force_seminorm_matches_naive_reference_on_its_grid(k):
-    geom = GapGeometry.power_law(1e-2, 0.5)
+    geom = GapGeometry(1e-2, 0.5)
     region = LocalRegion(np.array([0.0, 0.0]), 5e-3, geom)
     grids = []
 

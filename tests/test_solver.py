@@ -24,7 +24,7 @@ GAMMA = 0.5
 
 def single_triangle_mesh():
     """Unit right triangle wrapped as a Mesh (only assembly-relevant fields used)."""
-    geom = GapGeometry.flat(10.0)
+    geom = GapGeometry(10.0, 0.5, 0.0, 0.0)
     return Mesh(vertices=np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]),
                 triangles=np.array([[0, 1, 2]]),
                 vertex_tags=np.zeros(3, dtype=np.int8),
@@ -42,7 +42,7 @@ def test_element_stiffness_unit_right_triangle():
 
 
 def test_lame_assembly_symmetric():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
     K = system.K
@@ -51,7 +51,7 @@ def test_lame_assembly_symmetric():
 
 
 def test_zero_data_gives_zero_solution():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([0.0], [0.0]))
@@ -61,7 +61,7 @@ def test_zero_data_gives_zero_solution():
 
 def test_affine_exactness_flat_rectangle():
     eps = 0.2
-    geom = GapGeometry.flat(eps)
+    geom = GapGeometry(eps, 0.5, 0.0, 0.0)
     mesh = generate(geom, layers=5, aspect=2.0, dxmax=0.1, xrange=1.0)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
@@ -73,7 +73,7 @@ def test_affine_exactness_flat_rectangle():
 
 
 def test_discrete_maximum_principle_scalar_identity():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
@@ -147,7 +147,7 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
     cs = CoefficientSet(m=1, n=2, A=base.A, B=None, Cc=None,
                         D=lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1),
                         lam=1.0, kappa3=3.0, name="distance_D")
-    geom = GapGeometry.power_law(0.1, GAMMA)
+    geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
     K0 = assemble(mesh, base).K
     K = assemble(mesh, cs).K
@@ -158,7 +158,7 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
 
 
 def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
-    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
                     xrange=0.5)
     D = lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1)
     replaced = dataclasses.replace(identity_coefficients(), D=D)
@@ -168,7 +168,7 @@ def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
 
 
 def test_a_variable_leading_field_is_evaluated_once_per_edge_midpoint_batch():
-    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
                     xrange=0.5)
     cs = holder_demo_coefficients(GAMMA)
     batches = []
@@ -178,7 +178,7 @@ def test_a_variable_leading_field_is_evaluated_once_per_edge_midpoint_batch():
 
 
 def test_a_source_of_the_wrong_shape_raises():
-    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
                     xrange=0.5)
     H = lambda X: np.ones((len(X), 2)).T            # (m, k) instead of (k, m)
     with pytest.raises(ValueError, match=r"field H has shape \(2, \d+\), expected \(\d+, 2\)"):
@@ -191,7 +191,7 @@ def test_a_source_of_the_wrong_shape_raises():
 ])
 def test_manufactured_solution_converges(make_cs):
     cs = make_cs()
-    geom = GapGeometry.power_law(0.1, GAMMA)
+    geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
     errs = []
     for level in range(3):
@@ -206,7 +206,7 @@ def test_manufactured_solution_converges(make_cs):
 
 
 def test_superposition_of_component_solutions():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     data = BoundaryData.constant([1.0, 0.5], [0.0, -0.25])
@@ -219,7 +219,7 @@ def test_superposition_of_component_solutions():
 
 
 def test_component_with_zero_data_vanishes_for_decoupled_system():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     cs = identity_coefficients(m=2, n=2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
@@ -229,7 +229,7 @@ def test_component_with_zero_data_vanishes_for_decoupled_system():
 
 
 def test_single_component_system_reduces_to_plain_solve():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     cs = identity_coefficients(m=1, n=2)
     data = BoundaryData.constant([1.0], [0.0])
@@ -240,7 +240,7 @@ def test_single_component_system_reduces_to_plain_solve():
 
 
 def test_difference_vanishes_on_gap_boundaries():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
@@ -253,7 +253,7 @@ def test_difference_vanishes_on_gap_boundaries():
 
 
 def test_difference_gradient_splits_into_interpolation_error():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     errs = []
@@ -271,7 +271,7 @@ def test_difference_gradient_splits_into_interpolation_error():
 
 
 def test_gradient_at_affine_field_exact():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     b = np.array([0.7, -0.3])
     vals = (mesh.vertices @ b)[:, None]
@@ -283,7 +283,7 @@ def test_gradient_at_affine_field_exact():
 @pytest.mark.parametrize("cs", [lame_as_general(LameParameters(1.0, 1.0), 2),
                                 identity_coefficients()], ids=["lame", "scalar"])
 def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     data = BoundaryData.polynomial([[1.0, 0.5, 1.0]] + [[0.2]] * (cs.m - 1),
                                    [[0.0]] + [[0.0, -0.3]] * (cs.m - 1), geom)
@@ -297,7 +297,7 @@ def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
 
 
 def test_value_at_reproduces_affine_field_and_barycentric_values():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     b = np.array([[0.7, -0.3], [-1.1, 2.0]])
     sol = DiscreteSolution(mesh=mesh, values=mesh.vertices @ b.T + np.array([0.5, -2.0]))
@@ -324,7 +324,7 @@ ZERO_DATA = BoundaryData.constant([0.0], [0.0])
 
 
 def test_remainder_energy_affine_field_matches_area():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
     b = np.array([2.0, 1.0])
     sol = DiscreteSolution(mesh=mesh, values=(mesh.vertices @ b)[:, None])
@@ -340,7 +340,7 @@ def test_remainder_energy_affine_field_matches_area():
 
 
 def test_crossing_profile_energy_lower_bound():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
     from thingap.auxiliary import gap_fraction
     vals = np.atleast_1d(gap_fraction(geom, mesh.vertices))[:, None]
@@ -358,7 +358,7 @@ def test_lame_first_component_tracks_crossing_profile():
     # difference is the small remainder
     from thingap.auxiliary import gap_fraction
     eps = 1e-2
-    geom = GapGeometry.power_law(eps, GAMMA)
+    geom = GapGeometry(eps, GAMMA)
     mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.02, xrange=1.0)
     cs = lame_as_general(LameParameters(1.0, 1.0), 2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
@@ -392,7 +392,7 @@ def test_lateral_closure_insensitivity_in_the_interior():
 
 
 def test_solver_reports_shape_mismatch():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     system = assemble(mesh, identity_coefficients())
     bad = BoundaryAssignment(values=np.zeros((3, 1)), fixed=np.zeros(3, dtype=bool))
@@ -401,7 +401,7 @@ def test_solver_reports_shape_mismatch():
 
 
 def test_l2_norm_of_constant_field():
-    geom = GapGeometry.power_law(EPS, GAMMA)
+    geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     sol = DiscreteSolution(mesh=mesh, values=np.full((mesh.num_vertices, 1), 2.0))
     got = l2_norm(sol)
@@ -411,7 +411,7 @@ def test_l2_norm_of_constant_field():
 def test_constant_field_assembly_is_quadrature_independent():
     # the centroid rule is exact for a constant leading field; the zeroth-order
     # mass term is quadratic and keeps the 3-point rule
-    geom = GapGeometry.power_law(1e-2, GAMMA)
+    geom = GapGeometry(1e-2, GAMMA)
     mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.05, xrange=0.5)
     lame = lame_as_general(LameParameters(1.0, 1.0), 2)
     with_mass = dataclasses.replace(lame, D=np.eye(2), name="lame_mass")
@@ -441,7 +441,7 @@ def _spy(monkeypatch, name):
 
 @pytest.mark.parametrize("refined", [False, True], ids=["mesh", "refined"])
 def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
-    geom = GapGeometry.power_law(1e-3, GAMMA)
+    geom = GapGeometry(1e-3, GAMMA)
     mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.02, xrange=1.0)
     mesh = refine(mesh) if refined else mesh
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
@@ -468,7 +468,7 @@ def _symmetric_indefinite():
                                                 (_symmetric_indefinite, True)])
 def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric):
     cs = make_cs()
-    geom = GapGeometry.power_law(0.1, GAMMA)
+    geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
     system = assemble(mesh, cs)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0] * cs.m, [0.0] * cs.m))
@@ -508,7 +508,7 @@ def _band_of(dense, rows, diag):
                          ids=["cholesky", "lu"])
 def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
     cs = make_cs()
-    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=6, aspect=1.0,
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=6, aspect=1.0,
                     dxmax=0.05, xrange=0.5)
     system = assemble(mesh, cs)
     free = ~dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0])).dof_mask()
@@ -578,7 +578,7 @@ def test_nan_or_zero_leading_field_raises(a, message):
     # reject it; a zero operator must stop at the banded LU's zero pivot
     cs = dataclasses.replace(identity_coefficients(m=1, n=2),
                              A=np.full((2, 2, 1, 1), a))
-    mesh = generate(GapGeometry.power_law(0.1, GAMMA), layers=4, aspect=1.0,
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0,
                     dxmax=0.05, xrange=0.5)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
     with pytest.raises(SolverError, match=message):
