@@ -26,7 +26,7 @@ for e, v in res.edge_table:
 print(f"  fitted exponent {res.edge_exponent:.4f} "
       f"(expected {res.expected_inner:.4f}: the bound is attained here)")
 
-print(f"\nouter slabs at fixed eps = {plan.epsilons[-1]:g} (energy vs z'):")
+print(f"\nouter slabs at fixed eps = {plan.sweep_epsilons[-1]:g} (energy vs z'):")
 for z, v in res.outer_table:
     print(f"  z' = {z:8.4f}   E = {v:10.5g}")
 print(f"  fitted exponent {res.outer_exponent:.4f} "

@@ -28,8 +28,8 @@ from .mesh import MeshError, generate
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
 from .verify import (Check, PlanError, SweepPlan, _frob, center_law, check_block,
-                     check_energy_scaling, energy_checks, max_over_min, probe_points,
-                     run_sweep, sweep_checks)
+                     check_energy_scaling, config_key, energy_checks, max_over_min,
+                     probe_points, run_sweep, sweep_checks)
 
 
 class ConfigError(ValueError):
@@ -51,70 +51,11 @@ def _floats(text: str):
     return tuple(_finite(t) for t in str(text).split(",") if t.strip() != "")
 
 
-def _ratio(text: str) -> float:
-    x = _finite(text)
-    if x <= 1:
-        raise ValueError("must be > 1: a max/min ratio is never below 1")
-    return x
-
-
-def _positive(text: str) -> float:
-    x = _finite(text)
-    if x <= 0:
-        raise ValueError("must be positive")
-    return x
-
-
-# largest sample or pair count: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and
-# 476 MiB with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB); coeffcheck.samples
-# grows as samples^1.5 and gets a tenth (819 MiB at 200,000)
-MAX_SAMPLES = 2_000_000
-
-
-def _count(text: str, ceiling: int = MAX_SAMPLES) -> int:
-    n = int(text)
-    if not 1 <= n <= ceiling:
-        raise ValueError("must be >= 1" if n < 1 else f"must be <= {ceiling}")
-    return n
-
-
-def _zprimes(text: str) -> str:
-    tokens = [t.strip() for t in text.split(",") if t.strip()]
-    if not tokens:
-        raise ValueError("needs at least one z'")
-    for tok in tokens:
-        if tok != "neck":
-            try:
-                float(tok)
-            except ValueError:
-                raise ValueError(f"token {tok!r} is neither a number nor 'neck'") from None
-            _finite(tok)
-    return text
-
-
-# SweepPlan fields whose key is not the field name with its first "_" -> "."
-_PLAN_KEYS = {"epsilons": "sweep.epsilons", "probe_offset": "probes.offset",
-              "lambda1": "system.lambda1", "mu1": "system.mu1", "m": "system.m"}
 _PARSERS = {tuple: _floats, int: int, float: _finite, str: str}
 
-
-def _plan_key(name: str) -> str:
-    return _PLAN_KEYS.get(name, name.replace("_", ".", 1))
-
-
-SCHEMA = {
-    # key: (parser, default); a plan key's parser follows its field's default
-    **{_plan_key(f.name): (_PARSERS[type(f.default)], f.default) for f in fields(SweepPlan)},
-    # keys of single-run and check commands, not part of a sweep plan
-    "epsilon": (_finite, 1e-2),
-    "prop21.s_fractions": (_floats, (0.25, 0.5, 1.0)),
-    "prop21.pairs": (_count, 2000),
-    "prop21.zprimes": (_zprimes, "0,neck,0.25"),
-    "coeffcheck.samples": (lambda text: _count(text, MAX_SAMPLES // 10), 10_000),
-    "coeffcheck.pairs": (_count, 10_000),
-    "checks.stability_factor": (_ratio, 3.0),
-    "checks.exponent_band": (_positive, 0.2),
-}
+# one key per SweepPlan field, named by verify.config_key; parsing converts the
+# type and rejects non-finite numbers, SweepPlan.validate checks every range
+SCHEMA = {config_key(f.name): f for f in fields(SweepPlan)}
 
 
 def parse_config_text(text: str) -> dict:
@@ -133,8 +74,9 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
-def effective_config(path: str | None, overrides: list[str], seed: int | None) -> dict:
-    """Defaults, then the config file, then --set overrides, then --seed."""
+def effective_config(path: str | None, overrides: list[str], seed: int | None) -> SweepPlan:
+    """The validated plan of the defaults, then the config file, then --set
+    overrides, then --seed."""
     raw = {}
     if path is not None:
         p = Path(path)
@@ -148,24 +90,16 @@ def effective_config(path: str | None, overrides: list[str], seed: int | None) -
         if key not in SCHEMA:
             raise ConfigError(f"unknown config key {key!r}")
         raw[key] = value
-    cfg = {}
-    for key, (parser, default) in SCHEMA.items():
-        if key in raw:
-            try:
-                cfg[key] = parser(raw[key])
-            except ConfigError:
-                raise
-            except Exception as exc:
-                raise ConfigError(f"bad value for {key!r}: {raw[key]!r} ({exc})")
-        else:
-            cfg[key] = default
+    values = {}
+    for key, value in raw.items():
+        field = SCHEMA[key]
+        try:
+            values[field.name] = _PARSERS[type(field.default)](value)
+        except Exception as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
     if seed is not None:
-        cfg["seed"] = int(seed)
-    return cfg
-
-
-def plan_from_config(cfg: dict) -> SweepPlan:
-    plan = SweepPlan(**{f.name: cfg[_plan_key(f.name)] for f in fields(SweepPlan)})
+        values["seed"] = int(seed)
+    plan = SweepPlan(**values)
     plan.validate()
     return plan
 
@@ -264,46 +198,42 @@ def export_solution_text(sol) -> str:
 # subcommands: each returns (artifact name, JSON document, list of Check)
 # ---------------------------------------------------------------------------
 
-def _cmd_validate_geometry(cfg, outdir: Path, threads: int):
-    geom = plan_from_config(cfg).geometry(cfg["epsilon"])
+def _cmd_validate_geometry(plan, outdir: Path, threads: int):
+    geom = plan.geometry(plan.epsilon)
     least = geom.least_width()
-    doc = {"epsilon": cfg["epsilon"], "gamma": cfg["gamma"], "kappa0": geom.kappa0,
+    doc = {"epsilon": plan.epsilon, "gamma": plan.gamma, "kappa0": geom.kappa0,
            "kappa1": geom.kappa1, "kappa2": geom.kappa2, "least_width": least}
     return "geometry.json", doc, [Check("geometry", least, ">", 0.0, "least gap width")]
 
 
-def _cmd_validate_coefficients(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
+def _cmd_validate_coefficients(plan, outdir: Path, threads: int):
     cs = plan.coefficients()
-    geom = plan.geometry(cfg["epsilon"])
+    geom = plan.geometry(plan.epsilon)
     region = LocalRegion(np.zeros(2), 1.0, geom)
-    pts = region.sample_points(max(64, int(np.sqrt(cfg["coeffcheck.samples"]))),
-                               cfg["seed"], tag=0)
+    # sqrt of check_ellipticity's 10,000 default samples
+    pts = region.sample_points(100, plan.seed, tag=0)
     doc = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
     try:
-        meas = check_ellipticity(cs, samples=cfg["coeffcheck.samples"], points=pts,
-                                 seed=cfg["seed"])
+        meas = check_ellipticity(cs, points=pts, seed=plan.seed)
         doc["measured_lambda"] = meas.value
         doc["near_ties"] = meas.near_ties
     except EllipticityError as exc:
         doc["error"] = str(exc)
-    k3 = check_holder(cs, pair_samples=cfg["coeffcheck.pairs"], points=pts,
-                      seed=cfg["seed"])
+    k3 = check_holder(cs, points=pts, seed=plan.seed)
     doc["measured_kappa3"] = k3
     return "coefficients.json", doc, [
         Check("ellipticity", int("error" in doc), "==", 0, "errors raised"),
         Check("kappa3", k3, "<=", cs.kappa3, "sampled Holder norm")]
 
 
-def _cmd_solve(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
-    eps = cfg["epsilon"]
+def _cmd_solve(plan, outdir: Path, threads: int):
+    eps = plan.epsilon
     geom, data, system = plan.problem(eps)
     mesh = system.mesh
     sol = solve_dirichlet(system, dirichlet_values(mesh, data))
     (outdir / "mesh.txt").write_text(mesh.export_text())
     (outdir / "solution.txt").write_text(export_solution_text(sol))
-    pts = probe_points(plan, geom)
+    pts = probe_points(geom)
     _write_csv(outdir / "gradients.csv", "x,y,comp,dudx,dudy",
                [[x, y, comp, g[comp, 0], g[comp, 1]]
                 for (x, y), g in zip(pts, gradient_at(sol, pts))
@@ -316,54 +246,42 @@ def _cmd_solve(cfg, outdir: Path, threads: int):
     return "solve.json", doc, []
 
 
-def _cmd_sweep(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
+def _cmd_sweep(plan, outdir: Path, threads: int):
     report = run_sweep(plan, threads=threads)
     emit_tables(report, outdir)
     print(f"fitted rho = {report.rho:.6g} +/- {report.rho_halfwidth:.3g}"
           + (" (degenerate data)" if report.degenerate else ""))
-    return "report.json", report.to_dict(), sweep_checks(report, cfg["checks.stability_factor"])
+    return "report.json", report.to_dict(), sweep_checks(report, plan.checks_stability_factor)
 
 
-def _resolve_prop21_zprimes(tokens: str, geom, widest: float) -> list[float]:
-    """The z' of ``prop21.zprimes`` at ``geom``'s epsilon, 'neck' resolved.
+def _prop21_zprimes(geom) -> list:
+    """z' = 0, the neck rim eps^{1/(1+gamma)} and 0.25 at ``geom``'s epsilon.
 
-    Each z' and its widest slab, of radius ``widest * gap_width(z')``, must
-    lie in the unit ball where the profiles are defined.
+    Each z' and its widest slab, of radius ``gap_width(z')``, must lie in the
+    unit ball where the profiles are defined.
     """
     eps = geom.epsilon
-    out = []
-    for tok in tokens.split(","):
-        tok = tok.strip()
-        if not tok:
-            continue
-        zp = eps ** (1.0 / (1.0 + geom.gamma)) if tok == "neck" else float(tok)
-        if abs(zp) > 1.0 or abs(zp) + widest * float(geom.gap_width(np.array([zp]))) > 1.0:
-            raise ConfigError(f"prop21.zprimes value {tok} at epsilon={eps:g}: z'={zp:g} "
-                              f"or its widest slab leaves the unit ball |x'| <= 1")
-        out.append(zp)
-    return out
+    zprimes = [0.0, eps ** (1.0 / (1.0 + geom.gamma)), 0.25]
+    for zp in zprimes:
+        if zp > 1.0 or zp + float(geom.gap_width(np.array([zp]))) > 1.0:
+            raise PlanError(f"profile.c1 = {geom.c_top:g} and profile.c2 = {geom.c_bottom:g} "
+                            f"at epsilon = {eps:g}: the widest slab at z' = {zp:.4g} "
+                            f"leaves the unit ball |x'| <= 1")
+    return zprimes
 
 
-def _cmd_prop21(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
-    fractions = cfg["prop21.s_fractions"]
-    if not fractions or not all(0.0 < f <= 1.0 for f in fractions):
-        raise ConfigError(f"prop21.s_fractions must be a nonempty list of slab radius "
-                          f"fractions in (0, 1], got {list(fractions)}")
-    pairs = cfg["prop21.pairs"]
-    geoms = [plan.geometry(eps) for eps in plan.epsilons]
-    zprimes = [_resolve_prop21_zprimes(cfg["prop21.zprimes"], geom, max(fractions))
-               for geom in geoms]
+def _cmd_prop21(plan, outdir: Path, threads: int):
+    geoms = [plan.geometry(eps) for eps in plan.sweep_epsilons]
+    zprimes = [_prop21_zprimes(geom) for geom in geoms]
     rows = []
     per_eps_max = []
-    for eps, geom, zps in zip(plan.epsilons, geoms, zprimes):
+    for eps, geom, zps in zip(plan.sweep_epsilons, geoms, zprimes):
         data = plan.boundary_data(geom).only(0)
         worst = 0.0
         for zp in zps:
             mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(geom, data, np.array([zp, mid]), fractions,
-                                        pairs=pairs, seed=plan.seed)
+            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
+                                        pairs=plan.prop21_pairs, seed=plan.seed)
             rows += [{"epsilon": eps, "zprime": zp, **asdict(row)} for row in rep.rows]
             if np.isfinite(rep.fitted_constant):
                 worst = max(worst, rep.fitted_constant)
@@ -371,13 +289,12 @@ def _cmd_prop21(cfg, outdir: Path, threads: int):
     stability = max_over_min(per_eps_max)
     doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
     return "prop21.json", doc, [Check("seminorm_growth", stability, "<",
-                                      cfg["checks.stability_factor"], "max/min")]
+                                      plan.checks_stability_factor, "max/min")]
 
 
-def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
+def _cmd_energy_scaling(plan, outdir: Path, threads: int):
     res = check_energy_scaling(plan)
-    band = cfg["checks.exponent_band"]
+    band = plan.checks_exponent_band
     doc = res.to_dict()
     for name, table in (("energy_inner_center.csv", res.center_table),
                         ("energy_inner_edge.csv", res.edge_table),
@@ -388,7 +305,7 @@ def _cmd_energy_scaling(cfg, outdir: Path, threads: int):
     else:
         # the z' = 0 law of the acceptance suite, without its refined-mesh fit;
         # a diagnostic that does not set the exit code
-        doc["center_law"] = check_block(center_law(res, band, cfg["checks.stability_factor"]))
+        doc["center_law"] = check_block(center_law(res, band, plan.checks_stability_factor))
     return "energy.json", doc, energy_checks(res, band)
 
 
@@ -401,10 +318,9 @@ def _fd_vs_fem(cs, geom, data) -> float:
     return grid_distance(sol, grid)
 
 
-def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
-    plan = plan_from_config(cfg)
+def _cmd_oracle_suite(plan, outdir: Path, threads: int):
     cs_lame = lame_as_general(plan.lame(), 2)     # whatever system.kind says
-    eps = cfg["epsilon"]
+    eps = plan.epsilon
     case = AffineCase(eps)
     try:
         mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
@@ -430,8 +346,8 @@ def _cmd_oracle_suite(cfg, outdir: Path, threads: int):
     def f(X):
         return field_gradients(gap, data, X).reshape(X.shape[0], -1)
 
-    dense = brute_force_seminorm(f, region, cfg["gamma"], grid=60)
-    sampled = holder_seminorm(f, region, cfg["gamma"], pairs=4000, seed=cfg["seed"])
+    dense = brute_force_seminorm(f, region, plan.gamma, grid=60)
+    sampled = holder_seminorm(f, region, plan.gamma, pairs=4000, seed=plan.seed)
     doc = {"affine_nodal_error": err, "fd_vs_fem_scalar": worst, "fd_vs_fem_lame": worst_l,
            "seminorm_dense": dense, "seminorm_sampled": sampled}
     return "oracle.json", doc, [
@@ -485,8 +401,8 @@ def run(argv: list[str]) -> int:
     args = parser.parse_args(argv)
 
     try:
-        cfg = effective_config(args.config, args.overrides, args.seed)
-    except ConfigError as exc:
+        plan = effective_config(args.config, args.overrides, args.seed)
+    except (ConfigError, PlanError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 
@@ -500,7 +416,7 @@ def run(argv: list[str]) -> int:
     threads = max(1, args.threads)
     try:
         with _blas.one_thread():        # --threads sizes the sweep pool only
-            result = COMMANDS[args.command](cfg, outdir, threads)
+            result = COMMANDS[args.command](plan, outdir, threads)
     except (ConfigError, PlanError, ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2

@@ -212,13 +212,18 @@ class Mesh:
 def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: float) -> np.ndarray:
     """Graded station positions, symmetric about 0, spacing min(aspect*width, dxmax).
 
-    Raises :class:`MeshError` once the strip would need more than
-    ``MAX_STATIONS`` stations.
+    Raises :class:`MeshError` for boundaries that cross inside the strip, and
+    once the strip would need more than ``MAX_STATIONS`` stations.
     """
     if xrange <= 0 or xrange > 1.0:
         raise MeshError(f"xrange must lie in (0, 1], got {xrange}")
     if aspect <= 0 or dxmax <= 0:
         raise MeshError("grading parameters must be positive")
+    least = geom.least_width(xrange)
+    if least <= 0:
+        # the spacing shrinks with the width and would never reach the crossing
+        raise MeshError(f"the boundaries cross inside |x'| <= {xrange:g} (least gap width "
+                        f"{least:.4g})")
     right = [0.0]
     x = 0.0
     while x < xrange:

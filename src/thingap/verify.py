@@ -119,22 +119,42 @@ def t_quantile(df: int, p: float) -> float:
 
 # the midline probes lie on |x'| <= PROBE_HALF_SPAN, so mesh.xrange must reach it
 PROBE_HALF_SPAN = 0.5
+# probe sites: points on the centerline, points on the midline, and the centerline's
+# distance from each boundary in gap widths
+PROBES_CENTERLINE = 33
+PROBES_PROFILE = 65
+PROBE_OFFSET = 0.05
 # bound on |system.lambda1| and system.mu1, 1e50 below the first overflow: norms
 # overflow from 1e150 on, oracle-suite's grid solve fails from 1e163, solve from 1e169
 LAME_MAX = 1e100
+# largest prop21.pairs: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and 476 MiB
+# with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB)
+MAX_SAMPLES = 2_000_000
+
+
+def config_key(name: str) -> str:
+    """The config key of a :class:`SweepPlan` field: the name, first ``_`` turned into ``.``."""
+    return name.replace("_", ".", 1)
+
+
+def _bad_value(key: str, value, reason: str) -> PlanError:
+    shown = f"{value:g}" if isinstance(value, float) else value
+    return PlanError(f"bad value for {key!r}: '{shown}' ({reason})")
+
 
 @dataclass
 class SweepPlan:
-    """Everything needed to reproduce a sweep, including the seed."""
+    """The whole config of every command, seed included: one field per config key."""
 
-    epsilons: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+    epsilon: float = 1e-2           # single-run gap width (solve, validate-*, oracle-suite)
+    sweep_epsilons: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     gamma: float = 0.5
     profile_c1: float = 1.0
     profile_c2: float = -1.0
     system_kind: str = "lame"
-    lambda1: float = 1.0
-    mu1: float = 1.0
-    m: int = 1                      # components for the identity system
+    system_lambda1: float = 1.0
+    system_mu1: float = 1.0
+    system_m: int = 1               # components for the identity system
     bc_kind: str = "constant_jump"
     bc_phi: tuple = (1.0, 0.0)
     bc_psi: tuple = (0.0, 0.0)
@@ -146,14 +166,20 @@ class SweepPlan:
     energy_layers: int = 16
     energy_xrange: float = 0.75
     energy_zprimes: tuple = (0.04, 0.0566, 0.08, 0.1131, 0.16)
-    probes_centerline: int = 33
-    probes_profile: int = 65
-    probe_offset: float = 0.05
     reliability_threshold: float = 0.10
+    prop21_pairs: int = 2000
+    checks_stability_factor: float = 3.0
+    checks_exponent_band: float = 0.2
     seed: int = 0
 
     def validate(self):
-        eps = tuple(float(e) for e in self.epsilons)
+        """Raise a :class:`PlanError` for a key out of range or keys that contradict
+        each other.  What needs the geometry (crossing boundaries, slabs, mesh
+        size) is checked where that is built, before anything is solved.
+        """
+        if self.epsilon <= 0:
+            raise _bad_value("epsilon", self.epsilon, "must be positive")
+        eps = tuple(float(e) for e in self.sweep_epsilons)
         if any(e <= 0 for e in eps):
             raise PlanError("epsilon values must be positive")
         if list(eps) != sorted(eps, reverse=True) or len(set(eps)) != len(eps):
@@ -178,8 +204,8 @@ class SweepPlan:
                             f"bc.psi = {list(self.bc_psi)}")
         if self.system_kind == "lame":
             self.lame()
-        if self.m < 1:
-            raise PlanError(f"system.m must be >= 1, got {self.m}")
+        if self.system_m < 1:
+            raise PlanError(f"system.m must be >= 1, got {self.system_m}")
         for key, layers, aspect, xrange in (
                 ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange),
                 ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange)):
@@ -194,13 +220,20 @@ class SweepPlan:
                             f"midline probes, got {self.mesh_xrange}")
         if self.mesh_dxmax <= 0:
             raise PlanError(f"mesh.dxmax must be positive, got {self.mesh_dxmax}")
-        if self.probes_centerline < 1 or self.probes_profile < 1:
-            raise PlanError("probes.centerline and probes.profile must be >= 1")
-        if not 0 <= self.probe_offset < 0.5:
-            raise PlanError(f"probes.offset must lie in [0, 0.5), got {self.probe_offset}")
         if self.reliability_threshold <= 0:
             raise PlanError(f"reliability.threshold must be positive, got "
                             f"{self.reliability_threshold}")
+        if not 1 <= self.prop21_pairs <= MAX_SAMPLES:
+            raise _bad_value("prop21.pairs", self.prop21_pairs, "must be >= 1"
+                             if self.prop21_pairs < 1 else f"must be <= {MAX_SAMPLES}")
+        if self.checks_stability_factor <= 1:
+            raise _bad_value("checks.stability_factor", self.checks_stability_factor,
+                             "must be > 1: a max/min ratio is never below 1")
+        if self.checks_exponent_band <= 0:
+            raise _bad_value("checks.exponent_band", self.checks_exponent_band,
+                             "must be positive")
+        if self.seed < 0:
+            raise _bad_value("seed", self.seed, "must be >= 0")
 
     def geometry(self, epsilon: float) -> GapGeometry:
         """The power-law gap; zero amplitudes give the flat strip."""
@@ -208,11 +241,12 @@ class SweepPlan:
 
     def lame(self) -> LameParameters:
         """The Lame constants ``system.lambda1`` and ``system.mu1``."""
-        if not (abs(self.lambda1) <= LAME_MAX and self.mu1 <= LAME_MAX):
+        lam, mu = self.system_lambda1, self.system_mu1
+        if not (abs(lam) <= LAME_MAX and mu <= LAME_MAX):
             raise PlanError(f"system.lambda1 and system.mu1: need |lambda1| and mu1 <= "
-                            f"{LAME_MAX:g}, got ({self.lambda1}, {self.mu1})")
+                            f"{LAME_MAX:g}, got ({lam}, {mu})")
         try:
-            return LameParameters(self.lambda1, self.mu1)
+            return LameParameters(lam, mu)
         except EllipticityError as exc:
             raise PlanError(f"system.lambda1 and system.mu1: {exc}") from None
 
@@ -220,8 +254,8 @@ class SweepPlan:
         if self.system_kind == "lame":
             return lame_as_general(self.lame(), 2)
         if self.system_kind == "identity":
-            return identity_coefficients(m=self.m, n=2)
-        return holder_demo_coefficients(self.gamma, m=self.m, n=2)
+            return identity_coefficients(m=self.system_m, n=2)
+        return holder_demo_coefficients(self.gamma, m=self.system_m, n=2)
 
     def boundary_data(self, geom: GapGeometry) -> BoundaryData:
         m = self.coefficients().m
@@ -234,6 +268,19 @@ class SweepPlan:
         psi = [list(self.bc_psi)] + [[0.0]] * (m - 1)
         return BoundaryData.polynomial(phi, psi, geom)
 
+    def _refuse_crossing(self, epsilon: float, energy: bool = False) -> None:
+        """Raise a :class:`PlanError` naming the profile amplitudes when the
+        boundaries cross inside the meshed strip (``energy``: the energy
+        mesh's); the width is monotone in ``|x'|``, so the strip's edge decides.
+        """
+        key, xrange = ("energy", self.energy_xrange) if energy else ("mesh", self.mesh_xrange)
+        least = self.geometry(epsilon).least_width(xrange)
+        if least <= 0:
+            raise PlanError(f"profile.c1 = {self.profile_c1:g} and profile.c2 = "
+                            f"{self.profile_c2:g} at epsilon = {epsilon:g}: the boundaries "
+                            f"cross inside |x'| <= {key}.xrange = {xrange:g} (least gap "
+                            f"width {least:.4g})")
+
     def problem(self, epsilon: float, energy: bool = False, refinement: bool = False
                 ) -> tuple[GapGeometry, BoundaryData, AssembledSystem]:
         """Geometry, boundary data and assembled system at one gap width.
@@ -241,9 +288,8 @@ class SweepPlan:
         The mesh is the sweep mesh (``mesh.*`` keys), or with ``energy`` the
         energy-scaling mesh (``energy.layers``, ``energy.aspect``,
         ``energy.xrange`` with ``mesh.dxmax``).  Boundaries that cross inside
-        the meshed strip raise a :class:`PlanError` that names the profile
-        amplitudes; the width is monotone in ``|x'|``, so the strip's edge
-        decides.  After that a :class:`MeshError` can only come from the
+        the meshed strip raise a :class:`PlanError` (:meth:`_refuse_crossing`).
+        After that a :class:`MeshError` can only come from the
         grading keys, so it is raised as a :class:`PlanError` that names them.
         So is a mesh whose band and element matrices, or with ``refinement``
         those of a level the sweep builds (stations level at every epsilon,
@@ -251,17 +297,12 @@ class SweepPlan:
         check reads the station count before anything is assembled and names
         the level.
         """
+        self._refuse_crossing(epsilon, energy)
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
         key, layers, aspect, xrange = (
             ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
             else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
-        least = geom.least_width(xrange)
-        if least <= 0:
-            raise PlanError(f"profile.c1 = {self.profile_c1:g} and profile.c2 = "
-                            f"{self.profile_c2:g} at epsilon = {epsilon:g}: the boundaries "
-                            f"cross inside |x'| <= {key}.xrange = {xrange:g} (least gap "
-                            f"width {least:.4g})")
         try:
             mesh = generate(geom, layers, aspect, self.mesh_dxmax, xrange)
         except MeshError as exc:
@@ -272,7 +313,7 @@ class SweepPlan:
         levels = {"": (S, layers)}
         if refinement:
             levels = {" (stations level)": (2 * S - 1, layers)}
-            if epsilon >= max(self.epsilons):
+            if epsilon >= max(self.sweep_epsilons):
                 levels[" (layers level)"] = (S, 2 * layers)
         for level, (stations, layers) in levels.items():
             # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
@@ -399,25 +440,26 @@ def _frob(mat: np.ndarray) -> np.ndarray:
     return np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
 
 
-def probe_points(plan: SweepPlan, geom: GapGeometry) -> np.ndarray:
-    """Probe sites, (k, 2): ``probes_centerline`` rows ``(0, xn)``, then midline rows.
+def probe_points(geom: GapGeometry) -> np.ndarray:
+    """Probe sites, (k, 2): ``PROBES_CENTERLINE`` rows ``(0, xn)``, then midline rows.
 
-    The centerline stays ``probe_offset`` gap widths inside each boundary;
-    the midline rows ``(xp, mid(xp))`` span ``|xp| <= PROBE_HALF_SPAN``.
+    The centerline stays ``PROBE_OFFSET`` gap widths inside each boundary;
+    the ``PROBES_PROFILE`` midline rows ``(xp, mid(xp))`` span
+    ``|xp| <= PROBE_HALF_SPAN``.
     """
     w0 = float(geom.gap_width(np.zeros(1)))
-    off = plan.probe_offset * w0
+    off = PROBE_OFFSET * w0
     xn = np.linspace(float(geom.bottom(np.zeros(1))) + off,
-                     float(geom.top(np.zeros(1))) - off, plan.probes_centerline)
-    xp = np.linspace(-PROBE_HALF_SPAN, PROBE_HALF_SPAN, plan.probes_profile)
+                     float(geom.top(np.zeros(1))) - off, PROBES_CENTERLINE)
+    xp = np.linspace(-PROBE_HALF_SPAN, PROBE_HALF_SPAN, PROBES_PROFILE)
     return np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
                            np.stack([xp, geom.midline(xp[:, None])], axis=1)])
 
 
-def _probe_solution(plan: SweepPlan, geom: GapGeometry, sol, data: BoundaryData):
+def _probe_solution(geom: GapGeometry, sol, data: BoundaryData):
     """Centerline and midline gradient probes."""
-    pts = probe_points(plan, geom)
-    k = plan.probes_centerline
+    pts = probe_points(geom)
+    k = PROBES_CENTERLINE
     norms = _frob(gradient_at(sol, pts))
     xn, xp = pts[:k, 1], pts[k:, 0]
     jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
@@ -443,11 +485,11 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
     fine = _refined_neck(plan, refine_stations(mesh), cs, data, M)
     layers = None
-    if epsilon >= max(plan.epsilons):
+    if epsilon >= max(plan.sweep_epsilons):
         layers = {"epsilon": epsilon, "layers": 2 * mesh.layers,
                   **_refined_neck(plan, refine_layers(mesh), cs, data, M)}
 
-    xn, cl, xp, pf, jumps = _probe_solution(plan, geom, sol, data)
+    xn, cl, xp, pf, jumps = _probe_solution(geom, sol, data)
     u2 = l2_norm(sol)
     norm_terms = float(np.max(data.phi_norms) + np.max(data.psi_norms) + u2)
 
@@ -495,7 +537,7 @@ class BlowupReport:
 
     def to_dict(self) -> dict:
         return {
-            "plan": asdict(self.plan),
+            "plan": {config_key(k): v for k, v in asdict(self.plan).items()},
             "fit": {"rho": self.rho, "rho_halfwidth": self.rho_halfwidth,
                     "degenerate": self.degenerate},
             "per_epsilon": [r.to_dict() for r in self.records],
@@ -517,7 +559,8 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     if not any(plan.bc_phi) and not any(plan.bc_psi):
         raise PlanError("bc.phi and bc.psi are all zero: the solution vanishes and "
                         "the sweep has no envelope constant to fit")
-    eps = [float(e) for e in plan.epsilons]
+    eps = [float(e) for e in plan.sweep_epsilons]
+    plan._refuse_crossing(eps[-1])      # the smallest epsilon has the narrowest gap
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda e: _run_one_epsilon(plan, e), eps))
@@ -674,10 +717,11 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
     """
     plan.validate()
     outer_z = sorted(float(z) for z in plan.energy_zprimes)
-    eps_list = [float(e) for e in plan.epsilons]
+    eps_list = [float(e) for e in plan.sweep_epsilons]
     g = plan.gamma
 
     eps_min = eps_list[-1]
+    plan._refuse_crossing(eps_min, energy=True)     # the narrowest gap, before any solve
     neck = eps_min ** (1.0 / (1.0 + g))
     geom_min = plan.geometry(eps_min)
     for z in outer_z:

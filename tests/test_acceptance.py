@@ -126,7 +126,7 @@ def test_criterion2_manufactured_convergence_rates():
 
 def test_criterion3_blowup_rate(default_sweep):
     plan, report, elapsed = default_sweep
-    assert plan.epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+    assert plan.sweep_epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
     assert all(r.reliable for r in report.records), \
         "mesh-reliability gate failed: " + ", ".join(
             f"eps={r.epsilon:g} change={r.reliability_change:.3f}"
@@ -277,7 +277,7 @@ def test_criterion8_seminorm_growth_stability():
     plan = SweepPlan()
     data_cache = {}
     per_eps = []
-    for eps in plan.epsilons:
+    for eps in plan.sweep_epsilons:
         geom = plan.geometry(eps)
         data = plan.boundary_data(geom).only(0)
         worst = 0.0

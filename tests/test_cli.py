@@ -9,15 +9,16 @@ from pathlib import Path
 
 import pytest
 
-from thingap.cli import (COMMANDS, MAX_SAMPLES, ConfigError, SCHEMA, dumps, effective_config,
-                         emit_tables, export_solution_text, fmt_float, parse_config_text,
-                         plan_from_config, run)
-from thingap.verify import SweepPlan
+from hypothesis import given, settings, strategies as st
+
+import thingap.auxiliary as auxiliary
+from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
+                         export_solution_text, fmt_float, parse_config_text, run)
+from thingap.verify import MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan
 
 
 SMALL = ["--set", "sweep.epsilons=0.1,0.03,0.01", "--set", "mesh.layers=8",
-         "--set", "mesh.xrange=0.75", "--set", "probes.centerline=9",
-         "--set", "probes.profile=17"]
+         "--set", "mesh.xrange=0.75"]
 
 
 def test_parse_config_text_and_comments():
@@ -46,10 +47,17 @@ def test_inconsistent_plan_exits_2(tmp_path):
 
 
 def test_defaults_cover_every_key():
-    cfg = effective_config(None, [], None)
-    assert set(cfg) == set(SCHEMA)
-    plan = plan_from_config(cfg)
-    assert plan.epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+    plan = effective_config(None, [], None)
+    assert plan == SweepPlan()
+    assert plan.sweep_epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
+
+
+def test_every_key_is_a_plan_field():
+    # one key per field, the name with its first "_" turned into "."
+    names = [f.name for f in dataclasses.fields(SweepPlan)]
+    assert list(SCHEMA) == [name.replace("_", ".", 1) for name in names]
+    assert [SCHEMA[key].name for key in SCHEMA] == names
+    assert len(SCHEMA) == 25
 
 
 def test_float_formatting_roundtrips():
@@ -78,7 +86,7 @@ def test_sweep_writes_report_and_tables(tmp_path):
     assert len(sweep) == 1 + 3
     prof = (out / "profile_0.1.csv").read_text().strip().split("\n")
     assert prof[0] == "x,grad_norm"
-    assert len(prof) == 1 + 17
+    assert len(prof) == 1 + PROBES_PROFILE
 
 
 def test_sweep_csv_roundtrips_report_values(tmp_path):
@@ -114,14 +122,13 @@ def test_emit_tables_empty_report(tmp_path):
 
 
 def test_config_roundtrip_reproduces_report(tmp_path):
+    # the report's plan block, written back out as a config, reproduces the report
     out1 = tmp_path / "a"
     assert run(["sweep", "--out", str(out1), *SMALL, "--seed", "5"]) == 0
-    cfg = effective_config(None, [s for s in SMALL if "=" in s], 5)
-    lines = []
-    for key, value in cfg.items():
-        if isinstance(value, tuple):
-            value = ",".join(fmt_float(v) for v in value)
-        lines.append(f"{key} = {value}")
+    plan = json.loads((out1 / "report.json").read_text())["plan"]
+    assert list(plan) == list(SCHEMA)
+    lines = [f"{key} = {','.join(map(str, value)) if isinstance(value, list) else value}"
+             for key, value in plan.items()]
     cfg_path = tmp_path / "eff.cfg"
     cfg_path.write_text("\n".join(lines) + "\n")
     out2 = tmp_path / "b"
@@ -160,9 +167,7 @@ def test_solve_exports(tmp_path):
 
 def test_validate_commands_pass(tmp_path):
     assert run(["validate-geometry", "--out", str(tmp_path / "g")]) == 0
-    assert run(["validate-coefficients", "--out", str(tmp_path / "c"),
-                "--set", "coeffcheck.samples=2000",
-                "--set", "coeffcheck.pairs=2000"]) == 0
+    assert run(["validate-coefficients", "--out", str(tmp_path / "c")]) == 0
 
 
 def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
@@ -175,7 +180,7 @@ def test_threads_bound_blas_pools_during_a_command(tmp_path, monkeypatch):
     before = [get() for _, get in pools]
     seen = []
 
-    def record(cfg, outdir, threads):
+    def record(plan, outdir, threads):
         seen.append([get() for _, get in pools])
         return "geometry.json", {}, []
 
@@ -323,7 +328,8 @@ print(json.dumps({{"threads": threads, "env": env, "codes": codes,
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["prop21", "--set", "prop21.s_fractions=0,0.5,1"], "prop21.s_fractions"),
+    (["prop21", "--set", "prop21.s_fractions=0,0.5,1"],
+     "unknown config key 'prop21.s_fractions'"),
     (["sweep", "--set", "bc.phi=1,0,5"], "beyond the system's 2 components"),
     (["sweep", "--set", "profile.c2=2"], "boundaries cross"),
     (["sweep", "--set", "mesh.xrange=0.4"], "mesh.xrange must be >= 0.5, the half-span"),
@@ -348,9 +354,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["sweep", "--set", "mesh.xrange=2"], "mesh.xrange must lie in (0, 1]"),
     (["sweep", "--set", "mesh.dxmax=0"], "mesh.dxmax must be positive"),
     (["sweep", "--set", "mesh.aspect=-1"], "mesh.aspect must be positive"),
-    (["sweep", "--set", "probes.profile=0"], "probes.profile must be >= 1"),
-    (["sweep", "--set", "probes.centerline=0"], "probes.centerline and"),
-    (["sweep", "--set", "probes.offset=0.6"], "probes.offset must lie in [0, 0.5)"),
+    (["sweep", "--set", "probes.profile=0"], "unknown config key 'probes.profile'"),
+    (["sweep", "--set", "probes.centerline=0"], "unknown config key 'probes.centerline'"),
+    (["sweep", "--set", "probes.offset=0.6"], "unknown config key 'probes.offset'"),
     (["energy-scaling", "--set", "energy.layers=2"], "energy.layers must be >= 4"),
     (["energy-scaling", "--set", "energy.xrange=2"], "energy.xrange must lie in (0, 1]"),
     (["energy-scaling", "--set", "energy.aspect=0"], "energy.aspect must be positive"),
@@ -358,17 +364,15 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["sweep", "--set", "lateral=foo"], "unknown config key 'lateral'"),
     (["sweep", "--set", "bc.phi=0,0"], "bc.phi and bc.psi are all zero"),
     (["validate-coefficients", "--set", "coeffcheck.samples=0"],
-     "'coeffcheck.samples': '0' (must be >= 1)"),
+     "unknown config key 'coeffcheck.samples'"),
     (["validate-coefficients", "--set", "coeffcheck.pairs=0"],
-     "'coeffcheck.pairs': '0' (must be >= 1)"),
-    (["prop21", "--set", "prop21.zprimes=foo"], "token 'foo' is neither a number nor 'neck'"),
-    (["prop21", "--set", "prop21.zprimes=,"], "needs at least one z'"),
+     "unknown config key 'coeffcheck.pairs'"),
+    (["prop21", "--set", "prop21.zprimes=foo"], "unknown config key 'prop21.zprimes'"),
+    (["prop21", "--set", "prop21.zprimes=,"], "unknown config key 'prop21.zprimes'"),
     (["validate-geometry", "--set", "validate.samples=0"],
      "unknown config key 'validate.samples'"),
-    (["prop21", "--set", "prop21.zprimes=2"],
-     "prop21.zprimes value 2 at epsilon=0.1: z'=2 or its widest slab leaves the unit ball"),
-    (["prop21", "--set", "prop21.zprimes=0,0.9"],
-     "prop21.zprimes value 0.9 at epsilon=0.1: z'=0.9 or its widest slab leaves"),
+    (["prop21", "--set", "prop21.zprimes=2"], "unknown config key 'prop21.zprimes'"),
+    (["prop21", "--set", "prop21.zprimes=0,0.9"], "unknown config key 'prop21.zprimes'"),
     (["sweep", "--set", "system.lambda1=-5"],
      "system.lambda1 and system.mu1: need mu1 > 0 and lambda1 + mu1 > 0, got (-5.0, 1.0)"),
     (["energy-scaling", "--set", "system.mu1=-1"],
@@ -381,8 +385,7 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "bad value for 'epsilon': 'inf' (inf is not a finite number)"),
     (["sweep", "--set", "sweep.epsilons=nan,0.01,0.001"],
      "bad value for 'sweep.epsilons': 'nan,0.01,0.001' (nan is not a finite number)"),
-    (["prop21", "--set", "prop21.zprimes=0,nan"],
-     "bad value for 'prop21.zprimes': '0,nan' (nan is not a finite number)"),
+    (["prop21", "--set", "prop21.zprimes=0,nan"], "unknown config key 'prop21.zprimes'"),
     (["sweep", "--set", "checks.stability_factor=0.5"],
      "bad value for 'checks.stability_factor': '0.5' (must be > 1"),
     (["energy-scaling", "--set", "checks.exponent_band=0"],
@@ -420,10 +423,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["prop21", "--set", f"prop21.pairs={MAX_SAMPLES + 1}"],
      f"bad value for 'prop21.pairs': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
     (["validate-coefficients", "--set", f"coeffcheck.pairs={MAX_SAMPLES + 1}"],
-     f"bad value for 'coeffcheck.pairs': '{MAX_SAMPLES + 1}' (must be <= {MAX_SAMPLES})"),
+     "unknown config key 'coeffcheck.pairs'"),
     (["validate-coefficients", "--set", f"coeffcheck.samples={MAX_SAMPLES // 10 + 1}"],
-     f"bad value for 'coeffcheck.samples': '{MAX_SAMPLES // 10 + 1}' "
-     f"(must be <= {MAX_SAMPLES // 10})"),
+     "unknown config key 'coeffcheck.samples'"),
     (["validate-geometry", "--set", "dim=3"], "unknown config key 'dim'"),
     (["sweep", "--set", "bc.kind=custom"], "unknown bc kind 'custom'"),
     (["solve", "--set", "system.lambda1=1e308"],
@@ -435,11 +437,57 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "inside |x'| <= mesh.xrange = 1 (least gap width -0.002)"),
     (["oracle-suite", "--set", "epsilon=3"],
      "the slab of radius 1.5 at z' = 0 leaves the unit ball |x'| <= 1"),
+    (["prop21", "--set", "profile.c1=10", "--set", "profile.c2=-10"],
+     "profile.c1 = 10 and profile.c2 = -10 at epsilon = 0.1: the widest slab at z' = 0.2154 "
+     "leaves the unit ball |x'| <= 1"),
+    (["validate-geometry", "--set", "epsilon=-1"],
+     "bad value for 'epsilon': '-1' (must be positive)"),
+    (["prop21", "--seed", "-1"], "bad value for 'seed': '-1' (must be >= 0)"),
+    (["prop21", "--set", "prop21.pairs=0"], "bad value for 'prop21.pairs': '0' (must be >= 1)"),
+    (["sweep", "--set", "profile.c1=-0.006", "--set", "profile.c2=0.006"],
+     "at epsilon = 0.001: the boundaries cross inside |x'| <= mesh.xrange = 1"),
+    (["energy-scaling", "--set", "profile.c1=-0.006", "--set", "profile.c2=0.006"],
+     "at epsilon = 0.001: the boundaries cross inside |x'| <= energy.xrange = 0.75"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
     assert message in capsys.readouterr().err
     assert not any(tmp_path.iterdir())
+
+
+def test_prop21_checks_every_slab_before_sampling(tmp_path, capsys, monkeypatch):
+    # the slab at z' = 0 fits; the one at the neck rim, checked next, does not
+    def no_sampling(*args, **kwargs):
+        raise AssertionError("sampled")
+
+    monkeypatch.setattr(auxiliary, "holder_seminorm", no_sampling)
+    assert run(["prop21", "--out", str(tmp_path), "--set", "profile.c1=10",
+                "--set", "profile.c2=-10"]) == 2
+    assert "at epsilon = 0.1: the widest slab at z' = 0.2154" in capsys.readouterr().err
+
+
+# config text in and out of every key's range
+VALUES = st.one_of(
+    st.sampled_from(["0", "-1", "1", "3", "4", "0.5", "1e-300", "1e300", "-1e300", "1e400",
+                     "nan", "inf", "-inf", "", ",", "foo", "lame", "identity", "holder_demo",
+                     "polynomial", "constant_jump", str(MAX_SAMPLES + 1), "9" * 30]),
+    st.integers(-10**6, 10**6).map(str),
+    st.floats().map(repr),
+    st.lists(st.floats(-2.0, 2.0), max_size=6).map(lambda v: ",".join(map(repr, v))),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(SCHEMA)), VALUES, min_size=1, max_size=3))
+def test_effective_config_returns_a_valid_plan_or_a_config_error(overrides):
+    # parsing converts types and SweepPlan.validate checks ranges: nothing
+    # else escapes, and nothing is solved
+    try:
+        plan = effective_config(None, [f"{k}={v}" for k, v in overrides.items()], None)
+    except (ConfigError, PlanError):
+        return
+    assert isinstance(plan, SweepPlan)
+    plan.validate()
 
 
 @pytest.mark.parametrize("c, code, width", [("0.006", 1, "-0.002, not > 0"),
@@ -457,8 +505,7 @@ def test_validate_geometry_measures_the_least_width(tmp_path, capsys, c, code, w
 # small runs of every command, with the artifact that carries its verdicts
 SMALL_RUNS = {
     "validate-geometry": ("geometry.json", []),
-    "validate-coefficients": ("coefficients.json", ["--set", "coeffcheck.samples=500",
-                                                    "--set", "coeffcheck.pairs=500"]),
+    "validate-coefficients": ("coefficients.json", []),
     "solve": ("solve.json", ["--set", "mesh.layers=4", "--set", "mesh.xrange=0.5"]),
     "sweep": ("report.json", SMALL),
     "prop21": ("prop21.json", ["--set", "sweep.epsilons=0.1,0.03,0.01",

@@ -141,6 +141,20 @@ def test_generate_rejects_bad_parameters(geom):
         generate(geom, layers=8, xrange=1.5)
 
 
+def test_generate_refuses_crossing_boundaries_before_the_station_loop(monkeypatch):
+    # the boundaries -+0.006|x'|^{3/2} off the 0.01 gap cross at |x'| = 0.885,
+    # where the spacing aspect * width would shrink without reaching them
+    crossing = GapGeometry(0.01, GAMMA, -0.006, 0.006)
+    assert generate(crossing, layers=4, xrange=0.8).stations[-1] == 0.8
+
+    def no_width(*args):
+        raise AssertionError("station loop entered")
+
+    monkeypatch.setattr(GapGeometry, "gap_width", no_width)
+    with pytest.raises(MeshError, match=r"cross inside \|x'\| <= 1 \(least gap width -0.002\)"):
+        generate(crossing, layers=4)
+
+
 @pytest.mark.parametrize("aspect, dxmax", [(2.0, 1e-9), (1e-9, 0.02)])
 def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, aspect, dxmax):
     def no_build(*args):

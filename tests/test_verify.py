@@ -11,8 +11,7 @@ from thingap.verify import (Check, PlanError, SweepPlan, check_energy_scaling, f
 
 
 # a cut-down plan that keeps unit tests fast; acceptance runs the full one
-SMALL_PLAN = SweepPlan(epsilons=(1e-1, 3e-2, 1e-2), mesh_layers=8,
-                       mesh_xrange=0.75, probes_centerline=17, probes_profile=33)
+SMALL_PLAN = SweepPlan(sweep_epsilons=(1e-1, 3e-2, 1e-2), mesh_layers=8, mesh_xrange=0.75)
 
 
 @pytest.fixture(scope="module")
@@ -59,9 +58,9 @@ def test_fit_rate_rejects_bad_input():
 
 def test_plan_validation():
     with pytest.raises(PlanError):
-        SweepPlan(epsilons=(1e-1, 1e-2)).validate()
+        SweepPlan(sweep_epsilons=(1e-1, 1e-2)).validate()
     with pytest.raises(PlanError):
-        SweepPlan(epsilons=(1e-2, 3e-2, 1e-1)).validate()
+        SweepPlan(sweep_epsilons=(1e-2, 3e-2, 1e-1)).validate()
     with pytest.raises(PlanError):
         SweepPlan(system_kind="nonsense").validate()
     with pytest.raises(PlanError):
@@ -78,7 +77,7 @@ def test_boundary_constants_beyond_m_must_be_zero():
     with pytest.raises(PlanError, match="beyond the system's 2 components"):
         SweepPlan(bc_psi=(0.0, 0.0, -1.0)).boundary_data(geom)
     # the default Lame list (1, 0) on a one-component system drops only a zero
-    data = SweepPlan(system_kind="identity", m=1).boundary_data(geom)
+    data = SweepPlan(system_kind="identity", system_m=1).boundary_data(geom)
     assert data.m == 1
     assert SweepPlan(bc_phi=(1.0,)).boundary_data(geom).m == 2
 
@@ -116,7 +115,7 @@ def test_sweep_solves_each_epsilon_twice_and_the_largest_once_more(monkeypatch):
     monkeypatch.setattr(solver, "solve_dirichlet", spy)
     monkeypatch.setattr(verify, "solve_dirichlet", spy)
     run_sweep(SMALL_PLAN)
-    eps = SMALL_PLAN.epsilons
+    eps = SMALL_PLAN.sweep_epsilons
     assert sorted(calls, reverse=True) == [eps[0]] + [e for e in eps for _ in range(2)]
 
 
@@ -135,7 +134,7 @@ def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
 
     monkeypatch.setattr(verify, "assemble", spy)
     run_sweep(SMALL_PLAN)
-    assert len(built) == 2 * len(SMALL_PLAN.epsilons) + 1
+    assert len(built) == 2 * len(SMALL_PLAN.sweep_epsilons) + 1
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -154,13 +153,14 @@ def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
     report = run_sweep(SMALL_PLAN, threads=threads)
     L = SMALL_PLAN.mesh_layers
     want = []
-    for e in SMALL_PLAN.epsilons:
+    eps = SMALL_PLAN.sweep_epsilons
+    for e in eps:
         S = verify.generate(SMALL_PLAN.geometry(e), L, SMALL_PLAN.mesh_aspect,
                             SMALL_PLAN.mesh_dxmax, SMALL_PLAN.mesh_xrange).stations.size
-        want += [(e, S, L), (e, 2 * S - 1, L)] + [(e, S, 2 * L)] * (e == SMALL_PLAN.epsilons[0])
+        want += [(e, S, L), (e, 2 * S - 1, L)] + [(e, S, 2 * L)] * (e == eps[0])
     assert sorted(built) == sorted(want)
     level = report.layers_level
-    assert (level["epsilon"], level["layers"]) == (SMALL_PLAN.epsilons[0], 2 * L)
+    assert (level["epsilon"], level["layers"]) == (SMALL_PLAN.sweep_epsilons[0], 2 * L)
     assert level["reliable"] == (level["reliability_change"] < SMALL_PLAN.reliability_threshold)
 
 
@@ -281,7 +281,7 @@ def test_scalar_identity_sweep_same_blowup_rate():
     # the scalar special case shows the same 1/eps centerline growth, and the
     # lower-bound constant sits near 1 because the vertical derivative of the
     # crossing profile is exactly the inverse gap width
-    plan = dataclasses.replace(SMALL_PLAN, system_kind="identity", m=1,
+    plan = dataclasses.replace(SMALL_PLAN, system_kind="identity", system_m=1,
                                bc_phi=(1.0,), bc_psi=(0.0,))
     report = run_sweep(plan)
     assert report.rho == pytest.approx(1.0, abs=0.15)
@@ -347,13 +347,26 @@ def test_energy_scaling_rejects_bad_zprimes_before_assembly(monkeypatch, zprimes
         check_energy_scaling(dataclasses.replace(SweepPlan(), energy_zprimes=zprimes))
 
 
+@pytest.mark.parametrize("measure", [run_sweep, check_energy_scaling])
+def test_crossing_boundaries_are_refused_before_the_first_assembly(monkeypatch, measure):
+    # the width eps + (c1 - c2)|x'|^{1+gamma} grows with eps, so the smallest
+    # epsilon decides, and no larger one is solved first
+    built = []
+    exact = verify.assemble
+    monkeypatch.setattr(verify, "assemble", lambda *args: built.append(1) or exact(*args))
+    plan = dataclasses.replace(SweepPlan(), profile_c1=-0.006, profile_c2=0.006)
+    with pytest.raises(PlanError, match="at epsilon = 0.001: the boundaries cross"):
+        measure(plan)
+    assert built == []
+
+
 def test_record_serialization_roundtrip(small_report):
     d = small_report.to_dict()
     assert d["fit"]["rho"] == small_report.rho
     eps0 = d["per_epsilon"][0]
-    assert eps0["epsilon"] == SMALL_PLAN.epsilons[0]
-    assert len(eps0["profile"]) == SMALL_PLAN.probes_profile
-    assert len(eps0["centerline"]) == SMALL_PLAN.probes_centerline
+    assert eps0["epsilon"] == SMALL_PLAN.sweep_epsilons[0]
+    assert len(eps0["profile"]) == verify.PROBES_PROFILE
+    assert len(eps0["centerline"]) == verify.PROBES_CENTERLINE
 
 
 def test_t_quantile_matches_scipy():
