@@ -14,20 +14,14 @@ from thingap import SweepPlan, check_energy_scaling
 plan = SweepPlan()
 res = check_energy_scaling(plan)
 
-print("slabs at the neck center z' = 0 (energy vs epsilon):")
-for e, v in res.center_table:
-    print(f"  eps = {e:8.4f}   E = {v:10.5g}")
-print(f"  fitted exponent {res.center_exponent:.4f} "
-      f"(upper bound allows >= {res.expected_inner:.4f}; decays faster, see module doc)")
-
-print("\nslabs at the neck-regime rim z' = eps^(1/(1+gamma)):")
-for e, v in res.edge_table:
-    print(f"  eps = {e:8.4f}   E = {v:10.5g}")
-print(f"  fitted exponent {res.edge_exponent:.4f} "
-      f"(expected {res.expected_inner:.4f}: the bound is attained here)")
-
-print(f"\nouter slabs at fixed eps = {plan.sweep_epsilons[-1]:g} (energy vs z'):")
-for z, v in res.outer_table:
-    print(f"  z' = {z:8.4f}   E = {v:10.5g}")
-print(f"  fitted exponent {res.outer_exponent:.4f} "
-      f"(expected {res.expected_outer:.4f})")
+for title, scale, fit, remark in (
+        ("slabs at the neck center z' = 0 (energy vs epsilon)", "eps", res.center,
+         "upper bound allows >= {:.4f}; decays faster, see module doc"),
+        ("slabs at the neck-regime rim z' = eps^(1/(1+gamma))", "eps", res.edge,
+         "expected {:.4f}: the bound is attained here"),
+        (f"outer slabs at fixed eps = {plan.sweep_epsilons[-1]:g} (energy vs z')", "z'",
+         res.outer, "expected {:.4f}")):
+    print(f"\n{title}:")
+    for x, v in fit.table:
+        print(f"  {scale:>3} = {x:8.4f}   E = {v:10.5g}")
+    print(f"  fitted exponent {fit.exponent:.4f} ({remark.format(fit.expected)})")

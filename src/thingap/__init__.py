@@ -19,8 +19,9 @@ from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
                      RightHandSide, SolverError, assemble, dirichlet_values,
                      grid_distance, gradient_at, l2_norm, solve_dirichlet, value_at)
 from .oracle import AffineCase, OracleError, brute_force_seminorm, finite_difference_reference
-from .verify import (BlowupReport, Check, EnergyScalingResult, PlanError, SweepPlan,
-                     center_law, check_energy_scaling, energy_checks, fit_rate,
-                     max_over_min, probe_points, remainder_energy, run_sweep, sweep_checks)
+from .verify import (BlowupReport, Check, EnergyScalingResult, PlanError, PowerFit, SweepPlan,
+                     center_law, check_coefficients, check_energy_scaling, check_oracles,
+                     check_prop21, energy_checks, fit_rate, max_over_min, probe_points,
+                     remainder_energy, run_sweep, sweep_checks)
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""Command-line entry point: configuration, orchestration, artifact output.
+"""Command-line entry point: parses configs, writes artifacts, prints verdicts.
 
 Configs are flat ``key = value`` text with dotted keys (see ``SCHEMA``);
 every run writes machine-readable JSON and CSV artifacts with floats
@@ -13,23 +13,18 @@ import argparse
 import math
 import os
 import sys
-from dataclasses import asdict, fields
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, _blas
-from .auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
-                        field_gradients, field_values, holder_seminorm)
-from .coefficients import (EllipticityError, check_ellipticity, check_holder,
-                           identity_coefficients, lame_as_general)
-from .geometry import GeometryError, LocalRegion
-from .mesh import MeshError, generate
-from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
-from .solver import assemble, dirichlet_values, gradient_at, grid_distance, solve_dirichlet
+from .auxiliary import ConfigurationError
+from .geometry import GeometryError
+from .solver import dirichlet_values, gradient_at, solve_dirichlet
 from .verify import (Check, PlanError, SweepPlan, _frob, center_law, check_block,
-                     check_energy_scaling, config_key, energy_checks, max_over_min,
-                     probe_points, run_sweep, sweep_checks)
+                     check_coefficients, check_energy_scaling, check_oracles, check_prop21,
+                     config_key, energy_checks, probe_points, run_sweep, sweep_checks)
 
 
 class ConfigError(ValueError):
@@ -207,23 +202,7 @@ def _cmd_validate_geometry(plan, outdir: Path, threads: int):
 
 
 def _cmd_validate_coefficients(plan, outdir: Path, threads: int):
-    cs = plan.coefficients()
-    geom = plan.geometry(plan.epsilon)
-    region = LocalRegion(np.zeros(2), 1.0, geom)
-    # sqrt of check_ellipticity's 10,000 default samples
-    pts = region.sample_points(100, plan.seed, tag=0)
-    doc = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
-    try:
-        meas = check_ellipticity(cs, points=pts, seed=plan.seed)
-        doc["measured_lambda"] = meas.value
-        doc["near_ties"] = meas.near_ties
-    except EllipticityError as exc:
-        doc["error"] = str(exc)
-    k3 = check_holder(cs, points=pts, seed=plan.seed)
-    doc["measured_kappa3"] = k3
-    return "coefficients.json", doc, [
-        Check("ellipticity", int("error" in doc), "==", 0, "errors raised"),
-        Check("kappa3", k3, "<=", cs.kappa3, "sampled Holder norm")]
+    return ("coefficients.json", *check_coefficients(plan))
 
 
 def _cmd_solve(plan, outdir: Path, threads: int):
@@ -254,52 +233,17 @@ def _cmd_sweep(plan, outdir: Path, threads: int):
     return "report.json", report.to_dict(), sweep_checks(report, plan.checks_stability_factor)
 
 
-def _prop21_zprimes(geom) -> list:
-    """z' = 0, the neck rim eps^{1/(1+gamma)} and 0.25 at ``geom``'s epsilon.
-
-    Each z' and its widest slab, of radius ``gap_width(z')``, must lie in the
-    unit ball where the profiles are defined.
-    """
-    eps = geom.epsilon
-    zprimes = [0.0, eps ** (1.0 / (1.0 + geom.gamma)), 0.25]
-    for zp in zprimes:
-        if zp > 1.0 or zp + float(geom.gap_width(np.array([zp]))) > 1.0:
-            raise PlanError(f"profile.c1 = {geom.c_top:g} and profile.c2 = {geom.c_bottom:g} "
-                            f"at epsilon = {eps:g}: the widest slab at z' = {zp:.4g} "
-                            f"leaves the unit ball |x'| <= 1")
-    return zprimes
-
-
 def _cmd_prop21(plan, outdir: Path, threads: int):
-    geoms = [plan.geometry(eps) for eps in plan.sweep_epsilons]
-    zprimes = [_prop21_zprimes(geom) for geom in geoms]
-    rows = []
-    per_eps_max = []
-    for eps, geom, zps in zip(plan.sweep_epsilons, geoms, zprimes):
-        data = plan.boundary_data(geom).only(0)
-        worst = 0.0
-        for zp in zps:
-            mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
-                                        pairs=plan.prop21_pairs, seed=plan.seed)
-            rows += [{"epsilon": eps, "zprime": zp, **asdict(row)} for row in rep.rows]
-            if np.isfinite(rep.fitted_constant):
-                worst = max(worst, rep.fitted_constant)
-        per_eps_max.append(worst)
-    stability = max_over_min(per_eps_max)
-    doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
-    return "prop21.json", doc, [Check("seminorm_growth", stability, "<",
-                                      plan.checks_stability_factor, "max/min")]
+    return ("prop21.json", *check_prop21(plan))
 
 
 def _cmd_energy_scaling(plan, outdir: Path, threads: int):
     res = check_energy_scaling(plan)
     band = plan.checks_exponent_band
     doc = res.to_dict()
-    for name, table in (("energy_inner_center.csv", res.center_table),
-                        ("energy_inner_edge.csv", res.edge_table),
-                        ("energy_outer.csv", res.outer_table)):
-        _write_csv(outdir / name, "scale,energy", table)
+    for name, fit in (("energy_inner_center.csv", res.center),
+                      ("energy_inner_edge.csv", res.edge), ("energy_outer.csv", res.outer)):
+        _write_csv(outdir / name, "scale,energy", fit.table)
     if res.degenerate:
         doc["note"] = "degenerate data: remainder vanishes, fits skipped"
     else:
@@ -309,52 +253,8 @@ def _cmd_energy_scaling(plan, outdir: Path, threads: int):
     return "energy.json", doc, energy_checks(res, band)
 
 
-def _fd_vs_fem(cs, geom, data) -> float:
-    """Interior sup distance between the grid twin and the element solution."""
-    grid = finite_difference_reference(cs, 0.5, geom.epsilon, nx=160, ny=64,
-                                       boundary=lambda X: field_values(geom, data, X))
-    mesh = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
-    sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
-    return grid_distance(sol, grid)
-
-
 def _cmd_oracle_suite(plan, outdir: Path, threads: int):
-    cs_lame = lame_as_general(plan.lame(), 2)     # whatever system.kind says
-    eps = plan.epsilon
-    case = AffineCase(eps)
-    try:
-        mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
-    except MeshError as exc:
-        raise ConfigError(f"epsilon = {eps:g} for the affine oracle's flat strip: {exc}") from None
-    sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
-                          dirichlet_values(mesh, case.data()))
-    err = float(np.max(np.abs(sol.values - case.solution(mesh.vertices))))
-
-    # cross-method checks run on a thicker rectangle where the solution is
-    # genuinely two-dimensional
-    geom_fd = AffineCase(0.1).geometry()
-    data_scalar = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.0]], geom_fd)
-    worst = _fd_vs_fem(identity_coefficients(), geom_fd, data_scalar)
-    data_lame = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom_fd)
-    worst_l = _fd_vs_fem(cs_lame, geom_fd, data_lame)
-
-    gap = plan.geometry(eps)
-    data = plan.boundary_data(gap).only(0)
-    w0 = float(gap.gap_width(np.zeros(1)))
-    region = LocalRegion(np.array([0.0, float(gap.midline(np.zeros(1)))]), 0.5 * w0, gap)
-
-    def f(X):
-        return field_gradients(gap, data, X).reshape(X.shape[0], -1)
-
-    dense = brute_force_seminorm(f, region, plan.gamma, grid=60)
-    sampled = holder_seminorm(f, region, plan.gamma, pairs=4000, seed=plan.seed)
-    doc = {"affine_nodal_error": err, "fd_vs_fem_scalar": worst, "fd_vs_fem_lame": worst_l,
-           "seminorm_dense": dense, "seminorm_sampled": sampled}
-    return "oracle.json", doc, [
-        Check("affine_exact", err, "<=", 1e-10, "nodal error"),
-        Check("fd_vs_fem_scalar", worst, "<=", 0.01, "interior sup distance"),
-        Check("fd_vs_fem_lame", worst_l, "<=", 0.01, "interior sup distance"),
-        Check("seminorm_sampling", sampled, ">=", 0.8 * dense, "sampled seminorm")]
+    return ("oracle.json", *check_oracles(plan))
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +317,7 @@ def run(argv: list[str]) -> int:
     try:
         with _blas.one_thread():        # --threads sizes the sweep pool only
             result = COMMANDS[args.command](plan, outdir, threads)
-    except (ConfigError, PlanError, ConfigurationError, GeometryError) as exc:
+    except (PlanError, ConfigurationError, GeometryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     return _conclude(outdir, *result)

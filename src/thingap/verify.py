@@ -26,13 +26,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .auxiliary import BoundaryData, field_gradients
-from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
-                           holder_demo_coefficients, identity_coefficients, lame_as_general)
+from .auxiliary import (BoundaryData, check_seminorm_growth, field_gradients, field_values,
+                        holder_seminorm)
+from .coefficients import (CoefficientSet, EllipticityError, LameParameters, check_ellipticity,
+                           check_holder, holder_demo_coefficients, identity_coefficients,
+                           lame_as_general)
 from .geometry import GapGeometry, LocalRegion
 from .mesh import MeshError, generate, refine_layers, refine_stations
+from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
-                     gradient_at, l2_norm, solve_dirichlet)
+                     gradient_at, grid_distance, l2_norm, solve_dirichlet)
 
 
 class PlanError(ValueError):
@@ -130,6 +133,10 @@ LAME_MAX = 1e100
 # largest prop21.pairs: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and 476 MiB
 # with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB)
 MAX_SAMPLES = 2_000_000
+# largest system.m: prop21 holds about 220 + 52 m bytes per sampled pair, so with
+# MAX_SAMPLES pairs it peaks at 792 MiB (ru_maxrss) at m = 4 and would need about
+# 1.2 GiB at m = 8; the other commands peak below 64 MiB at m = 4
+MAX_COMPONENTS = 4
 
 
 def config_key(name: str) -> str:
@@ -206,6 +213,8 @@ class SweepPlan:
             self.lame()
         if self.system_m < 1:
             raise PlanError(f"system.m must be >= 1, got {self.system_m}")
+        if self.system_m > MAX_COMPONENTS:
+            raise _bad_value("system.m", self.system_m, f"must be <= {MAX_COMPONENTS}")
         for key, layers, aspect, xrange in (
                 ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange),
                 ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange)):
@@ -258,11 +267,9 @@ class SweepPlan:
         return holder_demo_coefficients(self.gamma, m=self.system_m, n=2)
 
     def boundary_data(self, geom: GapGeometry) -> BoundaryData:
-        m = self.coefficients().m
+        m = 2 if self.system_kind == "lame" else self.system_m     # coefficients().m
         if self.bc_kind == "constant_jump":
-            phi = _pad(self.bc_phi, m)
-            psi = _pad(self.bc_psi, m)
-            return BoundaryData.constant(phi, psi)
+            return BoundaryData.constant(_pad(self.bc_phi, m), _pad(self.bc_psi, m))
         # polynomial data: the given coefficients act on component 0
         phi = [list(self.bc_phi)] + [[0.0]] * (m - 1)
         psi = [list(self.bc_psi)] + [[0.0]] * (m - 1)
@@ -410,7 +417,6 @@ class EpsilonRecord:
     C_lower: Optional[float]
     M_center_refined: float
     reliability_change: float
-    reliable: bool
     flags: tuple = ()
 
     def to_dict(self) -> dict:
@@ -426,7 +432,6 @@ class EpsilonRecord:
             "C_profile": self.C_profile,
             "M_center_refined": self.M_center_refined,
             "reliability_change": self.reliability_change,
-            "reliable": self.reliable,
             "flags": list(self.flags),
             "centerline": [[float(a), float(b)] for a, b in
                            zip(self.centerline_xn, self.centerline_grad)],
@@ -466,13 +471,11 @@ def _probe_solution(geom: GapGeometry, sol, data: BoundaryData):
     return xn, norms[:k], xp, norms[k:], jumps
 
 
-def _refined_neck(plan: SweepPlan, fine, cs, data, M: float) -> dict:
-    """Neck value on ``fine``, its drift from ``M`` and whether that is reliable."""
+def _refined_neck(fine, cs, data, M: float) -> tuple[float, float]:
+    """Neck value on ``fine`` and its relative drift from ``M``."""
     sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
     M_f = float(_frob(gradient_at(sol, (0.0, 0.0))))
-    change = abs(M - M_f) / max(abs(M_f), 1e-300)
-    return {"M_center": M_f, "reliability_change": change,
-            "reliable": change < plan.reliability_threshold}
+    return M_f, abs(M - M_f) / max(abs(M_f), 1e-300)
 
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float):
@@ -483,11 +486,12 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     del system          # release the factorization before the refined mesh is built
 
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
-    fine = _refined_neck(plan, refine_stations(mesh), cs, data, M)
+    M_fine, change = _refined_neck(refine_stations(mesh), cs, data, M)
     layers = None
     if epsilon >= max(plan.sweep_epsilons):
-        layers = {"epsilon": epsilon, "layers": 2 * mesh.layers,
-                  **_refined_neck(plan, refine_layers(mesh), cs, data, M)}
+        M_layers, layers_change = _refined_neck(refine_layers(mesh), cs, data, M)
+        layers = {"epsilon": epsilon, "layers": 2 * mesh.layers, "M_center": M_layers,
+                  "reliability_change": layers_change}
 
     xn, cl, xp, pf, jumps = _probe_solution(geom, sol, data)
     u2 = l2_norm(sol)
@@ -504,11 +508,7 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     if max_comp > 1e-14 * max(1.0, norm_terms):
         C_lower = float(np.min(cl)) * epsilon / max_comp
 
-    flags = []
-    if not fine["reliable"]:
-        flags.append("unreliable")
-    if not (np.isfinite(M) and np.all(np.isfinite(cl)) and np.all(np.isfinite(pf))):
-        flags.append("nonfinite")
+    finite = np.isfinite(M) and np.all(np.isfinite(cl)) and np.all(np.isfinite(pf))
     return layers, EpsilonRecord(
         epsilon=epsilon, M_center=M,
         centerline_xn=xn, centerline_grad=cl,
@@ -516,9 +516,8 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
         u_l2=u2, norm_terms=norm_terms,
         jump_at_profile=jumps, C_profile=C_profile,
         C_upper=C_upper, C_lower=C_lower,
-        M_center_refined=fine["M_center"], reliability_change=fine["reliability_change"],
-        reliable=fine["reliable"],
-        flags=tuple(flags),
+        M_center_refined=M_fine, reliability_change=change,
+        flags=() if finite else ("nonfinite",),
     )
 
 
@@ -621,43 +620,34 @@ def remainder_energy(v, data: BoundaryData, region: LocalRegion) -> float:
 
 
 @dataclass
-class EnergyScalingResult:
-    """Power-law fits of the remainder energy at three probe families.
+class PowerFit:
+    """One slab family's (scale, energy) ``table``, its log-log ``exponent`` and 95%
+    ``halfwidth`` (None on degenerate data), and the bound's ``expected`` exponent."""
 
-    ``center`` slabs sit at z' = 0 with radius equal to the neck width;
-    ``edge`` slabs sit at z' = epsilon^{1/(1+gamma)}, the outer rim of the
-    neck regime, where the inner bound is actually attained (at z' = 0 the
-    profile gradients are O(epsilon^gamma), smaller than the regime-wide
-    worst case, and the measured decay is correspondingly faster than the
-    bound); ``outer`` slabs vary z' at the smallest epsilon.
+    table: list
+    exponent: Optional[float]
+    halfwidth: Optional[float]
+    expected: float
+
+
+@dataclass
+class EnergyScalingResult:
+    """Power-law fits of the remainder energy at three slab families.
+
+    ``center`` slabs sit at z' = 0, ``edge`` slabs at z' = eps^{1/(1+gamma)},
+    the rim of the neck regime, where the inner bound is attained (at z' = 0
+    the profile gradients are O(eps^gamma) and the energy decays faster);
+    both fit against epsilon.  ``outer`` slabs vary z' at the smallest epsilon.
     """
 
-    center_table: list             # (epsilon, energy) at z' = 0
-    center_exponent: Optional[float]
-    center_halfwidth: Optional[float]
-    edge_table: list               # (epsilon, energy) at z' = eps^{1/(1+gamma)}
-    edge_exponent: Optional[float]
-    edge_halfwidth: Optional[float]
-    outer_table: list              # (z', energy)
-    outer_exponent: Optional[float]
-    outer_halfwidth: Optional[float]
-    expected_inner: float
-    expected_outer: float
+    center: PowerFit
+    edge: PowerFit
+    outer: PowerFit
     degenerate: bool
 
     def to_dict(self) -> dict:
-        def block(table, expo, half, expected):
-            return {"table": [[a, b] for a, b in table], "exponent": expo,
-                    "halfwidth": half, "expected": expected}
-        return {
-            "inner_center": block(self.center_table, self.center_exponent,
-                                  self.center_halfwidth, self.expected_inner),
-            "inner_edge": block(self.edge_table, self.edge_exponent,
-                                self.edge_halfwidth, self.expected_inner),
-            "outer": block(self.outer_table, self.outer_exponent,
-                           self.outer_halfwidth, self.expected_outer),
-            "degenerate": self.degenerate,
-        }
+        return {"inner_center": asdict(self.center), "inner_edge": asdict(self.edge),
+                "outer": asdict(self.outer), "degenerate": self.degenerate}
 
 
 def energy_checks(res: EnergyScalingResult, band: float) -> list[Check]:
@@ -665,13 +655,13 @@ def energy_checks(res: EnergyScalingResult, band: float) -> list[Check]:
     neck center decays at least as fast as the inner bound allows (all n/a on
     degenerate data).
     """
-    inner, outer = res.expected_inner, res.expected_outer
-    return [
-        Check("edge_in_band", res.edge_exponent, "in", (inner - band, inner + band), "exponent"),
-        Check("outer_in_band", res.outer_exponent, "in", (outer - band, outer + band),
-              "exponent"),
-        Check("center_bound", res.center_exponent, ">=", inner - band, "exponent"),
-    ]
+    def in_band(name, fit):
+        return Check(name, fit.exponent, "in", (fit.expected - band, fit.expected + band),
+                     "exponent")
+
+    return [in_band("edge_in_band", res.edge), in_band("outer_in_band", res.outer),
+            Check("center_bound", res.center.exponent, ">=", res.center.expected - band,
+                  "exponent")]
 
 
 def center_law(res: EnergyScalingResult, band: float, stability_factor: float) -> list[Check]:
@@ -682,25 +672,24 @@ def center_law(res: EnergyScalingResult, band: float, stability_factor: float) -
     by less than ``stability_factor``.  A saturated ``eps^{2g/(1+g)}`` decay
     fails the last two.  Needs non-degenerate data.
     """
-    two_gamma = res.expected_outer
-    eps = np.array([e for e, _ in res.center_table])
-    energy = np.array([v for _, v in res.center_table])
-    bound = energy / eps ** res.expected_inner
+    two_gamma = res.outer.expected
+    eps = np.array([e for e, _ in res.center.table])
+    energy = np.array([v for _, v in res.center.table])
+    bound = energy / eps ** res.center.expected
     return [
         Check("bound_holds", float(bound[np.argmin(eps)]), "<=", float(bound[np.argmax(eps)]),
               "E/eps^(2g/(1+g)) at the smallest epsilon"),
-        Check("exponent_in_band", res.center_exponent, "in",
+        Check("exponent_in_band", res.center.exponent, "in",
               (two_gamma - band, two_gamma + band), "exponent"),
         Check("compensated_stable", max_over_min(energy / eps ** two_gamma), "<",
               stability_factor, "E/eps^(2g) max/min"),
     ]
 
 
-def _slab_energy(geom: GapGeometry, v, data: BoundaryData, zp: float) -> float:
+def _slab(geom: GapGeometry, zp: float, fraction: float = 1.0) -> LocalRegion:
+    """The slab centered on the midline at ``zp``, of radius ``fraction`` gap widths."""
     w = float(geom.gap_width(np.array([zp])))
-    mid = float(geom.midline(np.array([zp])))
-    region = LocalRegion(np.array([zp, mid]), w, geom)
-    return remainder_energy(v, data, region)
+    return LocalRegion(np.array([zp, float(geom.midline(np.array([zp])))]), fraction * w, geom)
 
 
 def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
@@ -738,14 +727,124 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
         data = data.only(0)
         v = solve_dirichlet(system, dirichlet_values(system.mesh, data))
         del system          # release the factorization before the next mesh is built
-        center.append((e, _slab_energy(geom, v, data, 0.0)))
-        edge.append((e, _slab_energy(geom, v, data, e ** (1.0 / (1.0 + g)))))
+        center.append((e, remainder_energy(v, data, _slab(geom, 0.0))))
+        edge.append((e, remainder_energy(v, data, _slab(geom, e ** (1.0 / (1.0 + g))))))
         if e == eps_min:
-            outer = [(z, _slab_energy(geom, v, data, z)) for z in outer_z]
+            outer = [(z, remainder_energy(v, data, _slab(geom, z))) for z in outer_z]
 
     scale = max(1.0, max(v for _, v in center + edge))
     degenerate = max(v for _, v in center + edge) <= 1e-16 * scale
-    fits = [(None, None) if degenerate else fit_rate(t) for t in (center, edge, outer)]
-    return EnergyScalingResult(center, *fits[0], edge, *fits[1], outer, *fits[2],
-                               2 * g / (1 + g), 2 * g, degenerate)
+    inner = 2 * g / (1 + g)
+    fits = [PowerFit(t, *((None, None) if degenerate else fit_rate(t)), x)
+            for t, x in ((center, inner), (edge, inner), (outer, 2 * g))]
+    return EnergyScalingResult(*fits, degenerate)
 
+
+# ---------------------------------------------------------------------------
+# single-run measurements: coefficients, Proposition 2.1, oracles
+# ---------------------------------------------------------------------------
+
+def check_coefficients(plan: SweepPlan) -> tuple[dict, list[Check]]:
+    """``validate-coefficients``: the sampled ellipticity constant and Holder
+    norm of the plan's coefficients on 100 points of the unit slab, against
+    their claims."""
+    cs = plan.coefficients()
+    region = LocalRegion(np.zeros(2), 1.0, plan.geometry(plan.epsilon))
+    # sqrt of check_ellipticity's 10,000 default samples
+    pts = region.sample_points(100, plan.seed, tag=0)
+    doc = {"system": cs.name, "claimed_lambda": cs.lam, "claimed_kappa3": cs.kappa3}
+    try:
+        meas = check_ellipticity(cs, points=pts, seed=plan.seed)
+        doc.update(measured_lambda=meas.value, near_ties=meas.near_ties)
+    except EllipticityError as exc:
+        doc["error"] = str(exc)
+    k3 = check_holder(cs, points=pts, seed=plan.seed)
+    doc["measured_kappa3"] = k3
+    return doc, [Check("ellipticity", int("error" in doc), "==", 0, "errors raised"),
+                 Check("kappa3", k3, "<=", cs.kappa3, "sampled Holder norm")]
+
+
+def _prop21_zprimes(geom: GapGeometry) -> list:
+    """z' = 0, the neck rim eps^{1/(1+gamma)} and 0.25; each widest slab, of radius
+    ``gap_width(z')``, must lie in the unit ball where the profiles are defined."""
+    eps = geom.epsilon
+    zprimes = [0.0, eps ** (1.0 / (1.0 + geom.gamma)), 0.25]
+    for zp in zprimes:
+        if zp > 1.0 or zp + float(geom.gap_width(np.array([zp]))) > 1.0:
+            raise PlanError(f"profile.c1 = {geom.c_top:g} and profile.c2 = {geom.c_bottom:g} "
+                            f"at epsilon = {eps:g}: the widest slab at z' = {zp:.4g} "
+                            f"leaves the unit ball |x'| <= 1")
+    return zprimes
+
+
+def check_prop21(plan: SweepPlan) -> tuple[dict, list[Check]]:
+    """``prop21``: the seminorm-growth constants of component 0's extension at
+    the z' of :func:`_prop21_zprimes`, every slab checked before any is
+    sampled; the largest per epsilon varies by less than the stability factor."""
+    geoms = [plan.geometry(eps) for eps in plan.sweep_epsilons]
+    zprimes = [_prop21_zprimes(geom) for geom in geoms]
+    rows, per_eps_max = [], []
+    for eps, geom, zps in zip(plan.sweep_epsilons, geoms, zprimes):
+        data = plan.boundary_data(geom).only(0)
+        worst = 0.0
+        for zp in zps:
+            mid = float(geom.midline(np.array([zp])))
+            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
+                                        pairs=plan.prop21_pairs, seed=plan.seed)
+            rows += [{"epsilon": eps, "zprime": zp, **asdict(row)} for row in rep.rows]
+            if np.isfinite(rep.fitted_constant):
+                worst = max(worst, rep.fitted_constant)
+        per_eps_max.append(worst)
+    stability = max_over_min(per_eps_max)
+    doc = {"rows": rows, "per_epsilon_max_constant": per_eps_max, "stability": stability}
+    return doc, [Check("seminorm_growth", stability, "<", plan.checks_stability_factor,
+                       "max/min")]
+
+
+def _fd_vs_fem(cs: CoefficientSet) -> float:
+    """Interior sup distance between the grid twin and the element solution on the
+    0.1-wide flat strip, with data (1 + x1^2, 0, ...) on top and 0 below."""
+    geom = AffineCase(0.1).geometry()
+    data = BoundaryData.polynomial([[1.0, 0.0, 1.0]] + [[0.0]] * (cs.m - 1), [[0.0]] * cs.m,
+                                   geom)
+    grid = finite_difference_reference(cs, 0.5, geom.epsilon, nx=160, ny=64,
+                                       boundary=lambda X: field_values(geom, data, X))
+    mesh = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
+    sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
+    return grid_distance(sol, grid)
+
+
+def check_oracles(plan: SweepPlan) -> tuple[dict, list[Check]]:
+    """``oracle-suite``: the affine case at ``epsilon``; the grid twin against the
+    elements on a 0.1-wide strip, for the Laplacian and for the plan's Lame constants
+    whatever ``system.kind`` says; the sampled seminorm of component 0's extension
+    gradient on the neck slab against the dense-grid enumeration."""
+    cs_lame = lame_as_general(plan.lame(), 2)
+    eps = plan.epsilon
+    case = AffineCase(eps)
+    try:
+        mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
+    except MeshError as exc:
+        raise PlanError(f"epsilon = {eps:g} for the affine oracle's flat strip: {exc}") from None
+    sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
+                          dirichlet_values(mesh, case.data()))
+    err = float(np.max(np.abs(sol.values - case.solution(mesh.vertices))))
+
+    worst, worst_l = _fd_vs_fem(identity_coefficients()), _fd_vs_fem(cs_lame)
+
+    gap = plan.geometry(eps)
+    data = plan.boundary_data(gap).only(0)
+
+    def f(X):
+        return field_gradients(gap, data, X).reshape(X.shape[0], -1)
+
+    region = _slab(gap, 0.0, 0.5)
+    dense = brute_force_seminorm(f, region, plan.gamma, grid=60)
+    sampled = holder_seminorm(f, region, plan.gamma, pairs=4000, seed=plan.seed)
+    doc = {"affine_nodal_error": err, "fd_vs_fem_scalar": worst, "fd_vs_fem_lame": worst_l,
+           "seminorm_dense": dense, "seminorm_sampled": sampled}
+    return doc, [
+        Check("affine_exact", err, "<=", 1e-10, "nodal error"),
+        Check("fd_vs_fem_scalar", worst, "<=", 0.01, "interior sup distance"),
+        Check("fd_vs_fem_lame", worst_l, "<=", 0.01, "interior sup distance"),
+        Check("seminorm_sampling", sampled, ">=", 0.8 * dense, "sampled seminorm")]

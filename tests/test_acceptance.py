@@ -15,16 +15,15 @@ import numpy as np
 import pytest
 
 import thingap as tg
-from thingap.auxiliary import (BoundaryData, check_seminorm_growth, field_gradients,
-                               field_values, gap_fraction_gradient, holder_seminorm)
+from thingap.auxiliary import BoundaryData, field_gradients, field_values, gap_fraction_gradient
 from thingap.cli import run as cli_run
-from thingap.geometry import GapGeometry, LocalRegion
+from thingap.geometry import GapGeometry
 from thingap.mesh import generate, refine
-from thingap.oracle import AffineCase, brute_force_seminorm
 from thingap.solver import (BoundaryAssignment, RightHandSide, assemble,
                             dirichlet_values, solve_dirichlet)
-from thingap.verify import (SweepPlan, center_law, check_energy_scaling, fit_rate,
-                            max_over_min, run_sweep, sweep_checks)
+from thingap.verify import (PowerFit, SweepPlan, center_law, check_energy_scaling,
+                            check_oracles, check_prop21, fit_rate, max_over_min, run_sweep,
+                            sweep_checks)
 
 GAMMA = 0.5
 RHO_BAND = (0.85, 1.15)
@@ -45,21 +44,25 @@ def _announce(n, text):
     print(f"\nPASS criterion {n}: {text}")
 
 
+def _by_name(checks):
+    return {c.name: c for c in checks}
+
+
 # -- criterion 1: oracle exactness ------------------------------------------
 
 def test_criterion1_affine_oracle_exact():
+    # the oracle-suite measurement: the affine case to 1e-10 at the nodes, and
+    # the finite-difference twin within 0.01 for the Laplacian and for Lame
     t0 = time.monotonic()
-    eps = 0.1
-    case = AffineCase(eps)
-    geom = case.geometry()
-    mesh = generate(geom, layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
-    sol = solve_dirichlet(assemble(mesh, tg.identity_coefficients()),
-                          dirichlet_values(mesh, case.data()))
-    err = float(np.max(np.abs(sol.values - case.solution(mesh.vertices))))
+    doc, checks = check_oracles(SweepPlan(epsilon=0.1))
     elapsed = time.monotonic() - t0
-    assert err <= 1e-10, f"affine nodal error {err:.3e} exceeds 1e-10"
+    checks = _by_name(checks)
+    for name in ("affine_exact", "fd_vs_fem_scalar", "fd_vs_fem_lame"):
+        assert checks[name].verdict == "pass", f"{name}: {checks[name].reason()}"
     assert elapsed < 5.0, f"runtime {elapsed:.2f}s exceeds 5s"
-    _announce(1, f"affine case reproduced to {err:.2e} in {elapsed:.2f}s")
+    _announce(1, f"affine case reproduced to {doc['affine_nodal_error']:.2e}; grid twin "
+                 f"within {doc['fd_vs_fem_scalar']:.2e} (scalar), "
+                 f"{doc['fd_vs_fem_lame']:.2e} (Lame) in {elapsed:.2f}s")
 
 
 # -- criterion 2: manufactured-solution convergence ---------------------------
@@ -127,10 +130,8 @@ def test_criterion2_manufactured_convergence_rates():
 def test_criterion3_blowup_rate(default_sweep):
     plan, report, elapsed = default_sweep
     assert plan.sweep_epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-    assert all(r.reliable for r in report.records), \
-        "mesh-reliability gate failed: " + ", ".join(
-            f"eps={r.epsilon:g} change={r.reliability_change:.3f}"
-            for r in report.records if not r.reliable)
+    reliability = _by_name(sweep_checks(report, STABILITY_FACTOR))["reliability"]
+    assert reliability.verdict == "pass", f"mesh-reliability gate: {reliability.reason()}"
     assert RHO_BAND[0] <= report.rho <= RHO_BAND[1], \
         f"fitted centerline exponent {report.rho:.4f} outside {RHO_BAND}"
     assert elapsed < 900.0, f"runtime {elapsed:.1f}s exceeds 15 min"
@@ -161,7 +162,7 @@ def test_criterion4_envelope_constant_stability(default_sweep):
 
 def test_criterion5_lower_bound_and_no_jump(default_sweep):
     plan, report, _ = default_sweep
-    lb = {c.name: c for c in sweep_checks(report, STABILITY_FACTOR)}["lower_bound"]
+    lb = _by_name(sweep_checks(report, STABILITY_FACTOR))["lower_bound"]
     constants = [r.C_lower for r in report.records]
     assert lb.verdict == "pass", f"lower-bound constants unstable: {constants}"
     assert min(constants) > 0
@@ -184,21 +185,21 @@ def energy_result():
 
 
 def test_criterion6_energy_scaling_regimes(energy_result):
-    res = energy_result
-    lo, hi = res.expected_inner - EXPONENT_HALF_BAND, res.expected_inner + EXPONENT_HALF_BAND
-    assert lo <= res.edge_exponent <= hi, \
-        f"inner-regime exponent {res.edge_exponent:.4f} outside [{lo:.3f}, {hi:.3f}]"
-    lo_o, hi_o = res.expected_outer - EXPONENT_HALF_BAND, res.expected_outer + EXPONENT_HALF_BAND
-    assert lo_o <= res.outer_exponent <= hi_o, \
-        f"outer exponent {res.outer_exponent:.4f} outside [{lo_o:.3f}, {hi_o:.3f}]"
+    center, edge, outer = energy_result.center, energy_result.edge, energy_result.outer
+    lo, hi = edge.expected - EXPONENT_HALF_BAND, edge.expected + EXPONENT_HALF_BAND
+    assert lo <= edge.exponent <= hi, \
+        f"inner-regime exponent {edge.exponent:.4f} outside [{lo:.3f}, {hi:.3f}]"
+    lo_o, hi_o = outer.expected - EXPONENT_HALF_BAND, outer.expected + EXPONENT_HALF_BAND
+    assert lo_o <= outer.exponent <= hi_o, \
+        f"outer exponent {outer.exponent:.4f} outside [{lo_o:.3f}, {hi_o:.3f}]"
     # the neck-center slab must not decay slower than the bound allows
-    assert res.center_exponent >= lo, \
+    assert center.exponent >= lo, \
         f"neck-center energy decays slower than the bound permits " \
-        f"({res.center_exponent:.4f} < {lo:.3f})"
-    _announce(6, f"energy exponents: inner regime {res.edge_exponent:.4f} "
-                 f"(expected {res.expected_inner:.4f}), outer {res.outer_exponent:.4f} "
-                 f"(expected {res.expected_outer:.4f}); neck-center decays at "
-                 f"{res.center_exponent:.4f}")
+        f"({center.exponent:.4f} < {lo:.3f})"
+    _announce(6, f"energy exponents: inner regime {edge.exponent:.4f} "
+                 f"(expected {edge.expected:.4f}), outer {outer.exponent:.4f} "
+                 f"(expected {outer.expected:.4f}); neck-center decays at "
+                 f"{center.exponent:.4f}")
 
 
 def test_criterion6_energy_scaling_at_literal_center(energy_result):
@@ -220,24 +221,24 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
     res = energy_result
     refined = check_energy_scaling(dataclasses.replace(
         SweepPlan(), energy_layers=32, energy_aspect=0.125))
-    law = {c.name: c for c in center_law(res, band, factor)}
+    law = _by_name(center_law(res, band, factor))
     for label, r in (("default", res), ("refined", refined)):
         for c in center_law(r, band, factor):
             # bound_holds: E/eps^{2g/(1+g)} does not drift up at the neck center;
             # exponent_in_band: 2 gamma +- band; compensated_stable: E/eps^{2g}
             assert c.verdict == "pass", f"{label} mesh, {c.name}: {c.reason()}"
-    drift = abs(refined.center_exponent - res.center_exponent)
+    drift = abs(refined.center.exponent - res.center.exponent)
     assert drift <= band / 2, \
         f"neck-center exponent drifts by {drift:.4f} > {band / 2:.3f} under refinement"
     # the check has teeth: a center that saturates the bound fails it
-    e0, v0 = res.center_table[0]
-    saturated = [(e, v0 * (e / e0) ** res.expected_inner) for e, _ in res.center_table]
-    sat = dataclasses.replace(res, center_table=saturated,
-                              center_exponent=fit_rate(saturated)[0])
+    e0, v0 = res.center.table[0]
+    saturated = [(e, v0 * (e / e0) ** res.center.expected) for e, _ in res.center.table]
+    sat = dataclasses.replace(res, center=PowerFit(saturated, fit_rate(saturated)[0], None,
+                                                   res.center.expected))
     assert any(c.verdict == "fail" for c in center_law(sat, band, factor))
-    _announce(6, f"neck center z' = 0 decays at {res.center_exponent:.4f} "
-                 f"(refined {refined.center_exponent:.4f}; 2*gamma = "
-                 f"{res.expected_outer:.4f}), bound constant "
+    _announce(6, f"neck center z' = 0 decays at {res.center.exponent:.4f} "
+                 f"(refined {refined.center.exponent:.4f}; 2*gamma = "
+                 f"{res.outer.expected:.4f}), bound constant "
                  f"{law['bound_holds'].bound:.4f} -> {law['bound_holds'].value:.4f}")
 
 
@@ -274,37 +275,21 @@ def test_criterion7_auxiliary_identities():
 # -- criterion 8: seminorm growth constants ---------------------------------------
 
 def test_criterion8_seminorm_growth_stability():
+    # the prop21 measurement, and the oracle-suite calibration of its sampler
     plan = SweepPlan()
-    data_cache = {}
-    per_eps = []
-    for eps in plan.sweep_epsilons:
-        geom = plan.geometry(eps)
-        data = plan.boundary_data(geom).only(0)
-        worst = 0.0
-        for zp in (0.0, eps ** (1 / (1 + plan.gamma)), 0.25):
-            mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
-                                        (0.25, 0.5, 1.0), pairs=2000, seed=plan.seed)
-            assert np.isfinite(rep.fitted_constant)
-            worst = max(worst, rep.fitted_constant)
-        per_eps.append(worst)
-        data_cache[eps] = (geom, data)
-    ratio = max(per_eps) / min(per_eps)
-    assert ratio < STABILITY_FACTOR, \
-        f"growth constants vary by {ratio:.3f} >= 3: {per_eps}"
+    doc, (growth,) = check_prop21(plan)
+    per_eps = doc["per_epsilon_max_constant"]
+    assert growth.verdict == "pass", f"growth constants {per_eps}: {growth.reason()}"
+    # every slab center has a slab that satisfies the bound's hypothesis
+    fitted = {(r["epsilon"], r["zprime"]) for r in doc["rows"] if r["hypothesis_ok"]}
+    assert len(fitted) == 3 * len(plan.sweep_epsilons)
 
-    # calibration: the sampled seminorm reaches the dense-grid reference
-    geom, data = data_cache[1e-2]
-    w0 = float(geom.gap_width(np.zeros(1)))
-    region = LocalRegion(np.array([0.0, 0.0]), 0.5 * w0, geom)
-    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
-    dense = brute_force_seminorm(f, region, plan.gamma, grid=60)
-    sampled = holder_seminorm(f, region, plan.gamma, pairs=4000, seed=plan.seed)
-    assert sampled >= 0.8 * dense, \
-        f"sampled seminorm {sampled:.4g} below 0.8 x dense reference {dense:.4g}"
+    oracles, checks = check_oracles(plan)
+    calibration = _by_name(checks)["seminorm_sampling"]
+    assert calibration.verdict == "pass", calibration.reason()
     _announce(8, f"growth constants {min(per_eps):.3f}..{max(per_eps):.3f} "
-                 f"(ratio {ratio:.3f} < 3); seminorm calibration "
-                 f"{sampled / dense:.3f} >= 0.8")
+                 f"(ratio {growth.value:.3f} < 3); seminorm calibration "
+                 f"{oracles['seminorm_sampled'] / oracles['seminorm_dense']:.3f} >= 0.8")
 
 
 # -- criterion 9: superposition ----------------------------------------------------

@@ -351,8 +351,7 @@ def test_growth_rhs_closed_form(geom, jump_data):
 
 def test_growth_check_equal_data_trivially_passes(geom):
     data = BoundaryData.constant([2.0, 0.0], [2.0, 0.0]).only(0)
-    rep = check_seminorm_growth(geom, data, np.array([0.0, 0.0]), (0.25, 0.5, 1.0),
-                                pairs=500, seed=0)
+    rep = check_seminorm_growth(geom, data, np.array([0.0, 0.0]), pairs=500, seed=0)
     for row in rep.rows:
         assert row.lhs == 0.0
     assert rep.fitted_constant == 0.0
@@ -363,16 +362,10 @@ def test_growth_check_constant_stable_across_sweep(jump_data):
     for eps in (1e-1, 1e-2, 1e-3):
         geom = GapGeometry(eps, GAMMA)
         rep = check_seminorm_growth(geom, jump_data.only(0), np.array([0.0, 0.0]),
-                                    (0.25, 0.5, 1.0), pairs=2000, seed=1)
+                                    pairs=2000, seed=1)
         assert np.isfinite(rep.fitted_constant)
         consts.append(rep.fitted_constant)
     assert max(consts) / min(consts) < 3.0
-
-
-def test_growth_check_rejects_oversized_slab(geom, jump_data):
-    with pytest.raises(ConfigurationError):
-        check_seminorm_growth(geom, jump_data.only(0), np.array([0.0, 0.0]), (2.0,),
-                              pairs=100)
 
 
 def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
@@ -382,10 +375,10 @@ def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
     zp = 0.25
     rep = check_seminorm_growth(geom, jump_data.only(0),
                                 np.array([zp, float(geom.midline(np.array([zp])))]),
-                                (0.25, 1.0), pairs=2000, seed=2)
+                                pairs=2000, seed=2)
     assert rep.rows[0].hypothesis_ok
-    assert not rep.rows[1].hypothesis_ok
-    assert rep.rows[1].ratio > 10.0                     # excluded for good reason
+    assert not rep.rows[2].hypothesis_ok
+    assert rep.rows[2].ratio > 10.0                     # excluded for good reason
     assert rep.fitted_constant == rep.rows[0].ratio
 
 

@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import json
 import math
@@ -14,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 import thingap.auxiliary as auxiliary
 from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
                          export_solution_text, fmt_float, parse_config_text, run)
-from thingap.verify import MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan
+from thingap.verify import MAX_COMPONENTS, MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan
 
 
 SMALL = ["--set", "sweep.epsilons=0.1,0.03,0.01", "--set", "mesh.layers=8",
@@ -261,6 +262,27 @@ def test_readme_key_list_matches_schema():
     assert set(listed) == set(SCHEMA)
 
 
+def test_cli_imports_no_measurement_code():
+    # the measurements live in thingap.verify, which tier-1 calls: the CLI
+    # imports no oracle, coefficient or sampling code, and only the error
+    # classes of auxiliary and geometry
+    source = Path(__file__).resolve().parents[1] / "src" / "thingap" / "cli.py"
+    imported = {}
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            for a in node.names:
+                imported.setdefault((module or a.name).removeprefix("thingap."), set()).add(a.name)
+    assert "oracle" not in imported and "coefficients" not in imported
+    for module in ("auxiliary", "geometry"):
+        assert all(name.endswith("Error") for name in imported.get(module, ())), module
+    assert set().union(*imported.values()).isdisjoint({
+        "check_seminorm_growth", "holder_seminorm", "field_gradients", "field_values",
+        "BoundaryData", "check_ellipticity", "check_holder", "identity_coefficients",
+        "lame_as_general", "LocalRegion", "generate", "AffineCase", "brute_force_seminorm",
+        "finite_difference_reference", "assemble", "grid_distance"})
+
+
 def test_traced_commands_keep_benchmark_hooks(tmp_path):
     # the benchmark wraps these names from outside src/; a rename breaks it
     root = Path(__file__).resolve().parents[1]
@@ -448,6 +470,10 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      "at epsilon = 0.001: the boundaries cross inside |x'| <= mesh.xrange = 1"),
     (["energy-scaling", "--set", "profile.c1=-0.006", "--set", "profile.c2=0.006"],
      "at epsilon = 0.001: the boundaries cross inside |x'| <= energy.xrange = 0.75"),
+    (["validate-coefficients", "--set", "system.kind=identity", "--set", "system.m=100000000"],
+     f"bad value for 'system.m': '100000000' (must be <= {MAX_COMPONENTS})"),
+    (["sweep", "--set", "system.kind=holder_demo", "--set", f"system.m={MAX_COMPONENTS + 1}"],
+     f"bad value for 'system.m': '{MAX_COMPONENTS + 1}' (must be <= {MAX_COMPONENTS})"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -583,7 +609,7 @@ def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypat
 
     def layers_unreliable(plan, threads=1):
         report = exact(plan, threads)
-        report.layers_level.update(reliability_change=0.5, reliable=False)
+        report.layers_level.update(reliability_change=0.5)
         return report
 
     monkeypatch.setattr(cli, "run_sweep", layers_unreliable)
@@ -591,8 +617,9 @@ def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypat
     assert ["FAIL", "reliability", "worst refinement drift 0.5, not < 0.1"] in \
         _verdict_lines(capsys.readouterr().out)
     doc = json.loads((tmp_path / "report.json").read_text())
-    assert all(r["reliable"] for r in doc["per_epsilon"])
-    assert doc["layers_level"]["reliable"] is False
+    assert all(r["reliability_change"] < 0.1 for r in doc["per_epsilon"])
+    assert doc["checks"]["reliability"]["value"] == 0.5
+    assert doc["verdicts"]["reliability"] == "fail"
 
 
 def test_not_applicable_verdict_does_not_fail(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thingap.auxiliary import BoundaryData, field_gradients, gap_fraction, holder_seminorm
-from thingap.coefficients import LameParameters, identity_coefficients, lame_as_general
+from thingap.coefficients import identity_coefficients
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import generate
 from thingap.oracle import (DENSE_BLOCK_PAIRS, AffineCase, OracleError, _max_holder_quotient,
@@ -21,16 +21,6 @@ def test_affine_case_values():
     h = 1e-3
     assert np.allclose(case.solution(X + [h, 0.0]), case.solution(X))
     assert np.allclose((case.solution(X + [0.0, h]) - case.solution(X)) / h, 1.0 / eps)
-
-
-def test_solver_matches_affine_case_at_all_nodes():
-    eps = 0.05
-    case = AffineCase(eps)
-    geom = case.geometry()
-    mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.1, xrange=1.0)
-    sol = solve_dirichlet(assemble(mesh, identity_coefficients()),
-                          dirichlet_values(mesh, case.data()))
-    assert np.max(np.abs(sol.values - case.solution(mesh.vertices))) < 1e-10
 
 
 def test_grid_twin_reproduces_affine_data():
@@ -65,26 +55,6 @@ def test_grid_twin_vs_fem_joint_refinement():
         diffs.append(grid_distance(sol, grid))
     assert diffs[0] <= 0.01
     assert diffs[1] < diffs[0]          # joint refinement shrinks the disagreement
-
-
-def test_grid_twin_lame_agreement():
-    eps = 0.1
-    geom = GapGeometry(eps, 0.5, 0.0, 0.0)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
-    data = BoundaryData.polynomial([[1.0, 0.0, 1.0], [0.0]], [[0.0], [0.0]], geom)
-
-    def rule(X):
-        X = np.atleast_2d(X)
-        u = (X[:, 1] + eps / 2) / eps
-        out = np.zeros((X.shape[0], 2))
-        out[:, 0] = (1.0 + X[:, 0] ** 2) * u
-        return out
-
-    grid = finite_difference_reference(cs, 0.5, eps, 120, 48, boundary=rule)
-    mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.0125, xrange=0.5)
-    sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
-    worst = grid_distance(sol, grid)
-    assert worst <= 0.01
 
 
 def test_grid_twin_rejects_variable_or_lower_order():

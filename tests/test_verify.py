@@ -87,7 +87,8 @@ def test_sweep_blowup_rate_small(small_report):
     assert not small_report.degenerate
     for r in small_report.records:
         assert np.isfinite(r.M_center)
-        assert r.reliable
+    reliability = {c.name: c for c in sweep_checks(small_report, 3.0)}["reliability"]
+    assert reliability.verdict == "pass", reliability.reason()
 
 
 def test_sweep_reports_are_deterministic():
@@ -161,7 +162,7 @@ def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
     assert sorted(built) == sorted(want)
     level = report.layers_level
     assert (level["epsilon"], level["layers"]) == (SMALL_PLAN.sweep_epsilons[0], 2 * L)
-    assert level["reliable"] == (level["reliability_change"] < SMALL_PLAN.reliability_threshold)
+    assert list(level) == ["epsilon", "layers", "M_center", "reliability_change"]
 
 
 def _no_assembly(*args):
@@ -303,14 +304,10 @@ def test_energy_scaling_structure():
                                energy_zprimes=(0.1, 0.14, 0.2))
     res = check_energy_scaling(plan)
     assert not res.degenerate
-    assert len(res.center_table) == 3
-    assert len(res.edge_table) == 3
-    assert len(res.outer_table) == 3
-    assert np.isfinite(res.center_exponent)
-    assert np.isfinite(res.edge_exponent)
-    assert np.isfinite(res.outer_exponent)
-    assert res.expected_inner == pytest.approx(2 / 3)
-    assert res.expected_outer == pytest.approx(1.0)
+    for fit, expected in ((res.center, 2 / 3), (res.edge, 2 / 3), (res.outer, 1.0)):
+        assert len(fit.table) == 3
+        assert np.isfinite(fit.exponent)
+        assert fit.expected == pytest.approx(expected)
 
 
 def test_energy_scaling_degenerate_flag():
@@ -319,7 +316,7 @@ def test_energy_scaling_degenerate_flag():
                                energy_zprimes=(0.1, 0.14, 0.2))
     res = check_energy_scaling(plan)
     assert res.degenerate
-    assert res.center_exponent is None
+    assert res.center.exponent is None
 
 
 def test_energy_scaling_rejects_bad_zprimes():
