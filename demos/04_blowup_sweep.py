@@ -14,26 +14,28 @@ log-log rate figure if matplotlib is importable.
 
 from pathlib import Path
 
-from thingap import SweepPlan, run_sweep, sweep_checks
+from thingap import SweepPlan, run_sweep
 
 plan = SweepPlan()          # the default plan is the headline experiment
-report = run_sweep(plan)
+report, checks = run_sweep(plan)        # the body of report.json and its checks
+records = report["per_epsilon"]
 
 print(f"{'epsilon':>9} {'M_center':>10} {'station chg':>11} {'C_upper':>8} "
       f"{'C_lower':>8}")
-for r in report.records:
-    print(f"{r.epsilon:9.4f} {r.M_center:10.3f} {r.reliability_change:11.4f} "
-          f"{r.C_upper:8.4f} {r.C_lower:8.4f}")
-lv = report.layers_level
+for r in records:
+    print(f"{r['epsilon']:9.4f} {r['M_center']:10.3f} {r['reliability_change']:11.4f} "
+          f"{r['C_upper']:8.4f} {r['C_lower']:8.4f}")
+lv = report["layers_level"]
 print(f"layers x2 at epsilon = {lv['epsilon']:g} ({lv['layers']} layers): "
       f"change {lv['reliability_change']:.4f}")
 
-print(f"\nfitted blow-up rate rho = {report.rho:.4f} +/- {report.rho_halfwidth:.4f} "
+fit = report["fit"]
+print(f"\nfitted blow-up rate rho = {fit['rho']:.4f} +/- {fit['rho_halfwidth']:.4f} "
       f"(matching bounds predict 1)")
-for name, consts in (("envelope", [r.C_profile for r in report.records]),
-                     ("lower-bound", [r.C_lower for r in report.records])):
+for name, key in (("envelope", "C_profile"), ("lower-bound", "C_lower")):
+    consts = [r[key] for r in records]
     print(f"{name} constants {min(consts):.3f}..{max(consts):.3f}")
-for check in sweep_checks(report, stability_factor=3.0):
+for check in checks:
     print(f"{check.verdict.upper():4} {check.name}: {check.reason()}")
 
 try:
@@ -41,8 +43,8 @@ try:
     matplotlib.use("Agg")
     import matplotlib.pyplot as plt
 
-    eps = [r.epsilon for r in report.records]
-    M = [r.M_center for r in report.records]
+    eps = [r["epsilon"] for r in records]
+    M = [r["M_center"] for r in records]
     fig, ax = plt.subplots(figsize=(5, 4))
     ax.loglog(eps, M, "o-", label="measured")
     ax.loglog(eps, [M[0] * (e / eps[0]) ** -1 for e in eps], "--",

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -133,10 +133,12 @@ LAME_MAX = 1e100
 # largest prop21.pairs: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and 476 MiB
 # with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB)
 MAX_SAMPLES = 2_000_000
-# largest system.m: prop21 holds about 220 + 52 m bytes per sampled pair, so with
-# MAX_SAMPLES pairs it peaks at 792 MiB (ru_maxrss) at m = 4 and would need about
-# 1.2 GiB at m = 8; the other commands peak below 64 MiB at m = 4
+# largest system.m: prop21 samples one component whatever m is (564 MiB at MAX_SAMPLES
+# pairs, ru_maxrss, at m = 2 and m = 4); the other commands peak below 64 MiB at m = 4
 MAX_COMPONENTS = 4
+# bound on |bc.phi| and |bc.psi| entries, 1e52 below the first failure: sweep, prop21 and
+# oracle-suite write null from 1e152, solve from 1e154, and the solves fail at 1e300
+BC_MAX = 1e100
 
 
 def config_key(name: str) -> str:
@@ -211,6 +213,9 @@ class SweepPlan:
                             f"bc.psi = {list(self.bc_psi)}")
         if self.system_kind == "lame":
             self.lame()
+        for key, v in [("bc.phi", v) for v in self.bc_phi] + [("bc.psi", v) for v in self.bc_psi]:
+            if not abs(v) <= BC_MAX:
+                raise _bad_value(key, v, f"entries must be <= {BC_MAX:g} in magnitude")
         if self.system_m < 1:
             raise PlanError(f"system.m must be >= 1, got {self.system_m}")
         if self.system_m > MAX_COMPONENTS:
@@ -398,47 +403,8 @@ def _pad(values, m):
 
 
 # ---------------------------------------------------------------------------
-# per-epsilon pipeline
+# the sweep: probes, the per-epsilon pipeline and the driver
 # ---------------------------------------------------------------------------
-
-@dataclass
-class EpsilonRecord:
-    epsilon: float
-    M_center: float
-    centerline_xn: np.ndarray
-    centerline_grad: np.ndarray
-    profile_xp: np.ndarray
-    profile_grad: np.ndarray
-    u_l2: float
-    norm_terms: float
-    jump_at_profile: np.ndarray
-    C_profile: float
-    C_upper: float
-    C_lower: Optional[float]
-    M_center_refined: float
-    reliability_change: float
-    flags: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "M_center": self.M_center,
-            "centerline_sup": float(np.max(self.centerline_grad)),
-            "centerline_min": float(np.min(self.centerline_grad)),
-            "u_l2": self.u_l2,
-            "norm_terms": self.norm_terms,
-            "C_upper": self.C_upper,
-            "C_lower": self.C_lower,
-            "C_profile": self.C_profile,
-            "M_center_refined": self.M_center_refined,
-            "reliability_change": self.reliability_change,
-            "flags": list(self.flags),
-            "centerline": [[float(a), float(b)] for a, b in
-                           zip(self.centerline_xn, self.centerline_grad)],
-            "profile": [[float(a), float(b)] for a, b in
-                        zip(self.profile_xp, self.profile_grad)],
-        }
-
 
 def _frob(mat: np.ndarray) -> np.ndarray:
     """Frobenius norm of the trailing (m, n) matrix, for one or a stack."""
@@ -461,16 +427,6 @@ def probe_points(geom: GapGeometry) -> np.ndarray:
                            np.stack([xp, geom.midline(xp[:, None])], axis=1)])
 
 
-def _probe_solution(geom: GapGeometry, sol, data: BoundaryData):
-    """Centerline and midline gradient probes."""
-    pts = probe_points(geom)
-    k = PROBES_CENTERLINE
-    norms = _frob(gradient_at(sol, pts))
-    xn, xp = pts[:k, 1], pts[k:, 0]
-    jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
-    return xn, norms[:k], xp, norms[k:], jumps
-
-
 def _refined_neck(fine, cs, data, M: float) -> tuple[float, float]:
     """Neck value on ``fine`` and its relative drift from ``M``."""
     sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
@@ -479,7 +435,8 @@ def _refined_neck(fine, cs, data, M: float) -> tuple[float, float]:
 
 
 def _run_one_epsilon(plan: SweepPlan, epsilon: float):
-    """The layers level (at the plan's largest epsilon, else None) and the record."""
+    """The layers level (at the plan's largest epsilon, else None) and the
+    ``per_epsilon`` record of ``report.json``."""
     geom, data, system = plan.problem(epsilon, refinement=True)
     sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
     mesh, cs = system.mesh, system.cs
@@ -493,7 +450,11 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
         layers = {"epsilon": epsilon, "layers": 2 * mesh.layers, "M_center": M_layers,
                   "reliability_change": layers_change}
 
-    xn, cl, xp, pf, jumps = _probe_solution(geom, sol, data)
+    pts = probe_points(geom)
+    k = PROBES_CENTERLINE
+    norms = _frob(gradient_at(sol, pts))
+    cl, xp, pf = norms[:k], pts[k:, 0], norms[k:]
+    jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
     u2 = l2_norm(sol)
     norm_terms = float(np.max(data.phi_norms) + np.max(data.psi_norms) + u2)
 
@@ -508,44 +469,22 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     if max_comp > 1e-14 * max(1.0, norm_terms):
         C_lower = float(np.min(cl)) * epsilon / max_comp
 
-    finite = np.isfinite(M) and np.all(np.isfinite(cl)) and np.all(np.isfinite(pf))
-    return layers, EpsilonRecord(
-        epsilon=epsilon, M_center=M,
-        centerline_xn=xn, centerline_grad=cl,
-        profile_xp=xp, profile_grad=pf,
-        u_l2=u2, norm_terms=norm_terms,
-        jump_at_profile=jumps, C_profile=C_profile,
-        C_upper=C_upper, C_lower=C_lower,
-        M_center_refined=M_fine, reliability_change=change,
-        flags=() if finite else ("nonfinite",),
-    )
+    finite = np.isfinite(M) and np.all(np.isfinite(norms))
+    return layers, {
+        "epsilon": epsilon, "M_center": M,
+        "centerline_sup": float(np.max(cl)), "centerline_min": float(np.min(cl)),
+        "u_l2": u2, "norm_terms": norm_terms,
+        "C_upper": C_upper, "C_lower": C_lower, "C_profile": C_profile,
+        "M_center_refined": M_fine, "reliability_change": change,
+        "flags": [] if finite else ["nonfinite"],
+        "centerline": np.stack([pts[:k, 1], cl], axis=1).tolist(),
+        "profile": np.stack([xp, pf], axis=1).tolist(),
+    }
 
 
-# ---------------------------------------------------------------------------
-# sweep driver and derived checks
-# ---------------------------------------------------------------------------
-
-@dataclass
-class BlowupReport:
-    plan: SweepPlan
-    records: list
-    rho: float
-    rho_halfwidth: float
-    degenerate: bool
-    layers_level: dict      # the largest epsilon on doubled layers, see run_sweep
-
-    def to_dict(self) -> dict:
-        return {
-            "plan": {config_key(k): v for k, v in asdict(self.plan).items()},
-            "fit": {"rho": self.rho, "rho_halfwidth": self.rho_halfwidth,
-                    "degenerate": self.degenerate},
-            "per_epsilon": [r.to_dict() for r in self.records],
-            "layers_level": self.layers_level,
-        }
-
-
-def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
-    """Solve, probe and fit across the plan's gap widths.
+def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
+    """``sweep``: solve, probe and fit across the plan's gap widths; returns
+    the body of ``report.json`` and its checks.
 
     Each epsilon solves on the sweep mesh and on its stations level
     (:func:`refine_stations`: along the gap, where the error lies); the
@@ -553,6 +492,11 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
     ``layers_level``.  Each level's system is freed before the next is built.
     With ``threads > 1`` the epsilons run in a thread pool whose ``map`` keeps
     plan order, so the report does not depend on completion order.
+
+    The checks: the envelope and lower-bound constants vary by less than
+    ``checks.stability_factor`` (the lower bound is n/a for data without a
+    jump at x' = 0), and every refinement drift is below
+    ``reliability.threshold``.
     """
     plan.validate()
     if not any(plan.bc_phi) and not any(plan.bc_psi):
@@ -567,31 +511,24 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> BlowupReport:
         results = [_run_one_epsilon(plan, e) for e in eps]
     layers_level, records = results[0][0], [r for _, r in results]
 
-    scale = max(1.0, max(r.norm_terms for r in records))
-    degenerate = max(r.M_center for r in records) <= 1e-8 * scale
-    if degenerate:
-        rho, half = 0.0, 0.0
-    else:
-        slope, half = fit_rate([(r.epsilon, r.M_center) for r in records])
+    scale = max(1.0, max(r["norm_terms"] for r in records))
+    degenerate = max(r["M_center"] for r in records) <= 1e-8 * scale
+    rho, half = 0.0, 0.0
+    if not degenerate:
+        slope, half = fit_rate([(r["epsilon"], r["M_center"]) for r in records])
         rho = -slope
-    return BlowupReport(plan=plan, records=records, rho=rho, rho_halfwidth=half,
-                        degenerate=degenerate, layers_level=layers_level)
-
-
-def sweep_checks(report: BlowupReport, stability_factor: float) -> list[Check]:
-    """The envelope and lower-bound constants vary by less than
-    ``stability_factor`` (the lower bound is n/a for data without a jump at
-    x' = 0), and every refinement drift is below ``reliability_threshold``.
-    """
-    recs = report.records
-    lower = [r.C_lower for r in recs]
-    drifts = [r.reliability_change for r in recs] + [report.layers_level["reliability_change"]]
-    return [
-        Check("profile", max_over_min([r.C_profile for r in recs]), "<", stability_factor,
+    doc = {"plan": {config_key(k): v for k, v in asdict(plan).items()},
+           "fit": {"rho": rho, "rho_halfwidth": half, "degenerate": degenerate},
+           "per_epsilon": records, "layers_level": layers_level}
+    factor = plan.checks_stability_factor
+    lower = [r["C_lower"] for r in records]
+    drifts = [r["reliability_change"] for r in records] + [layers_level["reliability_change"]]
+    return doc, [
+        Check("profile", max_over_min([r["C_profile"] for r in records]), "<", factor,
               "max/min"),
-        Check("lower_bound", None if None in lower else max_over_min(lower), "<",
-              stability_factor, "max/min"),
-        Check("reliability", float(np.max(drifts)), "<", report.plan.reliability_threshold,
+        Check("lower_bound", None if None in lower else max_over_min(lower), "<", factor,
+              "max/min"),
+        Check("reliability", float(np.max(drifts)), "<", plan.reliability_threshold,
               "worst refinement drift"),
     ]
 
@@ -619,67 +556,23 @@ def remainder_energy(v, data: BoundaryData, region: LocalRegion) -> float:
     return float(np.sum(mesh.areas()[mask] * np.sum(d * d, axis=(1, 2))))
 
 
-@dataclass
-class PowerFit:
-    """One slab family's (scale, energy) ``table``, its log-log ``exponent`` and 95%
-    ``halfwidth`` (None on degenerate data), and the bound's ``expected`` exponent."""
-
-    table: list
-    exponent: Optional[float]
-    halfwidth: Optional[float]
-    expected: float
-
-
-@dataclass
-class EnergyScalingResult:
-    """Power-law fits of the remainder energy at three slab families.
-
-    ``center`` slabs sit at z' = 0, ``edge`` slabs at z' = eps^{1/(1+gamma)},
-    the rim of the neck regime, where the inner bound is attained (at z' = 0
-    the profile gradients are O(eps^gamma) and the energy decays faster);
-    both fit against epsilon.  ``outer`` slabs vary z' at the smallest epsilon.
+def center_law(center: dict, gamma: float, band: float, stability_factor: float
+               ) -> list[Check]:
+    """The neck-center law at z' = 0, read from ``energy.json``'s ``inner_center``
+    block: the bound constant ``E / eps^{2g/(1+g)}`` does not grow from the
+    largest epsilon to the smallest, and the envelope ``|grad h| <= kappa_1
+    |x'|^gamma`` makes the energy decay like ``eps^{2g}``: the exponent lies
+    within ``band`` of ``2 gamma`` and ``E / eps^{2g}`` varies by less than
+    ``stability_factor``.  A saturated ``eps^{2g/(1+g)}`` decay fails the last
+    two.  Needs non-degenerate data.
     """
-
-    center: PowerFit
-    edge: PowerFit
-    outer: PowerFit
-    degenerate: bool
-
-    def to_dict(self) -> dict:
-        return {"inner_center": asdict(self.center), "inner_edge": asdict(self.edge),
-                "outer": asdict(self.outer), "degenerate": self.degenerate}
-
-
-def energy_checks(res: EnergyScalingResult, band: float) -> list[Check]:
-    """The edge and outer exponents lie within ``band`` of the bounds', and the
-    neck center decays at least as fast as the inner bound allows (all n/a on
-    degenerate data).
-    """
-    def in_band(name, fit):
-        return Check(name, fit.exponent, "in", (fit.expected - band, fit.expected + band),
-                     "exponent")
-
-    return [in_band("edge_in_band", res.edge), in_band("outer_in_band", res.outer),
-            Check("center_bound", res.center.exponent, ">=", res.center.expected - band,
-                  "exponent")]
-
-
-def center_law(res: EnergyScalingResult, band: float, stability_factor: float) -> list[Check]:
-    """The neck-center law at z' = 0: the bound constant ``E / eps^{2g/(1+g)}``
-    does not grow from the largest epsilon to the smallest, and the envelope
-    ``|grad h| <= kappa_1 |x'|^gamma`` makes the energy decay like ``eps^{2g}``:
-    the exponent lies within ``band`` of ``2 gamma`` and ``E / eps^{2g}`` varies
-    by less than ``stability_factor``.  A saturated ``eps^{2g/(1+g)}`` decay
-    fails the last two.  Needs non-degenerate data.
-    """
-    two_gamma = res.outer.expected
-    eps = np.array([e for e, _ in res.center.table])
-    energy = np.array([v for _, v in res.center.table])
-    bound = energy / eps ** res.center.expected
+    two_gamma = 2 * gamma
+    eps, energy = np.array(center["table"]).T
+    bound = energy / eps ** center["expected"]
     return [
         Check("bound_holds", float(bound[np.argmin(eps)]), "<=", float(bound[np.argmax(eps)]),
               "E/eps^(2g/(1+g)) at the smallest epsilon"),
-        Check("exponent_in_band", res.center.exponent, "in",
+        Check("exponent_in_band", center["exponent"], "in",
               (two_gamma - band, two_gamma + band), "exponent"),
         Check("compensated_stable", max_over_min(energy / eps ** two_gamma), "<",
               stability_factor, "E/eps^(2g) max/min"),
@@ -692,17 +585,25 @@ def _slab(geom: GapGeometry, zp: float, fraction: float = 1.0) -> LocalRegion:
     return LocalRegion(np.array([zp, float(geom.midline(np.array([zp])))]), fraction * w, geom)
 
 
-def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
-    """Power laws of the remainder energy of component 0 over gap-width slabs.
+def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
+    """``energy-scaling``: power laws of the remainder energy of component 0 over
+    gap-width slabs; returns the body of ``energy.json`` and its checks.
 
-    Slabs at ``z' = 0`` fit the energy at the neck against epsilon; the inner
-    bound predicts at most exponent ``2 gamma / (1 + gamma)``, which is
-    attained at the rim of the neck regime (``z' = eps^{1/(1+gamma)}``, also
-    fitted) while the slab at z' = 0 itself decays faster.  The plan's
-    ``energy_zprimes`` fit, at the smallest epsilon, against |z'| with
-    expected exponent ``2 gamma``; those z' are checked before any solve.
+    Slabs at ``z' = 0`` (``inner_center``) fit the energy at the neck against
+    epsilon; the inner bound predicts at most exponent ``2 gamma / (1 +
+    gamma)``, which is attained at the rim of the neck regime (``inner_edge``,
+    ``z' = eps^{1/(1+gamma)}``) while the slab at z' = 0 itself decays faster
+    (:func:`center_law`, a diagnostic that does not set the exit code).  The
+    plan's ``energy_zprimes`` (``outer``) fit, at the smallest epsilon, against
+    |z'| with expected exponent ``2 gamma``; those z' are checked before any
+    solve.  Each block is the (scale, energy) ``table``, the log-log
+    ``exponent`` and 95% ``halfwidth``, and the bound's ``expected`` exponent.
     Data with no jump makes the remainder vanish; that case is flagged
-    degenerate and the fits are skipped.
+    ``degenerate``, the fits are skipped and the checks are n/a.
+
+    The checks: the edge and outer exponents lie within ``checks.exponent_band``
+    of the bounds', and the neck center decays at least as fast as the inner
+    bound allows.
     """
     plan.validate()
     outer_z = sorted(float(z) for z in plan.energy_zprimes)
@@ -734,15 +635,61 @@ def check_energy_scaling(plan: SweepPlan) -> EnergyScalingResult:
 
     scale = max(1.0, max(v for _, v in center + edge))
     degenerate = max(v for _, v in center + edge) <= 1e-16 * scale
-    inner = 2 * g / (1 + g)
-    fits = [PowerFit(t, *((None, None) if degenerate else fit_rate(t)), x)
-            for t, x in ((center, inner), (edge, inner), (outer, 2 * g))]
-    return EnergyScalingResult(*fits, degenerate)
+    inner, band = 2 * g / (1 + g), plan.checks_exponent_band
+
+    def fit(table, expected):
+        exponent, half = (None, None) if degenerate else fit_rate(table)
+        return {"table": table, "exponent": exponent, "halfwidth": half, "expected": expected}
+
+    doc = {"inner_center": fit(center, inner), "inner_edge": fit(edge, inner),
+           "outer": fit(outer, 2 * g), "degenerate": degenerate}
+    if degenerate:
+        doc["note"] = "degenerate data: remainder vanishes, fits skipped"
+    else:
+        doc["center_law"] = check_block(center_law(doc["inner_center"], g, band,
+                                                   plan.checks_stability_factor))
+
+    def in_band(name, block):
+        return Check(name, block["exponent"], "in",
+                     (block["expected"] - band, block["expected"] + band), "exponent")
+
+    return doc, [in_band("edge_in_band", doc["inner_edge"]),
+                 in_band("outer_in_band", doc["outer"]),
+                 Check("center_bound", doc["inner_center"]["exponent"], ">=", inner - band,
+                       "exponent")]
 
 
 # ---------------------------------------------------------------------------
-# single-run measurements: coefficients, Proposition 2.1, oracles
+# single-run measurements: geometry, solve, coefficients, Proposition 2.1, oracles
 # ---------------------------------------------------------------------------
+
+def check_geometry(plan: SweepPlan) -> tuple[dict, list[Check]]:
+    """``validate-geometry``: the gap's constants and its least width on |x'| <= 1."""
+    geom = plan.geometry(plan.epsilon)
+    least = geom.least_width()
+    doc = {"epsilon": plan.epsilon, "gamma": plan.gamma, "kappa0": geom.kappa0,
+           "kappa1": geom.kappa1, "kappa2": geom.kappa2, "least_width": least}
+    return doc, [Check("geometry", least, ">", 0.0, "least gap width")]
+
+
+def run_solve(plan: SweepPlan):
+    """``solve``: the body of ``solve.json``, the solution at ``epsilon`` on the
+    sweep mesh, the probe sites of :func:`probe_points` and the gradients there."""
+    geom, data, system = plan.problem(plan.epsilon)
+    sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
+    pts = probe_points(geom)
+    grads = gradient_at(sol, pts)
+    doc = {"epsilon": plan.epsilon, "vertices": sol.mesh.num_vertices,
+           "triangles": sol.mesh.num_triangles,
+           "grad_norm_origin": float(_frob(gradient_at(sol, (0.0, 0.0))))}
+    return doc, sol, pts, grads
+
+
+def _first_component(data: BoundaryData) -> BoundaryData:
+    """Component 0 of ``data`` as one-component data: the samplers measure it
+    without evaluating and storing m - 1 components that are exactly zero."""
+    return BoundaryData(*(a[:1] for a in astuple(data)))
+
 
 def check_coefficients(plan: SweepPlan) -> tuple[dict, list[Check]]:
     """``validate-coefficients``: the sampled ellipticity constant and Holder
@@ -785,7 +732,7 @@ def check_prop21(plan: SweepPlan) -> tuple[dict, list[Check]]:
     zprimes = [_prop21_zprimes(geom) for geom in geoms]
     rows, per_eps_max = [], []
     for eps, geom, zps in zip(plan.sweep_epsilons, geoms, zprimes):
-        data = plan.boundary_data(geom).only(0)
+        data = _first_component(plan.boundary_data(geom))
         worst = 0.0
         for zp in zps:
             mid = float(geom.midline(np.array([zp])))
@@ -833,7 +780,7 @@ def check_oracles(plan: SweepPlan) -> tuple[dict, list[Check]]:
     worst, worst_l = _fd_vs_fem(identity_coefficients()), _fd_vs_fem(cs_lame)
 
     gap = plan.geometry(eps)
-    data = plan.boundary_data(gap).only(0)
+    data = _first_component(plan.boundary_data(gap))
 
     def f(X):
         return field_gradients(gap, data, X).reshape(X.shape[0], -1)

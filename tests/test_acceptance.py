@@ -21,9 +21,8 @@ from thingap.geometry import GapGeometry
 from thingap.mesh import generate, refine
 from thingap.solver import (BoundaryAssignment, RightHandSide, assemble,
                             dirichlet_values, solve_dirichlet)
-from thingap.verify import (PowerFit, SweepPlan, center_law, check_energy_scaling,
-                            check_oracles, check_prop21, fit_rate, max_over_min, run_sweep,
-                            sweep_checks)
+from thingap.verify import (SweepPlan, center_law, check_energy_scaling, check_oracles,
+                            check_prop21, fit_rate, max_over_min, run_sweep)
 
 GAMMA = 0.5
 RHO_BAND = (0.85, 1.15)
@@ -35,9 +34,9 @@ STABILITY_FACTOR = 3.0
 def default_sweep():
     plan = SweepPlan()
     t0 = time.monotonic()
-    report = run_sweep(plan)
+    doc, checks = run_sweep(plan)
     elapsed = time.monotonic() - t0
-    return plan, report, elapsed
+    return plan, doc, _by_name(checks), elapsed
 
 
 def _announce(n, text):
@@ -128,30 +127,33 @@ def test_criterion2_manufactured_convergence_rates():
 # -- criterion 3: blow-up rate ------------------------------------------------
 
 def test_criterion3_blowup_rate(default_sweep):
-    plan, report, elapsed = default_sweep
+    plan, doc, checks, elapsed = default_sweep
     assert plan.sweep_epsilons == (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
-    reliability = _by_name(sweep_checks(report, STABILITY_FACTOR))["reliability"]
+    reliability = checks["reliability"]
     assert reliability.verdict == "pass", f"mesh-reliability gate: {reliability.reason()}"
-    assert RHO_BAND[0] <= report.rho <= RHO_BAND[1], \
-        f"fitted centerline exponent {report.rho:.4f} outside {RHO_BAND}"
+    fit = doc["fit"]
+    assert RHO_BAND[0] <= fit["rho"] <= RHO_BAND[1], \
+        f"fitted centerline exponent {fit['rho']:.4f} outside {RHO_BAND}"
     assert elapsed < 900.0, f"runtime {elapsed:.1f}s exceeds 15 min"
-    _announce(3, f"rho = {report.rho:.4f} +/- {report.rho_halfwidth:.4f}, "
+    _announce(3, f"rho = {fit['rho']:.4f} +/- {fit['rho_halfwidth']:.4f}, "
                  f"all gates pass, {elapsed:.1f}s single-threaded")
 
 
 # -- criterion 4: upper-envelope stability -------------------------------------
 
 def test_criterion4_envelope_constant_stability(default_sweep):
-    plan, report, _ = default_sweep
+    plan, doc, _, _ = default_sweep
     # the envelope |grad u| <= C (jump / (eps + |x'|^{1+gamma}) + norm terms),
-    # solved for C from the recorded midline probes independently of verify
+    # solved for C from the recorded midline probes and the plan's data jump,
+    # independently of verify
     consts = []
-    for r in report.records:
-        denom = (r.jump_at_profile / (r.epsilon + np.abs(r.profile_xp) ** (1 + plan.gamma))
-                 + r.norm_terms)
-        consts.append(float(np.max(r.profile_grad / denom)))
-        assert consts[-1] == r.C_profile, f"eps={r.epsilon:g}: C_profile {r.C_profile!r}"
-        assert r.C_upper >= r.C_profile
+    for r in doc["per_epsilon"]:
+        eps, (xp, grad) = r["epsilon"], np.array(r["profile"]).T
+        jumps = np.linalg.norm(plan.boundary_data(plan.geometry(eps)).jump(xp[:, None]), axis=1)
+        denom = jumps / (eps + np.abs(xp) ** (1 + plan.gamma)) + r["norm_terms"]
+        consts.append(float(np.max(grad / denom)))
+        assert consts[-1] == r["C_profile"], f"eps={eps:g}: C_profile {r['C_profile']!r}"
+        assert r["C_upper"] >= r["C_profile"]
     ratio = max_over_min(consts)
     assert ratio < STABILITY_FACTOR, f"profile constants vary by {ratio:.3f} >= 3"
     _announce(4, f"envelope constants {min(consts):.3f}..{max(consts):.3f} "
@@ -161,45 +163,46 @@ def test_criterion4_envelope_constant_stability(default_sweep):
 # -- criterion 5: lower bound and the no-jump control ---------------------------
 
 def test_criterion5_lower_bound_and_no_jump(default_sweep):
-    plan, report, _ = default_sweep
-    lb = _by_name(sweep_checks(report, STABILITY_FACTOR))["lower_bound"]
-    constants = [r.C_lower for r in report.records]
+    plan, doc, checks, _ = default_sweep
+    lb = checks["lower_bound"]
+    constants = [r["C_lower"] for r in doc["per_epsilon"]]
     assert lb.verdict == "pass", f"lower-bound constants unstable: {constants}"
     assert min(constants) > 0
 
     equal = dataclasses.replace(plan, bc_kind="polynomial",
                                 bc_phi=(1.0, 1.0, 1.0), bc_psi=(1.0, 1.0, 1.0))
-    rep_eq = run_sweep(equal)
-    assert -0.15 <= rep_eq.rho <= 0.15, \
-        f"no-jump sweep shows spurious blow-up: rho = {rep_eq.rho:.4f}"
+    rho_eq = run_sweep(equal)[0]["fit"]["rho"]
+    assert -0.15 <= rho_eq <= 0.15, \
+        f"no-jump sweep shows spurious blow-up: rho = {rho_eq:.4f}"
     _announce(5, f"lower constants {min(constants):.3f}..{max(constants):.3f} "
                  f"(ratio {lb.value:.3f} < 3); "
-                 f"no-jump rho = {rep_eq.rho:.4f}")
+                 f"no-jump rho = {rho_eq:.4f}")
 
 
 # -- criterion 6: energy scaling ------------------------------------------------
 
 @pytest.fixture(scope="module")
 def energy_result():
-    return check_energy_scaling(SweepPlan())
+    return check_energy_scaling(SweepPlan())[0]
 
 
 def test_criterion6_energy_scaling_regimes(energy_result):
-    center, edge, outer = energy_result.center, energy_result.edge, energy_result.outer
-    lo, hi = edge.expected - EXPONENT_HALF_BAND, edge.expected + EXPONENT_HALF_BAND
-    assert lo <= edge.exponent <= hi, \
-        f"inner-regime exponent {edge.exponent:.4f} outside [{lo:.3f}, {hi:.3f}]"
-    lo_o, hi_o = outer.expected - EXPONENT_HALF_BAND, outer.expected + EXPONENT_HALF_BAND
-    assert lo_o <= outer.exponent <= hi_o, \
-        f"outer exponent {outer.exponent:.4f} outside [{lo_o:.3f}, {hi_o:.3f}]"
+    center, edge, outer = (energy_result[block] for block in ("inner_center", "inner_edge",
+                                                              "outer"))
+    lo, hi = edge["expected"] - EXPONENT_HALF_BAND, edge["expected"] + EXPONENT_HALF_BAND
+    assert lo <= edge["exponent"] <= hi, \
+        f"inner-regime exponent {edge['exponent']:.4f} outside [{lo:.3f}, {hi:.3f}]"
+    lo_o, hi_o = outer["expected"] - EXPONENT_HALF_BAND, outer["expected"] + EXPONENT_HALF_BAND
+    assert lo_o <= outer["exponent"] <= hi_o, \
+        f"outer exponent {outer['exponent']:.4f} outside [{lo_o:.3f}, {hi_o:.3f}]"
     # the neck-center slab must not decay slower than the bound allows
-    assert center.exponent >= lo, \
+    assert center["exponent"] >= lo, \
         f"neck-center energy decays slower than the bound permits " \
-        f"({center.exponent:.4f} < {lo:.3f})"
-    _announce(6, f"energy exponents: inner regime {edge.exponent:.4f} "
-                 f"(expected {edge.expected:.4f}), outer {outer.exponent:.4f} "
-                 f"(expected {outer.expected:.4f}); neck-center decays at "
-                 f"{center.exponent:.4f}")
+        f"({center['exponent']:.4f} < {lo:.3f})"
+    _announce(6, f"energy exponents: inner regime {edge['exponent']:.4f} "
+                 f"(expected {edge['expected']:.4f}), outer {outer['exponent']:.4f} "
+                 f"(expected {outer['expected']:.4f}); neck-center decays at "
+                 f"{center['exponent']:.4f}")
 
 
 def test_criterion6_energy_scaling_at_literal_center(energy_result):
@@ -217,29 +220,36 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
     # eps = 0.1 is not yet asymptotic (E/eps^{2 gamma} there is 0.34 against
     # 0.48-0.50 below it); the local slope from eps = 3e-3 to 1e-3,
     # 0.991 / 0.996 / 0.997, is what approaches 2*gamma = 1.
+    # energy-scaling reports this law, with the plan's band and factor, as the
+    # center_law block of energy.json
     band, factor = EXPONENT_HALF_BAND, STABILITY_FACTOR
+    plan = SweepPlan()
+    assert (plan.checks_exponent_band, plan.checks_stability_factor) == (band, factor)
     res = energy_result
     refined = check_energy_scaling(dataclasses.replace(
-        SweepPlan(), energy_layers=32, energy_aspect=0.125))
-    law = _by_name(center_law(res, band, factor))
-    for label, r in (("default", res), ("refined", refined)):
-        for c in center_law(r, band, factor):
+        plan, energy_layers=32, energy_aspect=0.125))[0]
+    for label, doc in (("default", res), ("refined", refined)):
+        law = doc["center_law"]
+        assert list(law["verdicts"]) == ["bound_holds", "exponent_in_band",
+                                         "compensated_stable"]
+        for name, verdict in law["verdicts"].items():
             # bound_holds: E/eps^{2g/(1+g)} does not drift up at the neck center;
             # exponent_in_band: 2 gamma +- band; compensated_stable: E/eps^{2g}
-            assert c.verdict == "pass", f"{label} mesh, {c.name}: {c.reason()}"
-    drift = abs(refined.center.exponent - res.center.exponent)
+            assert verdict == "pass", f"{label} mesh, {name}: {law['checks'][name]}"
+    center = res["inner_center"]
+    drift = abs(refined["inner_center"]["exponent"] - center["exponent"])
     assert drift <= band / 2, \
         f"neck-center exponent drifts by {drift:.4f} > {band / 2:.3f} under refinement"
     # the check has teeth: a center that saturates the bound fails it
-    e0, v0 = res.center.table[0]
-    saturated = [(e, v0 * (e / e0) ** res.center.expected) for e, _ in res.center.table]
-    sat = dataclasses.replace(res, center=PowerFit(saturated, fit_rate(saturated)[0], None,
-                                                   res.center.expected))
-    assert any(c.verdict == "fail" for c in center_law(sat, band, factor))
-    _announce(6, f"neck center z' = 0 decays at {res.center.exponent:.4f} "
-                 f"(refined {refined.center.exponent:.4f}; 2*gamma = "
-                 f"{res.outer.expected:.4f}), bound constant "
-                 f"{law['bound_holds'].bound:.4f} -> {law['bound_holds'].value:.4f}")
+    e0, v0 = center["table"][0]
+    saturated = [(e, v0 * (e / e0) ** center["expected"]) for e, _ in center["table"]]
+    sat = dict(center, table=saturated, exponent=fit_rate(saturated)[0])
+    assert any(c.verdict == "fail" for c in center_law(sat, GAMMA, band, factor))
+    bound = res["center_law"]["checks"]["bound_holds"]
+    _announce(6, f"neck center z' = 0 decays at {center['exponent']:.4f} "
+                 f"(refined {refined['inner_center']['exponent']:.4f}; 2*gamma = "
+                 f"{2 * GAMMA:.4f}), bound constant "
+                 f"{bound['bound']:.4f} -> {bound['value']:.4f}")
 
 
 # -- criterion 7: auxiliary identities ------------------------------------------
@@ -295,7 +305,7 @@ def test_criterion8_seminorm_growth_stability():
 # -- criterion 9: superposition ----------------------------------------------------
 
 def test_criterion9_superposition(default_sweep):
-    plan, _, _ = default_sweep
+    plan = default_sweep[0]
     eps = 1e-2
     _, data, system = plan.problem(eps)
     u = solve_dirichlet(system, dirichlet_values(system.mesh, data))

@@ -114,9 +114,7 @@ def test_sweep_report_has_no_sweep_mesh_energy(tmp_path):
 
 
 def test_emit_tables_empty_report(tmp_path):
-    class Empty:
-        records = []
-    written = emit_tables(Empty(), tmp_path)
+    written = emit_tables({"per_epsilon": []}, tmp_path)
     assert "sweep.csv" in written
     assert (tmp_path / "sweep.csv").read_text().strip() == \
         "epsilon,M_center,C_upper,C_lower,flags"
@@ -221,6 +219,17 @@ def test_default_sweep_and_energy_artifacts_are_finite(tmp_path):
         (tmp_path / "t2" / "report.json").read_bytes()
 
 
+def test_boundary_data_at_its_bound_stays_finite(tmp_path):
+    # |bc.phi|, |bc.psi| <= verify.BC_MAX: every solving command still writes
+    # finite numbers there
+    for command in ("solve", "sweep", "prop21", "energy-scaling", "oracle-suite"):
+        out = tmp_path / command
+        argv = [command, "--out", str(out), *SMALL_RUNS[command][1],
+                "--set", "bc.phi=1e100", "--set", "bc.psi=-1e100"]
+        assert run(argv) == 0, command
+        assert all(_finite(json.loads(p.read_text())) for p in out.glob("*.json")), command
+
+
 def test_prop21_command(tmp_path):
     out = tmp_path / "p"
     code = run(["prop21", "--out", str(out), "--set", "sweep.epsilons=0.1,0.03,0.01",
@@ -264,8 +273,8 @@ def test_readme_key_list_matches_schema():
 
 def test_cli_imports_no_measurement_code():
     # the measurements live in thingap.verify, which tier-1 calls: the CLI
-    # imports no oracle, coefficient or sampling code, and only the error
-    # classes of auxiliary and geometry
+    # imports no solver, oracle, coefficient or sampling code, no probe or
+    # fit helper, and only the error classes of auxiliary and geometry
     source = Path(__file__).resolve().parents[1] / "src" / "thingap" / "cli.py"
     imported = {}
     for node in ast.walk(ast.parse(source.read_text())):
@@ -273,19 +282,24 @@ def test_cli_imports_no_measurement_code():
             module = getattr(node, "module", None) or ""
             for a in node.names:
                 imported.setdefault((module or a.name).removeprefix("thingap."), set()).add(a.name)
-    assert "oracle" not in imported and "coefficients" not in imported
+    assert {"solver", "oracle", "coefficients", "mesh"}.isdisjoint(imported)
     for module in ("auxiliary", "geometry"):
         assert all(name.endswith("Error") for name in imported.get(module, ())), module
     assert set().union(*imported.values()).isdisjoint({
         "check_seminorm_growth", "holder_seminorm", "field_gradients", "field_values",
         "BoundaryData", "check_ellipticity", "check_holder", "identity_coefficients",
         "lame_as_general", "LocalRegion", "generate", "AffineCase", "brute_force_seminorm",
-        "finite_difference_reference", "assemble", "grid_distance"})
+        "finite_difference_reference", "assemble", "grid_distance", "solve_dirichlet",
+        "gradient_at", "dirichlet_values", "_frob", "probe_points", "center_law",
+        "_run_one_epsilon", "_refined_neck", "fit_rate", "remainder_energy", "Check"})
 
 
 def test_traced_commands_keep_benchmark_hooks(tmp_path):
-    # the benchmark wraps these names from outside src/; a rename breaks it
+    # the benchmark wraps these names from outside src/ by replacing module
+    # attributes; a rename, or a call that bypasses the module-global name,
+    # breaks it
     root = Path(__file__).resolve().parents[1]
+    energy = SMALL_RUNS["energy-scaling"][1]
     script = f"""
 import json, sys
 sys.path.insert(0, {str(root / 'perfbench')!r})
@@ -293,12 +307,15 @@ import thingap.cli
 import spans
 rec = spans.install_tracing()
 codes = [thingap.cli.run(["sweep", "--out", {str(tmp_path / 'sweep')!r}, *{SMALL!r}]),
+         thingap.cli.run(["energy-scaling", "--out", {str(tmp_path / 'energy')!r}, *{energy!r}]),
          thingap.cli.run(["oracle-suite", "--out", {str(tmp_path / 'oracle')!r}])]
 calls = {{}}
 for s in rec.spans:
     calls[s[0]] = calls.get(s[0], 0) + 1
 errors = [s[0] for s in rec.spans if (s[4] or {{}}).get("error")]
-print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
+dofs = spans.install_dof_counter()
+codes.append(thingap.cli.run(["sweep", "--out", {str(tmp_path / 'dofs')!r}, *{SMALL!r}]))
+print(json.dumps({{"codes": codes, "errors": errors, "calls": calls, "dofs": dofs[0]}}))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
@@ -308,11 +325,14 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls}}))
                           timeout=300)
     assert proc.returncode == 0, proc.stderr[-2000:]
     got = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert got["codes"] == [0, 0]
+    assert got["codes"] == [0, 0, 0, 0]
     assert got["errors"] == []
-    assert got["calls"].get("mesh.locate", 0) > 0
-    assert got["calls"].get("coefficients.eval_A_many", 0) > 0
-    assert got["calls"].get("auxiliary.field_gradients", 0) > 0
+    for name in ("mesh.locate", "coefficients.eval_A_many", "auxiliary.field_gradients",
+                 "verify.run_sweep", "verify.check_energy_scaling", "verify.fit_rate",
+                 "verify.remainder_energy", "solver.assemble", "solver.solve_dirichlet",
+                 "mesh.generate"):
+        assert got["calls"].get(name, 0) > 0, name
+    assert got["dofs"] > 0
 
 
 def test_commands_run_without_scipy_and_one_lapack_thread(tmp_path):
@@ -474,6 +494,14 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
      f"bad value for 'system.m': '100000000' (must be <= {MAX_COMPONENTS})"),
     (["sweep", "--set", "system.kind=holder_demo", "--set", f"system.m={MAX_COMPONENTS + 1}"],
      f"bad value for 'system.m': '{MAX_COMPONENTS + 1}' (must be <= {MAX_COMPONENTS})"),
+    (["sweep", "--set", "bc.phi=1e300"],
+     "bad value for 'bc.phi': '1e+300' (entries must be <= 1e+100 in magnitude)"),
+    (["solve", "--set", "bc.phi=1e160"],
+     "bad value for 'bc.phi': '1e+160' (entries must be <= 1e+100 in magnitude)"),
+    (["energy-scaling", "--set", "bc.phi=1e300"], "bad value for 'bc.phi': '1e+300'"),
+    (["prop21", "--set", "bc.psi=0,-1.5e100"], "bad value for 'bc.psi': '-1.5e+100'"),
+    (["oracle-suite", "--set", "bc.kind=polynomial", "--set", "bc.phi=1,0,2e100",
+      "--set", "bc.psi=0.5"], "bad value for 'bc.phi': '2e+100'"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2
@@ -604,15 +632,14 @@ def test_forced_failure_exits_1_and_prints_fail(tmp_path, capsys, monkeypatch, c
 
 def test_reliability_fails_on_the_layers_level_alone(tmp_path, capsys, monkeypatch):
     # every stations drift passes; the largest epsilon's layers level does not
-    import thingap.cli as cli
-    exact = cli.run_sweep
+    import thingap.verify as verify
+    exact = verify._refined_neck
 
-    def layers_unreliable(plan, threads=1):
-        report = exact(plan, threads)
-        report.layers_level.update(reliability_change=0.5)
-        return report
+    def layers_unreliable(fine, cs, data, M):
+        M_fine, change = exact(fine, cs, data, M)
+        return M_fine, (0.5 if fine.layers == 16 else change)     # SMALL's 8 layers, doubled
 
-    monkeypatch.setattr(cli, "run_sweep", layers_unreliable)
+    monkeypatch.setattr(verify, "_refined_neck", layers_unreliable)
     assert run(["sweep", "--out", str(tmp_path), *SMALL]) == 1
     assert ["FAIL", "reliability", "worst refinement drift 0.5, not < 0.1"] in \
         _verdict_lines(capsys.readouterr().out)

@@ -7,7 +7,7 @@ import pytest
 import thingap.verify as verify
 from thingap.mesh import refine, refine_layers, refine_stations
 from thingap.verify import (Check, PlanError, SweepPlan, check_energy_scaling, fit_rate,
-                            max_over_min, run_sweep, sweep_checks)
+                            max_over_min, run_sweep)
 
 
 # a cut-down plan that keeps unit tests fast; acceptance runs the full one
@@ -19,10 +19,18 @@ def small_report():
     return run_sweep(SMALL_PLAN)
 
 
-def envelope_constant(r, gamma):
-    """The profile envelope constant, recomputed here from the record's probes."""
-    denom = r.jump_at_profile / (r.epsilon + np.abs(r.profile_xp) ** (1 + gamma)) + r.norm_terms
-    return float(np.max(r.profile_grad / denom))
+def by_name(checks) -> dict:
+    return {c.name: c for c in checks}
+
+
+def envelope_constant(plan, r):
+    """The profile envelope constant, recomputed here from the record's profile
+    pairs and the plan's data jump."""
+    xp, grad = np.array(r["profile"]).T
+    data = plan.boundary_data(plan.geometry(r["epsilon"]))
+    jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
+    denom = jumps / (r["epsilon"] + np.abs(xp) ** (1 + plan.gamma)) + r["norm_terms"]
+    return float(np.max(grad / denom))
 
 
 def test_fit_rate_exact_inverse():
@@ -83,23 +91,21 @@ def test_boundary_constants_beyond_m_must_be_zero():
 
 
 def test_sweep_blowup_rate_small(small_report):
-    assert small_report.rho == pytest.approx(1.0, abs=0.15)
-    assert not small_report.degenerate
-    for r in small_report.records:
-        assert np.isfinite(r.M_center)
-    reliability = {c.name: c for c in sweep_checks(small_report, 3.0)}["reliability"]
+    doc, checks = small_report
+    assert doc["fit"]["rho"] == pytest.approx(1.0, abs=0.15)
+    assert not doc["fit"]["degenerate"]
+    for r in doc["per_epsilon"]:
+        assert np.isfinite(r["M_center"])
+    reliability = by_name(checks)["reliability"]
     assert reliability.verdict == "pass", reliability.reason()
 
 
 def test_sweep_reports_are_deterministic():
-    a = run_sweep(SMALL_PLAN)
-    b = run_sweep(SMALL_PLAN)
-    assert a.to_dict() == b.to_dict()
+    assert run_sweep(SMALL_PLAN) == run_sweep(SMALL_PLAN)
 
 
 def test_sweep_threads_match_serial(small_report):
-    threaded = run_sweep(SMALL_PLAN, threads=3)
-    assert threaded.to_dict() == small_report.to_dict()
+    assert run_sweep(SMALL_PLAN, threads=3) == small_report
 
 
 def test_sweep_solves_each_epsilon_twice_and_the_largest_once_more(monkeypatch):
@@ -151,7 +157,7 @@ def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
         return exact(mesh, cs)
 
     monkeypatch.setattr(verify, "assemble", spy)
-    report = run_sweep(SMALL_PLAN, threads=threads)
+    doc, _ = run_sweep(SMALL_PLAN, threads=threads)
     L = SMALL_PLAN.mesh_layers
     want = []
     eps = SMALL_PLAN.sweep_epsilons
@@ -160,7 +166,7 @@ def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
                             SMALL_PLAN.mesh_dxmax, SMALL_PLAN.mesh_xrange).stations.size
         want += [(e, S, L), (e, 2 * S - 1, L)] + [(e, S, 2 * L)] * (e == eps[0])
     assert sorted(built) == sorted(want)
-    level = report.layers_level
+    level = doc["layers_level"]
     assert (level["epsilon"], level["layers"]) == (SMALL_PLAN.sweep_epsilons[0], 2 * L)
     assert list(level) == ["epsilon", "layers", "M_center", "reliability_change"]
 
@@ -222,15 +228,17 @@ def test_band_budget_counts_the_element_matrices(monkeypatch):
 def test_upper_constant_dominates_lower_constant(small_report):
     # both constants normalize the same solution: at the centerline the upper
     # envelope exceeds the pure-jump lower envelope
-    for r in small_report.records:
-        assert r.C_upper >= r.C_lower * (1.0 - 1e-12)
+    for r in small_report[0]["per_epsilon"]:
+        assert r["C_upper"] >= r["C_lower"] * (1.0 - 1e-12)
 
 
 def test_profile_check_stability(small_report):
-    for r in small_report.records:
-        assert r.C_profile == envelope_constant(r, SMALL_PLAN.gamma)
-        assert r.C_upper >= r.C_profile
-    assert max_over_min([r.C_profile for r in small_report.records]) < 3.0
+    doc, checks = small_report
+    for r in doc["per_epsilon"]:
+        assert r["C_profile"] == envelope_constant(SMALL_PLAN, r)
+        assert r["C_upper"] >= r["C_profile"]
+    profile = by_name(checks)["profile"]
+    assert profile.value == max_over_min([r["C_profile"] for r in doc["per_epsilon"]]) < 3.0
 
 
 def test_profile_check_fails_under_fault_injection(monkeypatch):
@@ -238,10 +246,11 @@ def test_profile_check_fails_under_fault_injection(monkeypatch):
     exact = verify.gradient_at
     monkeypatch.setattr(verify, "gradient_at",
                         lambda sol, x: exact(sol, x) / np.sqrt(sol.mesh.geom.epsilon))
-    report = run_sweep(SMALL_PLAN)
-    for r in report.records:
-        assert r.C_profile == envelope_constant(r, SMALL_PLAN.gamma)
-    assert max_over_min([r.C_profile for r in report.records]) >= 3.0
+    doc, checks = run_sweep(SMALL_PLAN)
+    for r in doc["per_epsilon"]:
+        assert r["C_profile"] == envelope_constant(SMALL_PLAN, r)
+    assert max_over_min([r["C_profile"] for r in doc["per_epsilon"]]) >= 3.0
+    assert by_name(checks)["profile"].verdict == "fail"
 
 
 def test_max_over_min():
@@ -250,15 +259,16 @@ def test_max_over_min():
     assert max_over_min(np.array([3.0, 1.5])) == 2.0
 
 
-def lower_bound(report) -> Check:
-    return {c.name: c for c in sweep_checks(report, 3.0)}["lower_bound"]
+def lower_bound(sweep) -> Check:
+    return by_name(sweep[1])["lower_bound"]
 
 
 def test_lower_bound_check(small_report):
     lb = lower_bound(small_report)
+    lower = [r["C_lower"] for r in small_report[0]["per_epsilon"]]
     assert lb.verdict == "pass"
-    assert lb.value == max_over_min([r.C_lower for r in small_report.records])
-    assert min(r.C_lower for r in small_report.records) > 0
+    assert lb.value == max_over_min(lower)
+    assert min(lower) > 0
 
 
 @pytest.mark.parametrize("value, verdict", [
@@ -285,38 +295,46 @@ def test_scalar_identity_sweep_same_blowup_rate():
     plan = dataclasses.replace(SMALL_PLAN, system_kind="identity", system_m=1,
                                bc_phi=(1.0,), bc_psi=(0.0,))
     report = run_sweep(plan)
-    assert report.rho == pytest.approx(1.0, abs=0.15)
+    assert report[0]["fit"]["rho"] == pytest.approx(1.0, abs=0.15)
     assert lower_bound(report).verdict == "pass"
-    for r in report.records:
-        assert 0.8 <= r.C_lower <= 1.1
+    for r in report[0]["per_epsilon"]:
+        assert 0.8 <= r["C_lower"] <= 1.1
 
 
 def test_degenerate_sweep_equal_constants():
     plan = dataclasses.replace(SMALL_PLAN, bc_phi=(1.0, 0.0), bc_psi=(1.0, 0.0))
     report = run_sweep(plan)
-    assert report.degenerate
-    assert report.rho == 0.0
+    assert report[0]["fit"] == {"rho": 0.0, "rho_halfwidth": 0.0, "degenerate": True}
     assert lower_bound(report).verdict == "n/a"      # no jump, hypothesis fails
 
 
 def test_energy_scaling_structure():
     plan = dataclasses.replace(SMALL_PLAN, energy_layers=8, energy_aspect=0.5,
                                energy_zprimes=(0.1, 0.14, 0.2))
-    res = check_energy_scaling(plan)
-    assert not res.degenerate
-    for fit, expected in ((res.center, 2 / 3), (res.edge, 2 / 3), (res.outer, 1.0)):
-        assert len(fit.table) == 3
-        assert np.isfinite(fit.exponent)
-        assert fit.expected == pytest.approx(expected)
+    doc, checks = check_energy_scaling(plan)
+    assert list(doc) == ["inner_center", "inner_edge", "outer", "degenerate", "center_law"]
+    assert not doc["degenerate"]
+    for block, expected in (("inner_center", 2 / 3), ("inner_edge", 2 / 3), ("outer", 1.0)):
+        fit = doc[block]
+        assert list(fit) == ["table", "exponent", "halfwidth", "expected"]
+        assert len(fit["table"]) == 3
+        assert np.isfinite(fit["exponent"])
+        assert fit["expected"] == pytest.approx(expected)
+    assert [c.name for c in checks] == ["edge_in_band", "outer_in_band", "center_bound"]
+    assert list(doc["center_law"]["verdicts"]) == ["bound_holds", "exponent_in_band",
+                                                   "compensated_stable"]
 
 
 def test_energy_scaling_degenerate_flag():
     plan = dataclasses.replace(SMALL_PLAN, bc_phi=(1.0, 0.0), bc_psi=(1.0, 0.0),
                                energy_layers=8, energy_aspect=0.5,
                                energy_zprimes=(0.1, 0.14, 0.2))
-    res = check_energy_scaling(plan)
-    assert res.degenerate
-    assert res.center.exponent is None
+    doc, checks = check_energy_scaling(plan)
+    assert doc["degenerate"]
+    assert doc["inner_center"]["exponent"] is None
+    assert doc["note"] == "degenerate data: remainder vanishes, fits skipped"
+    assert "center_law" not in doc
+    assert {c.verdict for c in checks} == {"n/a"}
 
 
 def test_energy_scaling_rejects_bad_zprimes():
@@ -358,12 +376,33 @@ def test_crossing_boundaries_are_refused_before_the_first_assembly(monkeypatch, 
 
 
 def test_record_serialization_roundtrip(small_report):
-    d = small_report.to_dict()
-    assert d["fit"]["rho"] == small_report.rho
+    d = small_report[0]
+    assert list(d) == ["plan", "fit", "per_epsilon", "layers_level"]
+    assert list(d["fit"]) == ["rho", "rho_halfwidth", "degenerate"]
     eps0 = d["per_epsilon"][0]
+    assert list(eps0) == ["epsilon", "M_center", "centerline_sup", "centerline_min", "u_l2",
+                          "norm_terms", "C_upper", "C_lower", "C_profile", "M_center_refined",
+                          "reliability_change", "flags", "centerline", "profile"]
     assert eps0["epsilon"] == SMALL_PLAN.sweep_epsilons[0]
     assert len(eps0["profile"]) == verify.PROBES_PROFILE
     assert len(eps0["centerline"]) == verify.PROBES_CENTERLINE
+
+
+def test_samplers_take_component_0_alone(monkeypatch):
+    # prop21 and oracle-suite sample component 0 as one-component data, so their
+    # memory does not grow with system.m, and their documents do not change with it
+    seen = []
+    growth, gradients = verify.check_seminorm_growth, verify.field_gradients
+    monkeypatch.setattr(verify, "check_seminorm_growth", lambda geom, data, *a, **k:
+                        seen.append(data.m) or growth(geom, data, *a, **k))
+    monkeypatch.setattr(verify, "field_gradients",
+                        lambda geom, data, X: seen.append(data.m) or gradients(geom, data, X))
+    plans = [dataclasses.replace(SMALL_PLAN, system_kind="identity", system_m=m,
+                                 prop21_pairs=200) for m in (1, 4)]
+    prop21 = [verify.check_prop21(plan) for plan in plans]
+    assert prop21[0] == prop21[1]
+    verify.check_oracles(plans[1])
+    assert seen and set(seen) == {1}
 
 
 def test_t_quantile_matches_scipy():
