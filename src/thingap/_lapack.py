@@ -1,16 +1,18 @@
-"""Banded LAPACK routines bound without importing scipy.
+"""Banded Cholesky LAPACK routines bound without importing scipy.
 
-``dpbtrf``, ``dpbtrs``, ``dgbtrf`` and ``dgbtrs`` take the arguments and
-return the tuples of their ``scipy.linalg.lapack`` namesakes (``info`` last,
-``dgbtrf`` pivots 0-based), so either binding stands in for the other.  They
-are bound with ``ctypes`` from the LP64 OpenBLAS that the scipy wheel bundles
-(``scipy.libs/libscipy_openblas*.so``, symbols ``scipy_dpbtrf_``, ...),
-which ``importlib.util.find_spec`` locates without importing scipy.  That is
-the library scipy's own wrappers call, so factors and solutions are
-bit-identical to theirs, and loading it takes milliseconds where importing
-``scipy.linalg`` takes ~0.3 s of every command's start-up.  Where no
-library exports the four symbols (scipy built against MKL, Accelerate or a
-system LAPACK), the names are scipy's own wrappers.
+``dpbtrf`` and ``dpbtrs`` take the arguments and return the tuples of their
+``scipy.linalg.lapack`` namesakes (``info`` last), so either binding stands
+in for the other.  They are the pair every command runs: each system the CLI
+solves is symmetric positive definite.  They are bound with ``ctypes`` from
+the LP64 OpenBLAS that the scipy wheel bundles
+(``scipy.libs/libscipy_openblas*.so``, symbols ``scipy_dpbtrf_`` and
+``scipy_dpbtrs_``), which ``importlib.util.find_spec`` locates without
+importing scipy.  That is the library scipy's own wrappers call, so factors
+and solutions are bit-identical to theirs, and loading it takes milliseconds
+where importing ``scipy.linalg`` takes ~0.3 s of every command's start-up.
+Where no library exports both symbols (scipy built against MKL, Accelerate
+or a system LAPACK), the names are scipy's own wrappers.  Banded LU, which
+no command reaches, is scipy's (see ``solver``).
 
 numpy's wheel bundles an ILP64 OpenBLAS with the same routines
 (``scipy_dpbtrf_64_``); it is not used: on a 2-vCPU machine its ``dpbtrf``
@@ -32,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-ROUTINES = ("dpbtrf", "dpbtrs", "dgbtrf", "dgbtrs")
+ROUTINES = ("dpbtrf", "dpbtrs")
 # Fortran calling convention: every argument by reference, each character
 # argument's length appended as a hidden size_t
 _CHR, _INT, _PTR, _LEN = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.c_void_p,
@@ -40,8 +42,6 @@ _CHR, _INT, _PTR, _LEN = (ctypes.c_char_p, ctypes.POINTER(ctypes.c_int), ctypes.
 _ARGTYPES = {
     "dpbtrf": [_CHR, _INT, _INT, _PTR, _INT, _INT, _LEN],
     "dpbtrs": [_CHR, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT, _INT, _LEN],
-    "dgbtrf": [_INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _INT],
-    "dgbtrs": [_CHR, _INT, _INT, _INT, _INT, _PTR, _INT, _PTR, _PTR, _INT, _INT, _LEN],
 }
 
 
@@ -96,9 +96,9 @@ def _rhs(b, n: int) -> tuple[np.ndarray, int]:
 
 
 def _bind(lib):
-    """The four routines of ``lib``, called as ``scipy.linalg.lapack`` calls them."""
-    pbtrf, pbtrs, gbtrf, gbtrs = (getattr(lib, f"scipy_{name}_") for name in ROUTINES)
-    for name, fn in zip(ROUTINES, (pbtrf, pbtrs, gbtrf, gbtrs)):
+    """The two routines of ``lib``, called as ``scipy.linalg.lapack`` calls them."""
+    pbtrf, pbtrs = (getattr(lib, f"scipy_{name}_") for name in ROUTINES)
+    for name, fn in zip(ROUTINES, (pbtrf, pbtrs)):
         fn.argtypes, fn.restype = _ARGTYPES[name], None
 
     def dpbtrf(ab, lower=0, overwrite_ab=0):
@@ -115,31 +115,11 @@ def _bind(lib):
               _ptr(ab), _ref(ab.shape[0]), _ptr(x), _ref(max(1, n)), ctypes.byref(info), 1)
         return x, info.value
 
-    def dgbtrf(ab, kl, ku, overwrite_ab=0):
-        lu, info = _band(ab, overwrite_ab), ctypes.c_int()
-        n = lu.shape[1]
-        ipiv = np.zeros(n, dtype=np.intc)
-        gbtrf(_ref(n), _ref(n), _ref(kl), _ref(ku), _ptr(lu), _ref(lu.shape[0]), _ptr(ipiv),
-              ctypes.byref(info))
-        ipiv -= 1                       # f2py returns 0-based pivots
-        return lu, ipiv, info.value
-
-    def dgbtrs(ab, kl, ku, b, ipiv):
-        ab = _band(ab, True)
-        n = ab.shape[1]
-        (x, nrhs), info = _rhs(b, n), ctypes.c_int()
-        piv = np.asarray(ipiv, dtype=np.intc) + 1
-        if piv.shape != (n,):
-            raise ValueError(f"pivots of shape {piv.shape} for a band of order {n}")
-        gbtrs(b"N", _ref(n), _ref(kl), _ref(ku), _ref(nrhs), _ptr(ab),
-              _ref(ab.shape[0]), _ptr(piv), _ptr(x), _ref(max(1, n)), ctypes.byref(info), 1)
-        return x, info.value
-
-    return dpbtrf, dpbtrs, dgbtrf, dgbtrs
+    return dpbtrf, dpbtrs
 
 
 def _routines(paths):
-    """(library, routines) from the first of ``paths`` that exports all four, else
+    """(library, routines) from the first of ``paths`` that exports both, else
     (None, scipy's wrappers)."""
     for path in paths:
         lib = _open(path)
@@ -150,4 +130,4 @@ def _routines(paths):
 
 
 # the bound library's path, None where scipy's wrappers are used
-LIBRARY, (dpbtrf, dpbtrs, dgbtrf, dgbtrs) = _routines(_candidates())
+LIBRARY, (dpbtrf, dpbtrs) = _routines(_candidates())

@@ -93,9 +93,7 @@ def effective_config(path: str | None, overrides: list[str], seed: int | None) -
             raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})")
     if seed is not None:
         values["seed"] = int(seed)
-    plan = SweepPlan(**values)
-    plan.validate()
-    return plan
+    return SweepPlan(**values)
 
 
 # ---------------------------------------------------------------------------

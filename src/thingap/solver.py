@@ -19,13 +19,14 @@ and columns, which enter through an element-by-element product.  The band
 is allocated once and the elements are added into it ``BLOCK`` at a time,
 in element order, so the set-up holds no temporary the size of the element
 matrices and every band entry sums its terms in element order.  Symmetric
-element matrices (every CLI system) take banded Cholesky (``dpbtrf``);
-nonsymmetric ones (nonzero B or C) and operators that are not positive
-definite (a large D) take banded LU (``dgbtrf``).  The matrix decides.
-The four LAPACK routines come from ``_lapack``: the OpenBLAS bundled with
-the scipy wheel, called through ``ctypes`` and loaded with one thread, so
-no command imports scipy (scipy's own wrappers where no such library is
-found).  ``scipy.sparse`` builds only the reference matrix ``K``.
+element matrices (every CLI system) take banded Cholesky, ``dpbtrf`` and
+``dpbtrs`` from ``_lapack``: the OpenBLAS bundled with the scipy wheel,
+called through ``ctypes`` and loaded with one thread, so no command imports
+scipy (scipy's own wrappers where no such library is found).  Nonsymmetric
+element matrices (nonzero B or C) and operators that are not positive
+definite (a large D) take banded LU, scipy's ``dgbtrf`` and ``dgbtrs``,
+imported only when that happens.  The matrix decides.  ``scipy.sparse``
+builds only the reference matrix ``K``.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from ._lapack import dgbtrf, dgbtrs, dpbtrf, dpbtrs
+from ._lapack import dpbtrf, dpbtrs
 from .auxiliary import BoundaryData, field_values
 from .coefficients import CoefficientSet, evaluate_field
 from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
@@ -163,6 +164,7 @@ class AssembledSystem:
             if info == 0:
                 return lambda b: dpbtrs(cb, b, lower=1)[0]
             # info > 0: not positive definite, LU below
+        from scipy.linalg.lapack import dgbtrf, dgbtrs    # off every command's path
         lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False), kd, kd, overwrite_ab=True)
         if info > 0:
             raise SolverError(f"singular operator: zero pivot {info} in banded LU")
@@ -177,7 +179,8 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     gradients are constant per triangle, so that rule is exact for it.  A
     rule (variable) A, the lower-order fields B, C, D and the volume sources
     are evaluated at the three edge midpoints of each triangle, a rule exact for
-    quadratics such as the P1 mass term of a constant D.
+    quadratics such as the P1 mass term of a constant D.  The triangles are
+    taken ``BLOCK`` at a time, and a rule is called once per midpoint and block.
     """
     if cs.n != 2:
         raise SolverError("the discrete solver is 2-D")
@@ -192,33 +195,35 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
 
     E = np.zeros((T, 3, m, 3, m))
     fe = np.zeros((T, 3, m))
+    variable = callable(cs.A)
     lower_order = not cs.is_zero_lower_order()
-    if not callable(cs.A):
-        # one evaluation, at the first centroid; summed in blocks, so that the
-        # contraction's temporaries stay cache-sized instead of exceeding E
-        A_1 = cs.eval_A_many(pts[:1].mean(axis=1))
-        for b in _blocks(T):
-            A_b = np.broadcast_to(A_1, (b.stop - b.start,) + A_1.shape[1:])
-            E[b] += np.einsum("t,tpqij,tbq,tap->taibj", areas[b], A_b, G[b], G[b],
-                              optimize=True)
-    wa = _WEIGHT * areas
     # a constant A with no other terms needs no edge-midpoint points
-    rule = _BARY if callable(cs.A) or lower_order or rhs is not None else ()
-    for bq in rule:
-        xq = np.einsum("a,tad->td", bq, pts)
-        if callable(cs.A):
-            A_q = cs.eval_A_many(xq)                   # (T, n, n, m, m)
-            E += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G, G, optimize=True)
-        if lower_order:
-            B_q = cs.eval_B_many(xq)                   # (T, n, m, m)
-            C_q = cs.eval_C_many(xq)
-            D_q = cs.eval_D_many(xq)
-            E += np.einsum("t,tpij,b,tap->taibj", wa, B_q, bq, G, optimize=True)
-            E -= np.einsum("t,tqij,tbq,a->taibj", wa, C_q, G, bq, optimize=True)
-            E -= np.einsum("t,tij,a,b->taibj", wa, D_q, bq, bq, optimize=True)
-        if rhs is not None:                            # a source left None is zero
-            fe += np.einsum("t,ti,a->tai", wa, evaluate_field("H", rhs.H, xq, (m,)), bq)
-            fe += np.einsum("t,tip,tap->tai", wa, evaluate_field("F", rhs.F, xq, (m, 2)), G)
+    rule = _BARY if variable or lower_order or rhs is not None else ()
+    # a constant A is evaluated once, at the first centroid
+    A_1 = None if variable else cs.eval_A_many(pts[:1].mean(axis=1))
+    # in blocks, so that the contractions' temporaries stay cache-sized
+    for b in _blocks(T):
+        E_b, fe_b, G_b, wa = E[b], fe[b], G[b], _WEIGHT * areas[b]
+        if not variable:
+            A_b = np.broadcast_to(A_1, (b.stop - b.start,) + A_1.shape[1:])
+            E_b += np.einsum("t,tpqij,tbq,tap->taibj", areas[b], A_b, G_b, G_b,
+                             optimize=True)
+        for bq in rule:
+            xq = np.einsum("a,tad->td", bq, pts[b])
+            if variable:
+                A_q = cs.eval_A_many(xq)               # (t, n, n, m, m)
+                E_b += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G_b, G_b, optimize=True)
+            if lower_order:
+                B_q = cs.eval_B_many(xq)               # (t, n, m, m)
+                C_q = cs.eval_C_many(xq)
+                D_q = cs.eval_D_many(xq)
+                E_b += np.einsum("t,tpij,b,tap->taibj", wa, B_q, bq, G_b, optimize=True)
+                E_b -= np.einsum("t,tqij,tbq,a->taibj", wa, C_q, G_b, bq, optimize=True)
+                E_b -= np.einsum("t,tij,a,b->taibj", wa, D_q, bq, bq, optimize=True)
+            if rhs is not None:                        # a source left None is zero
+                fe_b += np.einsum("t,ti,a->tai", wa, evaluate_field("H", rhs.H, xq, (m,)), bq)
+                fe_b += np.einsum("t,tip,tap->tai", wa,
+                                  evaluate_field("F", rhs.F, xq, (m, 2)), G_b)
 
     dofs = (mesh.triangles[:, :, None] * m + np.arange(m)).reshape(T, 3 * m)
     load = np.bincount(dofs.ravel(), fe.ravel(), N * m)

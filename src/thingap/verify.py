@@ -151,9 +151,10 @@ def _bad_value(key: str, value, reason: str) -> PlanError:
     return PlanError(f"bad value for {key!r}: '{shown}' ({reason})")
 
 
-@dataclass
+@dataclass(frozen=True)
 class SweepPlan:
-    """The whole config of every command, seed included: one field per config key."""
+    """The whole config of every command, seed included: one field per config key.
+    Frozen, and validated when built, by ``dataclasses.replace`` too."""
 
     epsilon: float = 1e-2           # single-run gap width (solve, validate-*, oracle-suite)
     sweep_epsilons: tuple = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3)
@@ -180,6 +181,9 @@ class SweepPlan:
     checks_stability_factor: float = 3.0
     checks_exponent_band: float = 0.2
     seed: int = 0
+
+    def __post_init__(self):
+        self.validate()
 
     def validate(self):
         """Raise a :class:`PlanError` for a key out of range or keys that contradict
@@ -498,7 +502,6 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
     jump at x' = 0), and every refinement drift is below
     ``reliability.threshold``.
     """
-    plan.validate()
     if not any(plan.bc_phi) and not any(plan.bc_psi):
         raise PlanError("bc.phi and bc.psi are all zero: the solution vanishes and "
                         "the sweep has no envelope constant to fit")
@@ -605,7 +608,6 @@ def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
     of the bounds', and the neck center decays at least as fast as the inner
     bound allows.
     """
-    plan.validate()
     outer_z = sorted(float(z) for z in plan.energy_zprimes)
     eps_list = [float(e) for e in plan.sweep_epsilons]
     g = plan.gamma

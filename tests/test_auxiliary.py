@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from thingap.auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
-                               field_gradients, field_values, gap_fraction,
+from thingap.auxiliary import (BoundaryData, ConfigurationError, _slab_width_comparable,
+                               check_seminorm_growth, field_gradients, field_values, gap_fraction,
                                gap_fraction_gradient, holder_seminorm, seminorm_growth_rhs)
 from thingap.geometry import GapGeometry, GeometryError, LocalRegion
 
@@ -499,3 +499,23 @@ def test_only_zeroes_the_other_components(geom, make_data, sloped):
         full, got = getattr(data, name), getattr(one, name)
         assert got[0] == full[0] and full[1] > 0
         assert got[1] == 0.0 and not np.signbit(got[1])
+
+
+def test_slab_comparability_is_the_dense_sampled_one():
+    # the width is monotone in |x'|, so two points decide; a dense sweep of
+    # each slab (with x' = 0 added where the slab spans it) must agree
+    rng = np.random.default_rng(3)
+    outcomes = collections.Counter()
+    for c_top, c_bottom in ((1.0, -1.0), (0.5, 0.0), (-0.004, 0.004), (0.0, 0.003)):
+        geom = GapGeometry(EPS, rng.uniform(0.1, 0.9), c_top, c_bottom)
+        for _ in range(100):
+            z0 = rng.uniform(-0.95, 0.95)
+            s = rng.uniform(1e-3, 1.0 - abs(z0))
+            zp = np.array([z0])
+            xs = np.linspace(z0 - s, z0 + s, 20001)
+            if abs(z0) < s:
+                xs = np.append(xs, 0.0)
+            dense = bool(np.min(geom.gap_width(xs)) >= 0.5 * float(geom.gap_width(zp)))
+            assert _slab_width_comparable(geom, zp, s) == dense, (c_top, c_bottom, z0, s)
+            outcomes[dense, abs(z0) < s] += 1
+    assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}

@@ -337,13 +337,18 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls, "dofs": dof
 
 def test_commands_run_without_scipy_and_one_lapack_thread(tmp_path):
     # the commands reach LAPACK through _lapack's ctypes binding, loaded with
-    # one OpenBLAS thread whatever OPENBLAS_NUM_THREADS says
+    # one OpenBLAS thread whatever OPENBLAS_NUM_THREADS says; every system they
+    # solve is positive definite, so none takes banded LU, which imports scipy
     from thingap import _lapack
     if _lapack.LIBRARY is None:
         pytest.skip("no bundled OpenBLAS: _lapack is scipy's wrappers")
     root = Path(__file__).resolve().parents[1]
+    kinds = [["--set", f"system.kind={kind}"] for kind in ("identity", "holder_demo")]
     commands = [["sweep", *SMALL], ["energy-scaling", "--set", "energy.layers=8"],
-                ["oracle-suite"], ["prop21", "--set", "prop21.pairs=200"], ["solve"]]
+                ["oracle-suite"], ["prop21", "--set", "prop21.pairs=200"], ["solve"],
+                *(["sweep", *SMALL, *kind] for kind in kinds),
+                *(["solve", *kind] for kind in kinds),
+                ["solve", "--set", "system.lambda1=1e100"]]
     script = f"""
 import ctypes, json, os, sys
 import thingap.cli

@@ -4,6 +4,7 @@ from unittest.mock import Mock
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from scipy.sparse.linalg import splu
 
 from thingap.auxiliary import BoundaryData, field_gradients, field_values
@@ -430,12 +431,23 @@ def _free_block(system, bc):
     return K_ff, rhs
 
 
+def _routine_module(name):
+    """Where ``thingap.solver`` finds LAPACK routine ``<name>``: the Cholesky pair
+    in ``_lapack`` (bound into the solver's namespace), banded LU in
+    ``scipy.linalg.lapack`` (imported where it runs)."""
+    if name in _lapack.ROUTINES:
+        assert getattr(solver, name) is getattr(_lapack, name)
+        return solver
+    assert not hasattr(solver, name)
+    return lapack
+
+
 def _spy(monkeypatch, name):
-    """Replace the ``_lapack`` routine ``<name>`` that ``thingap.solver`` calls by
-    a mock that counts its calls."""
-    assert getattr(solver, name) is getattr(_lapack, name)
-    spy = Mock(wraps=getattr(solver, name))
-    monkeypatch.setattr(solver, name, spy)
+    """Replace the LAPACK routine ``<name>`` that ``thingap.solver`` calls by a
+    mock that counts its calls."""
+    module = _routine_module(name)
+    spy = Mock(wraps=getattr(module, name))
+    monkeypatch.setattr(module, name, spy)
     return spy
 
 
@@ -515,13 +527,14 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
     T = system.E.shape[0]
     assert T % 7 and T % 64
     bands = []
-    exact = getattr(solver, factor)
+    module = _routine_module(factor)
+    exact = getattr(module, factor)
 
     def capture(ab, *args, **kwargs):
         bands.append(ab.copy())         # the factorization overwrites it
         return exact(ab, *args, **kwargs)
 
-    monkeypatch.setattr(solver, factor, capture)
+    monkeypatch.setattr(module, factor, capture)
     # single elements, several blocks with a partial last one, one block beyond T
     for block in (1, 7, 64, T + 5):
         monkeypatch.setattr(solver, "BLOCK", block)
@@ -534,6 +547,38 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
     K_ff = system.K[free][:, free].toarray()
     ref = _band_of(K_ff, rows, 0 if factor == "dpbtrf" else 2 * kd)
     np.testing.assert_allclose(bands[0], ref, rtol=0, atol=1e-13 * np.abs(K_ff).max())
+
+
+def _smooth_sources(m):
+    """Nonpolynomial H and F, so that every edge midpoint's value counts."""
+    H = lambda X: np.stack([np.sin(3.0 * X[:, 0] + i) * np.exp(X[:, 1]) for i in range(m)],
+                           axis=1)
+    F = lambda X: np.stack([np.cos(X + i) for i in range(m)], axis=1) * X[:, None, :1]
+    return RightHandSide(H=H, F=F)
+
+
+@pytest.mark.parametrize("make_cs, sources", [
+    (lambda: holder_demo_coefficients(GAMMA), False),
+    (_full_coefficient_set, True),
+], ids=["holder_demo", "full_with_sources"])
+def test_assembly_does_not_depend_on_the_block_size(monkeypatch, make_cs, sources):
+    # every term of an element is formed from its own block's slice, so the
+    # element matrices and the load are the same bits whatever the block size
+    cs = make_cs()
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=6, aspect=1.0,
+                    dxmax=0.05, xrange=0.5)
+    rhs = _smooth_sources(cs.m) if sources else None
+    T = mesh.num_triangles
+    assert T % 7 and T % 64
+    systems = []
+    # single elements, several blocks with a partial last one, one block beyond T
+    for block in (1, 7, 64, T + 5):
+        monkeypatch.setattr(solver, "BLOCK", block)
+        systems.append(assemble(mesh, cs, rhs))
+    assert np.any(systems[0].load != 0.0) == sources
+    for other in systems[1:]:
+        assert np.array_equal(other.E, systems[0].E)
+        assert np.array_equal(other.load, systems[0].load)
 
 
 def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():

@@ -6,8 +6,8 @@ import pytest
 
 import thingap.verify as verify
 from thingap.mesh import refine, refine_layers, refine_stations
-from thingap.verify import (Check, PlanError, SweepPlan, check_energy_scaling, fit_rate,
-                            max_over_min, run_sweep)
+from thingap.verify import (Check, PlanError, SweepPlan, check_coefficients,
+                            check_energy_scaling, fit_rate, max_over_min, run_solve, run_sweep)
 
 
 # a cut-down plan that keeps unit tests fast; acceptance runs the full one
@@ -76,6 +76,20 @@ def test_plan_validation():
     for zprimes in ((0.04, 0.04, 0.08), (0.0, 0.04, 0.08), (-0.04, 0.04, 0.08)):
         with pytest.raises(PlanError, match="energy z'"):
             SweepPlan(energy_zprimes=zprimes).validate()
+
+
+def test_plans_built_from_python_are_checked_when_built(monkeypatch):
+    # a plan is validated as it is built, before any command can allocate or
+    # mesh for it, and the error names the key at fault
+    monkeypatch.setattr(verify, "generate", lambda *args: pytest.fail("meshed"))
+    with pytest.raises(PlanError, match=r"'system\.m': '100000000' \(must be <= 4\)"):
+        check_coefficients(SweepPlan(system_kind="identity", system_m=10**8))
+    with pytest.raises(PlanError, match=r"^mesh\.layers must be >= 4, got 2$"):
+        run_solve(SweepPlan(mesh_layers=2))
+    with pytest.raises(PlanError, match=r"^energy\.layers must be >= 4"):
+        dataclasses.replace(SMALL_PLAN, energy_layers=3)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        SMALL_PLAN.mesh_layers = 2
 
 
 def test_boundary_constants_beyond_m_must_be_zero():
@@ -339,10 +353,9 @@ def test_energy_scaling_degenerate_flag():
 
 def test_energy_scaling_rejects_bad_zprimes():
     # z' = 0 is always fitted; the outer values must be positive and lie
-    # beyond the neck scale
-    plan = dataclasses.replace(SMALL_PLAN, energy_zprimes=(0.0, 0.14, 0.2))
+    # beyond the neck scale; a z' <= 0 is refused when the plan is built
     with pytest.raises(PlanError, match="positive and distinct"):
-        check_energy_scaling(plan)
+        dataclasses.replace(SMALL_PLAN, energy_zprimes=(0.0, 0.14, 0.2))
     plan = dataclasses.replace(SMALL_PLAN, energy_zprimes=(1e-3, 0.14, 0.2))
     with pytest.raises(PlanError, match="not beyond the neck scale"):
         check_energy_scaling(plan)
