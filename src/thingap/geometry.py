@@ -26,13 +26,20 @@ class GeometryError(ValueError):
 
 def _tangential(xp) -> np.ndarray:
     """Tangential coordinates as a float array: a trailing axis of length 1
-    (rows of one coordinate) is dropped, so ``(k, 1)`` and ``(k,)`` give ``(k,)``."""
+    (rows of one coordinate) is dropped, so ``(k, 1)`` and ``(k,)`` give ``(k,)``;
+    a Python float stays a float."""
+    if isinstance(xp, float):
+        return xp
     a = np.asarray(xp, dtype=float)
     return a[..., 0] if a.ndim and a.shape[-1] == 1 else a
 
 
+def _any(mask) -> bool:
+    return mask if isinstance(mask, bool) else bool(mask.any())
+
+
 def _in_unit_ball(t: np.ndarray) -> None:
-    if np.any(np.abs(t) > 1.0 + 1e-12):
+    if _any(abs(t) > 1.0 + 1e-12):
         raise GeometryError("tangential point outside the unit ball")
 
 
@@ -88,7 +95,7 @@ class GapGeometry:
         ``|x'|^{gamma-1}`` once; the slopes extend by 0 to ``x' = 0``.
         """
         t = _tangential(xp)
-        r = np.abs(t)
+        r = abs(t)
         p = r ** (1.0 + self.gamma)
         heights = (self.c_top * p, self.c_bottom * p)
         if not gradient:
@@ -111,12 +118,13 @@ class GapGeometry:
         """Local gap width ``epsilon + h_top(x') - h_bot(x')``.
 
         Raises for tangential points outside the unit ball, where the
-        profiles are not defined, and where the boundaries cross.
+        profiles are not defined, and where the boundaries cross.  A Python
+        float gives a float, evaluated without numpy.
         """
         _in_unit_ball(_tangential(xp))
         h_top, h_bot = self.profiles(xp)
         w = (self.epsilon + h_top) - h_bot
-        if np.any(w <= 0):
+        if _any(w <= 0):
             raise GeometryError("gap width is not positive: boundaries cross")
         return w
 

@@ -85,9 +85,7 @@ class Mesh:
         return self._areas
 
     def signed_areas(self) -> np.ndarray:
-        p = self.vertices[self.triangles]
-        return 0.5 * ((p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1])
-                      - (p[:, 2, 0] - p[:, 0, 0]) * (p[:, 1, 1] - p[:, 0, 1]))
+        return 0.5 * p1_gradients(*self.vertex_rows())[1]
 
     def centroids(self) -> np.ndarray:
         if self._centroids is None:
@@ -95,20 +93,16 @@ class Mesh:
             self._centroids.setflags(write=False)
         return self._centroids
 
+    def vertex_rows(self, triangles=slice(None)) -> tuple:
+        """Corner coordinates ``x``, ``y`` (3, t) of ``triangles`` (default all)."""
+        corners = self.triangles[triangles].T
+        return self.vertices[:, 0][corners], self.vertices[:, 1][corners]
+
     def basis_gradients(self) -> np.ndarray:
         """Gradients of the three linear nodal functions per triangle, (T, 3, 2)."""
         if self._grads is None:
-            p = self.vertices[self.triangles]
-            e1 = p[:, 1] - p[:, 0]
-            e2 = p[:, 2] - p[:, 0]
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            g = np.empty((self.num_triangles, 3, 2))
-            g[:, 1, 0] = e2[:, 1] / det
-            g[:, 1, 1] = -e2[:, 0] / det
-            g[:, 2, 0] = -e1[:, 1] / det
-            g[:, 2, 1] = e1[:, 0] / det
-            g[:, 0] = -g[:, 1] - g[:, 2]
-            self._grads = g
+            self._grads = np.ascontiguousarray(
+                p1_gradients(*self.vertex_rows())[0].transpose(2, 1, 0))
             self._grads.setflags(write=False)
         return self._grads
 
@@ -209,6 +203,15 @@ class Mesh:
         return "\n".join(lines) + "\n"
 
 
+def p1_gradients(x: np.ndarray, y: np.ndarray) -> tuple:
+    """Gradients ``G[d, a]`` (2, 3, t) of the linear nodal functions of triangles
+    with corner coordinates ``x``, ``y`` (3, t), and twice their signed areas (t,)."""
+    e1x, e1y, e2x, e2y = x[1] - x[0], y[1] - y[0], x[2] - x[0], y[2] - y[0]
+    det = e1x * e2y - e1y * e2x
+    g = np.array([[e2y, -e1y], [-e2x, e1x]]) / det      # nodal functions 1 and 2
+    return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), det
+
+
 def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: float) -> np.ndarray:
     """Graded station positions, symmetric about 0, spacing min(aspect*width, dxmax).
 
@@ -230,7 +233,7 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
         if 2 * len(right) - 1 > MAX_STATIONS:
             raise MeshError(f"grading aspect = {aspect:g}, dxmax = {dxmax:g} needs more "
                             f"than {MAX_STATIONS} stations")
-        dx = min(aspect * float(geom.gap_width(np.array([x]))), dxmax)
+        dx = min(aspect * geom.gap_width(x), dxmax)     # on floats: no numpy per station
         nxt = x + dx
         if nxt >= xrange - 0.25 * dx:
             right.append(xrange)

@@ -13,20 +13,17 @@ Unknowns are ordered vertex-major: dof(vertex v, component i) = v*m + i.
 The layered mesh numbers its vertices station by station, so every coupling
 of two free dofs lies within half-bandwidth ``kd = L*m + m - 1`` (L layers,
 m components) of the diagonal, without reordering.  That band is the only
-operator a solve uses: element matrices are summed straight into LAPACK's
-band storage (LAPACK Users' Guide, SIAM 1999) without the Dirichlet rows
-and columns, which enter through an element-by-element product.  The band
-is allocated once and the elements are added into it ``BLOCK`` at a time,
-in element order, so the set-up holds no temporary the size of the element
-matrices and every band entry sums its terms in element order.  Symmetric
-element matrices (every CLI system) take banded Cholesky, ``dpbtrf`` and
-``dpbtrs`` from ``_lapack``: the OpenBLAS bundled with the scipy wheel,
-called through ``ctypes`` and loaded with one thread, so no command imports
-scipy (scipy's own wrappers where no such library is found).  Nonsymmetric
-element matrices (nonzero B or C) and operators that are not positive
-definite (a large D) take banded LU, scipy's ``dgbtrf`` and ``dgbtrs``,
-imported only when that happens.  The matrix decides.  ``scipy.sparse``
-builds only the reference matrix ``K``.
+operator a solve uses: the element matrices, stored element-last, are summed
+straight into LAPACK's band storage (LAPACK Users' Guide, SIAM 1999) one
+local pair of dofs and ``BLOCK`` elements at a time, so no set-up temporary
+is their size.  The Dirichlet rows and columns enter through an
+element-by-element product.  Symmetric element matrices (every CLI system)
+take banded Cholesky, ``dpbtrf`` and ``dpbtrs`` from ``_lapack``: the
+OpenBLAS of the scipy wheel, called through ``ctypes`` with one thread, so no
+command imports scipy (scipy's own wrappers where no such library is found).
+Nonsymmetric element matrices (nonzero B or C) and operators that are not
+positive definite (a large D) take scipy's banded LU, ``dgbtrf`` and
+``dgbtrs``, imported only then.  ``scipy.sparse`` builds only ``K``.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import numpy as np
 from ._lapack import dpbtrf, dpbtrs
 from .auxiliary import BoundaryData, field_values
 from .coefficients import CoefficientSet, evaluate_field
-from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP
+from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP, p1_gradients
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -50,17 +47,18 @@ class SolverError(RuntimeError):
     """Raised when assembly or the linear solve violates its contract."""
 
 
-# edge-midpoint rule in barycentric coordinates, exact for quadratics
-_BARY = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])
+# edge-midpoint rule, exact for quadratics: the edges (a, b) whose midpoints are
+# the points, and the values of the three nodal functions there
+_EDGES = ((0, 1), (1, 2), (2, 0))
+_BARY = np.array([[0.5 * (a in edge) for a in range(3)] for edge in _EDGES])
 _WEIGHT = 1 / 3
 
 # relative residual a solve must reach, after at most one refinement step
 SOLVE_RTOL = 1e-10
 # max |E - E^T| / max |E| up to which the element matrices count as symmetric
 SYMMETRY_RTOL = 1e-12
-# elements assembled and summed into the band at a time: a block's index, mask
-# and contraction arrays (BLOCK (3m)^2 entries, 0.6 MB of int64 for m = 2)
-# stay near L2 size
+# elements assembled, or summed into the band per local pair, at a time: a
+# block's terms (BLOCK (3m)^2 entries, 0.6 MB for m = 2) stay near L2 size
 BLOCK = 2048
 # largest band n (kd + 1) 8 bytes plus element matrices T (3m)^2 8 bytes a
 # planned problem may need: the sweep at mesh.layers = 48 builds stations
@@ -68,6 +66,8 @@ BLOCK = 2048
 # of 28 + 5 MiB, at 192 layers 246 + 23 and 446 + 21 MiB; at 12 layers and
 # mesh.dxmax = 1e-4 the elements (132 MiB) outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
+# band position of a fixed dof: with kd >= 1, every slot it enters is negative
+_FIXED = -2**40
 
 
 @dataclass
@@ -96,8 +96,8 @@ def _blocks(count: int) -> list[slice]:
 
 
 class AssembledSystem:
-    """Element matrices ``E`` (T, 3m, 3m), their dofs ``dofs`` (T, 3m) and the
-    load; factorizations are cached by constraint pattern for solves with other data."""
+    """Element matrices ``E`` (T, 3m, 3m) and dofs ``dofs`` (T, 3m), views of element-last
+    arrays, and the load; factorizations are cached by constraint pattern."""
 
     def __init__(self, mesh: Mesh, cs: CoefficientSet, E: np.ndarray, dofs: np.ndarray,
                  load: np.ndarray):
@@ -109,14 +109,15 @@ class AssembledSystem:
         """The full unconstrained operator as CSR, for reference; no solve reads it."""
         from scipy import sparse        # kept off the import path of every command
 
-        ij = (np.broadcast_to(self.dofs[:, :, None], self.E.shape).ravel(),
-              np.broadcast_to(self.dofs[:, None, :], self.E.shape).ravel())
-        return sparse.coo_matrix((self.E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
+        E, dofs = self.E.transpose(1, 2, 0), self.dofs.T
+        ij = (np.broadcast_to(dofs[:, None], E.shape).ravel(),
+              np.broadcast_to(dofs[None], E.shape).ravel())
+        return sparse.coo_matrix((E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
 
     def _apply(self, u: np.ndarray, elements=slice(None)) -> np.ndarray:
         """``K @ u``, element by element, over ``elements`` (default all)."""
-        dofs = self.dofs[elements]
-        Eu = np.einsum("tab,tb->ta", self.E[elements], u[dofs])
+        dofs = self.dofs.T[:, elements]
+        Eu = np.einsum("act,ct->at", self.E.transpose(1, 2, 0)[:, :, elements], u[dofs])
         return np.bincount(dofs.ravel(), Eu.ravel(), u.size)
 
     def _factor(self, dof_fixed: np.ndarray):
@@ -124,48 +125,53 @@ class AssembledSystem:
         key = dof_fixed.tobytes()
         if key not in self._lu_cache:
             self._lu_cache[key] = (self._band_solver(~dof_fixed), ~dof_fixed,
-                                   np.flatnonzero(dof_fixed[self.dofs].any(axis=1)))
+                                   np.flatnonzero(dof_fixed[self.dofs.T].any(axis=0)))
         return self._lu_cache[key]
 
     def _band_solver(self, free: np.ndarray):
         """Solve function of K_ff, factored in LAPACK's column-major band storage.
 
         Entry (i, j) goes to ``ab[diag + i - j, j]``, slot ``diag + i + (rows - 1) j``.
-        The zeroed band is allocated once; the element matrices are added into
-        it ``BLOCK`` elements at a time, in element order, with ``np.add.at``,
-        so each slot sums its terms in the same order as one pass over all
-        elements.  Entries in a fixed row or column, or above the diagonal for
-        Cholesky, go to one slot past the end.  The half-bandwidth and the
-        symmetry test read the elements in the same blocks.
+        The band is filled one local pair (a, c) at a time, ``BLOCK`` elements at
+        a time, by ``np.add.at``: every slot sums in (pair, element) order.
+        Cholesky reads the lower pairs, each entry from ``E[a, c]`` or ``E[c, a]``,
+        whichever lies below the diagonal, and tests max |E - E^T| pair by pair;
+        LU reads every pair.  Slots in a fixed row or column are negative
+        (``_FIXED``) and clip to the spare slot past the end.
         """
-        n, E = int(free.sum()), self.E
-        pos = np.where(free, np.cumsum(free) - 1, -1)    # free dofs keep their order
-        blocks = _blocks(len(E))
-        iu, ju = np.triu_indices(E.shape[1], 1)
-        kd, asym, scale = 0, 0.0, 0.0
-        for b in blocks:
-            loc, Eb = pos[self.dofs[b]], E[b]
-            kd = max(kd, int(np.max(loc.max(1) - np.where(loc >= 0, loc, n).min(1))))
-            asym = np.maximum(asym, np.max(np.abs(Eb[:, iu, ju] - Eb[:, ju, iu])))
-            scale = np.maximum(scale, np.max(np.abs(Eb)))
+        n, E = int(free.sum()), self.E.transpose(1, 2, 0)    # E[a, c, t]
+        k, blocks = len(E), _blocks(E.shape[2])
+        pos = np.where(free, np.cumsum(free) - 1, _FIXED)  # free dofs keep their order
+        loc = pos[self.dofs.T]                           # (3m, T)
+        kd = max(1, int(np.max(loc.max(0) - np.where(loc >= 0, loc, n).min(0))))
 
         def band(rows, diag, lower):
-            ab = np.zeros(rows * n + 1)
-            for b in blocks:
-                loc = pos[self.dofs[b]]
-                i, j = loc[:, :, None], loc[:, None, :]
-                keep = (i >= j) & (j >= 0) if lower else (i >= 0) & (j >= 0)
-                slot = np.where(keep, diag + i + (rows - 1) * j, rows * n)
-                np.add.at(ab, slot.ravel(), E[b].ravel())
-            return ab[:-1].reshape(rows, n, order="F")
+            """The band, and with ``lower`` whether the element matrices are symmetric."""
+            ab, asym = np.zeros(rows * n + 1), 0.0
+            scale = max(float(E.max()), -float(E.min())) if lower else 0.0
+            for a in range(k):
+                for c in range(a + 1) if lower else range(k):
+                    if lower and a != c:
+                        d = E[a, c] - E[c, a]
+                        asym = max(asym, float(d.max()), -float(d.min()))
+                    for b in blocks:
+                        i, j, v = loc[a, b], loc[c, b], E[a, c, b]
+                        if lower and a != c:     # the entry below the diagonal
+                            v = np.where(i >= j, v, E[c, a, b])
+                            i, j = np.maximum(i, j), np.minimum(i, j)
+                        slot = (rows - 1) * j
+                        slot += i
+                        np.add.at(ab[diag:], np.maximum(slot, -1, out=slot), v)
+            return ab[:-1].reshape(rows, n, order="F"), asym <= SYMMETRY_RTOL * scale
 
-        if asym <= SYMMETRY_RTOL * scale:
-            cb, info = dpbtrf(band(kd + 1, 0, True), lower=1, overwrite_ab=1)
+        ab, symmetric = band(kd + 1, 0, True)
+        if symmetric:
+            cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
             if info == 0:
                 return lambda b: dpbtrs(cb, b, lower=1)[0]
             # info > 0: not positive definite, LU below
         from scipy.linalg.lapack import dgbtrf, dgbtrs    # off every command's path
-        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False), kd, kd, overwrite_ab=True)
+        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False)[0], kd, kd, overwrite_ab=True)
         if info > 0:
             raise SolverError(f"singular operator: zero pivot {info} in banded LU")
         return lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
@@ -179,55 +185,58 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     gradients are constant per triangle, so that rule is exact for it.  A
     rule (variable) A, the lower-order fields B, C, D and the volume sources
     are evaluated at the three edge midpoints of each triangle, a rule exact for
-    quadratics such as the P1 mass term of a constant D.  The triangles are
-    taken ``BLOCK`` at a time, and a rule is called once per midpoint and block.
+    quadratics such as the P1 mass term of a constant D.  A rule is called once
+    per midpoint and block of ``BLOCK`` triangles.  A block's terms are summed
+    element-last in ``R[i, j, a, b, t]`` (test dof (vertex a, component i), trial
+    dof (b, j)); a constant A is one product with ``W = area G[a, p] G[b, q]``.
     """
     if cs.n != 2:
         raise SolverError("the discrete solver is 2-D")
-    m = cs.m
-    T = mesh.num_triangles
-    N = mesh.num_vertices
-    G = mesh.basis_gradients()          # (T, 3, 2)
-    areas = mesh.areas()
-    if np.any(areas <= 0) or not np.all(np.isfinite(G)):
-        raise SolverError("singular element geometry")
-    pts = mesh.vertices[mesh.triangles]  # (T, 3, 2)
-
-    E = np.zeros((T, 3, m, 3, m))
-    fe = np.zeros((T, 3, m))
+    m, T = cs.m, mesh.num_triangles
+    E = np.empty((3, m, 3, m, T))       # E[a, i, b, j, t], each block written once
+    fe = None if rhs is None else np.zeros((3, m, T))    # fe[a, i, t]
     variable = callable(cs.A)
     lower_order = not cs.is_zero_lower_order()
     # a constant A with no other terms needs no edge-midpoint points
-    rule = _BARY if variable or lower_order or rhs is not None else ()
-    # a constant A is evaluated once, at the first centroid
-    A_1 = None if variable else cs.eval_A_many(pts[:1].mean(axis=1))
-    # in blocks, so that the contractions' temporaries stay cache-sized
+    rule = _EDGES if variable or lower_order or rhs is not None else ()
+    # a constant A is evaluated once, at the first centroid, as rows (i, j) by columns (p, q)
+    A_1 = None if variable else cs.eval_A_many(
+        mesh.vertices[mesh.triangles[:1]].mean(axis=1))[0].reshape(4, m * m).T
     for b in _blocks(T):
-        E_b, fe_b, G_b, wa = E[b], fe[b], G[b], _WEIGHT * areas[b]
-        if not variable:
-            A_b = np.broadcast_to(A_1, (b.stop - b.start,) + A_1.shape[1:])
-            E_b += np.einsum("t,tpqij,tbq,tap->taibj", areas[b], A_b, G_b, G_b,
-                             optimize=True)
-        for bq in rule:
-            xq = np.einsum("a,tad->td", bq, pts[b])
-            if variable:
-                A_q = cs.eval_A_many(xq)               # (t, n, n, m, m)
-                E_b += np.einsum("t,tpqij,tbq,tap->taibj", wa, A_q, G_b, G_b, optimize=True)
+        x, y = mesh.vertex_rows(b)
+        G, det = p1_gradients(x, y)                    # G[p, a, t]
+        area = 0.5 * np.abs(det)
+        if np.any(area <= 0) or not np.all(np.isfinite(G)):
+            raise SolverError("singular element geometry")
+        wa = _WEIGHT * area
+        W = ((wa if variable else area) * G)[:, None, :, None] * G[None, :, None]
+        mids = [np.stack([0.5 * (x[k] + x[l]), 0.5 * (y[k] + y[l])], axis=1) for k, l in rule]
+        if variable:       # a rule A, summed over the midpoints, times wa G[a, p] G[b, q]
+            A = sum(cs.eval_A_many(xq) for xq in mids).reshape(-1, 4, m * m)
+            R = np.einsum("kxt,kyt->xyt", A.transpose(1, 2, 0), W.reshape(4, 9, -1))
+        else:
+            R = A_1 @ W.reshape(4, -1)
+        R = R.reshape(m * m, 3, 3, -1)
+        for xq, bq in zip(mids, _BARY):
             if lower_order:
-                B_q = cs.eval_B_many(xq)               # (t, n, m, m)
-                C_q = cs.eval_C_many(xq)
-                D_q = cs.eval_D_many(xq)
-                E_b += np.einsum("t,tpij,b,tap->taibj", wa, B_q, bq, G_b, optimize=True)
-                E_b -= np.einsum("t,tqij,tbq,a->taibj", wa, C_q, G_b, bq, optimize=True)
-                E_b -= np.einsum("t,tij,a,b->taibj", wa, D_q, bq, bq, optimize=True)
+                B_q, C_q = ((wa * f(xq).reshape(-1, 2, m * m).T).transpose(1, 0, 2)
+                            for f in (cs.eval_B_many, cs.eval_C_many))   # [p, (i, j), t]
+                D_q = wa * cs.eval_D_many(xq).reshape(-1, m * m).T
+                R += np.einsum("pxt,pat->xat", B_q, G)[:, :, None] * bq[:, None]
+                R -= bq[:, None, None] * np.einsum("pxt,pbt->xbt", C_q, G)[:, None]
+                R -= np.outer(bq, bq)[:, :, None] * D_q[:, None, None]
             if rhs is not None:                        # a source left None is zero
-                fe_b += np.einsum("t,ti,a->tai", wa, evaluate_field("H", rhs.H, xq, (m,)), bq)
-                fe_b += np.einsum("t,tip,tap->tai", wa,
-                                  evaluate_field("F", rhs.F, xq, (m, 2)), G_b)
+                H_q = evaluate_field("H", rhs.H, xq, (m,))
+                F_q = evaluate_field("F", rhs.F, xq, (m, 2))
+                fe[..., b] += bq[:, None, None] * (wa * H_q.T)
+                fe[..., b] += np.einsum("ipt,pat->ait", wa * F_q.transpose(1, 2, 0), G)
+        E[..., b] = R.reshape(m, m, 3, 3, -1).transpose(2, 0, 3, 1, 4)
 
-    dofs = (mesh.triangles[:, :, None] * m + np.arange(m)).reshape(T, 3 * m)
-    load = np.bincount(dofs.ravel(), fe.ravel(), N * m)
-    return AssembledSystem(mesh, cs, E.reshape(T, 3 * m, 3 * m), dofs, load)
+    dofs = (mesh.triangles.T[:, None] * m + np.arange(m)[:, None]).reshape(3 * m, T)
+    load = (np.zeros(mesh.num_vertices * m) if rhs is None
+            else np.bincount(dofs.ravel(), fe.ravel(), mesh.num_vertices * m))
+    return AssembledSystem(mesh, cs, E.reshape(3 * m, 3 * m, T).transpose(2, 0, 1), dofs.T,
+                           load)
 
 
 @dataclass
@@ -284,14 +293,14 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> Discrete
     rhs = system.load[free] - system._apply(full, boundary)[free]
     full[free] = solve(rhs)
     scale = max(float(np.linalg.norm(rhs)), 1e-300)
-    r = system.load[free] - system._apply(full)[free]      # rhs - K_ff x
-    res = float(np.linalg.norm(r)) / scale
-    if not res <= SOLVE_RTOL:
-        full[free] += solve(r)
-        r = system.load[free] - system._apply(full)[free]
+    for refined in (False, True):
+        r = system.load[free] - system._apply(full)[free]      # rhs - K_ff x
         res = float(np.linalg.norm(r)) / scale
-        if not res <= SOLVE_RTOL:
+        if res <= SOLVE_RTOL:
+            break
+        if refined:
             raise SolverError(f"linear solve did not converge: relative residual {res:.3e}")
+        full[free] += solve(r)
     return DiscreteSolution(mesh=system.mesh, values=full.reshape(-1, m))
 
 

@@ -32,7 +32,7 @@ from .coefficients import (CoefficientSet, EllipticityError, LameParameters, che
                            check_holder, holder_demo_coefficients, identity_coefficients,
                            lame_as_general)
 from .geometry import GapGeometry, LocalRegion
-from .mesh import MeshError, generate, refine_layers, refine_stations
+from .mesh import MeshError, _build_stations, generate, refine_layers, refine_stations
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
 from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
                      gradient_at, grid_distance, l2_norm, solve_dirichlet)
@@ -310,8 +310,8 @@ class SweepPlan:
         So is a mesh whose band and element matrices, or with ``refinement``
         those of a level the sweep builds (stations level at every epsilon,
         layers level at the largest), would exceed ``MAX_BAND_BYTES``: the
-        check reads the station count before anything is assembled and names
-        the level.
+        check reads the station count before the mesh is built and names the
+        level.
         """
         self._refuse_crossing(epsilon, energy)
         geom = self.geometry(epsilon)
@@ -320,31 +320,31 @@ class SweepPlan:
             ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
             else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
         try:
-            mesh = generate(geom, layers, aspect, self.mesh_dxmax, xrange)
+            stations = _build_stations(geom, aspect, self.mesh_dxmax, xrange)
         except MeshError as exc:
             raise PlanError(f"{key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
                             f"{exc}") from None
         cs = self.coefficients()
-        S = mesh.stations.size
-        levels = {"": (S, layers)}
+        levels = {"": (stations.size, layers)}
         if refinement:
-            levels = {" (stations level)": (2 * S - 1, layers)}
+            levels = {" (stations level)": (2 * stations.size - 1, layers)}
             if epsilon >= max(self.sweep_epsilons):
-                levels[" (layers level)"] = (S, 2 * layers)
-        for level, (stations, layers) in levels.items():
+                levels[" (layers level)"] = (stations.size, 2 * layers)
+        for level, (S, L) in levels.items():
             # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
             # n = (S - 2)(L - 1) m free dofs, and kd + 1 = (L + 1) m; the element
             # matrices E, held while the band is factored, take 2 (S - 1) L (3m)^2 8
-            band = (stations - 2) * (layers - 1) * (layers + 1) * cs.m**2 * 8
-            elements = 2 * (stations - 1) * layers * (3 * cs.m) ** 2 * 8
+            band = (S - 2) * (L - 1) * (L + 1) * cs.m**2 * 8
+            elements = 2 * (S - 1) * L * (3 * cs.m) ** 2 * 8
             if band + elements > MAX_BAND_BYTES:
                 raise PlanError(
                     f"{key}.layers, {key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
-                    f"the {'refined ' if refinement else ''}mesh's {stations} stations of "
-                    f"{layers} layers{level} need a {band / 2**20:.0f} MiB band and "
+                    f"the {'refined ' if refinement else ''}mesh's {S} stations of "
+                    f"{L} layers{level} need a {band / 2**20:.0f} MiB band and "
                     f"{elements / 2**20:.0f} MiB of element matrices, more than the "
                     f"{MAX_BAND_BYTES / 2**20:.0f} MiB budget")
-        return geom, data, assemble(mesh, cs)
+        # generate grades the stations again (a loop on floats, well under 1 ms)
+        return geom, data, assemble(generate(geom, layers, aspect, self.mesh_dxmax, xrange), cs)
 
 
 def max_over_min(values) -> float:

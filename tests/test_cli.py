@@ -507,6 +507,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, argv, message):
     (["prop21", "--set", "bc.psi=0,-1.5e100"], "bad value for 'bc.psi': '-1.5e+100'"),
     (["oracle-suite", "--set", "bc.kind=polynomial", "--set", "bc.phi=1,0,2e100",
       "--set", "bc.psi=0.5"], "bad value for 'bc.phi': '2e+100'"),
+    (["solve", "--set", "mesh.layers=1000000"],
+     "mesh.layers, mesh.aspect and mesh.dxmax at epsilon = 0.01: the mesh's 101 stations of "
+     "1000000 layers need a"),
+    (["energy-scaling", "--set", "energy.layers=1000000"],
+     "energy.layers, energy.aspect and mesh.dxmax at epsilon = 0.1: the mesh's"),
 ])
 def test_bad_plan_values_exit_2(tmp_path, capsys, argv, message):
     assert run([*argv, "--out", str(tmp_path)]) == 2

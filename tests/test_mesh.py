@@ -165,6 +165,26 @@ def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, as
         generate(geom, layers=8, aspect=aspect, dxmax=dxmax)
 
 
+@pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
+def test_stations_are_the_gap_width_recurrence_bit_for_bit(gamma):
+    # the station loop evaluates gap_width on Python floats; the recurrence on
+    # one-point arrays, through the same method, gives the same stations
+    for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
+        geom = GapGeometry(eps, gamma)
+        for aspect, dxmax in ((2.0, 0.02), (0.25, 0.02), (0.125, 0.0125)):
+            right, x = [0.0], 0.0
+            while True:
+                dx = min(aspect * float(geom.gap_width(np.array([x]))), dxmax)
+                if x + dx >= 1.0 - 0.25 * dx:
+                    right.append(1.0)
+                    break
+                x += dx
+                right.append(x)
+            right = np.array(right)
+            want = np.concatenate([-right[:0:-1], right])
+            assert np.array_equal(mesh_module._build_stations(geom, aspect, dxmax, 1.0), want)
+
+
 def test_station_bound_admits_the_finest_grading_in_use():
     fine = GapGeometry(1e-6, GAMMA)
     stations = mesh_module._build_stations(fine, 1.0 / 32, 0.02, 1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 from unittest.mock import Mock
 
@@ -581,6 +582,85 @@ def test_assembly_does_not_depend_on_the_block_size(monkeypatch, make_cs, source
         assert np.array_equal(other.load, systems[0].load)
 
 
+def _value(field, x, shape):
+    """A coefficient field at one point: zero, the array, or the rule's row."""
+    if field is None:
+        return np.zeros(shape)
+    return np.asarray(field(x[None, :]) if callable(field) else field, dtype=float).reshape(shape)
+
+
+def _naive_element(P, cs, rhs):
+    """Element matrix (3m, 3m) and load (3m,) of the triangle with corners P (3, 2),
+    the weak form summed term by term with explicit loops."""
+    m = cs.m
+    inv = np.linalg.inv(np.array([P[1] - P[0], P[2] - P[0]]))
+    G = np.array([-inv[:, 0] - inv[:, 1], inv[:, 0], inv[:, 1]])     # G[a, p]
+    area = abs(np.linalg.det(np.array([P[1] - P[0], P[2] - P[0]]))) / 2
+    mids = [((P[k] + P[l]) / 2, [0.5 * (a in (k, l)) for a in range(3)])
+            for k, l in ((0, 1), (1, 2), (2, 0))]
+    E, f = np.zeros((3, m, 3, m)), np.zeros((3, m))
+    # a constant A by the centroid rule, a rule A at the edge midpoints
+    A_points = [(x, area / 3) for x, _ in mids] if callable(cs.A) else [(P.mean(0), area)]
+    for x, w in A_points:
+        A = _value(cs.A, x, (2, 2, m, m))
+        for a, i, b, j, p, q in itertools.product(range(3), range(m), range(3), range(m),
+                                                  range(2), range(2)):
+            E[a, i, b, j] += w * A[p, q, i, j] * G[a, p] * G[b, q]
+    for x, phi in mids:
+        w = area / 3
+        B, C = _value(cs.B, x, (2, m, m)), _value(cs.Cc, x, (2, m, m))
+        D = _value(cs.D, x, (m, m))
+        H = _value(rhs.H if rhs else None, x, (m,))
+        F = _value(rhs.F if rhs else None, x, (m, 2))
+        for a, i, b, j in itertools.product(range(3), range(m), range(3), range(m)):
+            for p in range(2):
+                E[a, i, b, j] += w * B[p, i, j] * G[a, p] * phi[b]
+                E[a, i, b, j] -= w * C[p, i, j] * phi[a] * G[b, p]
+            E[a, i, b, j] -= w * D[i, j] * phi[a] * phi[b]
+        for a, i in itertools.product(range(3), range(m)):
+            f[a, i] += w * H[i] * phi[a]
+            for p in range(2):
+                f[a, i] += w * F[i, p] * G[a, p]
+    return E.reshape(3 * m, 3 * m), f.ravel()
+
+
+def _generic_coefficients(variable):
+    """Every field nonzero and without symmetry (i <-> j, p <-> q, B <-> C);
+    ``variable``: rules scaled by a position-dependent factor."""
+    rng = np.random.default_rng(3)
+    A, B, C, D = (rng.uniform(-1, 1, shape) for shape in ((2, 2, 2, 2), (2, 2, 2), (2, 2, 2),
+                                                          (2, 2)))
+    if not variable:
+        return CoefficientSet(m=2, n=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0)
+
+    def rule(value):
+        return lambda X: (1 + X[:, 0] - 2 * X[:, 1] ** 2).reshape(-1, *[1] * value.ndim) * value
+
+    return CoefficientSet(m=2, n=2, A=rule(A), B=rule(B), Cc=rule(C), D=rule(D), lam=1.0,
+                          kappa3=10.0)
+
+
+@pytest.mark.parametrize("make_cs, sources", [
+    (lambda: _generic_coefficients(False), True),
+    (lambda: _generic_coefficients(True), True),
+    (lambda: holder_demo_coefficients(GAMMA, m=2), False),
+], ids=["constant_with_sources", "rules_with_sources", "holder_demo"])
+def test_every_assembled_term_matches_a_naive_element_loop(make_cs, sources):
+    cs = make_cs()
+    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    picked = mesh.triangles[[0, 1, 9, mesh.num_triangles // 2, mesh.num_triangles - 1]]
+    few = dataclasses.replace(mesh, triangles=picked)
+    rhs = _smooth_sources(cs.m) if sources else None
+    system = assemble(few, cs, rhs)
+    load = np.zeros_like(system.load)
+    for k, tri in enumerate(picked):
+        E, f = _naive_element(mesh.vertices[tri], cs, rhs)
+        np.testing.assert_allclose(system.E[k], E, rtol=0, atol=1e-13 * np.abs(E).max())
+        np.add.at(load, system.dofs[k], f)
+    assert np.any(load != 0.0) == sources
+    np.testing.assert_allclose(system.load, load, rtol=0, atol=1e-13 * np.abs(load).max())
+
+
 def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():
     # the elements without a fixed dof add exact zeros to K_fc u_c, so the
     # lift over the boundary elements alone, and the solve, are bit-identical
@@ -588,8 +668,9 @@ def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():
     bc = dirichlet_values(system.mesh, data)
     fixed = bc.dof_mask()
     full = np.where(fixed, bc.values.ravel(), 0.0)
-    Eu = np.einsum("tab,tb->ta", system.E, full[system.dofs])
-    every = np.bincount(system.dofs.ravel(), Eu.ravel(), full.size)
+    every = system._apply(full)
+    np.testing.assert_allclose(every, system.K @ full, rtol=0,
+                               atol=1e-13 * float(np.max(np.abs(system.E))))
     solve, free, boundary = system._factor(fixed)
     assert 0 < boundary.size < len(system.E) // 4
     assert np.array_equal(system._apply(full, boundary), every)
@@ -598,22 +679,43 @@ def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():
     assert np.array_equal(solve_dirichlet(system, bc).values, lifted.values)
 
 
-def test_factorization_allocates_little_beyond_the_band():
-    # the 24-layer eps = 1e-3 sweep mesh refined to 48 layers: the band is the
-    # only operator-sized array; the blocked sum's temporaries are block-sized
-    plan = SweepPlan(mesh_layers=24)
-    _, data, coarse = plan.problem(1e-3)
-    fine = refine(coarse.mesh)
-    system = assemble(fine, coarse.cs)
-    fixed = dirichlet_values(fine, data).dof_mask()
-    band_bytes = int((~fixed).sum()) * (fine.layers * 2 + 2) * 8
+def _gate_mesh():
+    """The 24-layer eps = 1e-3 sweep mesh refined to 48 layers, its Lame
+    coefficients and boundary data."""
+    _, data, coarse = SweepPlan(mesh_layers=24).problem(1e-3)
+    return refine(coarse.mesh), coarse.cs, data
+
+
+def _peak_bytes(call):
+    """``call()`` and the peak of the memory it allocated, by ``tracemalloc``."""
     tracemalloc.start()
     try:
-        system._factor(fixed)
-        peak = tracemalloc.get_traced_memory()[1]
+        return call(), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.25 * band_bytes
+
+
+def test_assembly_allocates_little_beyond_the_element_matrices():
+    # each block's terms are summed in block-sized arrays and written into E
+    # once: beyond what the system keeps (E, dofs, load), a few blocks
+    fine, cs, _ = _gate_mesh()
+    system, peak = _peak_bytes(lambda: assemble(fine, cs))
+    block = solver.BLOCK * (3 * cs.m) ** 2 * 8       # one block of element matrices
+    assert fine.num_triangles > 8 * solver.BLOCK
+    assert peak <= system.E.nbytes + system.dofs.nbytes + system.load.nbytes + 4 * block
+
+
+def test_factorization_allocates_little_beyond_the_band():
+    # the band is the only operator-sized array: beside it, the band positions
+    # of the element dofs (as large as dofs) and vectors of 1 MiB in all; a
+    # temporary as large as E (here 0.38 of the band) does not fit
+    fine, cs, data = _gate_mesh()
+    system = assemble(fine, cs)
+    fixed = dirichlet_values(fine, data).dof_mask()
+    band_bytes = int((~fixed).sum()) * (fine.layers * 2 + 2) * 8
+    assert system.E.nbytes > system.dofs.nbytes + 2**20
+    _, peak = _peak_bytes(lambda: system._factor(fixed))
+    assert peak <= band_bytes + system.dofs.nbytes + 2**20
 
 
 @pytest.mark.parametrize("a, message", [(np.nan, "relative residual nan"),

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import thingap.mesh as mesh_module
 import thingap.verify as verify
 from thingap.mesh import refine, refine_layers, refine_stations
 from thingap.verify import (Check, PlanError, SweepPlan, check_coefficients,
@@ -237,6 +238,21 @@ def test_band_budget_counts_the_element_matrices(monkeypatch):
     with pytest.raises(PlanError, match=f"the mesh's .* need a {band / 2**20:.0f} MiB band and "
                                         f"{system.E.nbytes / 2**20:.0f} MiB of element matrices"):
         SMALL_PLAN.problem(0.1)
+
+
+@pytest.mark.parametrize("key", ["mesh", "energy"])
+def test_band_budget_refuses_a_huge_layer_count_before_the_mesh_is_built(monkeypatch, key):
+    # a million layers would take gigabytes of vertices and triangles before
+    # the band were ever sized: only the stations may be built
+    def no_build(*args):
+        raise AssertionError("mesh built")
+
+    monkeypatch.setattr(mesh_module, "_build_from_stations", no_build)
+    plan = dataclasses.replace(SMALL_PLAN, **{f"{key}_layers": 10**6})
+    with pytest.raises(PlanError, match=rf"{key}\.layers, {key}\.aspect and mesh\.dxmax at "
+                                        r"epsilon = 0\.1: the mesh's \d+ stations of 1000000 "
+                                        r"layers need a \d+ MiB band"):
+        plan.problem(0.1, energy=key == "energy")
 
 
 def test_upper_constant_dominates_lower_constant(small_report):
