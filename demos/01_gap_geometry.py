@@ -22,7 +22,7 @@ neck = eps ** (1 / (1 + gamma))
 print(f"\nneck scale epsilon^(1/(1+gamma)) = {neck:.4g}")
 print(f"{'x-prime':>10} {'gap width':>12} {'width/eps':>10} {'width/|x|^(1+g)':>16}")
 for t in (0.0, neck / 4, neck, 4 * neck, 0.25, 0.5):
-    w = float(geom.gap_width(np.array([t])))
+    w = geom.gap_width(t)
     rel_eps = w / eps
     rel_pow = w / t ** (1 + gamma) if t > 0 else float("nan")
     print(f"{t:10.4g} {w:12.5g} {rel_eps:10.3f} {rel_pow:16.3f}")
@@ -31,7 +31,7 @@ print("\nInside the neck the width is pinned to epsilon (ratio in [1, 3]);")
 print("outside it tracks |x'|^{1+gamma} within a constant factor.")
 
 z = np.array([2 * neck, 0.0])
-region = LocalRegion(z, float(geom.gap_width(z[:1])), geom)
+region = LocalRegion(z, geom.gap_width(z[0]), geom)
 corner = np.array([z[0] + 0.999 * region.radius, 0.0])
 # the zoomed frame: y' = (x' - z') / w, y_n = x_n / w with w the center width
 y = np.array([corner[0] - z[0], corner[1]]) / region.radius

@@ -19,9 +19,9 @@ data = plan.boundary_data(geom).only(0)
 
 print(f"{'x-prime':>10} {'d/dn extension':>16} {'1/width':>12}")
 for t in (0.0, 0.01, 0.05, 0.2):
-    x = np.array([t, float(geom.midline(np.array([t])))])
+    x = np.array([t, geom.midline(t)])
     g = field_gradients(geom, data, x)
-    w = float(geom.gap_width(np.array([t])))
+    w = geom.gap_width(t)
     print(f"{t:10.4g} {g[0, 1]:16.6g} {1.0 / w:12.6g}")
 print("the vertical entry is identically the inverse gap width")
 

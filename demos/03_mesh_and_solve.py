@@ -25,7 +25,7 @@ dx, dy = mesh.stations[i + 1] - mesh.stations[i], eps / mesh.layers
 print(f"neck cell {dx:.2e} wide, {dy:.2e} tall (aspect {dx / dy:.0f}, "
       f"matched to the gap by construction)")
 
-cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+cs = lame_as_general(LameParameters(1.0, 1.0))
 data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
 system = assemble(mesh, cs)
 u = solve_dirichlet(system, dirichlet_values(mesh, data))
@@ -37,7 +37,7 @@ for t in np.linspace(-0.4 * eps, 0.4 * eps, 5):
 
 print("\n|grad u| along the midline vs the envelope jump/(eps + |x'|^{1+gamma}):")
 for t in (0.0, 0.05, 0.1, 0.25, 0.5):
-    x = (t, float(geom.midline(np.array([t]))))
+    x = (t, geom.midline(t))
     g = np.linalg.norm(gradient_at(u, x))
     env = 1.0 / (eps + t ** (1 + gamma))
     print(f"  x' = {t:5.2f}   |grad u| = {g:9.4g}   envelope = {env:9.4g}   "

@@ -7,7 +7,8 @@ On the planar gap of :class:`GapGeometry`, the scalar profile
 interpolates 0 on the lower boundary to 1 on the upper one; its vertical
 derivative is exactly ``1/gap_width(x')``, which carries the full singular
 behaviour as the gap closes.  Boundary data (phi on top, psi on bottom: per
-component the coefficients of a polynomial in x1) are extended componentwise,
+component the coefficients of a polynomial in x', evaluated at a float or an
+array (k,) of tangential coordinates) are extended componentwise,
 
     ext^(l)(x) = phi^(l)(x') gap_fraction(x) + psi^(l)(x') (1 - gap_fraction(x)),
 
@@ -26,7 +27,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .geometry import GapGeometry, GeometryError, LocalRegion
+from .geometry import GapGeometry, GeometryError, LocalRegion, _tangential
 
 
 class ConfigurationError(ValueError):
@@ -65,23 +66,18 @@ def _row_norms(a: np.ndarray) -> np.ndarray:
 # boundary data
 # ---------------------------------------------------------------------------
 
-def _values(coeffs: np.ndarray, x) -> np.ndarray:
-    """Each row of ``coeffs`` as a polynomial in the first column of ``x``: (k, m)."""
-    X = np.atleast_2d(x)
-    if coeffs.shape[1] == 1:
-        return np.broadcast_to(coeffs[:, 0], (X.shape[0], coeffs.shape[0]))  # read-only
-    t = X[:, 0]
-    return sum(c * (t**k)[:, None] for k, c in enumerate(coeffs.T))
-
-
-def _derivatives(coeffs: np.ndarray, xp) -> np.ndarray:
-    """Tangential derivatives of :func:`_values` at tangential points: (k, 1, m)."""
-    XP = np.atleast_2d(xp)
-    if coeffs.shape[1] == 1:
-        return np.broadcast_to(0.0, XP.shape + (coeffs.shape[0],))
-    t = XP[:, 0]
-    out = sum(k * c * (t ** (k - 1))[:, None] for k, c in enumerate(coeffs.T) if k >= 1)
-    return out[:, np.newaxis, :]
+def _polynomials(coeffs: np.ndarray, xp, derivative: bool = False) -> np.ndarray:
+    """Each row of ``coeffs`` as a polynomial in ``x'``, or with ``derivative``
+    its derivative: (k, m) at x' of shape (k,), (m,) at a float."""
+    t = _tangential(xp)
+    T = np.atleast_1d(t)    # a float as one point: numpy's power, not Python's (last bit)
+    if coeffs.shape[1] == 1:        # read-only broadcast views
+        out = np.broadcast_to(0.0 if derivative else coeffs[:, 0], (T.size, coeffs.shape[0]))
+    elif derivative:
+        out = sum(k * c * (T ** (k - 1))[:, None] for k, c in enumerate(coeffs.T) if k >= 1)
+    else:
+        out = sum(c * (T**k)[:, None] for k, c in enumerate(coeffs.T))
+    return out if np.ndim(t) else out[0]
 
 
 @dataclass(frozen=True)
@@ -90,10 +86,10 @@ class BoundaryData:
 
     Row ``l`` of ``phi_coeffs`` (upper graph) and ``psi_coeffs`` (lower graph)
     holds the coefficients of 1, x1, x1^2, ... of component ``l``, zero-padded
-    per side.  :meth:`phi`, :meth:`psi` and :meth:`jump` read the first column
-    of rows of tangential or full points and return (k, m); :meth:`dphi` and
-    :meth:`dpsi` are the exact derivatives along the graphs at tangential
-    points, (k, 1, m).  Degree-0 data evaluate to read-only broadcast views.
+    per side.  :meth:`phi`, :meth:`psi`, :meth:`jump` and the exact tangential
+    derivatives :meth:`dphi` and :meth:`dpsi` take ``x'`` as an array (k,) and
+    return (k, m), or as a float and return (m,).  Degree-0 data evaluate to
+    read-only broadcast views.
     ``phi_norms`` and ``psi_norms`` are declared per-component C^{1,gamma}
     norms on the graphs.
     """
@@ -133,20 +129,20 @@ class BoundaryData:
         return BoundaryData(pc, sc, _sampled_graph_norms(pc, geom, "top"),
                             _sampled_graph_norms(sc, geom, "bottom"))
 
-    def phi(self, x) -> np.ndarray:
-        return _values(self.phi_coeffs, x)
+    def phi(self, xp) -> np.ndarray:
+        return _polynomials(self.phi_coeffs, xp)
 
-    def psi(self, x) -> np.ndarray:
-        return _values(self.psi_coeffs, x)
+    def psi(self, xp) -> np.ndarray:
+        return _polynomials(self.psi_coeffs, xp)
 
     def dphi(self, xp) -> np.ndarray:
-        return _derivatives(self.phi_coeffs, xp)
+        return _polynomials(self.phi_coeffs, xp, derivative=True)
 
     def dpsi(self, xp) -> np.ndarray:
-        return _derivatives(self.psi_coeffs, xp)
+        return _polynomials(self.psi_coeffs, xp, derivative=True)
 
     def jump(self, xp) -> np.ndarray:
-        """Componentwise data jump ``phi(x') - psi(x')`` at rows of points, (k, m)."""
+        """Componentwise data jump ``phi(x') - psi(x')``."""
         return self.phi(xp) - self.psi(xp)
 
     def only(self, ell: int) -> "BoundaryData":
@@ -177,14 +173,13 @@ def _sampled_graph_norms(coeffs: np.ndarray, geom: GapGeometry, side: str) -> np
     Sups over ``NORM_SUP_POINTS`` stations, the seminorm over all pairs of
     ``NORM_PAIR_POINTS`` stations.
     """
-    t = np.linspace(-1.0, 1.0, NORM_SUP_POINTS)[:, None]
-    vals = _values(coeffs, t)
-    derivs = _derivatives(coeffs, t)[:, 0, :]
+    t = np.linspace(-1.0, 1.0, NORM_SUP_POINTS)
+    vals = _polynomials(coeffs, t)
     sup_v = np.max(np.abs(vals), axis=0)
-    sup_d = np.max(np.abs(derivs), axis=0)
-    tp = np.linspace(-1.0, 1.0, NORM_PAIR_POINTS)[:, None]
+    sup_d = np.max(np.abs(_polynomials(coeffs, t, derivative=True)), axis=0)
+    tp = np.linspace(-1.0, 1.0, NORM_PAIR_POINTS)
     pp = geom.boundary_point(side, tp)
-    dd = _derivatives(coeffs, tp)[:, 0, :]
+    dd = _polynomials(coeffs, tp, derivative=True)
     diff = np.abs(dd[:, None, :] - dd[None, :, :])
     dist = np.linalg.norm(pp[:, None, :] - pp[None, :, :], axis=-1)
     iu = np.triu_indices(NORM_PAIR_POINTS, k=1)
@@ -200,12 +195,12 @@ def _sampled_graph_norms(coeffs: np.ndarray, geom: GapGeometry, side: str) -> np
 def _fibers(geom: GapGeometry, x, gradient: bool = False):
     """One profile pass over the points ``x`` (with ``gradient`` the slopes
     too): whether ``x`` was a single point, the gap fractions and widths, the
-    tangential points ``x'`` as rows (the data depend on them alone), and with
+    tangential coordinates ``x'`` (k,) (the data depend on them alone), and with
     ``gradient`` the tangential component of the gap-fraction gradient, else
     None.  Raises outside the unit tangential ball, where the boundaries
     cross and outside the closure of the gap."""
     X, single = _rows(x)
-    xp, xn = X[:, :-1], X[:, -1]
+    xp, xn = X[:, 0], X[:, 1]
     if np.any(np.abs(xp) > 1.0 + 1e-12):
         raise GeometryError("point outside the unit tangential ball")
     eps = geom.epsilon
@@ -272,7 +267,7 @@ def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     each profile and each profile gradient is evaluated once.
     """
     single, u, width, xp, tang = _fibers(geom, x, gradient=True)
-    dp, ds = data.dphi(xp)[:, 0], data.dpsi(xp)[:, 0]       # (k, m)
+    dp, ds = data.dphi(xp), data.dpsi(xp)       # (k, m)
     jump = data.jump(xp)
     v, inv_w = 1.0 - u, 1.0 / width
     out = np.empty((u.size, data.m, 2))
@@ -357,7 +352,7 @@ class SeminormGrowthReport:
 def seminorm_growth_rhs(geom: GapGeometry, data: BoundaryData, zp, s: float) -> float:
     """Structural bound for the seminorm of the extension gradient.
 
-    For slab radius ``s`` at tangential center ``z'`` with local width
+    For slab radius ``s`` at tangential center ``z'`` (a float) with local width
     ``w = gap_width(z')`` the bound is
 
         jump * (w^(-1 - 1/(1+g)) s^(1-g) + w^(-g - 1/(1+g)))
@@ -370,7 +365,7 @@ def seminorm_growth_rhs(geom: GapGeometry, data: BoundaryData, zp, s: float) -> 
     each component adds up; for ``data.only(ell)`` it is component ``ell``'s.
     """
     g = geom.gamma
-    w = float(geom.gap_width(zp))
+    w = geom.gap_width(zp)
     jump = float(np.sum(np.abs(data.jump(zp))))
     norms = float(np.sum(data.phi_norms) + np.sum(data.psi_norms))
     p = 1.0 / (1.0 + g)
@@ -380,7 +375,7 @@ def seminorm_growth_rhs(geom: GapGeometry, data: BoundaryData, zp, s: float) -> 
     return jump * group1 + norms * group2
 
 
-def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float) -> bool:
+def _slab_width_comparable(geom: GapGeometry, zp: float, s: float) -> bool:
     """Whether the gap width stays >= half the center width across the slab.
 
     The width is monotone in ``|x'|``, so its least value on the slab is at
@@ -390,8 +385,8 @@ def _slab_width_comparable(geom: GapGeometry, zp: np.ndarray, s: float) -> bool:
     This is the comparability property the growth bound relies on; slabs
     large enough to reach the neck from far away violate it.
     """
-    r = abs(float(zp[0]))
-    w = float(geom.gap_width(zp))
+    r = abs(zp)
+    w = geom.gap_width(zp)
     return bool(np.min(geom.gap_width(np.array([max(0.0, r - s), r + s]))) >= 0.5 * w)
 
 
@@ -404,8 +399,8 @@ def check_seminorm_growth(geom: GapGeometry, data: BoundaryData, z, pairs: int =
     width comparable to its center value; the fitted constant is the largest
     lhs/rhs ratio over the comparable rows.
     """
-    zp = np.asarray(z, dtype=float)[:-1]
-    w = float(geom.gap_width(zp))
+    zp = float(z[0])
+    w = geom.gap_width(zp)
     rows = []
     for frac in SLAB_FRACTIONS:
         s = frac * w

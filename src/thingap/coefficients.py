@@ -1,11 +1,11 @@
 """Coefficient fields of the elliptic system and their sampled validation.
 
-A system with m unknowns in n dimensions has four fields, each ``None`` (zero), an
-array of its shape (constant) or a rule from points (k, n) to values (k, ...):
+A system with m unknowns in the plane has four fields, each ``None`` (zero), an
+array of its shape (constant) or a rule from points (k, 2) to values (k, ...):
 
-    A(x) : (n, n, m, m)   leading part, indexed [alpha, beta, i, j]
-    B(x) : (n, m, m)      lower order inside the divergence, [alpha, i, j]
-    C(x) : (n, m, m)      first order outside the divergence, [beta, i, j]
+    A(x) : (2, 2, m, m)   leading part, indexed [alpha, beta, i, j]
+    B(x) : (2, m, m)      lower order inside the divergence, [alpha, i, j]
+    C(x) : (2, m, m)      first order outside the divergence, [beta, i, j]
     D(x) : (m, m)         zeroth order, [i, j]
 
 The leading part must satisfy the Legendre (strong ellipticity) condition
@@ -46,13 +46,13 @@ class LameParameters:
                 f"need mu1 > 0 and lambda1 + mu1 > 0, got ({self.lambda1}, {self.mu1})")
 
 
-def lame_tensor(p: LameParameters, n: int) -> np.ndarray:
-    """Rank-4 isotropic elasticity tensor.
+def lame_tensor(p: LameParameters) -> np.ndarray:
+    """Rank-4 isotropic elasticity tensor in the plane, (2, 2, 2, 2).
 
     ``T[i,j,k,l] = lambda1 d_ij d_kl + mu1 (d_ik d_jl + d_il d_jk)`` with the
     full major and minor symmetries.
     """
-    d = np.eye(n)
+    d = np.eye(2)
     T = (p.lambda1 * np.einsum("ij,kl->ijkl", d, d)
          + p.mu1 * (np.einsum("ik,jl->ijkl", d, d) + np.einsum("il,jk->ijkl", d, d)))
     return T
@@ -77,13 +77,12 @@ class CoefficientSet:
 
     ``A``, ``B``, ``Cc`` and ``D`` are each ``None`` (zero), an array of
     exactly the field's shape in the module docstring (constant), or a rule
-    mapping points (k, n) to values (k, ...) of that shape (variable).
+    mapping points (k, 2) to values (k, ...) of that shape (variable).
     ``lam`` is the claimed ellipticity constant, ``kappa3`` the claimed
     Holder-norm bound of all fields, and ``gamma`` the Holder exponent.
     """
 
     m: int
-    n: int
     A: Field
     B: Optional[Field]
     Cc: Optional[Field]
@@ -94,14 +93,14 @@ class CoefficientSet:
     name: str = "custom"
 
     def eval_A_many(self, X: np.ndarray) -> np.ndarray:
-        """A at each row of X, shape (k, n, n, m, m)."""
-        return evaluate_field("A", self.A, X, (self.n, self.n, self.m, self.m))
+        """A at each row of X, shape (k, 2, 2, m, m)."""
+        return evaluate_field("A", self.A, X, (2, 2, self.m, self.m))
 
     def eval_B_many(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_field("B", self.B, X, (self.n, self.m, self.m))
+        return evaluate_field("B", self.B, X, (2, self.m, self.m))
 
     def eval_C_many(self, X: np.ndarray) -> np.ndarray:
-        return evaluate_field("Cc", self.Cc, X, (self.n, self.m, self.m))
+        return evaluate_field("Cc", self.Cc, X, (2, self.m, self.m))
 
     def eval_D_many(self, X: np.ndarray) -> np.ndarray:
         return evaluate_field("D", self.D, X, (self.m, self.m))
@@ -111,14 +110,14 @@ class CoefficientSet:
         return self.B is None and self.Cc is None and self.D is None
 
 
-def identity_coefficients(m: int = 1, n: int = 2) -> CoefficientSet:
+def identity_coefficients(m: int = 1) -> CoefficientSet:
     """Decoupled Laplace blocks: ``A[a,b,i,j] = d_ab d_ij``, no lower order."""
-    A0 = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
-    return CoefficientSet(m=m, n=n, A=A0, B=None, Cc=None, D=None,
-                          lam=1.0, kappa3=float(m * n), gamma=0.5, name="identity")
+    A0 = np.einsum("ab,ij->abij", np.eye(2), np.eye(m))
+    return CoefficientSet(m=m, A=A0, B=None, Cc=None, D=None,
+                          lam=1.0, kappa3=float(2 * m), gamma=0.5, name="identity")
 
 
-def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
+def lame_as_general(p: LameParameters) -> CoefficientSet:
     """Isotropic elasticity written in the general-system form.
 
     The leading field is ``A[alpha,beta,i,j] = T[i,alpha,j,beta]`` with T the
@@ -126,29 +125,29 @@ def lame_as_general(p: LameParameters, n: int) -> CoefficientSet:
     form equals ``mu1 |xi|^2 |eta|^2 + (lambda1+mu1) (xi.eta)^2``, so the
     ellipticity constant is ``mu1``.
     """
-    T = lame_tensor(p, n)
+    T = lame_tensor(p)
     A0 = np.ascontiguousarray(np.transpose(T, (1, 3, 0, 2)))  # [alpha,beta,i,j] = T[i,alpha,j,beta]
     # a constant field's Holder norm is its sup
-    return CoefficientSet(m=n, n=n, A=A0, B=None, Cc=None, D=None,
+    return CoefficientSet(m=2, A=A0, B=None, Cc=None, D=None,
                           lam=p.mu1, kappa3=float(np.max(np.abs(A0))), gamma=0.5,
                           name=f"lame({p.lambda1},{p.mu1})")
 
 
-def holder_demo_coefficients(gamma: float, m: int = 1, n: int = 2) -> CoefficientSet:
+def holder_demo_coefficients(gamma: float, m: int = 1) -> CoefficientSet:
     """Variable-coefficient demo field ``A = (1 + |x|^gamma / 2) I``.
 
     Not a physical model: a minimal non-smooth field exercising the
     Holder-norm checks and variable-coefficient assembly.
     """
-    eye = np.einsum("ab,ij->abij", np.eye(n), np.eye(m))
+    eye = np.einsum("ab,ij->abij", np.eye(2), np.eye(m))
 
     def A(X):
         # vecdot's sqrt matches np.linalg.norm of each row bit for bit
         return (1.0 + 0.5 * np.sqrt(np.vecdot(X, X)) ** gamma)[:, None, None, None, None] * eye
 
     # sup of the scalar factor on the unit region is 1.5; quotient of |x|^gamma is 1
-    return CoefficientSet(m=m, n=n, A=A, B=None, Cc=None, D=None,
-                          lam=1.0, kappa3=2.0 + float(m * n), gamma=gamma,
+    return CoefficientSet(m=m, A=A, B=None, Cc=None, D=None,
+                          lam=1.0, kappa3=2.0 + float(2 * m), gamma=gamma,
                           name="holder_demo")
 
 
@@ -172,8 +171,9 @@ def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
                       seed: int = 0) -> EllipticityMeasurement:
     """Sampled ellipticity constant of the leading field.
 
-    Minimizes ``sum A[a,b,i,j] xi_a xi_b eta_i eta_j`` over sampled points
-    and unit directions (random plus coordinate axes).  Raises
+    Minimizes ``sum A[a,b,i,j] xi_a xi_b eta_i eta_j`` over ``points``
+    (k, 2), by default 64 uniform in [-1, 1]^2 for a rule A and the origin for
+    an array, and unit directions (random plus coordinate axes).  Raises
     :class:`EllipticityError` when the sampled minimum is not positive, and
     when it undercuts the claimed constant by more than ``ELLIPTICITY_TOL``.
     Ties within 1e-9 of the minimum are counted, not broken.
@@ -182,12 +182,12 @@ def check_ellipticity(cs: CoefficientSet, samples: int = 10_000,
         raise ValueError("samples must be >= 1")
     rng = np.random.default_rng(seed)
     if points is None:
-        points = rng.uniform(-1, 1, size=(64, cs.n)) if callable(cs.A) else np.zeros((1, cs.n))
+        points = rng.uniform(-1, 1, size=(64, 2)) if callable(cs.A) else np.zeros((1, 2))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     ndir = max(8, int(np.sqrt(samples)))
-    xis = _unit_directions(ndir, cs.n, rng)
+    xis = _unit_directions(ndir, 2, rng)
     etas = _unit_directions(ndir, cs.m, rng)
-    Amany = cs.eval_A_many(points)                      # (k, n, n, m, m)
+    Amany = cs.eval_A_many(points)                      # (k, 2, 2, m, m)
     # values[p, a, e] = form at point p, direction pair (xi_a, eta_e)
     vals = np.einsum("pabij,xa,xb,yi,yj->pxy", Amany, xis, xis, etas, etas, optimize=True)
     value = float(np.min(vals))
@@ -204,7 +204,8 @@ def check_holder(cs: CoefficientSet, pair_samples: int = 10_000,
                  points: Optional[np.ndarray] = None, seed: int = 0) -> float:
     """Sampled Holder norm of the coefficient fields.
 
-    Over ``pair_samples`` point pairs, returns the largest
+    Over ``pair_samples`` pairs of ``points`` (k, 2), by default uniform in
+    [-1, 1]^2, returns the largest
     ``sup |f| + max_pairs |f(x)-f(y)| / |x-y|^gamma`` over every scalar
     component field of A, B, C, D.  Sampling from below: the true norm is at
     least the returned value.
@@ -213,7 +214,7 @@ def check_holder(cs: CoefficientSet, pair_samples: int = 10_000,
         raise ValueError("pair_samples must be >= 1")
     rng = np.random.default_rng(seed)
     if points is None:
-        points = rng.uniform(-1, 1, size=(max(64, int(np.sqrt(pair_samples)) + 1), cs.n))
+        points = rng.uniform(-1, 1, size=(max(64, int(np.sqrt(pair_samples)) + 1), 2))
     points = np.atleast_2d(np.asarray(points, dtype=float))
     k = points.shape[0]
     ii = rng.integers(0, k, size=pair_samples)

@@ -11,6 +11,8 @@ Both profiles vanish to first order at ``x' = 0`` and their slopes grow like
 
 is comparable to ``epsilon + |x'|^{1+gamma}``.  ``c_top = c_bottom = 0`` is
 the flat strip.  Only :meth:`GapGeometry.profiles` evaluates the profiles.
+Every method takes ``x'`` as a Python float, evaluated without numpy, or as
+an array of shape (k,); an array with more axes raises.
 """
 
 from __future__ import annotations
@@ -24,14 +26,16 @@ class GeometryError(ValueError):
     """Raised when a geometric precondition or invariant fails."""
 
 
-def _tangential(xp) -> np.ndarray:
-    """Tangential coordinates as a float array: a trailing axis of length 1
-    (rows of one coordinate) is dropped, so ``(k, 1)`` and ``(k,)`` give ``(k,)``;
-    a Python float stays a float."""
+def _tangential(xp):
+    """A tangential coordinate ``x'``: a Python float stays a float, anything
+    else becomes a float array of at most one axis (k,); more axes raise."""
     if isinstance(xp, float):
         return xp
     a = np.asarray(xp, dtype=float)
-    return a[..., 0] if a.ndim and a.shape[-1] == 1 else a
+    if a.ndim > 1:
+        raise GeometryError(f"tangential coordinates x' are a float or shape (k,), "
+                            f"got shape {a.shape}")
+    return a
 
 
 def _any(mask) -> bool:
@@ -118,8 +122,7 @@ class GapGeometry:
         """Local gap width ``epsilon + h_top(x') - h_bot(x')``.
 
         Raises for tangential points outside the unit ball, where the
-        profiles are not defined, and where the boundaries cross.  A Python
-        float gives a float, evaluated without numpy.
+        profiles are not defined, and where the boundaries cross.
         """
         _in_unit_ball(_tangential(xp))
         h_top, h_bot = self.profiles(xp)
@@ -185,7 +188,7 @@ class LocalRegion:
         x = np.asarray(x, dtype=float)
         near = np.abs(x[..., 0] - self.center[0]) < self.radius
         if np.any(near):
-            bot, top = _ends(self.geom, x[..., :1])
+            bot, top = _ends(self.geom, x[..., 0])
             near = near & (x[..., 1] > bot) & (x[..., 1] < top)
         return near if near.shape else bool(near)
 

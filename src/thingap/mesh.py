@@ -168,7 +168,7 @@ class Mesh:
         sa = self.signed_areas()
         if np.any(sa <= 0):
             raise MeshError(f"{int(np.sum(sa <= 0))} triangles with nonpositive area")
-        xp = self.vertices[:, :1]
+        xp = self.vertices[:, 0]
         top = self.geom.top(xp)
         bot = self.geom.bottom(xp)
         tol = 1e-12 * max(1.0, float(np.max(np.abs(self.vertices))))
@@ -245,10 +245,10 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
 
 
 def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
-    widths = geom.gap_width(stations[:, None])      # raises where the boundaries cross
+    widths = geom.gap_width(stations)       # raises where the boundaries cross
     S = stations.size
     frac = np.arange(layers + 1) / layers
-    bot = geom.bottom(stations[:, None])
+    bot = geom.bottom(stations)
     verts = np.empty((S * (layers + 1), 2))
     verts[:, 0] = np.repeat(stations, layers + 1)
     verts[:, 1] = (bot[:, None] + widths[:, None] * frac[None, :]).ravel()

@@ -175,7 +175,7 @@ def brute_force_seminorm(f, region: LocalRegion, gamma: float,
     geom = region.geom
     zc, s = float(region.center[0]), region.radius
     xs = np.linspace(zc - s, zc + s, grid)
-    bot, top = geom.bottom(xs[:, None]), geom.top(xs[:, None])
+    bot, top = geom.bottom(xs), geom.top(xs)
     cols = []
     for x, b, t in zip(xs, bot, top):
         yy = np.linspace(b, t, grid)[1:-1]

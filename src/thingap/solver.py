@@ -72,7 +72,7 @@ _FIXED = -2**40
 
 @dataclass
 class RightHandSide:
-    """Volume sources: ``H`` (k, n) -> (k, m) and ``F`` (k, n) -> (k, m, n)."""
+    """Volume sources: ``H`` (k, 2) -> (k, m) and ``F`` (k, 2) -> (k, m, 2)."""
 
     H: Optional[Callable[[np.ndarray], np.ndarray]] = None
     F: Optional[Callable[[np.ndarray], np.ndarray]] = None
@@ -96,8 +96,8 @@ def _blocks(count: int) -> list[slice]:
 
 
 class AssembledSystem:
-    """Element matrices ``E`` (T, 3m, 3m) and dofs ``dofs`` (T, 3m), views of element-last
-    arrays, and the load; factorizations are cached by constraint pattern."""
+    """Element matrices ``E`` (3m, 3m, T), their dofs ``dofs`` (3m, T) and the load;
+    factorizations are cached by constraint pattern."""
 
     def __init__(self, mesh: Mesh, cs: CoefficientSet, E: np.ndarray, dofs: np.ndarray,
                  load: np.ndarray):
@@ -109,15 +109,15 @@ class AssembledSystem:
         """The full unconstrained operator as CSR, for reference; no solve reads it."""
         from scipy import sparse        # kept off the import path of every command
 
-        E, dofs = self.E.transpose(1, 2, 0), self.dofs.T
+        E, dofs = self.E, self.dofs
         ij = (np.broadcast_to(dofs[:, None], E.shape).ravel(),
               np.broadcast_to(dofs[None], E.shape).ravel())
         return sparse.coo_matrix((E.ravel(), ij), shape=(self.load.size,) * 2).tocsr()
 
     def _apply(self, u: np.ndarray, elements=slice(None)) -> np.ndarray:
         """``K @ u``, element by element, over ``elements`` (default all)."""
-        dofs = self.dofs.T[:, elements]
-        Eu = np.einsum("act,ct->at", self.E.transpose(1, 2, 0)[:, :, elements], u[dofs])
+        dofs = self.dofs[:, elements]
+        Eu = np.einsum("act,ct->at", self.E[:, :, elements], u[dofs])
         return np.bincount(dofs.ravel(), Eu.ravel(), u.size)
 
     def _factor(self, dof_fixed: np.ndarray):
@@ -125,7 +125,7 @@ class AssembledSystem:
         key = dof_fixed.tobytes()
         if key not in self._lu_cache:
             self._lu_cache[key] = (self._band_solver(~dof_fixed), ~dof_fixed,
-                                   np.flatnonzero(dof_fixed[self.dofs.T].any(axis=0)))
+                                   np.flatnonzero(dof_fixed[self.dofs].any(axis=0)))
         return self._lu_cache[key]
 
     def _band_solver(self, free: np.ndarray):
@@ -139,10 +139,10 @@ class AssembledSystem:
         LU reads every pair.  Slots in a fixed row or column are negative
         (``_FIXED``) and clip to the spare slot past the end.
         """
-        n, E = int(free.sum()), self.E.transpose(1, 2, 0)    # E[a, c, t]
+        n, E = int(free.sum()), self.E          # E[a, c, t]
         k, blocks = len(E), _blocks(E.shape[2])
         pos = np.where(free, np.cumsum(free) - 1, _FIXED)  # free dofs keep their order
-        loc = pos[self.dofs.T]                           # (3m, T)
+        loc = pos[self.dofs]                             # (3m, T)
         kd = max(1, int(np.max(loc.max(0) - np.where(loc >= 0, loc, n).min(0))))
 
         def band(rows, diag, lower):
@@ -190,8 +190,6 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     element-last in ``R[i, j, a, b, t]`` (test dof (vertex a, component i), trial
     dof (b, j)); a constant A is one product with ``W = area G[a, p] G[b, q]``.
     """
-    if cs.n != 2:
-        raise SolverError("the discrete solver is 2-D")
     m, T = cs.m, mesh.num_triangles
     E = np.empty((3, m, 3, m, T))       # E[a, i, b, j, t], each block written once
     fe = None if rhs is None else np.zeros((3, m, T))    # fe[a, i, t]
@@ -213,7 +211,7 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
         mids = [np.stack([0.5 * (x[k] + x[l]), 0.5 * (y[k] + y[l])], axis=1) for k, l in rule]
         if variable:       # a rule A, summed over the midpoints, times wa G[a, p] G[b, q]
             A = sum(cs.eval_A_many(xq) for xq in mids).reshape(-1, 4, m * m)
-            R = np.einsum("kxt,kyt->xyt", A.transpose(1, 2, 0), W.reshape(4, 9, -1))
+            R = np.einsum("tkx,kyt->xyt", A, W.reshape(4, 9, -1))
         else:
             R = A_1 @ W.reshape(4, -1)
         R = R.reshape(m * m, 3, 3, -1)
@@ -229,14 +227,13 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
                 H_q = evaluate_field("H", rhs.H, xq, (m,))
                 F_q = evaluate_field("F", rhs.F, xq, (m, 2))
                 fe[..., b] += bq[:, None, None] * (wa * H_q.T)
-                fe[..., b] += np.einsum("ipt,pat->ait", wa * F_q.transpose(1, 2, 0), G)
+                fe[..., b] += np.einsum("tip,pat->ait", wa[:, None, None] * F_q, G)
         E[..., b] = R.reshape(m, m, 3, 3, -1).transpose(2, 0, 3, 1, 4)
 
     dofs = (mesh.triangles.T[:, None] * m + np.arange(m)[:, None]).reshape(3 * m, T)
     load = (np.zeros(mesh.num_vertices * m) if rhs is None
             else np.bincount(dofs.ravel(), fe.ravel(), mesh.num_vertices * m))
-    return AssembledSystem(mesh, cs, E.reshape(3 * m, 3 * m, T).transpose(2, 0, 1), dofs.T,
-                           load)
+    return AssembledSystem(mesh, cs, E.reshape(3 * m, 3 * m, T), dofs, load)
 
 
 @dataclass
@@ -269,8 +266,8 @@ def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
     bot = tags == TAG_BOTTOM
     fixed = tags != TAG_INTERIOR
     lat = fixed & ~top & ~bot
-    values[top] = data.phi(mesh.vertices[top])
-    values[bot] = data.psi(mesh.vertices[bot])
+    values[top] = data.phi(mesh.vertices[top, 0])
+    values[bot] = data.psi(mesh.vertices[bot, 0])
     if np.any(lat):
         values[lat] = field_values(mesh.geom, data, mesh.vertices[lat])
     return BoundaryAssignment(values=values, fixed=fixed)

@@ -270,10 +270,10 @@ class SweepPlan:
 
     def coefficients(self) -> CoefficientSet:
         if self.system_kind == "lame":
-            return lame_as_general(self.lame(), 2)
+            return lame_as_general(self.lame())
         if self.system_kind == "identity":
-            return identity_coefficients(m=self.system_m, n=2)
-        return holder_demo_coefficients(self.gamma, m=self.system_m, n=2)
+            return identity_coefficients(m=self.system_m)
+        return holder_demo_coefficients(self.gamma, m=self.system_m)
 
     def boundary_data(self, geom: GapGeometry) -> BoundaryData:
         m = 2 if self.system_kind == "lame" else self.system_m     # coefficients().m
@@ -411,7 +411,7 @@ def _pad(values, m):
 # ---------------------------------------------------------------------------
 
 def _frob(mat: np.ndarray) -> np.ndarray:
-    """Frobenius norm of the trailing (m, n) matrix, for one or a stack."""
+    """Frobenius norm of the trailing (m, 2) matrix, for one or a stack."""
     return np.sqrt(np.sum(mat * mat, axis=(-2, -1)))
 
 
@@ -422,13 +422,11 @@ def probe_points(geom: GapGeometry) -> np.ndarray:
     the ``PROBES_PROFILE`` midline rows ``(xp, mid(xp))`` span
     ``|xp| <= PROBE_HALF_SPAN``.
     """
-    w0 = float(geom.gap_width(np.zeros(1)))
-    off = PROBE_OFFSET * w0
-    xn = np.linspace(float(geom.bottom(np.zeros(1))) + off,
-                     float(geom.top(np.zeros(1))) - off, PROBES_CENTERLINE)
+    off = PROBE_OFFSET * geom.gap_width(0.0)
+    xn = np.linspace(geom.bottom(0.0) + off, geom.top(0.0) - off, PROBES_CENTERLINE)
     xp = np.linspace(-PROBE_HALF_SPAN, PROBE_HALF_SPAN, PROBES_PROFILE)
     return np.concatenate([np.stack([np.zeros_like(xn), xn], axis=1),
-                           np.stack([xp, geom.midline(xp[:, None])], axis=1)])
+                           np.stack([xp, geom.midline(xp)], axis=1)])
 
 
 def _refined_neck(fine, cs, data, M: float) -> tuple[float, float]:
@@ -458,14 +456,14 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     k = PROBES_CENTERLINE
     norms = _frob(gradient_at(sol, pts))
     cl, xp, pf = norms[:k], pts[k:, 0], norms[k:]
-    jumps = np.linalg.norm(data.jump(xp[:, None]), axis=1)
+    jumps = np.linalg.norm(data.jump(xp), axis=1)
     u2 = l2_norm(sol)
     norm_terms = float(np.max(data.phi_norms) + np.max(data.psi_norms) + u2)
 
     # envelope constants: solve the displayed bounds for their constants
     denom_profile = jumps / (epsilon + np.abs(xp) ** (1 + plan.gamma)) + norm_terms
     C_profile = float(np.max(pf / denom_profile))
-    jump0 = data.jump(np.zeros((1, 1)))[0]
+    jump0 = data.jump(0.0)
     denom_center = float(np.linalg.norm(jump0)) / epsilon + norm_terms
     C_upper = max(C_profile, float(np.max(cl)) / denom_center)
     max_comp = float(np.max(np.abs(jump0)))
@@ -500,7 +498,9 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
     The checks: the envelope and lower-bound constants vary by less than
     ``checks.stability_factor`` (the lower bound is n/a for data without a
     jump at x' = 0), and every refinement drift is below
-    ``reliability.threshold``.
+    ``reliability.threshold``.  On ``degenerate`` data (no neck gradient: the
+    solution is constant up to roundoff) every check is n/a, because those
+    spreads and drifts are ratios of roundoff.
     """
     if not any(plan.bc_phi) and not any(plan.bc_psi):
         raise PlanError("bc.phi and bc.psi are all zero: the solution vanishes and "
@@ -527,12 +527,12 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
     lower = [r["C_lower"] for r in records]
     drifts = [r["reliability_change"] for r in records] + [layers_level["reliability_change"]]
     return doc, [
-        Check("profile", max_over_min([r["C_profile"] for r in records]), "<", factor,
-              "max/min"),
-        Check("lower_bound", None if None in lower else max_over_min(lower), "<", factor,
-              "max/min"),
-        Check("reliability", float(np.max(drifts)), "<", plan.reliability_threshold,
-              "worst refinement drift"),
+        Check("profile", None if degenerate else max_over_min([r["C_profile"] for r in records]),
+              "<", factor, "max/min"),
+        Check("lower_bound", None if degenerate or None in lower else max_over_min(lower), "<",
+              factor, "max/min"),
+        Check("reliability", None if degenerate else float(np.max(drifts)), "<",
+              plan.reliability_threshold, "worst refinement drift"),
     ]
 
 
@@ -584,8 +584,7 @@ def center_law(center: dict, gamma: float, band: float, stability_factor: float
 
 def _slab(geom: GapGeometry, zp: float, fraction: float = 1.0) -> LocalRegion:
     """The slab centered on the midline at ``zp``, of radius ``fraction`` gap widths."""
-    w = float(geom.gap_width(np.array([zp])))
-    return LocalRegion(np.array([zp, float(geom.midline(np.array([zp])))]), fraction * w, geom)
+    return LocalRegion(np.array([zp, geom.midline(zp)]), fraction * geom.gap_width(zp), geom)
 
 
 def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
@@ -619,7 +618,7 @@ def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
     for z in outer_z:
         if z <= neck:
             raise PlanError(f"outer z' = {z} is not beyond the neck scale {neck:.4g}")
-        if z + float(geom_min.gap_width(np.array([z]))) > plan.energy_xrange:
+        if z + geom_min.gap_width(z) > plan.energy_xrange:
             raise PlanError(f"slab at z' = {z} leaves the meshed strip")
     if len(outer_z) < 3:
         raise PlanError("need at least 3 outer z' values")
@@ -719,7 +718,7 @@ def _prop21_zprimes(geom: GapGeometry) -> list:
     eps = geom.epsilon
     zprimes = [0.0, eps ** (1.0 / (1.0 + geom.gamma)), 0.25]
     for zp in zprimes:
-        if zp > 1.0 or zp + float(geom.gap_width(np.array([zp]))) > 1.0:
+        if zp > 1.0 or zp + geom.gap_width(zp) > 1.0:
             raise PlanError(f"profile.c1 = {geom.c_top:g} and profile.c2 = {geom.c_bottom:g} "
                             f"at epsilon = {eps:g}: the widest slab at z' = {zp:.4g} "
                             f"leaves the unit ball |x'| <= 1")
@@ -737,8 +736,7 @@ def check_prop21(plan: SweepPlan) -> tuple[dict, list[Check]]:
         data = _first_component(plan.boundary_data(geom))
         worst = 0.0
         for zp in zps:
-            mid = float(geom.midline(np.array([zp])))
-            rep = check_seminorm_growth(geom, data, np.array([zp, mid]),
+            rep = check_seminorm_growth(geom, data, np.array([zp, geom.midline(zp)]),
                                         pairs=plan.prop21_pairs, seed=plan.seed)
             rows += [{"epsilon": eps, "zprime": zp, **asdict(row)} for row in rep.rows]
             if np.isfinite(rep.fitted_constant):
@@ -768,7 +766,7 @@ def check_oracles(plan: SweepPlan) -> tuple[dict, list[Check]]:
     elements on a 0.1-wide strip, for the Laplacian and for the plan's Lame constants
     whatever ``system.kind`` says; the sampled seminorm of component 0's extension
     gradient on the neck slab against the dense-grid enumeration."""
-    cs_lame = lame_as_general(plan.lame(), 2)
+    cs_lame = lame_as_general(plan.lame())
     eps = plan.epsilon
     case = AffineCase(eps)
     try:

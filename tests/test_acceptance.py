@@ -103,8 +103,8 @@ def test_criterion2_manufactured_convergence_rates():
     geom = GapGeometry(0.1, GAMMA)
     rates = {}
     levels = 4                          # base mesh plus 3 refinements
-    for name, cs in (("identity", tg.identity_coefficients(m=2, n=2)),
-                     ("lame", tg.lame_as_general(tg.LameParameters(1.0, 1.0), 2))):
+    for name, cs in (("identity", tg.identity_coefficients(m=2)),
+                     ("lame", tg.lame_as_general(tg.LameParameters(1.0, 1.0)))):
         mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
         errs = []
         for level in range(levels):
@@ -149,7 +149,7 @@ def test_criterion4_envelope_constant_stability(default_sweep):
     consts = []
     for r in doc["per_epsilon"]:
         eps, (xp, grad) = r["epsilon"], np.array(r["profile"]).T
-        jumps = np.linalg.norm(plan.boundary_data(plan.geometry(eps)).jump(xp[:, None]), axis=1)
+        jumps = np.linalg.norm(plan.boundary_data(plan.geometry(eps)).jump(xp), axis=1)
         denom = jumps / (eps + np.abs(xp) ** (1 + plan.gamma)) + r["norm_terms"]
         consts.append(float(np.max(grad / denom)))
         assert consts[-1] == r["C_profile"], f"eps={eps:g}: C_profile {r['C_profile']!r}"
@@ -257,10 +257,10 @@ def test_criterion6_energy_scaling_at_literal_center(energy_result):
 def test_criterion7_auxiliary_identities():
     geom = GapGeometry(1e-2, GAMMA)
     rng = np.random.default_rng(11)
-    xp = rng.uniform(-0.9, 0.9, size=(1000, 1))
+    xp = rng.uniform(-0.9, 0.9, size=1000)
     t = rng.uniform(0.15, 0.85, size=1000)
     bot, top = geom.bottom(xp), geom.top(xp)
-    X = np.concatenate([xp, (bot + t * (top - bot))[:, None]], axis=1)
+    X = np.stack([xp, bot + t * (top - bot)], axis=1)
 
     g = gap_fraction_gradient(geom, X)
     want = 1.0 / geom.gap_width(xp)

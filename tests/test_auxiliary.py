@@ -25,11 +25,11 @@ def jump_data():
 
 def interior_samples(geom, k, seed=0, tmin=0.2, tmax=0.8, xmax=0.9):
     rng = np.random.default_rng(seed)
-    xp = rng.uniform(-xmax, xmax, size=(k, 1))
+    xp = rng.uniform(-xmax, xmax, size=k)
     t = rng.uniform(tmin, tmax, size=k)
     bot = geom.bottom(xp)
     top = geom.top(xp)
-    return np.concatenate([xp, (bot + t * (top - bot))[:, None]], axis=1)
+    return np.stack([xp, bot + t * (top - bot)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -37,7 +37,7 @@ def interior_samples(geom, k, seed=0, tmin=0.2, tmax=0.8, xmax=0.9):
 # ---------------------------------------------------------------------------
 
 def test_gap_fraction_boundary_values(geom):
-    xp = np.linspace(-1, 1, 101)[:, None]
+    xp = np.linspace(-1, 1, 101)
     top = geom.boundary_point("top", xp)
     bot = geom.boundary_point("bottom", xp)
     assert np.max(np.abs(gap_fraction(geom, top) - 1.0)) < 1e-12
@@ -51,7 +51,7 @@ def test_gap_fraction_midpoint(geom):
 def test_gap_fraction_matches_recomputation(geom):
     X = interior_samples(geom, 300, seed=1)
     got = gap_fraction(geom, X)
-    xp = X[:, :1]
+    xp = X[:, 0]
     num = X[:, 1] - (geom.profiles(xp)[1] - EPS / 2)
     want = num / geom.gap_width(xp)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
@@ -66,7 +66,7 @@ def test_gap_fraction_domain_error(geom):
 def test_vertical_derivative_is_exactly_inverse_width(geom):
     X = interior_samples(geom, 1000, seed=2)
     g = gap_fraction_gradient(geom, X)
-    want = 1.0 / geom.gap_width(X[:, :1])
+    want = 1.0 / geom.gap_width(X[:, 0])
     assert np.array_equal(g[:, 1], want)                # identity, not approximation
 
 
@@ -93,7 +93,7 @@ def test_tangential_gradient_envelope_constant_stable():
 def test_tangential_parts_sum_to_finite_difference(geom):
     X = interior_samples(geom, 400, seed=4)
     g = gap_fraction_gradient(geom, X)
-    h = 1e-7 * geom.gap_width(X[:, :1])
+    h = 1e-7 * geom.gap_width(X[:, 0])
     step = np.zeros_like(X)
     step[:, 0] = h
     fd = (gap_fraction(geom, X + step) - gap_fraction(geom, X - step)) / (2 * h)
@@ -108,13 +108,13 @@ def test_tangential_parts_sum_to_finite_difference(geom):
 
 def test_extension_matches_data_on_boundaries(geom, jump_data):
     data = jump_data.only(0)
-    xp = np.linspace(-0.9, 0.9, 41)[:, None]
+    xp = np.linspace(-0.9, 0.9, 41)
     top = geom.boundary_point("top", xp)
     bot = geom.boundary_point("bottom", xp)
     vt = field_values(geom, data, top)
     vb = field_values(geom, data, bot)
-    assert np.max(np.abs(vt - jump_data.phi(top))) < 1e-12
-    assert np.max(np.abs(vb - jump_data.psi(bot))) < 1e-12
+    assert np.max(np.abs(vt - jump_data.phi(xp))) < 1e-12
+    assert np.max(np.abs(vb - jump_data.psi(xp))) < 1e-12
 
 
 def test_extension_reduces_to_profile_for_unit_jump(geom):
@@ -150,7 +150,7 @@ def test_extension_gradient_matches_finite_differences(geom, make_data):
     data = make_data(geom)
     X = interior_samples(geom, 1000, seed=7)
     g = field_gradients(geom, data, X)
-    h = (1e-7 * geom.gap_width(X[:, :1]))[:, None]
+    h = (1e-7 * geom.gap_width(X[:, 0]))[:, None]
     worst = 0.0
     for d in range(2):
         step = np.zeros_like(X)
@@ -179,7 +179,7 @@ def test_fiber_pass_matches_the_separate_formulas(skew_geom):
     X = interior_samples(geom, 500, seed=8, tmin=0.0, tmax=1.0, xmax=1.0)
     data = BoundaryData.polynomial([[1.0, 0.5, -0.3], [0.2, 0.0, 1.0]],
                                    [[0.1, -0.2], [0.0, 0.4]], geom)
-    xp, xn = X[:, :1], X[:, 1]
+    xp, xn = X[:, 0], X[:, 1]
     ht, hb, dtop, dbot = geom.profiles(xp, gradient=True)
     top, bot = 0.5 * EPS + ht, -0.5 * EPS + hb
     u = (xn - bot) / (top - bot)
@@ -189,14 +189,12 @@ def test_fiber_pass_matches_the_separate_formulas(skew_geom):
     tang = -dbot / w - xn * dw / w**2 + offset * dw / w**2
     assert np.all(np.abs(dtop + dbot) > 0)      # the three terms differ
     gu = np.stack([tang, 1.0 / w], axis=1)
-    top_pts = np.concatenate([xp, top[:, None]], axis=1)
-    bot_pts = np.concatenate([xp, bot[:, None]], axis=1)
-    pv, sv = data.phi(top_pts), data.psi(bot_pts)
+    pv, sv = data.phi(xp), data.psi(xp)
     dp, ds = data.dphi(xp), data.dpsi(xp)
     jump = pv - sv
     grads = np.empty((X.shape[0], 2, 2))
-    grads[:, :, :1] = (np.transpose(dp, (0, 2, 1)) * u[:, None, None]
-                       + np.transpose(ds, (0, 2, 1)) * (1.0 - u[:, None, None])
+    grads[:, :, :1] = (dp[:, :, None] * u[:, None, None]
+                       + ds[:, :, None] * (1.0 - u[:, None, None])
                        + jump[:, :, None] * gu[:, None, :1])
     grads[:, :, 1] = jump * gu[:, 1][:, None]
     assert np.array_equal(gap_fraction(geom, X), u)
@@ -250,9 +248,7 @@ def test_profiles_are_evaluated_once_per_batch(skew_geom, monkeypatch):
 # ---------------------------------------------------------------------------
 
 def region_at(geom, zp, frac=0.5):
-    w = float(geom.gap_width(np.array([zp])))
-    return LocalRegion(np.array([zp, float(geom.midline(np.array([zp])))]),
-                       frac * w, geom)
+    return LocalRegion(np.array([zp, geom.midline(zp)]), frac * geom.gap_width(zp), geom)
 
 
 def test_seminorm_constant_field_is_zero(geom):
@@ -270,8 +266,8 @@ def test_seminorm_vertical_coordinate_field(geom):
     xs = np.linspace(-reg.radius, reg.radius, 50)
     grid = []
     for x in xs:
-        b = float(geom.bottom(np.array([x])))
-        t = float(geom.top(np.array([x])))
+        b = geom.bottom(x)
+        t = geom.top(x)
         for y in np.linspace(b + 1e-9, t - 1e-9, 50):
             grid.append((x, y))
     G = np.array(grid)
@@ -280,7 +276,7 @@ def test_seminorm_vertical_coordinate_field(geom):
     mask = d > 0
     dense = float(np.max(dv[mask] / d[mask] ** GAMMA))
     # tallest fiber in the slab sits at its edge
-    height = float(geom.gap_width(np.array([reg.radius])))
+    height = geom.gap_width(reg.radius)
     assert dense == pytest.approx(height ** (1 - GAMMA), rel=0.05)
     assert got <= dense + 1e-12
     assert got >= 0.8 * dense
@@ -339,7 +335,7 @@ def test_seminorm_rejects_empty_budget(geom):
 def test_growth_rhs_closed_form(geom, jump_data):
     # direct substitution at the neck with slab radius half the gap
     s = EPS / 2
-    got = seminorm_growth_rhs(geom, jump_data.only(0), np.zeros(1), s)
+    got = seminorm_growth_rhs(geom, jump_data.only(0), 0.0, s)
     p = 1.0 / (1.0 + GAMMA)
     jump = 1.0
     norms = 1.0      # |phi| = 1 constant, |psi| = 0
@@ -374,7 +370,7 @@ def test_growth_check_flags_slabs_reaching_the_neck(jump_data):
     geom = GapGeometry(1e-3, GAMMA)
     zp = 0.25
     rep = check_seminorm_growth(geom, jump_data.only(0),
-                                np.array([zp, float(geom.midline(np.array([zp])))]),
+                                np.array([zp, geom.midline(zp)]),
                                 pairs=2000, seed=2)
     assert rep.rows[0].hypothesis_ok
     assert not rep.rows[2].hypothesis_ok
@@ -395,14 +391,14 @@ def same_bits(a, b):
 
 def test_boundary_data_jump(geom, skew_geom):
     data = BoundaryData.polynomial([[1.0, 0.0, 1.0]], [[0.5]], geom)
-    j = data.jump(np.array([[0.2]]))
+    j = data.jump(np.array([0.2]))
     assert j[0, 0] == pytest.approx(1.0 + 0.04 - 0.5, rel=1e-12)
     # the data depend on x' alone: the jump needs no boundary points
     data = BoundaryData.polynomial([[1.0, 0.5, -0.3], [0.2, 0.0, 1.0]],
                                    [[0.1, -0.2], [0.0, 0.4]], skew_geom)
-    xp = np.linspace(-1.0, 1.0, 41)[:, None]
+    xp = np.linspace(-1.0, 1.0, 41)
     top, bot = (skew_geom.boundary_point(side, xp) for side in ("top", "bottom"))
-    assert same_bits(data.jump(xp), data.phi(top) - data.psi(bot))
+    assert same_bits(data.jump(xp), data.phi(top[:, 0]) - data.psi(bot[:, 0]))
 
 
 def poly_loop(row, t):
@@ -428,21 +424,20 @@ def test_polynomial_data_derivatives_only_and_degree_zero(rows):
     phi, psi = rows
     geom = GapGeometry(EPS, GAMMA)
     data = BoundaryData.polynomial(phi, psi, geom)
-    xp = np.linspace(-0.9, 0.9, 37)[:, None]
+    xp = np.linspace(-0.9, 0.9, 37)
     # (a) the values and derivatives are the term-by-term sums, and the
     # derivatives are those of the values along the graphs
     for side_rows, values, slopes in ((phi, data.phi(xp), data.dphi(xp)),
                                       (psi, data.psi(xp), data.dpsi(xp))):
         for ell, row in enumerate(side_rows):
-            value, slope = poly_loop(row, xp[:, 0])
+            value, slope = poly_loop(row, xp)
             assert np.array_equal(values[:, ell], value)
-            assert np.array_equal(slopes[:, 0, ell], slope)
+            assert np.array_equal(slopes[:, ell], slope)
     h = 1e-6
-    for side, rule, drule in (("top", data.phi, data.dphi), ("bottom", data.psi, data.dpsi)):
-        fd = (rule(geom.boundary_point(side, xp + h))
-              - rule(geom.boundary_point(side, xp - h))) / (2 * h)
-        want = drule(xp)[:, 0, :]
-        assert drule(xp).shape == (xp.shape[0], 1, data.m)
+    for rule, drule in ((data.phi, data.dphi), (data.psi, data.dpsi)):
+        fd = (rule(xp + h) - rule(xp - h)) / (2 * h)
+        want = drule(xp)
+        assert drule(xp).shape == (xp.shape[0], data.m)
         assert np.all(np.abs(fd - want) <= 1e-6 * np.maximum(np.abs(want), 1.0))
     # (b) only(ell) keeps component ell bit for bit and gives +0.0 elsewhere
     constant = BoundaryData.constant([r[0] for r in phi], [r[0] for r in psi])
@@ -486,12 +481,11 @@ def test_only_zeroes_the_other_components(geom, make_data, sloped):
     data = make_data(geom)
     one = data.only(0)
     assert one.m == data.m
-    xp = np.linspace(-0.9, 0.9, 37)[:, None]
-    for side, rule, drule in (("top", "phi", "dphi"), ("bottom", "psi", "dpsi")):
-        pts = geom.boundary_point(side, xp)
-        for name, at in ((rule, pts), (drule, xp)):
-            full = np.asarray(getattr(data, name)(at))
-            got = getattr(one, name)(at)
+    xp = np.linspace(-0.9, 0.9, 37)
+    for rule, drule in (("phi", "dphi"), ("psi", "dpsi")):
+        for name in (rule, drule):
+            full = np.asarray(getattr(data, name)(xp))
+            got = getattr(one, name)(xp)
             assert np.array_equal(got[..., 0], full[..., 0])
             assert np.any(full[..., 1]) or (name == drule and not sloped)
             assert np.all(got[..., 1] == 0.0) and not np.any(np.signbit(got[..., 1]))
@@ -511,11 +505,32 @@ def test_slab_comparability_is_the_dense_sampled_one():
         for _ in range(100):
             z0 = rng.uniform(-0.95, 0.95)
             s = rng.uniform(1e-3, 1.0 - abs(z0))
-            zp = np.array([z0])
             xs = np.linspace(z0 - s, z0 + s, 20001)
             if abs(z0) < s:
                 xs = np.append(xs, 0.0)
-            dense = bool(np.min(geom.gap_width(xs)) >= 0.5 * float(geom.gap_width(zp)))
-            assert _slab_width_comparable(geom, zp, s) == dense, (c_top, c_bottom, z0, s)
+            dense = bool(np.min(geom.gap_width(xs)) >= 0.5 * geom.gap_width(z0))
+            assert _slab_width_comparable(geom, z0, s) == dense, (c_top, c_bottom, z0, s)
             outcomes[dense, abs(z0) < s] += 1
     assert set(outcomes) == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_boundary_data_refuse_full_points(geom):
+    # phi and psi read x' only: full points (k, 2) are refused, not broadcast
+    # into 2k rows
+    data = BoundaryData.constant([1.0], [0.0])
+    for rule in (data.phi, data.psi, data.jump, data.dphi, data.dpsi):
+        with pytest.raises(GeometryError, match="shape"):
+            rule(np.zeros((3, 2)))
+    with pytest.raises(GeometryError, match="shape"):
+        data.phi(np.zeros((3, 1)))
+
+
+def test_boundary_data_shapes(geom):
+    # (k, m) at x' of shape (k,), (m,) at a float, for values and derivatives
+    data = BoundaryData.polynomial([[1.0, 0.5, 1.0], [0.2]], [[0.0], [0.1, -0.3]], geom)
+    xp = np.linspace(-0.5, 0.5, 5)
+    for name in ("phi", "psi", "jump", "dphi", "dpsi"):
+        rule = getattr(data, name)
+        assert rule(xp).shape == (5, 2), name
+        assert np.array_equal(rule(0.25), rule(np.array([0.25]))[0]), name
+    assert np.array_equal(data.dphi(xp)[:, 0], 0.5 + 2.0 * xp)

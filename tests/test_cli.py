@@ -671,3 +671,15 @@ def test_not_applicable_verdict_does_not_fail(tmp_path, capsys):
     assert doc["verdicts"]["lower_bound"] == "n/a"
     assert doc["checks"]["lower_bound"] == {"relation": "<", "bound": 3.0}
 
+
+
+def test_sweep_on_equal_data_is_not_applicable_and_exits_0(tmp_path, capsys):
+    # bc.phi = bc.psi: the solution is constant, so the envelope spreads and the
+    # refinement drifts are ratios of roundoff, and no check applies
+    code = run(["sweep", "--out", str(tmp_path), "--set", "bc.phi=1,1", "--set", "bc.psi=1,1"])
+    assert code == 0
+    assert [line[:2] for line in _verdict_lines(capsys.readouterr().out)] == [
+        ["n/a", "profile"], ["n/a", "lower_bound"], ["n/a", "reliability"]]
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["fit"]["degenerate"]
+    assert set(doc["verdicts"].values()) == {"n/a"}

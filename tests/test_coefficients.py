@@ -11,17 +11,17 @@ from thingap.coefficients import CoefficientSet
 
 
 def test_lame_tensor_entries():
-    T = lame_tensor(LameParameters(1.0, 1.0), 2)
+    T = lame_tensor(LameParameters(1.0, 1.0))
     assert T[0, 0, 0, 0] == pytest.approx(3.0)          # lambda + 2 mu
     assert T[0, 0, 1, 1] == pytest.approx(1.0)          # lambda
     assert T[0, 1, 0, 1] == pytest.approx(1.0)          # mu
-    T2 = lame_tensor(LameParameters(2.5, 0.75), 3)
+    T2 = lame_tensor(LameParameters(2.5, 0.75))
     assert T2[0, 0, 1, 1] == pytest.approx(2.5)
     assert T2[0, 1, 0, 1] == pytest.approx(0.75)
 
 
 def test_lame_tensor_symmetries():
-    T = lame_tensor(LameParameters(1.3, 0.6), 2)
+    T = lame_tensor(LameParameters(1.3, 0.6))
     for i, j, k, l in itertools.product(range(2), repeat=4):
         assert T[i, j, k, l] == T[j, i, k, l]
         assert T[i, j, k, l] == T[k, l, i, j]
@@ -37,9 +37,9 @@ def test_lame_parameters_must_be_elliptic():
 
 def test_lame_as_general_matches_bruteforce_expansion():
     p = LameParameters(1.0, 1.0)
-    cs = lame_as_general(p, 2)
+    cs = lame_as_general(p)
     A = cs.A
-    T = lame_tensor(p, 2)
+    T = lame_tensor(p)
     # brute-force re-index over every tuple
     for a, b, i, j in itertools.product(range(2), repeat=4):
         assert A[a, b, i, j] == T[i, a, j, b]
@@ -50,7 +50,7 @@ def test_lame_as_general_matches_bruteforce_expansion():
 
 
 def test_lame_as_general_lower_order_vanishes():
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     assert cs.B is None and cs.Cc is None and cs.D is None
     X = np.array([[0.3, -0.1], [0.0, 0.0]])
     assert cs.eval_B_many(X).shape == (2, 2, 2, 2)
@@ -63,7 +63,7 @@ def test_lame_as_general_lower_order_vanishes():
 
 def test_lame_rank_one_form_bruteforce_minimum():
     # independent Rayleigh minimization over random unit direction pairs
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     A = cs.A
     rng = np.random.default_rng(0)
     best = np.inf
@@ -79,22 +79,22 @@ def test_lame_rank_one_form_bruteforce_minimum():
 
 
 def test_check_ellipticity_identity():
-    meas = check_ellipticity(identity_coefficients(m=2, n=2), samples=10_000, seed=0)
+    meas = check_ellipticity(identity_coefficients(m=2), samples=10_000, seed=0)
     assert meas.value == pytest.approx(1.0, abs=1e-9)
 
 
 def test_check_ellipticity_lame_and_scaling():
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     meas = check_ellipticity(cs, samples=10_000, seed=1)
     assert meas.value == pytest.approx(1.0, abs=1e-9)
-    doubled = CoefficientSet(m=2, n=2, A=2.0 * cs.A, B=cs.B, Cc=cs.Cc, D=cs.D,
+    doubled = CoefficientSet(m=2, A=2.0 * cs.A, B=cs.B, Cc=cs.Cc, D=cs.D,
                              lam=2.0 * cs.lam, kappa3=cs.kappa3)
     meas2 = check_ellipticity(doubled, samples=10_000, seed=1)
     assert meas2.value == pytest.approx(2.0 * meas.value, rel=1e-12)
 
 
 def test_check_ellipticity_rejects_indefinite():
-    bad = CoefficientSet(m=1, n=2, A=-np.eye(2)[..., None, None],
+    bad = CoefficientSet(m=1, A=-np.eye(2)[..., None, None],
                          B=np.zeros((2, 1, 1)), Cc=np.zeros((2, 1, 1)), D=np.zeros((1, 1)),
                          lam=1.0, kappa3=1.0)
     with pytest.raises(EllipticityError):
@@ -103,13 +103,13 @@ def test_check_ellipticity_rejects_indefinite():
 
 def _scalar_field_set(fn, gamma):
     eye = np.eye(2)[:, :, None, None]
-    return CoefficientSet(m=1, n=2, A=lambda X: fn(X)[:, None, None, None, None] * eye,
+    return CoefficientSet(m=1, A=lambda X: fn(X)[:, None, None, None, None] * eye,
                           B=np.zeros((2, 1, 1)), Cc=np.zeros((2, 1, 1)), D=np.zeros((1, 1)),
                           lam=0.0, kappa3=100.0, gamma=gamma)
 
 
 def test_check_holder_constant_fields():
-    cs = identity_coefficients(m=1, n=2)
+    cs = identity_coefficients(m=1)
     got = check_holder(cs, pair_samples=2000, seed=0)
     assert got == pytest.approx(1.0, abs=0)             # sup of A entries, zero quotient
 
@@ -138,7 +138,7 @@ def test_check_holder_smooth_field_scales_with_diameter():
 
 
 def test_holder_demo_field_passes_both_checks():
-    cs = holder_demo_coefficients(0.5, m=1, n=2)
+    cs = holder_demo_coefficients(0.5, m=1)
     meas = check_ellipticity(cs, samples=4000,
                              points=np.random.default_rng(6).uniform(-1, 1, (50, 2)),
                              seed=6)
@@ -149,23 +149,23 @@ def test_holder_demo_field_passes_both_checks():
 
 def test_array_field_of_another_shape_raises():
     # an m = 1 leading field on an m = 2 set would otherwise broadcast silently
-    cs = dataclasses.replace(identity_coefficients(m=2, n=2),
-                             A=identity_coefficients(m=1, n=2).A)
+    cs = dataclasses.replace(identity_coefficients(m=2),
+                             A=identity_coefficients(m=1).A)
     with pytest.raises(ValueError, match=r"field A has shape \(2, 2, 1, 1\), "
                                          r"expected \(2, 2, 2, 2\)"):
         cs.eval_A_many(np.zeros((5, 2)))
 
 
 def test_per_point_rule_raises():
-    A0 = identity_coefficients(m=2, n=2).A
-    cs = dataclasses.replace(identity_coefficients(m=2, n=2), A=lambda x: A0)
+    A0 = identity_coefficients(m=2).A
+    cs = dataclasses.replace(identity_coefficients(m=2), A=lambda x: A0)
     with pytest.raises(ValueError, match=r"field A has shape \(2, 2, 2, 2\), "
                                          r"expected \(5, 2, 2, 2, 2\)"):
         cs.eval_A_many(np.zeros((5, 2)))
 
 
 def test_holder_demo_batch_matches_the_per_point_formula_bitwise():
-    cs = holder_demo_coefficients(0.5, m=2, n=2)
+    cs = holder_demo_coefficients(0.5, m=2)
     X = np.random.default_rng(8).uniform(-1, 1, size=(1000, 2))
     eye = np.einsum("ab,ij->abij", np.eye(2), np.eye(2))
     want = np.stack([(1 + 0.5 * float(np.linalg.norm(x)) ** 0.5) * eye for x in X])

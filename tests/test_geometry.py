@@ -16,19 +16,19 @@ def geom():
 
 
 def test_gap_width_at_origin_is_epsilon(geom):
-    assert float(geom.gap_width(np.zeros(1))) == pytest.approx(EPS, abs=0)
+    assert geom.gap_width(0.0) == pytest.approx(EPS, abs=0)
 
 
 def test_gap_width_symmetric_family_closed_form(geom):
     for t in (0.1, 0.37, 0.9):
         want = EPS + 2.0 * t ** (1 + GAMMA)
-        assert float(geom.gap_width(np.array([t]))) == pytest.approx(want, rel=1e-14)
-        assert float(geom.gap_width(np.array([-t]))) == pytest.approx(want, rel=1e-14)
+        assert geom.gap_width(t) == pytest.approx(want, rel=1e-14)
+        assert geom.gap_width(-t) == pytest.approx(want, rel=1e-14)
 
 
 def test_gap_width_matches_profile_recomputation(geom):
     rng = np.random.default_rng(0)
-    xp = rng.uniform(-1, 1, size=(200, 1))
+    xp = rng.uniform(-1, 1, size=200)
     got = geom.gap_width(xp)
     h_top, h_bot = geom.profiles(xp)
     assert np.array_equal(got, (EPS + h_top) - h_bot)
@@ -64,21 +64,21 @@ def test_contains_matches_bruteforce_predicate(geom):
 
 
 def test_boundary_points(geom):
-    top0 = geom.boundary_point("top", np.zeros(1))
-    bot0 = geom.boundary_point("bottom", np.zeros(1))
+    top0 = geom.boundary_point("top", 0.0)
+    bot0 = geom.boundary_point("bottom", 0.0)
     assert np.allclose(top0, [0.0, EPS / 2], atol=0)
     assert np.allclose(bot0, [0.0, -EPS / 2], atol=0)
     t = 0.25
-    topt = geom.boundary_point("top", np.array([t]))
+    topt = geom.boundary_point("top", t)
     assert topt[1] == pytest.approx(EPS / 2 + t ** (1 + GAMMA), rel=1e-15)
     with pytest.raises(GeometryError):
-        geom.boundary_point("top", np.array([1.01]))
+        geom.boundary_point("top", 1.01)
     with pytest.raises(GeometryError):
-        geom.boundary_point("sideways", np.zeros(1))
+        geom.boundary_point("sideways", 0.0)
 
 
 def test_slab_samples_lie_in_region_and_are_prefix_stable(geom):
-    region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]), 0.05, geom)
+    region = LocalRegion(np.array([0.2, geom.midline(0.2)]), 0.05, geom)
     small = region.sample_points(50, seed=4, tag=1)
     large = region.sample_points(200, seed=4, tag=1)
     assert np.array_equal(large[:50], small)
@@ -88,7 +88,7 @@ def test_slab_samples_lie_in_region_and_are_prefix_stable(geom):
 
 def test_contains_slab_edge(geom):
     z = np.array([0.05, 0.0])
-    w = float(geom.gap_width(z[:1]))
+    w = geom.gap_width(z[0])
     region = LocalRegion(z, w, geom)
     assert region.contains(np.array([z[0] + w * (1 - 1e-9), 0.0]))
     assert not region.contains(np.array([z[0] + w * 1.001, 0.0]))
@@ -99,8 +99,8 @@ def test_builtin_gradient_envelope():
     assert geom.kappa0 == pytest.approx((1 + GAMMA) * 0.5)
     assert geom.kappa1 == pytest.approx((1 + GAMMA) * 1.0)
     rng = np.random.default_rng(3)
-    xp = rng.uniform(-1, 1, size=(1000, 1))
-    env = np.abs(xp[:, 0]) ** GAMMA
+    xp = rng.uniform(-1, 1, size=1000)
+    env = np.abs(xp) ** GAMMA
     for slope in geom.profiles(xp, gradient=True)[2:]:
         g = np.abs(slope)
         assert np.all(g >= geom.kappa0 * env - 1e-12)
@@ -116,9 +116,9 @@ def test_one_sided_profile_has_zero_kappa0_and_validates():
 
 
 def test_gap_width_even_and_bounded_below(geom):
-    xs = np.linspace(0, 1, 101)[:, None]
+    xs = np.linspace(0, 1, 101)
     assert np.allclose(geom.gap_width(xs), geom.gap_width(-xs), atol=0)
-    assert np.all(geom.gap_width(np.linspace(-1, 1, 201)[:, None]) >= EPS)
+    assert np.all(geom.gap_width(np.linspace(-1, 1, 201)) >= EPS)
 
 
 def test_width_regimes_recorded_constants():
@@ -127,12 +127,12 @@ def test_width_regimes_recorded_constants():
     for eps in (1e-2, 1e-3):
         geom = GapGeometry(eps, GAMMA)
         neck = eps ** (1 / (1 + GAMMA))
-        zs = np.linspace(0, neck, 50)[:, None]
+        zs = np.linspace(0, neck, 50)
         ratio = geom.gap_width(zs) / eps
         assert ratio.min() >= 1.0
         assert ratio.max() <= 3.0 + 1e-12
-        zs = np.linspace(neck, 0.5, 50)[:, None]
-        ratio = geom.gap_width(zs) / np.abs(zs[:, 0]) ** (1 + GAMMA)
+        zs = np.linspace(neck, 0.5, 50)
+        ratio = geom.gap_width(zs) / np.abs(zs) ** (1 + GAMMA)
         assert 1.0 <= ratio.min() and ratio.max() <= 4.0
 
 
@@ -218,3 +218,25 @@ def test_constructor_rejects_bad_parameters():
         GapGeometry(EPS, 1.5)
     with pytest.raises(GeometryError):
         GapGeometry(EPS, 0.0)
+
+
+@pytest.mark.parametrize("xp", [np.zeros((3, 1)), np.zeros((3, 2))], ids=["rows", "points"])
+def test_tangential_coordinates_of_more_axes_are_refused(xp):
+    # x' is a float or shape (k,): rows of one coordinate and full points raise
+    geom = GapGeometry(0.1, 0.5)
+    for method in (geom.gap_width, geom.top, geom.bottom, geom.midline, geom.profiles):
+        with pytest.raises(GeometryError, match="shape"):
+            method(xp)
+
+
+def test_float_and_array_tangential_coordinates_agree():
+    geom = GapGeometry(0.1, 0.5)
+    xp = np.array([0.0, 0.25, -0.5])
+    for method in (geom.gap_width, geom.top, geom.bottom, geom.midline):
+        batch = method(xp)
+        assert batch.shape == (3,)
+        for t, b in zip(xp, batch):
+            assert isinstance(method(float(t)), float)
+            assert method(float(t)) == pytest.approx(b, rel=1e-15)
+    assert geom.boundary_point("top", xp).shape == (3, 2)
+    assert geom.boundary_point("top", 0.25).shape == (2,)

@@ -20,7 +20,7 @@ from thingap.solver import assemble, dirichlet_values, solve_dirichlet
 
 
 def _lame():
-    return lame_as_general(LameParameters(1.0, 1.0), 2)
+    return lame_as_general(LameParameters(1.0, 1.0))
 
 
 def _nonsymmetric():

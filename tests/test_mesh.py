@@ -24,7 +24,7 @@ def quality_mapped(mesh, aspect, dxmax):
     which removes the deliberate anisotropy.
     """
     c = mesh.centroids()
-    w = mesh.geom.gap_width(c[:, :1])
+    w = mesh.geom.gap_width(c[:, 0])
     sx = np.minimum(aspect * w, dxmax)
     sy = w / mesh.layers
     p = mesh.vertices[mesh.triangles] / np.stack([sx, sy], axis=1)[:, None, :]
@@ -37,7 +37,7 @@ def quality_mapped(mesh, aspect, dxmax):
 
 def strip_area(geom, xrange, n_quad=20001):
     """Reference area of the strip, fine trapezoid quadrature of the gap width."""
-    xs = np.linspace(-xrange, xrange, n_quad)[:, None]
+    xs = np.linspace(-xrange, xrange, n_quad)
     return float(np.trapezoid(geom.gap_width(xs), dx=2 * xrange / (n_quad - 1)))
 
 
@@ -56,7 +56,7 @@ def test_gap_mesh_invariants(geom):
     assert np.all(mesh.signed_areas() > 0)
     # boundary rows sit on the exact graphs
     top = mesh.vertex_tags == TAG_TOP
-    want = geom.top(mesh.vertices[top][:, :1])
+    want = geom.top(mesh.vertices[top, 0])
     assert np.max(np.abs(mesh.vertices[top, 1] - want)) < 1e-15
 
 
@@ -78,10 +78,10 @@ def test_refine_quadruples_and_projects(geom):
     assert fine.num_triangles == 4 * mesh.num_triangles
     fine.validate()
     top = fine.vertex_tags == TAG_TOP
-    want = geom.top(fine.vertices[top][:, :1])
+    want = geom.top(fine.vertices[top, 0])
     assert np.max(np.abs(fine.vertices[top, 1] - want)) < 1e-15
     bot = fine.vertex_tags == TAG_BOTTOM
-    want = geom.bottom(fine.vertices[bot][:, :1])
+    want = geom.bottom(fine.vertices[bot, 0])
     assert np.max(np.abs(fine.vertices[bot, 1] - want)) < 1e-15
 
 
@@ -111,7 +111,7 @@ def test_double_refine_places_vertices_on_exact_fibers(geom):
     assert np.allclose(twice.stations, quarters, rtol=0, atol=1e-15)
     assert twice.layers == 16
     # every row is the exact fiber at its station, not an interpolated one
-    x = twice.stations[:, None]
+    x = twice.stations
     want = geom.bottom(x)[:, None] + geom.gap_width(x)[:, None] * np.arange(17) / 16
     assert np.max(np.abs(twice.vertices[:, 1] - want.ravel())) < 1e-15
 
@@ -168,13 +168,13 @@ def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, as
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
 def test_stations_are_the_gap_width_recurrence_bit_for_bit(gamma):
     # the station loop evaluates gap_width on Python floats; the recurrence on
-    # one-point arrays, through the same method, gives the same stations
+    # 0-d arrays, through the same method, gives the same stations
     for eps in (1e-1, 1e-2, 1e-3, 1e-4, 1e-5, 1e-6):
         geom = GapGeometry(eps, gamma)
         for aspect, dxmax in ((2.0, 0.02), (0.25, 0.02), (0.125, 0.0125)):
             right, x = [0.0], 0.0
             while True:
-                dx = min(aspect * float(geom.gap_width(np.array([x]))), dxmax)
+                dx = min(aspect * float(geom.gap_width(np.array(x))), dxmax)
                 if x + dx >= 1.0 - 0.25 * dx:
                     right.append(1.0)
                     break

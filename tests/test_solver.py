@@ -37,7 +37,7 @@ def test_element_stiffness_unit_right_triangle():
     # hand computation: gradients (-1,-1), (1,0), (0,1); area 1/2
     # K = area * g_a . g_b  ->  diag (1, 1/2, 1/2)
     mesh = single_triangle_mesh()
-    system = assemble(mesh, identity_coefficients(m=1, n=2))
+    system = assemble(mesh, identity_coefficients(m=1))
     K = system.K.toarray()
     want = np.array([[1.0, -0.5, -0.5], [-0.5, 0.5, 0.0], [-0.5, 0.0, 0.5]])
     assert np.allclose(K, want, atol=1e-14)
@@ -46,7 +46,7 @@ def test_element_stiffness_unit_right_triangle():
 def test_lame_assembly_symmetric():
     geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
+    system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0)))
     K = system.K
     asym = abs(K - K.T).max() / abs(K).max()
     assert asym < 1e-12
@@ -87,12 +87,12 @@ def test_discrete_maximum_principle_scalar_identity():
 def _full_coefficient_set():
     """Constant coefficients with every term active, kept strongly coercive."""
     A = np.zeros((2, 2, 2, 2))
-    lame = lame_as_general(LameParameters(1.0, 1.0), 2)
+    lame = lame_as_general(LameParameters(1.0, 1.0))
     A[:] = lame.A
     B = 0.1 * np.arange(8, dtype=float).reshape(2, 2, 2) / 8.0
     C = 0.05 * (1.0 + np.arange(8, dtype=float)).reshape(2, 2, 2) / 8.0
     D = 0.1 * np.array([[1.0, 0.2], [0.1, 1.0]])
-    return CoefficientSet(m=2, n=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0,
+    return CoefficientSet(m=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0,
                           name="full_terms")
 
 
@@ -145,8 +145,8 @@ def _manufactured(cs, mesh):
 def test_lower_order_field_vanishing_at_origin_is_assembled():
     # D(x) = |x| I is zero at the origin yet changes the operator; the grid
     # twin, which has no lower-order terms, refuses it
-    base = identity_coefficients(m=1, n=2)
-    cs = CoefficientSet(m=1, n=2, A=base.A, B=None, Cc=None,
+    base = identity_coefficients(m=1)
+    cs = CoefficientSet(m=1, A=base.A, B=None, Cc=None,
                         D=lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1),
                         lam=1.0, kappa3=3.0, name="distance_D")
     geom = GapGeometry(0.1, GAMMA)
@@ -164,7 +164,7 @@ def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
                     xrange=0.5)
     D = lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1)
     replaced = dataclasses.replace(identity_coefficients(), D=D)
-    direct = CoefficientSet(m=1, n=2, A=identity_coefficients().A, B=None, Cc=None, D=D,
+    direct = CoefficientSet(m=1, A=identity_coefficients().A, B=None, Cc=None, D=D,
                             lam=1.0, kappa3=3.0)
     assert abs(assemble(mesh, replaced).K - assemble(mesh, direct).K).max() == 0.0
 
@@ -184,11 +184,11 @@ def test_a_source_of_the_wrong_shape_raises():
                     xrange=0.5)
     H = lambda X: np.ones((len(X), 2)).T            # (m, k) instead of (k, m)
     with pytest.raises(ValueError, match=r"field H has shape \(2, \d+\), expected \(\d+, 2\)"):
-        assemble(mesh, identity_coefficients(m=2, n=2), rhs=RightHandSide(H=H))
+        assemble(mesh, identity_coefficients(m=2), rhs=RightHandSide(H=H))
 
 
 @pytest.mark.parametrize("make_cs", [
-    lambda: identity_coefficients(m=2, n=2),
+    lambda: identity_coefficients(m=2),
     _full_coefficient_set,
 ])
 def test_manufactured_solution_converges(make_cs):
@@ -210,7 +210,7 @@ def test_manufactured_solution_converges(make_cs):
 def test_superposition_of_component_solutions():
     geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.5], [0.0, -0.25])
     system = assemble(mesh, cs)
     u = solve_dirichlet(system, dirichlet_values(mesh, data))
@@ -223,7 +223,7 @@ def test_superposition_of_component_solutions():
 def test_component_with_zero_data_vanishes_for_decoupled_system():
     geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    cs = identity_coefficients(m=2, n=2)
+    cs = identity_coefficients(m=2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
     v1 = solve_dirichlet(system, dirichlet_values(mesh, data.only(1)))
@@ -233,7 +233,7 @@ def test_component_with_zero_data_vanishes_for_decoupled_system():
 def test_single_component_system_reduces_to_plain_solve():
     geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
-    cs = identity_coefficients(m=1, n=2)
+    cs = identity_coefficients(m=1)
     data = BoundaryData.constant([1.0], [0.0])
     system = assemble(mesh, cs)
     u = solve_dirichlet(system, dirichlet_values(mesh, data))
@@ -244,7 +244,7 @@ def test_single_component_system_reduces_to_plain_solve():
 def test_difference_vanishes_on_gap_boundaries():
     geom = GapGeometry(EPS, GAMMA)
     mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
     data = data.only(0)
@@ -257,7 +257,7 @@ def test_difference_vanishes_on_gap_boundaries():
 def test_difference_gradient_splits_into_interpolation_error():
     geom = GapGeometry(EPS, GAMMA)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     errs = []
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.04, xrange=0.5)
     for _ in range(2):
@@ -282,7 +282,7 @@ def test_gradient_at_affine_field_exact():
     assert np.allclose(g, b[None, :], atol=1e-12)
 
 
-@pytest.mark.parametrize("cs", [lame_as_general(LameParameters(1.0, 1.0), 2),
+@pytest.mark.parametrize("cs", [lame_as_general(LameParameters(1.0, 1.0)),
                                 identity_coefficients()], ids=["lame", "scalar"])
 def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
     geom = GapGeometry(EPS, GAMMA)
@@ -291,7 +291,7 @@ def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
                                    [[0.0]] + [[0.0, -0.3]] * (cs.m - 1), geom)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
     xp = np.linspace(-0.45, 0.45, 19)
-    pts = np.stack([xp, geom.midline(xp[:, None])], axis=1)
+    pts = np.stack([xp, geom.midline(xp)], axis=1)
     g = gradient_at(sol, pts)
     assert g.shape == (19, cs.m, 2)
     assert np.array_equal(g, sol.gradients()[mesh.locate(pts)])
@@ -330,11 +330,10 @@ def test_remainder_energy_affine_field_matches_area():
     mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
     b = np.array([2.0, 1.0])
     sol = DiscreteSolution(mesh=mesh, values=(mesh.vertices @ b)[:, None])
-    region = LocalRegion(np.array([0.2, float(geom.midline(np.array([0.2])))]),
-                         0.15, geom)
+    region = LocalRegion(np.array([0.2, geom.midline(0.2)]), 0.15, geom)
     got = remainder_energy(sol, ZERO_DATA, region)
     # exact area of the slab by fine quadrature of the gap width
-    xs = np.linspace(0.05, 0.35, 20001)[:, None]
+    xs = np.linspace(0.05, 0.35, 20001)
     area = float(np.trapezoid(geom.gap_width(xs), dx=0.3 / 20000))
     assert got == pytest.approx(float(b @ b) * area, rel=0.02)
     zero = DiscreteSolution(mesh=mesh, values=np.zeros((mesh.num_vertices, 1)))
@@ -349,7 +348,7 @@ def test_crossing_profile_energy_lower_bound():
     sol = DiscreteSolution(mesh=mesh, values=vals)
     region = LocalRegion(np.array([0.0, 0.0]), 0.75, geom)
     got = remainder_energy(sol, ZERO_DATA, region)
-    xs = np.linspace(-0.75, 0.75, 40001)[:, None]
+    xs = np.linspace(-0.75, 0.75, 40001)
     leading = float(np.trapezoid(1.0 / geom.gap_width(xs), dx=1.5 / 40000))
     assert got >= 0.95 * leading
 
@@ -362,7 +361,7 @@ def test_lame_first_component_tracks_crossing_profile():
     eps = 1e-2
     geom = GapGeometry(eps, GAMMA)
     mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.02, xrange=1.0)
-    cs = lame_as_general(LameParameters(1.0, 1.0), 2)
+    cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     u = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
     worst = 0.0
@@ -382,7 +381,7 @@ def test_lateral_closure_insensitivity_in_the_interior():
     natural = BoundaryAssignment(values=extension.values,
                                  fixed=np.isin(mesh.vertex_tags, (TAG_TOP, TAG_BOTTOM)))
     xp = np.linspace(-0.25, 0.25, 33)
-    t = mesh.locate(np.stack([xp, geom.midline(xp[:, None])], axis=1))
+    t = mesh.locate(np.stack([xp, geom.midline(xp)], axis=1))
     ga = solve_dirichlet(system, extension).gradients()[t]
     gn = solve_dirichlet(system, natural).gradients()[t]
 
@@ -415,7 +414,7 @@ def test_constant_field_assembly_is_quadrature_independent():
     # mass term is quadratic and keeps the 3-point rule
     geom = GapGeometry(1e-2, GAMMA)
     mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.05, xrange=0.5)
-    lame = lame_as_general(LameParameters(1.0, 1.0), 2)
+    lame = lame_as_general(LameParameters(1.0, 1.0))
     with_mass = dataclasses.replace(lame, D=np.eye(2), name="lame_mass")
     A0 = lame.A
     rule = lambda X: np.broadcast_to(A0, (len(X),) + A0.shape)
@@ -457,7 +456,7 @@ def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
     geom = GapGeometry(1e-3, GAMMA)
     mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.02, xrange=1.0)
     mesh = refine(mesh) if refined else mesh
-    system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0), 2))
+    system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0)))
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
     band, lu = _spy(monkeypatch, "dpbtrf"), _spy(monkeypatch, "dgbtrf")
     x = solve_dirichlet(system, bc).values.ravel()[~bc.dof_mask()]
@@ -473,7 +472,7 @@ def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
 
 def _symmetric_indefinite():
     """Identity leading part with a mass term large enough to make K_ff indefinite."""
-    base = identity_coefficients(m=1, n=2)
+    base = identity_coefficients(m=1)
     return dataclasses.replace(base, D=3000.0 * np.eye(1), name="indefinite_D")
 
 
@@ -500,7 +499,7 @@ def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric)
 
 
 def _lame():
-    return lame_as_general(LameParameters(1.0, 1.0), 2)
+    return lame_as_general(LameParameters(1.0, 1.0))
 
 
 def _band_of(dense, rows, diag):
@@ -525,7 +524,7 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
                     dxmax=0.05, xrange=0.5)
     system = assemble(mesh, cs)
     free = ~dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0])).dof_mask()
-    T = system.E.shape[0]
+    T = system.E.shape[2]
     assert T % 7 and T % 64
     bands = []
     module = _routine_module(factor)
@@ -631,12 +630,12 @@ def _generic_coefficients(variable):
     A, B, C, D = (rng.uniform(-1, 1, shape) for shape in ((2, 2, 2, 2), (2, 2, 2), (2, 2, 2),
                                                           (2, 2)))
     if not variable:
-        return CoefficientSet(m=2, n=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0)
+        return CoefficientSet(m=2, A=A, B=B, Cc=C, D=D, lam=1.0, kappa3=10.0)
 
     def rule(value):
         return lambda X: (1 + X[:, 0] - 2 * X[:, 1] ** 2).reshape(-1, *[1] * value.ndim) * value
 
-    return CoefficientSet(m=2, n=2, A=rule(A), B=rule(B), Cc=rule(C), D=rule(D), lam=1.0,
+    return CoefficientSet(m=2, A=rule(A), B=rule(B), Cc=rule(C), D=rule(D), lam=1.0,
                           kappa3=10.0)
 
 
@@ -655,8 +654,8 @@ def test_every_assembled_term_matches_a_naive_element_loop(make_cs, sources):
     load = np.zeros_like(system.load)
     for k, tri in enumerate(picked):
         E, f = _naive_element(mesh.vertices[tri], cs, rhs)
-        np.testing.assert_allclose(system.E[k], E, rtol=0, atol=1e-13 * np.abs(E).max())
-        np.add.at(load, system.dofs[k], f)
+        np.testing.assert_allclose(system.E[..., k], E, rtol=0, atol=1e-13 * np.abs(E).max())
+        np.add.at(load, system.dofs[:, k], f)
     assert np.any(load != 0.0) == sources
     np.testing.assert_allclose(system.load, load, rtol=0, atol=1e-13 * np.abs(load).max())
 
@@ -672,10 +671,10 @@ def test_dirichlet_lift_from_boundary_elements_equals_the_all_element_lift():
     np.testing.assert_allclose(every, system.K @ full, rtol=0,
                                atol=1e-13 * float(np.max(np.abs(system.E))))
     solve, free, boundary = system._factor(fixed)
-    assert 0 < boundary.size < len(system.E) // 4
+    assert 0 < boundary.size < system.E.shape[2] // 4
     assert np.array_equal(system._apply(full, boundary), every)
     lifted = solve_dirichlet(system, bc)
-    system._lu_cache[fixed.tobytes()] = (solve, free, np.arange(len(system.E)))
+    system._lu_cache[fixed.tobytes()] = (solve, free, np.arange(system.E.shape[2]))
     assert np.array_equal(solve_dirichlet(system, bc).values, lifted.values)
 
 
@@ -723,7 +722,7 @@ def test_factorization_allocates_little_beyond_the_band():
 def test_nan_or_zero_leading_field_raises(a, message):
     # NaN compares False with every tolerance, so the residual gate must
     # reject it; a zero operator must stop at the banded LU's zero pivot
-    cs = dataclasses.replace(identity_coefficients(m=1, n=2),
+    cs = dataclasses.replace(identity_coefficients(m=1),
                              A=np.full((2, 2, 1, 1), a))
     mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0,
                     dxmax=0.05, xrange=0.5)
