@@ -23,11 +23,12 @@ growth bound for the seminorm of the extension gradient on small slabs.
 from __future__ import annotations
 
 from dataclasses import astuple, dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import GapGeometry, GeometryError, LocalRegion, _tangential
+from .geometry import GapGeometry, GeometryError, LocalRegion, _tangential, _unit_draws
 
 
 class ConfigurationError(ValueError):
@@ -198,29 +199,44 @@ def _fibers(geom: GapGeometry, x, gradient: bool = False):
     tangential coordinates ``x'`` (k,) (the data depend on them alone), and with
     ``gradient`` the tangential component of the gap-fraction gradient, else
     None.  Raises outside the unit tangential ball, where the boundaries
-    cross and outside the closure of the gap."""
+    cross and outside the closure of the gap.  The pass works in place on the
+    arrays :meth:`GapGeometry.profiles` returns, so it allocates three more
+    row-sized arrays, not a dozen."""
     X, single = _rows(x)
     xp, xn = X[:, 0], X[:, 1]
     if np.any(np.abs(xp) > 1.0 + 1e-12):
         raise GeometryError("point outside the unit tangential ball")
     eps = geom.epsilon
-    htop, hbot, *slopes = geom.profiles(xp, gradient)
-    top, bot, width = 0.5 * eps + htop, -0.5 * eps + hbot, eps + htop - hbot
+    top, bot, *slopes = geom.profiles(xp, gradient)      # h_top, h_bot so far
+    width = eps + top
+    width -= bot
+    top += 0.5 * eps
+    bot += -0.5 * eps
     if np.any(width <= 0):
         raise GeometryError("gap width is not positive: boundaries cross")
     tol = 1e-12 * max(1.0, eps)
-    if np.any(xn < bot - tol) or np.any(xn > top + tol):
+    tmp = np.subtract(bot, tol)
+    if np.any(xn < tmp) or np.any(xn > np.add(top, tol, out=tmp)):
         raise GeometryError("point outside the closure of the gap region")
     tang = None
     if gradient:
         # the three terms of gap_fraction_gradient, summed left to right;
         # h_bot - eps/2 is the lower boundary's height
-        dtop, dbot = slopes
-        dw, w2 = dtop - dbot, width**2
-        tang = -dbot / width
-        tang -= xn * dw / w2
-        tang += bot * dw / w2
-    return single, (xn - bot) / (top - bot), width, xp, tang
+        dw, tang = slopes                   # h_top', h_bot' so far
+        dw -= tang
+        w2 = np.multiply(width, width)
+        np.negative(tang, out=tang)
+        tang /= width
+        np.multiply(xn, dw, out=tmp)
+        tmp /= w2
+        tang -= tmp
+        np.multiply(bot, dw, out=tmp)
+        tmp /= w2
+        tang += tmp
+    u = np.subtract(xn, bot, out=tmp)
+    top -= bot
+    u /= top
+    return single, u, width, xp, tang
 
 
 def gap_fraction(geom: GapGeometry, x) -> np.ndarray:
@@ -269,17 +285,42 @@ def field_gradients(geom: GapGeometry, data: BoundaryData, x) -> np.ndarray:
     single, u, width, xp, tang = _fibers(geom, x, gradient=True)
     dp, ds = data.dphi(xp), data.dpsi(xp)       # (k, m)
     jump = data.jump(xp)
-    v, inv_w = 1.0 - u, 1.0 / width
+    v, inv_w = 1.0 - u, np.divide(1.0, width, out=width)
+    tmp = np.empty_like(v)
     out = np.empty((u.size, data.m, 2))
     for ell in range(data.m):   # one pass per entry: broadcasting over short axes is slower
-        out[:, ell, 0] = dp[:, ell] * u + ds[:, ell] * v + jump[:, ell] * tang
-        out[:, ell, 1] = jump[:, ell] * inv_w
+        # dp u + ds v + jump tang, summed left to right
+        o = np.multiply(dp[:, ell], u, out=out[:, ell, 0])
+        o += np.multiply(ds[:, ell], v, out=tmp)
+        o += np.multiply(jump[:, ell], tang, out=tmp)
+        np.multiply(jump[:, ell], inv_w, out=out[:, ell, 1])
     return out[0] if single else out
 
 
 # ---------------------------------------------------------------------------
 # Holder seminorm sampling
 # ---------------------------------------------------------------------------
+
+# separation scales of the constrained pairs, in slab radii
+_PAIR_SCALES = (0.5, 0.1, 0.01)
+
+
+@lru_cache(maxsize=1)
+def _unit_streams(budget: int, seed: int) -> tuple:
+    """The unit draws of :func:`holder_seminorm` for one (budget, seed), read-only:
+    the two streams of ``sample_points`` for tags 0-4 and the unit directions of
+    the three constrained scales.  No stream depends on the slab, so the draws
+    are made once per (budget, seed); only the last set is kept."""
+    points = tuple(_unit_draws(budget, seed, tag) for tag in range(len(_PAIR_SCALES) + 2))
+    directions = []
+    for ci in range(len(_PAIR_SCALES)):
+        u = np.random.default_rng([seed, ci, 9]).normal(size=(budget, 2))
+        u /= _row_norms(u)[:, None]
+        directions.append(u)
+    for a in directions + [a for pair in points for a in pair]:
+        a.setflags(write=False)
+    return points, tuple(directions)
+
 
 def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
                     seed: int = 0) -> float:
@@ -290,28 +331,33 @@ def holder_seminorm(f, region: LocalRegion, gamma: float, pairs: int = 2000,
     either the slab scale or the short scale.  Differences use the Euclidean
     norm of the flattened field values.  The estimate is a lower bound of the
     true seminorm, and the sampling streams are prefix-stable: growing the
-    pair budget only adds pairs, so the output never decreases.
+    pair budget only adds pairs, so the output never decreases.  The unit
+    streams depend on (pairs, seed) alone; they are drawn once per
+    (pairs, seed) and mapped onto each slab, which keeps the points and the
+    prefix stability of drawing them afresh.
     """
     if pairs < 1:
         raise ConfigurationError("pairs must be >= 1")
     budget = -(-pairs // 4)
+    points, directions = _unit_streams(budget, seed)
     xs, ys = [], []
-    for ci, scale in enumerate((0.5, 0.1, 0.01)):
-        x0 = region.sample_points(budget, seed, tag=ci)
-        u = np.random.default_rng([seed, ci, 9]).normal(size=(budget, 2))
-        u /= _row_norms(u)[:, None]
+    for draws, u, scale in zip(points, directions, _PAIR_SCALES):
+        x0 = region.place(*draws)
         y0 = x0 + scale * region.radius * u
         keep = region.contains(y0)
-        xs.append(np.compress(keep, x0, axis=0))
-        ys.append(np.compress(keep, y0, axis=0))
-    xs.append(region.sample_points(budget, seed, tag=3))
-    ys.append(region.sample_points(budget, seed, tag=4))
+        if not keep.all():
+            x0, y0 = np.compress(keep, x0, axis=0), np.compress(keep, y0, axis=0)
+        xs.append(x0)
+        ys.append(y0)
+    xs.append(region.place(*points[3]))
+    ys.append(region.place(*points[4]))
     XY = np.concatenate(xs + ys)            # the first points of all pairs, then the second
     k = XY.shape[0] // 2
     dist = _row_norms(XY[:k] - XY[k:])
     keep = dist > 0
-    XY, dist = np.compress(np.tile(keep, 2), XY, axis=0), dist[keep]
-    k = dist.size
+    if not keep.all():
+        XY, dist = np.compress(np.tile(keep, 2), XY, axis=0), dist[keep]
+        k = dist.size
     if k == 0:
         return 0.0
     fxy = np.asarray(f(XY), dtype=float).reshape(2 * k, -1)

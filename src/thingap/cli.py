@@ -179,12 +179,16 @@ def emit_tables(report: dict, outdir: Path) -> list[str]:
 
 
 def export_solution_text(sol) -> str:
-    """Header ``vertices N m M`` then one line of m values per vertex."""
+    """Header ``vertices N m M`` then one line of m values per vertex, each
+    as :func:`fmt_float` writes it."""
     n, m = sol.values.shape
-    lines = [f"vertices {n} m {m}"]
-    for row in sol.values:
-        lines.append(" ".join(fmt_float(v) for v in row))
-    return "\n".join(lines) + "\n"
+    if np.isfinite(sol.values).all():   # one % call per block of 4096 lines
+        line = " ".join(["%.17g"] * m) + "\n"
+        body = "".join((line * len(block)) % tuple(block.ravel().tolist())
+                       for block in (sol.values[a:a + 4096] for a in range(0, n, 4096)))
+    else:   # null for the non-finite values
+        body = "".join(" ".join(fmt_float(v) for v in row) + "\n" for row in sol.values)
+    return f"vertices {n} m {m}\n" + body
 
 
 # ---------------------------------------------------------------------------

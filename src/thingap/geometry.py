@@ -96,19 +96,31 @@ class GapGeometry:
         ``(h_top', h_bot')``.
 
         ``|x'|^{1+gamma}`` is taken once per batch, and with ``gradient``
-        ``|x'|^{gamma-1}`` once; the slopes extend by 0 to ``x' = 0``.
+        ``|x'|^{gamma-1}`` once; the slopes extend by 0 to ``x' = 0``.  With
+        ``gradient`` an array batch is evaluated in place: the four results
+        are its only row-sized arrays, besides a mask where some x' is 0.
         """
         t = _tangential(xp)
         r = abs(t)
         p = r ** (1.0 + self.gamma)
-        heights = (self.c_top * p, self.c_bottom * p)
         if not gradient:
-            return heights
+            return self.c_top * p, self.c_bottom * p
+        if np.ndim(t) == 0:
+            return (self.c_top * p, self.c_bottom * p) + tuple(
+                (c * (1.0 + self.gamma)) * r ** (self.gamma - 1.0) * t if r > 0 else 0.0
+                for c in (self.c_top, self.c_bottom))
+        h_top = self.c_top * p
+        h_bot = np.multiply(p, self.c_bottom, out=p)
+        at_zero = None if r.size and r.min() > 0 else ~(r > 0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            q = r ** (self.gamma - 1.0)
-            slopes = tuple(np.where(r > 0, (c * (1.0 + self.gamma)) * q * t, 0.0)
-                           for c in (self.c_top, self.c_bottom))
-        return heights + slopes
+            q = np.power(r, self.gamma - 1.0, out=r)
+            d_top = (self.c_top * (1.0 + self.gamma)) * q
+            d_top *= t
+            d_bot = np.multiply(q, self.c_bottom * (1.0 + self.gamma), out=q)
+            d_bot *= t
+        if at_zero is not None:
+            d_top[at_zero] = d_bot[at_zero] = 0.0
+        return h_top, h_bot, d_top, d_bot
 
     def top(self, xp) -> np.ndarray:
         """Height of the upper boundary, ``epsilon/2 + h_top(x')``."""
@@ -198,12 +210,25 @@ class LocalRegion:
         Each random variable draws from its own stream seeded by
         ``(seed, tag, variable)``, so a larger ``k`` extends a smaller one
         point for point (prefix-stable sampling); ``tag`` separates the
-        streams of independent draws on the same slab.  The profiles are
-        evaluated once.
+        streams of independent draws on the same slab.  The streams do not
+        depend on the slab, only :meth:`place` does: ``holder_seminorm``
+        draws its streams once per (pairs, seed) and places them on every
+        slab, which gives these points and keeps their prefix stability.
         """
-        rng_dir = np.random.default_rng([seed, tag, 1])
-        rng_hgt = np.random.default_rng([seed, tag, 3])
-        xp = self.center[0] + self.radius * rng_dir.uniform(-1, 1, size=k)
+        return self.place(*_unit_draws(k, seed, tag))
+
+    def place(self, tangential: np.ndarray, height: np.ndarray) -> np.ndarray:
+        """Points (k, 2) at unit draws: ``x' = z' + radius * tangential`` for
+        ``tangential`` in [-1, 1) and ``bottom + height * (top - bottom)`` in
+        each fiber for ``height`` in [0, 1), one profile pass."""
+        xp = self.center[0] + self.radius * tangential
         bot, top = _ends(self.geom, xp)
-        xn = bot + rng_hgt.uniform(0, 1, size=k) * (top - bot)
+        xn = bot + height * (top - bot)
         return np.stack([xp, xn], axis=1)
+
+
+def _unit_draws(k: int, seed: int, tag: int) -> tuple:
+    """The two unit streams of :meth:`LocalRegion.sample_points`, (k,) each:
+    uniform in [-1, 1) from ``(seed, tag, 1)`` and in [0, 1) from ``(seed, tag, 3)``."""
+    return (np.random.default_rng([seed, tag, 1]).uniform(-1, 1, size=k),
+            np.random.default_rng([seed, tag, 3]).uniform(0, 1, size=k))

@@ -195,12 +195,25 @@ class Mesh:
 
     def export_text(self) -> str:
         """Plain-text form: header, vertex lines ``x y tag``, triangle lines ``i j k``."""
-        lines = [f"vertices {self.num_vertices} triangles {self.num_triangles}"]
-        for (x, y), tag in zip(self.vertices, self.vertex_tags):
-            lines.append(f"{x:.17g} {y:.17g} {TAG_NAMES[int(tag)]}")
-        for i, j, k in self.triangles:
-            lines.append(f"{i} {j} {k}")
-        return "\n".join(lines) + "\n"
+        n = self.num_vertices
+        vertex_values = [None] * (3 * n)
+        vertex_values[0::3] = self.vertices[:, 0].tolist()
+        vertex_values[1::3] = self.vertices[:, 1].tolist()
+        vertex_values[2::3] = [TAG_NAMES[tag] for tag in self.vertex_tags.tolist()]
+        return (f"vertices {n} triangles {self.num_triangles}\n"
+                + _format_lines("%.17g %.17g %s\n", vertex_values, 3)
+                + _format_lines("%d %d %d\n", self.triangles.ravel().tolist(), 3))
+
+
+def _format_lines(line: str, values: list, per_line: int) -> str:
+    """``line % row`` for each run of ``per_line`` consecutive ``values``, in order.
+
+    One ``%`` call formats 4096 lines, so a large export is built without a
+    Python step per line and with a bounded number of values in a tuple.
+    """
+    step = 4096 * per_line
+    return "".join((line * (len(chunk) // per_line)) % tuple(chunk)
+                   for chunk in (values[a:a + step] for a in range(0, len(values), step)))
 
 
 def p1_gradients(x: np.ndarray, y: np.ndarray) -> tuple:

@@ -307,9 +307,12 @@ def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:
     ``x`` of shape (2,) gives the matrix (m, 2), shape (k, 2) gives (k, m, 2).
     Only the located triangles' gradients are formed.
     """
-    t = np.atleast_1d(sol.mesh.locate(x))
-    g = np.einsum("tam,tad->tmd", sol.values[sol.mesh.triangles[t]],
-                  sol.mesh.basis_gradients()[t])
+    mesh = sol.mesh
+    t = np.atleast_1d(mesh.locate(x))
+    # (t, 3, 2) in C order, as the rows of basis_gradients() are: the einsum
+    # of a transposed view rounds differently
+    G = np.ascontiguousarray(p1_gradients(*mesh.vertex_rows(t))[0].transpose(2, 1, 0))
+    g = np.einsum("tam,tad->tmd", sol.values[mesh.triangles[t]], G)
     return g if np.ndim(x) == 2 else g[0]
 
 

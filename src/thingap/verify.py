@@ -130,10 +130,10 @@ PROBE_OFFSET = 0.05
 # bound on |system.lambda1| and system.mu1, 1e50 below the first overflow: norms
 # overflow from 1e150 on, oracle-suite's grid solve fails from 1e163, solve from 1e169
 LAME_MAX = 1e100
-# largest prop21.pairs: prop21 peaks at 83 MiB (ru_maxrss) with 10^5 pairs and 476 MiB
-# with 10^6, so 2*10^6 stay under solver.MAX_BAND_BYTES (1 GiB)
+# largest prop21.pairs: prop21 peaks at 61 MiB (ru_maxrss) with 10^5 pairs, 270 MiB
+# with 10^6 and 528 MiB with 2*10^6, under solver.MAX_BAND_BYTES (1 GiB)
 MAX_SAMPLES = 2_000_000
-# largest system.m: prop21 samples one component whatever m is (564 MiB at MAX_SAMPLES
+# largest system.m: prop21 samples one component whatever m is (528 MiB at MAX_SAMPLES
 # pairs, ru_maxrss, at m = 2 and m = 4); the other commands peak below 64 MiB at m = 4
 MAX_COMPONENTS = 4
 # bound on |bc.phi| and |bc.psi| entries, 1e52 below the first failure: sweep, prop21 and

@@ -1,9 +1,11 @@
 import collections
+import itertools
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from thingap import auxiliary
 from thingap.auxiliary import (BoundaryData, ConfigurationError, _slab_width_comparable,
                                check_seminorm_growth, field_gradients, field_values, gap_fraction,
                                gap_fraction_gradient, holder_seminorm, seminorm_growth_rhs)
@@ -321,6 +323,36 @@ def test_seminorm_evaluates_the_field_once(geom):
 
     assert holder_seminorm(f, region_at(geom, 0.0), GAMMA, pairs=400, seed=0) > 0
     assert len(batches) == 1 and batches[0] % 2 == 0
+
+
+def test_seminorm_streams_are_drawn_once_per_budget_and_seed(geom):
+    # interleaved (pairs, seed) in any order give the floats of calls that each
+    # draw their streams afresh
+    data = BoundaryData.constant([1.0], [0.0])
+    f = lambda X: field_gradients(geom, data, X).reshape(X.shape[0], -1)
+    calls = list(itertools.product((region_at(geom, 0.0), region_at(geom, 0.2, frac=0.25)),
+                                   (300, 1000), (0, 5)))
+
+    def fresh(region, pairs, seed):
+        auxiliary._unit_streams.cache_clear()
+        return holder_seminorm(f, region, GAMMA, pairs=pairs, seed=seed)
+
+    want = [fresh(*c) for c in calls]
+    n = len(calls)
+    for order in (range(n), range(n - 1, -1, -1), [*range(0, n, 2), *range(1, n, 2)]):
+        got = {i: holder_seminorm(f, calls[i][0], GAMMA, pairs=calls[i][1], seed=calls[i][2])
+               for i in order}
+        assert [got[i] for i in range(n)] == want
+
+
+def test_seminorm_reused_draws_are_read_only():
+    points, directions = auxiliary._unit_streams(250, 3)
+    arrays = [a for pair in points for a in pair] + list(directions)
+    assert len(arrays) == 13
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0.5
+    assert auxiliary._unit_streams(250, 3)[0] is points
 
 
 def test_seminorm_rejects_empty_budget(geom):

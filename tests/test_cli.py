@@ -6,8 +6,10 @@ import os
 import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hypothesis import given, settings, strategies as st
@@ -269,6 +271,18 @@ def test_readme_key_list_matches_schema():
             listed += [k.strip() for k in re.split(r"\s{2,}", line)[0].split(",")]
     assert len(listed) == len(set(listed))
     assert set(listed) == set(SCHEMA)
+
+
+def test_solution_text_is_one_fmt_float_line_per_vertex():
+    # the bulk format writes what fmt_float writes, across the 4096-line blocks,
+    # and null for the non-finite values
+    rng = np.random.default_rng(4)
+    for values in (rng.normal(size=(9000, 2)) * 10.0 ** rng.integers(-300, 300, size=(9000, 2)),
+                   np.array([[1.5, np.nan], [-np.inf, 0.1], [np.inf, -0.0]])):
+        sol = types.SimpleNamespace(values=values)
+        want = [f"vertices {values.shape[0]} m 2"] + [" ".join(fmt_float(v) for v in row)
+                                                      for row in values]
+        assert export_solution_text(sol) == "\n".join(want) + "\n"
 
 
 def test_cli_imports_no_measurement_code():

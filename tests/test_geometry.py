@@ -151,6 +151,13 @@ def test_slopes_vanish_at_the_origin():
     h_top, h_bot, d_top, d_bot = GapGeometry(EPS, GAMMA).profiles(np.zeros(3), gradient=True)
     for a in (h_top, h_bot, d_top, d_bot):
         assert np.array_equal(a, np.zeros(3))
+    # a float gives floats, the values of a one-point batch
+    geom = GapGeometry(EPS, GAMMA, c_top=1.0, c_bottom=-0.5)
+    assert geom.profiles(0.0, gradient=True) == (0.0, 0.0, 0.0, 0.0)
+    for x in (-0.7, 0.3):
+        got, want = geom.profiles(x, gradient=True), geom.profiles(np.array([x]), gradient=True)
+        assert all(type(a) is float for a in got)
+        assert np.allclose(got, np.concatenate(want), rtol=1e-15, atol=0)
 
 
 def test_validate_is_exact_at_the_rim():

@@ -204,6 +204,17 @@ def test_total_area_matches_width_integral(geom):
     assert got == pytest.approx(want, rel=5e-3)
 
 
+def test_export_text_is_one_formatted_line_per_row(geom):
+    # the bulk format writes the per-line f-strings, across the 4096-line blocks
+    mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.004, xrange=0.75)
+    assert mesh.num_vertices > 4096 and mesh.num_triangles > 8192
+    want = [f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}"]
+    want += [f"{x:.17g} {y:.17g} {TAG_NAMES[int(tag)]}"
+             for (x, y), tag in zip(mesh.vertices, mesh.vertex_tags)]
+    want += [f"{i} {j} {k}" for i, j, k in mesh.triangles]
+    assert mesh.export_text() == "\n".join(want) + "\n"
+
+
 def test_export_roundtrip(geom):
     mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
     text = mesh.export_text()

@@ -18,7 +18,7 @@ from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
                             solve_dirichlet, value_at)
-from thingap.verify import SweepPlan, fit_rate, remainder_energy
+from thingap.verify import SweepPlan, fit_rate, probe_points, remainder_energy
 
 EPS = 1e-2
 GAMMA = 0.5
@@ -296,6 +296,22 @@ def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
     assert g.shape == (19, cs.m, 2)
     assert np.array_equal(g, sol.gradients()[mesh.locate(pts)])
     assert np.array_equal(gradient_at(sol, (0.0, 0.0)), sol.gradients()[mesh.locate((0.0, 0.0))])
+
+
+def test_gradient_at_on_a_refined_mesh_is_the_whole_mesh_formula_bit_for_bit():
+    # only the located triangles' gradients are formed: the mesh's (T, 3, 2)
+    # basis gradients stay unbuilt, and the rows equal theirs bit for bit
+    cs = lame_as_general(LameParameters(1.0, 1.0))
+    geom = GapGeometry(1e-3, GAMMA)
+    fine = refine(generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5))
+    data = BoundaryData.polynomial([[1.0, 0.5, 1.0], [0.2]], [[0.0], [0.0, -0.3]], geom)
+    sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
+    pts = probe_points(geom)
+    g = gradient_at(sol, pts)
+    assert fine._grads is None
+    t = fine.locate(pts)
+    want = np.einsum("tam,tad->tmd", sol.values[fine.triangles[t]], fine.basis_gradients()[t])
+    assert np.array_equal(g, want)
 
 
 def test_value_at_reproduces_affine_field_and_barycentric_values():

@@ -4,6 +4,7 @@ import weakref
 import numpy as np
 import pytest
 
+import thingap.auxiliary as auxiliary
 import thingap.mesh as mesh_module
 import thingap.verify as verify
 from thingap.mesh import refine, refine_layers, refine_stations
@@ -434,6 +435,19 @@ def test_samplers_take_component_0_alone(monkeypatch):
     assert prop21[0] == prop21[1]
     verify.check_oracles(plans[1])
     assert seen and set(seen) == {1}
+
+
+def test_prop21_draws_each_random_stream_once(monkeypatch):
+    # the 45 sampler calls of prop21 share one (pairs, seed): its 13 unit streams
+    # (5 point tags x 2 variables, 3 direction scales) are drawn once, not per call
+    auxiliary._unit_streams.cache_clear()
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *a, **k: made.append(a) or
+                        default_rng(*a, **k))
+    doc, _ = verify.check_prop21(SweepPlan())
+    assert len(doc["rows"]) == 45
+    assert len(made) == 13
 
 
 def test_t_quantile_matches_scipy():
