@@ -66,7 +66,6 @@ class Mesh:
             a.setflags(write=False)
         self._areas = None
         self._centroids = None
-        self._grads = None
 
     # -- derived quantities --------------------------------------------------
 
@@ -97,14 +96,6 @@ class Mesh:
         """Corner coordinates ``x``, ``y`` (3, t) of ``triangles`` (default all)."""
         corners = self.triangles[triangles].T
         return self.vertices[:, 0][corners], self.vertices[:, 1][corners]
-
-    def basis_gradients(self) -> np.ndarray:
-        """Gradients of the three linear nodal functions per triangle, (T, 3, 2)."""
-        if self._grads is None:
-            self._grads = np.ascontiguousarray(
-                p1_gradients(*self.vertex_rows())[0].transpose(2, 1, 0))
-            self._grads.setflags(write=False)
-        return self._grads
 
     # -- point location --------------------------------------------------------
 

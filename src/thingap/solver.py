@@ -28,7 +28,7 @@ positive definite (a large D) take scipy's banded LU, ``dgbtrf`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -238,19 +238,22 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
 
 @dataclass
 class DiscreteSolution:
-    """Nodal vector field with its elementwise-constant gradient."""
+    """Nodal vector field; its gradient is constant on each triangle."""
 
     mesh: Mesh
     values: np.ndarray          # (N, m)
-    _grads: np.ndarray = field(default=None, repr=False)
 
-    def gradients(self) -> np.ndarray:
-        """Per-triangle gradient of the linear interpolant, (T, m, 2)."""
-        if self._grads is None:
-            G = self.mesh.basis_gradients()
-            self._grads = np.einsum("tam,tad->tmd", self.values[self.mesh.triangles], G)
-            self._grads.setflags(write=False)
-        return self._grads
+    def gradients(self, triangles=slice(None)) -> np.ndarray:
+        """Gradients of the linear interpolant on ``triangles`` (default all),
+        (t, m, 2); only those triangles' gradients are formed.
+
+        The nodal-function gradients are made C-contiguous (t, 3, 2) first:
+        the einsum of a transposed view rounds differently, and every reader
+        gets the same bits for a triangle whatever else it selects.
+        """
+        mesh = self.mesh
+        G = np.ascontiguousarray(p1_gradients(*mesh.vertex_rows(triangles))[0].transpose(2, 1, 0))
+        return np.einsum("tam,tad->tmd", self.values[mesh.triangles[triangles]], G)
 
 
 def dirichlet_values(mesh: Mesh, data: BoundaryData) -> BoundaryAssignment:
@@ -302,30 +305,26 @@ def solve_dirichlet(system: AssembledSystem, bc: BoundaryAssignment) -> Discrete
 
 
 def gradient_at(sol: DiscreteSolution, x) -> np.ndarray:
-    """Gradients of the containing triangles (lowest index on ties).
+    """Gradients in the lowest-index triangles containing ``x`` (:meth:`Mesh.locate`).
 
     ``x`` of shape (2,) gives the matrix (m, 2), shape (k, 2) gives (k, m, 2).
     Only the located triangles' gradients are formed.
     """
-    mesh = sol.mesh
-    t = np.atleast_1d(mesh.locate(x))
-    # (t, 3, 2) in C order, as the rows of basis_gradients() are: the einsum
-    # of a transposed view rounds differently
-    G = np.ascontiguousarray(p1_gradients(*mesh.vertex_rows(t))[0].transpose(2, 1, 0))
-    g = np.einsum("tam,tad->tmd", sol.values[mesh.triangles[t]], G)
+    g = sol.gradients(np.atleast_1d(sol.mesh.locate(x)))
     return g if np.ndim(x) == 2 else g[0]
 
 
 def value_at(sol: DiscreteSolution, x) -> np.ndarray:
-    """Values of the linear interpolant in the triangles :func:`gradient_at` uses.
+    """Values of the linear interpolant in the triangles :func:`gradient_at` reads.
 
-    ``x`` of shape (2,) gives (m,), shape (k, 2) gives (k, m).
+    ``x`` of shape (2,) gives (m,), shape (k, 2) gives (k, m).  Only the
+    located triangles' gradients are formed.
     """
-    x = np.asarray(x, dtype=float)
-    t = sol.mesh.locate(x)
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
+    t = sol.mesh.locate(pts)
     v0 = sol.mesh.triangles[t, 0]
-    d = x - sol.mesh.vertices[v0]
-    return sol.values[v0] + np.einsum("...md,...d->...m", sol.gradients()[t], d)
+    v = sol.values[v0] + np.einsum("tmd,td->tm", sol.gradients(t), pts - sol.mesh.vertices[v0])
+    return v if np.ndim(x) == 2 else v[0]
 
 
 def grid_distance(sol: DiscreteSolution, grid) -> float:

@@ -546,14 +546,15 @@ def remainder_energy(v, data: BoundaryData, region: LocalRegion) -> float:
     ``ext`` is the extension of ``data`` across ``region.geom``'s gap (a
     single-component measurement passes ``data.only(ell)``).  Its gradient is
     evaluated analytically at the centroids, so the measurement is not
-    polluted by interpolating the extension itself.
+    polluted by interpolating the extension itself.  Only the selected
+    triangles' gradients of ``v`` are formed.
     """
     mesh = v.mesh
     c = mesh.centroids()
     mask = region.contains(c)
     if not np.any(mask):
         return 0.0
-    gv = v.gradients()[mask]
+    gv = v.gradients(np.flatnonzero(mask))
     ge = field_gradients(region.geom, data, c[mask])
     d = gv - ge
     return float(np.sum(mesh.areas()[mask] * np.sum(d * d, axis=(1, 2))))

@@ -6,18 +6,22 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import thingap.auxiliary as auxiliary
+import thingap.cli as cli
 from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
                          export_solution_text, fmt_float, parse_config_text, run)
-from thingap.verify import MAX_COMPONENTS, MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan
+from thingap.mesh import MeshError, _build_stations
+from thingap.verify import (MAX_COMPONENTS, MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan,
+                           run_solve)
 
 
 SMALL = ["--set", "sweep.epsilons=0.1,0.03,0.01", "--set", "mesh.layers=8",
@@ -566,6 +570,54 @@ def test_effective_config_returns_a_valid_plan_or_a_config_error(overrides):
         return
     assert isinstance(plan, SweepPlan)
     plan.validate()
+
+
+# largest case the solve property runs, in graded stations times mesh.layers (about
+# the vertex count): a Lame solve of that size takes 0.3 s with its exports, so 50
+# cases stay under 15 s.  About 96% of the drawn cases lie below it; the rest are
+# not run
+SOLVE_CASE_SIZE = 20_000
+
+
+@settings(max_examples=50, deadline=None)
+@given(epsilon=st.floats(-8, math.log10(0.5)).map(lambda t: 10.0 ** t),
+       gamma=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       system=st.sampled_from(["lame", "identity", "holder_demo"]),
+       bc=st.sampled_from(["constant_jump", "polynomial"]),
+       layers=st.integers(4, 12), aspect=st.floats(0.25, 4), dxmax=st.floats(0.02, 0.2),
+       xrange=st.floats(0.5, 1))
+def test_solve_pipeline_over_the_key_ranges(epsilon, gamma, system, bc, layers, aspect,
+                                            dxmax, xrange):
+    # a valid exit code and finite artifacts, never a traceback, and a valid mesh
+    try:
+        size = _build_stations(SweepPlan(gamma=gamma).geometry(epsilon), aspect, dxmax,
+                               xrange).size * layers
+    except MeshError:       # too many stations: exit 2 before any mesh is built
+        size = 0
+    assume(size <= SOLVE_CASE_SIZE)
+    keys = {"epsilon": epsilon, "gamma": gamma, "system.kind": system, "bc.kind": bc,
+            "mesh.layers": layers, "mesh.aspect": aspect, "mesh.dxmax": dxmax,
+            "mesh.xrange": xrange}
+    meshes = []
+
+    def solve(plan):
+        result = run_solve(plan)
+        meshes.append(result[1].mesh)
+        return result
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "run_solve", solve)
+        sets = [a for k, v in keys.items() for a in ("--set", f"{k}={v}")]
+        code = run(["solve", "--out", out, *sets])
+        assert code in (0, 1, 2)
+        if code != 2:
+            assert meshes
+            assert _finite(json.loads(Path(out, "solve.json").read_text()))
+            head, *rows = Path(out, "solution.txt").read_text().splitlines()
+            assert len(rows) == int(head.split()[1])
+            assert np.isfinite(np.array([r.split() for r in rows], dtype=float)).all()
+    for mesh in meshes:
+        mesh.validate()
 
 
 @pytest.mark.parametrize("c, code, width", [("0.006", 1, "-0.002, not > 0"),

@@ -13,7 +13,7 @@ from thingap.coefficients import (CoefficientSet, LameParameters, holder_demo_co
                                   identity_coefficients, lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
 from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
-from thingap import _lapack, solver
+from thingap import _lapack, mesh as mesh_module, solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
                             assemble, dirichlet_values, gradient_at, l2_norm,
@@ -299,8 +299,8 @@ def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
 
 
 def test_gradient_at_on_a_refined_mesh_is_the_whole_mesh_formula_bit_for_bit():
-    # only the located triangles' gradients are formed: the mesh's (T, 3, 2)
-    # basis gradients stay unbuilt, and the rows equal theirs bit for bit
+    # the located triangles' gradients equal the whole mesh's rows bit for bit,
+    # and the solution of each corner system [1, x, y] c = u to 1e-12 relative
     cs = lame_as_general(LameParameters(1.0, 1.0))
     geom = GapGeometry(1e-3, GAMMA)
     fine = refine(generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5))
@@ -308,10 +308,44 @@ def test_gradient_at_on_a_refined_mesh_is_the_whole_mesh_formula_bit_for_bit():
     sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
     pts = probe_points(geom)
     g = gradient_at(sol, pts)
-    assert fine._grads is None
     t = fine.locate(pts)
-    want = np.einsum("tam,tad->tmd", sol.values[fine.triangles[t]], fine.basis_gradients()[t])
-    assert np.array_equal(g, want)
+    assert np.array_equal(g, sol.gradients()[t])
+    assert np.array_equal(g, sol.gradients(t))
+    for tri, gt in zip(fine.triangles[t], g):
+        corners = np.column_stack([np.ones(3), fine.vertices[tri]])
+        want = np.linalg.solve(corners, sol.values[tri])[1:].T
+        assert np.max(np.abs(gt - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("read", ["value_at", "value_at_one_point", "gradient_at",
+                                  "remainder_energy"])
+def test_point_reads_and_slab_energies_form_only_their_triangles(monkeypatch, read):
+    # a spy on the P1 gradient kernel, under both names it is called by: a
+    # read of k points forms at most k triangles, a slab's energy its own
+    geom = GapGeometry(EPS, GAMMA)
+    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
+    rng = np.random.default_rng(3)
+    sol = DiscreteSolution(mesh=mesh, values=rng.normal(size=(mesh.num_vertices, 1)))
+    region = LocalRegion(np.array([0.2, geom.midline(0.2)]), geom.gap_width(0.2), geom)
+    mask = region.contains(mesh.centroids())
+    mesh.areas()        # cached: its first call forms every triangle's determinant
+    pts = region.sample_points(7, seed=1, tag=0)
+    reads = {"value_at": (lambda: value_at(sol, pts), len(pts)),
+             "value_at_one_point": (lambda: value_at(sol, pts[0]), 1),
+             "gradient_at": (lambda: gradient_at(sol, pts), len(pts)),
+             "remainder_energy": (lambda: remainder_energy(sol, ZERO_DATA, region),
+                                  int(mask.sum()))}
+    formed, kernel = [], mesh_module.p1_gradients
+
+    def spy(x, y):
+        formed.append(x.shape[1])
+        return kernel(x, y)
+
+    monkeypatch.setattr(mesh_module, "p1_gradients", spy)
+    monkeypatch.setattr(solver, "p1_gradients", spy)
+    call, most = reads[read]
+    call()
+    assert 0 < sum(formed) <= most < mesh.num_triangles
 
 
 def test_value_at_reproduces_affine_field_and_barycentric_values():
@@ -398,8 +432,8 @@ def test_lateral_closure_insensitivity_in_the_interior():
                                  fixed=np.isin(mesh.vertex_tags, (TAG_TOP, TAG_BOTTOM)))
     xp = np.linspace(-0.25, 0.25, 33)
     t = mesh.locate(np.stack([xp, geom.midline(xp)], axis=1))
-    ga = solve_dirichlet(system, extension).gradients()[t]
-    gn = solve_dirichlet(system, natural).gradients()[t]
+    ga = solve_dirichlet(system, extension).gradients(t)
+    gn = solve_dirichlet(system, natural).gradients(t)
 
     def frob(g):
         return np.sqrt(np.sum(g * g, axis=(1, 2)))
