@@ -10,12 +10,12 @@ along the centerline, where it reaches 1/epsilon.
 import numpy as np
 
 from thingap import (BoundaryData, GapGeometry, LameParameters, assemble,
-                     dirichlet_values, generate, gradient_at, lame_as_general,
+                     dirichlet_values, generate, grade, gradient_at, lame_as_general,
                      solve_dirichlet)
 
 eps, gamma = 1e-2, 0.5
 geom = GapGeometry(eps, gamma)
-mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.02, xrange=1.0)
+mesh = generate(geom, grade(geom, 1.0, 0.02, 1.0), 12)
 mesh.validate()
 near = int(np.sum(np.abs(mesh.stations) < eps ** (1 / (1 + gamma))))
 print(f"mesh: {mesh.num_vertices} vertices, {mesh.num_triangles} triangles, "

@@ -14,7 +14,7 @@ from .coefficients import (CoefficientSet, EllipticityError, LameParameters,
 from .auxiliary import (BoundaryData, ConfigurationError, check_seminorm_growth,
                         field_gradients, field_values, gap_fraction, gap_fraction_gradient,
                         holder_seminorm, seminorm_growth_rhs)
-from .mesh import Mesh, MeshError, generate, refine, refine_layers, refine_stations
+from .mesh import Mesh, MeshError, generate, grade, refine
 from .solver import (AssembledSystem, BoundaryAssignment, DiscreteSolution,
                      RightHandSide, SolverError, assemble, dirichlet_values,
                      grid_distance, gradient_at, l2_norm, solve_dirichlet, value_at)

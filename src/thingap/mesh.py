@@ -6,6 +6,10 @@ carries the same number of vertical cells spanning the exact fiber between
 the two boundary graphs.  Each quad is split into two triangles.  Vertices
 sit exactly on their fiber, so refinement re-places vertices on the exact
 graphs instead of interpolating the polygonal boundary.
+
+Every mesh is ``generate(geom, stations, layers)`` on stations that
+:func:`grade` places, refined ones too: :func:`refine` is midpoint stations
+and doubled layers.
 """
 
 from __future__ import annotations
@@ -64,7 +68,6 @@ class Mesh:
     def __post_init__(self):
         for a in (self.vertices, self.triangles, self.vertex_tags, self.stations):
             a.setflags(write=False)
-        self._areas = None
         self._centroids = None
 
     # -- derived quantities --------------------------------------------------
@@ -77,14 +80,9 @@ class Mesh:
     def num_triangles(self) -> int:
         return self.triangles.shape[0]
 
-    def areas(self) -> np.ndarray:
-        if self._areas is None:
-            self._areas = np.abs(self.signed_areas())
-            self._areas.setflags(write=False)
-        return self._areas
-
-    def signed_areas(self) -> np.ndarray:
-        return 0.5 * p1_gradients(*self.vertex_rows())[1]
+    def areas(self, triangles=slice(None)) -> np.ndarray:
+        """Areas of ``triangles`` (default all), formed for those triangles only."""
+        return np.abs(0.5 * p1_gradients(*self.vertex_rows(triangles))[1])
 
     def centroids(self) -> np.ndarray:
         if self._centroids is None:
@@ -156,7 +154,7 @@ class Mesh:
 
     def validate(self) -> None:
         """Check orientation, closure membership, boundary placement, conformity."""
-        sa = self.signed_areas()
+        sa = 0.5 * p1_gradients(*self.vertex_rows())[1]
         if np.any(sa <= 0):
             raise MeshError(f"{int(np.sum(sa <= 0))} triangles with nonpositive area")
         xp = self.vertices[:, 0]
@@ -216,8 +214,9 @@ def p1_gradients(x: np.ndarray, y: np.ndarray) -> tuple:
     return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), det
 
 
-def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: float) -> np.ndarray:
-    """Graded station positions, symmetric about 0, spacing min(aspect*width, dxmax).
+def grade(geom: GapGeometry, aspect: float, dxmax: float, xrange: float) -> np.ndarray:
+    """Graded station positions on ``|x'| <= xrange``, symmetric about 0, spacing
+    ``min(aspect * gap_width, dxmax)``.
 
     Raises :class:`MeshError` for boundaries that cross inside the strip, and
     once the strip would need more than ``MAX_STATIONS`` stations.
@@ -248,7 +247,12 @@ def _build_stations(geom: GapGeometry, aspect: float, dxmax: float, xrange: floa
     return np.concatenate([-right[:0:-1], right])
 
 
-def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
+def generate(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
+    """Layered mesh over ``stations`` (from :func:`grade`), ``layers`` (>= 4)
+    cells on each station's fiber; vertices sit exactly on the fibers, so the
+    top and bottom rows lie on the boundary graphs."""
+    if layers < 4:
+        raise MeshError(f"layers must be >= 4, got {layers}")
     widths = geom.gap_width(stations)       # raises where the boundaries cross
     S = stations.size
     frac = np.arange(layers + 1) / layers
@@ -273,48 +277,20 @@ def _build_from_stations(geom: GapGeometry, stations: np.ndarray, layers: int) -
                 stations=stations, layers=layers, geom=geom)
 
 
-def generate(geom: GapGeometry, layers: int, aspect: float = 2.0,
-             dxmax: float = 0.02, xrange: float = 1.0) -> Mesh:
-    """Layered mesh of the gap strip ``|x'| <= xrange``.
-
-    ``layers`` vertical cells per station (>= 4); tangential spacing
-    ``min(aspect * gap_width, dxmax)``.  Vertices are placed exactly on the
-    fiber between the boundary graphs, so top/bottom rows sit on the graphs.
-    """
-    if layers < 4:
-        raise MeshError(f"layers must be >= 4, got {layers}")
-    return _build_from_stations(geom, _build_stations(geom, aspect, dxmax, xrange), layers)
-
-
-def _with_midpoints(values: np.ndarray) -> np.ndarray:
-    out = np.empty(values.size * 2 - 1)
-    out[0::2] = values
-    out[1::2] = 0.5 * (values[:-1] + values[1:])
+def with_midpoints(stations: np.ndarray) -> np.ndarray:
+    """``stations`` with the midpoint of each interval inserted: 2 S - 1 stations."""
+    out = np.empty(stations.size * 2 - 1)
+    out[0::2] = stations
+    out[1::2] = 0.5 * (stations[:-1] + stations[1:])
     return out
 
 
-def refine_stations(mesh: Mesh) -> Mesh:
-    """Refinement along the gap: midpoint stations, the same layers, exact fibers.
-
-    Not nested: a cell's coarse diagonal a-c is no edge of the finer mesh.  A
-    coarse field of nodal values in [0, 1) and its finer-mesh interpolant differ
-    by up to 0.30 at the finer centroids of the flat 12-layer strip (uniform
-    refinement: 4e-15); on the curved gap, with vertices re-placed on the exact
-    fibers, neither refinement is nested (0.31 and 0.20 at epsilon = 1e-2).
-    """
-    return _build_from_stations(mesh.geom, _with_midpoints(mesh.stations), mesh.layers)
-
-
-def refine_layers(mesh: Mesh) -> Mesh:
-    """Refinement across the gap: the same stations, doubled layers, exact fibers."""
-    return _build_from_stations(mesh.geom, mesh.stations, mesh.layers * 2)
-
-
 def refine(mesh: Mesh) -> Mesh:
-    """Uniform refinement, ``refine_layers(refine_stations(mesh))``.
-
-    Vertices are re-placed on the exact fiber, so refined boundary rows lie
-    on the true graphs instead of the coarse mesh's polygonal boundary.
-    """
-    return refine_layers(refine_stations(mesh))
-
+    """Uniform refinement: midpoint stations and doubled layers on the exact
+    fibers, so refined boundary rows lie on the true graphs, not on the coarse
+    polygonal boundary.  Not nested: a coarse field of nodal values in [0, 1)
+    and its finer interpolant differ by 4e-15 at the finer centroids of the
+    flat 12-layer strip, but by 0.30 there under midpoint stations alone (a
+    cell's coarse diagonal a-c is no finer edge), and on the curved gap at
+    epsilon = 1e-2 by 0.31 (midpoint stations) and 0.20 (doubled layers)."""
+    return generate(mesh.geom, with_midpoints(mesh.stations), 2 * mesh.layers)

@@ -60,14 +60,22 @@ SYMMETRY_RTOL = 1e-12
 # elements assembled, or summed into the band per local pair, at a time: a
 # block's terms (BLOCK (3m)^2 entries, 0.6 MB for m = 2) stay near L2 size
 BLOCK = 2048
-# largest band n (kd + 1) 8 bytes plus element matrices T (3m)^2 8 bytes a
-# planned problem may need: the sweep at mesh.layers = 48 builds stations
-# levels up to a 15 MiB band and 6 MiB of element matrices and a layers level
-# of 28 + 5 MiB, at 192 layers 246 + 23 and 446 + 21 MiB; at 12 layers and
-# mesh.dxmax = 1e-4 the elements (132 MiB) outweigh the band (87 MiB)
+# largest band plus element matrices (band_bytes) of a planned mesh: the sweep
+# at mesh.layers = 48 builds stations levels up to a 15 MiB band and 6 MiB of
+# element matrices and a layers level of 28 + 5 MiB, at 192 layers 246 + 23 and
+# 446 + 21 MiB; at 12 layers and mesh.dxmax = 1e-4 the elements (132 MiB)
+# outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
 # band position of a fixed dof: with kd >= 1, every slot it enters is negative
 _FIXED = -2**40
+
+
+def band_bytes(stations: int, layers: int, m: int) -> tuple[int, int]:
+    """Bytes of the band, n (kd + 1) 8 with n = (S - 2)(L - 1) m free dofs (every
+    boundary vertex is fixed) and kd + 1 = (L + 1) m, and of the element matrices
+    held while it is factored, 2 (S - 1) L (3m)^2 8, on S stations of L layers."""
+    return ((stations - 2) * (layers - 1) * (layers + 1) * m**2 * 8,
+            2 * (stations - 1) * layers * (3 * m) ** 2 * 8)
 
 
 @dataclass

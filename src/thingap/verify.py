@@ -32,9 +32,9 @@ from .coefficients import (CoefficientSet, EllipticityError, LameParameters, che
                            check_holder, holder_demo_coefficients, identity_coefficients,
                            lame_as_general)
 from .geometry import GapGeometry, LocalRegion
-from .mesh import MeshError, _build_stations, generate, refine_layers, refine_stations
+from .mesh import MeshError, generate, grade, with_midpoints
 from .oracle import AffineCase, brute_force_seminorm, finite_difference_reference
-from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, dirichlet_values,
+from .solver import (MAX_BAND_BYTES, AssembledSystem, assemble, band_bytes, dirichlet_values,
                      gradient_at, grid_distance, l2_norm, solve_dirichlet)
 
 
@@ -284,12 +284,17 @@ class SweepPlan:
         psi = [list(self.bc_psi)] + [[0.0]] * (m - 1)
         return BoundaryData.polynomial(phi, psi, geom)
 
+    def _mesh_keys(self, energy: bool = False) -> tuple:
+        """Key family, layers, aspect and xrange of the sweep or (``energy``) energy mesh."""
+        return (("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
+                else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
+
     def _refuse_crossing(self, epsilon: float, energy: bool = False) -> None:
         """Raise a :class:`PlanError` naming the profile amplitudes when the
         boundaries cross inside the meshed strip (``energy``: the energy
         mesh's); the width is monotone in ``|x'|``, so the strip's edge decides.
         """
-        key, xrange = ("energy", self.energy_xrange) if energy else ("mesh", self.mesh_xrange)
+        key, _, _, xrange = self._mesh_keys(energy)
         least = self.geometry(epsilon).least_width(xrange)
         if least <= 0:
             raise PlanError(f"profile.c1 = {self.profile_c1:g} and profile.c2 = "
@@ -297,54 +302,54 @@ class SweepPlan:
                             f"cross inside |x'| <= {key}.xrange = {xrange:g} (least gap "
                             f"width {least:.4g})")
 
+    def _levels(self, epsilon: float, stations: np.ndarray, layers: int) -> list:
+        """The meshes the sweep solves at ``epsilon``, as (name, stations, layers),
+        from its mesh's ``stations`` and ``layers``: the mesh, its stations level
+        (midpoint stations) at every epsilon, and its layers level (doubled
+        layers) at the plan's largest epsilon."""
+        levels = [("mesh", stations, layers), ("stations", with_midpoints(stations), layers)]
+        if epsilon >= max(self.sweep_epsilons):
+            levels.append(("layers", stations, 2 * layers))
+        return levels
+
     def problem(self, epsilon: float, energy: bool = False, refinement: bool = False
                 ) -> tuple[GapGeometry, BoundaryData, AssembledSystem]:
         """Geometry, boundary data and assembled system at one gap width.
 
         The mesh is the sweep mesh (``mesh.*`` keys), or with ``energy`` the
         energy-scaling mesh (``energy.layers``, ``energy.aspect``,
-        ``energy.xrange`` with ``mesh.dxmax``).  Boundaries that cross inside
-        the meshed strip raise a :class:`PlanError` (:meth:`_refuse_crossing`).
-        After that a :class:`MeshError` can only come from the
-        grading keys, so it is raised as a :class:`PlanError` that names them.
-        So is a mesh whose band and element matrices, or with ``refinement``
-        those of a level the sweep builds (stations level at every epsilon,
-        layers level at the largest), would exceed ``MAX_BAND_BYTES``: the
-        check reads the station count before the mesh is built and names the
-        level.
+        ``energy.xrange`` with ``mesh.dxmax``); its stations are graded once.
+        Boundaries that cross inside the meshed strip raise a
+        :class:`PlanError` (:meth:`_refuse_crossing`).  After that a
+        :class:`MeshError` can only come from the grading keys, so it is raised
+        as a :class:`PlanError` that names them.  So is a mesh whose band and
+        element matrices (``solver.band_bytes``), or with ``refinement`` those
+        of a refined level the sweep builds (:meth:`_levels`), would exceed
+        ``MAX_BAND_BYTES``: the check reads the graded stations before any mesh
+        is built and names the level.
         """
         self._refuse_crossing(epsilon, energy)
         geom = self.geometry(epsilon)
         data = self.boundary_data(geom)
-        key, layers, aspect, xrange = (
-            ("energy", self.energy_layers, self.energy_aspect, self.energy_xrange) if energy
-            else ("mesh", self.mesh_layers, self.mesh_aspect, self.mesh_xrange))
+        key, layers, aspect, xrange = self._mesh_keys(energy)
         try:
-            stations = _build_stations(geom, aspect, self.mesh_dxmax, xrange)
+            stations = grade(geom, aspect, self.mesh_dxmax, xrange)
         except MeshError as exc:
             raise PlanError(f"{key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
                             f"{exc}") from None
         cs = self.coefficients()
-        levels = {"": (stations.size, layers)}
-        if refinement:
-            levels = {" (stations level)": (2 * stations.size - 1, layers)}
-            if epsilon >= max(self.sweep_epsilons):
-                levels[" (layers level)"] = (stations.size, 2 * layers)
-        for level, (S, L) in levels.items():
-            # the band n (kd + 1) 8 bytes: every boundary vertex is fixed, so
-            # n = (S - 2)(L - 1) m free dofs, and kd + 1 = (L + 1) m; the element
-            # matrices E, held while the band is factored, take 2 (S - 1) L (3m)^2 8
-            band = (S - 2) * (L - 1) * (L + 1) * cs.m**2 * 8
-            elements = 2 * (S - 1) * L * (3 * cs.m) ** 2 * 8
+        levels = self._levels(epsilon, stations, layers)
+        # the refined levels are never smaller than the mesh: midpoints double its stations
+        for name, s, L in levels[1:] if refinement else levels[:1]:
+            band, elements = band_bytes(s.size, L, cs.m)
             if band + elements > MAX_BAND_BYTES:
                 raise PlanError(
                     f"{key}.layers, {key}.aspect and mesh.dxmax at epsilon = {epsilon:g}: "
-                    f"the {'refined ' if refinement else ''}mesh's {S} stations of "
-                    f"{L} layers{level} need a {band / 2**20:.0f} MiB band and "
-                    f"{elements / 2**20:.0f} MiB of element matrices, more than the "
-                    f"{MAX_BAND_BYTES / 2**20:.0f} MiB budget")
-        # generate grades the stations again (a loop on floats, well under 1 ms)
-        return geom, data, assemble(generate(geom, layers, aspect, self.mesh_dxmax, xrange), cs)
+                    f"the {'refined ' if refinement else ''}mesh's {s.size} stations of "
+                    f"{L} layers{f' ({name} level)' if refinement else ''} need a "
+                    f"{band / 2**20:.0f} MiB band and {elements / 2**20:.0f} MiB of element "
+                    f"matrices, more than the {MAX_BAND_BYTES / 2**20:.0f} MiB budget")
+        return geom, data, assemble(generate(geom, stations, layers), cs)
 
 
 def max_over_min(values) -> float:
@@ -442,14 +447,17 @@ def _run_one_epsilon(plan: SweepPlan, epsilon: float):
     geom, data, system = plan.problem(epsilon, refinement=True)
     sol = solve_dirichlet(system, dirichlet_values(system.mesh, data))
     mesh, cs = system.mesh, system.cs
-    del system          # release the factorization before the refined mesh is built
+    del system          # release the factorization before the refined levels are built
 
     M = float(_frob(gradient_at(sol, (0.0, 0.0))))
-    M_fine, change = _refined_neck(refine_stations(mesh), cs, data, M)
+    # one level at a time: _refined_neck frees each system before the next mesh
+    refined = {name: (L, *_refined_neck(generate(geom, s, L), cs, data, M))
+               for name, s, L in plan._levels(epsilon, mesh.stations, mesh.layers)[1:]}
+    _, M_fine, change = refined["stations"]
     layers = None
-    if epsilon >= max(plan.sweep_epsilons):
-        M_layers, layers_change = _refined_neck(refine_layers(mesh), cs, data, M)
-        layers = {"epsilon": epsilon, "layers": 2 * mesh.layers, "M_center": M_layers,
+    if "layers" in refined:
+        L, M_layers, layers_change = refined["layers"]
+        layers = {"epsilon": epsilon, "layers": L, "M_center": M_layers,
                   "reliability_change": layers_change}
 
     pts = probe_points(geom)
@@ -488,10 +496,11 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
     """``sweep``: solve, probe and fit across the plan's gap widths; returns
     the body of ``report.json`` and its checks.
 
-    Each epsilon solves on the sweep mesh and on its stations level
-    (:func:`refine_stations`: along the gap, where the error lies); the
-    largest also on its layers level (:func:`refine_layers`), reported as
-    ``layers_level``.  Each level's system is freed before the next is built.
+    Each epsilon solves on the sweep mesh and on its stations level (midpoint
+    stations: along the gap, where the error lies); the largest also on its
+    layers level (doubled layers), reported as ``layers_level``.  Every level
+    is ``generate``d from the stations graded once per epsilon
+    (:meth:`SweepPlan._levels`), after the previous level's system is freed.
     With ``threads > 1`` the epsilons run in a thread pool whose ``map`` keeps
     plan order, so the report does not depend on completion order.
 
@@ -547,17 +556,18 @@ def remainder_energy(v, data: BoundaryData, region: LocalRegion) -> float:
     single-component measurement passes ``data.only(ell)``).  Its gradient is
     evaluated analytically at the centroids, so the measurement is not
     polluted by interpolating the extension itself.  Only the selected
-    triangles' gradients of ``v`` are formed.
+    triangles' gradients of ``v`` and areas are formed.
     """
     mesh = v.mesh
     c = mesh.centroids()
     mask = region.contains(c)
     if not np.any(mask):
         return 0.0
-    gv = v.gradients(np.flatnonzero(mask))
+    triangles = np.flatnonzero(mask)
+    gv = v.gradients(triangles)
     ge = field_gradients(region.geom, data, c[mask])
     d = gv - ge
-    return float(np.sum(mesh.areas()[mask] * np.sum(d * d, axis=(1, 2))))
+    return float(np.sum(mesh.areas(triangles) * np.sum(d * d, axis=(1, 2))))
 
 
 def center_law(center: dict, gamma: float, band: float, stability_factor: float
@@ -757,7 +767,7 @@ def _fd_vs_fem(cs: CoefficientSet) -> float:
                                    geom)
     grid = finite_difference_reference(cs, 0.5, geom.epsilon, nx=160, ny=64,
                                        boundary=lambda X: field_values(geom, data, X))
-    mesh = generate(geom, layers=16, aspect=2.0, dxmax=0.0125, xrange=0.5)
+    mesh = generate(geom, grade(geom, 2.0, 0.0125, 0.5), 16)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
     return grid_distance(sol, grid)
 
@@ -770,8 +780,9 @@ def check_oracles(plan: SweepPlan) -> tuple[dict, list[Check]]:
     cs_lame = lame_as_general(plan.lame())
     eps = plan.epsilon
     case = AffineCase(eps)
+    flat = case.geometry()
     try:
-        mesh = generate(case.geometry(), layers=8, aspect=2.0, dxmax=0.05, xrange=1.0)
+        mesh = generate(flat, grade(flat, 2.0, 0.05, 1.0), 8)
     except MeshError as exc:
         raise PlanError(f"epsilon = {eps:g} for the affine oracle's flat strip: {exc}") from None
     sol = solve_dirichlet(assemble(mesh, identity_coefficients()),

@@ -18,7 +18,7 @@ import thingap as tg
 from thingap.auxiliary import BoundaryData, field_gradients, field_values, gap_fraction_gradient
 from thingap.cli import run as cli_run
 from thingap.geometry import GapGeometry
-from thingap.mesh import generate, refine
+from thingap.mesh import generate, grade, refine
 from thingap.solver import (BoundaryAssignment, RightHandSide, assemble,
                             dirichlet_values, solve_dirichlet)
 from thingap.verify import (SweepPlan, center_law, check_energy_scaling, check_oracles,
@@ -105,7 +105,7 @@ def test_criterion2_manufactured_convergence_rates():
     levels = 4                          # base mesh plus 3 refinements
     for name, cs in (("identity", tg.identity_coefficients(m=2)),
                      ("lame", tg.lame_as_general(tg.LameParameters(1.0, 1.0)))):
-        mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+        mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
         errs = []
         for level in range(levels):
             errs.append(_mms_errors(cs, mesh))

@@ -17,9 +17,10 @@ from hypothesis import assume, given, settings, strategies as st
 
 import thingap.auxiliary as auxiliary
 import thingap.cli as cli
+import thingap.verify as verify
 from thingap.cli import (COMMANDS, ConfigError, SCHEMA, dumps, effective_config, emit_tables,
                          export_solution_text, fmt_float, parse_config_text, run)
-from thingap.mesh import MeshError, _build_stations
+from thingap.mesh import MeshError, generate, grade
 from thingap.verify import (MAX_COMPONENTS, MAX_SAMPLES, PROBES_PROFILE, PlanError, SweepPlan,
                            run_solve)
 
@@ -315,25 +316,35 @@ def test_cli_imports_no_measurement_code():
 def test_traced_commands_keep_benchmark_hooks(tmp_path):
     # the benchmark wraps these names from outside src/ by replacing module
     # attributes; a rename, or a call that bypasses the module-global name,
-    # breaks it
+    # breaks it.  Every mesh a command solves on, refined levels included, is
+    # built by mesh.generate, so its span counts what assembly counts
     root = Path(__file__).resolve().parents[1]
     energy = SMALL_RUNS["energy-scaling"][1]
+    runs = {"sweep": ["sweep", *SMALL], "energy": ["energy-scaling", *energy],
+            "oracle": ["oracle-suite"]}
     script = f"""
 import json, sys
 sys.path.insert(0, {str(root / 'perfbench')!r})
 import thingap.cli
 import spans
 rec = spans.install_tracing()
-codes = [thingap.cli.run(["sweep", "--out", {str(tmp_path / 'sweep')!r}, *{SMALL!r}]),
-         thingap.cli.run(["energy-scaling", "--out", {str(tmp_path / 'energy')!r}, *{energy!r}]),
-         thingap.cli.run(["oracle-suite", "--out", {str(tmp_path / 'oracle')!r}])]
+codes, per_run = [], {{}}
+for name, argv in {runs!r}.items():
+    start = len(rec.spans)
+    codes.append(thingap.cli.run([*argv, "--out", {str(tmp_path)!r} + "/" + name]))
+    per_run[name] = {{}}
+    for s in rec.spans[start:]:
+        if s[0] in ("mesh.generate", "solver.assemble"):
+            calls, triangles = per_run[name].get(s[0], (0, 0))
+            per_run[name][s[0]] = (calls + 1, triangles + s[4]["triangles"])
 calls = {{}}
 for s in rec.spans:
     calls[s[0]] = calls.get(s[0], 0) + 1
 errors = [s[0] for s in rec.spans if (s[4] or {{}}).get("error")]
 dofs = spans.install_dof_counter()
 codes.append(thingap.cli.run(["sweep", "--out", {str(tmp_path / 'dofs')!r}, *{SMALL!r}]))
-print(json.dumps({{"codes": codes, "errors": errors, "calls": calls, "dofs": dofs[0]}}))
+print(json.dumps({{"codes": codes, "errors": errors, "calls": calls, "per_run": per_run,
+                  "dofs": dofs[0]}}))
 """
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
@@ -350,6 +361,12 @@ print(json.dumps({{"codes": codes, "errors": errors, "calls": calls, "dofs": dof
                  "verify.remainder_energy", "solver.assemble", "solver.solve_dirichlet",
                  "mesh.generate"):
         assert got["calls"].get(name, 0) > 0, name
+    # (calls, triangles): the sweep solves 7 meshes on its 3 epsilons (levels
+    # included), energy-scaling one per epsilon, oracle-suite 3
+    for name, meshes in (("sweep", 7), ("energy", 5), ("oracle", 3)):
+        built, assembled = (got["per_run"][name][k]
+                            for k in ("mesh.generate", "solver.assemble"))
+        assert built == assembled and built[0] == meshes, name
     assert got["dofs"] > 0
 
 
@@ -577,6 +594,19 @@ def test_effective_config_returns_a_valid_plan_or_a_config_error(overrides):
 # cases stay under 15 s.  About 96% of the drawn cases lie below it; the rest are
 # not run
 SOLVE_CASE_SIZE = 20_000
+# largest case the sweep and energy-scaling property runs, in stations graded at
+# the smallest of its three gap widths times layers: a Lame sweep of that size,
+# its refined levels included, takes about 0.1 s with its exports
+PIPELINE_CASE_SIZE = 5_000
+
+
+def _case_size(epsilon, gamma, layers, aspect, dxmax, xrange) -> int:
+    """Stations graded at ``epsilon`` times ``layers``; 0 when grading refuses
+    (too many stations: exit 2 before any mesh is built)."""
+    try:
+        return grade(SweepPlan(gamma=gamma).geometry(epsilon), aspect, dxmax, xrange).size * layers
+    except MeshError:
+        return 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -589,12 +619,7 @@ SOLVE_CASE_SIZE = 20_000
 def test_solve_pipeline_over_the_key_ranges(epsilon, gamma, system, bc, layers, aspect,
                                             dxmax, xrange):
     # a valid exit code and finite artifacts, never a traceback, and a valid mesh
-    try:
-        size = _build_stations(SweepPlan(gamma=gamma).geometry(epsilon), aspect, dxmax,
-                               xrange).size * layers
-    except MeshError:       # too many stations: exit 2 before any mesh is built
-        size = 0
-    assume(size <= SOLVE_CASE_SIZE)
+    assume(_case_size(epsilon, gamma, layers, aspect, dxmax, xrange) <= SOLVE_CASE_SIZE)
     keys = {"epsilon": epsilon, "gamma": gamma, "system.kind": system, "bc.kind": bc,
             "mesh.layers": layers, "mesh.aspect": aspect, "mesh.dxmax": dxmax,
             "mesh.xrange": xrange}
@@ -616,6 +641,43 @@ def test_solve_pipeline_over_the_key_ranges(epsilon, gamma, system, bc, layers, 
             head, *rows = Path(out, "solution.txt").read_text().splitlines()
             assert len(rows) == int(head.split()[1])
             assert np.isfinite(np.array([r.split() for r in rows], dtype=float)).all()
+    for mesh in meshes:
+        mesh.validate()
+
+
+@settings(max_examples=20, deadline=None)
+@given(command=st.sampled_from(["sweep", "energy-scaling"]),
+       smallest=st.floats(-5, -2).map(lambda t: 10.0 ** t),
+       gamma=st.floats(0, 1, exclude_min=True, exclude_max=True),
+       system=st.sampled_from(["lame", "identity", "holder_demo"]),
+       bc=st.sampled_from(["constant_jump", "polynomial"]),
+       layers=st.integers(4, 16), aspect=st.floats(0.1, 4), dxmax=st.floats(0.01, 0.2),
+       xrange=st.floats(0.5, 1))
+def test_sweep_and_energy_pipelines_over_the_key_ranges(command, smallest, gamma, system, bc,
+                                                        layers, aspect, dxmax, xrange):
+    # the solve property for the sweep over the mesh.* keys and energy-scaling
+    # over the energy.* keys, at three gap widths: every mesh built, the
+    # sweep's refined levels included, is valid
+    assume(_case_size(smallest, gamma, layers, aspect, dxmax, xrange) <= PIPELINE_CASE_SIZE)
+    family, artifact = ("mesh", "report.json") if command == "sweep" else ("energy",
+                                                                           "energy.json")
+    keys = {"sweep.epsilons": f"0.1,0.03,{smallest!r}", "gamma": gamma, "system.kind": system,
+            "bc.kind": bc, f"{family}.layers": layers, f"{family}.aspect": aspect,
+            "mesh.dxmax": dxmax, f"{family}.xrange": xrange}
+    meshes = []
+
+    def build(geom, stations, layers):
+        meshes.append(generate(geom, stations, layers))
+        return meshes[-1]
+
+    with tempfile.TemporaryDirectory() as out, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "generate", build)
+        sets = [a for k, v in keys.items() for a in ("--set", f"{k}={v}")]
+        code = run([command, "--out", out, *sets])
+        assert code in (0, 1, 2)
+        if code != 2:
+            assert meshes
+            assert _finite(json.loads(Path(out, artifact).read_text()))
     for mesh in meshes:
         mesh.validate()
 

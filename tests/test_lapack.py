@@ -15,7 +15,7 @@ from thingap import _lapack, solver
 from thingap.auxiliary import BoundaryData
 from thingap.coefficients import LameParameters, lame_as_general
 from thingap.geometry import GapGeometry
-from thingap.mesh import generate
+from thingap.mesh import generate, grade
 from thingap.solver import assemble, dirichlet_values, solve_dirichlet
 
 
@@ -30,8 +30,8 @@ def _nonsymmetric():
 
 
 def _problem(cs):
-    mesh = generate(GapGeometry(0.1, 0.5), layers=6, aspect=1.0, dxmax=0.05,
-                    xrange=0.5)
+    geom = GapGeometry(0.1, 0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     return assemble(mesh, cs), dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0],
                                                                              [0.0, 0.0]))
 

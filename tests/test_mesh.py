@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
-import thingap.mesh as mesh_module
 from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_NAMES,
-                          TAG_TOP, generate, refine, refine_layers, refine_stations)
+                          TAG_TOP, generate, grade, refine, with_midpoints)
 
 EPS = 1e-1
 GAMMA = 0.5
@@ -43,7 +42,7 @@ def strip_area(geom, xrange, n_quad=20001):
 
 def test_flat_rectangle_triangle_count():
     geom = GapGeometry(0.2, 0.5, 0.0, 0.0)
-    mesh = generate(geom, layers=5, aspect=10.0, dxmax=0.25, xrange=1.0)
+    mesh = generate(geom, grade(geom, 10.0, 0.25, 1.0), 5)
     intervals = mesh.stations.size - 1
     assert mesh.num_triangles == 2 * intervals * 5
     assert mesh.num_vertices == mesh.stations.size * 6
@@ -51,9 +50,9 @@ def test_flat_rectangle_triangle_count():
 
 
 def test_gap_mesh_invariants(geom):
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=1.0)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 1.0), 8)
     mesh.validate()
-    assert np.all(mesh.signed_areas() > 0)
+    assert np.all(mesh.areas() > 0)
     # boundary rows sit on the exact graphs
     top = mesh.vertex_tags == TAG_TOP
     want = geom.top(mesh.vertices[top, 0])
@@ -65,15 +64,15 @@ def test_grading_refines_near_neck():
     eps = 1e-3
     g = GapGeometry(eps, GAMMA)
     neck = eps ** (1 / (1 + GAMMA))
-    coarse = generate(g, layers=4, aspect=1.0, dxmax=0.02, xrange=0.5)
-    fine = generate(g, layers=4, aspect=0.5, dxmax=0.02, xrange=0.5)
+    coarse = generate(g, grade(g, 1.0, 0.02, 0.5), 4)
+    fine = generate(g, grade(g, 0.5, 0.02, 0.5), 4)
     n_coarse = int(np.sum(np.abs(coarse.stations) < neck))
     n_fine = int(np.sum(np.abs(fine.stations) < neck))
     assert n_fine >= 2 * n_coarse - 2
 
 
 def test_refine_quadruples_and_projects(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 4)
     fine = refine(mesh)
     assert fine.num_triangles == 4 * mesh.num_triangles
     fine.validate()
@@ -86,24 +85,25 @@ def test_refine_quadruples_and_projects(geom):
 
 
 def test_directional_refinements_compose_to_the_uniform_one(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
-    stations, layers = refine_stations(mesh), refine_layers(mesh)
-    assert (stations.stations.size, stations.layers) == (2 * mesh.stations.size - 1, 4)
-    assert np.array_equal(layers.stations, mesh.stations) and layers.layers == 8
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 4)
+    s = mesh.stations
+    mid = with_midpoints(s)
+    assert mid.size == 2 * s.size - 1
+    assert np.array_equal(mid[0::2], s) and np.all((s[:-1] < mid[1::2]) & (mid[1::2] < s[1:]))
+    stations, layers = generate(geom, mid, 4), generate(geom, s, 8)
     for level in (stations, layers):
         level.validate()
-    # refine is both steps, bit for bit, and equals the direct construction
-    direct = mesh_module._build_from_stations(
-        geom, mesh_module._with_midpoints(mesh.stations), 8)
-    for fine in (refine(mesh), refine_layers(refine_stations(mesh)),
-                 refine_stations(refine_layers(mesh))):
+    # refine is both steps in either order, bit for bit
+    want = refine(mesh)
+    assert want.layers == 8
+    for fine in (generate(geom, with_midpoints(layers.stations), 8),
+                 generate(geom, stations.stations, 2 * stations.layers)):
         for name in ("vertices", "triangles", "vertex_tags", "stations"):
-            assert np.array_equal(getattr(fine, name), getattr(direct, name)), name
-        assert fine.layers == 8
+            assert np.array_equal(getattr(fine, name), getattr(want, name)), name
 
 
 def test_double_refine_places_vertices_on_exact_fibers(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 4)
     twice = refine(refine(mesh))
     s = mesh.stations
     quarters = np.concatenate([s[:-1, None] + np.arange(4) / 4 * np.diff(s)[:, None],
@@ -120,7 +120,7 @@ def test_double_refine_places_vertices_on_exact_fibers(geom):
 def test_triangles_follow_the_cell_formula(geom, layers):
     # Mesh docstring: vertex (s, j) is s * (layers + 1) + j; cell (i, j) has
     # triangles (i * layers + j) * 2 and + 1 with corners a, b, c and a, c, d
-    mesh = generate(geom, layers=layers, aspect=2.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 2.0, 0.1, 0.5), layers)
 
     def v(s, j):
         return s * (layers + 1) + j
@@ -135,34 +135,33 @@ def test_triangles_follow_the_cell_formula(geom, layers):
 
 
 def test_generate_rejects_bad_parameters(geom):
-    with pytest.raises(MeshError):
-        generate(geom, layers=3)
-    with pytest.raises(MeshError):
-        generate(geom, layers=8, xrange=1.5)
+    with pytest.raises(MeshError, match="layers must be >= 4, got 3"):
+        generate(geom, grade(geom, 2.0, 0.02, 1.0), 3)
+    for aspect, dxmax, xrange in ((2.0, 0.02, 1.5), (2.0, 0.02, 0.0), (0.0, 0.02, 1.0),
+                                  (2.0, -0.02, 1.0)):
+        with pytest.raises(MeshError):
+            grade(geom, aspect, dxmax, xrange)
 
 
-def test_generate_refuses_crossing_boundaries_before_the_station_loop(monkeypatch):
+def test_grade_refuses_crossing_boundaries_before_the_station_loop(monkeypatch):
     # the boundaries -+0.006|x'|^{3/2} off the 0.01 gap cross at |x'| = 0.885,
     # where the spacing aspect * width would shrink without reaching them
     crossing = GapGeometry(0.01, GAMMA, -0.006, 0.006)
-    assert generate(crossing, layers=4, xrange=0.8).stations[-1] == 0.8
+    assert grade(crossing, 2.0, 0.02, 0.8)[-1] == 0.8
 
     def no_width(*args):
         raise AssertionError("station loop entered")
 
     monkeypatch.setattr(GapGeometry, "gap_width", no_width)
     with pytest.raises(MeshError, match=r"cross inside \|x'\| <= 1 \(least gap width -0.002\)"):
-        generate(crossing, layers=4)
+        grade(crossing, 2.0, 0.02, 1.0)
 
 
 @pytest.mark.parametrize("aspect, dxmax", [(2.0, 1e-9), (1e-9, 0.02)])
-def test_station_count_is_bounded_before_the_mesh_is_built(geom, monkeypatch, aspect, dxmax):
-    def no_build(*args):
-        raise AssertionError("mesh built")
-
-    monkeypatch.setattr(mesh_module, "_build_from_stations", no_build)
+def test_station_count_is_bounded_before_the_mesh_is_built(geom, aspect, dxmax):
+    # grading raises, so no mesh is ever built on them
     with pytest.raises(MeshError, match=f"more than {MAX_STATIONS} stations"):
-        generate(geom, layers=8, aspect=aspect, dxmax=dxmax)
+        grade(geom, aspect, dxmax, 1.0)
 
 
 @pytest.mark.parametrize("gamma", [0.3, 0.5, 0.7])
@@ -182,23 +181,23 @@ def test_stations_are_the_gap_width_recurrence_bit_for_bit(gamma):
                 right.append(x)
             right = np.array(right)
             want = np.concatenate([-right[:0:-1], right])
-            assert np.array_equal(mesh_module._build_stations(geom, aspect, dxmax, 1.0), want)
+            assert np.array_equal(grade(geom, aspect, dxmax, 1.0), want)
 
 
 def test_station_bound_admits_the_finest_grading_in_use():
     fine = GapGeometry(1e-6, GAMMA)
-    stations = mesh_module._build_stations(fine, 1.0 / 32, 0.02, 1.0)
+    stations = grade(fine, 1.0 / 32, 0.02, 1.0)
     assert 9_000 < stations.size <= MAX_STATIONS // 4
 
 
 def test_mapped_quality_floor(geom):
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=1.0)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 1.0), 8)
     q = quality_mapped(mesh, aspect=1.0, dxmax=0.02)
     assert float(np.min(q)) > 0.15
 
 
 def test_total_area_matches_width_integral(geom):
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 0.75), 8)
     got = float(np.sum(mesh.areas()))
     want = strip_area(geom, 0.75)
     assert got == pytest.approx(want, rel=5e-3)
@@ -206,7 +205,7 @@ def test_total_area_matches_width_integral(geom):
 
 def test_export_text_is_one_formatted_line_per_row(geom):
     # the bulk format writes the per-line f-strings, across the 4096-line blocks
-    mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.004, xrange=0.75)
+    mesh = generate(geom, grade(geom, 1.0, 0.004, 0.75), 12)
     assert mesh.num_vertices > 4096 and mesh.num_triangles > 8192
     want = [f"vertices {mesh.num_vertices} triangles {mesh.num_triangles}"]
     want += [f"{x:.17g} {y:.17g} {TAG_NAMES[int(tag)]}"
@@ -216,7 +215,7 @@ def test_export_text_is_one_formatted_line_per_row(geom):
 
 
 def test_export_roundtrip(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     text = mesh.export_text()
     lines = text.strip().split("\n")
     head = lines[0].split()
@@ -238,7 +237,7 @@ def test_export_roundtrip(geom):
 
 
 def test_locate_tie_break_is_lowest_index(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     # midpoint of a shared interior edge
     edges = {}
     for t, tri in enumerate(mesh.triangles):
@@ -252,7 +251,7 @@ def test_locate_tie_break_is_lowest_index(geom):
 
 
 def test_locate_outside_raises(geom):
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     with pytest.raises(MeshError):
         mesh.locate((0.7, 0.0))
     with pytest.raises(MeshError):
@@ -284,8 +283,8 @@ def _containing_by_scan(mesh, x, tol=1e-12):
 
 @pytest.mark.parametrize("eps", [1e-1, 1e-3])
 def test_locate_matches_barycentric_scan(eps):
-    mesh = generate(GapGeometry(eps, GAMMA), layers=6, aspect=2.0, dxmax=0.05,
-                    xrange=0.5)
+    geom = GapGeometry(eps, GAMMA)
+    mesh = generate(geom, grade(geom, 2.0, 0.05, 0.5), 6)
     tri = mesh.triangles
     edges = np.unique(np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]],
                                               tri[:, [2, 0]]]), axis=1), axis=0)
@@ -311,8 +310,8 @@ def test_locate_matches_barycentric_scan(eps):
        layers=st.integers(4, 16),
        seed=st.integers(0, 2**32 - 1))
 def test_random_strip_points_locate_to_a_containing_triangle(eps, gamma, layers, seed):
-    mesh = generate(GapGeometry(eps, gamma), layers=layers, aspect=2.0,
-                    dxmax=0.05, xrange=0.5)
+    geom = GapGeometry(eps, gamma)
+    mesh = generate(geom, grade(geom, 2.0, 0.05, 0.5), layers)
     rows = mesh.vertices[:, 1].reshape(mesh.stations.size, layers + 1)
     rng = np.random.default_rng(seed)
     x = np.concatenate([rng.uniform(-0.5, 0.5, 300), mesh.stations[::7]])

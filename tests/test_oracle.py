@@ -6,7 +6,7 @@ import pytest
 from thingap.auxiliary import BoundaryData, field_gradients, gap_fraction, holder_seminorm
 from thingap.coefficients import identity_coefficients
 from thingap.geometry import GapGeometry, LocalRegion
-from thingap.mesh import generate
+from thingap.mesh import generate, grade
 from thingap.oracle import (DENSE_BLOCK_PAIRS, AffineCase, OracleError, _max_holder_quotient,
                             _row_blocks, brute_force_seminorm, finite_difference_reference)
 from thingap.solver import assemble, dirichlet_values, grid_distance, solve_dirichlet
@@ -50,7 +50,7 @@ def test_grid_twin_vs_fem_joint_refinement():
     diffs = []
     for nx, ny, dx in ((80, 32, 0.025), (160, 64, 0.0125)):
         grid = finite_difference_reference(cs, 0.5, eps, nx, ny, boundary=rule)
-        mesh = generate(geom, layers=ny // 4, aspect=2.0, dxmax=dx, xrange=0.5)
+        mesh = generate(geom, grade(geom, 2.0, dx, 0.5), ny // 4)
         sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
         diffs.append(grid_distance(sol, grid))
     assert diffs[0] <= 0.01

@@ -12,7 +12,7 @@ from thingap.auxiliary import BoundaryData, field_gradients, field_values
 from thingap.coefficients import (CoefficientSet, LameParameters, holder_demo_coefficients,
                                   identity_coefficients, lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
-from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, refine
+from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, grade, refine
 from thingap import _lapack, mesh as mesh_module, solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
@@ -45,7 +45,7 @@ def test_element_stiffness_unit_right_triangle():
 
 def test_lame_assembly_symmetric():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0)))
     K = system.K
     asym = abs(K - K.T).max() / abs(K).max()
@@ -54,7 +54,7 @@ def test_lame_assembly_symmetric():
 
 def test_zero_data_gives_zero_solution():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([0.0], [0.0]))
     sol = solve_dirichlet(system, bc)
@@ -64,7 +64,7 @@ def test_zero_data_gives_zero_solution():
 def test_affine_exactness_flat_rectangle():
     eps = 0.2
     geom = GapGeometry(eps, 0.5, 0.0, 0.0)
-    mesh = generate(geom, layers=5, aspect=2.0, dxmax=0.1, xrange=1.0)
+    mesh = generate(geom, grade(geom, 2.0, 0.1, 1.0), 5)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
     sol = solve_dirichlet(system, bc)
@@ -76,7 +76,7 @@ def test_affine_exactness_flat_rectangle():
 
 def test_discrete_maximum_principle_scalar_identity():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 0.75), 8)
     system = assemble(mesh, identity_coefficients())
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
     sol = solve_dirichlet(system, bc)
@@ -150,7 +150,7 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
                         D=lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1),
                         lam=1.0, kappa3=3.0, name="distance_D")
     geom = GapGeometry(0.1, GAMMA)
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     K0 = assemble(mesh, base).K
     K = assemble(mesh, cs).K
     assert abs(K - K0).max() > 1e-6
@@ -160,8 +160,8 @@ def test_lower_order_field_vanishing_at_origin_is_assembled():
 
 
 def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
-                    xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     D = lambda X: np.linalg.norm(X, axis=1)[:, None, None] * np.eye(1)
     replaced = dataclasses.replace(identity_coefficients(), D=D)
     direct = CoefficientSet(m=1, A=identity_coefficients().A, B=None, Cc=None, D=D,
@@ -170,8 +170,8 @@ def test_replacing_a_field_of_a_constant_set_assembles_the_new_field():
 
 
 def test_a_variable_leading_field_is_evaluated_once_per_edge_midpoint_batch():
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
-                    xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     cs = holder_demo_coefficients(GAMMA)
     batches = []
     counted = dataclasses.replace(cs, A=lambda X: batches.append(len(X)) or cs.A(X))
@@ -180,8 +180,8 @@ def test_a_variable_leading_field_is_evaluated_once_per_edge_midpoint_batch():
 
 
 def test_a_source_of_the_wrong_shape_raises():
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1,
-                    xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     H = lambda X: np.ones((len(X), 2)).T            # (m, k) instead of (k, m)
     with pytest.raises(ValueError, match=r"field H has shape \(2, \d+\), expected \(\d+, 2\)"):
         assemble(mesh, identity_coefficients(m=2), rhs=RightHandSide(H=H))
@@ -194,7 +194,7 @@ def test_a_source_of_the_wrong_shape_raises():
 def test_manufactured_solution_converges(make_cs):
     cs = make_cs()
     geom = GapGeometry(0.1, GAMMA)
-    mesh = generate(geom, layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     errs = []
     for level in range(3):
         errs.append(_manufactured(cs, mesh))
@@ -209,7 +209,7 @@ def test_manufactured_solution_converges(make_cs):
 
 def test_superposition_of_component_solutions():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 0.75), 8)
     cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.5], [0.0, -0.25])
     system = assemble(mesh, cs)
@@ -222,7 +222,7 @@ def test_superposition_of_component_solutions():
 
 def test_component_with_zero_data_vanishes_for_decoupled_system():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     cs = identity_coefficients(m=2)
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
@@ -232,7 +232,7 @@ def test_component_with_zero_data_vanishes_for_decoupled_system():
 
 def test_single_component_system_reduces_to_plain_solve():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     cs = identity_coefficients(m=1)
     data = BoundaryData.constant([1.0], [0.0])
     system = assemble(mesh, cs)
@@ -243,7 +243,7 @@ def test_single_component_system_reduces_to_plain_solve():
 
 def test_difference_vanishes_on_gap_boundaries():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=1.0, dxmax=0.02, xrange=0.75)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 0.75), 8)
     cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     system = assemble(mesh, cs)
@@ -259,7 +259,7 @@ def test_difference_gradient_splits_into_interpolation_error():
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0]).only(0)
     cs = lame_as_general(LameParameters(1.0, 1.0))
     errs = []
-    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.04, xrange=0.5)
+    mesh = generate(geom, grade(geom, 0.5, 0.04, 0.5), 8)
     for _ in range(2):
         system = assemble(mesh, cs)
         v = solve_dirichlet(system, dirichlet_values(mesh, data))
@@ -274,7 +274,7 @@ def test_difference_gradient_splits_into_interpolation_error():
 
 def test_gradient_at_affine_field_exact():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     b = np.array([0.7, -0.3])
     vals = (mesh.vertices @ b)[:, None]
     sol = DiscreteSolution(mesh=mesh, values=vals)
@@ -286,7 +286,7 @@ def test_gradient_at_affine_field_exact():
                                 identity_coefficients()], ids=["lame", "scalar"])
 def test_gradient_at_gathers_the_rows_of_all_gradients(cs):
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     data = BoundaryData.polynomial([[1.0, 0.5, 1.0]] + [[0.2]] * (cs.m - 1),
                                    [[0.0]] + [[0.0, -0.3]] * (cs.m - 1), geom)
     sol = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
@@ -303,7 +303,7 @@ def test_gradient_at_on_a_refined_mesh_is_the_whole_mesh_formula_bit_for_bit():
     # and the solution of each corner system [1, x, y] c = u to 1e-12 relative
     cs = lame_as_general(LameParameters(1.0, 1.0))
     geom = GapGeometry(1e-3, GAMMA)
-    fine = refine(generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5))
+    fine = refine(generate(geom, grade(geom, 1.0, 0.05, 0.5), 6))
     data = BoundaryData.polynomial([[1.0, 0.5, 1.0], [0.2]], [[0.0], [0.0, -0.3]], geom)
     sol = solve_dirichlet(assemble(fine, cs), dirichlet_values(fine, data))
     pts = probe_points(geom)
@@ -320,15 +320,15 @@ def test_gradient_at_on_a_refined_mesh_is_the_whole_mesh_formula_bit_for_bit():
 @pytest.mark.parametrize("read", ["value_at", "value_at_one_point", "gradient_at",
                                   "remainder_energy"])
 def test_point_reads_and_slab_energies_form_only_their_triangles(monkeypatch, read):
-    # a spy on the P1 gradient kernel, under both names it is called by: a
-    # read of k points forms at most k triangles, a slab's energy its own
+    # a spy on the P1 gradient kernel, under both names it is called by: each
+    # call of a read of k points forms at most k triangles, of a slab's energy
+    # (its gradients, then its areas) the slab's own
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
+    mesh = generate(geom, grade(geom, 0.5, 0.01, 0.75), 8)
     rng = np.random.default_rng(3)
     sol = DiscreteSolution(mesh=mesh, values=rng.normal(size=(mesh.num_vertices, 1)))
     region = LocalRegion(np.array([0.2, geom.midline(0.2)]), geom.gap_width(0.2), geom)
     mask = region.contains(mesh.centroids())
-    mesh.areas()        # cached: its first call forms every triangle's determinant
     pts = region.sample_points(7, seed=1, tag=0)
     reads = {"value_at": (lambda: value_at(sol, pts), len(pts)),
              "value_at_one_point": (lambda: value_at(sol, pts[0]), 1),
@@ -345,12 +345,12 @@ def test_point_reads_and_slab_energies_form_only_their_triangles(monkeypatch, re
     monkeypatch.setattr(solver, "p1_gradients", spy)
     call, most = reads[read]
     call()
-    assert 0 < sum(formed) <= most < mesh.num_triangles
+    assert formed and max(formed) <= most < mesh.num_triangles
 
 
 def test_value_at_reproduces_affine_field_and_barycentric_values():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     b = np.array([[0.7, -0.3], [-1.1, 2.0]])
     sol = DiscreteSolution(mesh=mesh, values=mesh.vertices @ b.T + np.array([0.5, -2.0]))
     x = np.array([0.1, 0.001])
@@ -377,7 +377,7 @@ ZERO_DATA = BoundaryData.constant([0.0], [0.0])
 
 def test_remainder_energy_affine_field_matches_area():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
+    mesh = generate(geom, grade(geom, 0.5, 0.01, 0.75), 8)
     b = np.array([2.0, 1.0])
     sol = DiscreteSolution(mesh=mesh, values=(mesh.vertices @ b)[:, None])
     region = LocalRegion(np.array([0.2, geom.midline(0.2)]), 0.15, geom)
@@ -392,7 +392,7 @@ def test_remainder_energy_affine_field_matches_area():
 
 def test_crossing_profile_energy_lower_bound():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=8, aspect=0.5, dxmax=0.01, xrange=0.75)
+    mesh = generate(geom, grade(geom, 0.5, 0.01, 0.75), 8)
     from thingap.auxiliary import gap_fraction
     vals = np.atleast_1d(gap_fraction(geom, mesh.vertices))[:, None]
     sol = DiscreteSolution(mesh=mesh, values=vals)
@@ -410,7 +410,7 @@ def test_lame_first_component_tracks_crossing_profile():
     from thingap.auxiliary import gap_fraction
     eps = 1e-2
     geom = GapGeometry(eps, GAMMA)
-    mesh = generate(geom, layers=12, aspect=1.0, dxmax=0.02, xrange=1.0)
+    mesh = generate(geom, grade(geom, 1.0, 0.02, 1.0), 12)
     cs = lame_as_general(LameParameters(1.0, 1.0))
     data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     u = solve_dirichlet(assemble(mesh, cs), dirichlet_values(mesh, data))
@@ -444,7 +444,7 @@ def test_lateral_closure_insensitivity_in_the_interior():
 
 def test_solver_reports_shape_mismatch():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, identity_coefficients())
     bad = BoundaryAssignment(values=np.zeros((3, 1)), fixed=np.zeros(3, dtype=bool))
     with pytest.raises(SolverError):
@@ -453,7 +453,7 @@ def test_solver_reports_shape_mismatch():
 
 def test_l2_norm_of_constant_field():
     geom = GapGeometry(EPS, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     sol = DiscreteSolution(mesh=mesh, values=np.full((mesh.num_vertices, 1), 2.0))
     got = l2_norm(sol)
     assert got == pytest.approx(2.0 * np.sqrt(np.sum(mesh.areas())), rel=1e-12)
@@ -463,7 +463,7 @@ def test_constant_field_assembly_is_quadrature_independent():
     # the centroid rule is exact for a constant leading field; the zeroth-order
     # mass term is quadratic and keeps the 3-point rule
     geom = GapGeometry(1e-2, GAMMA)
-    mesh = generate(geom, layers=6, aspect=2.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 2.0, 0.05, 0.5), 6)
     lame = lame_as_general(LameParameters(1.0, 1.0))
     with_mass = dataclasses.replace(lame, D=np.eye(2), name="lame_mass")
     A0 = lame.A
@@ -504,7 +504,7 @@ def _spy(monkeypatch, name):
 @pytest.mark.parametrize("refined", [False, True], ids=["mesh", "refined"])
 def test_lame_solve_takes_the_band_and_matches_colamd(monkeypatch, refined):
     geom = GapGeometry(1e-3, GAMMA)
-    mesh = generate(geom, layers=12, aspect=2.0, dxmax=0.02, xrange=1.0)
+    mesh = generate(geom, grade(geom, 2.0, 0.02, 1.0), 12)
     mesh = refine(mesh) if refined else mesh
     system = assemble(mesh, lame_as_general(LameParameters(1.0, 1.0)))
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0]))
@@ -531,7 +531,7 @@ def _symmetric_indefinite():
 def test_operators_that_are_not_spd_solve_by_lu(monkeypatch, make_cs, symmetric):
     cs = make_cs()
     geom = GapGeometry(0.1, GAMMA)
-    mesh = generate(geom, layers=6, aspect=1.0, dxmax=0.05, xrange=0.5)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, cs)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0] * cs.m, [0.0] * cs.m))
     K_ff, rhs = _free_block(system, bc)
@@ -570,8 +570,8 @@ def _band_of(dense, rows, diag):
                          ids=["cholesky", "lu"])
 def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
     cs = make_cs()
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=6, aspect=1.0,
-                    dxmax=0.05, xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, cs)
     free = ~dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0])).dof_mask()
     T = system.E.shape[2]
@@ -615,8 +615,8 @@ def test_assembly_does_not_depend_on_the_block_size(monkeypatch, make_cs, source
     # every term of an element is formed from its own block's slice, so the
     # element matrices and the load are the same bits whatever the block size
     cs = make_cs()
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=6, aspect=1.0,
-                    dxmax=0.05, xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     rhs = _smooth_sources(cs.m) if sources else None
     T = mesh.num_triangles
     assert T % 7 and T % 64
@@ -696,7 +696,8 @@ def _generic_coefficients(variable):
 ], ids=["constant_with_sources", "rules_with_sources", "holder_demo"])
 def test_every_assembled_term_matches_a_naive_element_loop(make_cs, sources):
     cs = make_cs()
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0, dxmax=0.1, xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.1, 0.5), 4)
     picked = mesh.triangles[[0, 1, 9, mesh.num_triangles // 2, mesh.num_triangles - 1]]
     few = dataclasses.replace(mesh, triangles=picked)
     rhs = _smooth_sources(cs.m) if sources else None
@@ -774,8 +775,8 @@ def test_nan_or_zero_leading_field_raises(a, message):
     # reject it; a zero operator must stop at the banded LU's zero pivot
     cs = dataclasses.replace(identity_coefficients(m=1),
                              A=np.full((2, 2, 1, 1), a))
-    mesh = generate(GapGeometry(0.1, GAMMA), layers=4, aspect=1.0,
-                    dxmax=0.05, xrange=0.5)
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 4)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
     with pytest.raises(SolverError, match=message):
         solve_dirichlet(assemble(mesh, cs), bc)

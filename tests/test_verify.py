@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 
 import thingap.auxiliary as auxiliary
-import thingap.mesh as mesh_module
 import thingap.verify as verify
-from thingap.mesh import refine, refine_layers, refine_stations
+from thingap.mesh import generate, grade, refine, with_midpoints
 from thingap.verify import (Check, PlanError, SweepPlan, check_coefficients,
                             check_energy_scaling, fit_rate, max_over_min, run_solve, run_sweep)
 
@@ -142,6 +141,26 @@ def test_sweep_solves_each_epsilon_twice_and_the_largest_once_more(monkeypatch):
     assert sorted(calls, reverse=True) == [eps[0]] + [e for e in eps for _ in range(2)]
 
 
+def test_each_mesh_family_is_graded_once_per_epsilon(monkeypatch):
+    # the band budget and every mesh built at one epsilon, the sweep's refined
+    # levels included, read the same graded stations
+    graded = []
+    exact = verify.grade
+
+    def spy(geom, aspect, dxmax, xrange):
+        graded.append((geom.epsilon, aspect, xrange))
+        return exact(geom, aspect, dxmax, xrange)
+
+    monkeypatch.setattr(verify, "grade", spy)
+    plan = dataclasses.replace(SMALL_PLAN, energy_layers=8, energy_aspect=0.5,
+                               energy_zprimes=(0.1, 0.14, 0.2))
+    run_sweep(plan)
+    check_energy_scaling(plan)
+    eps = plan.sweep_epsilons
+    assert graded == ([(e, plan.mesh_aspect, plan.mesh_xrange) for e in eps]
+                      + [(e, plan.energy_aspect, plan.energy_xrange) for e in eps])
+
+
 def test_each_mesh_level_is_released_before_the_next_is_assembled(monkeypatch):
     # the coarse system (and its factorization) is unreachable when the
     # stations level is assembled, that one when the layers level is, and
@@ -178,8 +197,8 @@ def test_refined_levels_refine_stations_everywhere_and_layers_at_the_largest(
     want = []
     eps = SMALL_PLAN.sweep_epsilons
     for e in eps:
-        S = verify.generate(SMALL_PLAN.geometry(e), L, SMALL_PLAN.mesh_aspect,
-                            SMALL_PLAN.mesh_dxmax, SMALL_PLAN.mesh_xrange).stations.size
+        S = grade(SMALL_PLAN.geometry(e), SMALL_PLAN.mesh_aspect, SMALL_PLAN.mesh_dxmax,
+                  SMALL_PLAN.mesh_xrange).size
         want += [(e, S, L), (e, 2 * S - 1, L)] + [(e, S, 2 * L)] * (e == eps[0])
     assert sorted(built) == sorted(want)
     level = doc["layers_level"]
@@ -218,8 +237,9 @@ def test_band_budget_counts_the_levels_the_sweep_builds(monkeypatch):
     # (2S - 1, 2L), which the sweep does not build
     _, data, system = SMALL_PLAN.problem(0.1)
     mesh, cs = system.mesh, system.cs
-    levels = [_level_bytes(refine_stations(mesh), cs, data),
-              _level_bytes(refine_layers(mesh), cs, data)]
+    levels = [_level_bytes(generate(mesh.geom, with_midpoints(mesh.stations), mesh.layers),
+                           cs, data),
+              _level_bytes(generate(mesh.geom, mesh.stations, 2 * mesh.layers), cs, data)]
     assert _level_bytes(refine(mesh), cs, data) > max(levels)
     monkeypatch.setattr(verify, "MAX_BAND_BYTES", max(levels))
     SMALL_PLAN.problem(0.1, refinement=True)
@@ -248,7 +268,7 @@ def test_band_budget_refuses_a_huge_layer_count_before_the_mesh_is_built(monkeyp
     def no_build(*args):
         raise AssertionError("mesh built")
 
-    monkeypatch.setattr(mesh_module, "_build_from_stations", no_build)
+    monkeypatch.setattr(verify, "generate", no_build)
     plan = dataclasses.replace(SMALL_PLAN, **{f"{key}_layers": 10**6})
     with pytest.raises(PlanError, match=rf"{key}\.layers, {key}\.aspect and mesh\.dxmax at "
                                         r"epsilon = 0\.1: the mesh's \d+ stations of 1000000 "
