@@ -104,7 +104,7 @@ def fmt_float(x: float) -> str:
     if isinstance(x, bool):
         return "true" if x else "false"
     xf = float(x)
-    if not np.isfinite(xf):
+    if not math.isfinite(xf):
         return "null"
     return format(xf, ".17g")
 

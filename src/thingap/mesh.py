@@ -81,12 +81,16 @@ class Mesh:
         return self.triangles.shape[0]
 
     def areas(self, triangles=slice(None)) -> np.ndarray:
-        """Areas of ``triangles`` (default all), formed for those triangles only."""
-        return np.abs(0.5 * p1_gradients(*self.vertex_rows(triangles))[1])
+        """Areas of ``triangles`` (default all), formed for those triangles only,
+        from the determinant :func:`p1_gradients` forms, without the gradients."""
+        return np.abs(0.5 * _edges(*self.vertex_rows(triangles))[4])
 
     def centroids(self) -> np.ndarray:
+        """Corner means (T, 2), summed corner by corner: the bits of ``.mean(axis=1)``
+        over the (T, 3, 2) corner gather, without forming it."""
         if self._centroids is None:
-            self._centroids = self.vertices[self.triangles].mean(axis=1)
+            c0, c1, c2 = self.vertices[self.triangles.T]
+            self._centroids = (c0 + c1 + c2) / 3
             self._centroids.setflags(write=False)
         return self._centroids
 
@@ -205,11 +209,17 @@ def _format_lines(line: str, values: list, per_line: int) -> str:
                    for chunk in (values[a:a + step] for a in range(0, len(values), step)))
 
 
+def _edges(x: np.ndarray, y: np.ndarray) -> tuple:
+    """The edge vectors from corner 0, ``e1x, e1y, e2x, e2y``, and twice the signed
+    areas ``e1x e2y - e1y e2x`` of triangles with corner coordinates ``x``, ``y``."""
+    e1x, e1y, e2x, e2y = x[1] - x[0], y[1] - y[0], x[2] - x[0], y[2] - y[0]
+    return e1x, e1y, e2x, e2y, e1x * e2y - e1y * e2x
+
+
 def p1_gradients(x: np.ndarray, y: np.ndarray) -> tuple:
     """Gradients ``G[d, a]`` (2, 3, t) of the linear nodal functions of triangles
     with corner coordinates ``x``, ``y`` (3, t), and twice their signed areas (t,)."""
-    e1x, e1y, e2x, e2y = x[1] - x[0], y[1] - y[0], x[2] - x[0], y[2] - y[0]
-    det = e1x * e2y - e1y * e2x
+    e1x, e1y, e2x, e2y, det = _edges(x, y)
     g = np.array([[e2y, -e1y], [-e2x, e1x]]) / det      # nodal functions 1 and 2
     return np.concatenate([-g.sum(axis=1, keepdims=True), g], axis=1), det
 

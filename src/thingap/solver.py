@@ -13,22 +13,25 @@ Unknowns are ordered vertex-major: dof(vertex v, component i) = v*m + i.
 The layered mesh numbers its vertices station by station, so every coupling
 of two free dofs lies within half-bandwidth ``kd = L*m + m - 1`` (L layers,
 m components) of the diagonal, without reordering.  That band is the only
-operator a solve uses: the element matrices, stored element-last, are summed
-straight into LAPACK's band storage (LAPACK Users' Guide, SIAM 1999) one
-local pair of dofs and ``BLOCK`` elements at a time, so no set-up temporary
-is their size.  The Dirichlet rows and columns enter through an
-element-by-element product.  Symmetric element matrices (every CLI system)
-take banded Cholesky, ``dpbtrf`` and ``dpbtrs`` from ``_lapack``: the
-OpenBLAS of the scipy wheel, called through ``ctypes`` with one thread, so no
-command imports scipy (scipy's own wrappers where no such library is found).
-Nonsymmetric element matrices (nonzero B or C) and operators that are not
-positive definite (a large D) take scipy's banded LU, ``dgbtrf`` and
+operator a solve uses.  It is filled from the mesh's structure: each vertex
+couples to the vertices at seven (station, layer) offsets, and the element
+matrices, stored element-last and viewed per cell, sum each offset's blocks
+by window slices into one vertex-grid array, which is written into LAPACK's
+band storage (LAPACK Users' Guide, SIAM 1999) through strided views; at most
+one offset and its mirror are held beside the band.  The Dirichlet rows and
+columns enter through an element-by-element product.  Symmetric operators
+(every CLI system) take banded Cholesky, ``dpbtrf`` and ``dpbtrs`` from
+``_lapack``: the OpenBLAS of the scipy wheel, called through ``ctypes`` with
+one thread, so no command imports scipy (scipy's own wrappers where no such
+library is found).  Nonsymmetric operators (nonzero B or C) and operators that
+are not positive definite (a large D) take scipy's banded LU, ``dgbtrf`` and
 ``dgbtrs``, imported only then.  ``scipy.sparse`` builds only ``K``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+import itertools
 from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Optional
 
@@ -55,10 +58,13 @@ _WEIGHT = 1 / 3
 
 # relative residual a solve must reach, after at most one refinement step
 SOLVE_RTOL = 1e-10
-# max |E - E^T| / max |E| up to which the element matrices count as symmetric
+# max |K_d - K_{-d}^T| over the grid offsets d, relative to the largest entry of
+# the diagonal offset's blocks, up to which the operator counts as symmetric
 SYMMETRY_RTOL = 1e-12
-# elements assembled, or summed into the band per local pair, at a time: a
-# block's terms (BLOCK (3m)^2 entries, 0.6 MB for m = 2) stay near L2 size
+# elements assembled at a time: a block's terms W and R (BLOCK (3m)^2 entries,
+# 0.6 MB each for m = 2) stay near L2 size, in one scratch each per call.  Over
+# the assembly of whole sweep and energy-scaling runs, at 12 and 48 layers,
+# 1024 and 2048 tie within the runs' spread and 512 is 10-13% slower
 BLOCK = 2048
 # largest band plus element matrices (band_bytes) of a planned mesh: the sweep
 # at mesh.layers = 48 builds stations levels up to a 15 MiB band and 6 MiB of
@@ -66,8 +72,24 @@ BLOCK = 2048
 # 446 + 21 MiB; at 12 layers and mesh.dxmax = 1e-4 the elements (132 MiB)
 # outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
-# band position of a fixed dof: with kd >= 1, every slot it enters is negative
-_FIXED = -2**40
+# the corners of a cell's two triangles (mesh.generate) as (station, layer)
+# offsets from the cell's lower-left vertex: (a, b, c) and (a, c, d)
+_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
+
+def _offset_pairs() -> dict:
+    """The local pairs (triangle, a, b, corner of a) of each grid offset d =
+    corner b - corner a: 6 on the diagonal, 2 for each of the six neighbours."""
+    pairs = {}
+    for tau, corners in enumerate(_CORNERS):
+        for (a, ca), (b, cb) in itertools.product(enumerate(corners), repeat=2):
+            pairs.setdefault((cb[0] - ca[0], cb[1] - ca[1]), []).append((tau, a, b, ca))
+    return pairs
+
+
+_PAIRS = _offset_pairs()
+# the offsets on or below the diagonal: the vertex p + d precedes p
+_LOWER = ((0, 0), (0, -1), (-1, 0), (-1, -1))
 
 
 def band_bytes(stations: int, layers: int, m: int) -> tuple[int, int]:
@@ -101,6 +123,38 @@ class BoundaryAssignment:
 def _blocks(count: int) -> list[slice]:
     """``range(count)`` as consecutive slices of at most ``BLOCK`` elements."""
     return [slice(s, min(s + BLOCK, count)) for s in range(0, count, BLOCK)]
+
+
+def _check_layered(mesh: Mesh) -> None:
+    """Raise a :class:`SolverError` unless ``mesh`` numbers its vertices and
+    triangles as :func:`mesh.generate` does, which the band fill reads."""
+    S, L = mesh.stations.size, mesh.layers
+    corners = np.array([[s * (L + 1) + j for s, j in tri] for tri in _CORNERS])
+    cells = (np.arange(S - 1)[:, None] * (L + 1) + np.arange(L))[..., None, None]
+    if (mesh.num_vertices != S * (L + 1) or mesh.triangles.shape != (2 * (S - 1) * L, 3)
+            or not np.all(mesh.triangles.reshape(S - 1, L, 2, 3) - cells == corners)):
+        raise SolverError(f"the triangles are not the layered mesh of {S} stations and "
+                          f"{L} layers that the band solver reads")
+
+
+def _offset(E: np.ndarray, rect: tuple, d: tuple) -> np.ndarray:
+    """The operator's blocks ``K[(p, x), (p + d, y)]`` as (m, m, ., .) over the
+    grid vertices p with p and p + d in ``rect`` (stations s0:s1, layers
+    j0:j1), summed in the pairs' order (``_PAIRS``) from the element matrices
+    viewed per cell, ``E`` (3, m, 3, m, S - 1, L, 2).
+    """
+    S1, L = E.shape[4:6]
+    s0, s1, j0, j1 = rect
+    ps0, ps1 = s0 + max(0, -d[0]), s1 - max(0, d[0])
+    pj0, pj1 = j0 + max(0, -d[1]), j1 - max(0, d[1])
+    K = np.zeros(E.shape[1:2] + E.shape[3:4] + (ps1 - ps0, pj1 - pj0))
+    for tau, a, b, (cs, cj) in _PAIRS[d]:
+        # vertex a of cell (s, j) is (s + cs, j + cj); keep the cells that exist
+        a0, a1 = max(ps0, cs), min(ps1, S1 + cs)
+        b0, b1 = max(pj0, cj), min(pj1, L + cj)
+        K[:, :, a0 - ps0:a1 - ps0, b0 - pj0:b1 - pj0] += E[a, :, b, :, a0 - cs:a1 - cs,
+                                                           b0 - cj:b1 - cj, tau]
+    return K
 
 
 class AssembledSystem:
@@ -139,50 +193,85 @@ class AssembledSystem:
     def _band_solver(self, free: np.ndarray):
         """Solve function of K_ff, factored in LAPACK's column-major band storage.
 
-        Entry (i, j) goes to ``ab[diag + i - j, j]``, slot ``diag + i + (rows - 1) j``.
-        The band is filled one local pair (a, c) at a time, ``BLOCK`` elements at
-        a time, by ``np.add.at``: every slot sums in (pair, element) order.
-        Cholesky reads the lower pairs, each entry from ``E[a, c]`` or ``E[c, a]``,
-        whichever lies below the diagonal, and tests max |E - E^T| pair by pair;
-        LU reads every pair.  Slots in a fixed row or column are negative
-        (``_FIXED``) and clip to the spare slot past the end.
+        The band spans the bounding rectangle of the free vertices on the mesh's
+        (station, layer) grid, numbered as the mesh numbers them, so a rectangle
+        ``nj`` vertices tall has half-bandwidth ``kd = (nj + 2) m - 1``; a fixed dof
+        inside it gets an identity row and column.  Entry (i, j) goes to
+        ``ab[diag + i - j, j]``.  The operator is read one grid offset at a time
+        (:func:`_offset`), and each offset's m x m blocks are written into their
+        band rows through strided views of ``ab``.  Cholesky writes the offsets
+        on or below the diagonal and tests symmetry on the operator: each offset
+        against its mirror, transposed, relative to the largest diagonal-block
+        entry.  LU writes all seven.  One offset pair is alive beside the band.
         """
-        n, E = int(free.sum()), self.E          # E[a, c, t]
-        k, blocks = len(E), _blocks(E.shape[2])
-        pos = np.where(free, np.cumsum(free) - 1, _FIXED)  # free dofs keep their order
-        loc = pos[self.dofs]                             # (3m, T)
-        kd = max(1, int(np.max(loc.max(0) - np.where(loc >= 0, loc, n).min(0))))
+        mesh, m = self.mesh, self.cs.m
+        S, L = mesh.stations.size, mesh.layers
+        _check_layered(mesh)
+        grid = free.reshape(S, L + 1, m)
+        s, j = (np.flatnonzero(grid.any(axis=(2, k))) for k in (1, 0))
+        if s.size == 0:
+            raise SolverError("no free dof to solve for")
+        rect = (int(s[0]), int(s[-1]) + 1, int(j[0]), int(j[-1]) + 1)
+        ns, nj = rect[1] - rect[0], rect[3] - rect[2]
+        n, kd = ns * nj * m, (nj + 2) * m - 1
+        inner = grid[rect[0]:rect[1], rect[2]:rect[3]].ravel()
+        E = self.E.reshape(3, m, 3, m, S - 1, L, 2)      # E[a, i, b, j, cell s, cell j, tau]
 
         def band(rows, diag, lower):
-            """The band, and with ``lower`` whether the element matrices are symmetric."""
-            ab, asym = np.zeros(rows * n + 1), 0.0
-            scale = max(float(E.max()), -float(E.min())) if lower else 0.0
-            for a in range(k):
-                for c in range(a + 1) if lower else range(k):
-                    if lower and a != c:
-                        d = E[a, c] - E[c, a]
-                        asym = max(asym, float(d.max()), -float(d.min()))
-                    for b in blocks:
-                        i, j, v = loc[a, b], loc[c, b], E[a, c, b]
-                        if lower and a != c:     # the entry below the diagonal
-                            v = np.where(i >= j, v, E[c, a, b])
-                            i, j = np.maximum(i, j), np.minimum(i, j)
-                        slot = (rows - 1) * j
-                        slot += i
-                        np.add.at(ab[diag:], np.maximum(slot, -1, out=slot), v)
-            return ab[:-1].reshape(rows, n, order="F"), asym <= SYMMETRY_RTOL * scale
+            """The band, or None when ``lower`` and the operator is not symmetric."""
+            ab = np.zeros((ns, nj, m, rows))             # column-major (rows, n)
+            for d in _LOWER if lower else _PAIRS:
+                K = _offset(E, rect, d)
+                if lower:        # K_{-d} - K_d^T, formed in the mirror's array
+                    if d == (0, 0):
+                        scale = max(float(K.max()), -float(K.min()))
+                        asym = K - K.transpose(1, 0, 2, 3)
+                    else:
+                        asym = _offset(E, rect, (-d[0], -d[1]))
+                        asym -= K.transpose(1, 0, 2, 3)
+                    if max(float(asym.max()), -float(asym.min())) > SYMMETRY_RTOL * scale:
+                        return None
+                    del asym
+                # K[x, y] couples row dof (p, x) to column dof (p + d, y): band row
+                # diag + x - y - (d_s nj + d_j) m of column (p + d, y)
+                r0 = diag - (d[0] * nj + d[1]) * m
+                cols = ab[max(d[0], 0):ns + min(d[0], 0), max(d[1], 0):nj + min(d[1], 0)]
+                for y in range(m):
+                    lo, hi = max(0, y - r0), min(m, rows + y - r0)
+                    cols[:, :, y, r0 - y + lo:r0 - y + hi] = K[lo:hi, y].transpose(1, 2, 0)
+            ab = ab.reshape(n, rows)
+            fixed = np.flatnonzero(~inner)
+            if fixed.size:                               # identity rows and columns
+                ab[fixed] = 0.0
+                r = np.arange(rows)
+                col = fixed[:, None] + (diag - r)
+                ok = (col >= 0) & (col < n)
+                ab[col[ok], np.broadcast_to(r, col.shape)[ok]] = 0.0
+                ab[fixed, diag] = 1.0
+            return ab.T
 
-        ab, symmetric = band(kd + 1, 0, True)
-        if symmetric:
+        ab = band(kd + 1, 0, True)
+        solve = None
+        if ab is not None:
             cb, info = dpbtrf(ab, lower=1, overwrite_ab=1)
             if info == 0:
-                return lambda b: dpbtrs(cb, b, lower=1)[0]
+                solve = lambda b: dpbtrs(cb, b, lower=1)[0]
             # info > 0: not positive definite, LU below
-        from scipy.linalg.lapack import dgbtrf, dgbtrs    # off every command's path
-        lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False)[0], kd, kd, overwrite_ab=True)
-        if info > 0:
-            raise SolverError(f"singular operator: zero pivot {info} in banded LU")
-        return lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
+        if solve is None:
+            from scipy.linalg.lapack import dgbtrf, dgbtrs    # off every command's path
+            lu, piv, info = dgbtrf(band(3 * kd + 1, 2 * kd, False), kd, kd, overwrite_ab=True)
+            if info > 0:
+                raise SolverError(f"singular operator: zero pivot {info} in banded LU")
+            solve = lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
+        if inner.all():
+            return solve
+        keep = np.flatnonzero(inner)
+
+        def padded(b):
+            x = np.zeros((n,) + b.shape[1:])
+            x[keep] = b
+            return solve(x)[keep]
+        return padded
 
 
 def assemble(mesh: Mesh, cs: CoefficientSet,
@@ -208,6 +297,8 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
     # a constant A is evaluated once, at the first centroid, as rows (i, j) by columns (p, q)
     A_1 = None if variable else cs.eval_A_many(
         mesh.vertices[mesh.triangles[:1]].mean(axis=1))[0].reshape(4, m * m).T
+    # W and R of every block in one scratch each, so a call maps and faults them once
+    scratch_W, scratch_R = np.empty(36 * min(BLOCK, T)), np.empty(9 * m * m * min(BLOCK, T))
     for b in _blocks(T):
         x, y = mesh.vertex_rows(b)
         G, det = p1_gradients(x, y)                    # G[p, a, t]
@@ -215,14 +306,16 @@ def assemble(mesh: Mesh, cs: CoefficientSet,
         if np.any(area <= 0) or not np.all(np.isfinite(G)):
             raise SolverError("singular element geometry")
         wa = _WEIGHT * area
-        W = ((wa if variable else area) * G)[:, None, :, None] * G[None, :, None]
+        t = area.size
+        W = np.multiply(((wa if variable else area) * G)[:, None, :, None], G[None, :, None],
+                        out=scratch_W[:36 * t].reshape(2, 2, 3, 3, t))
+        R = scratch_R[:9 * m * m * t].reshape(m * m, 3, 3, t)
         mids = [np.stack([0.5 * (x[k] + x[l]), 0.5 * (y[k] + y[l])], axis=1) for k, l in rule]
         if variable:       # a rule A, summed over the midpoints, times wa G[a, p] G[b, q]
             A = sum(cs.eval_A_many(xq) for xq in mids).reshape(-1, 4, m * m)
-            R = np.einsum("tkx,kyt->xyt", A, W.reshape(4, 9, -1))
+            np.einsum("tkx,kyt->xyt", A, W.reshape(4, 9, t), out=R.reshape(m * m, 9, t))
         else:
-            R = A_1 @ W.reshape(4, -1)
-        R = R.reshape(m * m, 3, 3, -1)
+            np.matmul(A_1, W.reshape(4, 9 * t), out=R.reshape(m * m, 9 * t))
         for xq, bq in zip(mids, _BARY):
             if lower_order:
                 B_q, C_q = ((wa * f(xq).reshape(-1, 2, m * m).T).transpose(1, 0, 2)
@@ -351,6 +444,8 @@ def grid_distance(sol: DiscreteSolution, grid) -> float:
 
 
 def l2_norm(sol: DiscreteSolution) -> float:
-    """Centroid-rule L2 norm of the nodal field over the whole mesh."""
-    c_vals = sol.values[sol.mesh.triangles].mean(axis=1)
+    """Centroid-rule L2 norm of the nodal field over the whole mesh; the corner
+    mean is summed corner by corner, as :meth:`Mesh.centroids` does."""
+    c0, c1, c2 = sol.values[sol.mesh.triangles.T]
+    c_vals = (c0 + c1 + c2) / 3
     return float(np.sqrt(np.sum(sol.mesh.areas() * np.sum(c_vals**2, axis=1))))

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, astuple, dataclass
 from typing import Optional, Sequence
 
@@ -517,6 +516,8 @@ def run_sweep(plan: SweepPlan, threads: int = 1) -> tuple[dict, list[Check]]:
     eps = [float(e) for e in plan.sweep_epsilons]
     plan._refuse_crossing(eps[-1])      # the smallest epsilon has the narrowest gap
     if threads > 1:
+        # imported here: concurrent.futures brings logging, and only this branch needs it
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(lambda e: _run_one_epsilon(plan, e), eps))
     else:
@@ -598,6 +599,24 @@ def _slab(geom: GapGeometry, zp: float, fraction: float = 1.0) -> LocalRegion:
     return LocalRegion(np.array([zp, geom.midline(zp)]), fraction * geom.gap_width(zp), geom)
 
 
+def _refuse_empty_slabs(aspect: float, stations: np.ndarray, slabs: list,
+                        epsilon: float) -> None:
+    """Raise a :class:`PlanError` naming ``energy.aspect`` (``aspect``) when one of the
+    named ``slabs`` holds no triangle centroid of the energy mesh on ``stations``, so that
+    :func:`remainder_energy` would read 0 there.  A cell's two centroids sit at
+    x' = (2 s_i + s_{i+1}) / 3 and (s_i + 2 s_{i+1}) / 3, summed as
+    :meth:`Mesh.centroids` sums them; every centroid lies inside the gap.
+    """
+    a, b = stations[:-1], stations[1:]
+    x = np.concatenate([(a + b + b) / 3, (a + b + a) / 3])
+    for name, region in slabs:
+        if not np.any(np.abs(x - region.center[0]) < region.radius):
+            raise PlanError(f"energy.aspect = {aspect:g} at epsilon = {epsilon:g}: "
+                            f"the {name} slab at z' = {region.center[0]:.4g} (radius "
+                            f"{region.radius:.4g}) holds no triangle centroid of the energy "
+                            f"mesh, so its remainder energy would read 0; lower energy.aspect")
+
+
 def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
     """``energy-scaling``: power laws of the remainder energy of component 0 over
     gap-width slabs; returns the body of ``energy.json`` and its checks.
@@ -637,13 +656,18 @@ def check_energy_scaling(plan: SweepPlan) -> tuple[dict, list[Check]]:
     center, edge, outer = [], [], []
     for e in eps_list:
         geom, data, system = plan.problem(e, energy=True)
+        slabs = [("inner_center", 0.0), ("inner_edge", e ** (1.0 / (1.0 + g)))]
+        slabs = [(name, _slab(geom, z)) for name, z in
+                 slabs + ([("outer", z) for z in outer_z] if e == eps_min else [])]
+        _refuse_empty_slabs(plan.energy_aspect, system.mesh.stations, slabs, e)
         data = data.only(0)
         v = solve_dirichlet(system, dirichlet_values(system.mesh, data))
         del system          # release the factorization before the next mesh is built
-        center.append((e, remainder_energy(v, data, _slab(geom, 0.0))))
-        edge.append((e, remainder_energy(v, data, _slab(geom, e ** (1.0 / (1.0 + g))))))
+        energies = [remainder_energy(v, data, region) for _, region in slabs]
+        center.append((e, energies[0]))
+        edge.append((e, energies[1]))
         if e == eps_min:
-            outer = [(z, remainder_energy(v, data, _slab(geom, z))) for z in outer_z]
+            outer = list(zip(outer_z, energies[2:]))
 
     scale = max(1.0, max(v for _, v in center + edge))
     degenerate = max(v for _, v in center + edge) <= 1e-16 * scale

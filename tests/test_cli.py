@@ -565,6 +565,46 @@ def test_prop21_checks_every_slab_before_sampling(tmp_path, capsys, monkeypatch)
     assert "at epsilon = 0.1: the widest slab at z' = 0.2154" in capsys.readouterr().err
 
 
+def test_energy_scaling_names_the_aspect_of_a_slab_without_centroids(tmp_path, capsys,
+                                                                       monkeypatch):
+    # at energy.aspect = 4 the neck station spacing is 4 eps, so the nearest
+    # centroids sit at |x'| = 4 eps / 3, outside the neck-center slab of radius
+    # eps: the plan is refused at eps = 3e-3, before that epsilon's solve, and a
+    # valid plan grades each epsilon's stations once
+    calls = {"solve_dirichlet": 0, "grade": 0}
+    for name in calls:
+        def counted(*args, _real=getattr(verify, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(verify, name, counted)
+    assert run(["energy-scaling", "--out", str(tmp_path / "coarse"),
+                "--set", "energy.aspect=4"]) == 2
+    err = capsys.readouterr().err
+    assert ("energy.aspect = 4 at epsilon = 0.003: the inner_center slab at z' = 0 (radius "
+            "0.003) holds no triangle centroid") in err
+    assert calls["solve_dirichlet"] == 3            # eps = 0.1, 0.03 and 0.01
+    calls.update(solve_dirichlet=0, grade=0)
+    assert run(["energy-scaling", "--out", str(tmp_path / "valid"),
+                "--set", "energy.layers=8"]) == 0
+    assert calls == {"solve_dirichlet": 5, "grade": 5}
+
+
+def test_importing_the_cli_loads_no_scipy_thread_pool_or_logging():
+    # every command pays the import: scipy loads only where banded LU or a
+    # sparse reference runs, and concurrent.futures (which imports logging)
+    # only where run_sweep starts a thread pool
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"),
+                                                      env.get("PYTHONPATH")]))
+    script = ("import sys, thingap.cli; print(sorted(m for m in ('scipy', "
+              "'concurrent.futures', 'logging') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"
+
+
 # config text in and out of every key's range
 VALUES = st.one_of(
     st.sampled_from(["0", "-1", "1", "3", "4", "0.5", "1e-300", "1e300", "-1e300", "1e400",

@@ -6,6 +6,7 @@ from unittest.mock import Mock
 import numpy as np
 import pytest
 from scipy.linalg import lapack
+from scipy.sparse import csc_matrix
 from scipy.sparse.linalg import splu
 
 from thingap.auxiliary import BoundaryData, field_gradients, field_values
@@ -459,6 +460,20 @@ def test_l2_norm_of_constant_field():
     assert got == pytest.approx(2.0 * np.sqrt(np.sum(mesh.areas())), rel=1e-12)
 
 
+@pytest.mark.parametrize("layers, energy", [(12, False), (12, True), (48, False)],
+                         ids=["sweep", "energy", "layers48"])
+def test_corner_means_are_the_bits_of_the_gathered_mean(layers, energy):
+    # Mesh.centroids and l2_norm sum the three corner rows in order and divide
+    # by 3: the bits of .mean(axis=1) over the (T, 3, .) gather they do not form
+    _, _, system = SweepPlan(mesh_layers=layers).problem(1e-3, energy=energy)
+    mesh = system.mesh
+    assert np.array_equal(mesh.centroids(), mesh.vertices[mesh.triangles].mean(axis=1))
+    values = np.random.default_rng(5).standard_normal((mesh.num_vertices, 2))
+    c_vals = values[mesh.triangles].mean(axis=1)
+    want = float(np.sqrt(np.sum(mesh.areas() * np.sum(c_vals**2, axis=1))))
+    assert l2_norm(DiscreteSolution(mesh=mesh, values=values)) == want
+
+
 def test_constant_field_assembly_is_quadrature_independent():
     # the centroid rule is exact for a constant leading field; the zeroth-order
     # mass term is quadratic and keeps the 3-point rule
@@ -565,17 +580,29 @@ def _band_of(dense, rows, diag):
     return ab
 
 
+def _masks(mesh):
+    """Fixed-vertex masks: the boundary (every command), the top and bottom rows
+    only (the lateral columns free), and the boundary plus one interior vertex."""
+    boundary = mesh.vertex_tags != 0
+    one = boundary.copy()
+    one[(mesh.stations.size // 2) * (mesh.layers + 1) + mesh.layers // 2] = True
+    return {"boundary": boundary, "top_bottom": np.isin(mesh.vertex_tags, (TAG_TOP, TAG_BOTTOM)),
+            "one_interior": one}
+
+
 @pytest.mark.parametrize("make_cs, factor", [(_lame, "dpbtrf"),
                                              (_full_coefficient_set, "dgbtrf")],
                          ids=["cholesky", "lu"])
 def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
+    # the band is read offset by offset from the layered cells; it must hold the
+    # entries of K over the free vertices' bounding rectangle, with an identity
+    # row and column for a fixed dof inside it, and solve as a sparse LU does
     cs = make_cs()
     geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     system = assemble(mesh, cs)
-    free = ~dirichlet_values(mesh, BoundaryData.constant([1.0, 0.0], [0.0, 0.0])).dof_mask()
-    T = system.E.shape[2]
-    assert T % 7 and T % 64
+    K = system.K.toarray()
+    data = BoundaryData.constant([1.0, 0.0], [0.0, 0.0])
     bands = []
     module = _routine_module(factor)
     exact = getattr(module, factor)
@@ -585,18 +612,52 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
         return exact(ab, *args, **kwargs)
 
     monkeypatch.setattr(module, factor, capture)
-    # single elements, several blocks with a partial last one, one block beyond T
-    for block in (1, 7, 64, T + 5):
-        monkeypatch.setattr(solver, "BLOCK", block)
-        system._band_solver(free)
-    assert len(bands) == 4
-    assert all(np.array_equal(b, bands[0]) for b in bands[1:])   # same sums, same order
-    rows = bands[0].shape[0]
-    kd = rows - 1 if factor == "dpbtrf" else (rows - 1) // 3
-    assert kd == mesh.layers * cs.m + cs.m - 1
-    K_ff = system.K[free][:, free].toarray()
-    ref = _band_of(K_ff, rows, 0 if factor == "dpbtrf" else 2 * kd)
-    np.testing.assert_allclose(bands[0], ref, rtol=0, atol=1e-13 * np.abs(K_ff).max())
+    for name, fixed in _masks(mesh).items():
+        values = dirichlet_values(mesh, data).values
+        values[fixed & (mesh.vertex_tags == 0)] = 0.5
+        bc = BoundaryAssignment(values=values, fixed=fixed)
+        x = solve_dirichlet(system, bc).values.ravel()
+        grid = ~fixed.reshape(mesh.stations.size, mesh.layers + 1)
+        s, j = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
+        rect = np.zeros_like(grid)
+        rect[s[0]:s[-1] + 1, j[0]:j[-1] + 1] = True
+        assert np.array_equal(rect, grid) == (name != "one_interior"), name
+        dofs = np.flatnonzero(np.repeat(rect.ravel(), cs.m))
+        inside = np.flatnonzero(bc.dof_mask()[dofs])
+        K_r = K[np.ix_(dofs, dofs)]
+        K_r[inside], K_r[:, inside] = 0.0, 0.0
+        K_r[inside, inside] = 1.0
+        rows = bands[-1].shape[0]
+        kd = rows - 1 if factor == "dpbtrf" else (rows - 1) // 3
+        assert kd == (j[-1] + 1 - j[0] + 2) * cs.m - 1, name
+        ref = _band_of(K_r, rows, 0 if factor == "dpbtrf" else 2 * kd)
+        np.testing.assert_allclose(bands[-1], ref, rtol=0, atol=1e-13 * np.abs(K).max(),
+                                   err_msg=name)
+        free = ~bc.dof_mask()
+        rhs = system.load[free] - K[np.ix_(free, ~free)] @ values.ravel()[~free]
+        want = splu(csc_matrix(K[np.ix_(free, free)])).solve(rhs)
+        np.testing.assert_allclose(x[free], want, rtol=0, atol=1e-10 * np.abs(want).max(),
+                                   err_msg=name)
+    assert len(bands) == 3
+    # the boundary mask spans the interior vertices: kd = L m + m - 1
+    assert bands[0].shape[0] - 1 == (mesh.layers * cs.m + cs.m - 1) * (1 if factor == "dpbtrf"
+                                                                       else 3)
+
+
+def test_a_mesh_that_breaks_the_layered_numbering_raises():
+    # the band fill reads the cells of mesh.generate's numbering; a mesh with
+    # the same triangles in another order, or of another shape, is refused
+    geom = GapGeometry(0.1, GAMMA)
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
+    bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
+    for triangles in (mesh.triangles[::-1], mesh.triangles[:, [1, 2, 0]]):
+        broken = dataclasses.replace(mesh, triangles=triangles)
+        with pytest.raises(SolverError, match="not the layered mesh of"):
+            solve_dirichlet(assemble(broken, identity_coefficients()), bc)
+    single = single_triangle_mesh()
+    with pytest.raises(SolverError, match="not the layered mesh of 2 stations and 1 layers"):
+        solve_dirichlet(assemble(single, identity_coefficients()), BoundaryAssignment(
+            values=np.zeros((3, 1)), fixed=np.array([True, False, True])))
 
 
 def _smooth_sources(m):
