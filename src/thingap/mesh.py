@@ -3,9 +3,10 @@
 The mesh is layered: tangential stations are graded so that the spacing
 near the neck is proportional to the local gap width, and every station
 carries the same number of vertical cells spanning the exact fiber between
-the two boundary graphs.  Each quad is split into two triangles.  Vertices
-sit exactly on their fiber, so refinement re-places vertices on the exact
-graphs instead of interpolating the polygonal boundary.
+the two boundary graphs.  ``CELL``, the one statement of the cell layout,
+splits each quad into triangles.  Vertices sit exactly on their fiber, so
+refinement re-places vertices on the exact graphs instead of interpolating
+the polygonal boundary.
 
 Every mesh is ``generate(geom, stations, layers)`` on stations that
 :func:`grade` places, refined ones too: :func:`refine` is midpoint stations
@@ -46,6 +47,10 @@ LOCATE_TOL = 1e-12
 # the grading values are mistakes, and the station loop would run for hours
 MAX_STATIONS = 50_000
 
+# cell (interval i, layer j)'s triangles in index order, corners as (station, layer)
+# offsets from vertex (i, j): (a, b, c) and (a, c, d) of the quad a b c d, anticlockwise
+CELL = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
+
 
 @dataclass
 class Mesh:
@@ -54,8 +59,8 @@ class Mesh:
     ``vertices`` is (N, 2), ``triangles`` (T, 3) with positive orientation,
     ``vertex_tags`` (N,) with the TAG_* codes.  ``stations`` and ``layers``
     record the generating structure: vertex ``(s, j)`` has flat index
-    ``s * (layers + 1) + j``; the two triangles of cell ``(interval i,
-    layer j)`` have indices ``(i * layers + j) * 2`` and ``+ 1``.
+    ``s * (layers + 1) + j``; triangle ``tau`` of ``CELL`` in cell ``(interval
+    i, layer j)`` has index ``(i * layers + j) * len(CELL) + tau``.
     """
 
     vertices: np.ndarray
@@ -114,8 +119,8 @@ class Mesh:
         interpolated bottom row as a fraction of the interpolated fiber.  A
         point on a cell's left side or bottom also lies in the cells one
         interval left and one layer down, which have lower indices; cells
-        further right or up have higher ones.  So the eight triangles of
-        those four cells, in ascending index order, are the candidates.
+        further right or up have higher ones.  So the triangles of those four
+        cells, in ascending index order, are the candidates.
         """
         x = np.asarray(x, dtype=float)
         pts = np.atleast_2d(x)
@@ -132,12 +137,12 @@ class Mesh:
         w = width[i] + t * (width[i + 1] - width[i])
         j = np.clip(np.floor(L * (pts[:, 1] - b) / w), 0, L - 1).astype(np.int64)
 
-        di = np.array([-1, -1, -1, -1, 0, 0, 0, 0])
-        dj = np.array([-1, -1, 0, 0, -1, -1, 0, 0])
+        per = len(CELL)
+        di, dj = np.repeat([[-1, -1, 0, 0], [-1, 0, -1, 0]], per, axis=1)
         ci, cj = i[:, None] + di, j[:, None] + dj
         valid = (ci >= 0) & (cj >= 0)
-        cand = ((np.maximum(ci, 0) * L + np.maximum(cj, 0)) * 2 + np.arange(8) % 2)
-        p = self.vertices[self.triangles[cand]]          # (k, 8, 3, 2)
+        cand = (np.maximum(ci, 0) * L + np.maximum(cj, 0)) * per + np.arange(4 * per) % per
+        p = self.vertices[self.triangles[cand]]          # (k, 4 per, 3, 2)
         v0 = p[:, :, 0]
         e1 = p[:, :, 1] - v0
         e2 = p[:, :, 2] - v0
@@ -156,8 +161,19 @@ class Mesh:
 
     # -- validation -------------------------------------------------------------
 
+    def check_layered(self) -> None:
+        """Raise a :class:`MeshError` unless the vertices and triangles are numbered
+        as :func:`generate` numbers them, which the band solver reads."""
+        S, L = self.stations.size, self.layers
+        if (self.num_vertices != S * (L + 1)
+                or not np.array_equal(self.triangles, _cell_triangles(S, L))):
+            raise MeshError(f"the triangles are not the layered mesh of {S} stations and "
+                            f"{L} layers that the band solver reads")
+
     def validate(self) -> None:
-        """Check orientation, closure membership, boundary placement, conformity."""
+        """Check the numbering (so conformity: ``CELL`` splits a quad conformingly),
+        orientation, closure membership and the boundary tags and placement."""
+        self.check_layered()
         sa = 0.5 * p1_gradients(*self.vertex_rows())[1]
         if np.any(sa <= 0):
             raise MeshError(f"{int(np.sum(sa <= 0))} triangles with nonpositive area")
@@ -173,16 +189,10 @@ class Mesh:
             raise MeshError("top-tagged vertex off the upper graph")
         if np.any(np.abs(self.vertices[on_bot, 1] - bot[on_bot]) > 1e-12):
             raise MeshError("bottom-tagged vertex off the lower graph")
-        edges = np.concatenate([self.triangles[:, [0, 1]], self.triangles[:, [1, 2]],
-                                self.triangles[:, [2, 0]]])
-        edges = np.sort(edges, axis=1)
-        uniq, counts = np.unique(edges, axis=0, return_counts=True)
-        if np.any(counts > 2):
-            raise MeshError("non-conforming mesh: edge shared by more than 2 triangles")
-        boundary_edges = uniq[counts == 1]
-        is_boundary_vertex = self.vertex_tags != TAG_INTERIOR
-        if not np.all(is_boundary_vertex[boundary_edges]):
-            raise MeshError("single-triangle edge with an interior endpoint")
+        ring = np.ones((self.stations.size, self.layers + 1), dtype=bool)
+        ring[1:-1, 1:-1] = False
+        if not np.array_equal(self.vertex_tags != TAG_INTERIOR, ring.ravel()):
+            raise MeshError("boundary tags are not the outer ring of the vertex grid")
 
     # -- export -------------------------------------------------------------------
 
@@ -277,14 +287,22 @@ def generate(geom: GapGeometry, stations: np.ndarray, layers: int) -> Mesh:
     tags[idx[:, -1]] = TAG_TOP
     tags[idx[0, 1:-1]] = TAG_LATERAL_LEFT
     tags[idx[-1, 1:-1]] = TAG_LATERAL_RIGHT
-
-    # cell (i, j) has corners a = (i, j), b = a + L + 1, c = a + L + 2, d = a + 1
-    # and the triangles (a, b, c), (a, c, d)
-    a = idx[:-1, :-1, None]
-    b, c, d = a + layers + 1, a + layers + 2, a + 1
-    tris = np.concatenate([a, b, c, a, c, d], axis=2).reshape(-1, 3)
-    return Mesh(vertices=verts, triangles=tris, vertex_tags=tags,
+    return Mesh(vertices=verts, triangles=_cell_triangles(S, layers), vertex_tags=tags,
                 stations=stations, layers=layers, geom=geom)
+
+
+def _cell_triangles(stations: int, layers: int) -> np.ndarray:
+    """The triangles (T, 3) of ``CELL``, cell by cell, on ``stations`` of ``layers``."""
+    ds, dj = np.moveaxis(np.array(CELL), 2, 0)          # (triangle, corner) each
+    a = np.arange(stations - 1)[:, None] * (layers + 1) + np.arange(layers)
+    return (a[:, :, None, None] + (ds * (layers + 1) + dj)).reshape(-1, 3)
+
+
+def centroid_x(stations: np.ndarray, layers: int = 1) -> np.ndarray:
+    """x' of the centroids of the layered mesh on ``stations``, in triangle order,
+    summed as :meth:`Mesh.centroids` sums them: x' does not depend on the layer."""
+    c0, c1, c2 = stations[_cell_triangles(stations.size, layers).T // (layers + 1)]
+    return (c0 + c1 + c2) / 3
 
 
 def with_midpoints(stations: np.ndarray) -> np.ndarray:

@@ -13,12 +13,13 @@ Unknowns are ordered vertex-major: dof(vertex v, component i) = v*m + i.
 The layered mesh numbers its vertices station by station, so every coupling
 of two free dofs lies within half-bandwidth ``kd = L*m + m - 1`` (L layers,
 m components) of the diagonal, without reordering.  That band is the only
-operator a solve uses.  It is filled from the mesh's structure: each vertex
-couples to the vertices at seven (station, layer) offsets, and the element
-matrices, stored element-last and viewed per cell, sum each offset's blocks
-by window slices into one vertex-grid array, which is written into LAPACK's
-band storage (LAPACK Users' Guide, SIAM 1999) through strided views; at most
-one offset and its mirror are held beside the band.  The Dirichlet rows and
+operator a solve uses; its free dofs must fill a grid rectangle.  It is
+filled from ``mesh.CELL``: each vertex couples to the vertices at the
+(station, layer) offsets between corners of a cell's triangles, and the
+element matrices, stored element-last and viewed per cell, sum each offset's
+blocks by window slices into one vertex-grid array, written into LAPACK's band
+storage (LAPACK Users' Guide, SIAM 1999) through strided views; at most one
+offset and its mirror are held beside the band.  The Dirichlet rows and
 columns enter through an element-by-element product.  Symmetric operators
 (every CLI system) take banded Cholesky, ``dpbtrf`` and ``dpbtrs`` from
 ``_lapack``: the OpenBLAS of the scipy wheel, called through ``ctypes`` with
@@ -40,7 +41,7 @@ import numpy as np
 from ._lapack import dpbtrf, dpbtrs
 from .auxiliary import BoundaryData, field_values
 from .coefficients import CoefficientSet, evaluate_field
-from .mesh import Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP, p1_gradients
+from .mesh import CELL, Mesh, TAG_BOTTOM, TAG_INTERIOR, TAG_TOP, p1_gradients
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -72,32 +73,34 @@ BLOCK = 2048
 # 446 + 21 MiB; at 12 layers and mesh.dxmax = 1e-4 the elements (132 MiB)
 # outweigh the band (87 MiB)
 MAX_BAND_BYTES = 2**30
-# the corners of a cell's two triangles (mesh.generate) as (station, layer)
-# offsets from the cell's lower-left vertex: (a, b, c) and (a, c, d)
-_CORNERS = (((0, 0), (1, 0), (1, 1)), ((0, 0), (1, 1), (0, 1)))
 
 
 def _offset_pairs() -> dict:
     """The local pairs (triangle, a, b, corner of a) of each grid offset d =
-    corner b - corner a: 6 on the diagonal, 2 for each of the six neighbours."""
+    corner b - corner a of a ``CELL`` triangle, in ``CELL``'s order."""
     pairs = {}
-    for tau, corners in enumerate(_CORNERS):
+    for tau, corners in enumerate(CELL):
         for (a, ca), (b, cb) in itertools.product(enumerate(corners), repeat=2):
             pairs.setdefault((cb[0] - ca[0], cb[1] - ca[1]), []).append((tau, a, b, ca))
     return pairs
 
 
 _PAIRS = _offset_pairs()
-# the offsets on or below the diagonal: the vertex p + d precedes p
-_LOWER = ((0, 0), (0, -1), (-1, 0), (-1, -1))
+# the offsets on or below the diagonal (p + d precedes p), (0, 0) first: it sets the scale
+_LOWER = sorted((d for d in _PAIRS if d <= (0, 0)), reverse=True)
+
+
+def _half_bandwidth(rows: int, m: int) -> int:
+    """kd of the operator on a grid rectangle ``rows`` vertices tall."""
+    return max(abs(ds * rows + dj) for ds, dj in _PAIRS) * m + m - 1
 
 
 def band_bytes(stations: int, layers: int, m: int) -> tuple[int, int]:
     """Bytes of the band, n (kd + 1) 8 with n = (S - 2)(L - 1) m free dofs (every
-    boundary vertex is fixed) and kd + 1 = (L + 1) m, and of the element matrices
-    held while it is factored, 2 (S - 1) L (3m)^2 8, on S stations of L layers."""
-    return ((stations - 2) * (layers - 1) * (layers + 1) * m**2 * 8,
-            2 * (stations - 1) * layers * (3 * m) ** 2 * 8)
+    boundary vertex is fixed), and of the element matrices held while it is
+    factored, (3m)^2 8 per triangle, on S stations of L layers."""
+    return ((stations - 2) * (layers - 1) * m * (_half_bandwidth(layers - 1, m) + 1) * 8,
+            len(CELL) * (stations - 1) * layers * (3 * m) ** 2 * 8)
 
 
 @dataclass
@@ -125,23 +128,11 @@ def _blocks(count: int) -> list[slice]:
     return [slice(s, min(s + BLOCK, count)) for s in range(0, count, BLOCK)]
 
 
-def _check_layered(mesh: Mesh) -> None:
-    """Raise a :class:`SolverError` unless ``mesh`` numbers its vertices and
-    triangles as :func:`mesh.generate` does, which the band fill reads."""
-    S, L = mesh.stations.size, mesh.layers
-    corners = np.array([[s * (L + 1) + j for s, j in tri] for tri in _CORNERS])
-    cells = (np.arange(S - 1)[:, None] * (L + 1) + np.arange(L))[..., None, None]
-    if (mesh.num_vertices != S * (L + 1) or mesh.triangles.shape != (2 * (S - 1) * L, 3)
-            or not np.all(mesh.triangles.reshape(S - 1, L, 2, 3) - cells == corners)):
-        raise SolverError(f"the triangles are not the layered mesh of {S} stations and "
-                          f"{L} layers that the band solver reads")
-
-
 def _offset(E: np.ndarray, rect: tuple, d: tuple) -> np.ndarray:
     """The operator's blocks ``K[(p, x), (p + d, y)]`` as (m, m, ., .) over the
     grid vertices p with p and p + d in ``rect`` (stations s0:s1, layers
     j0:j1), summed in the pairs' order (``_PAIRS``) from the element matrices
-    viewed per cell, ``E`` (3, m, 3, m, S - 1, L, 2).
+    viewed per cell, ``E`` (3, m, 3, m, S - 1, L, len(CELL)).
     """
     S1, L = E.shape[4:6]
     s0, s1, j0, j1 = rect
@@ -193,29 +184,31 @@ class AssembledSystem:
     def _band_solver(self, free: np.ndarray):
         """Solve function of K_ff, factored in LAPACK's column-major band storage.
 
-        The band spans the bounding rectangle of the free vertices on the mesh's
-        (station, layer) grid, numbered as the mesh numbers them, so a rectangle
-        ``nj`` vertices tall has half-bandwidth ``kd = (nj + 2) m - 1``; a fixed dof
-        inside it gets an identity row and column.  Entry (i, j) goes to
-        ``ab[diag + i - j, j]``.  The operator is read one grid offset at a time
-        (:func:`_offset`), and each offset's m x m blocks are written into their
-        band rows through strided views of ``ab``.  Cholesky writes the offsets
-        on or below the diagonal and tests symmetry on the operator: each offset
-        against its mirror, transposed, relative to the largest diagonal-block
-        entry.  LU writes all seven.  One offset pair is alive beside the band.
+        The free dofs must fill a rectangle of the mesh's (station, layer) grid,
+        every component of every vertex in it, or a :class:`SolverError` is
+        raised; numbered as the mesh numbers them, they span a band of
+        :func:`_half_bandwidth`.  Entry (i, j) goes to ``ab[diag + i - j, j]``.
+        The operator is read one grid offset at a time (:func:`_offset`), and
+        each offset's m x m blocks are written into their band rows through
+        strided views of ``ab``.  Cholesky writes the offsets on or below the
+        diagonal and tests symmetry on the operator: each offset against its
+        mirror, transposed, relative to the largest diagonal-block entry.  LU
+        writes every offset.  One offset pair is alive beside the band.
         """
         mesh, m = self.mesh, self.cs.m
         S, L = mesh.stations.size, mesh.layers
-        _check_layered(mesh)
+        mesh.check_layered()
         grid = free.reshape(S, L + 1, m)
         s, j = (np.flatnonzero(grid.any(axis=(2, k))) for k in (1, 0))
         if s.size == 0:
             raise SolverError("no free dof to solve for")
         rect = (int(s[0]), int(s[-1]) + 1, int(j[0]), int(j[-1]) + 1)
+        if not grid[rect[0]:rect[1], rect[2]:rect[3]].all():
+            raise SolverError(f"the free dofs are not a rectangle of the grid: stations "
+                              f"{rect[0]}:{rect[1]}, layers {rect[2]}:{rect[3]} hold a fixed dof")
         ns, nj = rect[1] - rect[0], rect[3] - rect[2]
-        n, kd = ns * nj * m, (nj + 2) * m - 1
-        inner = grid[rect[0]:rect[1], rect[2]:rect[3]].ravel()
-        E = self.E.reshape(3, m, 3, m, S - 1, L, 2)      # E[a, i, b, j, cell s, cell j, tau]
+        n, kd = ns * nj * m, _half_bandwidth(nj, m)
+        E = self.E.reshape(3, m, 3, m, S - 1, L, len(CELL))  # E[a, i, b, j, cell s, cell j, tau]
 
         def band(rows, diag, lower):
             """The band, or None when ``lower`` and the operator is not symmetric."""
@@ -239,16 +232,7 @@ class AssembledSystem:
                 for y in range(m):
                     lo, hi = max(0, y - r0), min(m, rows + y - r0)
                     cols[:, :, y, r0 - y + lo:r0 - y + hi] = K[lo:hi, y].transpose(1, 2, 0)
-            ab = ab.reshape(n, rows)
-            fixed = np.flatnonzero(~inner)
-            if fixed.size:                               # identity rows and columns
-                ab[fixed] = 0.0
-                r = np.arange(rows)
-                col = fixed[:, None] + (diag - r)
-                ok = (col >= 0) & (col < n)
-                ab[col[ok], np.broadcast_to(r, col.shape)[ok]] = 0.0
-                ab[fixed, diag] = 1.0
-            return ab.T
+            return ab.reshape(n, rows).T
 
         ab = band(kd + 1, 0, True)
         solve = None
@@ -263,15 +247,7 @@ class AssembledSystem:
             if info > 0:
                 raise SolverError(f"singular operator: zero pivot {info} in banded LU")
             solve = lambda b: dgbtrs(lu, kd, kd, b, piv)[0]
-        if inner.all():
-            return solve
-        keep = np.flatnonzero(inner)
-
-        def padded(b):
-            x = np.zeros((n,) + b.shape[1:])
-            x[keep] = b
-            return solve(x)[keep]
-        return padded
+        return solve
 
 
 def assemble(mesh: Mesh, cs: CoefficientSet,

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 @pytest.mark.parametrize("script", sorted((ROOT / "demos").glob("*.py")), ids=lambda p: p.name)
 def test_demo_runs(script, tmp_path):
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONWARNINGS="error")     # as pyproject's filterwarnings
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, str(script)], env=env, cwd=tmp_path,

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from thingap.geometry import GapGeometry
-from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_NAMES,
-                          TAG_TOP, generate, grade, refine, with_midpoints)
+from thingap.mesh import (MAX_STATIONS, Mesh, MeshError, TAG_BOTTOM, TAG_INTERIOR,
+                          TAG_LATERAL_LEFT, TAG_NAMES, TAG_TOP, centroid_x, generate, grade,
+                          refine, with_midpoints)
+from thingap.verify import SweepPlan
 
 EPS = 1e-1
 GAMMA = 0.5
@@ -57,6 +59,52 @@ def test_gap_mesh_invariants(geom):
     top = mesh.vertex_tags == TAG_TOP
     want = geom.top(mesh.vertices[top, 0])
     assert np.max(np.abs(mesh.vertices[top, 1] - want)) < 1e-15
+
+
+def test_validate_checks_the_layered_numbering(geom):
+    # the same triangles in another order pass every other invariant, but the
+    # band solver reads cells in generate's order, so validate refuses them
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
+    mesh.validate()
+    broken = Mesh(vertices=mesh.vertices, triangles=mesh.triangles[::-1],
+                  vertex_tags=mesh.vertex_tags, stations=mesh.stations,
+                  layers=mesh.layers, geom=geom)
+    with pytest.raises(MeshError, match="not the layered mesh of"):
+        broken.validate()
+    # a lateral vertex tagged interior, an interior vertex tagged lateral
+    for vertex, tag in ((mesh.layers // 2, TAG_INTERIOR),
+                        (3 * (mesh.layers + 1) + 2, TAG_LATERAL_LEFT)):
+        tags = mesh.vertex_tags.copy()
+        tags[vertex] = tag
+        mistagged = Mesh(vertices=mesh.vertices, triangles=mesh.triangles, vertex_tags=tags,
+                         stations=mesh.stations, layers=mesh.layers, geom=geom)
+        with pytest.raises(MeshError, match="outer ring"):
+            mistagged.validate()
+
+
+def test_cell_splits_the_quads_conformingly(geom):
+    # validate checks conformity through the numbering alone, so CELL must split
+    # each quad so that every inner edge has two triangles and only the outer
+    # ring's edges have one
+    mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
+    tri = mesh.triangles
+    edges = np.sort(np.concatenate([tri[:, [0, 1]], tri[:, [1, 2]], tri[:, [2, 0]]]), axis=1)
+    uniq, counts = np.unique(edges, axis=0, return_counts=True)
+    assert set(counts.tolist()) == {1, 2}
+    outer = uniq[counts == 1]
+    assert np.all(mesh.vertex_tags[outer] != TAG_INTERIOR)
+    S, L = mesh.stations.size, mesh.layers
+    assert outer.shape[0] == 2 * (S - 1) + 2 * L
+
+
+@pytest.mark.parametrize("layers, energy", [(12, False), (12, True), (48, False)],
+                         ids=["sweep", "energy", "layers48"])
+def test_centroid_x_is_the_bits_of_the_centroids(layers, energy):
+    # the energy pre-check reads centroid x' from the stations alone; they must
+    # be Mesh.centroids()' first column, triangle by triangle
+    _, _, system = SweepPlan(mesh_layers=layers).problem(1e-3, energy=energy)
+    mesh = system.mesh
+    assert np.array_equal(centroid_x(mesh.stations, mesh.layers), mesh.centroids()[:, 0])
 
 
 def test_grading_refines_near_neck():

@@ -13,7 +13,7 @@ from thingap.auxiliary import BoundaryData, field_gradients, field_values
 from thingap.coefficients import (CoefficientSet, LameParameters, holder_demo_coefficients,
                                   identity_coefficients, lame_as_general)
 from thingap.geometry import GapGeometry, LocalRegion
-from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, generate, grade, refine
+from thingap.mesh import TAG_BOTTOM, TAG_TOP, Mesh, MeshError, generate, grade, refine
 from thingap import _lapack, mesh as mesh_module, solver
 from thingap.oracle import OracleError, finite_difference_reference
 from thingap.solver import (BoundaryAssignment, DiscreteSolution, RightHandSide, SolverError,
@@ -582,7 +582,8 @@ def _band_of(dense, rows, diag):
 
 def _masks(mesh):
     """Fixed-vertex masks: the boundary (every command), the top and bottom rows
-    only (the lateral columns free), and the boundary plus one interior vertex."""
+    only (the lateral columns free), and the boundary plus one interior vertex,
+    whose free set is no grid rectangle."""
     boundary = mesh.vertex_tags != 0
     one = boundary.copy()
     one[(mesh.stations.size // 2) * (mesh.layers + 1) + mesh.layers // 2] = True
@@ -595,8 +596,8 @@ def _masks(mesh):
                          ids=["cholesky", "lu"])
 def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, factor):
     # the band is read offset by offset from the layered cells; it must hold the
-    # entries of K over the free vertices' bounding rectangle, with an identity
-    # row and column for a fixed dof inside it, and solve as a sparse LU does
+    # entries of K over the free vertices, a rectangle of the grid, and solve as
+    # a sparse LU does; a free set that is not a rectangle is refused
     cs = make_cs()
     geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
@@ -616,17 +617,19 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
         values = dirichlet_values(mesh, data).values
         values[fixed & (mesh.vertex_tags == 0)] = 0.5
         bc = BoundaryAssignment(values=values, fixed=fixed)
-        x = solve_dirichlet(system, bc).values.ravel()
         grid = ~fixed.reshape(mesh.stations.size, mesh.layers + 1)
         s, j = np.flatnonzero(grid.any(axis=1)), np.flatnonzero(grid.any(axis=0))
         rect = np.zeros_like(grid)
         rect[s[0]:s[-1] + 1, j[0]:j[-1] + 1] = True
-        assert np.array_equal(rect, grid) == (name != "one_interior"), name
+        if name == "one_interior":
+            assert not np.array_equal(rect, grid)
+            with pytest.raises(SolverError, match="not a rectangle of the"):
+                solve_dirichlet(system, bc)
+            continue
+        assert np.array_equal(rect, grid), name
+        x = solve_dirichlet(system, bc).values.ravel()
         dofs = np.flatnonzero(np.repeat(rect.ravel(), cs.m))
-        inside = np.flatnonzero(bc.dof_mask()[dofs])
         K_r = K[np.ix_(dofs, dofs)]
-        K_r[inside], K_r[:, inside] = 0.0, 0.0
-        K_r[inside, inside] = 1.0
         rows = bands[-1].shape[0]
         kd = rows - 1 if factor == "dpbtrf" else (rows - 1) // 3
         assert kd == (j[-1] + 1 - j[0] + 2) * cs.m - 1, name
@@ -638,24 +641,25 @@ def test_blocked_band_matches_the_reference_operator(monkeypatch, make_cs, facto
         want = splu(csc_matrix(K[np.ix_(free, free)])).solve(rhs)
         np.testing.assert_allclose(x[free], want, rtol=0, atol=1e-10 * np.abs(want).max(),
                                    err_msg=name)
-    assert len(bands) == 3
+    assert len(bands) == 2
     # the boundary mask spans the interior vertices: kd = L m + m - 1
     assert bands[0].shape[0] - 1 == (mesh.layers * cs.m + cs.m - 1) * (1 if factor == "dpbtrf"
                                                                        else 3)
 
 
 def test_a_mesh_that_breaks_the_layered_numbering_raises():
-    # the band fill reads the cells of mesh.generate's numbering; a mesh with
-    # the same triangles in another order, or of another shape, is refused
+    # the band fill reads the cells of mesh.generate's numbering
+    # (Mesh.check_layered); a mesh with the same triangles in another order, or
+    # of another shape, is refused
     geom = GapGeometry(0.1, GAMMA)
     mesh = generate(geom, grade(geom, 1.0, 0.05, 0.5), 6)
     bc = dirichlet_values(mesh, BoundaryData.constant([1.0], [0.0]))
     for triangles in (mesh.triangles[::-1], mesh.triangles[:, [1, 2, 0]]):
         broken = dataclasses.replace(mesh, triangles=triangles)
-        with pytest.raises(SolverError, match="not the layered mesh of"):
+        with pytest.raises(MeshError, match="not the layered mesh of"):
             solve_dirichlet(assemble(broken, identity_coefficients()), bc)
     single = single_triangle_mesh()
-    with pytest.raises(SolverError, match="not the layered mesh of 2 stations and 1 layers"):
+    with pytest.raises(MeshError, match="not the layered mesh of 2 stations and 1 layers"):
         solve_dirichlet(assemble(single, identity_coefficients()), BoundaryAssignment(
             values=np.zeros((3, 1)), fixed=np.array([True, False, True])))
 

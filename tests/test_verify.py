@@ -457,6 +457,30 @@ def test_samplers_take_component_0_alone(monkeypatch):
     assert seen and set(seen) == {1}
 
 
+@pytest.mark.parametrize("phi, psi", [((1.0, 0.0), (1.0, 0.0)), ((0.0, 0.0), (0.0, 0.0)),
+                                      ((0.0, 1.0), (0.0, 0.0))],
+                         ids=["equal", "zero", "component1"])
+def test_prop21_on_a_vanishing_extension_gradient_is_not_measured(phi, psi):
+    # component 0's data have no jump, so every sampled seminorm and every
+    # constant is 0: a max/min over them measures nothing, neither inf nor a pass
+    plan = dataclasses.replace(SMALL_PLAN, bc_phi=phi, bc_psi=psi, prop21_pairs=200)
+    doc, (check,) = verify.check_prop21(plan)
+    assert doc["per_epsilon_max_constant"] == [0.0] * 3
+    assert doc["stability"] is None
+    assert check.verdict == "n/a"
+    assert "component 0's extension gradient vanishes" in check.reason()
+    assert check.to_dict()["note"] == "component 0's extension gradient vanishes"
+
+
+def test_oracle_seminorm_on_a_vanishing_extension_gradient_is_not_measured():
+    # a dense reference of 0 makes "sampled >= 0.8 dense" hold for any sample
+    doc, checks = verify.check_oracles(dataclasses.replace(SMALL_PLAN, bc_phi=(0.0, 0.0)))
+    assert doc["seminorm_dense"] == 0
+    check = by_name(checks)["seminorm_sampling"]
+    assert check.verdict == "n/a"
+    assert "component 0's extension gradient vanishes" in check.reason()
+
+
 def test_prop21_draws_each_random_stream_once(monkeypatch):
     # the 45 sampler calls of prop21 share one (pairs, seed): its 13 unit streams
     # (5 point tags x 2 variables, 3 direction scales) are drawn once, not per call
